@@ -267,6 +267,35 @@ let engine_chain_test =
                 done));
          E.run eng))
 
+(* A thousand one-shot deadlines, armed one cycle apart with staggered
+   delays, each bumping a counter when it fires: first as sleeper tasks
+   ([spawn_here] + [sleep], what link deliveries and retransmit deadlines
+   used to be), then as timers ([after_here]), which take the same
+   scheduler entries without a fiber or task record. The ratio of the two
+   rows ([engine-timer-spawn-ratio]) is what a timer saves. *)
+let arm_1k arm () =
+  let eng = E.create () in
+  let fired = ref 0 in
+  ignore
+    (E.spawn eng ~name:"armer" (fun () ->
+         for i = 1 to 1_000 do
+           arm (i land 63) (fun () -> incr fired);
+           E.consume 1
+         done));
+  E.run eng
+
+let engine_spawn_sleep_test =
+  Test.make ~name:"engine-spawn-sleep-1k"
+    (Staged.stage
+       (arm_1k (fun d f ->
+            ignore
+              (E.spawn_here (fun () ->
+                   E.sleep d;
+                   f ())))))
+
+let engine_timer_test =
+  Test.make ~name:"engine-timer-1k" (Staged.stage (arm_1k E.after_here))
+
 (* One lane revolution at 64 threads: a producer publishes 256 events
    round-robin across 64 tids into a ring; 64 consumer tasks pump the
    shared [Lanes] demux and drain their own lane. This is the follower
@@ -361,8 +390,8 @@ let tests =
   @ ring_tests
   @ rejoin_tests
   @ [
-      engine_test; engine_traced_test; engine_chain_test; ring_lanes_test;
-      bridge_test;
+      engine_test; engine_traced_test; engine_chain_test;
+      engine_spawn_sleep_test; engine_timer_test; ring_lanes_test; bridge_test;
     ]
 
 let smoke = Sys.getenv_opt "VARAN_BENCH_SMOKE" <> None
@@ -467,6 +496,16 @@ let run () =
     Printf.printf "  %-28s %12.2f x (vs untraced)\n" "trace-enabled-ratio"
       ratio;
     estimates := ("trace-enabled-ratio", ratio) :: !estimates
+  | _ -> ());
+  (match
+     ( List.assoc_opt "engine-timer-1k" !estimates,
+       List.assoc_opt "engine-spawn-sleep-1k" !estimates )
+   with
+  | Some timer_ns, Some spawn_ns when spawn_ns > 0.0 ->
+    let ratio = timer_ns /. spawn_ns in
+    Printf.printf "  %-28s %12.2f x (vs spawn+sleep)\n"
+      "engine-timer-spawn-ratio" ratio;
+    estimates := ("engine-timer-spawn-ratio", ratio) :: !estimates
   | _ -> ());
   check_broadcast_allocation ();
   Report.save_hotpath_json (List.rev !estimates);

@@ -136,14 +136,15 @@ and ready_write ofile =
   | K_listen _ -> false
   | K_epoll _ -> false
 
-let notify_epolls watchers = List.iter (fun e -> Cond.broadcast e.e_cond) watchers
+let notify_epolls watchers =
+  List.iter (fun e -> Cond.broadcast_if_waiting e.e_cond) watchers
 
 let wake_sock_readers ep =
-  Cond.broadcast ep.ep_readable;
+  Cond.broadcast_if_waiting ep.ep_readable;
   notify_epolls ep.ep_watchers
 
 let wake_sock_writers ep =
-  Cond.broadcast ep.ep_writable;
+  Cond.broadcast_if_waiting ep.ep_writable;
   notify_epolls ep.ep_watchers
 
 let nonblocking ofile = ofile.flags land Flags.o_nonblock <> 0
@@ -152,34 +153,23 @@ let nonblocking ofile = ofile.flags land Flags.o_nonblock <> 0
 (* Socket delivery with optional link latency                          *)
 (* ------------------------------------------------------------------ *)
 
-(* Append payload to the peer's receive queue. With a non-zero link
-   latency the append happens in a detached delivery task so the bytes
-   become visible [link_latency] cycles later, preserving order because
-   engine events at increasing times run in order. *)
+(* Run [f] once the link latency has passed: at once without one,
+   otherwise in a timer, preserving order because engine events at
+   increasing times run in order. *)
+let after_link k f =
+  if k.link_latency = 0 then f () else E.after_here k.link_latency f
+
+(* Append payload to the peer's receive queue. *)
 let deliver_to_peer k (peer : endpoint) (data : Bytes.t) =
-  let append () =
-    ignore (Bytequeue.write peer.ep_rx data);
-    wake_sock_readers peer
-  in
-  if k.link_latency = 0 then append ()
-  else
-    ignore
-      (E.spawn_here ~name:"net-delivery" (fun () ->
-           E.sleep k.link_latency;
-           append ()))
+  after_link k (fun () ->
+      ignore (Bytequeue.write peer.ep_rx data);
+      wake_sock_readers peer)
 
 let deliver_fin k (peer : endpoint) =
-  let fin () =
-    peer.ep_peer_closed <- true;
-    wake_sock_readers peer;
-    wake_sock_writers peer
-  in
-  if k.link_latency = 0 then fin ()
-  else
-    ignore
-      (E.spawn_here ~name:"net-fin" (fun () ->
-           E.sleep k.link_latency;
-           fin ()))
+  after_link k (fun () ->
+      peer.ep_peer_closed <- true;
+      wake_sock_readers peer;
+      wake_sock_writers peer)
 
 (* ------------------------------------------------------------------ *)
 (* Release on close                                                    *)

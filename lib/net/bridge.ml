@@ -142,13 +142,17 @@ let send_data t (p : pending) =
          checksum = p.p_checksum;
        })
 
-let rec retransmit_timer t (p : pending) rto =
-  E.sleep rto;
-  if (not p.p_acked) && p.p_epoch = t.epoch then begin
-    t.s_retransmits <- t.s_retransmits + 1;
-    send_data t p;
-    retransmit_timer t p (min (rto * 2) t.cfg.rto_max)
-  end
+(* One timer per batch: while the batch is unacked in the live epoch,
+   resend it and re-arm with doubled backoff. *)
+let arm_retransmit t (p : pending) =
+  let rto = ref t.cfg.rto in
+  E.after_here !rto (fun () ->
+      if (not p.p_acked) && p.p_epoch = t.epoch then begin
+        t.s_retransmits <- t.s_retransmits + 1;
+        send_data t p;
+        rto := min (!rto * 2) t.cfg.rto_max;
+        E.again !rto
+      end)
 
 let ship_batch t evs =
   let reg = Prof.region_enter () in
@@ -177,9 +181,7 @@ let ship_batch t evs =
   t.s_events <- t.s_events + n;
   send_data t p;
   Prof.region_exit Phase.bridge_wire reg;
-  ignore
-    (Node.spawn_here t.local_node ~name:"bridge-rto" (fun () ->
-         retransmit_timer t p t.cfg.rto))
+  arm_retransmit t p
 
 (* The sender: one task per epoch. It exits when detached or superseded
    by a newer epoch; [detach] pokes the ring and the window cond so a

@@ -74,19 +74,16 @@ let create ~a ~b ?(latency = 2000) ?(cycles_per_kb = 800) ?(faults = no_faults)
 
 let partitioned t = E.now_cycles () < t.partition_until
 
-(* Park a delivery task until [arrival], then hand the frame to the
-   sink. Two sleepers with distinct deadlines wake in deadline order
-   (ties break by spawn order), so per-direction arrival order is the
-   queue order. *)
+(* Arm a timer for [arrival], then hand the frame to the sink. Two
+   timers with distinct deadlines fire in deadline order (ties break by
+   arm order), so per-direction arrival order is the queue order. Every
+   caller passes an arrival strictly after now. *)
 let deliver t d msg ~arrival =
-  let now = E.now_cycles () in
-  let wait = Int64.to_int (Int64.sub arrival now) in
-  ignore
-    (Node.spawn_here d.dst ~name:(t.name ^ "-rx") (fun () ->
-         if wait > 0 then E.sleep wait;
-         Queue.push msg d.inbox;
-         t.s_delivered <- t.s_delivered + 1;
-         E.Cond.broadcast_if_waiting d.arrived))
+  let wait = Int64.to_int (Int64.sub arrival (E.now_cycles ())) in
+  E.after_here wait (fun () ->
+      Queue.push msg d.inbox;
+      t.s_delivered <- t.s_delivered + 1;
+      E.Cond.broadcast_if_waiting d.arrived)
 
 let schedule t d msg ~bytes ~extra =
   let now = E.now_cycles () in
@@ -145,17 +142,15 @@ let send t ~dir ~bytes msg =
     (* Fallback: if no later frame ever overtakes it, flush after a
        generous horizon so a Reorder can delay but never lose a frame. *)
     let flush_after = (8 * t.latency) + (bytes * t.cycles_per_kb / 1024) + 4096 in
-    ignore
-      (Node.spawn_here d.dst ~name:(t.name ^ "-flush") (fun () ->
-           E.sleep flush_after;
-           match d.held with
-           | Some held ->
-             d.held <- None;
-             d.held_flushed <- true;
-             Queue.push held d.inbox;
-             t.s_delivered <- t.s_delivered + 1;
-             E.Cond.broadcast_if_waiting d.arrived
-           | None -> ()))
+    E.after_here flush_after (fun () ->
+        match d.held with
+        | Some held ->
+          d.held <- None;
+          d.held_flushed <- true;
+          Queue.push held d.inbox;
+          t.s_delivered <- t.s_delivered + 1;
+          E.Cond.broadcast_if_waiting d.arrived
+        | None -> ())
   end
   else begin
     let arrival = schedule t d msg ~bytes ~extra:!extra in

@@ -16,10 +16,6 @@ let spawn t ~name f =
   t.tasks <- t.tasks + 1;
   E.spawn t.eng ~name:(t.name ^ "/" ^ name) f
 
-let spawn_here t ~name f =
-  t.tasks <- t.tasks + 1;
-  E.spawn_here ~name:(t.name ^ "/" ^ name) f
-
 let note_tx t n = t.bytes_tx <- t.bytes_tx + n
 let note_rx t n = t.bytes_rx <- t.bytes_rx + n
 

@@ -17,15 +17,14 @@ val spawn : t -> name:string -> (unit -> unit) -> Varan_sim.Engine.task_id
 (** Spawn a task owned by this node (named ["<node>/<name>"]), runnable
     at the current global virtual time. *)
 
-val spawn_here : t -> name:string -> (unit -> unit) -> Varan_sim.Engine.task_id
-(** Like {!spawn} but from task context, runnable at the caller's local
-    time. *)
-
 val note_tx : t -> int -> unit
 (** Record bytes leaving this node on some link. *)
 
 val note_rx : t -> int -> unit
 
 type stats = { tasks : int; bytes_tx : int; bytes_rx : int }
+(** [tasks] counts tasks spawned through {!spawn}. Link frame deliveries
+    and bridge retransmit deadlines are engine timers
+    ({!Varan_sim.Engine.after_here}), not tasks, and are not counted. *)
 
 val stats : t -> stats

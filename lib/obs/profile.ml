@@ -121,6 +121,13 @@ let gap_charge tid ts =
     Hashtbl.remove gap_tbl tid;
     add app_compute (Int64.sub ts last)
 
+(* A retired task never charges again: dropping its rows keeps the side
+   tables bounded by live tasks, like the engine's own table. *)
+let forget tid =
+  Hashtbl.remove suppress_tbl tid;
+  Hashtbl.remove stolen_tbl tid;
+  Hashtbl.remove gap_tbl tid
+
 let note_backlog d =
   if d > 0L then begin
     backlog_cycles := Int64.add !backlog_cycles d;

@@ -51,8 +51,12 @@ and entry = {
   mutable eseq : int;
   mutable ekind : ekind;
   mutable e_task : task; (* [dummy_task] unless [ekind = Ek_resume] *)
-  mutable e_fn : unit -> unit; (* only read when [ekind = Ek_run] *)
-  mutable e_flag : bool; (* resume value for [K_bool] frames *)
+  mutable e_fn : unit -> unit; (* [Ek_run] bootstrap or timer callback *)
+  (* [Ek_resume]: resume value for [K_bool] frames (0 = false);
+     [Ek_arm]: when the timer fires. One shared slot keeps every entry a
+     word smaller: cancelled deadline entries stay in the heap until
+     their time, so a futex-heavy run holds many of them. *)
+  mutable e_arg : int;
   mutable e_free : entry; (* free-list link; self when not on the list *)
 }
 
@@ -60,6 +64,8 @@ and ekind =
   | Ek_cancelled (* inert: skipped (and recycled) without dispatching *)
   | Ek_resume (* resume [e_task]'s frame *)
   | Ek_run (* run [e_fn] — spawn bootstrap *)
+  | Ek_arm (* a timer's arm entry: fire [e_fn] at [e_arg] *)
+  | Ek_fire (* run the timer callback [e_fn] at [etime] *)
 
 and cond_waiter = {
   w_task : task;
@@ -97,7 +103,7 @@ and dummy_entry =
     ekind = Ek_cancelled;
     e_task = dummy_task;
     e_fn = ignore;
-    e_flag = false;
+    e_arg = 0;
     e_free = dummy_entry;
   }
 
@@ -216,7 +222,8 @@ type t = {
   mutable free : entry; (* slab free list; [dummy_entry] = empty *)
   mutable seq : int;
   mutable next_id : task_id;
-  tasks : (task_id, task) Hashtbl.t;
+  tasks : (task_id, task) Hashtbl.t; (* live tasks only *)
+  mutable retired_cycles : int; (* summed lifetimes of retired tasks *)
   mutable global_time : int;
   mutable failure_list : (task_id * exn) list; (* reversed *)
   mutable tickers : ticker list;
@@ -243,6 +250,16 @@ let g_switches = Varan_util.Stats.counter "engine.task_switches"
    slot is never live across two performs). *)
 let pending_int = ref 0
 let pending_cond = ref dummy_cond
+let pending_fn = ref ignore
+
+(* While a timer callback runs: its engine and its firing time, so the
+   task-context wrappers ([now_cycles], [after_here], [Cond.signal] and
+   [Cond.broadcast]) act on the engine directly instead of performing an
+   effect no handler would catch. [timer_at < 0] outside callbacks;
+   [timer_again] is the delay passed to [again], or -1. *)
+let timer_eng : t option ref = ref None
+let timer_at = ref (-1)
+let timer_again = ref (-1)
 
 type _ Effect.t +=
   | E_consume : unit Effect.t (* cycles in [pending_int] *)
@@ -256,6 +273,7 @@ type _ Effect.t +=
   | E_wait_timeout : bool Effect.t (* cond + cycles in the slots *)
   | E_signal : unit Effect.t (* cond in [pending_cond] *)
   | E_broadcast : unit Effect.t (* cond in [pending_cond] *)
+  | E_after : unit Effect.t (* cycles in [pending_int], fn in [pending_fn] *)
 
 let create () =
   {
@@ -265,6 +283,7 @@ let create () =
     seq = 0;
     next_id = 0;
     tasks = Hashtbl.create 64;
+    retired_cycles = 0;
     global_time = 0;
     failure_list = [];
     tickers = [];
@@ -311,7 +330,7 @@ let alloc_entry t ~time ~kind =
         ekind = kind;
         e_task = dummy_task;
         e_fn = ignore;
-        e_flag = false;
+        e_arg = 0;
         e_free = dummy_entry;
       }
     in
@@ -325,7 +344,7 @@ let alloc_entry t ~time ~kind =
     e.eseq <- t.seq;
     t.seq <- t.seq + 1;
     e.ekind <- kind;
-    e.e_flag <- false;
+    e.e_arg <- 0;
     e
   end
 
@@ -357,6 +376,18 @@ let sched_run t time fn =
 
 let cancel_entry e = e.ekind <- Ek_cancelled
 
+let maxi (a : int) b = if a > b then a else b
+
+(* Arm a timer at [at]: one due-now entry, exactly the bootstrap entry
+   [spawn_here (fun () -> sleep d; f ())] would schedule. Its dispatch
+   then does what that task's [sleep d] would: fire inline or schedule
+   the fire entry (see [drain]). *)
+let arm t at d f =
+  let e = alloc_entry t ~time:at ~kind:Ek_arm in
+  e.e_fn <- f;
+  e.e_arg <- at + maxi d 0;
+  enqueue t e
+
 let now t = Int64.of_int t.global_time
 
 let task_name t id =
@@ -371,29 +402,27 @@ let failures t = List.rev t.failure_list
 let task_switches t = t.switches
 
 (* Total task-cycles: every task's lifetime (busy + blocked vtime from
-   spawn to its current local clock) summed. Tasks are never removed
-   from the table, so a plain fold covers finished and dead tasks too.
-   This is the denominator the cycle-attribution profile is judged
-   against: the phase buckets partition (most of) this quantity. *)
+   spawn to its current local clock) summed. Finished and dead tasks
+   leave the table when they retire, banking their final lifetime in
+   [retired_cycles], so this stays exact while the table holds only
+   live work. This is the denominator the cycle-attribution profile is
+   judged against: the phase buckets partition (most of) this quantity. *)
 let total_task_cycles t =
-  Hashtbl.fold
-    (fun _ task acc -> Int64.add acc (Int64.of_int (task.time - task.start)))
-    t.tasks 0L
+  Int64.of_int
+    (Hashtbl.fold
+       (fun _ task acc -> acc + (task.time - task.start))
+       t.tasks t.retired_cycles)
 
-(* Per-task lifetimes, for chasing down unattributed profile residue:
-   which tasks own the cycles the phase buckets missed. *)
-let task_lifetimes t =
-  Hashtbl.fold
-    (fun _ task acc ->
-      ((task.id :> int), task.name, Int64.of_int (task.time - task.start))
-      :: acc)
-    t.tasks []
-
-let maxi (a : int) b = if a > b then a else b
+(* A finished or dead task never runs again, so its clock is final: bank
+   its lifetime and drop it (and the profiler's per-task rows). *)
+let retire t task =
+  Hashtbl.remove t.tasks task.id;
+  t.retired_cycles <- t.retired_cycles + (task.time - task.start);
+  if !Varan_obs.Profile.enabled then Varan_obs.Profile.forget task.id
 
 (* Schedule the resumption of a claimed waiter's task: clear the park
    bookkeeping, cancel any pending deadline, and hand the wake time to a
-   reusable [Ek_resume] entry. [e_flag = true] marks "signalled" for
+   reusable [Ek_resume] entry. [e_arg = 1] marks "signalled" for
    [wait_timeout] frames; plain waits ignore it. *)
 let wake_waiter t w at =
   let task = w.w_task in
@@ -404,7 +433,7 @@ let wake_waiter t w at =
     task.fr_deadline <- None
   | None -> ());
   let e = sched_resume t (maxi at task.time) task in
-  e.e_flag <- true
+  e.e_arg <- 1
 
 (* Wake one claimable waiter of [c] at a time not before [at]. *)
 let signal_at t c at =
@@ -464,14 +493,17 @@ let rec make_fiber : t -> task -> (unit -> unit) -> unit =
   let open Effect.Deep in
   match_with f ()
     {
-      retc = (fun () -> if task.state <> Dead then task.state <- Finished);
+      retc =
+        (fun () ->
+          if task.state <> Dead then task.state <- Finished;
+          retire t task);
       exnc =
         (fun e ->
-          match e with
-          | Killed -> task.state <- Dead
-          | e ->
-            t.failure_list <- (task.id, e) :: t.failure_list;
-            task.state <- Dead);
+          (match e with
+          | Killed -> ()
+          | e -> t.failure_list <- (task.id, e) :: t.failure_list);
+          task.state <- Dead;
+          retire t task);
       effc =
         (fun (type a) (eff : a Effect.t) ->
           match eff with
@@ -562,7 +594,7 @@ let rec make_fiber : t -> task -> (unit -> unit) -> unit =
                   task.fr_waiter <- Some w;
                   task.fr_k <- K_bool k;
                   (* The deadline rides an ordinary resume entry with
-                     [e_flag = false] ("timed out"); an earlier signal or
+                     [e_arg = 0] ("timed out"); an earlier signal or
                      kill cancels it in O(1) via [fr_deadline]. *)
                   let d = sched_resume t (task.time + cycles) task in
                   task.fr_deadline <- Some d
@@ -581,6 +613,16 @@ let rec make_fiber : t -> task -> (unit -> unit) -> unit =
                 if task.killed then discontinue k Killed
                 else begin
                   broadcast_at t !pending_cond task.time;
+                  continue k ()
+                end)
+          | E_after ->
+            Some
+              (fun (k : (a, unit) continuation) ->
+                let f = !pending_fn in
+                pending_fn := ignore;
+                if task.killed then discontinue k Killed
+                else begin
+                  arm t task.time !pending_int f;
                   continue k ()
                 end)
           | _ -> None);
@@ -608,7 +650,10 @@ and spawn_internal : t -> ?name:string -> at:int -> (unit -> unit) -> task_id =
   in
   Hashtbl.replace t.tasks id task;
   sched_run t at (fun () ->
-      if task.killed || task.state = Dead then task.state <- Dead
+      if task.killed || task.state = Dead then begin
+        task.state <- Dead;
+        retire t task
+      end
       else if !Varan_obs.Trace.enabled then begin
         (* First dispatch slice: from spawn to the first park. *)
         Varan_obs.Trace.begin_span ~ts:(Int64.of_int task.time) ~tid:id name;
@@ -668,6 +713,36 @@ let fire_due_ticker t =
     if not (tk.tk_fn ()) then tk.tk_active <- false;
     refresh_tick_due t
 
+(* Run timer callback [fn] at [at] in scheduler context. If it called
+   [again d], refire it [d] cycles later exactly as a task looping on
+   [sleep d] would continue: in place when [can_inline] holds, otherwise
+   through one fire entry. *)
+let rec fire t me at fn =
+  timer_eng := me;
+  timer_at := at;
+  timer_again := -1;
+  (match fn () with
+  | () -> ()
+  | exception ex ->
+    timer_eng := None;
+    timer_at := -1;
+    raise ex);
+  timer_eng := None;
+  timer_at := -1;
+  let d = !timer_again in
+  if d >= 0 then begin
+    let nt = at + d in
+    if can_inline t nt then begin
+      note_inline_switch t nt;
+      fire t me nt fn
+    end
+    else begin
+      let e = alloc_entry t ~time:nt ~kind:Ek_fire in
+      e.e_fn <- fn;
+      enqueue t e
+    end
+  end
+
 let drain ?cycle_budget t =
   let budget =
     match cycle_budget with
@@ -675,6 +750,7 @@ let drain ?cycle_budget t =
     | _ -> max_int
   in
   t.cur_budget <- budget;
+  let me = Some t in
   let heap = t.heap and ready = t.ready in
   let rec loop () =
     (* Recycle cancelled entries at either front without dispatching. *)
@@ -728,7 +804,7 @@ let drain ?cycle_budget t =
           Varan_util.Stats.incr_counter g_switches;
           (match e.ekind with
           | Ek_resume ->
-            let task = e.e_task and etime = e.etime and flag = e.e_flag in
+            let task = e.e_task and etime = e.etime and flag = e.e_arg <> 0 in
             (match task.fr_deadline with
             | Some d when d == e -> task.fr_deadline <- None
             | _ -> ());
@@ -783,6 +859,27 @@ let drain ?cycle_budget t =
             let fn = e.e_fn in
             recycle t e;
             fn ()
+          | Ek_arm ->
+            let fn = e.e_fn and due = e.e_arg in
+            if can_inline t due then begin
+              recycle t e;
+              note_inline_switch t due;
+              fire t me due fn
+            end
+            else begin
+              (* The sleep entry the replaced task would allocate right
+                 after recycling its bootstrap entry: same (etime, eseq),
+                 so re-key this entry in place. *)
+              e.etime <- due;
+              e.eseq <- t.seq;
+              t.seq <- t.seq + 1;
+              e.ekind <- Ek_fire;
+              enqueue t e
+            end
+          | Ek_fire ->
+            let fn = e.e_fn and at = e.etime in
+            recycle t e;
+            fire t me at fn
           | Ek_cancelled -> recycle t e (* unreachable: pruned above *));
           loop ()
         end
@@ -811,9 +908,27 @@ let sleep n =
   pending_int := maxi n 0;
   Effect.perform E_sleep
 
-let now_cycles () = Effect.perform E_now
+let in_timer () = !timer_at >= 0
+let timer_engine () = Option.get !timer_eng
+
+let now_cycles () =
+  if in_timer () then Int64.of_int !timer_at else Effect.perform E_now
+
 let self () = Effect.perform E_self
 let spawn_here ?name body = Effect.perform (E_spawn (name, body))
+
+let after_here d f =
+  if in_timer () then arm (timer_engine ()) !timer_at d f
+  else begin
+    pending_int := d;
+    pending_fn := f;
+    Effect.perform E_after
+  end
+
+let again d =
+  if not (in_timer ()) then invalid_arg "Engine.again: outside a timer callback";
+  timer_again := maxi d 0
+
 let kill t id = kill_internal t ~at:t.global_time id
 let kill_here id = Effect.perform (E_kill id)
 let yield () = Effect.perform E_yield
@@ -833,12 +948,18 @@ module Cond = struct
     Effect.perform E_wait_timeout
 
   let signal c =
-    pending_cond := c;
-    Effect.perform E_signal
+    if in_timer () then signal_at (timer_engine ()) c !timer_at
+    else begin
+      pending_cond := c;
+      Effect.perform E_signal
+    end
 
   let broadcast c =
-    pending_cond := c;
-    Effect.perform E_broadcast
+    if in_timer () then broadcast_at (timer_engine ()) c !timer_at
+    else begin
+      pending_cond := c;
+      Effect.perform E_broadcast
+    end
 
   let waiters c = c.c_nwaiters
   let has_waiters c = c.c_nwaiters > 0

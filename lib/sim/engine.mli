@@ -72,8 +72,13 @@ val kill : t -> task_id -> unit
     model variant crashes and teardown. *)
 
 val is_alive : t -> task_id -> bool
+(** [false] once the task has finished or died. A finished or dead task
+    is retired — dropped from the engine's table — so the answer for its
+    id stays [false] for good, and {!kill} on it is a no-op. *)
 
 val task_name : t -> task_id -> string
+(** The name of a live task; ["?"] for an id that was never spawned or
+    whose task has retired. *)
 
 val failures : t -> (task_id * exn) list
 (** Tasks that terminated with an uncaught exception, oldest first. *)
@@ -86,14 +91,12 @@ val task_switches : t -> int
 
 val total_task_cycles : t -> int64
 (** Sum over every task ever spawned of its lifetime so far — the vtime
-    from spawn to its current local clock, busy and blocked alike. The
-    denominator for {!Varan_obs.Profile} coverage: the attribution
-    buckets partition this quantity (minus unattributed idle). *)
-
-val task_lifetimes : t -> (int * string * int64) list
-(** Per-task [(id, name, lifetime)] triples, unordered — the per-task
-    breakdown of {!total_task_cycles}, for locating which tasks own any
-    unattributed profile residue. *)
+    from spawn to its current local clock, busy and blocked alike.
+    Retired (finished or dead) tasks count with their final lifetime,
+    banked when they retire. Timers ({!after_here}) are not tasks and
+    add nothing. The denominator for {!Varan_obs.Profile} coverage: the
+    attribution buckets partition this quantity (minus unattributed
+    idle). *)
 
 (** {1 Task-context operations}
 
@@ -108,7 +111,8 @@ val sleep : int -> unit
 (** Block for the given number of cycles. *)
 
 val now_cycles : unit -> int64
-(** The calling task's local virtual time. *)
+(** The calling task's local virtual time (a timer callback's firing
+    time). *)
 
 val self : unit -> task_id
 
@@ -118,6 +122,29 @@ val spawn_here : ?name:string -> (unit -> unit) -> task_id
 
 val kill_here : task_id -> unit
 (** Kill another task from inside a task. *)
+
+val after_here : int -> (unit -> unit) -> unit
+(** [after_here d f] arms a timer: [f] runs [d] cycles after the
+    caller's current local time. It behaves exactly like
+    [spawn_here (fun () -> sleep d; f ())] — the same scheduler entries
+    at the same points in dispatch order, so virtual time and
+    {!task_switches} come out identical — but costs no fiber, no task
+    record and no name.
+
+    [f] runs in scheduler context, outside any task, and must not
+    block: it may call {!now_cycles} (the firing time), {!Cond.signal},
+    {!Cond.broadcast}, {!Cond.broadcast_if_waiting}, {!after_here} and
+    {!again}. Anything else that performs an engine effect ({!consume},
+    {!sleep}, {!Cond.wait}, {!self}, {!spawn_here}, ...) raises
+    [Effect.Unhandled]. An exception escaping [f] propagates out of
+    {!run}. Callable from a task or from another timer callback. *)
+
+val again : int -> unit
+(** Inside a timer callback only: once the callback returns, run it
+    again [d] cycles after this firing — exactly as a task that looped
+    on [sleep d] would continue. Call it last; the bridge's
+    retransmit timer re-arms with backoff this way.
+    @raise Invalid_argument outside a timer callback. *)
 
 val yield : unit -> unit
 (** Requeue at the same time, letting equal-time tasks run. *)

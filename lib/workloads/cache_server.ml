@@ -13,29 +13,51 @@ let set_cmd key value =
 
 let get_cmd key = Bytes.of_string ("get " ^ key)
 
+(* Parse in place. Fields are split on single spaces, so a run of
+   spaces makes empty fields: [set key len payload...] (the payload is
+   everything after the third space) and exactly [get key]. A set stores
+   its value with one copy; a get hit builds its reply in one buffer. *)
+let respond store req =
+  let n = Bytes.length req in
+  let field_end from =
+    match Bytes.index_from_opt req from ' ' with Some i -> i | None -> n
+  in
+  let e1 = field_end 0 in
+  let e2 = if e1 < n then field_end (e1 + 1) else n in
+  let is_cmd c0 c1 c2 =
+    e1 = 3
+    && Bytes.get req 0 = c0
+    && Bytes.get req 1 = c1
+    && Bytes.get req 2 = c2
+  in
+  if is_cmd 's' 'e' 't' && e2 < n then begin
+    let e3 = field_end (e2 + 1) in
+    let off = if e3 = n then n else e3 + 1 in
+    let have = n - off in
+    let len =
+      Option.value ~default:have
+        (int_of_string_opt (Bytes.sub_string req (e2 + 1) (e3 - e2 - 1)))
+    in
+    Hashtbl.replace store
+      (Bytes.sub_string req (e1 + 1) (e2 - e1 - 1))
+      (Bytes.sub_string req off (min have len));
+    Bytes.of_string "STORED"
+  end
+  else if is_cmd 'g' 'e' 't' && e1 < n && e2 = n then
+    match Hashtbl.find_opt store (Bytes.sub_string req (e1 + 1) (n - e1 - 1)) with
+    | Some v ->
+      let b = Bytes.create (6 + String.length v) in
+      Bytes.blit_string "VALUE " 0 b 0 6;
+      Bytes.blit_string v 0 b 6 (String.length v);
+      b
+    | None -> Bytes.of_string "END"
+  else Bytes.of_string "ERROR"
+
 let handle cfg store api req =
   Api.compute api cfg.work_cycles;
   (* memcached stamps items with the current time on every command. *)
   ignore (Api.time api);
-  let text = Bytes.to_string req in
-  let reply =
-    match String.split_on_char ' ' text with
-    | "set" :: key :: len :: rest ->
-      let payload = String.concat " " rest in
-      let len = try int_of_string len with _ -> String.length payload in
-      let value =
-        if String.length payload >= len then String.sub payload 0 len
-        else payload
-      in
-      Hashtbl.replace store key value;
-      "STORED"
-    | [ "get"; key ] -> (
-      match Hashtbl.find_opt store key with
-      | Some v -> "VALUE " ^ v
-      | None -> "END")
-    | _ -> "ERROR"
-  in
-  Bytes.of_string reply
+  respond store req
 
 let make_body cfg () =
   let store : (string, string) Hashtbl.t = Hashtbl.create 1024 in

@@ -145,25 +145,6 @@ let run ?(label = "serving") spec =
      this; a routing or termination bug trips Cycle_budget instead of
      hanging the bench. *)
   E.run_until_quiescent ~cycle_budget:20_000_000_000L eng;
-  (* Residue-chasing aid for the coverage gate: per-task lifetime vs the
-     profiler's stolen ledger shows which tasks own unattributed cycles
-     (the stolen ledger excludes app-compute gap charges, so variant
-     units show their compute as "residue" — that is expected). *)
-  (if Sys.getenv_opt "VARAN_TASK_LIFETIMES" <> None then
-     let ls =
-       List.map
-         (fun (id, n, c) ->
-           let st = Varan_obs.Profile.stolen id in
-           (n, c, st, Int64.sub c st))
-         (E.task_lifetimes eng)
-       |> List.sort (fun (_, _, _, a) (_, _, _, b) -> Int64.compare b a)
-     in
-     List.iteri
-       (fun i (n, c, st, res) ->
-         if i < 40 then
-           Printf.eprintf "%-28s life %10Ld stolen %10Ld residue %10Ld\n" n c
-             st res)
-       ls);
   {
     o_measurement = Driver.measurement_of_result label cost result;
     o_result = result;

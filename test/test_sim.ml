@@ -452,6 +452,192 @@ let test_many_tasks_scale () =
   Alcotest.(check int) "all tasks ran" 1000 !total;
   Alcotest.(check int64) "time is max consume" 1000L (E.now eng)
 
+(* --- task retirement --------------------------------------------------- *)
+
+(* A parent spawns [n] short-lived children, child [i] living
+   [(i mod 7) + 3] cycles. Finished tasks leave the engine's table, so the
+   live heap after the run must not grow with [n]; their lifetimes must
+   still sum exactly into [total_task_cycles]. *)
+let churn n =
+  let eng = E.create () in
+  ignore
+    (E.spawn eng ~name:"parent" (fun () ->
+         for i = 1 to n do
+           ignore
+             (E.spawn_here (fun () ->
+                  E.sleep (i mod 7);
+                  E.consume 3));
+           E.consume 1
+         done));
+  E.run eng;
+  eng
+
+let live_words_with eng =
+  Gc.compact ();
+  let w = (Gc.stat ()).Gc.live_words in
+  ignore (Sys.opaque_identity eng);
+  w
+
+let test_retired_tasks_free_memory () =
+  let small = churn 1_000 in
+  let base = live_words_with small in
+  let big = churn 100_000 in
+  let grown = live_words_with big - base in
+  (* One retained task record is ~10 words plus its name and table slot:
+     keeping 99k more of them would add well over a million words. *)
+  if grown > 50_000 then
+    Alcotest.failf "live heap grew by %d words over 99k extra finished tasks"
+      grown;
+  let expected n =
+    let sum = ref n in
+    for i = 1 to n do
+      sum := !sum + (i mod 7) + 3
+    done;
+    Int64.of_int !sum
+  in
+  Alcotest.(check int64) "lifetimes survive retirement" (expected 100_000)
+    (E.total_task_cycles big);
+  Alcotest.(check int64) "small run too" (expected 1_000)
+    (E.total_task_cycles small)
+
+let test_retired_task_queries () =
+  let eng = E.create () in
+  let id = E.spawn eng ~name:"short" (fun () -> E.consume 40) in
+  Alcotest.(check bool) "alive before the run" true (E.is_alive eng id);
+  Alcotest.(check string) "named while live" "short" (E.task_name eng id);
+  E.run eng;
+  Alcotest.(check bool) "finished task is not alive" false (E.is_alive eng id);
+  E.kill eng id;
+  Alcotest.(check bool) "kill on a retired id is a no-op" false
+    (E.is_alive eng id);
+  Alcotest.(check string) "retired id has no name" "?" (E.task_name eng id);
+  Alcotest.(check int64) "its lifetime still counts" 40L
+    (E.total_task_cycles eng);
+  E.run eng
+
+(* --- timers vs one-shot sleeper tasks ---------------------------------- *)
+
+(* A timer must be indistinguishable from the task it replaces: a random
+   program arms actions either through [spawn_here (fun () -> sleep d;
+   act ())] or through [after_here d act], and both must give the same
+   (vtime, label) trace, the same task-switch count and the same final
+   clock. Actions log, broadcast a cond that agents wait on, arm child
+   actions (timers arming timers) and re-arm themselves like a task
+   that sleeps again ([again]). A ticker logs its deadlines, which
+   random delays cross between arm and fire. *)
+type action = { label : int; rearm : int list; children : (int * action) list }
+
+type op =
+  | Op_consume of int
+  | Op_sleep of int
+  | Op_yield
+  | Op_wait of int
+  | Op_arm of int * action
+
+let gen_delay rng =
+  match Random.State.int rng 4 with
+  | 0 -> 0
+  | 1 -> 5 * Random.State.int rng 4 (* equal deadlines *)
+  | _ -> Random.State.int rng 40
+
+let rec gen_action rng depth =
+  {
+    label = Random.State.int rng 1000;
+    rearm = List.init (Random.State.int rng 3) (fun _ -> gen_delay rng);
+    children =
+      (if depth >= 2 then []
+       else
+         List.init (Random.State.int rng 3) (fun _ ->
+             (gen_delay rng, gen_action rng (depth + 1))));
+  }
+
+let gen_agent rng =
+  Array.init
+    (3 + Random.State.int rng 8)
+    (fun _ ->
+      match Random.State.int rng 6 with
+      | 0 -> Op_consume (Random.State.int rng 20)
+      | 1 -> Op_sleep (gen_delay rng)
+      | 2 -> Op_yield
+      | 3 -> Op_wait (1 + Random.State.int rng 60)
+      | _ -> Op_arm (gen_delay rng, gen_action rng 0))
+
+let run_armed ~timers agents =
+  let eng = E.create () in
+  let c = E.Cond.create "poke" in
+  let log = ref [] in
+  let note label = log := (E.now_cycles (), label) :: !log in
+  E.add_ticker eng ~period:37 (fun () ->
+      log := (E.now eng, "tick") :: !log;
+      true);
+  let fire act =
+    note (Printf.sprintf "a%d" act.label);
+    E.Cond.broadcast c
+  in
+  let rec arm_task d act =
+    ignore
+      (E.spawn_here (fun () ->
+           E.sleep d;
+           let rec loop rearm =
+             fire act;
+             List.iter (fun (d, a) -> arm_task d a) act.children;
+             match rearm with
+             | [] -> ()
+             | d :: rest ->
+               E.sleep d;
+               loop rest
+           in
+           loop act.rearm))
+  in
+  let rec arm_timer d act =
+    let rearm = ref act.rearm in
+    E.after_here d (fun () ->
+        fire act;
+        List.iter (fun (d, a) -> arm_timer d a) act.children;
+        match !rearm with
+        | [] -> ()
+        | d :: rest ->
+          rearm := rest;
+          E.again d)
+  in
+  let arm = if timers then arm_timer else arm_task in
+  List.iteri
+    (fun i ops ->
+      ignore
+        (E.spawn eng (fun () ->
+             Array.iteri
+               (fun j op ->
+                 (match op with
+                 | Op_consume d -> E.consume d
+                 | Op_sleep d -> E.sleep d
+                 | Op_yield -> E.yield ()
+                 | Op_wait d -> ignore (E.Cond.wait_timeout c d)
+                 | Op_arm (d, act) -> arm d act);
+                 note (Printf.sprintf "t%d.%d" i j))
+               ops)))
+    agents;
+  E.run eng;
+  (List.rev !log, E.task_switches eng, E.now eng)
+
+let test_timers_match_sleeper_tasks () =
+  for seed = 0 to 199 do
+    let rng = Random.State.make [| 0x71AE; seed |] in
+    let agents = List.init (1 + Random.State.int rng 4) (fun _ -> gen_agent rng) in
+    let log_t, sw_t, end_t = run_armed ~timers:false agents in
+    let log_e, sw_e, end_e = run_armed ~timers:true agents in
+    if log_t <> log_e then
+      Alcotest.failf "seed %d: timer trace diverged from sleeper tasks" seed;
+    if sw_t <> sw_e then
+      Alcotest.failf "seed %d: %d task switches with tasks, %d with timers"
+        seed sw_t sw_e;
+    if end_t <> end_e then Alcotest.failf "seed %d: final clocks differ" seed
+  done
+
+let test_again_outside_timer () =
+  Alcotest.check_raises "again needs a timer callback"
+    (Invalid_argument "Engine.again: outside a timer callback") (fun () ->
+      E.again 5)
+
 let () =
   Alcotest.run "varan_sim"
     [
@@ -501,5 +687,19 @@ let () =
             test_timeout_vs_signal_same_vtime;
           Alcotest.test_case "200-seed equivalence vs list scheduler" `Quick
             test_schedule_equivalence;
+        ] );
+      ( "retire",
+        [
+          Alcotest.test_case "100k finished tasks free their memory" `Quick
+            test_retired_tasks_free_memory;
+          Alcotest.test_case "queries on a retired id" `Quick
+            test_retired_task_queries;
+        ] );
+      ( "timer",
+        [
+          Alcotest.test_case "200-seed timers == sleeper tasks" `Quick
+            test_timers_match_sleeper_tasks;
+          Alcotest.test_case "again outside a callback" `Quick
+            test_again_outside_timer;
         ] );
     ]

@@ -18,6 +18,7 @@ module Revisions = Varan_workloads.Revisions
 module Spec = Varan_workloads.Spec
 module Kv_server = Varan_workloads.Kv_server
 module Proto = Varan_workloads.Proto
+module Cache_server = Varan_workloads.Cache_server
 
 (* Small copies of the catalog loads so tests stay fast. *)
 let shrink ?(conns = 4) ?(reqs = 12) w =
@@ -428,9 +429,81 @@ let test_sharded_pool_shares_spawn () =
         true (n > 0))
     rs.Router.per_shard
 
+(* The cache server's in-place parser against the split-based parser it
+   replaced, kept here as the reference: every request must give the
+   same reply (or raise the same exception) and leave the same store. *)
+let reference_respond store req =
+  let text = Bytes.to_string req in
+  let reply =
+    match String.split_on_char ' ' text with
+    | "set" :: key :: len :: rest ->
+      let payload = String.concat " " rest in
+      let len = try int_of_string len with _ -> String.length payload in
+      let value =
+        if String.length payload >= len then String.sub payload 0 len
+        else payload
+      in
+      Hashtbl.replace store key value;
+      "STORED"
+    | [ "get"; key ] -> (
+      match Hashtbl.find_opt store key with
+      | Some v -> "VALUE " ^ v
+      | None -> "END")
+    | _ -> "ERROR"
+  in
+  Bytes.of_string reply
+
+let test_cache_parser_matches_reference () =
+  let outcome respond store req =
+    match respond store req with
+    | reply -> Ok (Bytes.to_string reply)
+    | exception e -> Error (Printexc.to_string e)
+  in
+  let bindings store =
+    List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) store [])
+  in
+  let fixed =
+    [
+      ""; " "; "set"; "get"; "set k"; "set k 3"; "set k 3 "; "set k 3 abc";
+      "set k 3 abcdef"; "set k 9 ab"; "set k x hello"; "set k -1 abc";
+      "set k +2 abc"; "set k 0x2 abc"; "set k  3 abc"; "set  k 3 abc";
+      "set k 3  a b"; "set k 5 a b c d"; "get k"; "get k extra"; "get  k";
+      "get "; "get k "; "GET k"; "sett k 1 a"; "ge k"; "set k 3 a\nb";
+    ]
+  in
+  let alphabet = "setg k1-0x " in
+  let random rng =
+    let n = Random.State.int rng 14 in
+    let body =
+      String.init n (fun _ ->
+          alphabet.[Random.State.int rng (String.length alphabet)])
+    in
+    match Random.State.int rng 3 with
+    | 0 -> "set " ^ body
+    | 1 -> "get " ^ body
+    | _ -> body
+  in
+  let rng = Random.State.make [| 0xCAC4E |] in
+  let reqs = fixed @ List.init 5_000 (fun _ -> random rng) in
+  let ours = Hashtbl.create 16 and theirs = Hashtbl.create 16 in
+  List.iter
+    (fun req ->
+      let b = Bytes.of_string req in
+      let want = outcome reference_respond theirs b in
+      let got = outcome Cache_server.respond ours b in
+      if got <> want then Alcotest.failf "request %S: replies differ" req;
+      if bindings ours <> bindings theirs then
+        Alcotest.failf "request %S: stores differ" req)
+    reqs
+
 let () =
   Alcotest.run "varan_workloads"
     [
+      ( "cache-server",
+        [
+          Alcotest.test_case "in-place parser matches split reference" `Quick
+            test_cache_parser_matches_reference;
+        ] );
       ( "serving",
         [
           Alcotest.test_case "open-loop latency accounting" `Quick

@@ -260,11 +260,43 @@ let engine_chain_test =
                   E.Cond.signal pong
                 done));
          ignore
-           (E.spawn eng ~name:"driver" (fun () ->
+           (E.spawn eng ~name:"broadcaster" (fun () ->
                 for _ = 1 to 1_000 do
                   E.Cond.signal ping;
                   E.Cond.wait pong
                 done));
+         E.run eng))
+
+(* The follower wait reduced to the engine: 256 tasks loop on
+   [wait_timeout c 6_000] (the adaptive spin's waitlock sleep) while a
+   broadcaster task wakes [c] a thousand times, one cycle apart. Every wait
+   is woken long before its deadline, so each broadcast cancels 256
+   pending deadlines; the ratio to [engine-ready-ring-chain-1k]
+   ([engine-herd-chain-ratio]) rises if cancelled deadlines linger in
+   the scheduler. The engine and its tasks are built inside the staged
+   function: benchmark/micro.exe links this module and must not pay for
+   them. *)
+let engine_herd_test =
+  Test.make ~name:"engine-herd-timed-wait"
+    (Staged.stage (fun () ->
+         let eng = E.create () in
+         let c = E.Cond.create "activity" in
+         let stop = ref false in
+         for i = 1 to 256 do
+           ignore
+             (E.spawn eng ~name:(Printf.sprintf "f%d" i) (fun () ->
+                  while not !stop do
+                    ignore (E.Cond.wait_timeout c 6_000)
+                  done))
+         done;
+         ignore
+           (E.spawn eng ~name:"broadcaster" (fun () ->
+                for _ = 1 to 1_000 do
+                  E.consume 1;
+                  E.Cond.broadcast c
+                done;
+                stop := true;
+                E.Cond.broadcast c));
          E.run eng))
 
 (* A thousand one-shot deadlines, armed one cycle apart with staggered
@@ -390,7 +422,7 @@ let tests =
   @ ring_tests
   @ rejoin_tests
   @ [
-      engine_test; engine_traced_test; engine_chain_test;
+      engine_test; engine_traced_test; engine_chain_test; engine_herd_test;
       engine_spawn_sleep_test; engine_timer_test; ring_lanes_test; bridge_test;
     ]
 
@@ -506,6 +538,16 @@ let run () =
     Printf.printf "  %-28s %12.2f x (vs spawn+sleep)\n"
       "engine-timer-spawn-ratio" ratio;
     estimates := ("engine-timer-spawn-ratio", ratio) :: !estimates
+  | _ -> ());
+  (match
+     ( List.assoc_opt "engine-herd-timed-wait" !estimates,
+       List.assoc_opt "engine-ready-ring-chain-1k" !estimates )
+   with
+  | Some herd_ns, Some chain_ns when chain_ns > 0.0 ->
+    let ratio = herd_ns /. chain_ns in
+    Printf.printf "  %-28s %12.1f x (vs engine-ready-ring-chain-1k)\n"
+      "engine-herd-chain-ratio" ratio;
+    estimates := ("engine-herd-chain-ratio", ratio) :: !estimates
   | _ -> ());
   check_broadcast_allocation ();
   Report.save_hotpath_json (List.rev !estimates);

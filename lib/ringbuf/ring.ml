@@ -388,6 +388,6 @@ let wait_activity t = Cond.wait t.activity
 let wait_activity_timeout t cycles = Cond.wait_timeout t.activity cycles
 
 let poke t =
-  Cond.broadcast t.not_empty;
-  Cond.broadcast t.not_full;
-  Cond.broadcast t.activity
+  Cond.broadcast_if_waiting t.not_empty;
+  Cond.broadcast_if_waiting t.not_full;
+  Cond.broadcast_if_waiting t.activity

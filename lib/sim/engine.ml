@@ -41,8 +41,7 @@ type task = {
      claim the waiter in O(1). *)
   mutable fr_waiter : cond_waiter option;
   (* The pending [wait_timeout] deadline entry, if any: an early signal
-     or kill cancels it in O(1) instead of leaving a tombstone that
-     later dispatches as a no-op. *)
+     or kill takes it out of the scheduler at once (see [cancel_entry]). *)
   mutable fr_deadline : entry option;
 }
 
@@ -54,10 +53,10 @@ and entry = {
   mutable e_fn : unit -> unit; (* [Ek_run] bootstrap or timer callback *)
   (* [Ek_resume]: resume value for [K_bool] frames (0 = false);
      [Ek_arm]: when the timer fires. One shared slot keeps every entry a
-     word smaller: cancelled deadline entries stay in the heap until
-     their time, so a futex-heavy run holds many of them. *)
+     word smaller. *)
   mutable e_arg : int;
   mutable e_free : entry; (* free-list link; self when not on the list *)
+  mutable e_pos : int; (* index in the heap array; -1 when not in it *)
 }
 
 and ekind =
@@ -105,6 +104,7 @@ and dummy_entry =
     e_fn = ignore;
     e_arg = 0;
     e_free = dummy_entry;
+    e_pos = -1;
   }
 
 let dummy_cond =
@@ -112,13 +112,54 @@ let dummy_cond =
 
 module Heap = struct
   (* Binary min-heap on (etime, eseq); eseq breaks ties FIFO so execution
-     order is deterministic. Holds only genuinely future wakeups — due-now
-     entries go to the ready ring instead. *)
+     order is deterministic. Holds only live, genuinely future wakeups:
+     due-now entries go to the ready ring instead, and a cancelled entry
+     is taken out at once ([remove]). Every entry in the heap knows its
+     index ([e_pos]), which is what makes [remove] O(log n). *)
   type t = { mutable a : entry array; mutable len : int }
 
   let create () = { a = Array.make 256 dummy_entry; len = 0 }
 
   let lt x y = x.etime < y.etime || (x.etime = y.etime && x.eseq < y.eseq)
+
+  let[@inline] set h i e =
+    h.a.(i) <- e;
+    e.e_pos <- i
+
+  (* Place [e] at or above the hole at [i]. *)
+  let sift_up h i e =
+    let i = ref i in
+    let continue = ref true in
+    while !continue && !i > 0 do
+      let p = (!i - 1) / 2 in
+      let pe = h.a.(p) in
+      if lt e pe then begin
+        set h !i pe;
+        i := p
+      end
+      else continue := false
+    done;
+    set h !i e
+
+  (* Place [e] at or below the hole at [i]. *)
+  let sift_down h i e =
+    let i = ref i in
+    let continue = ref true in
+    while !continue do
+      let l = (2 * !i) + 1 in
+      if l >= h.len then continue := false
+      else begin
+        let r = l + 1 in
+        let c = if r < h.len && lt h.a.(r) h.a.(l) then r else l in
+        let ce = h.a.(c) in
+        if lt ce e then begin
+          set h !i ce;
+          i := c
+        end
+        else continue := false
+      end
+    done;
+    set h !i e
 
   let push h e =
     if h.len = Array.length h.a then begin
@@ -126,39 +167,33 @@ module Heap = struct
       Array.blit h.a 0 bigger 0 h.len;
       h.a <- bigger
     end;
-    h.a.(h.len) <- e;
     h.len <- h.len + 1;
-    let i = ref (h.len - 1) in
-    while !i > 0 && lt h.a.(!i) h.a.((!i - 1) / 2) do
-      let p = (!i - 1) / 2 in
-      let tmp = h.a.(p) in
-      h.a.(p) <- h.a.(!i);
-      h.a.(!i) <- tmp;
-      i := p
-    done
+    sift_up h (h.len - 1) e
+
+  (* Empty the last slot and return its entry, for the caller to place
+     back into the hole it is making. *)
+  let take_last h =
+    h.len <- h.len - 1;
+    let last = h.a.(h.len) in
+    h.a.(h.len) <- dummy_entry;
+    last
 
   (* Caller must check [len > 0]; no option allocation on the hot path. *)
   let pop_top h =
     let top = h.a.(0) in
-    h.len <- h.len - 1;
-    h.a.(0) <- h.a.(h.len);
-    h.a.(h.len) <- dummy_entry;
-    let i = ref 0 in
-    let continue = ref true in
-    while !continue do
-      let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-      let smallest = ref !i in
-      if l < h.len && lt h.a.(l) h.a.(!smallest) then smallest := l;
-      if r < h.len && lt h.a.(r) h.a.(!smallest) then smallest := r;
-      if !smallest = !i then continue := false
-      else begin
-        let tmp = h.a.(!smallest) in
-        h.a.(!smallest) <- h.a.(!i);
-        h.a.(!i) <- tmp;
-        i := !smallest
-      end
-    done;
+    top.e_pos <- -1;
+    let last = take_last h in
+    if h.len > 0 then sift_down h 0 last;
     top
+
+  (* Remove [e], which must be in the heap ([e.e_pos >= 0]). *)
+  let remove h e =
+    let i = e.e_pos in
+    e.e_pos <- -1;
+    let last = take_last h in
+    if i < h.len then
+      if i > 0 && lt last h.a.((i - 1) / 2) then sift_up h i last
+      else sift_down h i last
 end
 
 module Ready = struct
@@ -332,6 +367,7 @@ let alloc_entry t ~time ~kind =
         e_fn = ignore;
         e_arg = 0;
         e_free = dummy_entry;
+        e_pos = -1;
       }
     in
     t.seq <- t.seq + 1;
@@ -374,7 +410,18 @@ let sched_run t time fn =
   e.e_fn <- fn;
   enqueue t e
 
-let cancel_entry e = e.ekind <- Ek_cancelled
+(* Cancel a scheduled entry that will never be dispatched. A heap entry
+   leaves the heap and goes back to the slab at once, so the heap holds
+   only live entries and a herd of early-signalled [wait_timeout]s costs
+   nothing once woken. An entry on the ready ring (a deadline of zero
+   cycles or less) is flagged instead, and recycled when it reaches the
+   front. *)
+let cancel_entry t e =
+  if e.e_pos >= 0 then begin
+    Heap.remove t.heap e;
+    recycle t e
+  end
+  else e.ekind <- Ek_cancelled
 
 let maxi (a : int) b = if a > b then a else b
 
@@ -429,7 +476,7 @@ let wake_waiter t w at =
   task.fr_waiter <- None;
   (match task.fr_deadline with
   | Some d ->
-    cancel_entry d;
+    cancel_entry t d;
     task.fr_deadline <- None
   | None -> ());
   let e = sched_resume t (maxi at task.time) task in
@@ -595,7 +642,7 @@ let rec make_fiber : t -> task -> (unit -> unit) -> unit =
                   task.fr_k <- K_bool k;
                   (* The deadline rides an ordinary resume entry with
                      [e_arg = 0] ("timed out"); an earlier signal or
-                     kill cancels it in O(1) via [fr_deadline]. *)
+                     kill cancels it via [fr_deadline]. *)
                   let d = sched_resume t (task.time + cycles) task in
                   task.fr_deadline <- Some d
                 end)
@@ -678,7 +725,7 @@ and kill_internal t ~at victim_id =
         victim.fr_waiter <- None;
         (match victim.fr_deadline with
         | Some d ->
-          cancel_entry d;
+          cancel_entry t d;
           victim.fr_deadline <- None
         | None -> ());
         victim.state <- Dead;
@@ -753,13 +800,10 @@ let drain ?cycle_budget t =
   let me = Some t in
   let heap = t.heap and ready = t.ready in
   let rec loop () =
-    (* Recycle cancelled entries at either front without dispatching. *)
+    (* Recycle cancelled entries at the ready ring's front without
+       dispatching; the heap never holds one (see [cancel_entry]). *)
     if ready.Ready.len > 0 && (Ready.front ready).ekind == Ek_cancelled then begin
       recycle t (Ready.pop ready);
-      loop ()
-    end
-    else if heap.Heap.len > 0 && heap.Heap.a.(0).ekind == Ek_cancelled then begin
-      recycle t (Heap.pop_top heap);
       loop ()
     end
     else begin

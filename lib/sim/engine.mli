@@ -162,7 +162,10 @@ module Cond : sig
 
   val wait_timeout : cond -> int -> bool
   (** [wait_timeout c cycles] parks until signalled or until [cycles] have
-      elapsed; returns [true] if signalled, [false] on timeout. *)
+      elapsed; returns [true] if signalled, [false] on timeout. The
+      deadline leaves the scheduler as soon as the wait is signalled or
+      the task is killed, so a wait that ends early costs nothing after
+      its wake, however far off its deadline was. *)
 
   val signal : cond -> unit
   (** Wake the oldest waiter, if any. *)

@@ -333,29 +333,49 @@ let test_timeout_vs_signal_same_vtime () =
 (* 200-seed equivalence against a naive sorted-list scheduler — the
    shape the engine had before the ready-ring/heap rewrite. Random task
    programs over consume/sleep/yield (with zero-cost ops for heavy tie
-   pressure) must produce the identical completion log under both,
-   proving the (etime, eseq) dispatch order survived the overhaul. *)
-type ref_op = R_consume of int | R_sleep of int | R_yield
+   pressure) and timed waits on one shared cond must produce the
+   identical completion log and task-switch count under both, proving
+   the (etime, eseq) dispatch order survived the overhaul. A wait ends
+   by its deadline, by a signal or broadcast before it, or by a kill
+   while parked; the last three cancel the deadline, which must then
+   neither dispatch nor count as a switch. *)
+type ref_op =
+  | R_consume of int
+  | R_sleep of int
+  | R_yield
+  | R_wait of int (* [Cond.wait_timeout] on the shared cond *)
+  | R_signal
+  | R_broadcast
+  | R_kill of int (* [kill_here] by task index *)
+
+type ref_task = {
+  mutable pc : int; (* ops started *)
+  mutable gone : bool; (* finished or dead: never runs again *)
+  mutable killed : bool; (* dies at its next dispatch *)
+  mutable deadline : int option; (* seq of its deadline while parked *)
+}
 
 let reference_schedule programs =
-  (* Entries are (time, seq, task index); pop always takes the
-     (time, seq)-minimum, mirroring the engine's tie-break. The log
-     records each op at the vtime its post-effect resumption runs. *)
+  (* Entries are (time, seq, task index, wait result); pop always takes
+     the (time, seq)-minimum, mirroring the engine's tie-break, and a
+     cancelled deadline is simply dropped from the list. The log records
+     each op at the vtime its post-effect resumption runs, with 1 for a
+     signalled wait and 0 otherwise. *)
   let seq = ref 0 in
-  let next_seq () =
+  let entries = ref [] in
+  let push time i v =
     let s = !seq in
     incr seq;
+    entries := (time, s, i, v) :: !entries;
     s
   in
-  let entries = ref [] in
-  let push time s i = entries := (time, s, i) :: !entries in
   let pop_min () =
     match !entries with
     | [] -> None
     | first :: rest ->
       let best =
         List.fold_left
-          (fun ((bt, bs, _) as b) ((t, s, _) as e) ->
+          (fun ((bt, bs, _, _) as b) ((t, s, _, _) as e) ->
             if t < bt || (t = bt && s < bs) then e else b)
           first rest
       in
@@ -364,79 +384,163 @@ let reference_schedule programs =
   in
   let ops = Array.of_list programs in
   let n = Array.length ops in
-  let idx = Array.make n 0 in
+  let tasks =
+    Array.init n (fun _ ->
+        { pc = 0; gone = false; killed = false; deadline = None })
+  in
+  let waiters = ref [] in (* parked task indices, oldest first *)
+  let unpark j =
+    (match tasks.(j).deadline with
+    | Some s -> entries := List.filter (fun (_, s', _, _) -> s' <> s) !entries
+    | None -> ());
+    tasks.(j).deadline <- None;
+    waiters := List.filter (fun k -> k <> j) !waiters
+  in
+  let wake time j =
+    unpark j;
+    ignore (push time j 1)
+  in
   let log = ref [] in
+  let switches = ref 0 in
   for i = 0 to n - 1 do
-    push 0 (next_seq ()) i
+    ignore (push 0 i 0)
   done;
   let rec run () =
     match pop_min () with
     | None -> ()
-    | Some (time, _, i) ->
-      if idx.(i) > 0 then log := (i, idx.(i) - 1, time) :: !log;
-      (* The task runs until its next real effect point. [consume 0] is
-         a documented no-op — no effect is performed, so the op logs
-         immediately within the same dispatch instead of rescheduling
-         (sleep and yield always reschedule, even at zero cost). *)
-      let scheduled = ref false in
-      while (not !scheduled) && idx.(i) < Array.length ops.(i) do
-        (match ops.(i).(idx.(i)) with
-        | R_consume 0 -> log := (i, idx.(i), time) :: !log
-        | R_consume d | R_sleep d ->
-          push (time + d) (next_seq ()) i;
-          scheduled := true
-        | R_yield ->
-          push time (next_seq ()) i;
-          scheduled := true);
-        idx.(i) <- idx.(i) + 1
-      done;
+    | Some (time, _, i, v) ->
+      incr switches;
+      let tk = tasks.(i) in
+      if tk.killed then tk.gone <- true;
+      if not tk.gone then begin
+        (* Still parked at dispatch: the deadline fired. *)
+        if tk.deadline <> None then unpark i;
+        if tk.pc > 0 then log := (i, tk.pc - 1, time, v) :: !log;
+        (* The task runs until its next real effect point. [consume 0]
+           is a documented no-op, and signal, broadcast and kill return
+           at once: those ops log within the same dispatch instead of
+           rescheduling (sleep and yield always reschedule, even at zero
+           cost). *)
+        let scheduled = ref false in
+        while (not !scheduled) && (not tk.gone) && tk.pc < Array.length ops.(i) do
+          let j = tk.pc in
+          tk.pc <- j + 1;
+          let logged () = log := (i, j, time, 0) :: !log in
+          match ops.(i).(j) with
+          | R_consume 0 -> logged ()
+          | R_consume d | R_sleep d ->
+            ignore (push (time + d) i 0);
+            scheduled := true
+          | R_yield ->
+            ignore (push time i 0);
+            scheduled := true
+          | R_wait d ->
+            waiters := !waiters @ [ i ];
+            tk.deadline <- Some (push (time + d) i 0);
+            scheduled := true
+          | R_signal ->
+            (match !waiters with w :: _ -> wake time w | [] -> ());
+            logged ()
+          | R_broadcast ->
+            List.iter (wake time) !waiters;
+            logged ()
+          | R_kill k when k = i -> tk.gone <- true
+          | R_kill k ->
+            let victim = tasks.(k) in
+            if not (victim.gone || victim.killed) then
+              if victim.deadline <> None then begin
+                (* Parked: unwound by a dispatch of its own. *)
+                unpark k;
+                victim.gone <- true;
+                ignore (push time k 0)
+              end
+              else victim.killed <- true;
+            logged ()
+        done;
+        if tk.pc = Array.length ops.(i) && not !scheduled then tk.gone <- true
+      end;
       run ()
   in
   run ();
-  List.rev !log
+  (List.rev !log, !switches)
 
 let engine_schedule programs =
   let eng = E.create () in
+  let c = E.Cond.create "shared" in
   let log = ref [] in
+  let ids = Array.make (List.length programs) None in
   List.iteri
     (fun i ops ->
-      ignore
-        (E.spawn eng ~name:(Printf.sprintf "t%d" i) (fun () ->
-             Array.iteri
-               (fun j op ->
-                 (match op with
-                 | R_consume d -> E.consume d
-                 | R_sleep d -> E.sleep d
-                 | R_yield -> E.yield ());
-                 log := (i, j, Int64.to_int (E.now_cycles ())) :: !log)
-               ops)))
+      ids.(i) <-
+        Some
+          (E.spawn eng ~name:(Printf.sprintf "t%d" i) (fun () ->
+               Array.iteri
+                 (fun j op ->
+                   let v =
+                     match op with
+                     | R_consume d ->
+                       E.consume d;
+                       0
+                     | R_sleep d ->
+                       E.sleep d;
+                       0
+                     | R_yield ->
+                       E.yield ();
+                       0
+                     | R_wait d -> if E.Cond.wait_timeout c d then 1 else 0
+                     | R_signal ->
+                       E.Cond.signal c;
+                       0
+                     | R_broadcast ->
+                       E.Cond.broadcast c;
+                       0
+                     | R_kill k ->
+                       E.kill_here (Option.get ids.(k));
+                       0
+                   in
+                   log := (i, j, Int64.to_int (E.now_cycles ()), v) :: !log)
+                 ops)))
     programs;
   E.run eng;
-  List.rev !log
+  (List.rev !log, E.task_switches eng)
 
-let gen_program rng =
+let gen_program rng n_tasks =
   let n_ops = 4 + Random.State.int rng 12 in
   Array.init n_ops (fun _ ->
-      match Random.State.int rng 10 with
-      | 0 | 1 | 2 | 3 -> R_consume (Random.State.int rng 31)
-      | 4 | 5 -> R_consume 0 (* force vtime ties *)
-      | 6 | 7 -> R_sleep (Random.State.int rng 51)
-      | _ -> R_yield)
+      match Random.State.int rng 20 with
+      | 0 | 1 | 2 | 3 | 4 | 5 -> R_consume (Random.State.int rng 31)
+      | 6 | 7 | 8 -> R_consume 0 (* force vtime ties *)
+      | 9 | 10 | 11 -> R_sleep (Random.State.int rng 51)
+      | 12 | 13 -> R_yield
+      | 14 | 15 | 16 ->
+        R_wait
+          (match Random.State.int rng 4 with
+          | 0 -> 0 (* the deadline lands on the ready ring *)
+          | 1 -> Random.State.int rng 20
+          | _ -> 20 + Random.State.int rng 200)
+      | 17 -> R_signal
+      | 18 -> R_broadcast
+      | _ -> R_kill (Random.State.int rng n_tasks))
 
 let test_schedule_equivalence () =
   for seed = 0 to 199 do
     let rng = Random.State.make [| 0x5EED; seed |] in
-    let n_tasks = 2 + Random.State.int rng 5 in
-    let programs = List.init n_tasks (fun _ -> gen_program rng) in
-    let expected = reference_schedule programs in
-    let actual = engine_schedule programs in
+    (* Up to 13 tasks: enough parked deadlines that cancelling one can
+       need the heap's sift-up as well as its sift-down. *)
+    let n_tasks = 2 + Random.State.int rng 12 in
+    let programs = List.init n_tasks (fun _ -> gen_program rng n_tasks) in
+    let expected, expected_sw = reference_schedule programs in
+    let actual, actual_sw = engine_schedule programs in
     if expected <> actual then
       Alcotest.failf
         "seed %d: engine dispatch order diverged from the reference \
          scheduler (%d vs %d events)"
         seed
         (List.length actual)
-        (List.length expected)
+        (List.length expected);
+    if expected_sw <> actual_sw then
+      Alcotest.failf "seed %d: %d task switches, the reference made %d" seed
+        actual_sw expected_sw
   done
 
 let test_many_tasks_scale () =
@@ -514,6 +618,41 @@ let test_retired_task_queries () =
   Alcotest.(check int64) "its lifetime still counts" 40L
     (E.total_task_cycles eng);
   E.run eng
+
+(* --- cancelled deadlines ------------------------------------------------ *)
+
+(* [n] timed waits with a 10^12-cycle deadline, each signalled one cycle
+   after it parks. A signalled wait's deadline must leave the scheduler
+   with the wake, so the live heap at the last signal may not grow with
+   [n]: deadlines left to expire would hold ~10 words each. *)
+let signalled_waits n =
+  let eng = E.create () in
+  let c = E.Cond.create "herd" in
+  let signalled = ref 0 in
+  let words = ref 0 in
+  ignore
+    (E.spawn eng ~name:"waiter" (fun () ->
+         for _ = 1 to n do
+           if E.Cond.wait_timeout c 1_000_000_000_000 then incr signalled
+         done));
+  ignore
+    (E.spawn eng ~name:"signaller" (fun () ->
+         for _ = 1 to n do
+           E.consume 1;
+           E.Cond.signal c
+         done;
+         words := live_words_with eng));
+  E.run eng;
+  Alcotest.(check int) "every wait signalled" n !signalled;
+  Alcotest.(check int64) "no deadline ever fired" (Int64.of_int n) (E.now eng);
+  !words
+
+let test_signalled_deadlines_free_memory () =
+  let base = signalled_waits 1_000 in
+  let grown = signalled_waits 100_000 - base in
+  if grown > 50_000 then
+    Alcotest.failf
+      "live heap grew by %d words over 99k extra early-signalled waits" grown
 
 (* --- timers vs one-shot sleeper tasks ---------------------------------- *)
 
@@ -694,6 +833,11 @@ let () =
             test_retired_tasks_free_memory;
           Alcotest.test_case "queries on a retired id" `Quick
             test_retired_task_queries;
+        ] );
+      ( "cancel",
+        [
+          Alcotest.test_case "100k signalled deadlines free their memory"
+            `Quick test_signalled_deadlines_free_memory;
         ] );
       ( "timer",
         [

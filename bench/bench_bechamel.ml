@@ -299,6 +299,27 @@ let engine_herd_test =
                 E.Cond.broadcast c));
          E.run eng))
 
+(* A wide heap: 512 tasks loop on [consume (1000 + i)], 32 rounds
+   each. Every task's next wakeup is a distinct future time, so nearly
+   every dispatch is a heap pop and a push at depth ~9, with no ready
+   ring hop and no inline continue. The ratio to
+   [engine-ready-ring-chain-1k] ([engine-heap-chain-ratio]) prices a
+   heap level, which is where a write barrier per level would show. The
+   engine and its tasks are built inside the staged function, because
+   benchmark/micro.exe links this module. *)
+let engine_heap_test =
+  Test.make ~name:"engine-heap-512"
+    (Staged.stage (fun () ->
+         let eng = E.create () in
+         for i = 1 to 512 do
+           ignore
+             (E.spawn eng (fun () ->
+                  for _ = 1 to 32 do
+                    E.consume (1000 + i)
+                  done))
+         done;
+         E.run eng))
+
 (* A thousand one-shot deadlines, armed one cycle apart with staggered
    delays, each bumping a counter when it fires: first as sleeper tasks
    ([spawn_here] + [sleep], what link deliveries and retransmit deadlines
@@ -423,14 +444,15 @@ let tests =
   @ rejoin_tests
   @ [
       engine_test; engine_traced_test; engine_chain_test; engine_herd_test;
-      engine_spawn_sleep_test; engine_timer_test; ring_lanes_test; bridge_test;
+      engine_heap_test; engine_spawn_sleep_test; engine_timer_test;
+      ring_lanes_test; bridge_test;
     ]
 
 let smoke = Sys.getenv_opt "VARAN_BENCH_SMOKE" <> None
 
 (* Minor words allocated by one [Cond.broadcast] with [nwaiters] parked
-   tasks. The wake entries come from the scheduler's slab free-list, so
-   the cost must not scale with the waiter count — the old
+   tasks. The wake entries come from the scheduler's slab of free slots,
+   so the cost must not scale with the waiter count — the old
    implementation Queue.copy'd the waiter queue per broadcast, which a
    64-waiter run exposes immediately. *)
 let broadcast_alloc_words nwaiters =
@@ -548,6 +570,16 @@ let run () =
     Printf.printf "  %-28s %12.1f x (vs engine-ready-ring-chain-1k)\n"
       "engine-herd-chain-ratio" ratio;
     estimates := ("engine-herd-chain-ratio", ratio) :: !estimates
+  | _ -> ());
+  (match
+     ( List.assoc_opt "engine-heap-512" !estimates,
+       List.assoc_opt "engine-ready-ring-chain-1k" !estimates )
+   with
+  | Some heap_ns, Some chain_ns when chain_ns > 0.0 ->
+    let ratio = heap_ns /. chain_ns in
+    Printf.printf "  %-28s %12.2f x (vs engine-ready-ring-chain-1k)\n"
+      "engine-heap-chain-ratio" ratio;
+    estimates := ("engine-heap-chain-ratio", ratio) :: !estimates
   | _ -> ());
   check_broadcast_allocation ();
   Report.save_hotpath_json (List.rev !estimates);

@@ -811,10 +811,13 @@ let do_epoll_wait k proc args =
   with_fd proc epfd (fun epentry ->
       match epentry.fde_ofile.kind with
       | K_epoll e ->
+        (* The first [maxevents] ready watches in fold order, sorted by
+           fd; [n] counts them so the cap test is O(1) per watch. *)
         let collect () =
+          let n = ref 0 in
           Hashtbl.fold
             (fun fd w acc ->
-              if List.length acc >= maxevents then acc
+              if !n >= maxevents then acc
               else begin
                 let ev = ref 0 in
                 if w.w_events land Flags.epollin <> 0 && ready_read w.w_ofile
@@ -823,7 +826,11 @@ let do_epoll_wait k proc args =
                   w.w_events land Flags.epollout <> 0
                   && ready_write w.w_ofile
                 then ev := !ev lor Flags.epollout;
-                if !ev <> 0 then (fd, !ev) :: acc else acc
+                if !ev <> 0 then begin
+                  incr n;
+                  (fd, !ev) :: acc
+                end
+                else acc
               end)
             e.e_watches []
           |> List.sort compare

@@ -11,8 +11,11 @@ type task_state = Runnable | Blocked | Finished | Dead
 (* (63-bit) immediate int internally: cycle counts stay far below      *)
 (* 2^62, and immediate arithmetic keeps the dispatch path free of      *)
 (* int64 boxing and write barriers. Tasks carry a reusable resumption  *)
-(* frame; dispatch entries are slab-allocated and recycled through a   *)
-(* free list.                                                          *)
+(* frame. Dispatch entries live in a slab: each gets a fixed slot when *)
+(* it is created, a registry array maps slots back to entries, and a   *)
+(* recycled entry's slot goes on an int stack of free slots. The heap  *)
+(* stores (etime, eseq, slot) as plain ints, so neither a sift nor a   *)
+(* recycle stores a pointer and pays the GC write barrier.             *)
 (* ------------------------------------------------------------------ *)
 
 (* The parked continuation of a suspended task. Exactly one entry (or
@@ -49,14 +52,20 @@ and entry = {
   mutable etime : int;
   mutable eseq : int;
   mutable ekind : ekind;
-  mutable e_task : task; (* [dummy_task] unless [ekind = Ek_resume] *)
-  mutable e_fn : unit -> unit; (* [Ek_run] bootstrap or timer callback *)
+  (* [Ek_resume]: the task to resume. Other kinds ignore it, and a
+     recycled entry keeps its last task: clearing it would cost a write
+     barrier per dispatch, and a stale pointer pins at most one small
+     retired task record per slot. *)
+  mutable e_task : task;
+  (* [Ek_run] bootstrap or timer callback; reset to [no_fn] on recycle,
+     so a timer's closure (and what it captures) dies with its firing. *)
+  mutable e_fn : unit -> unit;
   (* [Ek_resume]: resume value for [K_bool] frames (0 = false);
      [Ek_arm]: when the timer fires. One shared slot keeps every entry a
      word smaller. *)
   mutable e_arg : int;
-  mutable e_free : entry; (* free-list link; self when not on the list *)
-  mutable e_pos : int; (* index in the heap array; -1 when not in it *)
+  mutable e_pos : int; (* node index in the heap; -1 when not in it *)
+  e_slot : int; (* fixed index in the engine's slot registry *)
 }
 
 and ekind =
@@ -82,7 +91,7 @@ and cond = {
   mutable c_nwaiters : int;
 }
 
-let rec dummy_task =
+let dummy_task =
   {
     id = -1;
     name = "<dummy>";
@@ -95,16 +104,18 @@ let rec dummy_task =
     fr_deadline = None;
   }
 
-and dummy_entry =
+let no_fn () = ()
+
+let dummy_entry =
   {
     etime = 0;
     eseq = 0;
     ekind = Ek_cancelled;
     e_task = dummy_task;
-    e_fn = ignore;
+    e_fn = no_fn;
     e_arg = 0;
-    e_free = dummy_entry;
     e_pos = -1;
+    e_slot = -1;
   }
 
 let dummy_cond =
@@ -114,86 +125,115 @@ module Heap = struct
   (* Binary min-heap on (etime, eseq); eseq breaks ties FIFO so execution
      order is deterministic. Holds only live, genuinely future wakeups:
      due-now entries go to the ready ring instead, and a cancelled entry
-     is taken out at once ([remove]). Every entry in the heap knows its
-     index ([e_pos]), which is what makes [remove] O(log n). *)
-  type t = { mutable a : entry array; mutable len : int }
+     is taken out at once ([remove]).
 
-  let create () = { a = Array.make 256 dummy_entry; len = 0 }
+     Node [i] is three ints in one flat array: etime at [3i], eseq at
+     [3i + 1] and the entry's slot at [3i + 2]. The keys are copied in at
+     [push]; no entry is re-keyed while it sits here. The array holds no
+     pointer, so sifts compare and move plain ints and no level pays a
+     write barrier. Each sift keeps the moved entry's [e_pos] current
+     through the slot registry [reg] (an int field store), which is what
+     makes [remove] O(log n). Node reads and writes skip the bounds
+     check: every index is below [3 * len], and [push] grows the array
+     before [3 * len] can pass its length. The array is allocated at the
+     first push: 256 nodes are too big for the minor heap, and an engine
+     whose work never leaves the ready ring and the inline path should
+     not pay for a major-heap block. *)
+  type t = { mutable a : int array; mutable len : int }
 
-  let lt x y = x.etime < y.etime || (x.etime = y.etime && x.eseq < y.eseq)
+  let create () = { a = [||]; len = 0 }
 
-  let[@inline] set h i e =
-    h.a.(i) <- e;
-    e.e_pos <- i
+  let[@inline] time (a : int array) i = Array.unsafe_get a (3 * i)
+  let[@inline] seq (a : int array) i = Array.unsafe_get a ((3 * i) + 1)
+  let[@inline] slot (a : int array) i = Array.unsafe_get a ((3 * i) + 2)
 
-  (* Place [e] at or above the hole at [i]. *)
-  let sift_up h i e =
+  (* The top node's keys; caller must check [len > 0]. *)
+  let[@inline] top_time h = time h.a 0
+  let[@inline] top_seq h = seq h.a 0
+
+  let[@inline] place (reg : entry array) (a : int array) i t s sl =
+    Array.unsafe_set a (3 * i) t;
+    Array.unsafe_set a ((3 * i) + 1) s;
+    Array.unsafe_set a ((3 * i) + 2) sl;
+    reg.(sl).e_pos <- i
+
+  (* Place (t, s, sl) at or above the hole at [i]. *)
+  let sift_up reg h i t s sl =
+    let a = h.a in
     let i = ref i in
     let continue = ref true in
     while !continue && !i > 0 do
       let p = (!i - 1) / 2 in
-      let pe = h.a.(p) in
-      if lt e pe then begin
-        set h !i pe;
+      let pt = time a p in
+      if t < pt || (t = pt && s < seq a p) then begin
+        place reg a !i pt (seq a p) (slot a p);
         i := p
       end
       else continue := false
     done;
-    set h !i e
+    place reg a !i t s sl
 
-  (* Place [e] at or below the hole at [i]. *)
-  let sift_down h i e =
+  (* Place (t, s, sl) at or below the hole at [i]. *)
+  let sift_down reg h i t s sl =
+    let a = h.a and len = h.len in
     let i = ref i in
     let continue = ref true in
     while !continue do
       let l = (2 * !i) + 1 in
-      if l >= h.len then continue := false
+      if l >= len then continue := false
       else begin
         let r = l + 1 in
-        let c = if r < h.len && lt h.a.(r) h.a.(l) then r else l in
-        let ce = h.a.(c) in
-        if lt ce e then begin
-          set h !i ce;
+        let c =
+          if r < len then begin
+            let tl = time a l and tr = time a r in
+            if tr < tl || (tr = tl && seq a r < seq a l) then r else l
+          end
+          else l
+        in
+        let ct = time a c and cs = seq a c in
+        if ct < t || (ct = t && cs < s) then begin
+          place reg a !i ct cs (slot a c);
           i := c
         end
         else continue := false
       end
     done;
-    set h !i e
+    place reg a !i t s sl
 
-  let push h e =
-    if h.len = Array.length h.a then begin
-      let bigger = Array.make (2 * h.len) dummy_entry in
-      Array.blit h.a 0 bigger 0 h.len;
+  let push reg h e =
+    if 3 * h.len = Array.length h.a then begin
+      let bigger = Array.make (max (3 * 256) (2 * Array.length h.a)) 0 in
+      Array.blit h.a 0 bigger 0 (3 * h.len);
       h.a <- bigger
     end;
     h.len <- h.len + 1;
-    sift_up h (h.len - 1) e
+    sift_up reg h (h.len - 1) e.etime e.eseq e.e_slot
 
-  (* Empty the last slot and return its entry, for the caller to place
-     back into the hole it is making. *)
-  let take_last h =
+  (* Drop the last node and place its keys into the hole at [i]. *)
+  let refill reg h i =
     h.len <- h.len - 1;
-    let last = h.a.(h.len) in
-    h.a.(h.len) <- dummy_entry;
-    last
+    let n = h.len in
+    if i < n then begin
+      let a = h.a in
+      let t = time a n and s = seq a n and sl = slot a n in
+      let p = (i - 1) / 2 in
+      if i > 0 && (t < time a p || (t = time a p && s < seq a p)) then
+        sift_up reg h i t s sl
+      else sift_down reg h i t s sl
+    end
 
   (* Caller must check [len > 0]; no option allocation on the hot path. *)
-  let pop_top h =
-    let top = h.a.(0) in
+  let pop_top reg h =
+    let top = reg.(slot h.a 0) in
     top.e_pos <- -1;
-    let last = take_last h in
-    if h.len > 0 then sift_down h 0 last;
+    refill reg h 0;
     top
 
   (* Remove [e], which must be in the heap ([e.e_pos >= 0]). *)
-  let remove h e =
+  let remove reg h e =
     let i = e.e_pos in
     e.e_pos <- -1;
-    let last = take_last h in
-    if i < h.len then
-      if i > 0 && lt last h.a.((i - 1) / 2) then sift_up h i last
-      else sift_down h i last
+    refill reg h i
 end
 
 module Ready = struct
@@ -254,7 +294,14 @@ type ticker = {
 type t = {
   heap : Heap.t;
   ready : Ready.t;
-  mutable free : entry; (* slab free list; [dummy_entry] = empty *)
+  (* The entry slab: slot [i] of [slots] is the entry created with
+     [e_slot = i] ([nslots] so far, so the registry never outgrows the
+     peak number of live entries); [free.(0 .. nfree - 1)] is a stack of
+     the slots of recycled entries. *)
+  mutable slots : entry array;
+  mutable nslots : int;
+  mutable free : int array;
+  mutable nfree : int;
   mutable seq : int;
   mutable next_id : task_id;
   tasks : (task_id, task) Hashtbl.t; (* live tasks only *)
@@ -314,7 +361,10 @@ let create () =
   {
     heap = Heap.create ();
     ready = Ready.create ();
-    free = dummy_entry;
+    slots = Array.make 256 dummy_entry;
+    nslots = 0;
+    free = Array.make 256 0;
+    nfree = 0;
     seq = 0;
     next_id = 0;
     tasks = Hashtbl.create 64;
@@ -355,27 +405,40 @@ let refresh_tick_due t =
 (* Entry slab                                                          *)
 (* ------------------------------------------------------------------ *)
 
+(* The slab is empty: create an entry in the next slot, doubling the
+   registry when it is full. *)
+let new_entry t ~time ~kind =
+  let slot = t.nslots in
+  if slot = Array.length t.slots then begin
+    let bigger = Array.make (2 * slot) dummy_entry in
+    Array.blit t.slots 0 bigger 0 slot;
+    t.slots <- bigger
+  end;
+  let e =
+    {
+      etime = time;
+      eseq = t.seq;
+      ekind = kind;
+      e_task = dummy_task;
+      e_fn = no_fn;
+      e_arg = 0;
+      e_pos = -1;
+      e_slot = slot;
+    }
+  in
+  t.slots.(slot) <- e;
+  t.nslots <- slot + 1;
+  t.seq <- t.seq + 1;
+  e
+
+(* Reusing a slot stores only ints and a constant constructor: no write
+   barrier. *)
 let alloc_entry t ~time ~kind =
-  let e = t.free in
-  if e == dummy_entry then begin
-    let e =
-      {
-        etime = time;
-        eseq = t.seq;
-        ekind = kind;
-        e_task = dummy_task;
-        e_fn = ignore;
-        e_arg = 0;
-        e_free = dummy_entry;
-        e_pos = -1;
-      }
-    in
-    t.seq <- t.seq + 1;
-    e
-  end
+  let n = t.nfree in
+  if n = 0 then new_entry t ~time ~kind
   else begin
-    t.free <- e.e_free;
-    e.e_free <- dummy_entry;
+    t.nfree <- n - 1;
+    let e = t.slots.(t.free.(n - 1)) in
     e.etime <- time;
     e.eseq <- t.seq;
     t.seq <- t.seq + 1;
@@ -386,10 +449,15 @@ let alloc_entry t ~time ~kind =
 
 let recycle t e =
   e.ekind <- Ek_cancelled;
-  e.e_task <- dummy_task;
-  e.e_fn <- ignore;
-  e.e_free <- t.free;
-  t.free <- e
+  if e.e_fn != no_fn then e.e_fn <- no_fn;
+  let n = t.nfree in
+  if n = Array.length t.free then begin
+    let bigger = Array.make (2 * n) 0 in
+    Array.blit t.free 0 bigger 0 n;
+    t.free <- bigger
+  end;
+  t.free.(n) <- e.e_slot;
+  t.nfree <- n + 1
 
 (* Tasks never schedule in the past (a running task's local clock equals
    the global clock, and cond wakes clamp with [max]), so due-now means
@@ -397,7 +465,7 @@ let recycle t e =
    documented (etime, eseq) total order. The [<=] is defensive. *)
 let enqueue t e =
   if e.etime <= t.global_time then Ready.push t.ready e
-  else Heap.push t.heap e
+  else Heap.push t.slots t.heap e
 
 let sched_resume t time task =
   let e = alloc_entry t ~time ~kind:Ek_resume in
@@ -418,7 +486,7 @@ let sched_run t time fn =
    front. *)
 let cancel_entry t e =
   if e.e_pos >= 0 then begin
-    Heap.remove t.heap e;
+    Heap.remove t.slots t.heap e;
     recycle t e
   end
   else e.ekind <- Ek_cancelled
@@ -447,6 +515,9 @@ let is_alive t id =
 
 let failures t = List.rev t.failure_list
 let task_switches t = t.switches
+
+let capacities t =
+  (Array.length t.heap.Heap.a / 3, Array.length t.slots, Array.length t.free)
 
 (* Total task-cycles: every task's lifetime (busy + blocked vtime from
    spawn to its current local clock) summed. Finished and dead tasks
@@ -526,7 +597,7 @@ let broadcast_at t c at =
    an equal-time heap entry was scheduled earlier and must run first. *)
 let[@inline] can_inline t nt =
   t.ready.Ready.len = 0
-  && (t.heap.Heap.len = 0 || t.heap.Heap.a.(0).etime > nt)
+  && (t.heap.Heap.len = 0 || Heap.top_time t.heap > nt)
   && t.tick_due >= nt
   && nt <= t.cur_budget
 
@@ -814,16 +885,21 @@ let drain ?cycle_budget t =
            since), so ties fall back to the full (etime, eseq) compare. *)
         let from_heap =
           have_h
-          && ((not have_r) || Heap.lt heap.Heap.a.(0) (Ready.front ready))
+          && ((not have_r)
+             ||
+             let r = Ready.front ready and ht = Heap.top_time heap in
+             ht < r.etime || (ht = r.etime && Heap.top_seq heap < r.eseq))
         in
-        if from_heap && t.tick_due < heap.Heap.a.(0).etime then begin
+        if from_heap && t.tick_due < Heap.top_time heap then begin
           (* Virtual time is about to jump past a ticker's deadline:
              fire it first, then re-select. *)
           fire_due_ticker t;
           loop ()
         end
         else begin
-          let e = if from_heap then Heap.pop_top heap else Ready.pop ready in
+          let e =
+            if from_heap then Heap.pop_top t.slots heap else Ready.pop ready
+          in
           (* Liveness watchdog: a simulation that schedules work past the
              budget is considered hung (livelock, missed wakeup, runaway
              retry loop) and aborted rather than left spinning. *)

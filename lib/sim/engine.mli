@@ -89,6 +89,13 @@ val task_switches : t -> int
     {!Varan_util.Stats} counter, so scheduler work has a baseline to
     measure against. *)
 
+val capacities : t -> int * int * int
+(** [(heap, registry, free)]: the allocated capacities, in entries, of
+    the scheduler's heap, of its entry slot registry and of its stack of
+    free slots. The registry and the free stack start at 256 entries,
+    the heap gets 256 at its first push, and each doubles when full.
+    Introspection for tests that must reach the growth paths. *)
+
 val total_task_cycles : t -> int64
 (** Sum over every task ever spawned of its lifetime so far — the vtime
     from spawn to its current local clock, busy and blocked alike.

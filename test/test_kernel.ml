@@ -247,6 +247,43 @@ let test_nonblocking_read_eagain () =
   E.run eng;
   Alcotest.(check bool) "EAGAIN on empty nonblocking pipe" true !saw_eagain
 
+(* More watched sockets ready than [max_events]: epoll_wait reports
+   exactly [max_events] of them, picked in the watch table's fold order
+   and returned sorted by fd. Sixteen socket pairs; the first end of
+   every pair is watched for input and output, and a byte is queued on
+   every third pair so that some ends are readable as well as writable.
+   The expected lists pin the pick and the event masks. *)
+let test_epoll_wait_caps_ready () =
+  let got =
+    in_proc (fun _k api ->
+        let ep = ok_int (Api.epoll_create api) in
+        for i = 0 to 15 do
+          let a, b = ok_int (Api.socketpair api) in
+          ok_unit
+            (Api.epoll_ctl api ep Flags.epoll_ctl_add a
+               (Flags.epollin lor Flags.epollout));
+          if i mod 3 = 0 then ignore (ok_int (Api.write_str api b "x"))
+        done;
+        let wait n =
+          match Api.epoll_wait api ep ~max_events:n ~timeout_ms:0 with
+          | Ok evs -> evs
+          | Error e -> Alcotest.failf "epoll_wait: %s" (Errno.name e)
+        in
+        (wait 5, wait 1, wait 64))
+  in
+  let pairs = Alcotest.(list (pair int int)) in
+  let w5, w1, w64 = got in
+  Alcotest.check pairs "5 of 16 ready"
+    [ (3, 4); (7, 5); (13, 5); (21, 4); (29, 4) ]
+    w5;
+  Alcotest.check pairs "1 of 16 ready" [ (29, 4) ] w1;
+  Alcotest.check pairs "all 16 fit"
+    [
+      (1, 5); (3, 4); (5, 4); (7, 5); (9, 4); (11, 4); (13, 5); (15, 4);
+      (17, 4); (19, 5); (21, 4); (23, 4); (25, 5); (27, 4); (29, 4); (31, 5);
+    ]
+    w64
+
 let test_epoll_server_pattern () =
   let eng = E.create () in
   let k = K.create eng in
@@ -742,6 +779,8 @@ let () =
             test_nonblocking_read_eagain;
           Alcotest.test_case "epoll server pattern" `Quick
             test_epoll_server_pattern;
+          Alcotest.test_case "epoll_wait caps ready at max_events" `Quick
+            test_epoll_wait_caps_ready;
           Alcotest.test_case "link latency" `Quick
             test_link_latency_delays_delivery;
         ] );

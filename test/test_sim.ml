@@ -464,7 +464,9 @@ let reference_schedule programs =
   run ();
   (List.rev !log, !switches)
 
-let engine_schedule programs =
+(* The completion log and switch count, plus the engine's capacities
+   (see [E.capacities]) just before and just after the run. *)
+let engine_run programs =
   let eng = E.create () in
   let c = E.Cond.create "shared" in
   let log = ref [] in
@@ -501,8 +503,9 @@ let engine_schedule programs =
                    log := (i, j, Int64.to_int (E.now_cycles ()), v) :: !log)
                  ops)))
     programs;
+  let caps_before = E.capacities eng in
   E.run eng;
-  (List.rev !log, E.task_switches eng)
+  (List.rev !log, E.task_switches eng, caps_before, E.capacities eng)
 
 let gen_program rng n_tasks =
   let n_ops = 4 + Random.State.int rng 12 in
@@ -522,6 +525,22 @@ let gen_program rng n_tasks =
       | 18 -> R_broadcast
       | _ -> R_kill (Random.State.int rng n_tasks))
 
+(* Run [programs] on the engine and on the reference scheduler, fail on
+   any difference in the completion log or the switch count, and return
+   the engine's capacities before and after the run. *)
+let check_schedule seed programs =
+  let expected, expected_sw = reference_schedule programs in
+  let actual, actual_sw, before, after = engine_run programs in
+  if expected <> actual then
+    Alcotest.failf
+      "seed %d (%d tasks): engine dispatch order diverged from the \
+       reference scheduler (%d vs %d events)"
+      seed (List.length programs) (List.length actual) (List.length expected);
+  if expected_sw <> actual_sw then
+    Alcotest.failf "seed %d: %d task switches, the reference made %d" seed
+      actual_sw expected_sw;
+  (before, after)
+
 let test_schedule_equivalence () =
   for seed = 0 to 199 do
     let rng = Random.State.make [| 0x5EED; seed |] in
@@ -529,18 +548,31 @@ let test_schedule_equivalence () =
        need the heap's sift-up as well as its sift-down. *)
     let n_tasks = 2 + Random.State.int rng 12 in
     let programs = List.init n_tasks (fun _ -> gen_program rng n_tasks) in
-    let expected, expected_sw = reference_schedule programs in
-    let actual, actual_sw = engine_schedule programs in
-    if expected <> actual then
+    ignore (check_schedule seed programs)
+  done
+
+(* The same equivalence with 400-600 tasks. The 200-seed sweep never
+   holds more than 13 entries, so it never leaves the initial 256-entry
+   capacity of the heap's key array, the slot registry or the free-slot
+   stack. Here the registry grows while the tasks are spawned (256 live
+   bootstrap entries to carry over); the heap, allocated at its first
+   push, grows once most tasks have parked a future wakeup; and the free
+   stack grows as tasks finish and give back their slots. The last two
+   happen while the run is under way. *)
+let test_wide_schedule_equivalence () =
+  for seed = 0 to 5 do
+    let rng = Random.State.make [| 0x3A7E; seed |] in
+    let n_tasks = 400 + Random.State.int rng 201 in
+    let programs = List.init n_tasks (fun _ -> gen_program rng n_tasks) in
+    let (h0, r0, f0), (h1, r1, f1) = check_schedule seed programs in
+    if h0 <> 0 || f0 <> 256 || r0 < 512 then
+      Alcotest.failf "seed %d: capacities (%d, %d, %d) before the run" seed h0
+        r0 f0;
+    if h1 <= 256 || f1 <= 256 then
       Alcotest.failf
-        "seed %d: engine dispatch order diverged from the reference \
-         scheduler (%d vs %d events)"
-        seed
-        (List.length actual)
-        (List.length expected);
-    if expected_sw <> actual_sw then
-      Alcotest.failf "seed %d: %d task switches, the reference made %d" seed
-        actual_sw expected_sw
+        "seed %d: capacities (%d, %d, %d) after the run: the heap or the \
+         free stack never grew"
+        seed h1 r1 f1
   done
 
 let test_many_tasks_scale () =
@@ -653,6 +685,31 @@ let test_signalled_deadlines_free_memory () =
   if grown > 50_000 then
     Alcotest.failf
       "live heap grew by %d words over 99k extra early-signalled waits" grown
+
+(* A timer whose callback captures a 1 MB buffer: once it has fired, the
+   buffer must be garbage while the engine, and the slot that held the
+   timer's entry, live on. Recycling an entry drops its callback (it
+   keeps only a stale task pointer, see [Engine.entry]). *)
+let[@inline never] arm_big_timer fired =
+  let buf = Bytes.make (1 lsl 20) 'x' in
+  E.after_here 10 (fun () -> fired := Bytes.length buf > 0)
+
+let test_fired_timer_frees_closure () =
+  let eng = E.create () in
+  let fired = ref false in
+  let before = ref 0 and after = ref 0 in
+  ignore
+    (E.spawn eng ~name:"armer" (fun () ->
+         before := live_words_with eng;
+         arm_big_timer fired;
+         E.consume 100;
+         after := live_words_with eng));
+  E.run eng;
+  Alcotest.(check bool) "the timer fired" true !fired;
+  let grown = !after - !before in
+  if grown > 10_000 then
+    Alcotest.failf "live heap grew by %d words: the fired timer's closure lives"
+      grown
 
 (* --- timers vs one-shot sleeper tasks ---------------------------------- *)
 
@@ -826,6 +883,8 @@ let () =
             test_timeout_vs_signal_same_vtime;
           Alcotest.test_case "200-seed equivalence vs list scheduler" `Quick
             test_schedule_equivalence;
+          Alcotest.test_case "400-600 task equivalence vs list scheduler"
+            `Quick test_wide_schedule_equivalence;
         ] );
       ( "retire",
         [
@@ -838,6 +897,8 @@ let () =
         [
           Alcotest.test_case "100k signalled deadlines free their memory"
             `Quick test_signalled_deadlines_free_memory;
+          Alcotest.test_case "a fired timer frees its closure" `Quick
+            test_fired_timer_frees_closure;
         ] );
       ( "timer",
         [

@@ -26,6 +26,8 @@ module Prng = Varan_util.Prng
 module Tape = Varan_nvx.Tape
 module Checkpoint = Varan_nvx.Checkpoint
 module Kernel = Varan_kernel.Kernel
+module Api = Varan_kernel.Api
+module Proto = Varan_workloads.Proto
 module Event = Varan_ringbuf.Event
 module Lanes = Varan_ringbuf.Lanes
 module Node = Varan_net.Node
@@ -431,6 +433,79 @@ let bridge_cycle () =
 let bridge_test =
   Test.make ~name:"bridge-cycle-b64" (Staged.stage bridge_cycle)
 
+let frame_payload = 4096
+
+(* Two tasks on one kernel joined by a connected socket, the server
+   echoing every frame back: the framed byte path every workload's
+   requests and replies take. The returned function does one round trip,
+   a 4 KiB payload out with [send_msg] and its echo back with
+   [recv_msg], and runs the engine until both tasks are parked again. *)
+let socket_echo () =
+  let eng = E.create () in
+  let k = Kernel.create eng in
+  let ok = function Ok v -> v | Error _ -> failwith "socket-frame" in
+  let server = Api.direct k (Kernel.new_proc k "echo") in
+  let client = Api.direct k (Kernel.new_proc k "client") in
+  let fd = ref (-1) in
+  ignore
+    (E.spawn eng ~name:"echo" (fun () ->
+         let lfd = ok (Api.socket server) in
+         ok (Api.bind server lfd 7070);
+         ok (Api.listen server lfd);
+         let c = ok (Api.accept server lfd) in
+         let rec loop () =
+           match Proto.recv_msg server c with
+           | Ok (Some m) ->
+             ok (Proto.send_msg server c m);
+             loop ()
+           | _ -> ()
+         in
+         loop ()));
+  ignore
+    (E.spawn eng ~name:"connect" (fun () ->
+         let c = ok (Api.socket client) in
+         ok (Api.connect client c 7070);
+         fd := c));
+  E.run_until_quiescent eng;
+  let payload = Bytes.make frame_payload 'f' in
+  fun () ->
+    ignore
+      (E.spawn eng ~name:"client" (fun () ->
+           ok (Proto.send_msg client !fd payload);
+           ignore (ok (Proto.recv_msg client !fd))));
+    E.run_until_quiescent eng
+
+(* Built on first use, because benchmark/micro.exe links this module. *)
+let socket_frame_test =
+  let round_trip = lazy (socket_echo ()) in
+  Test.make ~name:"socket-frame-4KiB"
+    (Staged.stage (fun () -> (Lazy.force round_trip) ()))
+
+(* Not a timing: host bytes allocated by one [socket-frame-4KiB] round
+   trip over the bytes of its two frames. Each hop's floor is three
+   copies of its frame: [send_msg] framing the payload, the kernel's
+   copy of the user buffer on write, and its copy out to the reader; the
+   rest is the system calls' and the client task's own records. The
+   runtime's allocation counters trail by one minor collection, so each
+   reading forces two. *)
+let socket_frame_copy_ratio () =
+  let allocated () =
+    Gc.minor ();
+    Gc.minor ();
+    let s = Gc.quick_stat () in
+    float_of_int (Sys.word_size / 8)
+    *. (s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words)
+  in
+  let round_trip = socket_echo () in
+  round_trip ();
+  let n = 64 in
+  let before = allocated () in
+  for _ = 1 to n do
+    round_trip ()
+  done;
+  (allocated () -. before)
+  /. float_of_int (n * 2 * (Proto.header_len + frame_payload))
+
 let tests =
   [
     bpf_test;
@@ -445,7 +520,7 @@ let tests =
   @ [
       engine_test; engine_traced_test; engine_chain_test; engine_herd_test;
       engine_heap_test; engine_spawn_sleep_test; engine_timer_test;
-      ring_lanes_test; bridge_test;
+      ring_lanes_test; bridge_test; socket_frame_test;
     ]
 
 let smoke = Sys.getenv_opt "VARAN_BENCH_SMOKE" <> None
@@ -525,6 +600,10 @@ let run () =
   Printf.printf "  %-28s %12.1f bytes/event (resident, retained window)\n"
     "tape-bytes-per-event" bpe;
   estimates := ("tape-bytes-per-event", bpe) :: !estimates;
+  let copies = socket_frame_copy_ratio () in
+  Printf.printf "  %-28s %12.2f x (host bytes allocated / frame bytes)\n"
+    "socket-frame-copy-ratio" copies;
+  estimates := ("socket-frame-copy-ratio", copies) :: !estimates;
   (* Derived: how much more a cross-node revolution costs than the same
      revolution on a local ring. Batching should keep this a small
      constant; a blowup means the bridge is doing per-event work. *)

@@ -78,12 +78,15 @@ let write api fd data =
 
 let write_str api fd s = write api fd (Bytes.of_string s)
 
+(* The kernel copies what it accepts, so the whole buffer goes out as
+   is; only the rest of a short write needs a buffer of its own. *)
 let write_all api fd data =
   let len = Bytes.length data in
   let rec go sent =
     if sent >= len then Ok ()
     else
-      match write api fd (Bytes.sub data sent (len - sent)) with
+      let rest = if sent = 0 then data else Bytes.sub data sent (len - sent) in
+      match write api fd rest with
       | Error e -> Error e
       | Ok 0 -> Error Errno.EIO
       | Ok n -> go (sent + n)

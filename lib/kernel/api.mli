@@ -7,7 +7,16 @@
     record, or replay the call (§3.2–3.3 of the paper).
 
     All wrappers construct the marshalled {!Varan_syscall.Args.t} form, so
-    a monitor observes realistic argument payloads. *)
+    a monitor observes realistic argument payloads.
+
+    {b Buffer ownership.} A buffer passed to a write ({!write},
+    {!write_all}, {!send}) stays the caller's: the kernel copies what it
+    accepts before the call returns, so the caller may reuse or mutate it
+    at once. A buffer returned by a read ({!read}, {!recv}) is read-only
+    to the program. Under NVX it may be the leader's result buffer,
+    which the recorder's tape keeps and sibling followers (remote ones
+    included) receive too. A program that needs to edit received bytes copies
+    them first. *)
 
 open Varan_syscall
 

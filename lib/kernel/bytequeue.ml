@@ -13,52 +13,43 @@ let is_empty q = q.len = 0
 let capacity q = q.cap
 let space q = q.cap - q.len
 
+(* The queue keeps [b] itself: the caller has already cut it to the
+   bytes it means to buffer. *)
 let write q b =
-  let n = min (Bytes.length b) (space q) in
+  let n = Bytes.length b in
+  if n > space q then invalid_arg "Bytequeue.write: over capacity";
   if n > 0 then begin
-    Queue.push (Bytes.sub b 0 n) q.chunks;
+    Queue.push b q.chunks;
     q.len <- q.len + n
-  end;
-  n
+  end
 
-let take q n ~remove =
-  let n = min n q.len in
+(* Copy the first [n] buffered bytes into a fresh buffer, consuming
+   them when [remove]. *)
+let gather q n ~remove =
   let out = Bytes.create n in
-  if remove then begin
-    let filled = ref 0 in
-    while !filled < n do
-      let head = Queue.peek q.chunks in
-      let avail = Bytes.length head - q.head_ofs in
-      let want = min avail (n - !filled) in
-      Bytes.blit head q.head_ofs out !filled want;
-      filled := !filled + want;
-      if want = avail then begin
-        ignore (Queue.pop q.chunks);
-        q.head_ofs <- 0
-      end
-      else q.head_ofs <- q.head_ofs + want
-    done;
-    q.len <- q.len - n;
-    out
-  end
-  else begin
-    (* Non-destructive scan. *)
-    let filled = ref 0 in
-    let ofs = ref q.head_ofs in
-    let iter = Queue.copy q.chunks in
-    while !filled < n do
-      let head = Queue.pop iter in
-      let avail = Bytes.length head - !ofs in
-      let want = min avail (n - !filled) in
-      Bytes.blit head !ofs out !filled want;
-      filled := !filled + want;
+  let filled = ref 0 in
+  let ofs = ref q.head_ofs in
+  let iter = if remove then q.chunks else Queue.copy q.chunks in
+  while !filled < n do
+    let head = Queue.peek iter in
+    let avail = Bytes.length head - !ofs in
+    let want = min avail (n - !filled) in
+    Bytes.blit head !ofs out !filled want;
+    filled := !filled + want;
+    if want = avail then begin
+      ignore (Queue.pop iter);
       ofs := 0
-    done;
-    out
-  end
+    end
+    else ofs := !ofs + want
+  done;
+  if remove then begin
+    q.head_ofs <- !ofs;
+    q.len <- q.len - n
+  end;
+  out
 
-let read q n = take q n ~remove:true
-let peek q n = take q n ~remove:false
+let read q n = gather q (min n q.len) ~remove:true
+let peek q n = gather q (min n q.len) ~remove:false
 
 let clear q =
   Queue.clear q.chunks;

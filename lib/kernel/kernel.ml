@@ -159,10 +159,14 @@ let nonblocking ofile = ofile.flags land Flags.o_nonblock <> 0
 let after_link k f =
   if k.link_latency = 0 then f () else E.after_here k.link_latency f
 
-(* Append payload to the peer's receive queue. *)
+(* Append payload to the peer's receive queue, which takes ownership.
+   The sender checked the room when it wrote; bytes still on the link
+   may have taken some of it since, and what no longer fits is lost. *)
 let deliver_to_peer k (peer : endpoint) (data : Bytes.t) =
   after_link k (fun () ->
-      ignore (Bytequeue.write peer.ep_rx data);
+      let room = Bytequeue.space peer.ep_rx in
+      Bytequeue.write peer.ep_rx
+        (if Bytes.length data <= room then data else Bytes.sub data 0 room);
       wake_sock_readers peer)
 
 let deliver_fin k (peer : endpoint) =
@@ -371,9 +375,8 @@ let do_read k proc args =
       let o = entry.fde_ofile in
       match o.kind with
       | K_file (Regular r) ->
-        let size = Bytes.length r.content in
-        let n = max 0 (min want (size - o.offset)) in
-        let out = Bytes.sub r.content o.offset n in
+        let n = max 0 (min want (r.size - o.offset)) in
+        let out = if n = 0 then Bytes.empty else Bytes.sub r.content o.offset n in
         o.offset <- o.offset + n;
         charge_out k n;
         Args.ok_out n out
@@ -421,18 +424,15 @@ let do_write k proc args =
       match o.kind with
       | K_file (Regular r) ->
         let len = Bytes.length data in
-        let pos = if o.flags land Flags.o_append <> 0 then Bytes.length r.content else o.offset in
-        let newsize = max (Bytes.length r.content) (pos + len) in
-        let content =
-          if newsize > Bytes.length r.content then begin
-            let bigger = Bytes.make newsize '\000' in
-            Bytes.blit r.content 0 bigger 0 (Bytes.length r.content);
-            bigger
-          end
-          else r.content
-        in
-        Bytes.blit data 0 content pos len;
-        r.content <- content;
+        let pos = if o.flags land Flags.o_append <> 0 then r.size else o.offset in
+        let newsize = max r.size (pos + len) in
+        if newsize > Bytes.length r.content then begin
+          let bigger = Bytes.make (max newsize (2 * Bytes.length r.content)) '\000' in
+          Bytes.blit r.content 0 bigger 0 r.size;
+          r.content <- bigger
+        end;
+        Bytes.blit data 0 r.content pos len;
+        r.size <- newsize;
         o.offset <- pos + len;
         Args.ok len
       | K_file Dev_null -> Args.ok (Bytes.length data)
@@ -448,7 +448,10 @@ let do_write k proc args =
           | Ok () ->
             if p.p_readers = 0 then Args.err Errno.EPIPE
             else begin
-              let n = Bytequeue.write p.p_q data in
+              (* The one host copy of the caller's buffer, as for a
+                 socket: the queue keeps it, the caller keeps [data]. *)
+              let n = min (Bytequeue.space p.p_q) (Bytes.length data) in
+              Bytequeue.write p.p_q (Bytes.sub data 0 n);
               Cond.broadcast p.p_readable;
               notify_epolls p.p_watchers;
               Args.ok n
@@ -475,6 +478,8 @@ let do_write k proc args =
                 else begin
                   let room = Bytequeue.space peer.ep_rx in
                   let n = min room (Bytes.length data) in
+                  (* The one host copy of the caller's buffer: the
+                     peer's queue keeps it, the caller keeps [data]. *)
                   deliver_to_peer k peer (Bytes.sub data 0 n);
                   Args.ok n
                 end
@@ -493,7 +498,9 @@ let do_open k proc args =
   | Error e -> Args.err e
   | Ok node ->
     (match node with
-    | Regular r when flags land Flags.o_trunc <> 0 -> r.content <- Bytes.empty
+    | Regular r when flags land Flags.o_trunc <> 0 ->
+      r.content <- Bytes.empty;
+      r.size <- 0
     | _ -> ());
     let o = new_ofile k (K_file node) in
     o.flags <- flags;
@@ -812,7 +819,8 @@ let do_epoll_wait k proc args =
       match epentry.fde_ofile.kind with
       | K_epoll e ->
         (* The first [maxevents] ready watches in fold order, sorted by
-           fd; [n] counts them so the cap test is O(1) per watch. *)
+           fd (unique per watch, so the masks never break a tie); [n]
+           counts them so the cap test is O(1) per watch. *)
         let collect () =
           let n = ref 0 in
           Hashtbl.fold
@@ -833,7 +841,7 @@ let do_epoll_wait k proc args =
                 else acc
               end)
             e.e_watches []
-          |> List.sort compare
+          |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
         in
         let finish ready =
           charge_out k (8 * List.length ready);

@@ -11,7 +11,11 @@ type node =
   | Dev_zero
   | Dev_urandom
 
-and regular = { mutable content : Bytes.t }
+(* A file's bytes are [content.[0, size)]. The buffer's capacity doubles
+   as the file grows, so appends cost amortised O(1) per byte, and every
+   byte past [size] is zero, so a write past EOF reads back a zero-filled
+   gap. *)
+and regular = { mutable content : Bytes.t; mutable size : int }
 
 type epoll = {
   e_id : int;

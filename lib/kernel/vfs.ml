@@ -59,7 +59,7 @@ let create_file k ~cwd path =
     | Some (Directory _) -> Error Errno.EISDIR
     | Some existing -> Ok existing
     | None ->
-      let node = Regular { content = Bytes.empty } in
+      let node = Regular { content = Bytes.empty; size = 0 } in
       Hashtbl.replace dir name node;
       Ok node)
 
@@ -118,7 +118,9 @@ let add_file k path contents =
   let rec ensure dir = function
     | [] -> assert false
     | [ name ] ->
-      Hashtbl.replace dir name (Regular { content = Bytes.of_string contents })
+      Hashtbl.replace dir name
+        (Regular
+           { content = Bytes.of_string contents; size = String.length contents })
     | comp :: rest -> (
       match Hashtbl.find_opt dir comp with
       | Some (Directory d) -> ensure d rest
@@ -131,10 +133,10 @@ let add_file k path contents =
   ensure (root_dir k) comps
 
 let file_size = function
-  | Regular r -> Bytes.length r.content
+  | Regular r -> r.size
   | Directory _ | Dev_null | Dev_zero | Dev_urandom -> 0
 
 let read_file k path =
   match lookup k ~cwd:"/" path with
-  | Ok (Regular r) -> Some (Bytes.to_string r.content)
+  | Ok (Regular r) -> Some (Bytes.sub_string r.content 0 r.size)
   | _ -> None

@@ -142,19 +142,28 @@ let entry_raw_size (e : entry) =
   + 4
   + (match e.t_out with None -> 0 | Some b -> Bytes.length b)
 
-let serialize_entry buf (e : entry) =
-  Buffer.add_uint8 buf (int_of_kind e.t_kind);
-  Buffer.add_uint8 buf (e.t_tid land 0xFF);
-  Buffer.add_uint8 buf (Array.length e.t_args);
-  Buffer.add_int32_le buf (Int32.of_int e.t_sysno);
-  Buffer.add_int32_le buf (Int32.of_int e.t_clock);
-  Buffer.add_int64_le buf (Int64.of_int e.t_ret);
-  Array.iter (fun a -> Buffer.add_int64_le buf (Int64.of_int a)) e.t_args;
+(* Write [e] at [pos] of [raw] and return the position after it. *)
+let serialize_entry raw pos (e : entry) =
+  Bytes.set_uint8 raw pos (int_of_kind e.t_kind);
+  Bytes.set_uint8 raw (pos + 1) (e.t_tid land 0xFF);
+  Bytes.set_uint8 raw (pos + 2) (Array.length e.t_args);
+  Bytes.set_int32_le raw (pos + 3) (Int32.of_int e.t_sysno);
+  Bytes.set_int32_le raw (pos + 7) (Int32.of_int e.t_clock);
+  Bytes.set_int64_le raw (pos + 11) (Int64.of_int e.t_ret);
+  let pos = pos + 19 in
+  Array.iteri
+    (fun i a -> Bytes.set_int64_le raw (pos + (8 * i)) (Int64.of_int a))
+    e.t_args;
+  let pos = pos + (8 * Array.length e.t_args) in
   match e.t_out with
-  | None -> Buffer.add_int32_le buf (-1l)
+  | None ->
+    Bytes.set_int32_le raw pos (-1l);
+    pos + 4
   | Some b ->
-    Buffer.add_int32_le buf (Int32.of_int (Bytes.length b));
-    Buffer.add_bytes buf b
+    let n = Bytes.length b in
+    Bytes.set_int32_le raw pos (Int32.of_int n);
+    Bytes.blit b 0 raw (pos + 4) n;
+    pos + 4 + n
 
 let deserialize_entry raw pos =
   let p = ref pos in
@@ -209,9 +218,14 @@ let deserialize_entry raw pos =
 (* full of zero bytes (little-endian small ints), so runs are common.  *)
 (* ------------------------------------------------------------------ *)
 
+(* Packed into one buffer of the worst-case size, then copied out once.
+   A literal stretch shorter than 128 bytes is always followed by a run,
+   which saves at least the literal's control byte, so the output never
+   exceeds [n + n / 128 + 1]. *)
 let pack src =
   let n = Bytes.length src in
-  let out = Buffer.create (max 16 (n / 2)) in
+  let out = Bytes.create (n + (n / 128) + 1) in
+  let o = ref 0 in
   let i = ref 0 in
   while !i < n do
     let c = Bytes.get src !i in
@@ -220,8 +234,9 @@ let pack src =
       incr run
     done;
     if !run >= 3 then begin
-      Buffer.add_uint8 out (257 - !run);
-      Buffer.add_char out c;
+      Bytes.set_uint8 out !o (257 - !run);
+      Bytes.set out (!o + 1) c;
+      o := !o + 2;
       i := !i + !run
     end
     else begin
@@ -240,12 +255,13 @@ let pack src =
         else stop := min (!stop + !r) (start + 128)
       done;
       let len = !stop - start in
-      Buffer.add_uint8 out (len - 1);
-      Buffer.add_subbytes out src start len;
+      Bytes.set_uint8 out !o (len - 1);
+      Bytes.blit src start out (!o + 1) len;
+      o := !o + 1 + len;
       i := start + len
     end
   done;
-  Buffer.to_bytes out
+  Bytes.sub out 0 !o
 
 let unpack ~raw_len src =
   let out = Bytes.create raw_len in
@@ -274,22 +290,31 @@ let unpack ~raw_len src =
 (* Sealing and decoding                                                *)
 (* ------------------------------------------------------------------ *)
 
+(* Serialize [entries] into one buffer of exactly [raw_len] bytes and
+   pack it. *)
+let image_of entries ~raw_len =
+  let raw = Bytes.create raw_len in
+  let pos = Array.fold_left (serialize_entry raw) 0 entries in
+  assert (pos = raw_len);
+  pack raw
+
+let image entries =
+  image_of entries
+    ~raw_len:(Array.fold_left (fun n e -> n + entry_raw_size e) 0 entries)
+
 let seal t =
-  let buf = Buffer.create (t.open_bytes + 64) in
   let grants = ref [] in
-  for i = 0 to t.seg_entries - 1 do
-    let e = t.open_buf.(i) in
-    (match e.t_grant with
-    | Some g -> grants := (i, g) :: !grants
-    | None -> ());
-    serialize_entry buf e
-  done;
-  let raw = Buffer.to_bytes buf in
-  let packed = pack raw in
+  Array.iteri
+    (fun i e ->
+      match e.t_grant with
+      | Some g -> grants := (i, g) :: !grants
+      | None -> ())
+    t.open_buf;
+  let packed = image_of t.open_buf ~raw_len:t.open_bytes in
   let seg =
     {
       s_packed = packed;
-      s_raw_len = Bytes.length raw;
+      s_raw_len = t.open_bytes;
       s_grants = Array.of_list (List.rev !grants);
     }
   in

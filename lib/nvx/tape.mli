@@ -76,6 +76,11 @@ val retire : t -> keep_from:int -> unit
     segment boundary, never mid-segment). Monotone: never re-grows the
     window, never touches the open segment. *)
 
+val image : entry array -> Bytes.t
+(** The sealed image of a segment holding [entries]: their serialized
+    form, run-length packed, exactly as a seal stores it. Exposed so the
+    wire format can be checked byte for byte. *)
+
 val resident_bytes : t -> int
 (** Bytes currently held: packed sealed segments plus the raw-size
     estimate of the open segment. Bounded by retention, not by stream

@@ -9,14 +9,25 @@ type config = {
 
 let set_cmd key value =
   let prefix = Printf.sprintf "set %s %d " key (Bytes.length value) in
-  Bytes.cat (Bytes.of_string prefix) value
+  let p = String.length prefix in
+  let b = Bytes.create (p + Bytes.length value) in
+  Bytes.blit_string prefix 0 b 0 p;
+  Bytes.blit value 0 b p (Bytes.length value);
+  b
 
 let get_cmd key = Bytes.of_string ("get " ^ key)
+
+(* The fixed replies, framed once: a send copies its buffer, so one
+   frame serves every reply. *)
+let stored_frame = Proto.frame_of_string "STORED"
+let end_frame = Proto.frame_of_string "END"
+let error_frame = Proto.frame_of_string "ERROR"
 
 (* Parse in place. Fields are split on single spaces, so a run of
    spaces makes empty fields: [set key len payload...] (the payload is
    everything after the third space) and exactly [get key]. A set stores
-   its value with one copy; a get hit builds its reply in one buffer. *)
+   its value with one copy; a get hit builds its reply straight into its
+   frame. The fixed replies are shared, so the frame is read-only. *)
 let respond store req =
   let n = Bytes.length req in
   let field_end from =
@@ -41,17 +52,17 @@ let respond store req =
     Hashtbl.replace store
       (Bytes.sub_string req (e1 + 1) (e2 - e1 - 1))
       (Bytes.sub_string req off (min have len));
-    Bytes.of_string "STORED"
+    stored_frame
   end
   else if is_cmd 'g' 'e' 't' && e1 < n && e2 = n then
     match Hashtbl.find_opt store (Bytes.sub_string req (e1 + 1) (n - e1 - 1)) with
     | Some v ->
-      let b = Bytes.create (6 + String.length v) in
-      Bytes.blit_string "VALUE " 0 b 0 6;
-      Bytes.blit_string v 0 b 6 (String.length v);
+      let b = Proto.frame_alloc (6 + String.length v) in
+      Bytes.blit_string "VALUE " 0 b Proto.header_len 6;
+      Bytes.blit_string v 0 b (Proto.header_len + 6) (String.length v);
       b
-    | None -> Bytes.of_string "END"
-  else Bytes.of_string "ERROR"
+    | None -> end_frame
+  else error_frame
 
 let handle cfg store api req =
   Api.compute api cfg.work_cycles;

@@ -24,8 +24,8 @@ let ok_exn what = function
    the always-open access log); re-reading the document on every request
    would also make NVX copy the whole page to every follower per request,
    which no deployed server incurs. The document is read once at startup
-   and served from memory. *)
-type unit_state = { content : Bytes.t; log_fd : int option }
+   and served from memory, framed once then too. *)
+type unit_state = { reply : Bytes.t; log_fd : int option }
 
 let open_state cfg api =
   let doc_size = ok_exn "stat" (Api.stat_size api cfg.doc_path) in
@@ -41,7 +41,7 @@ let open_state cfg api =
            (Api.openf api log
               (Flags.o_wronly lor Flags.o_creat lor Flags.o_append)))
   in
-  { content; log_fd }
+  { reply = Proto.frame content; log_fd }
 
 let handle cfg st api req =
   Api.compute api cfg.parse_cycles;
@@ -53,7 +53,7 @@ let handle cfg st api req =
   (match st.log_fd with
   | Some fd -> ignore (Api.write_str api fd ("GET " ^ path ^ " 200\n"))
   | None -> ());
-  st.content
+  st.reply
 
 let make_body cfg () ~unit_idx api =
   let expected =

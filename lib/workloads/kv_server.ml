@@ -83,7 +83,7 @@ let handle cfg store api req =
       string_of_int v
     | _ -> "ERR unknown command"
   in
-  Bytes.of_string reply
+  Proto.frame_of_string reply
 
 let make_body cfg () =
   let store = { strings = Hashtbl.create 256; hashes = Hashtbl.create 64 } in

@@ -2,32 +2,51 @@ open Varan_kernel
 
 let ( let* ) = Result.bind
 
-let send_msg api fd payload =
-  let frame = Bytes.create (4 + Bytes.length payload) in
-  Bytes.set_int32_le frame 0 (Int32.of_int (Bytes.length payload));
-  Bytes.blit payload 0 frame 4 (Bytes.length payload);
-  Api.write_all api fd frame
+let header_len = 4
+
+let frame_alloc n =
+  let frame = Bytes.create (header_len + n) in
+  Bytes.set_int32_le frame 0 (Int32.of_int n);
+  frame
+
+let frame payload =
+  let n = Bytes.length payload in
+  let f = frame_alloc n in
+  Bytes.blit payload 0 f header_len n;
+  f
+
+let frame_of_string s =
+  let n = String.length s in
+  let f = frame_alloc n in
+  Bytes.blit_string s 0 f header_len n;
+  f
+
+let send_msg api fd payload = Api.write_all api fd (frame payload)
+let send_str api fd s = Api.write_all api fd (frame_of_string s)
 
 (* Read exactly [n] bytes, or [None] on EOF at a frame boundary
-   ([eof_ok]); EOF mid-frame is an EIO. *)
+   ([eof_ok]); EOF mid-frame is an EIO. A first chunk that already holds
+   all [n] bytes is returned as it came; only a fragmented read gets a
+   buffer of its own. *)
 let recv_exact api fd n ~eof_ok =
-  let out = Bytes.create n in
-  let rec go filled =
+  let rec go out filled =
     if filled >= n then Ok (Some out)
     else
       let* chunk = Api.recv api fd (n - filled) in
       let len = Bytes.length chunk in
       if len = 0 then
         if filled = 0 && eof_ok then Ok None else Error Varan_syscall.Errno.EIO
+      else if len = n then Ok (Some chunk)
       else begin
+        let out = if filled = 0 then Bytes.create n else out in
         Bytes.blit chunk 0 out filled len;
-        go (filled + len)
+        go out (filled + len)
       end
   in
-  go 0
+  go Bytes.empty 0
 
 let recv_msg api fd =
-  let* header = recv_exact api fd 4 ~eof_ok:true in
+  let* header = recv_exact api fd header_len ~eof_ok:true in
   match header with
   | None -> Ok None
   | Some h ->
@@ -38,8 +57,6 @@ let recv_msg api fd =
       (match body with
       | Some b -> Ok (Some b)
       | None -> Error Varan_syscall.Errno.EIO)
-
-let send_str api fd s = send_msg api fd (Bytes.of_string s)
 
 let recv_str api fd =
   Result.map (Option.map Bytes.to_string) (recv_msg api fd)

@@ -63,7 +63,7 @@ let handle cfg st api req =
     end
     else "UNKNOWN_COMMAND"
   in
-  Bytes.of_string reply
+  Proto.frame_of_string reply
 
 let make_body cfg () =
   let st = { jobs = Queue.create (); next_id = 1; binlog_fd = None } in

@@ -33,8 +33,7 @@ let epoll_server ~port ~expected_conns ~handler api =
         else begin
           match Proto.recv_msg api fd with
           | Ok (Some request) ->
-            let response = handler api request in
-            ok_exn "send" (Proto.send_msg api fd response)
+            ok_exn "send" (Api.write_all api fd (handler api request))
           | Ok None ->
             ok_exn "epoll_ctl del" (Api.epoll_ctl api ep Flags.epoll_ctl_del fd 0);
             ignore (Api.close api fd);
@@ -59,8 +58,7 @@ let accept_server ~port ~expected_conns ~handler api =
     let rec serve () =
       match Proto.recv_msg api c with
       | Ok (Some request) ->
-        let response = handler api request in
-        ok_exn "send" (Proto.send_msg api c response);
+        ok_exn "send" (Api.write_all api c (handler api request));
         serve ()
       | Ok None | Error Errno.ECONNRESET -> ()
       | Error e -> failwith ("server recv: " ^ Errno.name e)

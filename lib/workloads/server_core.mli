@@ -12,8 +12,10 @@
     so units never share descriptors at runtime.
 
     Requests and responses are {!Proto} frames. A [handler] maps one
-    request to one response and may issue its own syscalls (file I/O,
-    logging) through the API first. Servers exit after [expected_conns]
+    request payload to one whole response frame, built with
+    {!Proto.frame_alloc}, {!Proto.frame} or {!Proto.frame_of_string} (or
+    built once and reused, since a send copies it), and may issue its own
+    syscalls (file I/O, logging) through the API first. Servers exit after [expected_conns]
     connections have closed, so simulations terminate. *)
 
 open Varan_kernel

@@ -96,6 +96,80 @@ let test_o_trunc_and_append () =
       ignore (ok_int (Api.close api fd));
       Alcotest.(check int) "appended" 4 (ok_int (Api.stat_size api "/tmp/t")))
 
+(* 10k small O_APPEND writes, the access-log / AOF / binlog pattern,
+   checked against a string model: content, stat size and lseek END; then
+   O_TRUNC, and writes past EOF whose gap must read back as zeros, both
+   into a fresh buffer and into the spare capacity of a grown one. The
+   host bytes allocated must grow linearly with the writes: the second
+   5k writes may cost at most 1.5x the first, and no write more than
+   1 KiB on average. Copying the whole file on every append makes the
+   second 5k cost about 3x the first, and a write tens of KiB. *)
+let allocated_bytes () =
+  (* The runtime's allocation counters trail by one minor collection,
+     so force two to read them exactly. *)
+  Gc.minor ();
+  Gc.minor ();
+  let s = Gc.quick_stat () in
+  float_of_int (Sys.word_size / 8)
+  *. (s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words)
+
+let test_append_many_small_writes () =
+  let path = "/tmp/append.log" in
+  let size, content, lseek_end, (first, second), after_trunc =
+    in_proc (fun k api ->
+        let fd =
+          ok_int
+            (Api.openf api path
+               (Flags.o_wronly lor Flags.o_creat lor Flags.o_append))
+        in
+        let lines = Array.init 10_000 (fun i -> Printf.sprintf "line %d\n" i) in
+        let batch lo =
+          let before = allocated_bytes () in
+          for i = lo to lo + 4_999 do
+            ignore (ok_int (Api.write_str api fd lines.(i)))
+          done;
+          allocated_bytes () -. before
+        in
+        let first = batch 0 in
+        let second = batch 5_000 in
+        let lseek_end = ok_int (Api.lseek api fd 0 Flags.seek_end) in
+        ignore (ok_int (Api.close api fd));
+        let size = ok_int (Api.stat_size api path) in
+        let content = Option.get (Vfs.read_file k path) in
+        (* O_TRUNC, then writes past EOF. *)
+        let fd =
+          ok_int (Api.openf api path (Flags.o_rdwr lor Flags.o_trunc))
+        in
+        let truncated = ok_int (Api.fstat_size api fd) in
+        ignore (ok_int (Api.lseek api fd 5 Flags.seek_set));
+        ignore (ok_int (Api.write_str api fd "abc"));
+        ignore (ok_int (Api.write_str api fd "0123456789"));
+        ignore (ok_int (Api.lseek api fd 24 Flags.seek_set));
+        ignore (ok_int (Api.write_str api fd "z"));
+        ignore (ok_int (Api.lseek api fd 0 Flags.seek_set));
+        let back = Bytes.to_string (ok_bytes (Api.read api fd 64)) in
+        let eof = Bytes.length (ok_bytes (Api.read api fd 64)) in
+        ignore (ok_int (Api.close api fd));
+        (size, content, lseek_end, (first, second), (truncated, back, eof)))
+  in
+  let model =
+    String.concat "" (List.init 10_000 (fun i -> Printf.sprintf "line %d\n" i))
+  in
+  Alcotest.(check int) "stat size" (String.length model) size;
+  Alcotest.(check int) "lseek END" (String.length model) lseek_end;
+  Alcotest.(check bool) "content" true (String.equal model content);
+  let truncated, back, eof = after_trunc in
+  Alcotest.(check int) "O_TRUNC empties" 0 truncated;
+  Alcotest.(check string) "gaps past EOF read as zeros"
+    (String.make 5 '\000' ^ "abc0123456789" ^ String.make 6 '\000' ^ "z")
+    back;
+  Alcotest.(check int) "then EOF" 0 eof;
+  Alcotest.(check bool)
+    (Printf.sprintf "allocation linear in writes (%.0f then %.0f bytes)" first
+       second)
+    true
+    (second <= 1.5 *. first && first +. second <= 10_000. *. 1024.)
+
 let test_urandom () =
   in_proc (fun _k api ->
       let fd = ok_int (Api.openf api "/dev/urandom" Flags.o_rdonly) in
@@ -413,6 +487,51 @@ let test_link_latency_delays_delivery () =
     (Printf.sprintf "RTT at least 70k cycles (got %Ld)" !elapsed)
     true
     (!elapsed >= 70_000L)
+
+(* A sender checks the peer's room when it writes, but bytes still on
+   the link do not count against it: two back-to-back 768 KiB sends both
+   pass, and at delivery the second keeps only what still fits in the
+   1 MiB receive buffer. The link is slow enough that the second send
+   starts before the first lands. *)
+let test_link_overflow_drops_excess () =
+  let eng = E.create () in
+  let k = K.create ~link_latency:5_000_000 eng in
+  let part = 768 * 1024 and cap = 1 lsl 20 in
+  let sent = ref [] and got = Buffer.create cap in
+  let sproc = K.new_proc k "server" and cproc = K.new_proc k "client" in
+  ignore
+    (E.spawn eng ~name:"server" (fun () ->
+         let api = Api.direct k sproc in
+         let lfd = ok_int (Api.socket api) in
+         ok_unit (Api.bind api lfd 8182);
+         ok_unit (Api.listen api lfd);
+         let c = ok_int (Api.accept api lfd) in
+         (* Read only once both sends have landed. *)
+         E.consume 20_000_000;
+         let rec drain () =
+           let b = ok_bytes (Api.recv api c 65536) in
+           if Bytes.length b > 0 then begin
+             Buffer.add_bytes got b;
+             drain ()
+           end
+         in
+         drain ()));
+  ignore
+    (E.spawn eng ~name:"client" (fun () ->
+         let api = Api.direct k cproc in
+         E.consume 1_000;
+         let fd = ok_int (Api.socket api) in
+         ok_unit (Api.connect api fd 8182);
+         List.iter
+           (fun c -> sent := ok_int (Api.send api fd (Bytes.make part c)) :: !sent)
+           [ 'a'; 'b' ];
+         ignore (Api.close api fd)));
+  E.run eng;
+  Alcotest.(check (list int)) "both sends accepted whole" [ part; part ] !sent;
+  Alcotest.(check int) "receive buffer bounds delivery" cap (Buffer.length got);
+  Alcotest.(check string) "the second send is cut, not the first"
+    (String.make part 'a' ^ String.make (cap - part) 'b')
+    (Buffer.contents got)
 
 let test_fork_proc_shares_descriptions () =
   in_proc (fun k api ->
@@ -762,6 +881,8 @@ let () =
           Alcotest.test_case "close EBADF" `Quick test_close_ebadf;
           Alcotest.test_case "O_TRUNC and O_APPEND" `Quick
             test_o_trunc_and_append;
+          Alcotest.test_case "10k O_APPEND writes" `Quick
+            test_append_many_small_writes;
           Alcotest.test_case "urandom" `Quick test_urandom;
           Alcotest.test_case "dup shares offset" `Quick test_dup_shares_offset;
           Alcotest.test_case "lowest-free fd" `Quick
@@ -783,6 +904,8 @@ let () =
             test_epoll_wait_caps_ready;
           Alcotest.test_case "link latency" `Quick
             test_link_latency_delays_delivery;
+          Alcotest.test_case "link overflow drops the excess" `Quick
+            test_link_overflow_drops_excess;
         ] );
       ( "process+misc",
         [

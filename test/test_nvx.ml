@@ -1004,6 +1004,131 @@ let test_tape_roundtrip_across_segments () =
   Alcotest.(check bool) "packing saves bytes" true
     (st.Tape.packed_bytes < st.Tape.raw_bytes)
 
+(* The Buffer-based serializer and packer the tape used before it
+   serialized and packed into presized buffers, kept here verbatim as the
+   reference for the wire format. *)
+let reference_image (entries : Tape.entry array) =
+  let kind_code = function
+    | Event.Ev_syscall -> 0
+    | Event.Ev_signal -> 1
+    | Event.Ev_fork -> 2
+    | Event.Ev_exit -> 3
+  in
+  let buf = Buffer.create 64 in
+  Array.iter
+    (fun (e : Tape.entry) ->
+      Buffer.add_uint8 buf (kind_code e.Tape.t_kind);
+      Buffer.add_uint8 buf (e.Tape.t_tid land 0xFF);
+      Buffer.add_uint8 buf (Array.length e.Tape.t_args);
+      Buffer.add_int32_le buf (Int32.of_int e.Tape.t_sysno);
+      Buffer.add_int32_le buf (Int32.of_int e.Tape.t_clock);
+      Buffer.add_int64_le buf (Int64.of_int e.Tape.t_ret);
+      Array.iter (fun a -> Buffer.add_int64_le buf (Int64.of_int a)) e.Tape.t_args;
+      match e.Tape.t_out with
+      | None -> Buffer.add_int32_le buf (-1l)
+      | Some b ->
+        Buffer.add_int32_le buf (Int32.of_int (Bytes.length b));
+        Buffer.add_bytes buf b)
+    entries;
+  let src = Buffer.to_bytes buf in
+  let n = Bytes.length src in
+  let out = Buffer.create (max 16 (n / 2)) in
+  let i = ref 0 in
+  while !i < n do
+    let c = Bytes.get src !i in
+    let run = ref 1 in
+    while !i + !run < n && !run < 128 && Bytes.get src (!i + !run) = c do
+      incr run
+    done;
+    if !run >= 3 then begin
+      Buffer.add_uint8 out (257 - !run);
+      Buffer.add_char out c;
+      i := !i + !run
+    end
+    else begin
+      let start = !i in
+      let stop = ref (!i + !run) in
+      let continue = ref true in
+      while !continue && !stop < n && !stop - start < 128 do
+        let c' = Bytes.get src !stop in
+        let r = ref 1 in
+        while !stop + !r < n && !r < 3 && Bytes.get src (!stop + !r) = c' do
+          incr r
+        done;
+        if !r >= 3 then continue := false
+        else stop := min (!stop + !r) (start + 128)
+      done;
+      let len = !stop - start in
+      Buffer.add_uint8 out (len - 1);
+      Buffer.add_subbytes out src start len;
+      i := start + len
+    end
+  done;
+  Buffer.to_bytes out
+
+(* Sealed images are byte-identical to the reference serializer's, on
+   the synthetic stream and on random entries whose payloads mix runs
+   with incompressible bytes (the packer's worst case) and whose fields
+   use the full width of their encodings. *)
+let test_tape_image_matches_reference () =
+  let entry_of (e, out) =
+    {
+      Tape.t_kind = e.Event.kind;
+      t_sysno = e.Event.sysno;
+      t_tid = e.Event.tid;
+      t_args = e.Event.args;
+      t_ret = e.Event.ret;
+      t_clock = e.Event.clock;
+      t_out = out;
+      t_grant = None;
+    }
+  in
+  let check what entries =
+    Alcotest.(check bytes) what (reference_image entries) (Tape.image entries)
+  in
+  check "synthetic segment" (Array.init 256 (fun i -> entry_of (synthetic_event i)));
+  check "empty segment" [||];
+  let rng = Random.State.make [| 0x7A9E |] in
+  let payload () =
+    let n = Random.State.int rng 700 in
+    let b = Bytes.create n in
+    let i = ref 0 in
+    while !i < n do
+      let len = min (n - !i) (1 + Random.State.int rng 5) in
+      let c = Char.chr (Random.State.int rng 256) in
+      if Random.State.bool rng then Bytes.fill b !i len c
+      else
+        for j = !i to !i + len - 1 do
+          Bytes.set b j (Char.chr (Random.State.int rng 256))
+        done;
+      i := !i + len
+    done;
+    b
+  in
+  let wide () = Random.State.bits rng - (1 lsl 29) in
+  for round = 1 to 40 do
+    let entries =
+      Array.init (1 + Random.State.int rng 64) (fun _ ->
+          {
+            Tape.t_kind =
+              [| Event.Ev_syscall; Event.Ev_signal; Event.Ev_fork; Event.Ev_exit |].(
+                Random.State.int rng 4);
+            t_sysno = Random.State.int rng 400;
+            t_tid = Random.State.int rng 1000;
+            t_args = Array.init (Random.State.int rng 7) (fun _ -> wide ());
+            t_ret = wide ();
+            t_clock = Random.State.bits rng;
+            t_out =
+              (match Random.State.int rng 3 with
+              | 0 -> None
+              | 1 -> Some Bytes.empty
+              | _ -> Some (payload ()));
+            t_grant = None;
+          })
+    in
+    check (Printf.sprintf "random segment %d" round) entries
+  done
+
 (* Retirement truncates exactly at a segment boundary: keep_from rounds
    down to the segment start, never mid-segment; reads below the new
    base fail with [Truncated]; the window never re-grows. *)
@@ -1302,6 +1427,8 @@ let () =
         [
           Alcotest.test_case "roundtrip across sealed segments" `Quick
             test_tape_roundtrip_across_segments;
+          Alcotest.test_case "sealed image matches the reference serializer"
+            `Quick test_tape_image_matches_reference;
           Alcotest.test_case "retire truncates at segment boundary" `Quick
             test_tape_retire_at_boundary;
           Alcotest.test_case "bounded memory on a million events" `Slow

@@ -378,8 +378,11 @@ let test_bytequeue_partial_reads () =
 
 let test_bytequeue_capacity () =
   let q = Bytequeue.create ~capacity:4 () in
-  let accepted = Bytequeue.write q (Bytes.of_string "abcdef") in
-  Alcotest.(check int) "clipped to capacity" 4 accepted;
+  (match Bytequeue.write q (Bytes.of_string "abcdef") with
+  | exception Invalid_argument _ -> ()
+  | () -> Alcotest.fail "a write past capacity must be refused");
+  Alcotest.(check int) "refused write buffers nothing" 4 (Bytequeue.space q);
+  Bytequeue.write q (Bytes.of_string "abcd");
   Alcotest.(check int) "no space" 0 (Bytequeue.space q);
   ignore (Bytequeue.read q 2);
   Alcotest.(check int) "space reclaimed" 2 (Bytequeue.space q)
@@ -399,6 +402,106 @@ let prop_bytequeue_roundtrip =
       let total = List.fold_left (fun n c -> n + String.length c) 0 chunks in
       let out = Bytequeue.read q total in
       Bytes.to_string out = String.concat "" chunks)
+
+type bq_op =
+  | Write of string
+  | Read of int
+  | Read_front (* exactly the rest of the front chunk *)
+  | Read_half (* half of it: a split read *)
+  | Peek of int
+
+let pp_bq_op = function
+  | Write s -> Printf.sprintf "Write %S" s
+  | Read n -> Printf.sprintf "Read %d" n
+  | Read_front -> "Read_front"
+  | Read_half -> "Read_half"
+  | Peek n -> Printf.sprintf "Peek %d" n
+
+let bq_ops =
+  let open QCheck.Gen in
+  let op =
+    frequency
+      [
+        (4, map (fun s -> Write s) (string_size ~gen:printable (int_range 0 40)));
+        (2, map (fun n -> Read n) (int_range 0 50));
+        (2, return Read_front);
+        (1, return Read_half);
+        (1, map (fun n -> Peek n) (int_range 0 50));
+      ]
+  in
+  QCheck.make
+    ~print:(fun ops -> String.concat "; " (List.map pp_bq_op ops))
+    (list_size (int_range 1 80) op)
+
+(* The queue against a string model: random writes (clipped to the
+   space of a small capacity, as the kernel does; the whole buffer must
+   be refused when it does not fit), random reads, reads aligned to the
+   front chunk and reads that split it, and peeks. A reader owns what it
+   gets, so scribbling over every read result must not change what
+   later reads see. *)
+let prop_bytequeue_model =
+  QCheck.Test.make ~name:"bytequeue matches a string model" ~count:500 bq_ops
+    (fun ops ->
+      let cap = 64 in
+      let q = Bytequeue.create ~capacity:cap () in
+      let data = ref "" in
+      (* bytes left in each written chunk, front first *)
+      let chunks = Queue.create () in
+      let take n =
+        let n = min n (String.length !data) in
+        let s = String.sub !data 0 n in
+        data := String.sub !data n (String.length !data - n);
+        let left = ref n in
+        while !left > 0 do
+          let c = Queue.peek chunks in
+          if !c <= !left then begin
+            left := !left - !c;
+            ignore (Queue.pop chunks)
+          end
+          else begin
+            c := !c - !left;
+            left := 0
+          end
+        done;
+        s
+      in
+      let front () = if Queue.is_empty chunks then 0 else !(Queue.peek chunks) in
+      let read n =
+        let b = Bytequeue.read q n in
+        let got = Bytes.to_string b in
+        Bytes.fill b 0 (Bytes.length b) '#';
+        got = take n
+      in
+      List.for_all
+        (fun op ->
+          let ok =
+            match op with
+            | Write s ->
+              let want = min (String.length s) (cap - String.length !data) in
+              let refused =
+                want = String.length s
+                ||
+                match Bytequeue.write q (Bytes.of_string s) with
+                | exception Invalid_argument _ -> true
+                | () -> false
+              in
+              if want > 0 then begin
+                data := !data ^ String.sub s 0 want;
+                Queue.push (ref want) chunks
+              end;
+              Bytequeue.write q (Bytes.of_string (String.sub s 0 want));
+              refused
+            | Read n -> read n
+            | Read_front -> read (front ())
+            | Read_half -> read ((front () + 1) / 2)
+            | Peek n ->
+              Bytes.to_string (Bytequeue.peek q n)
+              = String.sub !data 0 (min n (String.length !data))
+          in
+          ok
+          && Bytequeue.length q = String.length !data
+          && Bytequeue.space q = cap - String.length !data)
+        ops)
 
 (* --- syscall tables -------------------------------------------------------- *)
 
@@ -536,6 +639,65 @@ let test_proto_roundtrip_over_socket () =
     Alcotest.(check int) "big frame" 5000 (String.length c)
   | l -> Alcotest.failf "expected 3 frames, got %d" (List.length l)
 
+(* A send copies what the kernel accepts before it returns, so a sender
+   may overwrite its buffer at once: over a socket whose delivery waits
+   out a link latency, and over a pipe, the peer still reads what was
+   sent. *)
+let test_sender_mutation_invisible_to_peer () =
+  let eng = E.create () in
+  let k = K.create ~link_latency:35_000 eng in
+  let got = ref [] in
+  let piped = ref "" in
+  let sproc = K.new_proc k "s" and cproc = K.new_proc k "c" in
+  let ok = function
+    | Ok v -> v
+    | Error e -> Alcotest.failf "errno %s" (Varan_syscall.Errno.name e)
+  in
+  let scribble b = Bytes.fill b 0 (Bytes.length b) 'X' in
+  ignore
+    (E.spawn eng ~name:"server" (fun () ->
+         let api = Api.direct k sproc in
+         let lfd = ok (Api.socket api) in
+         ok (Api.bind api lfd 9998);
+         ok (Api.listen api lfd);
+         let c = ok (Api.accept api lfd) in
+         let rec loop () =
+           match Proto.recv_msg api c with
+           | Ok (Some m) ->
+             got := Bytes.to_string m :: !got;
+             loop ()
+           | _ -> ()
+         in
+         loop ()));
+  ignore
+    (E.spawn eng ~name:"client" (fun () ->
+         let api = Api.direct k cproc in
+         E.consume 1000;
+         let fd = ok (Api.socket api) in
+         ok (Api.connect api fd 9998);
+         let payload = Bytes.of_string "by send_msg" in
+         ok (Proto.send_msg api fd payload);
+         scribble payload;
+         let frame = Proto.frame_of_string "a reused frame" in
+         ok (Api.write_all api fd frame);
+         Bytes.fill frame Proto.header_len
+           (Bytes.length frame - Proto.header_len) 'X';
+         ok (Api.write_all api fd frame);
+         let raw = Proto.frame (Bytes.make 5000 'w') in
+         ok (Api.write_all api fd raw);
+         scribble raw;
+         ignore (Api.close api fd);
+         let r, w = ok (Api.pipe api) in
+         let data = Bytes.of_string "through a pipe" in
+         ok (Api.write_all api w data);
+         scribble data;
+         piped := Bytes.to_string (ok (Api.read api r 64))));
+  E.run_until_quiescent eng;
+  Alcotest.(check (list string)) "socket peer reads what was sent"
+    [ "by send_msg"; "a reused frame"; "XXXXXXXXXXXXXX"; String.make 5000 'w' ]
+    (List.rev !got);
+  Alcotest.(check string) "pipe reader too" "through a pipe" !piped
+
 let () =
   Alcotest.run "varan_util"
     [
@@ -589,6 +751,7 @@ let () =
           Alcotest.test_case "capacity" `Quick test_bytequeue_capacity;
           Alcotest.test_case "peek" `Quick test_bytequeue_peek;
           QCheck_alcotest.to_alcotest prop_bytequeue_roundtrip;
+          QCheck_alcotest.to_alcotest prop_bytequeue_model;
         ] );
       ( "syscall-tables",
         [
@@ -605,5 +768,7 @@ let () =
         [
           Alcotest.test_case "roundtrip over socket" `Quick
             test_proto_roundtrip_over_socket;
+          Alcotest.test_case "sender mutation invisible to the peer" `Quick
+            test_sender_mutation_invisible_to_peer;
         ] );
     ]

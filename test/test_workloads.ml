@@ -454,6 +454,15 @@ let reference_respond store req =
   Bytes.of_string reply
 
 let test_cache_parser_matches_reference () =
+  (* The server replies with a whole frame; its payload is the reply. *)
+  let respond store req =
+    let f = Cache_server.respond store req in
+    let n = Bytes.length f - Proto.header_len in
+    if Int32.to_int (Bytes.get_int32_le f 0) <> n then
+      Alcotest.failf "request %S: frame header says %ld bytes, payload has %d"
+        (Bytes.to_string req) (Bytes.get_int32_le f 0) n;
+    Bytes.sub f Proto.header_len n
+  in
   let outcome respond store req =
     match respond store req with
     | reply -> Ok (Bytes.to_string reply)
@@ -490,7 +499,7 @@ let test_cache_parser_matches_reference () =
     (fun req ->
       let b = Bytes.of_string req in
       let want = outcome reference_respond theirs b in
-      let got = outcome Cache_server.respond ours b in
+      let got = outcome respond ours b in
       if got <> want then Alcotest.failf "request %S: replies differ" req;
       if bindings ours <> bindings theirs then
         Alcotest.failf "request %S: stores differ" req)

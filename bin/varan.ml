@@ -365,7 +365,7 @@ let torture_cmd =
   let module H = Varan_torture.Harness in
   let module Fault = Varan_fault.Plan in
   let module Oracle = Varan_trace.Oracle in
-  let module Nvx_config = Varan_nvx.Config in
+  let module Lifecycle = Varan_nvx.Lifecycle in
   let seed_arg =
     Arg.(
       value & opt int 0xBEEF
@@ -386,12 +386,18 @@ let torture_cmd =
       & info [ "plan" ] ~docv:"SPEC"
           ~doc:
             "Override the case's fault plan, e.g. \
-             crash:0@8,stall:1@3+20000,ring:2,burst:2x3@4,fork@5.")
+             crash:0@8,stall:1@3+20000,ring:2,burst:2x3@4,fork@5, or link \
+             faults for $(b,--net) cases: part@4+120000,ldrop@11. A plan \
+             naming a variant the case does not run exits 2.")
   in
   let followers_torture_arg =
     Arg.(
       value & opt (some int) None
-      & info [ "followers" ] ~docv:"N" ~doc:"Override the follower count.")
+      & info [ "followers" ] ~docv:"N"
+          ~doc:
+            "Override the follower count (per shard for $(b,--shards)), \
+             clamped to 1–4, keeping the case's plan. $(b,--net) cases keep \
+             at least one follower local, so they need 2 or more.")
   in
   let verbose_arg =
     Arg.(
@@ -411,48 +417,36 @@ let torture_cmd =
              its respawn budget, and that the leader never gates on a \
              quarantined consumer.")
   in
-  let stall_timeout_arg =
+  let policy_arg name docv doc =
     Arg.(
       value & opt (some int) None
-      & info [ "stall-timeout" ] ~docv:"CYCLES"
+      & info [ name ] ~docv
           ~doc:
-            "Lifecycle policy override: cycles without consumer progress \
-             before a follower is quarantined. Implies $(b,--lifecycle).")
+            ("Lifecycle policy override: " ^ doc
+           ^ " Implies $(b,--lifecycle); also applies to $(b,--net) cases."))
+  in
+  let stall_timeout_arg =
+    policy_arg "stall-timeout" "CYCLES"
+      "cycles without consumer progress before a follower is quarantined."
   in
   let max_restarts_arg =
-    Arg.(
-      value & opt (some int) None
-      & info [ "max-restarts" ] ~docv:"N"
-          ~doc:
-            "Lifecycle policy override: respawns allowed per follower \
-             before it is declared dead. Implies $(b,--lifecycle).")
+    policy_arg "max-restarts" "N"
+      "respawns allowed per follower before it is declared dead."
   in
   let min_followers_arg =
-    Arg.(
-      value & opt (some int) None
-      & info [ "min-followers" ] ~docv:"N"
-          ~doc:
-            "Lifecycle policy override: below this many recoverable \
-             followers the session degrades to native-speed leader-only \
-             execution. Implies $(b,--lifecycle).")
+    policy_arg "min-followers" "N"
+      "below this many recoverable followers the session degrades to \
+       native-speed leader-only execution."
   in
   let lag_threshold_arg =
-    Arg.(
-      value & opt (some int) None
-      & info [ "lag-threshold" ] ~docv:"EVENTS"
-          ~doc:
-            "Lifecycle policy override: ring lag before a follower counts \
-             as lagging. Implies $(b,--lifecycle).")
+    policy_arg "lag-threshold" "EVENTS"
+      "ring lag before a follower counts as lagging."
   in
   let checkpoint_interval_arg =
-    Arg.(
-      value & opt (some int) None
-      & info [ "checkpoint-interval" ] ~docv:"CYCLES"
-          ~doc:
-            "Lifecycle policy override: cycles between follower \
-             checkpoints; a respawn restores the newest one and replays \
-             only the tape delta (rr-style fast rejoin). 0 disables \
-             checkpointing. Implies $(b,--lifecycle).")
+    policy_arg "checkpoint-interval" "CYCLES"
+      "cycles between follower checkpoints; a respawn restores the newest \
+       one and replays only the tape delta (rr-style fast rejoin). 0 \
+       disables checkpointing."
   in
   let net_arg =
     Arg.(
@@ -476,24 +470,6 @@ let torture_cmd =
             "Distributed-mode override: one-way link latency in cycles. \
              Implies $(b,--net).")
   in
-  let partition_every_arg =
-    Arg.(
-      value & opt (some int) None
-      & info [ "partition-every" ] ~docv:"N"
-          ~doc:
-            "Distributed-mode override: add a link partition at every \
-             Nth batch frame on top of the case's plan. Implies \
-             $(b,--net).")
-  in
-  let drop_rate_arg =
-    Arg.(
-      value & opt (some float) None
-      & info [ "drop-rate" ] ~docv:"P"
-          ~doc:
-            "Distributed-mode override: drop roughly this fraction of \
-             batch frames (deterministically, every 1/P-th frame) on top \
-             of the case's plan. Implies $(b,--net).")
-  in
   let futex_arg =
     Arg.(
       value & flag
@@ -515,7 +491,8 @@ let torture_cmd =
              running its own program. Checks that every shard's every \
              variant reproduces that shard's solo native digest — \
              co-residency leaks nothing across shard boundaries. 0 keeps \
-             the case's own shard count (2–4 from the seed).")
+             the case's own shard count (2–4 from the seed). Takes no \
+             $(b,--plan).")
   in
   let json_arg =
     Arg.(
@@ -525,265 +502,191 @@ let torture_cmd =
             "Emit one JSON object per case — digests against native, \
              aliveness, crashes, lifecycle/bridge/rewrite-cache/checkpoint \
              counters and the check verdicts — instead of the prose \
-             report. Applies to the base, $(b,--lifecycle) and $(b,--net) \
-             sweeps.")
+             report.")
+  in
+  let usage msg =
+    prerr_endline ("varan torture: " ^ msg);
+    exit 2
+  in
+  let print_report verbose (case : H.case) (out : H.outcome) fails =
+    let module RC = Varan_binary.Rewrite_cache in
+    let module CK = Varan_nvx.Checkpoint in
+    let pooled = case.H.shards > 1 in
+    Printf.printf "%s %s\n"
+      (if fails = [] then "PASS" else "FAIL")
+      (H.describe_case case);
+    List.iter (Printf.printf "  %s\n") fails;
+    (match out.H.lifecycle with
+    | Some r ->
+      Printf.printf "  lifecycle: quarantines=%d rejoins=%d deaths=%d%s\n"
+        r.Lifecycle.quarantines r.Lifecycle.rejoins r.Lifecycle.deaths
+        (match out.H.degraded with
+        | Some reason -> Printf.sprintf " degraded(%s)" reason
+        | None -> "")
+    | None -> ());
+    (* The spawn fast path's effectiveness: every launch past the first of
+       a given image — replicas, respawns and pooled shards alike — should
+       be a cache hit served by rebase. *)
+    if out.H.lifecycle <> None || pooled then begin
+      let rc = out.H.stats.Nvx.rewrite_cache in
+      let total = rc.RC.hits + rc.RC.misses in
+      Printf.printf
+        "  rewrite-cache: hits=%d misses=%d rebases=%d hit-rate=%d%%\n"
+        rc.RC.hits rc.RC.misses rc.RC.rebases
+        (if total = 0 then 0 else rc.RC.hits * 100 / total)
+    end;
+    if pooled then Printf.printf "  zygote: forks=%d\n" out.H.zygote_forks;
+    (* The fast-rejoin path's effectiveness: respawns served from a
+       checkpoint replay only the tape delta behind it. *)
+    let ck = out.H.stats.Nvx.checkpoints in
+    if ck.CK.taken > 0 || ck.CK.restores > 0 then
+      Printf.printf
+        "  checkpoints: taken=%d restores=%d delta-events=%d resident=%dB\n"
+        ck.CK.taken ck.CK.restores ck.CK.delta_events ck.CK.resident_bytes;
+    (match out.H.stats.Nvx.bridge with
+    | Some b -> Format.printf "  bridge: %a@." Varan_net.Bridge.pp_stats b
+    | None -> ());
+    if verbose then begin
+      (match out.H.stats.Nvx.link with
+      | Some l ->
+        let module L = Varan_net.Link in
+        Printf.printf
+          "  link: sent=%d delivered=%d lost=%d dup=%d reorder=%d wire=%dB \
+           partitions=%d\n"
+          l.L.frames_sent l.L.frames_delivered l.L.frames_lost
+          l.L.frames_duplicated l.L.frames_reordered l.L.bytes_sent
+          l.L.partitions
+      | None -> ());
+      Option.iter (Format.printf "  %a@." Lifecycle.pp_report) out.H.lifecycle;
+      List.iter
+        (fun inj -> Printf.printf "  plan: %s\n" (Fault.describe inj))
+        case.H.plan;
+      List.iter
+        (fun (idx, msg) -> Printf.printf "  crash: variant %d: %s\n" idx msg)
+        out.H.crashes;
+      let n = case.H.followers + 1 in
+      let unit g =
+        if pooled then Printf.sprintf "s%d.v%d" (g / n) (g mod n)
+        else Printf.sprintf "v%d" g
+      in
+      Array.iteri
+        (fun s d ->
+          if pooled then Printf.printf "  shard %d native: %s\n" s d
+          else Printf.printf "  native digest: %s\n" d)
+        out.H.natives;
+      Array.iteri
+        (fun g d ->
+          Printf.printf "  %s%s: %s\n" (unit g)
+            (if out.H.alive.(g) then "" else " (dead)")
+            (if out.H.natives <> [||] && d = out.H.natives.(g / n) then
+               "= native"
+             else d))
+        out.H.digests;
+      Option.iter (Format.printf "  %a@." Oracle.pp_report) out.H.report
+    end
   in
   let run seed count plan_spec followers verbose lifecycle futex shards
       stall_timeout max_restarts min_followers lag_threshold
-      checkpoint_interval net link_latency partition_every drop_rate json
-      trace_out postmortem_dir =
-    let module Lifecycle = Varan_nvx.Lifecycle in
-    arm_observability ~trace_out ~postmortem_dir;
-    let finish code =
-      finish_observability ~trace_out;
-      exit code
-    in
-    (match shards with
-    | Some n ->
-      let failures = ref 0 in
-      for s = seed to seed + count - 1 do
-        let sc = H.gen_shard_case s in
-        let sc =
-          if n > 0 then { sc with H.sc_shards = max 2 (min 8 n) } else sc
-        in
-        let out = H.run_shard_case sc in
-        let fails = H.check_shard sc out in
-        if fails = [] then
-          Printf.printf "PASS %s\n" (H.describe_shard_case sc)
-        else begin
-          incr failures;
-          Printf.printf "FAIL %s\n" (H.describe_shard_case sc);
-          List.iter (fun f -> Printf.printf "  %s\n" f) fails
-        end;
-        if verbose then begin
-          let module RC = Varan_binary.Rewrite_cache in
-          Printf.printf
-            "  zygote forks=%d rewrite-cache hits=%d misses=%d rebases=%d\n"
-            out.H.so_zygote_forks out.H.so_rewrite.RC.hits
-            out.H.so_rewrite.RC.misses out.H.so_rewrite.RC.rebases;
-          Array.iteri
-            (fun sh native ->
-              Printf.printf "  shard %d native: %s\n" sh native;
-              Array.iteri
-                (fun i d ->
-                  Printf.printf "    v%d%s: %s\n" i
-                    (if out.H.so_alive.(sh).(i) then "" else " (dead)")
-                    (if d = native then "= native" else d))
-                out.H.so_digests.(sh))
-            out.H.so_natives
-        end
-      done;
-      if count > 1 then
-        Printf.printf "%d/%d cases passed\n" (count - !failures) count;
-      finish (if !failures > 0 then 1 else 0)
-    | None -> ());
-    if futex then begin
-      let failures = ref 0 in
-      for s = seed to seed + count - 1 do
-        let fc, out, fails = H.run_futex_seed s in
-        if fails = [] then
-          Printf.printf "PASS %s\n" (H.describe_futex_case fc)
-        else begin
-          incr failures;
-          Printf.printf "FAIL %s\n" (H.describe_futex_case fc);
-          List.iter (fun f -> Printf.printf "  %s\n" f) fails
-        end;
-        if verbose then begin
-          List.iter
-            (fun (idx, msg) ->
-              Printf.printf "  crash: variant %d: %s\n" idx msg)
-            out.H.fo_crashes;
-          Array.iteri
-            (fun i d ->
-              Printf.printf "  v%d%s: %s\n" i
-                (if out.H.fo_alive.(i) then "" else " (dead)")
-                d)
-            out.H.fo_digests;
-          Format.printf "  %a@." Oracle.pp_report out.H.fo_report
-        end
-      done;
-      if count > 1 then
-        Printf.printf "%d/%d cases passed\n" (count - !failures) count;
-      finish (if !failures > 0 then 1 else 0)
-    end;
-    let net_on =
-      net
-      || Option.is_some link_latency
-      || Option.is_some partition_every
-      || Option.is_some drop_rate
-    in
+      checkpoint_interval net link_latency json trace_out postmortem_dir =
     let lifecycle_on =
       lifecycle
-      || Option.is_some stall_timeout
-      || Option.is_some max_restarts
-      || Option.is_some min_followers
-      || Option.is_some lag_threshold
-      || Option.is_some checkpoint_interval
+      || List.exists Option.is_some
+           [
+             stall_timeout; max_restarts; min_followers; lag_threshold;
+             checkpoint_interval;
+           ]
     in
-    (* Explicit overrides layered on whatever policy the case mode picked
-       — the net generator varies checkpointing per seed, so start from
-       the case's own policy rather than the sweep default. *)
+    let net_on = net || Option.is_some link_latency in
+    (* One preset per sweep; net cases always run the lifecycle manager,
+       so the policy flags layer onto them. *)
+    let gen =
+      match
+        List.filter
+          (fun (_, on, _) -> on)
+          [
+            ("--shards", shards <> None, H.gen_shard_case);
+            ("--futex", futex, H.gen_futex_case);
+            ("--net/--link-latency", net_on, H.gen_net_case);
+            ( "--lifecycle/policy flags",
+              lifecycle_on && not net_on,
+              H.gen_lifecycle_case );
+          ]
+      with
+      | [] -> H.gen_case
+      | [ (_, _, gen) ] -> gen
+      | several ->
+        usage
+          (String.concat " and " (List.map (fun (f, _, _) -> f) several)
+          ^ " select different case presets; pick one")
+    in
+    let plan =
+      Option.map
+        (fun spec ->
+          match Fault.of_string spec with Ok p -> p | Error e -> usage e)
+        plan_spec
+    in
+    (* Explicit overrides layered on whatever the preset drew — the net
+       preset varies checkpointing per seed, so each flag replaces one
+       field of the case's own policy. *)
     let apply_policy p =
+      let ( |? ) o d = Option.value o ~default:d in
       {
         p with
-        Lifecycle.stall_timeout =
-          Option.value stall_timeout ~default:p.Lifecycle.stall_timeout;
-        max_restarts = Option.value max_restarts ~default:p.Lifecycle.max_restarts;
-        min_followers =
-          Option.value min_followers ~default:p.Lifecycle.min_followers;
-        lag_threshold =
-          Option.value lag_threshold ~default:p.Lifecycle.lag_threshold;
+        Lifecycle.stall_timeout = stall_timeout |? p.Lifecycle.stall_timeout;
+        max_restarts = max_restarts |? p.Lifecycle.max_restarts;
+        min_followers = min_followers |? p.Lifecycle.min_followers;
+        lag_threshold = lag_threshold |? p.Lifecycle.lag_threshold;
         checkpoint_interval =
-          Option.value checkpoint_interval
-            ~default:p.Lifecycle.checkpoint_interval;
+          checkpoint_interval |? p.Lifecycle.checkpoint_interval;
       }
     in
-    let failures = ref 0 in
-    for s = seed to seed + count - 1 do
+    let make s =
+      let case = gen s in
       let case =
-        if net_on then H.gen_net_case s
-        else if lifecycle_on then H.gen_lifecycle_case s
-        else H.gen_case s
-      in
-      let case =
-        if net_on || lifecycle_on then
-          {
-            case with
-            H.lifecycle =
-              Some
-                (apply_policy
-                   (Option.value case.H.lifecycle ~default:H.lifecycle_policy));
-          }
-        else case
-      in
-      let case =
-        if not net_on then case
-        else begin
-          let n = Option.get case.H.net in
-          let n =
-            match link_latency with
-            | Some l -> { n with Nvx_config.link_latency = max 0 l }
-            | None -> n
-          in
-          (* CLI link faults ride on top of the case's plan. Both are
-             deterministic in (seed, flag value): partitions at every
-             k*N-th frame, drops at every (1/P)-th. *)
-          let extra =
-            (match partition_every with
-            | Some every when every > 0 ->
-              List.init
-                (min 8 (case.H.prog_len / every))
-                (fun k ->
-                  Fault.Link_partition
-                    { from_seq = (k + 1) * every; duration = 80_000 })
-            | _ -> [])
-            @
-            match drop_rate with
-            | Some r when r > 0.0 ->
-              let stride = max 1 (int_of_float (1.0 /. min 1.0 r)) in
-              List.init
-                (min 32 (case.H.prog_len / stride))
-                (fun k -> Fault.Link_drop { at_seq = (k + 1) * stride })
-            | _ -> []
-          in
-          { case with H.net = Some n; H.plan = case.H.plan @ extra }
-        end
+        {
+          case with
+          H.shards =
+            (match shards with
+            | Some n when n > 0 -> max 2 (min 8 n)
+            | _ -> case.H.shards);
+          lifecycle = Option.map apply_policy case.H.lifecycle;
+          net =
+            Option.map
+              (fun n ->
+                let l =
+                  Option.value link_latency ~default:n.Config.link_latency
+                in
+                { n with Config.link_latency = max 0 l })
+              case.H.net;
+          plan = Option.value plan ~default:case.H.plan;
+        }
       in
       let case =
         match followers with
-        | Some f -> { case with H.followers = max 1 (min 4 f) }
+        | Some f -> H.with_followers case (max 1 (min 4 f))
         | None -> case
       in
-      let case =
-        match plan_spec with
-        | None -> case
-        | Some spec -> (
-          match Fault.of_string spec with
-          | Ok plan -> { case with H.plan = plan }
-          | Error e ->
-            prerr_endline ("varan torture: " ^ e);
-            exit 2)
-      in
-      let out = H.run_case case in
-      let fails =
-        H.check case out
-        @ (if net_on || lifecycle_on then H.check_lifecycle case out else [])
-        @ (if net_on then H.check_net case out else [])
-      in
-      if fails <> [] then incr failures;
-      if json then print_endline (H.json_of_outcome ~fails case out)
-      else begin
-        if fails = [] then Printf.printf "PASS %s\n" (H.describe_case case)
-        else begin
-          Printf.printf "FAIL %s\n" (H.describe_case case);
-          List.iter (fun f -> Printf.printf "  %s\n" f) fails
-        end;
-      (match out.H.lifecycle with
-      | Some r ->
-        Printf.printf "  lifecycle: quarantines=%d rejoins=%d deaths=%d%s\n"
-          r.Lifecycle.quarantines r.Lifecycle.rejoins r.Lifecycle.deaths
-          (match out.H.degraded with
-          | Some reason -> Printf.sprintf " degraded(%s)" reason
-          | None -> "");
-        (* The spawn fast path's effectiveness: every launch past the
-           first of a given image — replicas and respawns alike — should
-           be a cache hit served by rebase. *)
-        let module RC = Varan_binary.Rewrite_cache in
-        let rc = out.H.stats.Varan_nvx.Session.rewrite_cache in
-        let total = rc.RC.hits + rc.RC.misses in
-        Printf.printf
-          "  rewrite-cache: hits=%d misses=%d rebases=%d hit-rate=%d%%\n"
-          rc.RC.hits rc.RC.misses rc.RC.rebases
-          (if total = 0 then 0 else rc.RC.hits * 100 / total);
-        (* The fast-rejoin path's effectiveness: respawns served from a
-           checkpoint replay only the tape delta behind it. *)
-        let module CK = Varan_nvx.Checkpoint in
-        let ck = out.H.stats.Varan_nvx.Session.checkpoints in
-        if ck.CK.taken > 0 || ck.CK.restores > 0 then
-          Printf.printf
-            "  checkpoints: taken=%d restores=%d delta-events=%d \
-             resident=%dB\n"
-            ck.CK.taken ck.CK.restores ck.CK.delta_events ck.CK.resident_bytes
-      | None -> ());
-      (match out.H.stats.Varan_nvx.Session.bridge with
-      | Some b ->
-        Format.printf "  bridge: %a@." Varan_net.Bridge.pp_stats b;
-        if verbose then
-          (match out.H.stats.Varan_nvx.Session.link with
-          | Some l ->
-            let module L = Varan_net.Link in
-            Printf.printf
-              "  link: sent=%d delivered=%d lost=%d dup=%d reorder=%d \
-               wire=%dB partitions=%d\n"
-              l.L.frames_sent l.L.frames_delivered l.L.frames_lost
-              l.L.frames_duplicated l.L.frames_reordered l.L.bytes_sent
-              l.L.partitions
-          | None -> ())
-      | None -> ());
-      if verbose then begin
-        (match out.H.lifecycle with
-        | Some r -> Format.printf "  %a@." Lifecycle.pp_report r
-        | None -> ());
-        List.iter
-          (fun inj -> Printf.printf "  plan: %s\n" (Fault.describe inj))
-          case.H.plan;
-        List.iter
-          (fun (idx, msg) -> Printf.printf "  crash: variant %d: %s\n" idx msg)
-          out.H.crashes;
-        Printf.printf "  native digest: %s\n" out.H.native;
-        Array.iteri
-          (fun i d ->
-            Printf.printf "  v%d%s: %s\n" i
-              (if out.H.alive.(i) then "" else " (dead)")
-              (if d = out.H.native then "= native" else d))
-          out.H.digests;
-        Format.printf "  %a@." Oracle.pp_report out.H.report
-      end
-      end
-    done;
+      match H.validate case with
+      | Ok () -> case
+      | Error e -> usage (Printf.sprintf "seed %d: %s" s e)
+    in
+    (* Every case is built and validated before the first one runs. *)
+    let cases = List.init (max 0 count) (fun i -> make (seed + i)) in
+    arm_observability ~trace_out ~postmortem_dir;
+    let failures =
+      List.fold_left
+        (fun failures case ->
+          let out = H.run case in
+          let fails = H.check case out in
+          if json then print_endline (H.json_of_outcome ~fails case out)
+          else print_report verbose case out fails;
+          if fails = [] then failures else failures + 1)
+        0 cases
+    in
     if count > 1 && not json then
-      Printf.printf "%d/%d cases passed\n" (count - !failures) count;
-    finish (if !failures > 0 then 1 else 0)
+      Printf.printf "%d/%d cases passed\n" (count - failures) count;
+    finish_observability ~trace_out;
+    exit (if failures > 0 then 1 else 0)
   in
   Cmd.v
     (Cmd.info "torture"
@@ -796,8 +699,7 @@ let torture_cmd =
       $ verbose_arg $ lifecycle_arg $ futex_arg $ shards_arg
       $ stall_timeout_arg $ max_restarts_arg $ min_followers_arg
       $ lag_threshold_arg $ checkpoint_interval_arg $ net_arg
-      $ link_latency_arg $ partition_every_arg $ drop_rate_arg $ json_arg
-      $ trace_out_arg $ postmortem_dir_arg)
+      $ link_latency_arg $ json_arg $ trace_out_arg $ postmortem_dir_arg)
 
 let replay_cmd =
   let module H = Varan_torture.Harness in
@@ -841,7 +743,7 @@ let replay_cmd =
     in
     let case = { case with H.lifecycle = Some policy } in
     Printf.printf "Recorded %s\n" (H.describe_case case);
-    let out = H.run_case case in
+    let out = H.run case in
     match RR.time_travel out.H.session ~at with
     | Error e ->
       Printf.eprintf "varan replay: %s\n" e;

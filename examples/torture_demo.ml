@@ -19,7 +19,9 @@ let () =
   let seed =
     if Array.length Sys.argv > 1 then int_of_string Sys.argv.(1) else 48936
   in
-  let case, out, failures = H.run_seed seed in
+  let case = H.gen_case seed in
+  let out = H.run case in
+  let failures = H.check case out in
   Printf.printf "case: %s\n\n" (H.describe_case case);
 
   print_endline "fault plan:";
@@ -37,10 +39,10 @@ let () =
     (fun i d ->
       Printf.printf "  v%d %s digest %s native\n" i
         (if out.H.alive.(i) then "alive" else "dead ")
-        (if d = out.H.native then "==" else "<>"))
+        (if d = out.H.natives.(0) then "==" else "<>"))
     out.H.digests;
 
-  Format.printf "\n%a@." Oracle.pp_report out.H.report;
+  Option.iter (Format.printf "\n%a@." Oracle.pp_report) out.H.report;
 
   match failures with
   | [] -> print_endline "verdict: PASS — all invariants hold"

@@ -1,6 +1,8 @@
 module E = Varan_sim.Engine
 module K = Varan_kernel.Kernel
+module Api = Varan_kernel.Api
 module Nvx = Varan_nvx.Session
+module Shard = Varan_nvx.Shard
 module Config = Varan_nvx.Config
 module Variant = Varan_nvx.Variant
 module Fault = Varan_fault.Plan
@@ -15,16 +17,21 @@ module P = Programs
 (* A sweep launches hundreds of scoped sessions in one process; without
    this the stats and flight-recorder registries accumulate every dead
    case's entries (the registry-leak bug: dumps grew monotonically and
-   showed shards from long-finished seeds). Called at the top of every
-   case runner, so each case's registries hold that case alone. *)
+   showed shards from long-finished seeds). Called at the top of [run],
+   so each case's registries hold that case alone. *)
 let reset_registries () =
   Stats.clear_registry ();
   Flight.clear_registry ()
 
+type futex = { threads : int; locks : int; rounds : int }
+
+type workload = Program of int | Ops of P.op list | Futex of futex
+
 type case = {
   seed : int;
+  workload : workload;
   followers : int;
-  prog_len : int;
+  shards : int;
   ring_size : int;
   plan : Fault.t;
   lifecycle : Lifecycle.policy option;
@@ -32,6 +39,23 @@ type case = {
       (* distributed mode: the last [remote_followers] followers consume
          through the cross-node ring bridge *)
 }
+
+(* ------------------------------------------------------------------ *)
+(* Presets: each draws from its own RNG stream, so extending one never  *)
+(* reshuffles another's cases.                                          *)
+(* ------------------------------------------------------------------ *)
+
+let make_case ~seed ~workload ~followers ~ring_size plan =
+  {
+    seed;
+    workload;
+    followers;
+    shards = 1;
+    ring_size;
+    plan;
+    lifecycle = None;
+    net = None;
+  }
 
 let gen_case seed =
   let rng = Prng.create seed in
@@ -41,7 +65,7 @@ let gen_case seed =
     Fault.random rng ~variants:(followers + 1) ~max_seq:(prog_len * 3 / 2)
       ~max_op:prog_len
   in
-  { seed; followers; prog_len; ring_size = 8; plan; lifecycle = None; net = None }
+  make_case ~seed ~workload:(Program prog_len) ~followers ~ring_size:8 plan
 
 (* The lifecycle sweep's policy: aggressive enough that every injected
    stall (>= 300k cycles, see below) trips the watchdog long before the
@@ -89,13 +113,9 @@ let gen_lifecycle_case seed =
     else stalls
   in
   {
-    seed;
-    followers;
-    prog_len;
-    ring_size = 8;
-    plan;
+    (make_case ~seed ~workload:(Program prog_len) ~followers ~ring_size:8 plan)
+    with
     lifecycle = Some lifecycle_policy;
-    net = None;
   }
 
 (* The distributed sweep: link faults (partitions, reorders, drops,
@@ -147,49 +167,176 @@ let gen_net_case seed =
     }
   in
   {
-    seed;
-    followers;
-    prog_len;
-    ring_size = 8;
-    plan = link @ extra;
+    (make_case ~seed ~workload:(Program prog_len) ~followers ~ring_size:8
+       (link @ extra))
+    with
     lifecycle = Some policy;
     net = Some net;
   }
 
+(* Thread counts deliberately include 64: with per-tid lanes the whole
+   variant must stay digest-clean at that scale. Crashes are
+   follower-only here; leader-crash promotion at scale has a directed
+   test. *)
+let gen_futex_case seed =
+  let rng = Prng.create (seed lxor 0xF07EC) in
+  let threads = [| 4; 8; 16; 64 |].(Prng.int rng 4) in
+  let locks = 1 + Prng.int rng 4 in
+  let rounds = 3 + Prng.int rng 10 in
+  let followers = 1 + Prng.int rng 2 in
+  let plan =
+    if Prng.int rng 2 = 0 then
+      [
+        Fault.Crash_variant
+          {
+            idx = 1 + Prng.int rng followers;
+            at_seq = 1 + Prng.int rng (threads * rounds);
+          };
+      ]
+    else []
+  in
+  make_case ~seed ~workload:(Futex { threads; locks; rounds }) ~followers
+    ~ring_size:16 plan
+
+let gen_shard_case seed =
+  let rng = Prng.create (seed lxor 0x5AADED) in
+  (* Drawn in this order so every seed keeps the case it always had. *)
+  let prog_len = 8 + Prng.int rng 25 in
+  let followers = 1 + Prng.int rng 2 in
+  let shards = 2 + Prng.int rng 3 in
+  {
+    (make_case ~seed ~workload:(Program prog_len) ~followers
+       ~ring_size:Config.default.Config.ring_size [])
+    with
+    shards;
+  }
+
+let with_followers case followers =
+  {
+    case with
+    followers;
+    net =
+      Option.map
+        (fun n ->
+          {
+            n with
+            Config.remote_followers =
+              min n.Config.remote_followers (followers - 1);
+          })
+        case.net;
+  }
+
+(* The one place a plan meets a case: every injection must be able to
+   fire on the topology and workload it is aimed at. *)
+let validate c =
+  let n = c.followers + 1 in
+  let victim = function
+    | Fault.Crash_variant { idx; _ }
+    | Fault.Stall_follower { idx; _ }
+    | Fault.Drop_payload_grant { idx; _ } ->
+      Some idx
+    | _ -> None
+  in
+  let outside inj =
+    match victim inj with Some i -> i < 0 || i >= n | None -> false
+  in
+  let is_fork = function Fault.Fork_at _ -> true | _ -> false in
+  let generated = match c.workload with Program _ -> true | _ -> false in
+  let error fmt = Printf.ksprintf (fun s -> Error s) fmt in
+  if c.followers < 0 || c.shards < 1 then
+    error "a case needs followers >= 0 and shards >= 1"
+  else
+    match List.find_opt outside c.plan with
+    | Some inj ->
+      error "plan injection %s aims at a variant outside 0..%d"
+        (Fault.describe inj) (n - 1)
+    | None -> (
+      if List.exists is_fork c.plan && not generated then
+        error "fork splices need a generated op program"
+      else if Fault.has_link_faults c.plan && c.net = None then
+        error "link faults need remote followers (--net)"
+      else if
+        c.shards > 1
+        && (c.plan <> [] || c.lifecycle <> None || c.net <> None
+           || not generated)
+      then
+        error
+          "a sharded case runs generated op programs without a fault plan, \
+           lifecycle policy or link"
+      else
+        match c.net with
+        | Some net
+          when net.Config.remote_followers < 1
+               || net.Config.remote_followers > c.followers - 1 ->
+          error
+            "a distributed case needs 1..followers-1 remote followers and at \
+             least one local one (followers=%d, remote=%d)"
+            c.followers net.Config.remote_followers
+        | _ -> Ok ())
+
+let describe_workload = function
+  | Program len -> Printf.sprintf "len=%d" len
+  | Ops ops -> Printf.sprintf "ops=%d" (List.length ops)
+  | Futex f ->
+    Printf.sprintf "threads=%d locks=%d rounds=%d" f.threads f.locks f.rounds
+
 let describe_case c =
-  Printf.sprintf "seed=%d followers=%d len=%d ring=%d%s%s plan=[%s]" c.seed
-    c.followers c.prog_len c.ring_size
+  Printf.sprintf "seed=%d followers=%d %s%s ring=%d%s%s plan=[%s]" c.seed
+    c.followers
+    (describe_workload c.workload)
+    (if c.shards > 1 then Printf.sprintf " shards=%d" c.shards else "")
+    c.ring_size
     (if c.lifecycle = None then "" else " lifecycle")
     (match c.net with
     | None -> ""
     | Some n -> Printf.sprintf " net(remote=%d)" n.Config.remote_followers)
     (Fault.to_string c.plan)
 
-let build_program case =
-  (* A stream independent of [gen_case]'s: extending the plan generator
-     must not reshuffle every workload. *)
-  let rng = Prng.create (case.seed lxor 0x7A57E5) in
-  let ops = P.gen_ops rng case.prog_len in
-  let ops =
-    if
-      List.exists
-        (function Fault.Signal_burst _ -> true | _ -> false)
-        case.plan
-    then P.Install_handler :: ops
-    else ops
-  in
-  P.splice_forks rng ops ~at:(Fault.fork_ops case.plan)
+(* Shard [shard]'s op program. A single session runs the generated ops
+   plus a handler install when the plan posts signals, with forks spliced
+   at the plan's positions; the stream is independent of the preset's,
+   so extending a plan generator never reshuffles workloads. In a pool
+   each shard runs its own program from a stream salted with the shard
+   id, with entropy ops sanitized away: the pooled shards share one
+   kernel, so their [Getrandom] draws would interleave — differently
+   than each shard's solo native run — for reasons that have nothing to
+   do with the monitor. *)
+let shard_program case shard =
+  match case.workload with
+  | Futex _ ->
+    invalid_arg "Harness.build_program: a futex case has no op program"
+  | Ops ops -> ops
+  | Program len when case.shards > 1 ->
+    let rng =
+      Prng.create (case.seed lxor 0x5AADED lxor ((shard + 1) * 0x9E3779))
+    in
+    List.map P.sanitize_for_fork (P.gen_ops rng len)
+  | Program len ->
+    let rng = Prng.create (case.seed lxor 0x7A57E5) in
+    let ops = P.gen_ops rng len in
+    let ops =
+      if
+        List.exists
+          (function Fault.Signal_burst _ -> true | _ -> false)
+          case.plan
+      then P.Install_handler :: ops
+      else ops
+    in
+    P.splice_forks rng ops ~at:(Fault.fork_ops case.plan)
+
+let build_program case = shard_program case 0
 
 type outcome = {
-  native : string;
+  natives : string array;
   digests : string array;
   alive : bool array;
   leader_idx : int;
   crashes : (int * string) list;
-  report : Oracle.report;
+  report : Oracle.report option;
   stats : Nvx.stats;
   lifecycle : Lifecycle.report option;
   degraded : string option;
+  zygote_forks : int;
   budget_blown : bool;
   session : Nvx.t;
       (* the finished session, for post-run probes (time travel, tape and
@@ -202,187 +349,163 @@ type outcome = {
    digests. *)
 let cycle_budget = 50_000_000_000L
 
-let run_ops case ops =
+(* The path a shard's units record under: the digest embeds it, so a
+   pooled shard's native run must use the same one. *)
+let unit_path (case : case) shard =
+  if case.shards > 1 then Printf.sprintf "s%d" shard else "0"
+
+(* One variant's program and the digest of what it observed. A variant
+   respawned by the lifecycle manager re-runs its whole program, so its
+   observations restart at body entry: the digest must reflect exactly
+   one complete execution. *)
+let observed_program (case : case) programs ~shard =
+  let fresh = case.lifecycle <> None in
+  match case.workload with
+  | Futex f ->
+    (* Every thread loops lock → streamed getpid inside the critical
+       section → unlock over a shared lock set, logging the acquisition
+       index each lock returns. The digest is the per-thread logs
+       concatenated in tid order: equal digests mean the variant
+       reproduced the leader's global lock-acquisition order, thread by
+       thread. *)
+    let logs = Array.init f.threads (fun _ -> Buffer.create 64) in
+    let body ~unit_idx api =
+      let b = logs.(unit_idx) in
+      if fresh then Buffer.clear b;
+      for r = 0 to f.rounds - 1 do
+        let l = (unit_idx + r) mod f.locks in
+        let acq = Api.futex_lock api (0x2000 + l) in
+        Buffer.add_string b (Printf.sprintf "%d:%d=%d;" r l acq);
+        (* A streamed, non-ordering call inside the critical section: with
+           lanes it replays concurrently, between the lock barriers. *)
+        ignore (Api.getpid api);
+        Api.compute api 150;
+        ignore (Api.futex_unlock api (0x2000 + l))
+      done
+    in
+    let digest () =
+      let all = Buffer.create 256 in
+      Array.iter
+        (fun b ->
+          Buffer.add_buffer all b;
+          Buffer.add_char all '|')
+        logs;
+      Digest.to_hex (Digest.string (Buffer.contents all))
+    in
+    ({ Variant.units = f.threads; unit_kind = Variant.Thread; body }, digest)
+  | Program _ | Ops _ ->
+    let obs = P.observations () in
+    let path = unit_path case shard in
+    ( Variant.single (fun api ->
+          if fresh then P.reset obs;
+          P.interpret ~obs ~path programs.(shard) api),
+      fun () -> P.digest obs )
+
+let run (case : case) =
+  (match validate case with
+  | Ok () -> ()
+  | Error e -> invalid_arg ("Harness.run: " ^ e));
   reset_registries ();
-  let native = P.run_native ~kernel_seed:case.seed ops in
+  let programs =
+    match case.workload with
+    | Futex _ -> [||]
+    | Program _ | Ops _ -> Array.init case.shards (shard_program case)
+  in
+  let natives =
+    Array.mapi
+      (fun s ops ->
+        P.run_native ~path:(unit_path case s) ~kernel_seed:case.seed ops)
+      programs
+  in
   let eng = E.create () in
   let k = K.create ~seed:case.seed eng in
   let n = case.followers + 1 in
-  let obs = Array.init n (fun _ -> P.observations ()) in
-  let variants =
-    List.init n (fun i ->
-        Variant.make
-          (Printf.sprintf "v%d" i)
-          (Variant.single (fun api ->
-               (* A respawned incarnation re-runs the whole program; stale
-                  buffers from the quarantined one must not pollute its
-                  digest. *)
-               if case.lifecycle <> None then P.reset obs.(i);
-               P.interpret ~obs:obs.(i) ~path:"0" ops api)))
+  let observed =
+    Array.init (case.shards * n) (fun g ->
+        observed_program case programs ~shard:(g / n))
   in
-  let oracle = Oracle.create () in
+  let variants_of s =
+    List.init n (fun i ->
+        let name =
+          if case.shards > 1 then Printf.sprintf "s%d.v%d" s i
+          else Printf.sprintf "v%d" i
+        in
+        Variant.make name (fst observed.((s * n) + i)))
+  in
+  (* Pools run without the oracle: its per-ring registrations would
+     collide across co-resident shards. *)
+  let oracle = if case.shards = 1 then Some (Oracle.create ()) else None in
   let config =
     {
       Config.default with
       Config.ring_size = case.ring_size;
       fault_plan = case.plan;
-      oracle = Some oracle;
+      oracle;
       lifecycle = case.lifecycle;
       net = case.net;
     }
   in
-  let session = Nvx.launch ~config k variants in
+  let pool, sessions =
+    if case.shards = 1 then (None, [| Nvx.launch ~config k (variants_of 0) |])
+    else
+      let pool = Shard.launch ~config k ~shards:case.shards ~variants_of in
+      (Some pool, Array.init case.shards (Shard.session pool))
+  in
   let budget_blown =
     try
       E.run_until_quiescent ~cycle_budget eng;
       false
     with E.Budget_exceeded _ -> true
   in
+  let session = sessions.(0) in
   {
-    native;
-    digests = Array.map P.digest obs;
-    alive = Array.init n (Nvx.is_alive session);
+    natives;
+    digests = Array.map (fun (_, digest) -> digest ()) observed;
+    alive =
+      Array.init (case.shards * n) (fun g ->
+          Nvx.is_alive sessions.(g / n) (g mod n));
     leader_idx = Nvx.leader_index session;
-    crashes = Nvx.crashes session;
-    report = Oracle.report oracle;
+    crashes =
+      List.concat
+        (List.mapi
+           (fun s sess ->
+             List.map (fun (i, msg) -> ((s * n) + i, msg)) (Nvx.crashes sess))
+           (Array.to_list sessions));
+    report = Option.map Oracle.report oracle;
     stats = Nvx.stats session;
     lifecycle = Nvx.lifecycle_report session;
     degraded = Nvx.degraded session;
+    zygote_forks = Option.fold ~none:0 ~some:Shard.zygote_forks pool;
     budget_blown;
     session;
   }
-
-let run_case case = run_ops case (build_program case)
 
 let contains ~sub s =
   let n = String.length sub and m = String.length s in
   let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
   n = 0 || go 0
 
-let check case out =
-  let fails = ref [] in
-  let fail fmt = Printf.ksprintf (fun s -> fails := s :: !fails) fmt in
-  if out.budget_blown then fail "liveness: cycle budget exceeded";
-  let planned_crash idx =
-    List.exists
-      (function Fault.Crash_variant c -> c.idx = idx | _ -> false)
-      case.plan
-  in
-  List.iter
-    (fun (idx, msg) ->
-      if not (planned_crash idx) then
-        fail "unplanned crash of variant %d: %s" idx msg
-      else if not (contains ~sub:"fault:" msg) then
-        fail "variant %d died of %s, not its injection" idx msg)
-    out.crashes;
-  Array.iteri
-    (fun i alive ->
-      if alive && out.digests.(i) <> out.native then
-        fail "variant %d survived but diverged: %S <> native %S" i
-          out.digests.(i) out.native)
-    out.alive;
-  if Array.exists Fun.id out.alive && not out.alive.(out.leader_idx) then
-    fail "leader role held by dead variant %d" out.leader_idx;
-  if not (Oracle.ok out.report) then
-    List.iter (fail "oracle: %s") out.report.Oracle.violations;
-  List.rev !fails
-
-let run_seed seed =
-  let case = gen_case seed in
-  let out = run_case case in
-  (case, out, check case out)
-
-(* One machine-readable object per finished case: the digests and the
-   counters a sweep dashboard wants, without parsing prose. The [fails]
-   list is whatever check layer the caller ran. *)
-let json_of_outcome ~fails case (out : outcome) =
-  let esc = Flight.json_escape in
-  let b = Buffer.create 1024 in
-  let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  add "{\"seed\": %d, \"followers\": %d, \"prog_len\": %d" case.seed
-    case.followers case.prog_len;
-  add ", \"lifecycle\": %b" (case.lifecycle <> None);
-  add ", \"remote_followers\": %d"
-    (match case.net with None -> 0 | Some n -> n.Config.remote_followers);
-  add ", \"pass\": %b" (fails = []);
-  add ", \"native\": \"%s\"" (esc out.native);
-  add ", \"digests\": [%s]"
-    (String.concat ", "
-       (Array.to_list (Array.map (fun d -> "\"" ^ esc d ^ "\"") out.digests)));
-  add ", \"alive\": [%s]"
-    (String.concat ", "
-       (Array.to_list (Array.map string_of_bool out.alive)));
-  add ", \"leader_idx\": %d, \"budget_blown\": %b" out.leader_idx
-    out.budget_blown;
-  add ", \"degraded\": %s"
-    (match out.degraded with
-    | None -> "null"
-    | Some r -> "\"" ^ esc r ^ "\"");
-  add ", \"crashes\": [%s]"
-    (String.concat ", "
-       (List.map
-          (fun (idx, msg) ->
-            Printf.sprintf "{\"idx\": %d, \"msg\": \"%s\"}" idx (esc msg))
-          out.crashes));
-  (match out.lifecycle with
-  | None -> ()
-  | Some r ->
-    add
-      ", \"lifecycle_report\": {\"lagging\": %d, \"recovered\": %d, \
-       \"quarantines\": %d, \"respawns\": %d, \"rejoins\": %d, \
-       \"unreachable\": %d, \"deaths\": %d, \"illegal_transitions\": %d}"
-      r.Lifecycle.lagging r.Lifecycle.recovered r.Lifecycle.quarantines
-      r.Lifecycle.respawns r.Lifecycle.rejoins r.Lifecycle.unreachable
-      r.Lifecycle.deaths r.Lifecycle.illegal_transitions);
-  (match out.stats.Nvx.bridge with
-  | None -> ()
-  | Some br ->
-    add
-      ", \"bridge\": {\"batches\": %d, \"events_forwarded\": %d, \
-       \"retransmits\": %d, \"checksum_failures\": %d, \"bytes_on_wire\": \
-       %d, \"bytes_saved\": %d, \"detaches\": %d, \"heals\": %d}"
-      br.Varan_net.Bridge.batches br.Varan_net.Bridge.events_forwarded
-      br.Varan_net.Bridge.retransmits br.Varan_net.Bridge.checksum_failures
-      br.Varan_net.Bridge.bytes_on_wire br.Varan_net.Bridge.bytes_saved
-      br.Varan_net.Bridge.detaches br.Varan_net.Bridge.heals);
-  let rc = out.stats.Nvx.rewrite_cache in
-  add
-    ", \"rewrite_cache\": {\"hits\": %d, \"misses\": %d, \"rebases\": %d}"
-    rc.Varan_binary.Rewrite_cache.hits rc.Varan_binary.Rewrite_cache.misses
-    rc.Varan_binary.Rewrite_cache.rebases;
-  let cp = out.stats.Nvx.checkpoints in
-  add ", \"checkpoints\": {\"taken\": %d, \"restores\": %d, \"delta_events\": %d}"
-    cp.Checkpoint.taken cp.Checkpoint.restores cp.Checkpoint.delta_events;
-  add ", \"max_observed_lag\": %d" out.stats.Nvx.max_observed_lag;
-  add ", \"fails\": [%s]"
-    (String.concat ", " (List.map (fun f -> "\"" ^ esc f ^ "\"") fails));
-  add "}";
-  Buffer.contents b
-
-(* The lifecycle sweep's extra verdicts, on top of {!check}: every
-   follower settles — caught back up with a digest identical to native,
-   or declared dead after exactly its respawn budget (fewer only when the
-   whole session degraded and cancelled the remaining respawns). *)
-let check_lifecycle (case : case) (out : outcome) =
-  let fails = ref [] in
-  let fail fmt = Printf.ksprintf (fun s -> fails := s :: !fails) fmt in
+(* The lifecycle verdicts: every follower settles — caught back up on
+   the yardstick digest, or declared dead after exactly its respawn
+   budget (fewer only when the whole session degraded and cancelled the
+   remaining respawns) — and the leader's gate never waited on a
+   quarantined consumer. *)
+let check_lifecycle add policy ~yardstick out =
+  let fail fmt = Printf.ksprintf add fmt in
   (match out.lifecycle with
   | None -> fail "lifecycle: no report despite policy"
   | Some r ->
     if r.Lifecycle.illegal_transitions > 0 then
       fail "lifecycle: %d illegal transition(s)" r.Lifecycle.illegal_transitions;
-    let policy =
-      match case.lifecycle with Some p -> p | None -> lifecycle_policy
-    in
     List.iter
       (fun fr ->
         let idx = fr.Lifecycle.fr_idx in
         match fr.Lifecycle.fr_state with
         | Lifecycle.Healthy | Lifecycle.Lagging ->
-          if out.digests.(idx) <> out.native then
-            fail "follower %d ended %s but diverged: %S <> native %S" idx
+          if out.digests.(idx) <> yardstick idx then
+            fail "follower %d ended %s but diverged: %S <> %S" idx
               (Lifecycle.state_name fr.Lifecycle.fr_state)
-              out.digests.(idx) out.native
+              out.digests.(idx) (yardstick idx)
         | Lifecycle.Dead ->
           if
             fr.Lifecycle.fr_restarts <> policy.Lifecycle.max_restarts
@@ -424,25 +547,18 @@ let check_lifecycle (case : case) (out : outcome) =
           fail "follower %d never settled: stuck %s (%s)" idx
             (Lifecycle.state_name st) fr.Lifecycle.fr_reason)
       r.Lifecycle.followers);
-  if out.report.Oracle.gate_waits_on_quarantined > 0 then
+  match out.report with
+  | Some rep when rep.Oracle.gate_waits_on_quarantined > 0 ->
     fail "leader gate waited on a quarantined consumer %d time(s)"
-      out.report.Oracle.gate_waits_on_quarantined;
-  List.rev !fails
+      rep.Oracle.gate_waits_on_quarantined
+  | _ -> ()
 
-let run_lifecycle_seed seed =
-  let case = gen_lifecycle_case seed in
-  let out = run_case case in
-  (case, out, check case out @ check_lifecycle case out)
-
-(* The distributed sweep's extra verdicts, on top of {!check} and
-   {!check_lifecycle}: the bridge ran (stats exist), link faults never
-   corrupted a frame the checksum accepted, an [Unreachable] park needs
-   a link fault to blame, and a session with events to mirror moved at
-   least one batch. Digest cleanliness of surviving remote followers is
-   already covered by {!check} (they are ordinary alive variants). *)
-let check_net (case : case) (out : outcome) =
-  let fails = ref [] in
-  let fail fmt = Printf.ksprintf (fun s -> fails := s :: !fails) fmt in
+(* The bridge verdicts: the bridge ran (stats exist), link faults never
+   corrupted a frame the checksum accepted, an [Unreachable] park needs a
+   link fault to blame, and a session with events to mirror moved at
+   least one batch. *)
+let check_net add (case : case) out =
+  let fail fmt = Printf.ksprintf add fmt in
   (match out.stats.Nvx.bridge with
   | None -> fail "net: no bridge stats despite net config"
   | Some b ->
@@ -456,7 +572,7 @@ let check_net (case : case) (out : outcome) =
     then
       fail "net: leader published %d events but the bridge shipped nothing"
         out.stats.Nvx.rings.(0).Varan_ringbuf.Ring.publishes);
-  (match out.lifecycle with
+  match out.lifecycle with
   | Some r ->
     List.iter
       (fun fr ->
@@ -467,164 +583,26 @@ let check_net (case : case) (out : outcome) =
           fail "net: follower %d unreachable without a link fault (%s)"
             fr.Lifecycle.fr_idx fr.Lifecycle.fr_reason)
       r.Lifecycle.followers
-  | None -> ());
-  List.rev !fails
+  | None -> ()
 
-let run_net_seed seed =
-  let case = gen_net_case seed in
-  let out = run_case case in
-  (case, out, check case out @ check_lifecycle case out @ check_net case out)
-
-(* ------------------------------------------------------------------ *)
-(* Contended-futex torture (per-tid lanes, lock-order replay)           *)
-(* ------------------------------------------------------------------ *)
-
-module Api = Varan_kernel.Api
-
-type futex_case = {
-  f_seed : int;
-  f_threads : int;
-  f_locks : int;
-  f_rounds : int;
-  f_followers : int;
-  f_ring_size : int;
-  f_plan : Fault.t;
-}
-
-(* Thread counts deliberately include 64: with per-tid lanes the whole
-   variant must stay digest-clean at that scale. Crashes are
-   follower-only here; leader-crash promotion at scale has a directed
-   test. *)
-let gen_futex_case seed =
-  let rng = Prng.create (seed lxor 0xF07EC) in
-  let threads = [| 4; 8; 16; 64 |].(Prng.int rng 4) in
-  let locks = 1 + Prng.int rng 4 in
-  let rounds = 3 + Prng.int rng 10 in
-  let followers = 1 + Prng.int rng 2 in
-  let plan =
-    if Prng.int rng 2 = 0 then
-      [
-        Fault.Crash_variant
-          {
-            idx = 1 + Prng.int rng followers;
-            at_seq = 1 + Prng.int rng (threads * rounds);
-          };
-      ]
-    else []
-  in
-  {
-    f_seed = seed;
-    f_threads = threads;
-    f_locks = locks;
-    f_rounds = rounds;
-    f_followers = followers;
-    f_ring_size = 16;
-    f_plan = plan;
-  }
-
-let describe_futex_case fc =
-  Printf.sprintf "seed=%d threads=%d locks=%d rounds=%d followers=%d plan=[%s]"
-    fc.f_seed fc.f_threads fc.f_locks fc.f_rounds fc.f_followers
-    (Fault.to_string fc.f_plan)
-
-type futex_outcome = {
-  fo_digests : string array;
-  fo_alive : bool array;
-  fo_leader_idx : int;
-  fo_crashes : (int * string) list;
-  fo_report : Oracle.report;
-  fo_budget_blown : bool;
-}
-
-(* Every thread loops lock → streamed getpid inside the critical section
-   → unlock over a shared lock set, logging the acquisition index each
-   lock returns. The digest is the per-thread logs concatenated in tid
-   order: equal digests mean the follower reproduced the leader's global
-   lock-acquisition order, thread by thread. *)
-let run_futex_case ?leader_crash_at fc =
-  reset_registries ();
-  let eng = E.create () in
-  let k = K.create ~seed:fc.f_seed eng in
-  let n = fc.f_followers + 1 in
-  let logs =
-    Array.init n (fun _ ->
-        Array.init fc.f_threads (fun _ -> Buffer.create 64))
-  in
-  let body i ~unit_idx api =
-    let b = logs.(i).(unit_idx) in
-    for r = 0 to fc.f_rounds - 1 do
-      let l = (unit_idx + r) mod fc.f_locks in
-      let acq = Api.futex_lock api (0x2000 + l) in
-      Buffer.add_string b (Printf.sprintf "%d:%d=%d;" r l acq);
-      (* A streamed, non-ordering call inside the critical section: with
-         lanes it replays concurrently, between the lock barriers. *)
-      ignore (Api.getpid api);
-      Api.compute api 150;
-      ignore (Api.futex_unlock api (0x2000 + l))
-    done
-  in
-  let plan =
-    match leader_crash_at with
-    | Some at_seq -> Fault.Crash_variant { idx = 0; at_seq } :: fc.f_plan
-    | None -> fc.f_plan
-  in
-  let variants =
-    List.init n (fun i ->
-        Variant.make
-          (Printf.sprintf "v%d" i)
-          {
-            Variant.units = fc.f_threads;
-            unit_kind = Variant.Thread;
-            body = body i;
-          })
-  in
-  let oracle = Oracle.create () in
-  let config =
-    {
-      Config.default with
-      Config.ring_size = fc.f_ring_size;
-      fault_plan = plan;
-      oracle = Some oracle;
-    }
-  in
-  let session = Nvx.launch ~config k variants in
-  let fo_budget_blown =
-    try
-      E.run_until_quiescent ~cycle_budget eng;
-      false
-    with E.Budget_exceeded _ -> true
-  in
-  let digest i =
-    let all = Buffer.create 256 in
-    Array.iter
-      (fun b ->
-        Buffer.add_buffer all b;
-        Buffer.add_char all '|')
-      logs.(i);
-    Digest.to_hex (Digest.string (Buffer.contents all))
-  in
-  {
-    fo_digests = Array.init n digest;
-    fo_alive = Array.init n (Nvx.is_alive session);
-    fo_leader_idx = Nvx.leader_index session;
-    fo_crashes = Nvx.crashes session;
-    fo_report = Oracle.report oracle;
-    fo_budget_blown;
-  }
-
-(* The futex verdicts: every alive variant carries the (current)
-   leader's digest — native is no yardstick here, because the monitor's
-   costs reshuffle the native lock order. *)
-let check_futex ?(planned_leader_crash = false) (fc : futex_case)
-    (out : futex_outcome) =
+let check (case : case) out =
   let fails = ref [] in
-  let fail fmt = Printf.ksprintf (fun s -> fails := s :: !fails) fmt in
-  if out.fo_budget_blown then fail "liveness: cycle budget exceeded";
+  let add s = fails := s :: !fails in
+  let fail fmt = Printf.ksprintf add fmt in
+  let n = case.followers + 1 in
+  (* Op programs answer to their native run. Futex cases answer to the
+     (current) leader: the monitor's costs reshuffle the native lock
+     order, so only the leader's order is the reference. *)
+  let yardstick i =
+    match case.workload with
+    | Futex _ -> out.digests.(out.leader_idx)
+    | Program _ | Ops _ -> out.natives.(i / n)
+  in
+  if out.budget_blown then fail "liveness: cycle budget exceeded";
   let planned_crash idx =
-    (planned_leader_crash && idx = 0)
-    || List.exists
-         (function Fault.Crash_variant c -> c.idx = idx | _ -> false)
-         fc.f_plan
+    List.exists
+      (function Fault.Crash_variant c -> c.idx = idx | _ -> false)
+      case.plan
   in
   List.iter
     (fun (idx, msg) ->
@@ -632,158 +610,101 @@ let check_futex ?(planned_leader_crash = false) (fc : futex_case)
         fail "unplanned crash of variant %d: %s" idx msg
       else if not (contains ~sub:"fault:" msg) then
         fail "variant %d died of %s, not its injection" idx msg)
-    out.fo_crashes;
-  if Array.exists Fun.id out.fo_alive then begin
-    if not out.fo_alive.(out.fo_leader_idx) then
-      fail "leader role held by dead variant %d" out.fo_leader_idx;
-    let leader_digest = out.fo_digests.(out.fo_leader_idx) in
-    Array.iteri
-      (fun i alive ->
-        if alive && out.fo_digests.(i) <> leader_digest then
-          fail "variant %d diverged from the leader's lock order: %S <> %S" i
-            out.fo_digests.(i) leader_digest)
-      out.fo_alive
-  end;
-  if not (Oracle.ok out.fo_report) then
-    List.iter (fail "oracle: %s") out.fo_report.Oracle.violations;
-  List.rev !fails
-
-let run_futex_seed seed =
-  let fc = gen_futex_case seed in
-  let out = run_futex_case fc in
-  (fc, out, check_futex fc out)
-
-(* ------------------------------------------------------------------ *)
-(* Sharded-pool torture (per-shard digest isolation)                    *)
-(* ------------------------------------------------------------------ *)
-
-module Shard = Varan_nvx.Shard
-module Rewrite_cache = Varan_binary.Rewrite_cache
-
-type shard_case = {
-  sc_seed : int;
-  sc_shards : int;
-  sc_followers : int; (* per shard *)
-  sc_prog_len : int;
-}
-
-let gen_shard_case seed =
-  let rng = Prng.create (seed lxor 0x5AADED) in
-  {
-    sc_seed = seed;
-    sc_shards = 2 + Prng.int rng 3;
-    sc_followers = 1 + Prng.int rng 2;
-    sc_prog_len = 8 + Prng.int rng 25;
-  }
-
-let describe_shard_case c =
-  Printf.sprintf "seed=%d shards=%d followers=%d len=%d" c.sc_seed c.sc_shards
-    c.sc_followers c.sc_prog_len
-
-(* Each shard runs its own program, from a stream salted with the shard
-   id. Entropy ops are sanitized away: the pooled shards share one
-   kernel, so their [Getrandom] draws would interleave — and interleave
-   differently than each shard's solo native run — for reasons that have
-   nothing to do with the monitor. *)
-let shard_program c s =
-  let rng = Prng.create (c.sc_seed lxor 0x5AADED lxor ((s + 1) * 0x9E3779)) in
-  List.map P.sanitize_for_fork (P.gen_ops rng c.sc_prog_len)
-
-let shard_path s = Printf.sprintf "s%d" s
-
-(* Like [P.run_native] but under the shard's own observation path, so the
-   digest (which embeds the path) and the /tmp namespace both line up
-   with the pooled run's. *)
-let native_shard_digest ~kernel_seed ~path ops =
-  let eng = E.create () in
-  let k = K.create ~seed:kernel_seed eng in
-  let obs = P.observations () in
-  let proc = K.new_proc k "native" in
-  let tid =
-    E.spawn eng (fun () -> P.interpret ~obs ~path ops (Api.direct k proc))
-  in
-  K.register_task k proc tid;
-  E.run_until_quiescent eng;
-  P.digest obs
-
-type shard_outcome = {
-  so_natives : string array; (* shard-local native digests *)
-  so_digests : string array array; (* [shard].[variant] *)
-  so_alive : bool array array;
-  so_zygote_forks : int;
-  so_rewrite : Rewrite_cache.stats;
-  so_budget_blown : bool;
-}
-
-let run_shard_case c =
-  reset_registries ();
-  let progs = Array.init c.sc_shards (shard_program c) in
-  (* Reference digests first: each shard's program alone on a fresh
-     kernel with the pooled run's seed. *)
-  let so_natives =
-    Array.mapi
-      (fun s ops ->
-        native_shard_digest ~kernel_seed:c.sc_seed ~path:(shard_path s) ops)
-      progs
-  in
-  let eng = E.create () in
-  let k = K.create ~seed:c.sc_seed eng in
-  let n = c.sc_followers + 1 in
-  let obs =
-    Array.init c.sc_shards (fun _ -> Array.init n (fun _ -> P.observations ()))
-  in
-  let variants_of s =
-    List.init n (fun i ->
-        Variant.make
-          (Printf.sprintf "s%d.v%d" s i)
-          (Variant.single (fun api ->
-               P.interpret ~obs:obs.(s).(i) ~path:(shard_path s) progs.(s) api)))
-  in
-  let pool = Shard.launch k ~shards:c.sc_shards ~variants_of in
-  let so_budget_blown =
-    try
-      E.run_until_quiescent ~cycle_budget eng;
-      false
-    with E.Budget_exceeded _ -> true
-  in
-  {
-    so_natives;
-    so_digests = Array.map (Array.map P.digest) obs;
-    so_alive =
-      Array.init c.sc_shards (fun s ->
-          Array.init n (Nvx.is_alive (Shard.session pool s)));
-    so_zygote_forks = Shard.zygote_forks pool;
-    so_rewrite = Rewrite_cache.stats (Nvx.shared_cache (Shard.hub pool));
-    so_budget_blown;
-  }
-
-(* The sharding verdicts: every variant of every shard is alive (no
-   faults are injected here) and carries exactly its own shard's native
-   digest — proof that co-residency on one kernel, one zygote and one
-   rewrite cache leaks nothing across shard boundaries — and the pool
-   really spawned everything through the one shared zygote. *)
-let check_shard (c : shard_case) (out : shard_outcome) =
-  let fails = ref [] in
-  let fail fmt = Printf.ksprintf (fun s -> fails := s :: !fails) fmt in
-  if out.so_budget_blown then fail "liveness: cycle budget exceeded";
+    out.crashes;
   Array.iteri
-    (fun s digests ->
-      Array.iteri
-        (fun i d ->
-          if not out.so_alive.(s).(i) then
-            fail "shard %d variant %d died without a fault plan" s i
-          else if d <> out.so_natives.(s) then
-            fail "shard %d variant %d diverged from its native run: %S <> %S"
-              s i d out.so_natives.(s))
-        digests)
-    out.so_digests;
-  let expected_forks = c.sc_shards * (c.sc_followers + 1) in
-  if out.so_zygote_forks <> expected_forks then
-    fail "shared zygote served %d fork(s), expected %d" out.so_zygote_forks
-      expected_forks;
+    (fun i alive ->
+      if alive && out.digests.(i) <> yardstick i then
+        fail "variant %d survived but diverged: %S <> %S" i out.digests.(i)
+          (yardstick i)
+      else if (not alive) && case.shards > 1 then
+        fail "shard %d variant %d died without a fault plan" (i / n) (i mod n))
+    out.alive;
+  if Array.exists Fun.id out.alive && not out.alive.(out.leader_idx) then
+    fail "leader role held by dead variant %d" out.leader_idx;
+  (match out.report with
+  | Some r when not (Oracle.ok r) ->
+    List.iter (fail "oracle: %s") r.Oracle.violations
+  | _ -> ());
+  Option.iter (fun p -> check_lifecycle add p ~yardstick out) case.lifecycle;
+  if case.net <> None then check_net add case out;
+  (* Co-residency on one kernel, one zygote and one rewrite cache: the
+     pool must really spawn everything through the one shared zygote. *)
+  if case.shards > 1 && out.zygote_forks <> case.shards * n then
+    fail "shared zygote served %d fork(s), expected %d" out.zygote_forks
+      (case.shards * n);
   List.rev !fails
 
-let run_shard_seed seed =
-  let c = gen_shard_case seed in
-  let out = run_shard_case c in
-  (c, out, check_shard c out)
+(* One machine-readable object per finished case: the digests and the
+   counters a sweep dashboard wants, without parsing prose. *)
+let json_of_outcome ~fails case (out : outcome) =
+  let esc = Flight.json_escape in
+  let b = Buffer.create 1024 in
+  let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
+  let strings a =
+    String.concat ", "
+      (Array.to_list (Array.map (fun d -> "\"" ^ esc d ^ "\"") a))
+  in
+  add "{\"seed\": %d, \"followers\": %d, \"shards\": %d" case.seed
+    case.followers case.shards;
+  (match case.workload with
+  | Program len -> add ", \"prog_len\": %d" len
+  | Ops ops -> add ", \"ops\": %d" (List.length ops)
+  | Futex f ->
+    add ", \"threads\": %d, \"locks\": %d, \"rounds\": %d" f.threads f.locks
+      f.rounds);
+  add ", \"lifecycle\": %b" (case.lifecycle <> None);
+  add ", \"remote_followers\": %d"
+    (match case.net with None -> 0 | Some n -> n.Config.remote_followers);
+  add ", \"pass\": %b" (fails = []);
+  add ", \"natives\": [%s]" (strings out.natives);
+  add ", \"digests\": [%s]" (strings out.digests);
+  add ", \"alive\": [%s]"
+    (String.concat ", "
+       (Array.to_list (Array.map string_of_bool out.alive)));
+  add ", \"leader_idx\": %d, \"budget_blown\": %b" out.leader_idx
+    out.budget_blown;
+  add ", \"degraded\": %s"
+    (match out.degraded with
+    | None -> "null"
+    | Some r -> "\"" ^ esc r ^ "\"");
+  add ", \"crashes\": [%s]"
+    (String.concat ", "
+       (List.map
+          (fun (idx, msg) ->
+            Printf.sprintf "{\"idx\": %d, \"msg\": \"%s\"}" idx (esc msg))
+          out.crashes));
+  (match out.lifecycle with
+  | None -> ()
+  | Some r ->
+    add
+      ", \"lifecycle_report\": {\"lagging\": %d, \"recovered\": %d, \
+       \"quarantines\": %d, \"respawns\": %d, \"rejoins\": %d, \
+       \"unreachable\": %d, \"deaths\": %d, \"illegal_transitions\": %d}"
+      r.Lifecycle.lagging r.Lifecycle.recovered r.Lifecycle.quarantines
+      r.Lifecycle.respawns r.Lifecycle.rejoins r.Lifecycle.unreachable
+      r.Lifecycle.deaths r.Lifecycle.illegal_transitions);
+  (match out.stats.Nvx.bridge with
+  | None -> ()
+  | Some br ->
+    add
+      ", \"bridge\": {\"batches\": %d, \"events_forwarded\": %d, \
+       \"retransmits\": %d, \"checksum_failures\": %d, \"bytes_on_wire\": \
+       %d, \"bytes_saved\": %d, \"detaches\": %d, \"heals\": %d}"
+      br.Varan_net.Bridge.batches br.Varan_net.Bridge.events_forwarded
+      br.Varan_net.Bridge.retransmits br.Varan_net.Bridge.checksum_failures
+      br.Varan_net.Bridge.bytes_on_wire br.Varan_net.Bridge.bytes_saved
+      br.Varan_net.Bridge.detaches br.Varan_net.Bridge.heals);
+  let rc = out.stats.Nvx.rewrite_cache in
+  add
+    ", \"rewrite_cache\": {\"hits\": %d, \"misses\": %d, \"rebases\": %d}"
+    rc.Varan_binary.Rewrite_cache.hits rc.Varan_binary.Rewrite_cache.misses
+    rc.Varan_binary.Rewrite_cache.rebases;
+  if case.shards > 1 then add ", \"zygote_forks\": %d" out.zygote_forks;
+  let cp = out.stats.Nvx.checkpoints in
+  add ", \"checkpoints\": {\"taken\": %d, \"restores\": %d, \"delta_events\": %d}"
+    cp.Checkpoint.taken cp.Checkpoint.restores cp.Checkpoint.delta_events;
+  add ", \"max_observed_lag\": %d" out.stats.Nvx.max_observed_lag;
+  add ", \"fails\": [%s]"
+    (String.concat ", " (List.map (fun f -> "\"" ^ esc f ^ "\"") fails));
+  add "}";
+  Buffer.contents b

@@ -241,13 +241,13 @@ let rec interpret ~(obs : observations) ~path ops api =
       end)
     ops
 
-let run_native ~kernel_seed ops =
+let run_native ?(path = "0") ~kernel_seed ops =
   let eng = E.create () in
   let k = K.create ~seed:kernel_seed eng in
   let obs = observations () in
   let proc = K.new_proc k "native" in
   let tid =
-    E.spawn eng (fun () -> interpret ~obs ~path:"0" ops (Api.direct k proc))
+    E.spawn eng (fun () -> interpret ~obs ~path ops (Api.direct k proc))
   in
   K.register_task k proc tid;
   E.run_until_quiescent eng;

@@ -65,6 +65,8 @@ val interpret :
     forked children record under [path ^ ".f<k>"]. Uses [path]-prefixed
     names under [/tmp] so concurrent units never share VFS state. *)
 
-val run_native : kernel_seed:int -> op list -> string
+val run_native : ?path:string -> kernel_seed:int -> op list -> string
 (** Execute the program natively (no monitor) on a fresh kernel and
-    return its digest — the reference every NVX variant must match. *)
+    return its digest — the reference every NVX variant must match.
+    [path] (default ["0"]) is the unit path the variants record under,
+    which the digest embeds. *)

@@ -19,6 +19,11 @@ module Prng = Varan_util.Prng
 module H = Varan_torture.Harness
 module P = Gen_programs
 
+let contains ~sub s =
+  let n = String.length sub and m = String.length s in
+  let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
+  n = 0 || go 0
+
 let check_case_exn label case out =
   match H.check case out with
   | [] -> ()
@@ -27,12 +32,44 @@ let check_case_exn label case out =
       (H.describe_case case)
       (String.concat "\n  " fails)
 
+(* Run [cases] consecutive seeds from [base] through the preset [gen]:
+   every case must pass the harness check, and a failure names the
+   [varan torture] flags that reproduce it. [observe] tallies what the
+   sweep exercised, for its coverage asserts. *)
+let sweep ~flags ~base ~cases gen observe =
+  for seed = base to base + cases - 1 do
+    let case = gen seed in
+    let out = H.run case in
+    (match H.check case out with
+    | [] -> ()
+    | fs ->
+      Alcotest.failf
+        "seed %d failed (reproduce: varan torture %s--seed %d)\n  %s\n  %s"
+        seed (flags case) seed (H.describe_case case)
+        (String.concat "\n  " fs));
+    observe case out
+  done
+
 (* ------------------------------------------------------------------ *)
 (* Directed scenarios                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let directed_case ?lifecycle ?net ~seed ~followers ~plan () =
-  { H.seed; followers; prog_len = 0; ring_size = 8; plan; lifecycle; net }
+let directed_case ?lifecycle ?net ~seed ~followers ~plan ops =
+  {
+    H.seed;
+    workload = H.Ops ops;
+    followers;
+    shards = 1;
+    ring_size = 8;
+    plan;
+    lifecycle;
+    net;
+  }
+
+let oracle_of out =
+  match out.H.report with
+  | Some r -> r
+  | None -> Alcotest.fail "no oracle report"
 
 (* A workload whose every phase publishes events, including >48-byte
    payloads that travel through the shared-memory pool. *)
@@ -51,13 +88,13 @@ let payload_ops n =
 let test_leader_crash_during_publish () =
   let case =
     directed_case ~seed:101 ~followers:2
-      ~plan:[ Fault.Crash_variant { idx = 0; at_seq = 7 } ] ()
+      ~plan:[ Fault.Crash_variant { idx = 0; at_seq = 7 } ] (payload_ops 8)
   in
-  let out = H.run_ops case (payload_ops 8) in
+  let out = H.run case in
   check_case_exn "leader crash" case out;
   Alcotest.(check (list int)) "leader crashed" [ 0 ] (List.map fst out.H.crashes);
   Alcotest.(check bool) "a follower was promoted" true
-    (out.H.report.Oracle.promotions >= 1);
+    ((oracle_of out).Oracle.promotions >= 1);
   Alcotest.(check bool) "new leader is alive" true
     (out.H.leader_idx <> 0 && out.H.alive.(out.H.leader_idx))
 
@@ -69,9 +106,9 @@ let test_follower_stall_at_full_ring () =
           Fault.Ring_pressure { shrink_to = 1 };
           Fault.Stall_follower { idx = 1; at_seq = 3; delay = 30_000 };
         ]
-      ()
+      (payload_ops 6)
   in
-  let out = H.run_ops case (payload_ops 6) in
+  let out = H.run case in
   check_case_exn "stall at full ring" case out;
   let producer_stalls =
     Array.fold_left
@@ -88,12 +125,12 @@ let test_fork_then_crash () =
   in
   let case =
     directed_case ~seed:103 ~followers:2
-      ~plan:[ Fault.Crash_variant { idx = 0; at_seq = 15 } ] ()
+      ~plan:[ Fault.Crash_variant { idx = 0; at_seq = 15 } ] ops
   in
-  let out = H.run_ops case ops in
+  let out = H.run case in
   check_case_exn "fork then crash" case out;
   Alcotest.(check bool) "fork created a second tuple" true
-    (out.H.report.Oracle.tuples >= 2);
+    ((oracle_of out).Oracle.tuples >= 2);
   Alcotest.(check (list int)) "leader crashed" [ 0 ]
     (List.map fst out.H.crashes)
 
@@ -110,9 +147,9 @@ let test_cascading_crashes_in_index_order () =
           Fault.Crash_variant { idx = 1; at_seq = 6 };
           Fault.Crash_variant { idx = 2; at_seq = 8 };
         ]
-      ()
+      (payload_ops 8)
   in
-  let out = H.run_ops case (payload_ops 8) in
+  let out = H.run case in
   check_case_exn "cascading crashes" case out;
   Alcotest.(check int) "last variant leads" 3 out.H.leader_idx;
   Alcotest.(check bool) "and is alive" true out.H.alive.(3);
@@ -130,20 +167,20 @@ let test_all_followers_crash () =
           Fault.Crash_variant { idx = 2; at_seq = 5 };
           Fault.Crash_variant { idx = 3; at_seq = 7 };
         ]
-      ()
+      (payload_ops 8)
   in
-  let out = H.run_ops case (payload_ops 8) in
+  let out = H.run case in
   check_case_exn "all followers crash" case out;
   Alcotest.(check int) "leader unchanged" 0 out.H.leader_idx;
-  Alcotest.(check int) "no promotions" 0 out.H.report.Oracle.promotions
+  Alcotest.(check int) "no promotions" 0 (oracle_of out).Oracle.promotions
 
 (* Figure 5's "pure interception" configuration: with zero followers the
    leader records nothing, so the stream machinery must cost nothing —
    no producer stalls, and no publish-side wakeups (nobody is ever
    parked on the ring). *)
 let test_zero_followers_pay_no_streaming_costs () =
-  let case = directed_case ~seed:107 ~followers:0 ~plan:[] () in
-  let out = H.run_ops case (payload_ops 8) in
+  let case = directed_case ~seed:107 ~followers:0 ~plan:[] (payload_ops 8) in
+  let out = H.run case in
   check_case_exn "zero followers" case out;
   Array.iter
     (fun (r : Ring.stats) ->
@@ -157,27 +194,48 @@ let test_zero_followers_pay_no_streaming_costs () =
 let test_drop_payload_negative_control () =
   let case =
     directed_case ~seed:106 ~followers:1
-      ~plan:[ Fault.Drop_payload_grant { idx = 1; at_seq = 2 } ] ()
+      ~plan:[ Fault.Drop_payload_grant { idx = 1; at_seq = 2 } ] (payload_ops 4)
   in
-  let out = H.run_ops case (payload_ops 4) in
-  Alcotest.(check bool) "oracle flags the leak" false (Oracle.ok out.H.report);
+  let out = H.run case in
+  Alcotest.(check bool) "oracle flags the leak" false (Oracle.ok (oracle_of out));
   Alcotest.(check bool) "as an outstanding payload" true
-    (out.H.report.Oracle.outstanding_payloads > 0)
+    ((oracle_of out).Oracle.outstanding_payloads > 0)
+
+(* The one place a plan meets a case: an injection aimed at a variant
+   the case does not run is refused — whether it came from an explicit
+   plan or from a preset whose follower count was overridden — and a
+   distributed case always keeps a local follower. *)
+let test_plan_meets_case () =
+  let refused label case =
+    match H.validate case with
+    | Error _ -> ()
+    | Ok () -> Alcotest.failf "%s: accepted %s" label (H.describe_case case)
+  in
+  let crash idx = Fault.Crash_variant { idx; at_seq = 3 } in
+  refused "victim past the variants"
+    { (H.gen_case 7) with H.followers = 1; plan = [ crash 7 ] };
+  refused "link fault without a link"
+    { (H.gen_case 7) with H.plan = [ Fault.Link_drop { at_seq = 1 } ] };
+  refused "a plan on a pool" { (H.gen_shard_case 7) with H.plan = [ crash 1 ] };
+  for seed = 1 to 50 do
+    refused "no local follower" (H.with_followers (H.gen_net_case seed) 1);
+    match (H.with_followers (H.gen_net_case seed) 2).H.net with
+    | Some n ->
+      Alcotest.(check int) "one remote, one local" 1 n.Config.remote_followers
+    | None -> Alcotest.fail "the override dropped the link"
+  done;
+  (* A futex case takes a plan, and the injection fires. *)
+  let case = { (H.gen_futex_case 7) with H.plan = [ crash 1 ] } in
+  let out = H.run case in
+  check_case_exn "futex plan" case out;
+  Alcotest.(check (list int)) "the planned crash fired" [ 1 ]
+    (List.map fst out.H.crashes)
 
 (* ------------------------------------------------------------------ *)
 (* Follower lifecycle: quarantine, rejoin, degradation                 *)
 (* ------------------------------------------------------------------ *)
 
 let lc = H.lifecycle_policy
-
-let check_lifecycle_exn label case out =
-  check_case_exn label case out;
-  match H.check_lifecycle case out with
-  | [] -> ()
-  | fails ->
-    Alcotest.failf "%s: %s\n  %s" label
-      (H.describe_case case)
-      (String.concat "\n  " fails)
 
 let lifecycle_of out =
   match out.H.lifecycle with
@@ -191,9 +249,9 @@ let test_stall_fires_once () =
   let case =
     directed_case ~seed:110 ~followers:1
       ~plan:[ Fault.Stall_follower { idx = 1; at_seq = 3; delay = 30_000 } ]
-      ()
+      (payload_ops 6)
   in
-  let out = H.run_ops case (payload_ops 6) in
+  let out = H.run case in
   check_case_exn "stall fires once" case out;
   Alcotest.(check int) "exactly one stall hit the victim" 1
     out.H.stats.Nvx.variants.(1).Nvx.vs_injected_stalls;
@@ -208,10 +266,10 @@ let test_quarantine_then_rejoin () =
   let case =
     directed_case ~lifecycle:lc ~seed:111 ~followers:2
       ~plan:[ Fault.Stall_follower { idx = 1; at_seq = 4; delay = 2_000_000 } ]
-      ()
+      (payload_ops 10)
   in
-  let out = H.run_ops case (payload_ops 10) in
-  check_lifecycle_exn "quarantine then rejoin" case out;
+  let out = H.run case in
+  check_case_exn "quarantine then rejoin" case out;
   let r = lifecycle_of out in
   Alcotest.(check bool) "victim was quarantined" true
     (r.Lifecycle.quarantines >= 1);
@@ -219,10 +277,10 @@ let test_quarantine_then_rejoin () =
   Alcotest.(check bool) "and rejoined" true (r.Lifecycle.rejoins >= 1);
   Alcotest.(check int) "one incarnation consumed" 1
     out.H.stats.Nvx.variants.(1).Nvx.vs_incarnation;
-  Alcotest.(check string) "victim digest equals native" out.H.native
+  Alcotest.(check string) "victim digest equals native" out.H.natives.(0)
     out.H.digests.(1);
   Alcotest.(check int) "leader never gated on the quarantined consumer" 0
-    out.H.report.Oracle.gate_waits_on_quarantined
+    (oracle_of out).Oracle.gate_waits_on_quarantined
 
 (* Satellite regression for the spawn fast path: every variant in the
    harness shares the default code profile, so the session rewrites its
@@ -234,10 +292,10 @@ let test_respawn_uses_rewrite_cache () =
   let case =
     directed_case ~lifecycle:lc ~seed:111 ~followers:2
       ~plan:[ Fault.Stall_follower { idx = 1; at_seq = 4; delay = 2_000_000 } ]
-      ()
+      (payload_ops 10)
   in
-  let out = H.run_ops case (payload_ops 10) in
-  check_lifecycle_exn "respawn fast path" case out;
+  let out = H.run case in
+  check_case_exn "respawn fast path" case out;
   Alcotest.(check int) "one respawn happened" 1
     out.H.stats.Nvx.variants.(1).Nvx.vs_incarnation;
   let rc = out.H.stats.Nvx.rewrite_cache in
@@ -271,10 +329,10 @@ let test_dead_after_restart_budget () =
           Fault.Stall_follower { idx = 1; at_seq = 3; delay = 2_000_000 };
           Fault.Stall_follower { idx = 1; at_seq = 9; delay = 2_000_000 };
         ]
-      ()
+      (payload_ops 10)
   in
-  let out = H.run_ops case (payload_ops 10) in
-  check_lifecycle_exn "dead after budget" case out;
+  let out = H.run case in
+  check_case_exn "dead after budget" case out;
   let r = lifecycle_of out in
   let fr1 =
     List.find (fun fr -> fr.Lifecycle.fr_idx = 1) r.Lifecycle.followers
@@ -283,7 +341,7 @@ let test_dead_after_restart_budget () =
     (fr1.Lifecycle.fr_state = Lifecycle.Dead);
   Alcotest.(check int) "after exactly max_restarts respawns" 1
     fr1.Lifecycle.fr_restarts;
-  Alcotest.(check string) "sibling digest equals native" out.H.native
+  Alcotest.(check string) "sibling digest equals native" out.H.natives.(0)
     out.H.digests.(2);
   Alcotest.(check (option string)) "session not degraded" None out.H.degraded
 
@@ -317,10 +375,10 @@ let test_quarantine_kill_dumps_postmortem () =
               Fault.Stall_follower { idx = 1; at_seq = 3; delay = 2_000_000 };
               Fault.Stall_follower { idx = 1; at_seq = 9; delay = 2_000_000 };
             ]
-          ()
+          (payload_ops 10)
       in
-      let out = H.run_ops case (payload_ops 10) in
-      check_lifecycle_exn "quarantine kill" case out;
+      let out = H.run case in
+      check_case_exn "quarantine kill" case out;
       let bundle =
         match !Flight.last_dump with
         | Some p -> p
@@ -332,11 +390,6 @@ let test_quarantine_kill_dumps_postmortem () =
       let len = in_channel_length ic in
       let body = really_input_string ic len in
       close_in ic;
-      let contains ~sub s =
-        let n = String.length sub and m = String.length s in
-        let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
-        go 0
-      in
       (* The recent-event window captured both watchdog verdicts... *)
       Alcotest.(check bool) "events include the quarantine" true
         (contains ~sub:"lifecycle.quarantine" body);
@@ -384,14 +437,14 @@ let test_degrade_all_followers_dead () =
   let case =
     directed_case ~seed:113 ~followers:1
       ~plan:[ Fault.Crash_variant { idx = 1; at_seq = 3 } ]
-      ()
+      (payload_ops 6)
   in
-  let out = H.run_ops case (payload_ops 6) in
+  let out = H.run case in
   check_case_exn "all followers dead" case out;
   Alcotest.(check (option string)) "degraded with reason"
     (Some "all followers dead") out.H.degraded;
   Alcotest.(check bool) "leader finished" true out.H.alive.(0);
-  Alcotest.(check string) "leader digest equals native" out.H.native
+  Alcotest.(check string) "leader digest equals native" out.H.natives.(0)
     out.H.digests.(0)
 
 (* Satellite: the leader crashing with no electable candidate left must
@@ -405,9 +458,9 @@ let test_degrade_no_leader_remains () =
           Fault.Crash_variant { idx = 1; at_seq = 3 };
           Fault.Crash_variant { idx = 0; at_seq = 6 };
         ]
-      ()
+      (payload_ops 6)
   in
-  let out = H.run_ops case (payload_ops 6) in
+  let out = H.run case in
   check_case_exn "no leader remains" case out;
   Alcotest.(check (option string)) "degraded with reason"
     (Some "no leader remains") out.H.degraded;
@@ -417,35 +470,22 @@ let test_degrade_no_leader_remains () =
    timeout plus occasional follower crashes. Every quarantined follower
    either rejoins with a digest identical to native or dies after
    exactly its respawn budget, and the leader's gate never waits on a
-   quarantined consumer (check_lifecycle enforces all of it per seed). *)
+   quarantined consumer (the harness check enforces all of it per seed). *)
 let lifecycle_base_seed = 0xFACE
 let lifecycle_sweep_cases = 200
 
 let test_lifecycle_sweep () =
-  let quarantines = ref 0 and rejoins = ref 0 and deaths = ref 0 in
-  for i = 0 to lifecycle_sweep_cases - 1 do
-    let seed = lifecycle_base_seed + i in
-    let case, out, fails = H.run_lifecycle_seed seed in
-    (match fails with
-    | [] -> ()
-    | fs ->
-      Alcotest.failf
-        "lifecycle seed %d failed (reproduce: varan torture --lifecycle \
-         --seed %d)\n\
-        \  %s\n\
-        \  %s" seed seed (H.describe_case case)
-        (String.concat "\n  " fs));
-    match out.H.lifecycle with
-    | Some r ->
+  let quarantines = ref 0 and rejoins = ref 0 in
+  sweep
+    ~flags:(fun _ -> "--lifecycle ")
+    ~base:lifecycle_base_seed ~cases:lifecycle_sweep_cases H.gen_lifecycle_case
+    (fun _ out ->
+      let r = lifecycle_of out in
       quarantines := !quarantines + r.Lifecycle.quarantines;
-      rejoins := !rejoins + r.Lifecycle.rejoins;
-      deaths := !deaths + r.Lifecycle.deaths
-    | None -> ()
-  done;
+      rejoins := !rejoins + r.Lifecycle.rejoins);
   (* The sweep must actually exercise the recovery machinery. *)
   Alcotest.(check bool) "sweep quarantined followers" true (!quarantines > 0);
-  Alcotest.(check bool) "sweep rejoined followers" true (!rejoins > 0);
-  ignore !deaths
+  Alcotest.(check bool) "sweep rejoined followers" true (!rejoins > 0)
 
 (* ------------------------------------------------------------------ *)
 (* Checkpoint/restore fast rejoin                                      *)
@@ -453,11 +493,6 @@ let test_lifecycle_sweep () =
 
 module CK = Varan_nvx.Checkpoint
 module Tape = Varan_nvx.Tape
-
-let contains ~sub s =
-  let n = String.length sub and m = String.length s in
-  let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
-  n = 0 || go 0
 
 (* A workload with compute phases long enough that the watchdog's armed
    checkpoints land at op boundaries well before the injected stalls —
@@ -490,10 +525,10 @@ let test_respawn_reuses_checkpoints () =
           Fault.Stall_follower { idx = 1; at_seq = 8; delay = 2_000_000 };
           Fault.Stall_follower { idx = 1; at_seq = 18; delay = 2_000_000 };
         ]
-      ()
+      (compute_heavy_ops 16)
   in
-  let out = H.run_ops case (compute_heavy_ops 16) in
-  check_lifecycle_exn "checkpointed respawns" case out;
+  let out = H.run case in
+  check_case_exn "checkpointed respawns" case out;
   let r = lifecycle_of out in
   Alcotest.(check int) "two respawns" 2
     out.H.stats.Nvx.variants.(1).Nvx.vs_incarnation;
@@ -523,7 +558,7 @@ let test_respawn_reuses_checkpoints () =
     (Printf.sprintf "delta %d bounded by tape %d" ck.CK.delta_events tape_len)
     true
     (ck.CK.delta_events < tape_len);
-  Alcotest.(check string) "victim digest equals native" out.H.native
+  Alcotest.(check string) "victim digest equals native" out.H.natives.(0)
     out.H.digests.(1)
 
 (* Satellite edge: a session whose checkpoint interval never elapses
@@ -538,17 +573,17 @@ let test_zero_checkpoint_full_replay () =
           ~seed:116 ~followers:2
           ~plan:
             [ Fault.Stall_follower { idx = 1; at_seq = 6; delay = 2_000_000 } ]
-          ()
+          (payload_ops 10)
       in
-      let out = H.run_ops case (payload_ops 10) in
-      check_lifecycle_exn "zero-checkpoint fallback" case out;
+      let out = H.run case in
+      check_case_exn "zero-checkpoint fallback" case out;
       let r = lifecycle_of out in
       Alcotest.(check bool) "the victim rejoined" true
         (r.Lifecycle.rejoins >= 1);
       let ck = out.H.stats.Nvx.checkpoints in
       Alcotest.(check int) "no checkpoints taken" 0 ck.CK.taken;
       Alcotest.(check int) "no restores" 0 ck.CK.restores;
-      Alcotest.(check string) "victim digest equals native" out.H.native
+      Alcotest.(check string) "victim digest equals native" out.H.natives.(0)
         out.H.digests.(1))
     [ 0; (* disabled *) 100_000_000 (* never elapses *) ]
 
@@ -561,10 +596,10 @@ let test_time_travel_retention_edges () =
       ~lifecycle:(ck_policy 20_000)
       ~seed:117 ~followers:1
       ~plan:[ Fault.Stall_follower { idx = 1; at_seq = 10; delay = 2_000_000 } ]
-      ()
+      (compute_heavy_ops 8)
   in
-  let out = H.run_ops case (compute_heavy_ops 8) in
-  check_lifecycle_exn "time travel session" case out;
+  let out = H.run case in
+  check_case_exn "time travel session" case out;
   let session = out.H.session in
   let tape =
     match Nvx.tuple_tape session 0 with
@@ -637,48 +672,44 @@ let test_time_travel_retention_edges () =
 let checkpoint_base_seed = 0xCE5A
 let checkpoint_sweep_cases = 200
 
+let checkpoint_interval seed =
+  let rng = Prng.create (seed lxor 0xC4EC4) in
+  10_000 + Prng.int rng 190_000
+
 let test_checkpoint_sweep () =
   let taken = ref 0 and restores = ref 0 and deltas = ref 0 in
-  for i = 0 to checkpoint_sweep_cases - 1 do
-    let seed = checkpoint_base_seed + i in
-    let rng = Prng.create (seed lxor 0xC4EC4) in
-    let interval = 10_000 + Prng.int rng 190_000 in
-    let base_case = H.gen_lifecycle_case seed in
-    let case =
-      { base_case with H.lifecycle = Some (ck_policy interval) }
-    in
-    let out = H.run_case case in
-    (match H.check case out @ H.check_lifecycle case out with
-    | [] -> ()
-    | fs ->
-      Alcotest.failf
-        "checkpoint seed %d (interval %d) failed (reproduce: varan torture \
-         --lifecycle --checkpoint-interval %d --seed %d)\n\
-        \  %s\n\
-        \  %s" seed interval interval seed (H.describe_case case)
-        (String.concat "\n  " fs));
-    let ck = out.H.stats.Nvx.checkpoints in
-    taken := !taken + ck.CK.taken;
-    restores := !restores + ck.CK.restores;
-    deltas := !deltas + ck.CK.delta_events;
-    (* Digest tri-equality against the checkpoint-free twin. *)
-    if i mod 10 = 0 then begin
-      let twin = { base_case with H.lifecycle = Some (ck_policy 0) } in
-      let tout = H.run_case twin in
-      Alcotest.(check string)
-        (Printf.sprintf "seed %d: native digest agrees across twins" seed)
-        tout.H.native out.H.native;
-      Array.iteri
-        (fun v d ->
-          if out.H.alive.(v) && tout.H.alive.(v) then
-            Alcotest.(check string)
-              (Printf.sprintf
-                 "seed %d variant %d: checkpointed rejoin == full replay" seed
-                 v)
-              tout.H.digests.(v) d)
-        out.H.digests
-    end
-  done;
+  let with_interval interval (case : H.case) =
+    { case with H.lifecycle = Some (ck_policy interval) }
+  in
+  sweep
+    ~flags:(fun case ->
+      Printf.sprintf "--lifecycle --checkpoint-interval %d "
+        (checkpoint_interval case.H.seed))
+    ~base:checkpoint_base_seed ~cases:checkpoint_sweep_cases
+    (fun seed ->
+      with_interval (checkpoint_interval seed) (H.gen_lifecycle_case seed))
+    (fun case out ->
+      let seed = case.H.seed in
+      let ck = out.H.stats.Nvx.checkpoints in
+      taken := !taken + ck.CK.taken;
+      restores := !restores + ck.CK.restores;
+      deltas := !deltas + ck.CK.delta_events;
+      (* Digest tri-equality against the checkpoint-free twin. *)
+      if (seed - checkpoint_base_seed) mod 10 = 0 then begin
+        let tout = H.run (with_interval 0 case) in
+        Alcotest.(check string)
+          (Printf.sprintf "seed %d: native digest agrees across twins" seed)
+          tout.H.natives.(0) out.H.natives.(0);
+        Array.iteri
+          (fun v d ->
+            if out.H.alive.(v) && tout.H.alive.(v) then
+              Alcotest.(check string)
+                (Printf.sprintf
+                   "seed %d variant %d: checkpointed rejoin == full replay"
+                   seed v)
+                tout.H.digests.(v) d)
+          out.H.digests
+      end);
   (* The sweep must actually exercise the restore machinery. *)
   Alcotest.(check bool) "sweep took checkpoints" true (!taken > 0);
   Alcotest.(check bool) "sweep restored checkpoints" true (!restores > 0);
@@ -695,37 +726,29 @@ let sweep_cases = 200
 
 let test_torture_sweep () =
   let scenario_coverage = Hashtbl.create 4 in
-  for i = 0 to sweep_cases - 1 do
-    let seed = base_seed + i in
-    let case, out, fails = H.run_seed seed in
-    (match fails with
-    | [] -> ()
-    | fs ->
-      Alcotest.failf
-        "torture seed %d failed (reproduce: varan torture --seed %d)\n\
-        \  %s\n\
-        \  %s" seed seed (H.describe_case case)
-        (String.concat "\n  " fs));
-    List.iter
-      (fun inj ->
-        let key =
-          match inj with
-          | Fault.Crash_variant { idx = 0; _ } -> "leader-crash"
-          | Fault.Crash_variant _ -> "follower-crash"
-          | Fault.Stall_follower _ -> "stall"
-          | Fault.Ring_pressure _ -> "ring-pressure"
-          | Fault.Signal_burst _ -> "signal-burst"
-          | Fault.Fork_at _ -> "fork"
-          | Fault.Drop_payload_grant _ -> "drop"
-          | Fault.Link_partition _ | Fault.Link_delay _ | Fault.Link_reorder _
-          | Fault.Link_drop _ | Fault.Link_dup _ ->
-            (* link faults only appear in --net cases, generated elsewhere *)
-            "link"
-        in
-        Hashtbl.replace scenario_coverage key ())
-      case.H.plan;
-    ignore out
-  done;
+  sweep
+    ~flags:(fun _ -> "")
+    ~base:base_seed ~cases:sweep_cases H.gen_case
+    (fun case _ ->
+      List.iter
+        (fun inj ->
+          let key =
+            match inj with
+            | Fault.Crash_variant { idx = 0; _ } -> "leader-crash"
+            | Fault.Crash_variant _ -> "follower-crash"
+            | Fault.Stall_follower _ -> "stall"
+            | Fault.Ring_pressure _ -> "ring-pressure"
+            | Fault.Signal_burst _ -> "signal-burst"
+            | Fault.Fork_at _ -> "fork"
+            | Fault.Drop_payload_grant _ -> "drop"
+            | Fault.Link_partition _ | Fault.Link_delay _
+            | Fault.Link_reorder _ | Fault.Link_drop _ | Fault.Link_dup _ ->
+              (* link faults only appear in --net cases, generated
+                 elsewhere *)
+              "link"
+          in
+          Hashtbl.replace scenario_coverage key ())
+        case.H.plan);
   (* The sweep must actually exercise the interesting machinery. *)
   List.iter
     (fun key ->
@@ -752,21 +775,10 @@ let shard_sweep_cases = 200
 
 let test_shard_sweep () =
   let shards_seen = Hashtbl.create 4 in
-  for i = 0 to shard_sweep_cases - 1 do
-    let seed = base_seed + i in
-    let sc, _out, fails = H.run_shard_seed seed in
-    Hashtbl.replace shards_seen sc.H.sc_shards ();
-    match fails with
-    | [] -> ()
-    | fs ->
-      Alcotest.failf
-        "shard seed %d failed (reproduce: varan torture --shards 0 --seed \
-         %d)\n\
-        \  %s\n\
-        \  %s" seed seed
-        (H.describe_shard_case sc)
-        (String.concat "\n  " fs)
-  done;
+  sweep
+    ~flags:(fun _ -> "--shards 0 ")
+    ~base:base_seed ~cases:shard_sweep_cases H.gen_shard_case
+    (fun case _ -> Hashtbl.replace shards_seen case.H.shards ());
   (* The sweep must reach the widest pool it generates. *)
   Alcotest.(check bool) "sweep ran 4-shard cases" true
     (Hashtbl.mem shards_seen 4)
@@ -784,49 +796,75 @@ let futex_sweep_cases = 200
 
 let test_futex_sweep () =
   let threads_seen = Hashtbl.create 4 in
-  for i = 0 to futex_sweep_cases - 1 do
-    let seed = base_seed + i in
-    let fc, _out, fails = H.run_futex_seed seed in
-    Hashtbl.replace threads_seen fc.H.f_threads ();
-    match fails with
-    | [] -> ()
-    | fs ->
-      Alcotest.failf
-        "futex seed %d failed (reproduce: varan torture --futex --seed %d)\n\
-        \  %s\n\
-        \  %s" seed seed
-        (H.describe_futex_case fc)
-        (String.concat "\n  " fs)
-  done;
+  sweep
+    ~flags:(fun _ -> "--futex ")
+    ~base:base_seed ~cases:futex_sweep_cases H.gen_futex_case
+    (fun case _ ->
+      match case.H.workload with
+      | H.Futex f -> Hashtbl.replace threads_seen f.H.threads ()
+      | H.Program _ | H.Ops _ -> ());
   (* The sweep must reach the lane-stress scale. *)
   Alcotest.(check bool) "sweep ran 64-thread cases" true
     (Hashtbl.mem threads_seen 64)
+
+let futex_case ?lifecycle ?net ~seed ~threads ~locks ~plan () =
+  {
+    H.seed;
+    workload = H.Futex { H.threads; locks; rounds = 6 };
+    followers = 2;
+    shards = 1;
+    ring_size = 16;
+    plan;
+    lifecycle;
+    net;
+  }
 
 (* Directed: the leader of a 64-thread session crashes mid-stream; a
    follower promotes and keeps publishing, and every survivor ends with
    the same lock-order digest. *)
 let test_futex_leader_crash_promotes () =
-  let fc =
-    {
-      H.f_seed = 0x64F07;
-      f_threads = 64;
-      f_locks = 8;
-      f_rounds = 6;
-      f_followers = 2;
-      f_ring_size = 16;
-      f_plan = [];
-    }
+  let case =
+    futex_case ~seed:0x64F07 ~threads:64 ~locks:8
+      ~plan:[ Fault.Crash_variant { idx = 0; at_seq = 150 } ]
+      ()
   in
-  let out = H.run_futex_case ~leader_crash_at:150 fc in
-  (match H.check_futex ~planned_leader_crash:true fc out with
-  | [] -> ()
-  | fs -> Alcotest.failf "directed futex promotion:\n  %s"
-            (String.concat "\n  " fs));
-  Alcotest.(check bool) "old leader dead" false out.H.fo_alive.(0);
-  Alcotest.(check bool) "a follower leads" true (out.H.fo_leader_idx <> 0);
+  let out = H.run case in
+  check_case_exn "directed futex promotion" case out;
+  Alcotest.(check bool) "old leader dead" false out.H.alive.(0);
+  Alcotest.(check bool) "a follower leads" true (out.H.leader_idx <> 0);
   Alcotest.(check bool)
     "survivors share the new leader's lock order" true
-    (out.H.fo_digests.(1) = out.H.fo_digests.(2))
+    (out.H.digests.(1) = out.H.digests.(2))
+
+(* One case composing contended futexes, the lifecycle manager, a
+   follower behind the ring bridge, a follower crash and a link
+   partition: every alive variant must still end on the leader's lock
+   order, with the oracle clean and the bridge's verdicts holding. *)
+let test_futex_composed_with_net_and_lifecycle () =
+  let net = { Config.default_net with Config.remote_followers = 1 } in
+  List.iter
+    (fun threads ->
+      for seed = 1 to 4 do
+        let case =
+          futex_case ~lifecycle:lc ~net ~seed ~threads ~locks:3
+            ~plan:
+              [
+                Fault.Crash_variant { idx = 1; at_seq = 2 * threads };
+                Fault.Link_partition { from_seq = 3; duration = 400_000 };
+              ]
+            ()
+        in
+        let out = H.run case in
+        check_case_exn "composed futex case" case out;
+        Alcotest.(check (list int)) "the follower crash fired" [ 1 ]
+          (List.map fst out.H.crashes);
+        match out.H.stats.Nvx.link with
+        | Some l ->
+          Alcotest.(check bool) "the partition opened" true
+            (l.Varan_net.Link.partitions >= 1)
+        | None -> Alcotest.fail "no link stats"
+      done)
+    [ 8; 64 ]
 
 (* The catalog's 64-thread grid runs digest-clean under a full NVX
    session: no crashes, no degradation, every thread finished its
@@ -862,20 +900,6 @@ let test_thread_grid_64_workload () =
 module Node = Varan_net.Node
 module Link = Varan_net.Link
 module Bridge = Varan_net.Bridge
-
-let contains ~sub s =
-  let n = String.length sub and m = String.length s in
-  let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
-  go 0
-
-let check_net_exn label case out =
-  check_lifecycle_exn label case out;
-  match H.check_net case out with
-  | [] -> ()
-  | fails ->
-    Alcotest.failf "%s: %s\n  %s" label
-      (H.describe_case case)
-      (String.concat "\n  " fails)
 
 (* Link-fault specs survive a print/parse round trip, so any failing net
    case reproduces from its printed plan alone. *)
@@ -977,10 +1001,10 @@ let test_net_partition_unreachable_then_rejoin () =
   let case =
     directed_case ~lifecycle:lc ~net ~seed:120 ~followers:2
       ~plan:[ Fault.Link_partition { from_seq = 3; duration = 800_000 } ]
-      ()
+      (payload_ops 10)
   in
-  let out = H.run_ops case (payload_ops 10) in
-  check_net_exn "partition then heal" case out;
+  let out = H.run case in
+  check_case_exn "partition then heal" case out;
   let r = lifecycle_of out in
   Alcotest.(check bool) "remote follower parked unreachable" true
     (r.Lifecycle.unreachable >= 1);
@@ -990,7 +1014,7 @@ let test_net_partition_unreachable_then_rejoin () =
   Alcotest.(check int) "no restart budget burned" 0 fr.Lifecycle.fr_restarts;
   Alcotest.(check bool) "follower ends healthy" true
     (fr.Lifecycle.fr_state = Lifecycle.Healthy);
-  Alcotest.(check string) "with the native digest" out.H.native
+  Alcotest.(check string) "with the native digest" out.H.natives.(0)
     out.H.digests.(2);
   (match out.H.stats.Nvx.bridge with
   | None -> Alcotest.fail "no bridge stats"
@@ -1014,17 +1038,17 @@ let test_net_partition_across_retention_floor () =
   let case =
     directed_case ~lifecycle:policy ~net ~seed:121 ~followers:2
       ~plan:[ Fault.Link_partition { from_seq = 2; duration = 2_500_000 } ]
-      ()
+      (* Enough events that the bridge's in-flight window fills during
+         the partition and gates the leader: once the remote parks
+         Unreachable the bridge detaches, the leader resumes, and the
+         local follower consumes (and checkpoints, and retires tape) well
+         past the remote's stale pre-partition checkpoint — the retention
+         floor must actually advance for this test to exercise the
+         rejoin-vs-truncation decision. *)
+      (payload_ops 120)
   in
-  (* Enough events that the bridge's in-flight window fills during the
-     partition and gates the leader: once the remote parks Unreachable
-     the bridge detaches, the leader resumes, and the local follower
-     consumes (and checkpoints, and retires tape) well past the
-     remote's stale pre-partition checkpoint — the retention floor
-     must actually advance for this test to exercise the
-     rejoin-vs-truncation decision. *)
-  let out = H.run_ops case (payload_ops 120) in
-  check_net_exn "partition across retention floor" case out;
+  let out = H.run case in
+  check_case_exn "partition across retention floor" case out;
   let r = lifecycle_of out in
   Alcotest.(check bool) "remote follower parked unreachable" true
     (r.Lifecycle.unreachable >= 1);
@@ -1040,7 +1064,7 @@ let test_net_partition_across_retention_floor () =
   (match fr.Lifecycle.fr_state with
   | Lifecycle.Healthy | Lifecycle.Catching_up ->
     (* The rejoin door worked: checkpoint + tape delta, exact digest. *)
-    Alcotest.(check string) "rejoined with the native digest" out.H.native
+    Alcotest.(check string) "rejoined with the native digest" out.H.natives.(0)
       out.H.digests.(2)
   | Lifecycle.Dead ->
     Alcotest.(check bool)
@@ -1056,7 +1080,7 @@ let test_net_partition_across_retention_floor () =
     Alcotest.failf "unexpected terminal state %s" (Lifecycle.state_name s));
   Alcotest.(check bool) "never a wrong prefix" true
     (Array.for_all
-       (fun i -> (not out.H.alive.(i)) || out.H.digests.(i) = out.H.native)
+       (fun i -> (not out.H.alive.(i)) || out.H.digests.(i) = out.H.natives.(0))
        [| 0; 1; 2 |])
 
 (* ------------------------------------------------------------------ *)
@@ -1071,34 +1095,26 @@ let net_sweep_cases = 200
 let test_net_sweep () =
   let kinds = Hashtbl.create 8 in
   let healed = ref 0 in
-  for i = 0 to net_sweep_cases - 1 do
-    let seed = base_seed + i in
-    let case, out, fails = H.run_net_seed seed in
-    (match fails with
-    | [] -> ()
-    | fs ->
-      Alcotest.failf
-        "net seed %d failed (reproduce: varan torture --net --seed %d)\n\
-        \  %s\n\
-        \  %s" seed seed (H.describe_case case)
-        (String.concat "\n  " fs));
-    List.iter
-      (fun inj ->
-        let key =
-          match inj with
-          | Fault.Link_partition _ -> "partition"
-          | Fault.Link_delay _ -> "delay"
-          | Fault.Link_reorder _ -> "reorder"
-          | Fault.Link_drop _ -> "drop"
-          | Fault.Link_dup _ -> "dup"
-          | _ -> "node-fault"
-        in
-        Hashtbl.replace kinds key ())
-      case.H.plan;
-    match out.H.stats.Nvx.bridge with
-    | Some b -> healed := !healed + b.Bridge.heals
-    | None -> ()
-  done;
+  sweep
+    ~flags:(fun _ -> "--net ")
+    ~base:base_seed ~cases:net_sweep_cases H.gen_net_case
+    (fun case out ->
+      List.iter
+        (fun inj ->
+          let key =
+            match inj with
+            | Fault.Link_partition _ -> "partition"
+            | Fault.Link_delay _ -> "delay"
+            | Fault.Link_reorder _ -> "reorder"
+            | Fault.Link_drop _ -> "drop"
+            | Fault.Link_dup _ -> "dup"
+            | _ -> "node-fault"
+          in
+          Hashtbl.replace kinds key ())
+        case.H.plan;
+      match out.H.stats.Nvx.bridge with
+      | Some b -> healed := !healed + b.Bridge.heals
+      | None -> ());
   (* The sweep must exercise every link-fault kind and actually heal
      partitions, or the lifecycle claims above are vacuous. *)
   List.iter
@@ -1218,6 +1234,8 @@ let () =
             test_zero_followers_pay_no_streaming_costs;
           Alcotest.test_case "drop-payload negative control" `Quick
             test_drop_payload_negative_control;
+          Alcotest.test_case "plan victims must exist" `Quick
+            test_plan_meets_case;
         ] );
       ( "lifecycle",
         [
@@ -1263,6 +1281,8 @@ let () =
             test_futex_sweep;
           Alcotest.test_case "64-thread leader crash promotes" `Quick
             test_futex_leader_crash_promotes;
+          Alcotest.test_case "composed with a bridge, lifecycle and faults"
+            `Quick test_futex_composed_with_net_and_lifecycle;
           Alcotest.test_case "thread-grid-64 workload digest-clean" `Quick
             test_thread_grid_64_workload;
         ] );

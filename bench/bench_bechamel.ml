@@ -481,30 +481,40 @@ let socket_frame_test =
   Test.make ~name:"socket-frame-4KiB"
     (Staged.stage (fun () -> (Lazy.force round_trip) ()))
 
+(* Host bytes allocated so far. The runtime's allocation counters trail
+   by one minor collection, so each reading forces two. *)
+let allocated_bytes () =
+  Gc.minor ();
+  Gc.minor ();
+  let s = Gc.quick_stat () in
+  float_of_int (Sys.word_size / 8)
+  *. (s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words)
+
 (* Not a timing: host bytes allocated by one [socket-frame-4KiB] round
    trip over the bytes of its two frames. Each hop's floor is three
    copies of its frame: [send_msg] framing the payload, the kernel's
    copy of the user buffer on write, and its copy out to the reader; the
-   rest is the system calls' and the client task's own records. The
-   runtime's allocation counters trail by one minor collection, so each
-   reading forces two. *)
+   rest is the system calls' and the client task's own records. *)
 let socket_frame_copy_ratio () =
-  let allocated () =
-    Gc.minor ();
-    Gc.minor ();
-    let s = Gc.quick_stat () in
-    float_of_int (Sys.word_size / 8)
-    *. (s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words)
-  in
   let round_trip = socket_echo () in
   round_trip ();
   let n = 64 in
-  let before = allocated () in
+  let before = allocated_bytes () in
   for _ = 1 to n do
     round_trip ()
   done;
-  (allocated () -. before)
+  (allocated_bytes () -. before)
   /. float_of_int (n * 2 * (Proto.header_len + frame_payload))
+
+(* Not a timing: host bytes allocated by one [rewriter-30kB-image] cold
+   rewrite over the image's bytes, counted like the frame ratio above.
+   One linear scan decodes each instruction once and keeps nothing per
+   instruction but a target byte; two sweeps that each built an item
+   list read ~388x. *)
+let rewriter_alloc_ratio () =
+  let before = allocated_bytes () in
+  ignore (Rewriter.rewrite rewrite_code);
+  (allocated_bytes () -. before) /. float_of_int (Bytes.length rewrite_code)
 
 let tests =
   [
@@ -604,6 +614,10 @@ let run () =
   Printf.printf "  %-28s %12.2f x (host bytes allocated / frame bytes)\n"
     "socket-frame-copy-ratio" copies;
   estimates := ("socket-frame-copy-ratio", copies) :: !estimates;
+  let rewrite_alloc = rewriter_alloc_ratio () in
+  Printf.printf "  %-28s %12.1f x (host bytes allocated / image bytes)\n"
+    "rewriter-30kB-alloc-ratio" rewrite_alloc;
+  estimates := ("rewriter-30kB-alloc-ratio", rewrite_alloc) :: !estimates;
   (* Derived: how much more a cross-node revolution costs than the same
      revolution on a local ring. Batching should keep this a small
      constant; a blowup means the bridge is doing per-event work. *)

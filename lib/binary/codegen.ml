@@ -98,7 +98,7 @@ let loop_with_syscall ~iterations =
       I.Hlt;
     ]
 
-(* Random programs: generate an instruction list in two passes so forward
+(* Random programs: draw every instruction as a proto first, so forward
    branches can name instruction indices before byte addresses exist. *)
 type proto =
   | P_plain of I.t
@@ -151,9 +151,8 @@ let random_program rng ~size ~syscall_share =
   (* Syscall number must be valid-ish: precede every program with a mov. *)
   let protos = Array.append [| P_plain (I.Mov_imm (0, 1l)) |] protos in
   let n = Array.length protos in
-  let clamp idx = min idx n in
-  (* Pass 1: compute byte address of every proto index (branch encodes as
-     rel8 = 2 bytes in the original program). *)
+  (* Byte address of every proto index (a branch encodes as rel8, 2
+     bytes); a target index past the last proto lands on the final [Hlt]. *)
   let addrs = Array.make (n + 1) 0 in
   for i = 0 to n - 1 do
     let len =
@@ -161,25 +160,26 @@ let random_program rng ~size ~syscall_share =
     in
     addrs.(i + 1) <- addrs.(i) + len
   done;
-  (* Pass 2: encode. *)
-  let insns =
-    Array.to_list
-      (Array.mapi
-         (fun i p ->
-           match p with
-           | P_plain insn -> insn
-           | P_branch (kind, target_idx) ->
-             let target = addrs.(clamp target_idx) in
-             let rel = target - (addrs.(i) + 2) in
-             let rel = if rel < -128 || rel > 127 then 0 else rel in
-             (match kind with
-             | `Je -> I.Je rel
-             | `Jne -> I.Jne rel
-             | `Jl -> I.Jl rel
-             | `Jg -> I.Jg rel))
-         protos)
-  in
-  assemble (insns @ [ I.Hlt ])
+  (* Encode straight into the image, no instruction list. *)
+  let buf = Bytes.create (addrs.(n) + I.length I.Hlt) in
+  Array.iteri
+    (fun i p ->
+      let insn =
+        match p with
+        | P_plain insn -> insn
+        | P_branch (kind, target_idx) -> (
+          let rel = addrs.(min target_idx n) - (addrs.(i) + 2) in
+          let rel = if rel < -128 || rel > 127 then 0 else rel in
+          match kind with
+          | `Je -> I.Je rel
+          | `Jne -> I.Jne rel
+          | `Jl -> I.Jl rel
+          | `Jg -> I.Jg rel)
+      in
+      ignore (I.encode_into buf addrs.(i) insn))
+    protos;
+  ignore (I.encode_into buf addrs.(n) I.Hlt);
+  buf
 
 let profile_image rng ~code_bytes ~syscall_share =
   let approx_insns = max 8 (code_bytes / 3) in

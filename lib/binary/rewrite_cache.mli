@@ -3,10 +3,10 @@
     The paper rewrites each image once, when it is loaded (§3.2); the
     reproduction additionally spawns the same image many times — one
     variant per replica, a fresh incarnation per lifecycle respawn, and
-    forked children — and a full rewrite costs ~450 ring cycles for a
-    30 kB text. This cache amortises that: entries are keyed by a digest
-    of the {e original} code bytes (plus the rewriter version, so a
-    rewriter change invalidates everything), and store the
+    forked children — and a full rewrite of a 30 kB text costs ~50 ring
+    cycles, ~10× a cached one. This cache amortises that: entries are
+    keyed by a digest of the {e original} code bytes (plus the rewriter
+    version, so a rewriter change invalidates everything), and store the
     {!Rewriter.relocatable} form — rewritten text with base-relative
     [Hook] ids, the trampoline offset table and a base-relative site
     table. A hit {!Rewriter.rebase}s the cached entry to the requested

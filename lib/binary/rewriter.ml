@@ -31,12 +31,12 @@ let jmp_len = 5
    plus following instructions until at least [jmp_len] bytes are covered.
    Returns [None] when detouring is unsafe: a successor is a branch target,
    is undecodable data, or the window runs off the buffer. *)
-let collect_window code targets addr =
+let collect_window code scan addr =
   let len = Bytes.length code in
   let rec go acc covered a =
     if covered >= jmp_len then Some (List.rev acc, covered)
     else if a >= len then None
-    else if Hashtbl.mem targets a then None
+    else if D.is_target scan a then None
     else
       match I.decode code a with
       | None -> None
@@ -48,8 +48,7 @@ let collect_window code targets addr =
 
 let rewrite_relocatable code0 =
   let orig_len = Bytes.length code0 in
-  let targets = D.branch_targets code0 in
-  let syscalls = D.syscall_sites code0 in
+  let scan = D.scan code0 in
   let patched = Bytes.copy code0 in
   let stubs = Codegen.stubs_create ~base:orig_len in
   let next_site = ref 0 in
@@ -119,10 +118,10 @@ let rewrite_relocatable code0 =
     done
   in
 
-  List.iter
+  Array.iter
     (fun addr ->
       if addr > !covered_until then begin
-        match collect_window code0 targets addr with
+        match collect_window code0 scan addr with
         | None ->
           let _ = new_site addr Trap in
           incr trap_count;
@@ -141,7 +140,7 @@ let rewrite_relocatable code0 =
           patch_jump addr stub_addr window_end;
           covered_until := window_end - 1
       end)
-    syscalls;
+    scan.D.syscalls;
 
   let stub_data, hook_offsets = Codegen.stubs_finish stubs in
   let code = Bytes.create (orig_len + Bytes.length stub_data) in

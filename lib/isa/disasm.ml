@@ -12,25 +12,30 @@ let sweep buf =
   in
   go 0 []
 
-let instructions buf =
-  List.filter_map
-    (fun it -> match it.insn with Some i -> Some (it.addr, i) | None -> None)
-    (sweep buf)
+type scan = { targets : Bytes.t; syscalls : int array }
 
-let branch_targets buf =
-  let targets = Hashtbl.create 64 in
-  List.iter
-    (fun (addr, insn) ->
-      match Insn.branch_target ~at:addr insn with
-      | Some t -> Hashtbl.replace targets t ()
-      | None -> ())
-    (instructions buf);
-  targets
+let scan buf =
+  let len = Bytes.length buf in
+  let targets = Bytes.make len '\000' in
+  let rec go addr syscalls =
+    if addr >= len then syscalls
+    else
+      match Insn.decode buf addr with
+      | None -> go (addr + 1) syscalls
+      | Some (Insn.Syscall, ilen) -> go (addr + ilen) (addr :: syscalls)
+      | Some (insn, ilen) ->
+        (match Insn.branch_target ~at:addr insn with
+        | Some t when t >= 0 && t < len -> Bytes.unsafe_set targets t '\001'
+        | _ -> ());
+        go (addr + ilen) syscalls
+  in
+  let syscalls = Array.of_list (List.rev (go 0 [])) in
+  { targets; syscalls }
 
-let syscall_sites buf =
-  List.filter_map
-    (fun (addr, insn) -> if insn = Insn.Syscall then Some addr else None)
-    (instructions buf)
+let is_target s addr =
+  addr >= 0
+  && addr < Bytes.length s.targets
+  && Bytes.get s.targets addr <> '\000'
 
 let pp_listing ppf buf =
   List.iter

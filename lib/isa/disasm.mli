@@ -13,17 +13,30 @@ type item = {
 }
 
 val sweep : Bytes.t -> item list
-(** Decode the whole buffer front to back. *)
+(** Decode the whole buffer front to back, one item per instruction or
+    undecodable byte. The reference form of {!scan}, and what
+    {!pp_listing} prints. *)
 
-val instructions : Bytes.t -> (int * Insn.t) list
-(** Only the successfully decoded instructions of {!sweep}. *)
+(** {1 One-pass scan}
 
-val branch_targets : Bytes.t -> (int, unit) Hashtbl.t
-(** Addresses that some decoded branch jumps or calls to. The rewriter
-    must not relocate instructions at these addresses (§3.2). *)
+    What the rewriter needs from a segment, gathered in a single linear
+    pass with no per-instruction list: where branches land and where the
+    syscalls are. It walks exactly the instructions {!sweep} lists. *)
 
-val syscall_sites : Bytes.t -> int list
-(** Addresses of [Syscall] instructions, ascending. *)
+type scan = {
+  targets : Bytes.t;
+      (** one byte per code byte, non-zero where some decoded branch
+          jumps or calls to. Targets below 0 or past the end address no
+          byte of the buffer and are not recorded. *)
+  syscalls : int array;  (** addresses of [Syscall] instructions, ascending *)
+}
+
+val scan : Bytes.t -> scan
+
+val is_target : scan -> int -> bool
+(** Whether a decoded branch lands on this address. The rewriter must
+    not relocate instructions at these addresses (§3.2). [false] outside
+    the buffer. *)
 
 val pp_listing : Format.formatter -> Bytes.t -> unit
 (** Human-readable listing, one instruction per line. *)

@@ -75,6 +75,30 @@ let fresh_vstats () =
     injected_stalls = 0;
   }
 
+(* The zygote's pristine text, one image per code profile (§3.1): the
+   first variant to map a profile generates it, and every later variant,
+   replica and respawned incarnation forks the same bytes. It sits beside
+   the rewrite cache and lives exactly as long as the zygote owning both;
+   the bytes are only ever read, since the rewrite works on a copy. *)
+type pristine = {
+  images : (Variant.code_profile, Bytes.t) Hashtbl.t;
+  mutable generations : int;
+}
+
+let pristine_create () = { images = Hashtbl.create 4; generations = 0 }
+
+let pristine_text store (p : Variant.code_profile) =
+  match Hashtbl.find_opt store.images p with
+  | Some code -> code
+  | None ->
+    let code =
+      Codegen.profile_image (Prng.create p.code_seed) ~code_bytes:p.code_bytes
+        ~syscall_share:p.syscall_share
+    in
+    Hashtbl.replace store.images p code;
+    store.generations <- store.generations + 1;
+    code
+
 type vstate = {
   idx : int;
   variant : Variant.t;
@@ -122,10 +146,6 @@ type vstate = {
   mutable trap_share_c1000 : int;
   mutable rewrite : Rewriter.stats option;
   mutable trap_acc : int;
-  (* The zygote's pristine copy of this variant's text: generated once,
-     forked (reused) by every incarnation. The rewrite applied to it is
-     served by the zygote's content-addressed cache. *)
-  mutable pristine_code : Bytes.t option;
   mutable spawn_ns : float; (* wall-clock ns spent in prepare_image, total *)
   mutable spawn_preps : int; (* prepare_image runs (1 + respawns) *)
   st : vstats;
@@ -159,6 +179,7 @@ type t = {
      zygote owns, kept here so stats and prepare_image reach it without
      going through the (optional) zygote handle. *)
   rewrite_cache : Rewrite_cache.t;
+  pristine : pristine; (* beside the cache, owned the same way *)
   (* Monitor-wide site-id allocator: each prepared image (and vDSO patch)
      claims a contiguous id range, so cached rewrites are rebased to
      fresh ranges instead of re-run. *)
@@ -597,10 +618,6 @@ let poke_all t =
   match t.pump_queues with
   | None -> ()
   | Some pq -> Array.iter (fun per_tuple -> Array.iter Ring.poke per_tuple) pq
-
-(* ------------------------------------------------------------------ *)
-(* Crash handling and failover (§5.1)                                  *)
-(* ------------------------------------------------------------------ *)
 
 let alive_followers t =
   Array.fold_left
@@ -1933,28 +1950,16 @@ let interposed t vst ~unit_idx proc sysno args =
    image so interception covers the virtual syscalls (§3.2.1).
 
    This is the spawn fast path: the pristine text is generated once per
-   variant (the zygote forks every incarnation from the same pristine
-   image), and the rewrite is served content-addressed — the first
-   launch of a given image pays the full disassemble-and-patch cost,
-   every later launch (replica of the same binary, respawned
-   incarnation) is an O(sites) rebase of the cached entry into a fresh
-   site-id range. *)
+   code profile (the zygote forks every variant and incarnation mapping
+   that profile from the same pristine image), and the rewrite is served
+   content-addressed — the first launch of a given image pays the full
+   disassemble-and-patch cost, every later launch (replica of the same
+   binary, respawned incarnation) is an O(sites) rebase of the cached
+   entry into a fresh site-id range. *)
 let prepare_image t vst =
   let t0 = Unix.gettimeofday () in
   let reg = Prof.region_enter () in
-  let code =
-    match vst.pristine_code with
-    | Some c -> c
-    | None ->
-      let p = vst.variant.Variant.profile in
-      let rng = Prng.create p.Variant.code_seed in
-      let c =
-        Codegen.profile_image rng ~code_bytes:p.Variant.code_bytes
-          ~syscall_share:p.Variant.syscall_share
-      in
-      vst.pristine_code <- Some c;
-      c
-  in
+  let code = pristine_text t.pristine vst.variant.Variant.profile in
   let seg =
     Image.make_segment ~name:(vst.variant.Variant.v_name ^ ".text") ~base:0
       ~perm:Image.rx code
@@ -2183,6 +2188,7 @@ let start_units t vst =
    the shard layer prefixes them with the shard scope. *)
 type shared_spawn = {
   sp_cache : Rewrite_cache.t;
+  sp_pristine : pristine;
   mutable sp_zygote : Zygote.t option;
   mutable sp_creating : bool;
   sp_ready : E.Cond.cond;
@@ -2192,6 +2198,7 @@ type shared_spawn = {
 let shared_spawn () =
   {
     sp_cache = Rewrite_cache.create ();
+    sp_pristine = pristine_create ();
     sp_zygote = None;
     sp_creating = false;
     sp_ready = E.Cond.create "shared-zygote-ready";
@@ -2300,7 +2307,6 @@ let launch ?(config = Config.default) ?scope ?shared k variants =
           trap_share_c1000 = 0;
           rewrite = None;
           trap_acc = 0;
-          pristine_code = None;
           spawn_ns = 0.;
           spawn_preps = 0;
           st = fresh_vstats ();
@@ -2328,6 +2334,10 @@ let launch ?(config = Config.default) ?scope ?shared k variants =
         (match shared with
         | Some sp -> sp.sp_cache
         | None -> Rewrite_cache.create ());
+      pristine =
+        (match shared with
+        | Some sp -> sp.sp_pristine
+        | None -> pristine_create ());
       next_site_id = 0;
       crash_list = [];
       crash_list_len = 0;
@@ -2693,6 +2703,7 @@ type stats = {
   pool : Pool.stats;
   max_observed_lag : int;
   rewrite_cache : Rewrite_cache.stats;
+  pristine_generations : int;
   checkpoints : Checkpoint.stats;
   tapes : Tape.stats array;
   bridge : Bridge.stats option;
@@ -2734,6 +2745,7 @@ let stats t =
     pool = Pool.stats t.pool;
     max_observed_lag = t.max_lag;
     rewrite_cache = Rewrite_cache.stats t.rewrite_cache;
+    pristine_generations = t.pristine.generations;
     checkpoints = Checkpoint.stats t.checkpoints;
     tapes = Array.map Tape.stats t.tapes;
     bridge = Option.map (fun ns -> Bridge.stats ns.n_bridge) t.net;
@@ -2782,4 +2794,5 @@ let tuple_tape (t : t) tu =
   if tu < Array.length t.tapes then Some t.tapes.(tu) else None
 
 let checkpoint_store (t : t) = t.checkpoints
+let pristine_image (t : t) profile = Hashtbl.find_opt t.pristine.images profile
 let flight (t : t) = t.fl

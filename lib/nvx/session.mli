@@ -24,10 +24,11 @@ exception Divergence_kill of string
 
 type shared_spawn
 (** A spawn hub shared by several sessions (the sharded serving layer):
-    one resident zygote process and one content-addressed rewrite cache,
-    so the spawn fast path is paid once process-wide rather than per
-    shard. Fork requests dispatch to the owning session by variant name,
-    which must therefore be unique across the sessions sharing a hub. *)
+    one resident zygote process, one content-addressed rewrite cache and
+    one pristine image per code profile, so the spawn fast path is paid
+    once process-wide rather than per shard. Fork requests dispatch to
+    the owning session by variant name, which must therefore be unique
+    across the sessions sharing a hub. *)
 
 val shared_spawn : unit -> shared_spawn
 (** Fresh hub; the zygote process itself is created lazily by the first
@@ -56,10 +57,11 @@ val launch :
     stats; without it the historical bare names are used.
 
     [shared] plugs the session into a {!shared_spawn} hub: the session
-    uses the hub's zygote and rewrite cache instead of creating its own,
-    and never shuts the zygote down (sibling sessions and respawns keep
-    using it). The checkpoint store remains per-session — snapshots are
-    keyed by variant index, which is only unique within a session.
+    uses the hub's zygote, rewrite cache and pristine images instead of
+    creating its own, and never shuts the zygote down (sibling sessions
+    and respawns keep using it). The checkpoint store remains
+    per-session — snapshots are keyed by variant index, which is only
+    unique within a session.
 
     @raise Invalid_argument on an empty variant list, inconsistent unit
     shapes, or a variant name already registered with [shared]. *)
@@ -134,6 +136,9 @@ type stats = {
       (** the resident zygote cache's hit/miss/rebase tallies — the
           spawn fast path's effectiveness ([misses] = distinct images
           rewritten cold, [rebases] = launches served by rebase) *)
+  pristine_generations : int;
+      (** pristine text images generated, one per distinct code profile
+          the zygote has mapped (shared with the hub's other sessions) *)
   checkpoints : Checkpoint.stats;
       (** rr-style fast-rejoin tallies: snapshots taken, respawns served
           by a restore, and the tape delta replayed instead of the full
@@ -194,6 +199,11 @@ val tuple_tape : t -> int -> Tape.t option
 val checkpoint_store : t -> Checkpoint.t
 (** The session's follower checkpoint store (the resident zygote owns the
     same object, so snapshots outlive the incarnation they captured). *)
+
+val pristine_image : t -> Variant.code_profile -> Bytes.t option
+(** The zygote's pristine text for a code profile, once some variant of
+    this session (or of its hub) has mapped it. The bytes are the store's
+    own: read them, do not write them. *)
 
 val flight : t -> Varan_obs.Flight.t
 (** The session's flight recorder — the black box dumped as a post-mortem

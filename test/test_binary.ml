@@ -68,19 +68,108 @@ let test_with_target () =
 
 (* --- disassembler --------------------------------------------------- *)
 
+let syscall_sites code = Array.to_list (D.scan code).D.syscalls
+
 let test_sweep_skips_data () =
   let code = Bytes.of_string "\x90\xFF\x05\xF4" in
   let items = D.sweep code in
   Alcotest.(check int) "four items" 4 (List.length items);
-  let decoded = D.instructions code in
+  let decoded = List.filter (fun it -> it.D.insn <> None) items in
   Alcotest.(check int) "three decoded" 3 (List.length decoded);
-  Alcotest.(check (list int))
-    "syscall site" [ 2 ] (D.syscall_sites code)
+  Alcotest.(check (list int)) "syscall site" [ 2 ] (syscall_sites code)
 
 let test_branch_targets_collected () =
   let code = Codegen.loop_with_syscall ~iterations:3 in
-  let targets = D.branch_targets code in
-  Alcotest.(check bool) "loop head is a target" true (Hashtbl.mem targets 10)
+  Alcotest.(check bool) "loop head is a target" true
+    (D.is_target (D.scan code) 10)
+
+(* The reference the one-pass scan must match: branch targets and
+   syscall sites read off [D.sweep]'s item list. A target outside the
+   buffer addresses no byte of it, so the scan leaves it out. *)
+let scan_matches_sweep code =
+  let len = Bytes.length code in
+  let items = D.sweep code in
+  let targets =
+    List.filter_map
+      (fun it -> Option.bind it.D.insn (I.branch_target ~at:it.D.addr))
+      items
+  in
+  let syscalls =
+    List.filter_map
+      (fun it -> if it.D.insn = Some I.Syscall then Some it.D.addr else None)
+      items
+  in
+  let s = D.scan code in
+  Array.to_list s.D.syscalls = syscalls
+  && List.for_all
+       (fun a -> D.is_target s a = (a >= 0 && a < len && List.mem a targets))
+       (List.init (len + 16) (fun a -> a - 8))
+
+let test_scan_edge_cases () =
+  let enc = List.map I.encode in
+  let code =
+    Bytes.concat Bytes.empty
+      (enc [ I.Jmp_short (-10); I.Syscall ]
+      @ [ Bytes.of_string "\xFF" ]
+      @ enc [ I.Je 1; I.Nop; I.Syscall; I.Call 4000l; I.Jmp (-5l) ]
+      @ [ Bytes.sub (I.encode (I.Mov_imm (0, 60l))) 0 3 ])
+  in
+  Alcotest.(check bool) "scan equals the sweep reference" true
+    (scan_matches_sweep code);
+  let s = D.scan code in
+  Alcotest.(check (list int)) "syscalls around undecodable data" [ 2; 7 ]
+    (Array.to_list s.D.syscalls);
+  Alcotest.(check bool) "je lands on the syscall" true (D.is_target s 7);
+  Alcotest.(check bool) "jmp rel32 lands on itself" true (D.is_target s 13);
+  Alcotest.(check bool) "below 0 is no target" false (D.is_target s (-8));
+  Alcotest.(check bool) "past the end is no target" false (D.is_target s 4013);
+  Alcotest.(check bool) "empty buffer" true (scan_matches_sweep Bytes.empty)
+
+(* Buffers of random instructions (branches with displacements reaching
+   below 0 and past the end) mixed with raw bytes, cut at a random
+   point so the last instruction may be truncated. *)
+let gen_code =
+  let open QCheck.Gen in
+  let reg = int_bound 7 in
+  let rel8 = int_range (-128) 127 in
+  let rel32 = map Int32.of_int (int_range (-400) 400) in
+  let insn =
+    oneof
+      [
+        oneofl [ I.Nop; I.Syscall; I.Syscall; I.Int3; I.Ret; I.Hlt ];
+        map (fun r -> I.Mov_imm (r, 60l)) reg;
+        map2 (fun a b -> I.Add (a, b)) reg reg;
+        map (fun r -> I.Add_imm (r, 1)) reg;
+        map (fun r -> I.Jmp r) rel32;
+        map (fun r -> I.Call r) rel32;
+        map (fun r -> I.Jmp_short r) rel8;
+        map (fun r -> I.Je r) rel8;
+        map (fun r -> I.Jne r) rel8;
+        map (fun r -> I.Jl r) rel8;
+        map (fun r -> I.Jg r) rel8;
+      ]
+  in
+  let chunk =
+    frequency
+      [
+        (4, map I.encode insn);
+        (1, map (fun c -> Bytes.make 1 (Char.chr c)) (int_bound 255));
+      ]
+  in
+  let* chunks = list_size (int_bound 80) chunk in
+  let code = Bytes.concat Bytes.empty chunks in
+  let+ cut = int_bound (min 4 (Bytes.length code)) in
+  Bytes.sub code 0 (Bytes.length code - cut)
+
+let prop_scan_matches_sweep =
+  QCheck.Test.make ~name:"one-pass scan == sweep reference" ~count:500
+    (QCheck.make
+       ~print:(fun b ->
+         String.concat " "
+           (List.init (Bytes.length b) (fun i ->
+                Printf.sprintf "%02x" (Char.code (Bytes.get b i)))))
+       gen_code)
+    scan_matches_sweep
 
 (* --- VM -------------------------------------------------------------- *)
 
@@ -241,7 +330,7 @@ let test_rewrite_no_syscall_instructions_remain () =
   let code = Codegen.straightline ~syscall_numbers:[ 1; 2; 3; 4 ] in
   let r = R.rewrite code in
   Alcotest.(check (list int))
-    "no raw syscalls left" [] (D.syscall_sites r.R.code)
+    "no raw syscalls left" [] (syscall_sites r.R.code)
 
 let test_rewrite_trap_fallback () =
   let code = Codegen.trap_forcing () in
@@ -289,7 +378,7 @@ let prop_rewrite_equivalence =
       let after = Vm.run ~hooks:monitor_hooks r.R.code ~entry:0 in
       Array.to_list before.Vm.regs = Array.to_list after.Vm.regs
       && Vm.syscall_trace before = Vm.syscall_trace after
-      && D.syscall_sites r.R.code = [])
+      && syscall_sites r.R.code = [])
 
 let prop_sites_cover_all_syscalls =
   QCheck.Test.make ~name:"every syscall gets a site" ~count:200
@@ -297,7 +386,7 @@ let prop_sites_cover_all_syscalls =
     (fun seed ->
       let rng = Prng.create seed in
       let code = Codegen.random_program rng ~size:60 ~syscall_share:0.25 in
-      let n_sys = List.length (D.syscall_sites code) in
+      let n_sys = List.length (syscall_sites code) in
       let r = R.rewrite code in
       r.R.stats.R.total_syscalls = n_sys
       && List.length r.R.sites = n_sys)
@@ -402,6 +491,99 @@ let test_rewrite_segment_respects_wx () =
   Alcotest.(check bool) "still executable" true seg.Image.perm.Image.x;
   Alcotest.(check bool) "not writable" false seg.Image.perm.Image.w
 
+(* --- golden bytes ------------------------------------------------------ *)
+
+(* Every code profile the repository ships: the catalog workloads, the
+   revision variants, the default profile, the two profiles the
+   end-to-end benchmark builds (benchmark/serve.ml, benchmark/futex.ml)
+   and the 30 kB image of the Bechamel rewriter rows. *)
+let shipped_profiles =
+  let module W = Varan_workloads.Workload in
+  let module Rev = Varan_workloads.Revisions in
+  let module V = Varan_nvx.Variant in
+  let of_variant v = (v.V.v_name, v.V.profile) in
+  let profile code_bytes syscall_share code_seed =
+    { V.code_bytes; syscall_share; code_seed }
+  in
+  List.map
+    (fun w -> (w.W.w_name, w.W.profile))
+    Varan_workloads.Catalog.(
+      c10k_servers @ prior_work_servers @ thread_grids)
+  @ List.map
+      (fun rev ->
+        of_variant (Rev.lighttpd_variant ~rev ~port:80 ~expected_conns:1))
+      Rev.[ R2435; R2436; R2523; R2524; R2577; R2578 ]
+  @ [
+      of_variant
+        (Rev.redis_revision ~buggy:false ~name:"redis-rev" ~port:6379
+           ~expected_conns:1);
+      ("default", V.default_profile);
+      ("benchmark-serve", profile 10_000 0.01 13);
+      ("benchmark-futex", profile 6_000 0.05 19);
+      ("bechamel-30kB", profile 30_000 0.02 99);
+    ]
+  (* A profile several names share is checked once, under its first name. *)
+  |> List.fold_left
+       (fun acc (n, p) ->
+         if List.exists (fun (_, q) -> q = p) acc then acc else (n, p) :: acc)
+       []
+  |> List.rev
+
+let profile_image p =
+  let module V = Varan_nvx.Variant in
+  Codegen.profile_image (Prng.create p.V.code_seed) ~code_bytes:p.V.code_bytes
+    ~syscall_share:p.V.syscall_share
+
+(* One digest over everything [rewrite_relocatable] returns: code,
+   original length, trampoline table, site table and stats. *)
+let relocatable_digest rt =
+  let b = Buffer.create (Bytes.length rt.R.rt_code + 4096) in
+  Buffer.add_bytes b rt.R.rt_code;
+  Printf.bprintf b "|%d|" rt.R.rt_orig_len;
+  Array.iter (Printf.bprintf b "%d,") rt.R.rt_hook_offsets;
+  Buffer.add_char b '|';
+  List.iter
+    (fun s ->
+      Printf.bprintf b "%d:%d:%c," s.R.rel_id s.R.rel_addr
+        (match s.R.rel_dispatch with R.Jump -> 'J' | R.Trap -> 'T'))
+    rt.R.rt_sites;
+  let st = rt.R.rt_stats in
+  Printf.bprintf b "|%d %d %d %d %d" st.R.total_syscalls st.R.jump_sites
+    st.R.trap_sites st.R.relocated_insns st.R.stub_bytes;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* (name, MD5 of the profile image, digest of its relocatable rewrite).
+   Any change to code generation or rewriting that moves a byte, a site
+   or a stat shows up here. *)
+let golden =
+  [
+    ("Beanstalkd", "6ffe8e4b601e9f7746915d8c632b659c", "4e0e0943092064d64c8b4d06580d6b0d");
+    ("Lighttpd (wrk)", "e26e5ae730052db999be37b2c72c665a", "ad94a71b8ce9943403419ccaa34a31b6");
+    ("Memcached", "b9f3eb1e6cc8006df40e4a17b28ce821", "2c01c5c778afc3894e97b0525828a24d");
+    ("Nginx", "fb229bb5e6f3d62438db0098b5271372", "64c0bce2fa5b8c29e4409bb4315cf08e");
+    ("Redis", "185610bf2b7eff96ace195a941edc8e7", "4a23eebd2e19c3b090ecf3b54313c091");
+    ("Apache httpd", "2cfcdb149435c76b2a9ff34d37b44828", "361a239343e01d19f4b116311df792af");
+    ("thttpd", "cf398a3d4e21ff78538fc78eb15c5708", "e48214f3d47c9326f489ce2610a40078");
+    ("Thread grid (64)", "2257c22b81b1f324b29ceb5de1d5913f", "18ab9b80bef0ed597ae74b1e25af5323");
+    ("Thread grid (256)", "6537458ce9c97fefb89da7993842bc7c", "e48b39ad1bab202b558157a33a3b4097");
+    ("default", "c4707779db5c67fc68d0e707f93ec2db", "951f040316962144fb57c91f44b3bc11");
+    ("bechamel-30kB", "16b7b9c55b4d39af258393ec7d65d30b", "dc6ecc23975a2f7e28cc866403f48500");
+  ]
+
+let test_golden_bytes () =
+  let stale = ref [] in
+  List.iter
+    (fun (name, p) ->
+      let code = profile_image p in
+      let image = Digest.to_hex (Digest.bytes code) in
+      let rewrite = relocatable_digest (R.rewrite_relocatable code) in
+      match List.assoc_opt name (List.map (fun (n, i, r) -> (n, (i, r))) golden) with
+      | Some (i, r) when i = image && r = rewrite -> ()
+      | _ -> stale := Printf.sprintf "(%S, %S, %S);" name image rewrite :: !stale)
+    shipped_profiles;
+  if !stale <> [] then
+    Alcotest.failf "golden digests differ:\n%s" (String.concat "\n" (List.rev !stale))
+
 (* --- vDSO ------------------------------------------------------------ *)
 
 let test_vdso_build_and_patch () =
@@ -453,6 +635,8 @@ let () =
           Alcotest.test_case "sweep skips data" `Quick test_sweep_skips_data;
           Alcotest.test_case "branch targets" `Quick
             test_branch_targets_collected;
+          Alcotest.test_case "scan edge cases" `Quick test_scan_edge_cases;
+          QCheck_alcotest.to_alcotest prop_scan_matches_sweep;
         ] );
       ( "vm",
         [
@@ -498,4 +682,6 @@ let () =
         ] );
       ( "vdso",
         [ Alcotest.test_case "build and patch" `Quick test_vdso_build_and_patch ] );
+      ( "golden",
+        [ Alcotest.test_case "shipped profiles" `Quick test_golden_bytes ] );
     ]

@@ -302,6 +302,22 @@ let test_respawn_uses_rewrite_cache () =
   Alcotest.(check int) "exactly one cold rewrite" 1 rc.RC.misses;
   Alcotest.(check int) "every other launch hit the cache" 3 rc.RC.hits;
   Alcotest.(check int) "hits are served by rebase" 3 rc.RC.rebases;
+  (* Launch and respawn all forked one pristine image, and neither
+     rewrite wrote to it. *)
+  let p = Varan_nvx.Variant.default_profile in
+  let fresh =
+    Varan_binary.Codegen.profile_image
+      (Varan_util.Prng.create p.Varan_nvx.Variant.code_seed)
+      ~code_bytes:p.Varan_nvx.Variant.code_bytes
+      ~syscall_share:p.Varan_nvx.Variant.syscall_share
+  in
+  Alcotest.(check int) "one pristine generation" 1
+    out.H.stats.Nvx.pristine_generations;
+  Alcotest.(check (option string)) "pristine bytes keep their digest"
+    (Some (Digest.to_hex (Digest.bytes fresh)))
+    (Option.map
+       (fun b -> Digest.to_hex (Digest.bytes b))
+       (Nvx.pristine_image out.H.session p));
   (* The victim prepared its image twice (launch + respawn), the leader
      and the untouched follower once each — and every preparation's
      wall-clock latency was recorded. *)

@@ -1328,6 +1328,84 @@ let test_router_all_down_and_forget () =
     (before.(0) + before.(1) - 1)
     (after.(0) + after.(1))
 
+(* ---- pristine images ------------------------------------------------ *)
+
+let image_digest p =
+  let code =
+    Varan_binary.Codegen.profile_image
+      (Varan_util.Prng.create p.Variant.code_seed)
+      ~code_bytes:p.Variant.code_bytes ~syscall_share:p.Variant.syscall_share
+  in
+  Digest.to_hex (Digest.bytes code)
+
+let stored_digest session p =
+  Option.map
+    (fun b -> Digest.to_hex (Digest.bytes b))
+    (Nvx.pristine_image session p)
+
+(* The zygote generates one pristine image per code profile: variants
+   that share a profile fork the same text, and one with another
+   [code_seed] gets an image of its own. *)
+let test_pristine_once_per_profile () =
+  let open Alcotest in
+  let body _api = () in
+  let same = Variant.default_profile in
+  let other = { same with Variant.code_seed = same.Variant.code_seed + 1 } in
+  let eng, k = mk_env () in
+  let session =
+    Nvx.launch k (List.init 3 (fun i -> simple_variant (Printf.sprintf "v%d" i) body))
+  in
+  E.run eng;
+  let st = Nvx.stats session in
+  check int "one profile, one generation" 1 st.Nvx.pristine_generations;
+  check int "and one cold rewrite" 1
+    st.Nvx.rewrite_cache.Varan_binary.Rewrite_cache.misses;
+  check (option string) "stored bytes are the profile's image"
+    (Some (image_digest same)) (stored_digest session same);
+  let eng, k = mk_env () in
+  let session =
+    Nvx.launch k
+      [
+        simple_variant "v0" body;
+        Variant.make ~profile:other "v1" (Variant.single body);
+        simple_variant "v2" body;
+      ]
+  in
+  E.run eng;
+  check int "two profiles, two generations" 2
+    (Nvx.stats session).Nvx.pristine_generations;
+  check (option string) "the other seed has its own image"
+    (Some (image_digest other)) (stored_digest session other);
+  check bool "and it differs" true (image_digest other <> image_digest same);
+  check (option string) "the shared image is untouched"
+    (Some (image_digest same)) (stored_digest session same)
+
+(* Shards share the spawn hub, so the pool generates each image once. *)
+let test_pristine_once_across_shards () =
+  let module Shard = Varan_nvx.Shard in
+  let eng, k = mk_env () in
+  let pool =
+    Shard.launch k ~shards:3 ~variants_of:(fun i ->
+        List.init 2 (fun j ->
+            simple_variant (Printf.sprintf "shard%d.v%d" i j) (fun _api -> ())))
+  in
+  (* The hub's zygote stays resident, so run until quiescent. *)
+  E.run_until_quiescent eng;
+  let image i = Nvx.pristine_image (Shard.session pool i) Variant.default_profile in
+  for i = 0 to Shard.count pool - 1 do
+    Alcotest.(check bool)
+      (Printf.sprintf "shard %d forks the hub's image" i)
+      true
+      (match (image 0, image i) with Some a, Some b -> a == b | _ -> false);
+    let st = Nvx.stats (Shard.session pool i) in
+    Alcotest.(check int)
+      (Printf.sprintf "shard %d sees one generation" i)
+      1 st.Nvx.pristine_generations;
+    Alcotest.(check int)
+      (Printf.sprintf "shard %d sees one cold rewrite" i)
+      1 st.Nvx.rewrite_cache.Varan_binary.Rewrite_cache.misses
+  done
+
 let () =
   Alcotest.run "varan_nvx"
     [
@@ -1422,6 +1500,13 @@ let () =
             test_router_rebalance_on_degradation;
           Alcotest.test_case "all-down fallback and forget" `Quick
             test_router_all_down_and_forget;
+        ] );
+      ( "pristine",
+        [
+          Alcotest.test_case "one image per profile" `Quick
+            test_pristine_once_per_profile;
+          Alcotest.test_case "one image across shards" `Quick
+            test_pristine_once_across_shards;
         ] );
       ( "tape",
         [

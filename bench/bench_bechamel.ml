@@ -215,16 +215,17 @@ let tape_bytes_per_event () =
   let retained = Tape.length tape - Tape.base tape in
   float_of_int (Tape.resident_bytes tape) /. float_of_int retained
 
+let engine_1k () =
+  let eng = E.create () in
+  ignore
+    (E.spawn eng (fun () ->
+         for _ = 1 to 1_000 do
+           E.consume 1
+         done));
+  E.run eng
+
 let engine_test =
-  Test.make ~name:"engine-1k-task-switches"
-    (Staged.stage (fun () ->
-         let eng = E.create () in
-         ignore
-           (E.spawn eng (fun () ->
-                for _ = 1 to 1_000 do
-                  E.consume 1
-                done));
-         E.run eng))
+  Test.make ~name:"engine-1k-task-switches" (Staged.stage engine_1k)
 
 (* The same 1k-consume chain with the span tracer armed: every dispatch
    slice emits a begin/end span pair into the bounded buffer. The plain
@@ -250,24 +251,25 @@ let engine_traced_test =
    ring hop (two array stores) rather than a heap push+pop. Together
    with [engine-1k-task-switches] (the heap/inline consume chain) this
    pins both halves of the scheduler hot path. *)
+let engine_chain () =
+  let eng = E.create () in
+  let ping = E.Cond.create "ping" and pong = E.Cond.create "pong" in
+  ignore
+    (E.spawn eng ~name:"echo" (fun () ->
+         for _ = 1 to 1_000 do
+           E.Cond.wait ping;
+           E.Cond.signal pong
+         done));
+  ignore
+    (E.spawn eng ~name:"broadcaster" (fun () ->
+         for _ = 1 to 1_000 do
+           E.Cond.signal ping;
+           E.Cond.wait pong
+         done));
+  E.run eng
+
 let engine_chain_test =
-  Test.make ~name:"engine-ready-ring-chain-1k"
-    (Staged.stage (fun () ->
-         let eng = E.create () in
-         let ping = E.Cond.create "ping" and pong = E.Cond.create "pong" in
-         ignore
-           (E.spawn eng ~name:"echo" (fun () ->
-                for _ = 1 to 1_000 do
-                  E.Cond.wait ping;
-                  E.Cond.signal pong
-                done));
-         ignore
-           (E.spawn eng ~name:"broadcaster" (fun () ->
-                for _ = 1 to 1_000 do
-                  E.Cond.signal ping;
-                  E.Cond.wait pong
-                done));
-         E.run eng))
+  Test.make ~name:"engine-ready-ring-chain-1k" (Staged.stage engine_chain)
 
 (* The follower wait reduced to the engine: 256 tasks loop on
    [wait_timeout c 6_000] (the adaptive spin's waitlock sleep) while a
@@ -309,18 +311,34 @@ let engine_herd_test =
    heap level, which is where a write barrier per level would show. The
    engine and its tasks are built inside the staged function, because
    benchmark/micro.exe links this module. *)
+let engine_rounds cost =
+  let eng = E.create () in
+  for i = 1 to 512 do
+    ignore
+      (E.spawn eng (fun () ->
+           for _ = 1 to 32 do
+             E.consume (cost i)
+           done))
+  done;
+  E.run eng
+
+let engine_heap () = engine_rounds (fun i -> 1000 + i)
+
 let engine_heap_test =
-  Test.make ~name:"engine-heap-512"
-    (Staged.stage (fun () ->
-         let eng = E.create () in
-         for i = 1 to 512 do
-           ignore
-             (E.spawn eng (fun () ->
-                  for _ = 1 to 32 do
-                    E.consume (1000 + i)
-                  done))
-         done;
-         E.run eng))
+  Test.make ~name:"engine-heap-512" (Staged.stage engine_heap)
+
+(* The same 512 tasks × 32 rounds, but every task consumes 1000 cycles,
+   so all 512 wake at one time each round: the shape of a follower herd
+   that charges one spin cost and re-arms one [wait_timeout]. Each round
+   is one run of 512 entries in the scheduler queue, so a push appends
+   and a pop takes a head without sifting. The ratio to [engine-heap-512]
+   ([engine-same-time-heap-ratio]) is what a same-time dispatch costs
+   next to a distinct-time one; a queue that sifts every entry reads
+   near 1. *)
+let engine_same_time () = engine_rounds (fun _ -> 1000)
+
+let engine_same_time_test =
+  Test.make ~name:"engine-same-time-512" (Staged.stage engine_same_time)
 
 (* A thousand one-shot deadlines, armed one cycle apart with staggered
    delays, each bumping a counter when it fires: first as sleeper tasks
@@ -516,8 +534,98 @@ let rewriter_alloc_ratio () =
   ignore (Rewriter.rewrite rewrite_code);
   (allocated_bytes () -. before) /. float_of_int (Bytes.length rewrite_code)
 
+(* The kernel of benchmark/calib.ml at a hundredth of its size:
+   effect-handler task switches, hash-table churn and short-lived
+   allocation, in stdlib code only. It prices the host, not this
+   repository, so the absolute engine rows are gated as ratios to it
+   and a host that slows every process slows both sides alike. *)
+type _ Effect.t += Calib_yield : unit Effect.t
+
+let calib_fibers n steps =
+  let ready = Queue.create () in
+  let handler =
+    {
+      Effect.Deep.retc = Fun.id;
+      exnc = raise;
+      effc =
+        (fun (type a) (e : a Effect.t) ->
+          match e with
+          | Calib_yield ->
+            Some
+              (fun (k : (a, unit) Effect.Deep.continuation) ->
+                Queue.push (fun () -> Effect.Deep.continue k ()) ready)
+          | _ -> None);
+    }
+  in
+  for _ = 1 to n do
+    Queue.push
+      (fun () ->
+        Effect.Deep.match_with
+          (fun () ->
+            for _ = 1 to steps do
+              Effect.perform Calib_yield
+            done)
+          () handler)
+      ready
+  done;
+  while not (Queue.is_empty ready) do
+    (Queue.pop ready) ()
+  done
+
+let calib_churn n =
+  let h = Hashtbl.create 1024 in
+  for i = 1 to n do
+    Hashtbl.replace h (i land 8191) (string_of_int i);
+    if i land 3 = 0 then Hashtbl.remove h ((i * 7) land 8191)
+  done;
+  ignore
+    (List.sort compare (List.init (n / 4) (fun i -> (i * 7919) land 65535)))
+
+let calib_kernel () =
+  calib_fibers 64 20;
+  calib_churn 2_000
+
+let calib_test = Test.make ~name:"calib-kernel" (Staged.stage calib_kernel)
+
+let now_ns () = Toolkit.Monotonic_clock.get ()
+
+(* ns per call of [f] over a batch of [n] calls. *)
+let batch_ns n f =
+  let t = now_ns () in
+  for _ = 1 to n do
+    f ()
+  done;
+  (now_ns () -. t) /. float_of_int n
+
+(* The median over 21 samples of [f]'s time per call over [g]'s, each
+   side timed right after the other in batches of about a millisecond.
+   A load burst on a shared host then slows both sides of a sample
+   alike, where rows timed one after the other can each catch a
+   different burst; the median drops the samples a burst split. *)
+let paired_ratio f g =
+  let size h =
+    let n = ref 1 in
+    while batch_ns !n h *. float_of_int !n < 1e6 do
+      n := 2 * !n
+    done;
+    !n
+  in
+  let nf = size f and ng = size g in
+  let r =
+    Array.init 21 (fun i ->
+        if i land 1 = 0 then
+          let a = batch_ns nf f in
+          a /. batch_ns ng g
+        else
+          let b = batch_ns ng g in
+          batch_ns nf f /. b)
+  in
+  Array.sort compare r;
+  r.(10)
+
 let tests =
   [
+    calib_test;
     bpf_test;
     bpf_compiled_test;
     rewriter_test;
@@ -529,8 +637,8 @@ let tests =
   @ rejoin_tests
   @ [
       engine_test; engine_traced_test; engine_chain_test; engine_herd_test;
-      engine_heap_test; engine_spawn_sleep_test; engine_timer_test;
-      ring_lanes_test; bridge_test; socket_frame_test;
+      engine_heap_test; engine_same_time_test; engine_spawn_sleep_test;
+      engine_timer_test; ring_lanes_test; bridge_test; socket_frame_test;
     ]
 
 let smoke = Sys.getenv_opt "VARAN_BENCH_SMOKE" <> None
@@ -674,6 +782,23 @@ let run () =
       "engine-heap-chain-ratio" ratio;
     estimates := ("engine-heap-chain-ratio", ratio) :: !estimates
   | _ -> ());
+  (* Paired ratios, timed here rather than derived from two rows: the
+     host-bound engine rows over the calibration kernel, so their gates
+     hold on a host that slows every process, and same-time dispatch
+     over distinct-time dispatch. *)
+  List.iter
+    (fun (name, f, g, base) ->
+      let ratio = paired_ratio f g in
+      Printf.printf "  %-28s %12.4f x (vs %s, paired)\n" name ratio base;
+      estimates := (name, ratio) :: !estimates)
+    [
+      ("engine-1k-calib-ratio", engine_1k, calib_kernel, "calib-kernel");
+      ("engine-chain-calib-ratio", engine_chain, calib_kernel, "calib-kernel");
+      ( "engine-same-time-heap-ratio",
+        engine_same_time,
+        engine_heap,
+        "engine-heap-512" );
+    ];
   check_broadcast_allocation ();
   Report.save_hotpath_json (List.rev !estimates);
   print_newline ()

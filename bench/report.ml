@@ -81,7 +81,11 @@ let save_hotpath_json results =
   let n = List.length results in
   List.iteri
     (fun i (name, ns) ->
-      Printf.fprintf oc "    \"%s\": %.1f%s\n" (json_escape name) ns
+      (* Ratios below 100 keep four significant digits, so that a gate
+         on a ratio near 1 or below reads what was measured. *)
+      Printf.fprintf oc "    \"%s\": %s%s\n" (json_escape name)
+        (if Float.abs ns >= 100.0 then Printf.sprintf "%.1f" ns
+         else Printf.sprintf "%.4g" ns)
         (if i = n - 1 then "" else ","))
     results;
   output_string oc "  }\n}\n";

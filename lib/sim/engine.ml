@@ -13,9 +13,9 @@ type task_state = Runnable | Blocked | Finished | Dead
 (* int64 boxing and write barriers. Tasks carry a reusable resumption  *)
 (* frame. Dispatch entries live in a slab: each gets a fixed slot when *)
 (* it is created, a registry array maps slots back to entries, and a   *)
-(* recycled entry's slot goes on an int stack of free slots. The heap  *)
-(* stores (etime, eseq, slot) as plain ints, so neither a sift nor a   *)
-(* recycle stores a pointer and pays the GC write barrier.             *)
+(* recycled entry's slot goes on an int stack of free slots. The queue *)
+(* of future wakeups stores keys and slots as plain ints, so neither a *)
+(* sift nor a recycle stores a pointer and pays the GC write barrier.  *)
 (* ------------------------------------------------------------------ *)
 
 (* The parked continuation of a suspended task. Exactly one entry (or
@@ -43,9 +43,11 @@ type task = {
      signaller: lets kill (and an expiring [wait_timeout] deadline)
      claim the waiter in O(1). *)
   mutable fr_waiter : cond_waiter option;
-  (* The pending [wait_timeout] deadline entry, if any: an early signal
-     or kill takes it out of the scheduler at once (see [cancel_entry]). *)
-  mutable fr_deadline : entry option;
+  (* The slot of the pending [wait_timeout] deadline entry, -1 for none:
+     an early signal or kill takes it out of the scheduler at once (see
+     [cancel_entry]). An int, so arming and clearing it allocates
+     nothing and stores no pointer. *)
+  mutable fr_deadline : int;
 }
 
 and entry = {
@@ -64,7 +66,6 @@ and entry = {
      [Ek_arm]: when the timer fires. One shared slot keeps every entry a
      word smaller. *)
   mutable e_arg : int;
-  mutable e_pos : int; (* node index in the heap; -1 when not in it *)
   e_slot : int; (* fixed index in the engine's slot registry *)
 }
 
@@ -101,7 +102,7 @@ let dummy_task =
     killed = true;
     fr_k = K_none;
     fr_waiter = None;
-    fr_deadline = None;
+    fr_deadline = -1;
   }
 
 let no_fn () = ()
@@ -114,126 +115,286 @@ let dummy_entry =
     e_task = dummy_task;
     e_fn = no_fn;
     e_arg = 0;
-    e_pos = -1;
     e_slot = -1;
   }
 
 let dummy_cond =
   { c_name = "<dummy>"; c_waiters = Queue.create (); c_nwaiters = 0 }
 
-module Heap = struct
-  (* Binary min-heap on (etime, eseq); eseq breaks ties FIFO so execution
-     order is deterministic. Holds only live, genuinely future wakeups:
-     due-now entries go to the ready ring instead, and a cancelled entry
-     is taken out at once ([remove]).
+module Runq = struct
+  (* The queue of future wakeups: binary min-heaps of {e runs}. A run is
+     a FIFO of entries that share one [etime] and were pushed into one
+     heap back to back, with no other push into that heap in between;
+     the heap orders runs, and the entries of a run leave in push order.
+     Holds only live, genuinely future wakeups: due-now entries go to
+     the ready ring instead, and a cancelled entry is taken out at once
+     ([remove]).
 
-     Node [i] is three ints in one flat array: etime at [3i], eseq at
-     [3i + 1] and the entry's slot at [3i + 2]. The keys are copied in at
-     [push]; no entry is re-keyed while it sits here. The array holds no
-     pointer, so sifts compare and move plain ints and no level pays a
-     write barrier. Each sift keeps the moved entry's [e_pos] current
-     through the slot registry [reg] (an int field store), which is what
-     makes [remove] O(log n). Node reads and writes skip the bounds
-     check: every index is below [3 * len], and [push] grows the array
-     before [3 * len] can pass its length. The array is allocated at the
-     first push: 256 nodes are too big for the minor heap, and an engine
-     whose work never leaves the ready ring and the inline path should
-     not pay for a major-heap block. *)
-  type t = { mutable a : int array; mutable len : int }
+     Entries are named by their slot. Pushes come with strictly
+     increasing [eseq]s, as the engine's do (an entry takes its [eseq]
+     just before its push). Runs of one [etime] in one heap therefore
+     hold disjoint, ordered [eseq] ranges, and a node keyed by the
+     [eseq] of its run's current head sorts exactly as that head would
+     on its own: taking the head off and keying the node by the next
+     member's [eseq] cannot move it past another node. So each heap pops
+     in (etime, eseq) order, and [pop] takes the lesser of the two
+     heads. A follower herd that wakes and re-arms at one time pushes,
+     pops and cancels in O(1) instead of sifting through ~9 levels.
 
-  let create () = { a = [||]; len = 0 }
+     Only removable entries (the engine's [wait_timeout] deadlines) can
+     leave other than by [pop], so only they need their node found. They
+     get a heap of their own, [deadlines], whose sifts are followed by a
+     pass that records in [pos] where each moved head now sits. The
+     other heap, [plain], keeps no positions, so a time that holds one
+     ordinary entry costs what it did in a heap of single entries.
+
+     Node [i] of a heap is three ints in its flat array: etime at [3i],
+     the head's eseq at [3i + 1] and the head's slot at [3i + 2]. Per
+     slot, [next] holds the successor in its run ([absent] at the tail);
+     [pos] holds the node index of a removable head, [linked] for a
+     removable member behind its head, and [absent] otherwise; and, for
+     members only, [l] holds the predecessor at [2s] and the eseq at
+     [2s + 1]. No array holds a pointer, so no store pays a write
+     barrier. Reads and writes skip the bounds check: every node index
+     is below its heap's [len], and every queued slot below the length
+     of [next] and [pos] (and half that of [l]), which [push] grows
+     first. Arrays are allocated at their first use: 256 nodes are too
+     big for the minor heap, and an engine whose work never leaves the
+     ready ring and the inline path should not pay for a major-heap
+     block. *)
+  type heap = {
+    mutable a : int array;
+    mutable len : int;
+    tracked : bool; (* [pos] follows its heads *)
+    mutable open_time : int;
+    (* The tail of the open run (the one the last push into this heap
+       joined or began), or [absent] once that run has emptied: a push
+       at [open_time] appends to it. *)
+    mutable open_tail : int;
+  }
+
+  type t = {
+    plain : heap;
+    deadlines : heap;
+    mutable next : int array;
+    mutable pos : int array;
+    mutable l : int array;
+  }
+
+  let absent = -1
+  let linked = -2
+
+  let heap tracked =
+    { a = [||]; len = 0; tracked; open_time = 0; open_tail = absent }
+
+  let create () =
+    {
+      plain = heap false;
+      deadlines = heap true;
+      next = [||];
+      pos = [||];
+      l = [||];
+    }
 
   let[@inline] time (a : int array) i = Array.unsafe_get a (3 * i)
   let[@inline] seq (a : int array) i = Array.unsafe_get a ((3 * i) + 1)
   let[@inline] slot (a : int array) i = Array.unsafe_get a ((3 * i) + 2)
+  let[@inline] get (v : int array) s = Array.unsafe_get v s
+  let[@inline] set (v : int array) s x = Array.unsafe_set v s x
 
-  (* The top node's keys; caller must check [len > 0]. *)
-  let[@inline] top_time h = time h.a 0
-  let[@inline] top_seq h = seq h.a 0
+  let is_empty q = q.plain.len = 0 && q.deadlines.len = 0
+  let length q = q.plain.len + q.deadlines.len
 
-  let[@inline] place (reg : entry array) (a : int array) i t s sl =
+  (* The heap whose head comes first; [q] must not be empty. *)
+  let[@inline] first q =
+    let p = q.plain and d = q.deadlines in
+    if d.len = 0 then p
+    else if p.len = 0 then d
+    else
+      let pt = time p.a 0 and dt = time d.a 0 in
+      if pt < dt || (pt = dt && seq p.a 0 < seq d.a 0) then p else d
+
+  (* The first head's keys. Bounds-checked, so a read of an empty queue
+     raises or gives a stale key, never garbage. *)
+  let top_time q = (first q).a.(0)
+  let top_seq q = (first q).a.(1)
+
+  let[@inline] place (a : int array) i t s sl =
     Array.unsafe_set a (3 * i) t;
     Array.unsafe_set a ((3 * i) + 1) s;
-    Array.unsafe_set a ((3 * i) + 2) sl;
-    reg.(sl).e_pos <- i
+    Array.unsafe_set a ((3 * i) + 2) sl
 
-  (* Place (t, s, sl) at or above the hole at [i]. *)
-  let sift_up reg h i t s sl =
+  (* Place (t, s, sl) at or above the hole at [i]; return where. *)
+  let sift_up h i t s sl =
     let a = h.a in
     let i = ref i in
     let continue = ref true in
     while !continue && !i > 0 do
-      let p = (!i - 1) / 2 in
-      let pt = time a p in
-      if t < pt || (t = pt && s < seq a p) then begin
-        place reg a !i pt (seq a p) (slot a p);
-        i := p
+      let up = (!i - 1) / 2 in
+      let ut = time a up in
+      if t < ut || (t = ut && s < seq a up) then begin
+        place a !i ut (seq a up) (slot a up);
+        i := up
       end
       else continue := false
     done;
-    place reg a !i t s sl
+    place a !i t s sl;
+    !i
 
-  (* Place (t, s, sl) at or below the hole at [i]. *)
-  let sift_down reg h i t s sl =
+  (* Place (t, s, sl) at or below the hole at [i]; return where. *)
+  let sift_down h i t s sl =
     let a = h.a and len = h.len in
     let i = ref i in
     let continue = ref true in
     while !continue do
-      let l = (2 * !i) + 1 in
-      if l >= len then continue := false
+      let c = (2 * !i) + 1 in
+      if c >= len then continue := false
       else begin
-        let r = l + 1 in
+        let r = c + 1 in
         let c =
           if r < len then begin
-            let tl = time a l and tr = time a r in
-            if tr < tl || (tr = tl && seq a r < seq a l) then r else l
+            let tl = time a c and tr = time a r in
+            if tr < tl || (tr = tl && seq a r < seq a c) then r else c
           end
-          else l
+          else c
         in
         let ct = time a c and cs = seq a c in
         if ct < t || (ct = t && cs < s) then begin
-          place reg a !i ct cs (slot a c);
+          place a !i ct cs (slot a c);
           i := c
         end
         else continue := false
       end
     done;
-    place reg a !i t s sl
+    place a !i t s sl;
+    !i
 
-  let push reg h e =
-    if 3 * h.len = Array.length h.a then begin
-      let bigger = Array.make (max (3 * 256) (2 * Array.length h.a)) 0 in
-      Array.blit h.a 0 bigger 0 (3 * h.len);
-      h.a <- bigger
-    end;
-    h.len <- h.len + 1;
-    sift_up reg h (h.len - 1) e.etime e.eseq e.e_slot
+  (* A sift filled the nodes on the path from [lo] down to its
+     descendant [hi]: in the deadline heap, record where their heads now
+     sit. A pass of its own, so the sift loops stay those of a plain
+     heap. *)
+  let fix_path q h lo hi =
+    if h.tracked then begin
+      let a = h.a and p = q.pos in
+      let j = ref hi in
+      while !j >= lo do
+        set p (slot a !j) !j;
+        j := if !j = lo then -1 else (!j - 1) / 2
+      done
+    end
 
   (* Drop the last node and place its keys into the hole at [i]. *)
-  let refill reg h i =
+  let refill q h i =
     h.len <- h.len - 1;
     let n = h.len in
     if i < n then begin
       let a = h.a in
       let t = time a n and s = seq a n and sl = slot a n in
-      let p = (i - 1) / 2 in
-      if i > 0 && (t < time a p || (t = time a p && s < seq a p)) then
-        sift_up reg h i t s sl
-      else sift_down reg h i t s sl
+      let up = (i - 1) / 2 in
+      if i > 0 && (t < time a up || (t = time a up && s < seq a up)) then
+        fix_path q h (sift_up h i t s sl) i
+      else fix_path q h i (sift_down h i t s sl)
     end
 
-  (* Caller must check [len > 0]; no option allocation on the hot path. *)
-  let pop_top reg h =
-    let top = reg.(slot h.a 0) in
-    top.e_pos <- -1;
-    refill reg h 0;
-    top
+  (* Make room for slot [s] in the per-slot arrays. *)
+  let grow_slots q s =
+    let n = ref (max 256 (2 * Array.length q.next)) in
+    while s >= !n do
+      n := 2 * !n
+    done;
+    let grow v len =
+      let bigger = Array.make len absent in
+      Array.blit v 0 bigger 0 (Array.length v);
+      bigger
+    in
+    q.next <- grow q.next !n;
+    q.pos <- grow q.pos !n;
+    q.l <- grow q.l (2 * !n)
 
-  (* Remove [e], which must be in the heap ([e.e_pos >= 0]). *)
-  let remove reg h e =
-    let i = e.e_pos in
-    e.e_pos <- -1;
-    refill reg h i
+  (* Queue slot [s] at [time], with an [eseq] above every earlier
+     push's. *)
+  let push q s ~time:t ~seq:sq ~removable =
+    if s >= Array.length q.next then begin
+      if s < 0 then invalid_arg "Runq.push: negative slot";
+      grow_slots q s
+    end;
+    let h = if removable then q.deadlines else q.plain in
+    set q.next s absent;
+    let tail = h.open_tail in
+    if t = h.open_time && tail <> absent then begin
+      (* Join the open run behind its tail. *)
+      set q.next tail s;
+      let l = q.l in
+      set l (2 * s) tail;
+      set l ((2 * s) + 1) sq;
+      if removable then set q.pos s linked
+    end
+    else begin
+      if 3 * h.len = Array.length h.a then begin
+        let bigger = Array.make (max (3 * 256) (2 * Array.length h.a)) 0 in
+        Array.blit h.a 0 bigger 0 (3 * h.len);
+        h.a <- bigger
+      end;
+      h.len <- h.len + 1;
+      let hole = h.len - 1 in
+      fix_path q h (sift_up h hole t sq s) hole;
+      h.open_time <- t
+    end;
+    h.open_tail <- s
+
+  (* Head [s] of node [i] of [h] leaves. Its successor, if any, takes
+     over the node, keyed by its own eseq (see above); a lone head takes
+     its node out. *)
+  let[@inline] unhead q h s i =
+    let n = get q.next s in
+    if n = absent then begin
+      if s = h.open_tail then h.open_tail <- absent;
+      refill q h i
+    end
+    else begin
+      let a = h.a in
+      Array.unsafe_set a ((3 * i) + 1) (get q.l ((2 * n) + 1));
+      Array.unsafe_set a ((3 * i) + 2) n;
+      if h.tracked then set q.pos n i
+    end;
+    if h.tracked then set q.pos s absent
+
+  (* The head of [h], which holds the first head. *)
+  let pop_from q h =
+    let s = slot h.a 0 in
+    unhead q h s 0;
+    s
+
+  let pop q =
+    if is_empty q then invalid_arg "Runq.pop: empty";
+    pop_from q (first q)
+
+  (* Take out [s], pushed removable; [false] if it is not queued. *)
+  let remove q s =
+    if s < 0 || s >= Array.length q.pos then false
+    else begin
+      let p = q.pos in
+      let i = get p s in
+      if i >= 0 then begin
+        unhead q q.deadlines s i;
+        true
+      end
+      else if i = linked then begin
+        let nx = q.next in
+        let pr = get q.l (2 * s) and n = get nx s in
+        set nx pr n;
+        if n <> absent then set q.l (2 * n) pr
+        else if s = q.deadlines.open_tail then q.deadlines.open_tail <- pr;
+        set p s absent;
+        true
+      end
+      else false
+    end
+
+  let capacities q =
+    ( Array.length q.plain.a / 3,
+      Array.length q.deadlines.a / 3,
+      Array.length q.next )
 end
 
 module Ready = struct
@@ -241,7 +402,7 @@ module Ready = struct
      in the past (see [enqueue]), so everything here carries
      [etime = global_time] and FIFO order coincides with (etime, eseq)
      order — a same-timestamp resumption chain costs two array stores
-     instead of a heap push + pop. Capacity is a power of two. *)
+     instead of a queue push + pop. Capacity is a power of two. *)
   type t = { mutable a : entry array; mutable head : int; mutable len : int }
 
   let create () = { a = Array.make 256 dummy_entry; head = 0; len = 0 }
@@ -280,7 +441,7 @@ let claim_waiter c w =
   end
 
 (* A ticker is a periodic scheduler-context hook: it fires as virtual
-   time advances past its deadlines but never schedules heap entries of
+   time advances past its deadlines but never schedules scheduler entries of
    its own, so an otherwise-quiescent simulation is never kept alive by
    its watchdogs. Callbacks run outside any task and must not perform
    engine effects; they may call [spawn] to delegate work to a task. *)
@@ -292,7 +453,7 @@ type ticker = {
 }
 
 type t = {
-  heap : Heap.t;
+  queue : Runq.t; (* future wakeups *)
   ready : Ready.t;
   (* The entry slab: slot [i] of [slots] is the entry created with
      [e_slot = i] ([nslots] so far, so the registry never outgrows the
@@ -359,7 +520,7 @@ type _ Effect.t +=
 
 let create () =
   {
-    heap = Heap.create ();
+    queue = Runq.create ();
     ready = Ready.create ();
     slots = Array.make 256 dummy_entry;
     nslots = 0;
@@ -422,7 +583,6 @@ let new_entry t ~time ~kind =
       e_task = dummy_task;
       e_fn = no_fn;
       e_arg = 0;
-      e_pos = -1;
       e_slot = slot;
     }
   in
@@ -462,34 +622,44 @@ let recycle t e =
 (* Tasks never schedule in the past (a running task's local clock equals
    the global clock, and cond wakes clamp with [max]), so due-now means
    [etime = global_time] exactly and the ready ring preserves the
-   documented (etime, eseq) total order. The [<=] is defensive. *)
-let enqueue t e =
+   documented (etime, eseq) total order. The [<=] is defensive. Only a
+   [wait_timeout] deadline is [removable]: nothing else is cancelled. *)
+let[@inline] enqueue_as t e ~removable =
   if e.etime <= t.global_time then Ready.push t.ready e
-  else Heap.push t.slots t.heap e
+  else Runq.push t.queue e.e_slot ~time:e.etime ~seq:e.eseq ~removable
 
-let sched_resume t time task =
+let enqueue t e = enqueue_as t e ~removable:false
+
+let[@inline] sched_resume_as t time task ~removable =
   let e = alloc_entry t ~time ~kind:Ek_resume in
   e.e_task <- task;
-  enqueue t e;
+  enqueue_as t e ~removable;
   e
+
+let sched_resume t time task = sched_resume_as t time task ~removable:false
 
 let sched_run t time fn =
   let e = alloc_entry t ~time ~kind:Ek_run in
   e.e_fn <- fn;
   enqueue t e
 
-(* Cancel a scheduled entry that will never be dispatched. A heap entry
-   leaves the heap and goes back to the slab at once, so the heap holds
-   only live entries and a herd of early-signalled [wait_timeout]s costs
-   nothing once woken. An entry on the ready ring (a deadline of zero
-   cycles or less) is flagged instead, and recycled when it reaches the
-   front. *)
+(* Cancel a scheduled entry that will never be dispatched. A queued
+   entry is unlinked from its run and goes back to the slab at once, so
+   the queue holds only live entries and a herd of early-signalled
+   [wait_timeout]s costs nothing once woken. An entry on the ready ring
+   (a deadline of zero cycles or less) is flagged instead, and recycled
+   when it reaches the front. *)
 let cancel_entry t e =
-  if e.e_pos >= 0 then begin
-    Heap.remove t.slots t.heap e;
-    recycle t e
-  end
+  if Runq.remove t.queue e.e_slot then recycle t e
   else e.ekind <- Ek_cancelled
+
+(* Drop [task]'s pending [wait_timeout] deadline, if any. *)
+let[@inline] cancel_deadline t task =
+  let d = task.fr_deadline in
+  if d >= 0 then begin
+    cancel_entry t t.slots.(d);
+    task.fr_deadline <- -1
+  end
 
 let maxi (a : int) b = if a > b then a else b
 
@@ -516,8 +686,23 @@ let is_alive t id =
 let failures t = List.rev t.failure_list
 let task_switches t = t.switches
 
+type capacities = {
+  nodes : int;
+  deadline_nodes : int;
+  links : int;
+  registry : int;
+  free : int;
+}
+
 let capacities t =
-  (Array.length t.heap.Heap.a / 3, Array.length t.slots, Array.length t.free)
+  let nodes, deadline_nodes, links = Runq.capacities t.queue in
+  {
+    nodes;
+    deadline_nodes;
+    links;
+    registry = Array.length t.slots;
+    free = Array.length t.free;
+  }
 
 (* Total task-cycles: every task's lifetime (busy + blocked vtime from
    spawn to its current local clock) summed. Finished and dead tasks
@@ -545,11 +730,7 @@ let retire t task =
 let wake_waiter t w at =
   let task = w.w_task in
   task.fr_waiter <- None;
-  (match task.fr_deadline with
-  | Some d ->
-    cancel_entry t d;
-    task.fr_deadline <- None
-  | None -> ());
+  cancel_deadline t task;
   let e = sched_resume t (maxi at task.time) task in
   e.e_arg <- 1
 
@@ -588,16 +769,16 @@ let broadcast_at t c at =
 
 (* Inline dispatch fast path: when the performing task's resumption at
    [nt] would be the scheduler's very next pick — nothing due in the
-   ready ring, every heap entry strictly later, no ticker deadline to
+   ready ring, every queued entry strictly later, no ticker deadline to
    cross, budget not hit — parking it and immediately dispatching it is
    equivalent to continuing it in place. The park/resume round trip
    through the scheduler stack costs ~4x an inline continue, so consume
    chains (cost charging, the hottest effect in the system) skip it
-   entirely. The strict [>] on the heap top keeps (etime, eseq) order:
-   an equal-time heap entry was scheduled earlier and must run first. *)
+   entirely. The strict [>] on the queue top keeps (etime, eseq) order:
+   an equal-time queued entry was scheduled earlier and must run first. *)
 let[@inline] can_inline t nt =
   t.ready.Ready.len = 0
-  && (t.heap.Heap.len = 0 || Heap.top_time t.heap > nt)
+  && (Runq.is_empty t.queue || Runq.top_time t.queue > nt)
   && t.tick_due >= nt
   && nt <= t.cur_budget
 
@@ -714,8 +895,10 @@ let rec make_fiber : t -> task -> (unit -> unit) -> unit =
                   (* The deadline rides an ordinary resume entry with
                      [e_arg = 0] ("timed out"); an earlier signal or
                      kill cancels it via [fr_deadline]. *)
-                  let d = sched_resume t (task.time + cycles) task in
-                  task.fr_deadline <- Some d
+                  let d =
+                    sched_resume_as t (task.time + cycles) task ~removable:true
+                  in
+                  task.fr_deadline <- d.e_slot
                 end)
           | E_signal ->
             Some
@@ -763,7 +946,7 @@ and spawn_internal : t -> ?name:string -> at:int -> (unit -> unit) -> task_id =
       killed = false;
       fr_k = K_none;
       fr_waiter = None;
-      fr_deadline = None;
+      fr_deadline = -1;
     }
   in
   Hashtbl.replace t.tasks id task;
@@ -794,11 +977,7 @@ and kill_internal t ~at victim_id =
            dispatcher sees [killed] and discontinues the frame. *)
         claim_waiter w.w_cond w;
         victim.fr_waiter <- None;
-        (match victim.fr_deadline with
-        | Some d ->
-          cancel_entry t d;
-          victim.fr_deadline <- None
-        | None -> ());
+        cancel_deadline t victim;
         victim.state <- Dead;
         ignore (sched_resume t (maxi at victim.time) victim)
       | None ->
@@ -869,28 +1048,30 @@ let drain ?cycle_budget t =
   in
   t.cur_budget <- budget;
   let me = Some t in
-  let heap = t.heap and ready = t.ready in
+  let queue = t.queue and ready = t.ready in
   let rec loop () =
     (* Recycle cancelled entries at the ready ring's front without
-       dispatching; the heap never holds one (see [cancel_entry]). *)
+       dispatching; the queue never holds one (see [cancel_entry]). *)
     if ready.Ready.len > 0 && (Ready.front ready).ekind == Ek_cancelled then begin
       recycle t (Ready.pop ready);
       loop ()
     end
     else begin
-      let have_r = ready.Ready.len > 0 and have_h = heap.Heap.len > 0 in
-      if have_r || have_h then begin
-        (* The ready ring holds due-now entries; the heap can also carry
+      let have_r = ready.Ready.len > 0 and have_q = not (Runq.is_empty queue) in
+      if have_r || have_q then begin
+        (* The ready ring holds due-now entries; the queue can also carry
            entries at the current timestamp (pushed as future, reached
            since), so ties fall back to the full (etime, eseq) compare. *)
-        let from_heap =
-          have_h
+        let h = if have_q then Runq.first queue else queue.Runq.plain in
+        let qt = if have_q then Runq.time h.Runq.a 0 else max_int in
+        let from_queue =
+          have_q
           && ((not have_r)
              ||
-             let r = Ready.front ready and ht = Heap.top_time heap in
-             ht < r.etime || (ht = r.etime && Heap.top_seq heap < r.eseq))
+             let r = Ready.front ready in
+             qt < r.etime || (qt = r.etime && Runq.seq h.Runq.a 0 < r.eseq))
         in
-        if from_heap && t.tick_due < Heap.top_time heap then begin
+        if from_queue && t.tick_due < qt then begin
           (* Virtual time is about to jump past a ticker's deadline:
              fire it first, then re-select. *)
           fire_due_ticker t;
@@ -898,7 +1079,8 @@ let drain ?cycle_budget t =
         end
         else begin
           let e =
-            if from_heap then Heap.pop_top t.slots heap else Ready.pop ready
+            if from_queue then t.slots.(Runq.pop_from queue h)
+            else Ready.pop ready
           in
           (* Liveness watchdog: a simulation that schedules work past the
              budget is considered hung (livelock, missed wakeup, runaway
@@ -925,9 +1107,7 @@ let drain ?cycle_budget t =
           (match e.ekind with
           | Ek_resume ->
             let task = e.e_task and etime = e.etime and flag = e.e_arg <> 0 in
-            (match task.fr_deadline with
-            | Some d when d == e -> task.fr_deadline <- None
-            | _ -> ());
+            if task.fr_deadline = e.e_slot then task.fr_deadline <- -1;
             recycle t e;
             (* A still-queued waiter at resume time means the deadline
                fired before any signal: claim it so signallers skip it. *)

@@ -89,12 +89,23 @@ val task_switches : t -> int
     {!Varan_util.Stats} counter, so scheduler work has a baseline to
     measure against. *)
 
-val capacities : t -> int * int * int
-(** [(heap, registry, free)]: the allocated capacities, in entries, of
-    the scheduler's heap, of its entry slot registry and of its stack of
-    free slots. The registry and the free stack start at 256 entries,
-    the heap gets 256 at its first push, and each doubles when full.
-    Introspection for tests that must reach the growth paths. *)
+type capacities = {
+  nodes : int;  (** nodes of the queue's plain heap, one per run *)
+  deadline_nodes : int;  (** nodes of its heap of [wait_timeout] deadlines *)
+  links : int;  (** per-slot run links of the queue *)
+  registry : int;  (** the entry slot registry *)
+  free : int;  (** the stack of free slots *)
+}
+
+val capacities : t -> capacities
+(** The allocated capacities, in nodes or slots, of the scheduler's
+    growable arrays. The registry and the free stack start at 256; each
+    heap of the queue gets 256 nodes at its first push, and the links
+    256 slots at the queue's first push; each doubles when full. A heap
+    keeps one node per run of same-time entries, so a herd of waiters
+    that share one deadline takes one node however large it is, while
+    the links grow with the slots queued. Introspection for tests that
+    must reach the growth paths. *)
 
 val total_task_cycles : t -> int64
 (** Sum over every task ever spawned of its lifetime so far — the vtime
@@ -104,6 +115,54 @@ val total_task_cycles : t -> int64
     add nothing. The denominator for {!Varan_obs.Profile} coverage: the
     attribution buckets partition this quantity (minus unattributed
     idle). *)
+
+(** {1 The queue of future wakeups}
+
+    The scheduler keeps entries due later than now in min-heaps of
+    {e runs}: a run is a FIFO of entries that share one time and were
+    pushed back to back. Removable entries (the [wait_timeout]
+    deadlines) have a heap of their own, the only one that tracks where
+    its runs sit. Entries are named by int slots. Exposed so that a
+    model test can check its order against a sorted list; the engine is
+    its only other user. *)
+
+module Runq : sig
+  type t
+
+  val create : unit -> t
+
+  val is_empty : t -> bool
+
+  val length : t -> int
+  (** Nodes in the heaps: one per non-empty run. *)
+
+  val push : t -> int -> time:int -> seq:int -> removable:bool -> unit
+  (** [push q s ~time ~seq ~removable] queues slot [s], which must not
+      be queued already. [seq] must exceed the [seq] of every earlier
+      push: pop order is then (time, seq) order. A push at the time of
+      the run the last push of the same kind (removable or not) joined
+      or began appends to that run in O(1), if the run still has
+      members. Only a [removable] slot can leave by {!remove}.
+      @raise Invalid_argument if [s < 0]. *)
+
+  val top_time : t -> int
+  (** The earliest queued time. Meaningless (stale, or an exception)
+      when the queue is empty. *)
+
+  val top_seq : t -> int
+  (** The [seq] of the entry {!pop} would return. Meaningless when the
+      queue is empty. *)
+
+  val pop : t -> int
+  (** Take the entry with the least (time, seq) and return its slot.
+      O(1) unless it empties its run. @raise Invalid_argument if the
+      queue is empty. *)
+
+  val remove : t -> int -> bool
+  (** Take out a slot pushed [removable], in O(1) unless it empties its
+      run; [false] if it is not queued. Any other slot reads as not
+      queued. *)
+end
 
 (** {1 Task-context operations}
 

@@ -338,7 +338,9 @@ let test_timeout_vs_signal_same_vtime () =
    the (etime, eseq) dispatch order survived the overhaul. A wait ends
    by its deadline, by a signal or broadcast before it, or by a kill
    while parked; the last three cancel the deadline, which must then
-   neither dispatch nor count as a switch. *)
+   neither dispatch nor count as a switch. A timer ([after_here]) is the
+   task [spawn_here (fun () -> sleep d; f ())] it stands for: one entry
+   now, one at the deadline; it broadcasts the cond when it fires. *)
 type ref_op =
   | R_consume of int
   | R_sleep of int
@@ -347,6 +349,7 @@ type ref_op =
   | R_signal
   | R_broadcast
   | R_kill of int (* [kill_here] by task index *)
+  | R_arm of int (* [after_here d] a broadcasting timer *)
 
 type ref_task = {
   mutable pc : int; (* ops started *)
@@ -360,7 +363,10 @@ let reference_schedule programs =
      the (time, seq)-minimum, mirroring the engine's tie-break, and a
      cancelled deadline is simply dropped from the list. The log records
      each op at the vtime its post-effect resumption runs, with 1 for a
-     signalled wait and 0 otherwise. *)
+     signalled wait and 0 otherwise, and a timer's firing as (task,
+     op, time, 2). A timer armed by op [j] of task [i] has entries with
+     index [-1 - (i * 64 + j)]: result 0 for its arm entry and 1 for its
+     fire entry. *)
   let seq = ref 0 in
   let entries = ref [] in
   let push time i v =
@@ -408,6 +414,15 @@ let reference_schedule programs =
   let rec run () =
     match pop_min () with
     | None -> ()
+    | Some (time, _, who, phase) when who < 0 ->
+      incr switches;
+      let i = (-1 - who) / 64 and j = (-1 - who) mod 64 in
+      (match ops.(i).(j) with
+      | R_arm d when phase = 0 -> ignore (push (time + d) who 1)
+      | _ ->
+        log := (i, j, time, 2) :: !log;
+        List.iter (wake time) !waiters);
+      run ()
     | Some (time, _, i, v) ->
       incr switches;
       let tk = tasks.(i) in
@@ -443,6 +458,9 @@ let reference_schedule programs =
             logged ()
           | R_broadcast ->
             List.iter (wake time) !waiters;
+            logged ()
+          | R_arm _ ->
+            ignore (push time (-1 - ((i * 64) + j)) 0);
             logged ()
           | R_kill k when k = i -> tk.gone <- true
           | R_kill k ->
@@ -499,6 +517,12 @@ let engine_run programs =
                      | R_kill k ->
                        E.kill_here (Option.get ids.(k));
                        0
+                     | R_arm d ->
+                       E.after_here d (fun () ->
+                           log :=
+                             (i, j, Int64.to_int (E.now_cycles ()), 2) :: !log;
+                           E.Cond.broadcast c);
+                       0
                    in
                    log := (i, j, Int64.to_int (E.now_cycles ()), v) :: !log)
                  ops)))
@@ -551,29 +575,271 @@ let test_schedule_equivalence () =
     ignore (check_schedule seed programs)
   done
 
+let pp_caps (c : E.capacities) =
+  Printf.sprintf "nodes %d + %d, links %d, registry %d, free %d" c.nodes
+    c.deadline_nodes c.links c.registry c.free
+
 (* The same equivalence with 400-600 tasks. The 200-seed sweep never
    holds more than 13 entries, so it never leaves the initial 256-entry
-   capacity of the heap's key array, the slot registry or the free-slot
-   stack. Here the registry grows while the tasks are spawned (256 live
-   bootstrap entries to carry over); the heap, allocated at its first
-   push, grows once most tasks have parked a future wakeup; and the free
-   stack grows as tasks finish and give back their slots. The last two
-   happen while the run is under way. *)
+   capacity of the queue's nodes and links, the slot registry or the
+   free-slot stack. Here the registry grows while the tasks are spawned
+   (256 live bootstrap entries to carry over). The plain heap's nodes
+   and the links, allocated at the queue's first push, grow once most
+   tasks have parked a future wakeup at a time of their own, and the
+   free stack grows as tasks finish and give back their slots. The last
+   three happen while the run is under way. (The deadline heap's nodes
+   grow in [test_deadline_heap_grows].) *)
 let test_wide_schedule_equivalence () =
   for seed = 0 to 5 do
     let rng = Random.State.make [| 0x3A7E; seed |] in
     let n_tasks = 400 + Random.State.int rng 201 in
     let programs = List.init n_tasks (fun _ -> gen_program rng n_tasks) in
-    let (h0, r0, f0), (h1, r1, f1) = check_schedule seed programs in
-    if h0 <> 0 || f0 <> 256 || r0 < 512 then
-      Alcotest.failf "seed %d: capacities (%d, %d, %d) before the run" seed h0
-        r0 f0;
-    if h1 <= 256 || f1 <= 256 then
+    let before, after = check_schedule seed programs in
+    if before.nodes <> 0 || before.links <> 0 || before.free <> 256
+       || before.registry < 512
+    then Alcotest.failf "seed %d: %s before the run" seed (pp_caps before);
+    if after.nodes <= 256 || after.links <= 256 || after.free <= 256 then
       Alcotest.failf
-        "seed %d: capacities (%d, %d, %d) after the run: the heap or the \
-         free stack never grew"
-        seed h1 r1 f1
+        "seed %d: %s after the run: the queue or the free stack never grew"
+        seed (pp_caps after)
   done
+
+(* Herds: groups of tasks that run one template, so they consume the
+   same amounts and re-arm the same [wait_timeout]s at the same times,
+   and each group's pushes form runs in the engine's queue. Drivers
+   broadcast, signal and kill group members -- the first, a middle one
+   or the last -- so a kill cancels the head, the middle or the tail of
+   a run of deadlines, a signal cancels a head and a broadcast a whole
+   run. Templates and drivers arm timers at a group's wait time, so a
+   timer's arm entry, re-keyed when it dispatches, can land on the run
+   the group's deadlines have just opened. [loners] tasks with random
+   programs of their own run beside the groups. *)
+let gen_herd rng ~groups ~size ~loners =
+  let sizes = Array.init groups (fun _ -> size ()) in
+  let bases = Array.make groups 0 in
+  for g = 1 to groups - 1 do
+    bases.(g) <- bases.(g - 1) + sizes.(g - 1)
+  done;
+  let members = Array.fold_left ( + ) 0 sizes in
+  let drivers = 1 + Random.State.int rng 3 in
+  let n_tasks = members + drivers + loners in
+  let pick a = a.(Random.State.int rng (Array.length a)) in
+  let waits = Array.init groups (fun _ -> pick [| 0; 5; 40; 300; 6_000 |]) in
+  let template g =
+    let w = waits.(g) and c = pick [| 0; 7; 30 |] in
+    Array.init
+      (3 + Random.State.int rng 6)
+      (fun _ ->
+        match Random.State.int rng 10 with
+        | 0 | 1 | 2 -> R_consume c
+        | 3 | 4 | 5 | 6 -> R_wait w
+        | 7 -> R_arm w
+        | 8 -> R_sleep c
+        | _ -> R_yield)
+  in
+  let driver () =
+    Array.init
+      (4 + Random.State.int rng 9)
+      (fun _ ->
+        let g = Random.State.int rng groups in
+        match Random.State.int rng 12 with
+        | 0 | 1 | 2 -> R_consume (Random.State.int rng 50)
+        | 3 -> R_sleep (pick [| 0; 5; 40 |])
+        | 4 | 5 -> R_broadcast
+        | 6 -> R_signal
+        | 7 | 8 | 9 ->
+          let k = pick [| 0; sizes.(g) / 2; sizes.(g) - 1 |] in
+          R_kill (bases.(g) + k)
+        | 10 -> R_arm waits.(g)
+        | _ -> R_wait (pick [| 5; 40 |]))
+  in
+  List.concat
+    (List.init groups (fun g -> List.init sizes.(g) (Fun.const (template g))))
+  @ List.init drivers (fun _ -> driver ())
+  @ List.init loners (fun _ -> gen_program rng n_tasks)
+
+let test_herd_schedule_equivalence () =
+  for seed = 0 to 199 do
+    let rng = Random.State.make [| 0x4E2D; seed |] in
+    let programs =
+      gen_herd rng
+        ~groups:(1 + Random.State.int rng 3)
+        ~size:(fun () -> 2 + Random.State.int rng 15)
+        ~loners:(Random.State.int rng 4)
+    in
+    ignore (check_schedule seed programs)
+  done
+
+(* The herds with 400-600 tasks, which take the queue's links and the
+   free stack past 256 entries mid-run. *)
+let test_wide_herd_schedule_equivalence () =
+  for seed = 0 to 5 do
+    let rng = Random.State.make [| 0x4E2E; seed |] in
+    let programs =
+      gen_herd rng ~groups:4
+        ~size:(fun () -> 70 + Random.State.int rng 41)
+        ~loners:(120 + Random.State.int rng 41)
+    in
+    let before, after = check_schedule seed programs in
+    if before.nodes <> 0 || before.links <> 0 || before.free <> 256
+       || before.registry < 512
+    then Alcotest.failf "seed %d: %s before the run" seed (pp_caps before);
+    (* Links past 256 slots while neither heap outgrew 256 nodes: the
+       herds' wakeups and deadlines shared nodes, run by run. *)
+    if after.links <= 256 || after.free <= 256 || after.nodes > 256
+       || after.deadline_nodes > 256
+    then
+      Alcotest.failf "seed %d: %s after the run" seed (pp_caps after)
+  done
+
+(* --- the queue of future wakeups, against a model ----------------------- *)
+
+(* 1000 removable entries at distinct times: the deadline heap grows
+   twice with heads queued, and every other entry then leaves by
+   [remove], which needs the positions its sifts recorded. *)
+let test_deadline_heap_grows () =
+  let module Q = E.Runq in
+  let q = Q.create () in
+  let time s = (s * 7919) mod 1009 in
+  for s = 0 to 999 do
+    Q.push q s ~time:(time s) ~seq:s ~removable:true
+  done;
+  for s = 0 to 999 do
+    if s land 1 = 1 then
+      Alcotest.(check bool) (Printf.sprintf "remove %d" s) true (Q.remove q s)
+  done;
+  let expected =
+    List.sort compare
+      (List.filter_map
+         (fun s -> if s land 1 = 0 then Some (time s, s) else None)
+         (List.init 1000 Fun.id))
+  in
+  let popped = List.map (fun _ -> let s = Q.pop q in (time s, s)) expected in
+  Alcotest.(check (list (pair int int))) "pop order" expected popped;
+  Alcotest.(check bool) "empty" true (Q.is_empty q)
+
+type qop =
+  | Q_push of int * int * int
+      (* time (-1: the last push's), burst length, removable bits *)
+  | Q_pop
+  | Q_remove of int (* slot *)
+  | Q_remove_recent of int (* the slot pushed this many pushes ago *)
+
+let qslots = 640
+
+let gen_qops =
+  let open QCheck.Gen in
+  let push =
+    map3
+      (fun t n bits -> Q_push (t, n, bits))
+      (frequency
+         [ (3, int_bound 40); (1, int_bound 100_000); (1, return (-1)) ])
+      (frequency [ (3, return 1); (2, int_range 2 8); (1, int_range 20 80) ])
+      (int_bound 0x3FFF_FFFF)
+  in
+  list_size (int_range 1 300)
+    (frequency
+       [
+         (3, push);
+         (3, return Q_pop);
+         (1, map (fun s -> Q_remove s) (int_bound (qslots - 1)));
+         (2, map (fun k -> Q_remove_recent k) (int_bound 3));
+       ])
+
+let pp_qop = function
+  | Q_push (t, n, bits) -> Printf.sprintf "push(%d x%d %x)" t n bits
+  | Q_pop -> "pop"
+  | Q_remove s -> Printf.sprintf "remove(%d)" s
+  | Q_remove_recent k -> Printf.sprintf "remove-recent(%d)" k
+
+(* Random pushes, in bursts of one time, pops and removals against a
+   list of (time, seq, slot, removable): every pop must return the
+   model's (time, seq)-least entry, [top_time] and [top_seq] must name
+   it, and [remove] must succeed exactly on queued removable slots.
+   Slots are reused and reach past 512, so the per-slot arrays grow with
+   entries queued. *)
+let runq_matches_model ops =
+  let module Q = E.Runq in
+  let q = Q.create () in
+  let model = ref [] and seq = ref 0 and cursor = ref 0 in
+  let last_time = ref 0 and recent = ref [] in
+  let queued = Array.make qslots false in
+  let fail fmt = Printf.ksprintf (fun m -> QCheck.Test.fail_report m) fmt in
+  let least () =
+    List.fold_left
+      (fun ((bt, bs, _, _) as b) ((t, s, _, _) as e) ->
+        if t < bt || (t = bt && s < bs) then e else b)
+      (List.hd !model) !model
+  in
+  let free_slot () =
+    let rec find k =
+      if k = qslots then None
+      else
+        let s = (!cursor + k) mod qslots in
+        if queued.(s) then find (k + 1) else Some s
+    in
+    cursor := (!cursor + 97) mod qslots;
+    find 0
+  in
+  let forget s = model := List.filter (fun (_, _, s', _) -> s' <> s) !model in
+  let rec step = function
+    | Q_push (t, n, bits) ->
+      let t = if t < 0 then !last_time else t in
+      last_time := t;
+      for b = 0 to n - 1 do
+        match free_slot () with
+        | None -> ()
+        | Some s ->
+          let removable = (bits lsr (b mod 30)) land 1 = 1 in
+          Q.push q s ~time:t ~seq:!seq ~removable;
+          model := (t, !seq, s, removable) :: !model;
+          recent := s :: !recent;
+          queued.(s) <- true;
+          incr seq
+      done
+    | Q_pop when !model = [] ->
+      if not (Q.is_empty q) then fail "empty model, queue not"
+    | Q_pop ->
+      let t, sq, s, _ = least () in
+      if Q.top_time q <> t || Q.top_seq q <> sq then
+        fail "top (%d, %d), model (%d, %d)" (Q.top_time q) (Q.top_seq q) t sq;
+      let got = Q.pop q in
+      if got <> s then fail "popped slot %d, model %d" got s;
+      forget s;
+      queued.(s) <- false
+    | Q_remove s ->
+      let expect =
+        List.exists (fun (_, _, s', r) -> s' = s && r) !model
+      in
+      if Q.remove q s <> expect then
+        fail "remove %d: %b, model %b" s (not expect) expect;
+      if expect then begin
+        forget s;
+        queued.(s) <- false
+      end
+    | Q_remove_recent k -> (
+      match List.nth_opt !recent k with
+      | Some s -> step (Q_remove s)
+      | None -> ())
+  in
+  List.iter
+    (fun op ->
+      step op;
+      if Q.is_empty q <> (!model = []) || Q.length q > List.length !model then
+        fail "after %s: %d nodes for %d entries" (pp_qop op) (Q.length q)
+          (List.length !model))
+    ops;
+  while !model <> [] do
+    step Q_pop
+  done;
+  Q.is_empty q
+
+let prop_runq_model =
+  QCheck.Test.make ~name:"run queue == sorted list" ~count:500
+    (QCheck.make
+       ~print:(fun ops -> String.concat " " (List.map pp_qop ops))
+       gen_qops)
+    runq_matches_model
 
 let test_many_tasks_scale () =
   let eng = E.create () in
@@ -885,6 +1151,16 @@ let () =
             test_schedule_equivalence;
           Alcotest.test_case "400-600 task equivalence vs list scheduler"
             `Quick test_wide_schedule_equivalence;
+          Alcotest.test_case "200-seed herd equivalence vs list scheduler"
+            `Quick test_herd_schedule_equivalence;
+          Alcotest.test_case "400-600 task herd equivalence vs list scheduler"
+            `Quick test_wide_herd_schedule_equivalence;
+        ] );
+      ( "queue",
+        [
+          Alcotest.test_case "the deadline heap grows" `Quick
+            test_deadline_heap_grows;
+          QCheck_alcotest.to_alcotest prop_runq_model;
         ] );
       ( "retire",
         [

@@ -227,6 +227,26 @@ let engine_1k () =
 let engine_test =
   Test.make ~name:"engine-1k-task-switches" (Staged.stage engine_1k)
 
+(* Calls that never suspend: one task reads its clock and broadcasts a
+   cond nobody waits on, a thousand times each. Inside a task both act
+   on the engine through the running-task slot, without performing an
+   effect, so the row prices the slot's check and the calls themselves.
+   Its ratio to calib-kernel ([engine-direct-calib-ratio]) rises if they
+   go back to an effect and a fiber switch each. *)
+let engine_direct () =
+  let eng = E.create () in
+  let c = E.Cond.create "nobody" in
+  ignore
+    (E.spawn eng (fun () ->
+         for _ = 1 to 1_000 do
+           ignore (Sys.opaque_identity (E.now_cycles ()));
+           E.Cond.broadcast c
+         done));
+  E.run eng
+
+let engine_direct_test =
+  Test.make ~name:"engine-direct-1k" (Staged.stage engine_direct)
+
 (* The same 1k-consume chain with the span tracer armed: every dispatch
    slice emits a begin/end span pair into the bounded buffer. The plain
    row above runs with tracing compiled in but disabled (one
@@ -636,7 +656,8 @@ let tests =
   @ ring_tests
   @ rejoin_tests
   @ [
-      engine_test; engine_traced_test; engine_chain_test; engine_herd_test;
+      engine_test; engine_traced_test; engine_direct_test; engine_chain_test;
+      engine_herd_test;
       engine_heap_test; engine_same_time_test; engine_spawn_sleep_test;
       engine_timer_test; ring_lanes_test; bridge_test; socket_frame_test;
     ]
@@ -793,6 +814,7 @@ let run () =
       estimates := (name, ratio) :: !estimates)
     [
       ("engine-1k-calib-ratio", engine_1k, calib_kernel, "calib-kernel");
+      ("engine-direct-calib-ratio", engine_direct, calib_kernel, "calib-kernel");
       ("engine-chain-calib-ratio", engine_chain, calib_kernel, "calib-kernel");
       ( "engine-same-time-heap-ratio",
         engine_same_time,

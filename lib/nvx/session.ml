@@ -42,8 +42,11 @@ type vstats = {
   mutable events_published : int;
   mutable events_consumed : int;
   mutable stall_blocks : int;
-  mutable stall_cycles : int64;
-  mutable wait_charge_cycles : int64;
+  (* Plain ints, bumped on every follower wait: an [int64] field would
+     box a fresh value and pay a write barrier per wait. Converted where
+     the report is built. *)
+  mutable stall_cycles : int;
+  mutable wait_charge_cycles : int;
   mutable sys_cycles : int64;
   mutable divergences_executed : int;
   mutable divergences_skipped : int;
@@ -62,8 +65,8 @@ let fresh_vstats () =
     events_published = 0;
     events_consumed = 0;
     stall_blocks = 0;
-    stall_cycles = 0L;
-    wait_charge_cycles = 0L;
+    stall_cycles = 0;
+    wait_charge_cycles = 0;
     sys_cycles = 0L;
     divergences_executed = 0;
     divergences_skipped = 0;
@@ -1480,10 +1483,9 @@ let charge_wait_cost t vst sysno blocked_cycles ~slept =
   let c = t.cost in
   ignore sysno;
   vst.st.stall_blocks <- vst.st.stall_blocks + 1;
-  vst.st.stall_cycles <- Int64.add vst.st.stall_cycles blocked_cycles;
+  vst.st.stall_cycles <- vst.st.stall_cycles + blocked_cycles;
   let charge = if slept then c.Cost.waitlock_block else c.Cost.spin_check in
-  vst.st.wait_charge_cycles <-
-    Int64.add vst.st.wait_charge_cycles (Int64.of_int charge);
+  vst.st.wait_charge_cycles <- vst.st.wait_charge_cycles + charge;
   E.consume charge
 
 (* The adaptive wait for a stream that has nothing for this unit yet:
@@ -1491,7 +1493,7 @@ let charge_wait_cost t vst sysno blocked_cycles ~slept =
    follower sleep in the futex — and only sleeping followers force the
    leader to pay a wake on publish (§3.3.1). *)
 let follower_wait t vst tuple sysno =
-  let t0 = E.now_cycles () in
+  let t0 = Int64.to_int (E.now_cycles ()) in
   let uses_waitlock =
     t.cfg.Config.follower_wait = Config.Waitlock && Sysno.is_blocking sysno
   in
@@ -1518,7 +1520,7 @@ let follower_wait t vst tuple sysno =
       true
     end
   in
-  let blocked = Int64.sub (E.now_cycles ()) t0 in
+  let blocked = Int64.to_int (E.now_cycles ()) - t0 in
   charge_wait_cost t vst sysno blocked ~slept
 
 (* Wait until this unit's stream has an event addressed to this unit.
@@ -2724,8 +2726,8 @@ let stats t =
             vs_events_published = vst.st.events_published;
             vs_events_consumed = vst.st.events_consumed;
             vs_stall_blocks = vst.st.stall_blocks;
-            vs_stall_cycles = vst.st.stall_cycles;
-            vs_wait_charge_cycles = vst.st.wait_charge_cycles;
+            vs_stall_cycles = Int64.of_int vst.st.stall_cycles;
+            vs_wait_charge_cycles = Int64.of_int vst.st.wait_charge_cycles;
             vs_sys_cycles = vst.st.sys_cycles;
             vs_divergences_executed = vst.st.divergences_executed;
             vs_divergences_skipped = vst.st.divergences_skipped;

@@ -19,9 +19,10 @@ type task_state = Runnable | Blocked | Finished | Dead
 (* ------------------------------------------------------------------ *)
 
 (* The parked continuation of a suspended task. Exactly one entry (or
-   cond waiter) owns the right to resume it; taking the frame
-   (resetting it to [K_none]) transfers ownership to the dispatcher, so
-   a one-shot continuation can never be resumed twice. *)
+   cond waiter) owns the right to resume it; taking the frame (clearing
+   the task's [fr_parked]) transfers ownership to the dispatcher, so a
+   one-shot continuation can never be resumed twice. [K_none] only
+   until the first park. *)
 type frame_k =
   | K_none
   | K_unit of (unit, unit) Effect.Deep.continuation
@@ -39,6 +40,10 @@ type task = {
      wait) park it here and schedule a plain [Ek_resume] entry pointing
      back at the task. *)
   mutable fr_k : frame_k;
+  (* [fr_k] holds a continuation no one has taken yet. A bool, so taking
+     the frame stores no pointer and pays no write barrier; a taken
+     frame's stale continuation has given its stack back to the resume. *)
+  mutable fr_parked : bool;
   (* Set while parked on a condition variable and not yet claimed by a
      signaller: lets kill (and an expiring [wait_timeout] deadline)
      claim the waiter in O(1). *)
@@ -101,6 +106,7 @@ let dummy_task =
     state = Dead;
     killed = true;
     fr_k = K_none;
+    fr_parked = false;
     fr_waiter = None;
     fr_deadline = -1;
   }
@@ -486,14 +492,13 @@ type t = {
    of one such dispatch). *)
 let g_switches = Varan_util.Stats.counter "engine.task_switches"
 
-(* Payload side-slots for the hot effects: a constant effect constructor
-   allocates nothing at [perform], so the wrappers stash their argument
-   here and the handler reads it back synchronously (tasks are
-   cooperative and effects are handled before the wrapper returns, so a
-   slot is never live across two performs). *)
+(* The payload side-slots of the suspending effects: a constant effect
+   constructor allocates nothing at [perform], so the wrappers stash
+   their argument here and the handler reads it back synchronously
+   (tasks are cooperative and effects are handled before the wrapper
+   returns, so a slot is never live across two performs). *)
 let pending_int = ref 0
 let pending_cond = ref dummy_cond
-let pending_fn = ref ignore
 
 (* While a timer callback runs: its engine and its firing time, so the
    task-context wrappers ([now_cycles], [after_here], [Cond.signal] and
@@ -504,19 +509,24 @@ let timer_eng : t option ref = ref None
 let timer_at = ref (-1)
 let timer_again = ref (-1)
 
+(* A task performs an effect only to park: the calls that return at once
+   act on the engine directly, through the running-task slot (below).
+   The constructors after [E_wait_timeout] are performed only where no
+   task runs, so that no handler takes them and the call raises
+   [Effect.Unhandled]. *)
 type _ Effect.t +=
-  | E_consume : unit Effect.t (* cycles in [pending_int] *)
-  | E_sleep : unit Effect.t (* cycles in [pending_int] *)
-  | E_now : int64 Effect.t
-  | E_self : task_id Effect.t
-  | E_spawn : (string option * (unit -> unit)) -> task_id Effect.t
-  | E_kill : task_id -> unit Effect.t
-  | E_yield : unit Effect.t
+  | E_consume : unit Effect.t (* resume at the task's own clock *)
+  | E_yield : unit Effect.t (* the same *)
+  | E_sleep : unit Effect.t (* resume at [pending_int] *)
   | E_wait : unit Effect.t (* cond in [pending_cond] *)
   | E_wait_timeout : bool Effect.t (* cond + cycles in the slots *)
-  | E_signal : unit Effect.t (* cond in [pending_cond] *)
-  | E_broadcast : unit Effect.t (* cond in [pending_cond] *)
-  | E_after : unit Effect.t (* cycles in [pending_int], fn in [pending_fn] *)
+  | E_now : int64 Effect.t
+  | E_self : task_id Effect.t
+  | E_spawn : task_id Effect.t
+  | E_kill : unit Effect.t
+  | E_signal : unit Effect.t
+  | E_broadcast : unit Effect.t
+  | E_after : unit Effect.t
 
 let create () =
   {
@@ -537,6 +547,18 @@ let create () =
     cur_budget = max_int;
     switches = 0;
   }
+
+(* The running-task slot: the task whose code runs now, or [dummy_task]
+   where none does (outside [drain], inside a timer or ticker callback,
+   and before a drain's first dispatch). A dispatch stores it only when
+   the task changes, and a timer or ticker clears it before its
+   callback. [running_eng] is the engine of the innermost [drain]:
+   [drain] clears the slot and sets the engine on entry and restores
+   both on exit, so a slot that holds a task holds one of that engine.
+   Through them the calls that never suspend act on the engine directly
+   instead of performing an effect. *)
+let running = ref dummy_task
+let running_eng = ref (create ())
 
 let add_ticker t ~period fn =
   if period <= 0 then invalid_arg "Engine.add_ticker: period must be positive";
@@ -787,149 +809,100 @@ let[@inline] note_inline_switch t nt =
   t.switches <- t.switches + 1;
   Varan_util.Stats.incr_counter g_switches
 
-let rec make_fiber : t -> task -> (unit -> unit) -> unit =
- fun t task f ->
-  let open Effect.Deep in
-  match_with f ()
-    {
-      retc =
-        (fun () ->
-          if task.state <> Dead then task.state <- Finished;
-          retire t task);
-      exnc =
-        (fun e ->
-          (match e with
-          | Killed -> ()
-          | e -> t.failure_list <- (task.id, e) :: t.failure_list);
-          task.state <- Dead;
-          retire t task);
-      effc =
-        (fun (type a) (eff : a Effect.t) ->
-          match eff with
-          | E_consume ->
-            Some
-              (fun (k : (a, unit) continuation) ->
-                if task.killed then discontinue k Killed
-                else begin
-                  let nt = task.time + !pending_int in
-                  task.time <- nt;
-                  if can_inline t nt then begin
-                    note_inline_switch t nt;
-                    continue k ()
-                  end
-                  else begin
-                    task.fr_k <- K_unit k;
-                    ignore (sched_resume t nt task)
-                  end
-                end)
-          | E_sleep ->
-            Some
-              (fun (k : (a, unit) continuation) ->
-                if task.killed then discontinue k Killed
-                else begin
-                  let nt = task.time + !pending_int in
-                  if can_inline t nt then begin
-                    task.time <- nt;
-                    note_inline_switch t nt;
-                    continue k ()
-                  end
-                  else begin
-                    task.state <- Blocked;
-                    task.fr_k <- K_unit k;
-                    ignore (sched_resume t nt task)
-                  end
-                end)
-          | E_now -> Some (fun k -> continue k (Int64.of_int task.time))
-          | E_self -> Some (fun k -> continue k task.id)
-          | E_spawn (name, body) ->
-            Some
-              (fun (k : (a, unit) continuation) ->
-                if task.killed then discontinue k Killed
-                else begin
-                  let id = spawn_internal t ?name ~at:task.time body in
-                  continue k id
-                end)
-          | E_kill victim ->
-            Some
-              (fun (k : (a, unit) continuation) ->
-                kill_internal t ~at:task.time victim;
-                if task.killed then discontinue k Killed else continue k ())
-          | E_yield ->
-            Some
-              (fun (k : (a, unit) continuation) ->
-                if task.killed then discontinue k Killed
-                else if can_inline t task.time then begin
-                  note_inline_switch t task.time;
-                  continue k ()
-                end
-                else begin
-                  task.fr_k <- K_unit k;
-                  ignore (sched_resume t task.time task)
-                end)
-          | E_wait ->
-            Some
-              (fun (k : (a, unit) continuation) ->
-                if task.killed then discontinue k Killed
-                else begin
-                  let c = !pending_cond in
-                  task.state <- Blocked;
-                  let w = { w_task = task; w_cond = c; w_claimed = false } in
-                  Queue.push w c.c_waiters;
-                  c.c_nwaiters <- c.c_nwaiters + 1;
-                  task.fr_waiter <- Some w;
-                  task.fr_k <- K_unit k
-                end)
-          | E_wait_timeout ->
-            Some
-              (fun (k : (a, unit) continuation) ->
-                if task.killed then discontinue k Killed
-                else begin
-                  let c = !pending_cond in
-                  let cycles = !pending_int in
-                  task.state <- Blocked;
-                  let w = { w_task = task; w_cond = c; w_claimed = false } in
-                  Queue.push w c.c_waiters;
-                  c.c_nwaiters <- c.c_nwaiters + 1;
-                  task.fr_waiter <- Some w;
-                  task.fr_k <- K_bool k;
-                  (* The deadline rides an ordinary resume entry with
-                     [e_arg = 0] ("timed out"); an earlier signal or
-                     kill cancels it via [fr_deadline]. *)
-                  let d =
-                    sched_resume_as t (task.time + cycles) task ~removable:true
-                  in
-                  task.fr_deadline <- d.e_slot
-                end)
-          | E_signal ->
-            Some
-              (fun (k : (a, unit) continuation) ->
-                if task.killed then discontinue k Killed
-                else begin
-                  signal_at t !pending_cond task.time;
-                  continue k ()
-                end)
-          | E_broadcast ->
-            Some
-              (fun (k : (a, unit) continuation) ->
-                if task.killed then discontinue k Killed
-                else begin
-                  broadcast_at t !pending_cond task.time;
-                  continue k ()
-                end)
-          | E_after ->
-            Some
-              (fun (k : (a, unit) continuation) ->
-                let f = !pending_fn in
-                pending_fn := ignore;
-                if task.killed then discontinue k Killed
-                else begin
-                  arm t task.time !pending_int f;
-                  continue k ()
-                end)
-          | _ -> None);
-    }
+(* The shared handler set. A fiber performs only to park, from the
+   wrappers below, which have already done the work that does not
+   suspend: checked [killed], advanced the clock, found that the task
+   cannot continue inline. The handler parks the frame in the running
+   task and schedules its resumption. Each handler is a closed closure
+   allocated once, so [effc] allocates nothing. With the slot clear the
+   effect came from a timer or ticker callback of an engine nested in a
+   task: no handler takes it, so it raises [Effect.Unhandled] as it
+   would outside any engine. *)
+let[@inline] park task fk =
+  task.fr_k <- fk;
+  task.fr_parked <- true
 
-and spawn_internal : t -> ?name:string -> at:int -> (unit -> unit) -> task_id =
+let h_requeue =
+  Some
+    (fun (k : (unit, unit) Effect.Deep.continuation) ->
+      let task = !running in
+      park task (K_unit k);
+      ignore (sched_resume !running_eng task.time task))
+
+let h_sleep =
+  Some
+    (fun (k : (unit, unit) Effect.Deep.continuation) ->
+      let task = !running in
+      task.state <- Blocked;
+      park task (K_unit k);
+      ignore (sched_resume !running_eng !pending_int task))
+
+(* Queue [task] as a waiter of [pending_cond]. *)
+let enlist task =
+  let c = !pending_cond in
+  task.state <- Blocked;
+  let w = { w_task = task; w_cond = c; w_claimed = false } in
+  Queue.push w c.c_waiters;
+  c.c_nwaiters <- c.c_nwaiters + 1;
+  task.fr_waiter <- Some w
+
+let h_wait =
+  Some
+    (fun (k : (unit, unit) Effect.Deep.continuation) ->
+      let task = !running in
+      enlist task;
+      park task (K_unit k))
+
+let h_wait_timeout =
+  Some
+    (fun (k : (bool, unit) Effect.Deep.continuation) ->
+      let task = !running in
+      enlist task;
+      park task (K_bool k);
+      (* The deadline rides an ordinary resume entry with [e_arg = 0]
+         ("timed out"); an earlier signal or kill cancels it via
+         [fr_deadline]. *)
+      let d =
+        sched_resume_as !running_eng (task.time + !pending_int) task
+          ~removable:true
+      in
+      task.fr_deadline <- d.e_slot)
+
+let effc :
+    type a. a Effect.t -> ((a, unit) Effect.Deep.continuation -> unit) option
+    =
+ fun eff ->
+  if !running == dummy_task then None
+  else
+    match eff with
+    | E_consume -> h_requeue
+    | E_yield -> h_requeue
+    | E_sleep -> h_sleep
+    | E_wait -> h_wait
+    | E_wait_timeout -> h_wait_timeout
+    | _ -> None
+
+(* A fiber returns or raises while its task is in the slot: the dispatch
+   that resumed it put it there, and a nested [drain] puts it back. *)
+let handler : (unit, unit) Effect.Deep.handler =
+  {
+    retc =
+      (fun () ->
+        let task = !running in
+        if task.state <> Dead then task.state <- Finished;
+        retire !running_eng task);
+    exnc =
+      (fun e ->
+        let task = !running and t = !running_eng in
+        (match e with
+        | Killed -> ()
+        | e -> t.failure_list <- (task.id, e) :: t.failure_list);
+        task.state <- Dead;
+        retire t task);
+    effc;
+  }
+
+let spawn_internal : t -> ?name:string -> at:int -> (unit -> unit) -> task_id =
  fun t ?name ~at body ->
   let id = t.next_id in
   t.next_id <- t.next_id + 1;
@@ -945,6 +918,7 @@ and spawn_internal : t -> ?name:string -> at:int -> (unit -> unit) -> task_id =
       state = Runnable;
       killed = false;
       fr_k = K_none;
+      fr_parked = false;
       fr_waiter = None;
       fr_deadline = -1;
     }
@@ -955,16 +929,19 @@ and spawn_internal : t -> ?name:string -> at:int -> (unit -> unit) -> task_id =
         task.state <- Dead;
         retire t task
       end
-      else if !Varan_obs.Trace.enabled then begin
-        (* First dispatch slice: from spawn to the first park. *)
-        Varan_obs.Trace.begin_span ~ts:(Int64.of_int task.time) ~tid:id name;
-        make_fiber t task body;
-        Varan_obs.Trace.end_span ~ts:(Int64.of_int task.time) ~tid:id name
-      end
-      else make_fiber t task body);
+      else begin
+        running := task;
+        if !Varan_obs.Trace.enabled then begin
+          (* First dispatch slice: from spawn to the first park. *)
+          Varan_obs.Trace.begin_span ~ts:(Int64.of_int task.time) ~tid:id name;
+          Effect.Deep.match_with body () handler;
+          Varan_obs.Trace.end_span ~ts:(Int64.of_int task.time) ~tid:id name
+        end
+        else Effect.Deep.match_with body () handler
+      end);
   id
 
-and kill_internal t ~at victim_id =
+let kill_internal t ~at victim_id =
   match Hashtbl.find_opt t.tasks victim_id with
   | None -> ()
   | Some victim ->
@@ -982,7 +959,7 @@ and kill_internal t ~at victim_id =
         ignore (sched_resume t (maxi at victim.time) victim)
       | None ->
         (* Running, queued, or not yet started: the flag is checked at the
-           next scheduled resumption / effect point. *)
+           next scheduled resumption or task-context call. *)
         ()
     end
 
@@ -996,6 +973,9 @@ let blocked_task_names t =
       | Finished | Dead -> acc)
     t.tasks []
 
+let[@inline] clear_running () =
+  if !running != dummy_task then running := dummy_task
+
 (* Fire the earliest due ticker (the cached [tick_due] told the caller
    one is due before the next entry). The callback may [spawn] tasks at
    the deadline, which land in the ready ring ahead of the pending entry
@@ -1007,6 +987,7 @@ let fire_due_ticker t =
     let due = tk.tk_next in
     if due > t.global_time then t.global_time <- due;
     tk.tk_next <- due + tk.tk_period;
+    clear_running ();
     if not (tk.tk_fn ()) then tk.tk_active <- false;
     refresh_tick_due t
 
@@ -1015,6 +996,7 @@ let fire_due_ticker t =
    [sleep d] would continue: in place when [can_inline] holds, otherwise
    through one fire entry. *)
 let rec fire t me at fn =
+  clear_running ();
   timer_eng := me;
   timer_at := at;
   timer_again := -1;
@@ -1049,6 +1031,9 @@ let drain ?cycle_budget t =
   t.cur_budget <- budget;
   let me = Some t in
   let queue = t.queue and ready = t.ready in
+  let outer = !running and outer_eng = !running_eng in
+  running := dummy_task;
+  running_eng := t;
   let rec loop () =
     (* Recycle cancelled entries at the ready ring's front without
        dispatching; the queue never holds one (see [cancel_entry]). *)
@@ -1116,45 +1101,49 @@ let drain ?cycle_budget t =
               claim_waiter w.w_cond w;
               task.fr_waiter <- None
             | None -> ());
-            (match task.fr_k with
-            | K_none -> () (* stale: ownership already transferred *)
-            | K_unit k ->
-              task.fr_k <- K_none;
-              if task.killed then Effect.Deep.discontinue k Killed
-              else begin
-                task.state <- Runnable;
-                if etime > task.time then task.time <- etime;
-                if !Varan_obs.Trace.enabled then begin
-                  (* One span per dispatch slice, on the engine track
-                     (pid 0) keyed by task id. Begin at the resume time,
-                     end at the task's local clock when it parks again —
-                     so the span covers exactly the vtime the slice
-                     consumed and excludes the wait that follows. Inline
-                     fast-path switches stay inside the enclosing span,
-                     which keeps per-track nesting trivially correct. *)
-                  Varan_obs.Trace.begin_span ~ts:(Int64.of_int task.time)
-                    ~tid:task.id task.name;
-                  Effect.Deep.continue k ();
-                  Varan_obs.Trace.end_span ~ts:(Int64.of_int task.time)
-                    ~tid:task.id task.name
+            (* A frame no longer parked is stale: ownership already
+               transferred. *)
+            if task.fr_parked then begin
+              task.fr_parked <- false;
+              if !running != task then running := task;
+              match task.fr_k with
+              | K_none -> () (* unreachable: a parked frame holds one *)
+              | K_unit k ->
+                if task.killed then Effect.Deep.discontinue k Killed
+                else begin
+                  task.state <- Runnable;
+                  if etime > task.time then task.time <- etime;
+                  if !Varan_obs.Trace.enabled then begin
+                    (* One span per dispatch slice, on the engine track
+                       (pid 0) keyed by task id. Begin at the resume time,
+                       end at the task's local clock when it parks again —
+                       so the span covers exactly the vtime the slice
+                       consumed and excludes the wait that follows. Inline
+                       fast-path switches stay inside the enclosing span,
+                       which keeps per-track nesting trivially correct. *)
+                    Varan_obs.Trace.begin_span ~ts:(Int64.of_int task.time)
+                      ~tid:task.id task.name;
+                    Effect.Deep.continue k ();
+                    Varan_obs.Trace.end_span ~ts:(Int64.of_int task.time)
+                      ~tid:task.id task.name
+                  end
+                  else Effect.Deep.continue k ()
                 end
-                else Effect.Deep.continue k ()
-              end
-            | K_bool k ->
-              task.fr_k <- K_none;
-              if task.killed then Effect.Deep.discontinue k Killed
-              else begin
-                task.state <- Runnable;
-                if etime > task.time then task.time <- etime;
-                if !Varan_obs.Trace.enabled then begin
-                  Varan_obs.Trace.begin_span ~ts:(Int64.of_int task.time)
-                    ~tid:task.id task.name;
-                  Effect.Deep.continue k flag;
-                  Varan_obs.Trace.end_span ~ts:(Int64.of_int task.time)
-                    ~tid:task.id task.name
+              | K_bool k ->
+                if task.killed then Effect.Deep.discontinue k Killed
+                else begin
+                  task.state <- Runnable;
+                  if etime > task.time then task.time <- etime;
+                  if !Varan_obs.Trace.enabled then begin
+                    Varan_obs.Trace.begin_span ~ts:(Int64.of_int task.time)
+                      ~tid:task.id task.name;
+                    Effect.Deep.continue k flag;
+                    Varan_obs.Trace.end_span ~ts:(Int64.of_int task.time)
+                      ~tid:task.id task.name
+                  end
+                  else Effect.Deep.continue k flag
                 end
-                else Effect.Deep.continue k flag
-              end)
+            end
           | Ek_run ->
             let fn = e.e_fn in
             recycle t e;
@@ -1187,7 +1176,14 @@ let drain ?cycle_budget t =
     end
     (* tickers never outlive the work they monitor *)
   in
-  loop ()
+  match loop () with
+  | () ->
+    running := outer;
+    running_eng := outer_eng
+  | exception ex ->
+    running := outer;
+    running_eng := outer_eng;
+    raise ex
 
 let run ?cycle_budget t =
   drain ?cycle_budget t;
@@ -1196,42 +1192,94 @@ let run ?cycle_budget t =
 
 let run_until_quiescent ?cycle_budget t = drain ?cycle_budget t
 
-(* Task-context wrappers. The hot ones stash their payload in the
-   side-slots so the perform itself allocates nothing. *)
+(* Task-context wrappers. Inside a task they act on the engine directly
+   and perform an effect only to park; a killed task unwinds with
+   [Killed] at the call, as it did when a handler discontinued it. With
+   the slot clear they perform an effect no handler takes, so outside
+   any task they raise [Effect.Unhandled] — except for the calls a timer
+   callback may make, which act on the timer's engine. *)
 let consume n =
   if n > 0 then begin
-    pending_int := n;
-    Effect.perform E_consume
+    let task = !running in
+    if task == dummy_task then Effect.perform E_consume
+    else if task.killed then raise Killed
+    else begin
+      let t = !running_eng in
+      let nt = task.time + n in
+      task.time <- nt;
+      if can_inline t nt then note_inline_switch t nt
+      else Effect.perform E_consume
+    end
   end
 
 let sleep n =
-  pending_int := maxi n 0;
-  Effect.perform E_sleep
+  let task = !running in
+  if task == dummy_task then Effect.perform E_sleep
+  else if task.killed then raise Killed
+  else begin
+    let t = !running_eng in
+    let nt = task.time + maxi n 0 in
+    if can_inline t nt then begin
+      task.time <- nt;
+      note_inline_switch t nt
+    end
+    else begin
+      pending_int := nt;
+      Effect.perform E_sleep
+    end
+  end
+
+let yield () =
+  let task = !running in
+  if task == dummy_task then Effect.perform E_yield
+  else if task.killed then raise Killed
+  else begin
+    let t = !running_eng in
+    if can_inline t task.time then note_inline_switch t task.time
+    else Effect.perform E_yield
+  end
 
 let in_timer () = !timer_at >= 0
 let timer_engine () = Option.get !timer_eng
 
 let now_cycles () =
-  if in_timer () then Int64.of_int !timer_at else Effect.perform E_now
+  let task = !running in
+  if task != dummy_task then Int64.of_int task.time
+  else if in_timer () then Int64.of_int !timer_at
+  else Effect.perform E_now
 
-let self () = Effect.perform E_self
-let spawn_here ?name body = Effect.perform (E_spawn (name, body))
+let self () =
+  let task = !running in
+  if task != dummy_task then task.id else Effect.perform E_self
+
+let spawn_here ?name body =
+  let task = !running in
+  if task == dummy_task then Effect.perform E_spawn
+  else if task.killed then raise Killed
+  else spawn_internal !running_eng ?name ~at:task.time body
 
 let after_here d f =
-  if in_timer () then arm (timer_engine ()) !timer_at d f
-  else begin
-    pending_int := d;
-    pending_fn := f;
-    Effect.perform E_after
+  let task = !running in
+  if task != dummy_task then begin
+    if task.killed then raise Killed;
+    arm !running_eng task.time d f
   end
+  else if in_timer () then arm (timer_engine ()) !timer_at d f
+  else Effect.perform E_after
 
 let again d =
   if not (in_timer ()) then invalid_arg "Engine.again: outside a timer callback";
   timer_again := maxi d 0
 
 let kill t id = kill_internal t ~at:t.global_time id
-let kill_here id = Effect.perform (E_kill id)
-let yield () = Effect.perform E_yield
+
+let kill_here id =
+  let task = !running in
+  if task == dummy_task then Effect.perform E_kill
+  else begin
+    kill_internal !running_eng ~at:task.time id;
+    if task.killed then raise Killed
+  end
 
 module Cond = struct
   type nonrec cond = cond
@@ -1239,27 +1287,35 @@ module Cond = struct
   let create name = { c_name = name; c_waiters = Queue.create (); c_nwaiters = 0 }
 
   let wait c =
+    let task = !running in
+    if task != dummy_task && task.killed then raise Killed;
     pending_cond := c;
     Effect.perform E_wait
 
   let wait_timeout c cycles =
+    let task = !running in
+    if task != dummy_task && task.killed then raise Killed;
     pending_cond := c;
     pending_int := cycles;
     Effect.perform E_wait_timeout
 
   let signal c =
-    if in_timer () then signal_at (timer_engine ()) c !timer_at
-    else begin
-      pending_cond := c;
-      Effect.perform E_signal
+    let task = !running in
+    if task != dummy_task then begin
+      if task.killed then raise Killed;
+      signal_at !running_eng c task.time
     end
+    else if in_timer () then signal_at (timer_engine ()) c !timer_at
+    else Effect.perform E_signal
 
   let broadcast c =
-    if in_timer () then broadcast_at (timer_engine ()) c !timer_at
-    else begin
-      pending_cond := c;
-      Effect.perform E_broadcast
+    let task = !running in
+    if task != dummy_task then begin
+      if task.killed then raise Killed;
+      broadcast_at !running_eng c task.time
     end
+    else if in_timer () then broadcast_at (timer_engine ()) c !timer_at
+    else Effect.perform E_broadcast
 
   let waiters c = c.c_nwaiters
   let has_waiters c = c.c_nwaiters > 0

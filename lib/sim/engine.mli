@@ -57,10 +57,11 @@ val add_ticker : t -> period:int -> (unit -> bool) -> unit
 
     Tickers piggyback on scheduled work — they never enqueue events of
     their own, so they stop firing (and cannot keep the simulation alive)
-    once the heap drains. [fn] runs outside any task: it must not perform
-    engine effects (consume/sleep/wait/broadcast); reading state and
-    calling {!spawn} to delegate effectful work to a task are the
-    intended uses. The NVX follower watchdog is the canonical client.
+    once the heap drains. [fn] runs outside any task: a task-context call
+    (consume/sleep/wait/broadcast, ...) raises [Effect.Unhandled] there;
+    reading state and calling {!spawn} to delegate effectful work to a
+    task are the intended uses. The NVX follower watchdog is the
+    canonical client.
     @raise Invalid_argument if [period <= 0]. *)
 
 val now : t -> int64
@@ -68,8 +69,9 @@ val now : t -> int64
 
 val kill : t -> task_id -> unit
 (** Forcibly terminate a task: if blocked or queued it is discarded; if it
-    is the caller, {!Killed} is raised at the next effect point. Used to
-    model variant crashes and teardown. *)
+    is the caller, {!Killed} is raised at its next task-context call
+    other than {!now_cycles} and {!self}. Used to model variant crashes
+    and teardown. *)
 
 val is_alive : t -> task_id -> bool
 (** [false] once the task has finished or died. A finished or dead task
@@ -166,8 +168,20 @@ end
 
 (** {1 Task-context operations}
 
-    These must be called from inside a running task; calling them outside a
-    simulation raises [Effect.Unhandled]. *)
+    These must be called from inside a running task. Called where no
+    task runs — outside a simulation, or in a ticker callback — they
+    raise [Effect.Unhandled]; a timer callback may make the few listed
+    under {!after_here}. A task whose kill is pending (see {!kill})
+    unwinds with {!Killed} at the call, except at {!now_cycles} and
+    {!self}.
+
+    Only {!Cond.wait} and {!Cond.wait_timeout} always suspend the task,
+    by performing an effect. {!consume}, {!sleep} and {!yield} suspend
+    it only when the task would not be the scheduler's very next pick
+    (another entry is due no later, or a ticker deadline or the cycle
+    budget is in the way); otherwise they continue it in place. Every
+    other call acts on the engine directly and returns, at the cost of
+    a function call. *)
 
 val consume : int -> unit
 (** [consume cycles] advances the calling task's local clock. This is the
@@ -200,8 +214,8 @@ val after_here : int -> (unit -> unit) -> unit
     [f] runs in scheduler context, outside any task, and must not
     block: it may call {!now_cycles} (the firing time), {!Cond.signal},
     {!Cond.broadcast}, {!Cond.broadcast_if_waiting}, {!after_here} and
-    {!again}. Anything else that performs an engine effect ({!consume},
-    {!sleep}, {!Cond.wait}, {!self}, {!spawn_here}, ...) raises
+    {!again}. Any other task-context call ({!consume}, {!sleep},
+    {!Cond.wait}, {!self}, {!spawn_here}, ...) raises
     [Effect.Unhandled]. An exception escaping [f] propagates out of
     {!run}. Callable from a task or from another timer callback. *)
 

@@ -340,7 +340,24 @@ let test_timeout_vs_signal_same_vtime () =
    while parked; the last three cancel the deadline, which must then
    neither dispatch nor count as a switch. A timer ([after_here]) is the
    task [spawn_here (fun () -> sleep d; f ())] it stands for: one entry
-   now, one at the deadline; it broadcasts the cond when it fires. *)
+   now, one at the deadline; it broadcasts the cond when it fires.
+   [now_cycles] and [self] return the reference's clock and task index
+   (the engine numbers the tasks in spawn order). A doomed task is
+   flagged by the scheduler-level [kill] while it runs (as a teardown
+   run from inside a task kills the caller with its siblings) and then
+   makes a call that would act on the engine or park: it must unwind
+   with [Killed] at that call, so no waiter is woken, no timer armed and
+   no task spawned. *)
+type doomed_call =
+  | D_broadcast
+  | D_signal
+  | D_after
+  | D_spawn
+  | D_consume
+  | D_sleep
+  | D_yield
+  | D_wait
+
 type ref_op =
   | R_consume of int
   | R_sleep of int
@@ -350,6 +367,9 @@ type ref_op =
   | R_broadcast
   | R_kill of int (* [kill_here] by task index *)
   | R_arm of int (* [after_here d] a broadcasting timer *)
+  | R_now
+  | R_self
+  | R_doomed of doomed_call
 
 type ref_task = {
   mutable pc : int; (* ops started *)
@@ -462,6 +482,9 @@ let reference_schedule programs =
           | R_arm _ ->
             ignore (push time (-1 - ((i * 64) + j)) 0);
             logged ()
+          | R_now -> log := (i, j, time, time) :: !log
+          | R_self -> log := (i, j, time, i) :: !log
+          | R_doomed _ -> tk.gone <- true
           | R_kill k when k = i -> tk.gone <- true
           | R_kill k ->
             let victim = tasks.(k) in
@@ -523,6 +546,28 @@ let engine_run programs =
                              (i, j, Int64.to_int (E.now_cycles ()), 2) :: !log;
                            E.Cond.broadcast c);
                        0
+                     | R_now -> Int64.to_int (E.now_cycles ())
+                     | R_self -> (E.self () :> int)
+                     | R_doomed call ->
+                       E.kill eng (Option.get ids.(i));
+                       (* The call must raise [Killed]: if it returned,
+                          it, the waiter it woke, the timer it armed or
+                          the task it spawned would log. *)
+                       (match call with
+                       | D_broadcast -> E.Cond.broadcast c
+                       | D_signal -> E.Cond.signal c
+                       | D_after ->
+                         E.after_here 0 (fun () ->
+                             log := (i, j, -1, 3) :: !log)
+                       | D_spawn ->
+                         ignore
+                           (E.spawn_here (fun () ->
+                                log := (i, j, -1, 3) :: !log))
+                       | D_consume -> E.consume 1
+                       | D_sleep -> E.sleep 3
+                       | D_yield -> E.yield ()
+                       | D_wait -> ignore (E.Cond.wait_timeout c 5));
+                       3
                    in
                    log := (i, j, Int64.to_int (E.now_cycles ()), v) :: !log)
                  ops)))
@@ -534,7 +579,7 @@ let engine_run programs =
 let gen_program rng n_tasks =
   let n_ops = 4 + Random.State.int rng 12 in
   Array.init n_ops (fun _ ->
-      match Random.State.int rng 20 with
+      match Random.State.int rng 24 with
       | 0 | 1 | 2 | 3 | 4 | 5 -> R_consume (Random.State.int rng 31)
       | 6 | 7 | 8 -> R_consume 0 (* force vtime ties *)
       | 9 | 10 | 11 -> R_sleep (Random.State.int rng 51)
@@ -547,7 +592,21 @@ let gen_program rng n_tasks =
           | _ -> 20 + Random.State.int rng 200)
       | 17 -> R_signal
       | 18 -> R_broadcast
-      | _ -> R_kill (Random.State.int rng n_tasks))
+      | 19 -> R_kill (Random.State.int rng n_tasks)
+      | 20 -> R_now
+      | 21 -> R_self
+      | 22 when Random.State.int rng 3 = 0 ->
+        R_doomed
+          (match Random.State.int rng 8 with
+          | 0 -> D_broadcast
+          | 1 -> D_signal
+          | 2 -> D_after
+          | 3 -> D_spawn
+          | 4 -> D_consume
+          | 5 -> D_sleep
+          | 6 -> D_yield
+          | _ -> D_wait)
+      | _ -> R_consume (Random.State.int rng 31))
 
 (* Run [programs] on the engine and on the reference scheduler, fail on
    any difference in the completion log or the switch count, and return
@@ -1095,6 +1154,95 @@ let test_timers_match_sleeper_tasks () =
     if end_t <> end_e then Alcotest.failf "seed %d: final clocks differ" seed
   done
 
+(* --- the task-context contract ------------------------------------------- *)
+
+(* [f ()] must raise [Effect.Unhandled]. *)
+let check_unhandled what f =
+  match f () with
+  | _ -> Alcotest.failf "%s returned: no task runs here" what
+  | exception Effect.Unhandled _ -> ()
+
+(* No task runs: the slot is clear and every call raises. *)
+let check_outside_any_task when_ =
+  let c = E.Cond.create "nobody" in
+  check_unhandled (when_ ^ ": now_cycles") E.now_cycles;
+  check_unhandled (when_ ^ ": self") (fun () -> ignore (E.self ()));
+  check_unhandled (when_ ^ ": consume") (fun () -> E.consume 1);
+  check_unhandled (when_ ^ ": Cond.broadcast") (fun () -> E.Cond.broadcast c)
+
+let test_calls_outside_any_task () = check_outside_any_task "before any run"
+
+(* A timer callback answers [now_cycles] with its firing time, but runs
+   in no task: the calls that need one still raise. So does a ticker's,
+   which may make no engine call at all. *)
+let test_calls_inside_callbacks () =
+  let eng = E.create () in
+  let seen = ref [] in
+  let note what = seen := what :: !seen in
+  E.add_ticker eng ~period:1_000 (fun () ->
+      check_unhandled "ticker: now_cycles" E.now_cycles;
+      check_unhandled "ticker: self" (fun () -> ignore (E.self ()));
+      check_unhandled "ticker: consume" (fun () -> E.consume 1);
+      note "tick";
+      false);
+  ignore
+    (E.spawn eng ~name:"armer" (fun () ->
+         E.consume 100;
+         E.after_here 50 (fun () ->
+             Alcotest.(check int64) "timer: now_cycles" 150L (E.now_cycles ());
+             check_unhandled "timer: consume" (fun () -> E.consume 1);
+             check_unhandled "timer: self" (fun () -> ignore (E.self ()));
+             check_unhandled "timer: spawn_here" (fun () ->
+                 ignore (E.spawn_here ignore));
+             note "timer");
+         E.sleep 200;
+         (* Parked across the ticker's deadline: the ticker fires right
+            after this task's slice, with no timer in between. *)
+         E.sleep 2_000;
+         Alcotest.(check int64) "the task's clock" 2_300L (E.now_cycles ())));
+  E.run eng;
+  Alcotest.(check (list string)) "both callbacks ran" [ "timer"; "tick" ]
+    (List.rev !seen)
+
+(* The slot is clear once [run] returns, whether the run ended or the
+   budget stopped it mid-task. *)
+let test_slot_clear_after_run () =
+  let eng = E.create () in
+  ignore (E.spawn eng (fun () -> E.consume 10));
+  E.run eng;
+  check_outside_any_task "after a run";
+  let eng = E.create () in
+  ignore
+    (E.spawn eng (fun () ->
+         while true do
+           E.consume 1_000
+         done));
+  (match E.run ~cycle_budget:10_000L eng with
+  | () -> Alcotest.fail "the budget never tripped"
+  | exception E.Budget_exceeded _ -> ());
+  check_outside_any_task "after Budget_exceeded"
+
+(* A task that runs a second engine to completion gets its own slot
+   back: its clock, its id and its inline consumes are its own again. *)
+let test_nested_run_restores_slot () =
+  let outer = E.create () in
+  let ids = ref [] in
+  let me =
+    E.spawn outer ~name:"outer" (fun () ->
+        E.consume 7;
+        let inner = E.create () in
+        ignore (E.spawn inner (fun () -> E.consume 1_000));
+        ignore (E.spawn inner (fun () -> E.consume 2_000));
+        E.run inner;
+        ids := (E.self () :> int) :: !ids;
+        Alcotest.(check int64) "outer clock" 7L (E.now_cycles ());
+        E.consume 3;
+        Alcotest.(check int64) "outer clock after" 10L (E.now_cycles ()))
+  in
+  E.run outer;
+  Alcotest.(check (list int)) "outer id" [ (me :> int) ] !ids;
+  Alcotest.(check int64) "outer engine time" 10L (E.now outer)
+
 let test_again_outside_timer () =
   Alcotest.check_raises "again needs a timer callback"
     (Invalid_argument "Engine.again: outside a timer callback") (fun () ->
@@ -1182,5 +1330,16 @@ let () =
             test_timers_match_sleeper_tasks;
           Alcotest.test_case "again outside a callback" `Quick
             test_again_outside_timer;
+        ] );
+      ( "contract",
+        [
+          Alcotest.test_case "calls outside any task raise" `Quick
+            test_calls_outside_any_task;
+          Alcotest.test_case "calls inside timer and ticker callbacks" `Quick
+            test_calls_inside_callbacks;
+          Alcotest.test_case "slot clear after run and budget stop" `Quick
+            test_slot_clear_after_run;
+          Alcotest.test_case "nested run restores the slot" `Quick
+            test_nested_run_restores_slot;
         ] );
     ]

@@ -27,12 +27,6 @@ let kind_to_int = function
   | Event.Ev_fork -> 2
   | Event.Ev_exit -> 3
 
-let kind_of_int = function
-  | 0 -> Event.Ev_syscall
-  | 1 -> Event.Ev_signal
-  | 2 -> Event.Ev_fork
-  | _ -> Event.Ev_exit
-
 (* The header is split from the payload so pooled out-buffers can be
    appended straight out of the shared chunk ({!Pool.view} +
    [Buffer.add_subbytes]) without materialising an intermediate copy. *)
@@ -64,8 +58,17 @@ let serialize_tape tape =
 type cursor = { data : Bytes.t; mutable pos : int }
 
 (* A record cut off mid-header or mid-payload (a crashed recorder, a
-   truncated log file) must decode to [None], not crash the replayer. *)
+   truncated log file), or one whose kind byte names no event kind (a
+   corrupt log), must decode to [None], not crash the replayer or replay
+   a phantom event. *)
 exception Short
+
+let kind_of_int = function
+  | 0 -> Event.Ev_syscall
+  | 1 -> Event.Ev_signal
+  | 2 -> Event.Ev_fork
+  | 3 -> Event.Ev_exit
+  | _ -> raise Short
 
 let deserialize cur : (Event.kind * int * int * int * int * int array * Bytes.t) option =
   let len = Bytes.length cur.data in

@@ -48,9 +48,10 @@ val deserialize :
   option
 (** Decode one record ([kind, tid, sysno, clock, ret, args, out]) and
     advance the cursor. [None] at a clean end of data — and also on a
-    torn tail record (cut off mid-header or mid-payload), in which case
-    the cursor is left {e before} the torn record so callers can tell the
-    two apart by comparing [pos] against the data length. *)
+    torn tail record (cut off mid-header or mid-payload) or a record
+    whose kind byte is not an event kind, in which case the cursor is
+    left {e before} the bad record so callers can tell the two apart by
+    comparing [pos] against the data length. *)
 
 (** {1 Time travel} *)
 

@@ -32,11 +32,28 @@ let check_case_exn label case out =
       (H.describe_case case)
       (String.concat "\n  " fails)
 
+(* One seed's contribution to a sweep fingerprint: its JSON report and
+   the per-variant cycle and consumption counters, which the report does
+   not carry. *)
+let fingerprint_seed buf case out =
+  Buffer.add_string buf (H.json_of_outcome ~fails:[] case out);
+  Array.iter
+    (fun (v : Nvx.variant_stats) ->
+      Printf.bprintf buf "|%Ld %Ld %Ld %d" v.Nvx.vs_sys_cycles
+        v.Nvx.vs_stall_cycles v.Nvx.vs_wait_charge_cycles
+        v.Nvx.vs_events_consumed)
+    out.H.stats.Nvx.variants;
+  Buffer.add_char buf '\n'
+
 (* Run [cases] consecutive seeds from [base] through the preset [gen]:
    every case must pass the harness check, and a failure names the
    [varan torture] flags that reproduce it. [observe] tallies what the
-   sweep exercised, for its coverage asserts. *)
-let sweep ~flags ~base ~cases gen observe =
+   sweep exercised, for its coverage asserts. Every seed's outcome folds
+   into one MD5 that must equal [fingerprint]: the virtual behaviour of
+   a sweep is pinned byte for byte, so a change that moves any cycle
+   count, digest or lifecycle counter must re-baseline it on purpose. *)
+let sweep ~flags ~fingerprint ~base ~cases gen observe =
+  let buf = Buffer.create 65536 in
   for seed = base to base + cases - 1 do
     let case = gen seed in
     let out = H.run case in
@@ -47,8 +64,12 @@ let sweep ~flags ~base ~cases gen observe =
         "seed %d failed (reproduce: varan torture %s--seed %d)\n  %s\n  %s"
         seed (flags case) seed (H.describe_case case)
         (String.concat "\n  " fs));
+    fingerprint_seed buf case out;
     observe case out
-  done
+  done;
+  Alcotest.(check string)
+    "sweep fingerprint" fingerprint
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
 
 (* ------------------------------------------------------------------ *)
 (* Directed scenarios                                                  *)
@@ -493,6 +514,7 @@ let lifecycle_sweep_cases = 200
 let test_lifecycle_sweep () =
   let quarantines = ref 0 and rejoins = ref 0 in
   sweep
+    ~fingerprint:"5dae135a55c9a3ad0b55e91483fb1fdb"
     ~flags:(fun _ -> "--lifecycle ")
     ~base:lifecycle_base_seed ~cases:lifecycle_sweep_cases H.gen_lifecycle_case
     (fun _ out ->
@@ -698,6 +720,7 @@ let test_checkpoint_sweep () =
     { case with H.lifecycle = Some (ck_policy interval) }
   in
   sweep
+    ~fingerprint:"57fad465d9b07f71f793ea6a9aec6d85"
     ~flags:(fun case ->
       Printf.sprintf "--lifecycle --checkpoint-interval %d "
         (checkpoint_interval case.H.seed))
@@ -743,6 +766,7 @@ let sweep_cases = 200
 let test_torture_sweep () =
   let scenario_coverage = Hashtbl.create 4 in
   sweep
+    ~fingerprint:"f0e0fe44726f865de137c45a8acea7fa"
     ~flags:(fun _ -> "")
     ~base:base_seed ~cases:sweep_cases H.gen_case
     (fun case _ ->
@@ -792,6 +816,7 @@ let shard_sweep_cases = 200
 let test_shard_sweep () =
   let shards_seen = Hashtbl.create 4 in
   sweep
+    ~fingerprint:"1b59d07e2ce5dfaf6bb3b65375b52fc0"
     ~flags:(fun _ -> "--shards 0 ")
     ~base:base_seed ~cases:shard_sweep_cases H.gen_shard_case
     (fun case _ -> Hashtbl.replace shards_seen case.H.shards ());
@@ -813,6 +838,7 @@ let futex_sweep_cases = 200
 let test_futex_sweep () =
   let threads_seen = Hashtbl.create 4 in
   sweep
+    ~fingerprint:"03106e5f58cbdfa1d2c7831f36663f9f"
     ~flags:(fun _ -> "--futex ")
     ~base:base_seed ~cases:futex_sweep_cases H.gen_futex_case
     (fun case _ ->
@@ -1112,6 +1138,7 @@ let test_net_sweep () =
   let kinds = Hashtbl.create 8 in
   let healed = ref 0 in
   sweep
+    ~fingerprint:"ddd29484a3ee225074956664b6bc7741"
     ~flags:(fun _ -> "--net ")
     ~base:base_seed ~cases:net_sweep_cases H.gen_net_case
     (fun case out ->

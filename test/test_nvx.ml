@@ -1241,6 +1241,23 @@ let test_serialize_tape_roundtrip () =
         (Printf.sprintf "cut at %d leaves the cursor on the torn record" cut)
         true (cur.RR.pos <= cut))
     [ 1; 7; 23; Bytes.length log - 1; Bytes.length log - 9 ];
+  (* A corrupt kind byte is rejected like a torn record: every byte
+     that names no event kind decodes to None with the cursor parked on
+     the bad record, never to a phantom exit. The first record's kind
+     byte is the log's first byte. *)
+  List.iter
+    (fun bad ->
+      let corrupt = Bytes.copy log in
+      Bytes.set corrupt 0 (Char.chr bad);
+      let cur = { RR.data = corrupt; pos = 0 } in
+      Alcotest.(check bool)
+        (Printf.sprintf "kind byte %d rejected" bad)
+        true
+        (RR.deserialize cur = None);
+      Alcotest.(check int)
+        (Printf.sprintf "kind byte %d leaves the cursor before the record" bad)
+        0 cur.RR.pos)
+    [ 4; 7; 128; 255 ];
   (* An empty tape serializes to an empty log. *)
   Alcotest.(check int) "empty tape, empty log" 0
     (Bytes.length (RR.serialize_tape (Tape.create ())))

@@ -502,6 +502,131 @@ let test_event_sizing () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "seven args must be rejected"
 
+(* --- follower streams (tape catch-up spliced onto a live ring) ------- *)
+
+module Stream = Varan_nvx.Stream
+module Tape = Varan_nvx.Tape
+
+(* The leader's event at global sequence [seq] carries [seq] as its clock
+   and result, so a reader can tell exactly which event it got. *)
+let seq_event seq = Event.make ~clock:seq ~ret:seq 0
+
+(* Publish global sequence [seq] into the leader's ring and tape. *)
+let leader_publish ring tape seq =
+  let e = seq_event seq in
+  Ring.publish ring e;
+  Tape.append tape e ~out:None
+
+(* Read [s] until it runs dry, checking at every step that the event is
+   the next global sequence and that [Stream.position] names it; returns
+   the sequences read and the one after which the catch-up spliced. *)
+let drain_stream s =
+  let got = ref [] and spliced_after = ref (-1) in
+  let rec go () =
+    match Stream.peek s ~tid:0 with
+    | None -> ()
+    | Some e ->
+      Alcotest.(check int)
+        (Printf.sprintf "position names event %d" e.Event.ret)
+        e.Event.ret (Stream.position s);
+      got := e.Event.ret :: !got;
+      if Stream.advance s ~tid:0 then spliced_after := e.Event.ret;
+      go ()
+  in
+  go ();
+  (List.rev !got, !spliced_after)
+
+(* Run [f] as an engine task (ring wakeups need one) and re-raise what
+   it raised, so a failed check fails the test instead of the task. *)
+let in_task f =
+  let eng = E.create () in
+  let outcome = ref (Error Exit) in
+  ignore
+    (E.spawn eng ~name:"stream-test" (fun () ->
+         outcome := try Ok (f ()) with exn -> Error exn));
+  E.run eng;
+  match !outcome with Ok () -> () | Error exn -> raise exn
+
+let test_stream_local_splice () =
+  in_task (fun () ->
+      let ring = Ring.create ~size:256 "ring0" and tape = Tape.create () in
+      for seq = 0 to 39 do
+        leader_publish ring tape seq
+      done;
+      (* A respawned follower subscribes at the head and replays the
+         recorded prefix from sequence 10 (its checkpoint) first. *)
+      let s = Stream.subscribe ~tape ring in
+      Alcotest.(check int) "subscribes at the head" 40 (Stream.position s);
+      Stream.catch_up s ~from:10;
+      Alcotest.(check bool) "catching up" true (Stream.in_catchup s);
+      Alcotest.(check int) "catch-up starts at the checkpoint" 10
+        (Stream.position s);
+      for seq = 40 to 59 do
+        leader_publish ring tape seq
+      done;
+      Alcotest.(check int) "lag spans tape and ring" 50 (Stream.lag s);
+      let got, spliced_after = drain_stream s in
+      Alcotest.(check (list int))
+        "no gap, no duplicate at the splice"
+        (List.init 50 (fun i -> 10 + i))
+        got;
+      Alcotest.(check int) "splices after the recorded prefix" 39
+        spliced_after;
+      Alcotest.(check bool) "live after the splice" false
+        (Stream.in_catchup s);
+      Alcotest.(check int) "position after the last event" 60
+        (Stream.position s);
+      leader_publish ring tape 60;
+      let got, _ = drain_stream s in
+      Alcotest.(check (list int)) "keeps reading live" [ 60 ] got)
+
+let test_stream_remote_mirror_splice () =
+  in_task (fun () ->
+      let ring = Ring.create ~size:256 "ring0" and tape = Tape.create () in
+      (* The bridge ships the local ring into the mirror; its own consumer
+         on the local ring is all that [ship] needs. *)
+      let shipper = Ring.subscribe ring in
+      for seq = 0 to 29 do
+        leader_publish ring tape seq
+      done;
+      ignore (Ring.consume_batch_h shipper ~max:30);
+      (* A healed partition re-attaches a fresh mirror at the local head:
+         its sequence 0 is global sequence 30. *)
+      let base = 30 in
+      let mirror = Ring.create ~size:256 "mirror1" in
+      let ship n =
+        List.iter (Ring.publish mirror) (Ring.consume_batch_h shipper ~max:n)
+      in
+      for seq = 30 to 49 do
+        leader_publish ring tape seq
+      done;
+      ship 10;
+      let s = Stream.subscribe ~tape ~base ~upstream:ring mirror in
+      Alcotest.(check bool) "a mirror reader is remote" true (Stream.remote s);
+      Alcotest.(check int) "subscribes at the mirror head, globally" 40
+        (Stream.position s);
+      Stream.catch_up s ~from:25;
+      ship 10;
+      let got, spliced_after = drain_stream s in
+      Alcotest.(check (list int))
+        "no gap, no duplicate at the splice"
+        (List.init 25 (fun i -> 25 + i))
+        got;
+      Alcotest.(check int) "splices after the recorded prefix" 39
+        spliced_after;
+      Alcotest.(check int) "position in global coordinates" 50
+        (Stream.position s);
+      (* Events the link has not delivered are backlog, not consumable. *)
+      for seq = 50 to 54 do
+        leader_publish ring tape seq
+      done;
+      Alcotest.(check int) "nothing consumable yet" 0 (Stream.lag s);
+      Alcotest.(check int) "upstream backlog counted" 5 (Stream.total_lag s);
+      ship 5;
+      let got, _ = drain_stream s in
+      Alcotest.(check (list int)) "live after the link delivers"
+        [ 50; 51; 52; 53; 54 ] got)
+
 (* Expect test for the failure-dump rendering: tid, register args, the
    escaped inline payload and the grant marker must all be visible. *)
 let test_event_pp_full_dump () =
@@ -845,6 +970,13 @@ let () =
           Alcotest.test_case "event sizing" `Quick test_event_sizing;
           Alcotest.test_case "event pp full dump" `Quick
             test_event_pp_full_dump;
+        ] );
+      ( "stream",
+        [
+          Alcotest.test_case "local tape-to-ring splice" `Quick
+            test_stream_local_splice;
+          Alcotest.test_case "remote splice onto a re-attached mirror" `Quick
+            test_stream_remote_mirror_splice;
         ] );
       ( "batch",
         [

@@ -27,38 +27,51 @@ open Cmdliner
 (* Observability flags shared by run/serve/torture                     *)
 (* ------------------------------------------------------------------ *)
 
-let trace_out_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "trace" ] ~docv:"FILE"
-        ~doc:
-          "Record a virtual-time span trace of the run (syscall spans per \
-           variant, engine dispatch slices, lifecycle and bridge \
-           instants) and write it as Chrome trace-event JSON — load the \
-           file in Perfetto or chrome://tracing.")
+type obs = { trace_out : string option; postmortem_dir : string option }
 
-let postmortem_dir_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "postmortem-dir" ] ~docv:"DIR"
-        ~doc:
-          "Arm flight-recorder post-mortem bundles: on oracle divergence, \
-           quarantine-kill or session degradation, the per-shard black \
-           box (recent events, lifecycle transition history, bridge/link \
-           state, newest checkpoint) is dumped as a JSON bundle in DIR.")
+let obs_term =
+  let trace_out =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "trace" ] ~docv:"FILE"
+          ~doc:
+            "Record a virtual-time span trace of the run (syscall spans per \
+             variant, engine dispatch slices, lifecycle and bridge \
+             instants) and write it as Chrome trace-event JSON — load the \
+             file in Perfetto or chrome://tracing.")
+  in
+  let postmortem_dir =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "postmortem-dir" ] ~docv:"DIR"
+          ~doc:
+            "Arm flight-recorder post-mortem bundles: on oracle divergence, \
+             quarantine-kill or session degradation, the per-shard black \
+             box (recent events, lifecycle transition history, bridge/link \
+             state, newest checkpoint) is dumped as a JSON bundle in DIR.")
+  in
+  Term.(
+    const (fun trace_out postmortem_dir -> { trace_out; postmortem_dir })
+    $ trace_out $ postmortem_dir)
 
-let arm_observability ~trace_out ~postmortem_dir =
-  (match postmortem_dir with
+let arm obs =
+  (match obs.postmortem_dir with
   | Some dir ->
     Flight.dump_enabled := true;
     Flight.dump_dir := dir
   | None -> ());
-  match trace_out with Some _ -> Span.configure () | None -> ()
+  if obs.trace_out <> None then Span.configure ()
 
-let finish_observability ~trace_out =
-  match trace_out with
+(* Name the last post-mortem bundle (unless [report_dump] is false: a
+   sweep dumps per case), print [before_trace], then write the trace. *)
+let finish ?(report_dump = true) ?(before_trace = ignore) obs =
+  (match !Flight.last_dump with
+  | Some p when report_dump -> Printf.printf "post-mortem: %s\n" p
+  | _ -> ());
+  before_trace ();
+  match obs.trace_out with
   | None -> ()
   | Some path ->
     Span.write_chrome_json path;
@@ -190,15 +203,14 @@ let print_session_stats (st : Nvx.stats) =
     st.Nvx.pool.Varan_shmem.Pool.bytes_reserved
 
 let run_cmd =
-  let run w followers ring_size pump trap_only busy_wait trace trace_out
-      postmortem_dir =
+  let run w followers ring_size pump trap_only busy_wait trace obs =
     let config = config_of ring_size pump trap_only busy_wait trace in
     Printf.printf "Running %s natively...\n%!" w.Workload.w_name;
     let native = Driver.run w Driver.Native in
     print_measurement native;
     (* The span trace covers only the monitored run — the native warm-up
        above would interleave a second engine's timeline into pid 0. *)
-    arm_observability ~trace_out ~postmortem_dir;
+    arm obs;
     Printf.printf "Running %s under VARAN with %d follower(s)...\n%!"
       w.Workload.w_name followers;
     let m, st, session = Driver.run_with_full_session w ~followers ~config in
@@ -211,17 +223,13 @@ let run_cmd =
         (fun i l -> if i < 25 then print_endline ("  " ^ l))
         (Nvx.trace_lines session)
     end;
-    (match !Flight.last_dump with
-    | Some p -> Printf.printf "post-mortem: %s\n" p
-    | None -> ());
-    finish_observability ~trace_out
+    finish obs
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Run a workload under the VARAN monitor and report overhead.")
     Term.(
       const run $ workload_arg $ followers_arg $ ring_size_arg $ pump_arg
-      $ trap_only_arg $ busy_wait_arg $ trace_arg $ trace_out_arg
-      $ postmortem_dir_arg)
+      $ trap_only_arg $ busy_wait_arg $ trace_arg $ obs_term)
 
 let lockstep_cmd =
   let versions_arg =
@@ -587,7 +595,7 @@ let torture_cmd =
   in
   let run seed count plan_spec followers verbose lifecycle futex shards
       stall_timeout max_restarts min_followers lag_threshold
-      checkpoint_interval net link_latency json trace_out postmortem_dir =
+      checkpoint_interval net link_latency json obs =
     let lifecycle_on =
       lifecycle
       || List.exists Option.is_some
@@ -672,7 +680,7 @@ let torture_cmd =
     in
     (* Every case is built and validated before the first one runs. *)
     let cases = List.init (max 0 count) (fun i -> make (seed + i)) in
-    arm_observability ~trace_out ~postmortem_dir;
+    arm obs;
     let failures =
       List.fold_left
         (fun failures case ->
@@ -685,7 +693,7 @@ let torture_cmd =
     in
     if count > 1 && not json then
       Printf.printf "%d/%d cases passed\n" (count - failures) count;
-    finish_observability ~trace_out;
+    finish ~report_dump:false obs;
     exit (if failures > 0 then 1 else 0)
   in
   Cmd.v
@@ -699,7 +707,7 @@ let torture_cmd =
       $ verbose_arg $ lifecycle_arg $ futex_arg $ shards_arg
       $ stall_timeout_arg $ max_restarts_arg $ min_followers_arg
       $ lag_threshold_arg $ checkpoint_interval_arg $ net_arg
-      $ link_latency_arg $ json_arg $ trace_out_arg $ postmortem_dir_arg)
+      $ link_latency_arg $ json_arg $ obs_term)
 
 let replay_cmd =
   let module H = Varan_torture.Harness in
@@ -830,17 +838,7 @@ let serve_cmd =
              breakdown against the engine's total task-cycles — the \
              falloff diagnosis ROADMAP item 4 asks for.")
   in
-  let stats_json_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "stats-json" ] ~docv:"FILE"
-          ~doc:
-            "Dump the whole stats registry — every counter and every \
-             latency histogram — as JSON to FILE after the run.")
-  in
-  let run shards followers requests workers gap seed trace_out postmortem_dir
-      profile stats_json =
+  let run shards followers requests workers gap seed obs profile =
     let spec =
       {
         Serving.default with
@@ -852,7 +850,7 @@ let serve_cmd =
         sv_seed = seed;
       }
     in
-    arm_observability ~trace_out ~postmortem_dir;
+    arm obs;
     if profile then begin
       Profile.reset ();
       Profile.enabled := true
@@ -884,18 +882,10 @@ let serve_cmd =
     List.iter
       (fun (s, why) -> Printf.printf "shard %d degraded: %s\n" s why)
       o.Serving.o_degraded;
-    (match !Flight.last_dump with
-    | Some p -> Printf.printf "post-mortem: %s\n" p
-    | None -> ());
-    if profile then
-      print_string
-        (Profile.render ~total_cycles:o.Serving.o_total_task_cycles);
-    (match stats_json with
-    | Some path ->
-      Varan_util.Stats.dump_json_to path;
-      Printf.printf "stats: %s\n" path
-    | None -> ());
-    finish_observability ~trace_out
+    finish obs ~before_trace:(fun () ->
+        if profile then
+          print_string
+            (Profile.render ~total_cycles:o.Serving.o_total_task_cycles))
   in
   Cmd.v
     (Cmd.info "serve"
@@ -904,8 +894,7 @@ let serve_cmd =
           report throughput and tail latency.")
     Term.(
       const run $ shards_arg $ followers_arg $ requests_arg $ workers_arg
-      $ gap_arg $ seed_arg $ trace_out_arg $ postmortem_dir_arg $ profile_arg
-      $ stats_json_arg)
+      $ gap_arg $ seed_arg $ obs_term $ profile_arg)
 
 let list_cmd =
   let run () =

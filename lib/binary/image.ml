@@ -35,4 +35,3 @@ type t = { image_name : string; segments : segment list; entry : int }
 
 let make ~name ~entry segments = { image_name = name; segments; entry }
 let exec_segments t = List.filter (fun s -> s.perm.x) t.segments
-let find_segment t name = List.find_opt (fun s -> s.seg_name = name) t.segments

@@ -44,5 +44,3 @@ val make : name:string -> entry:int -> segment list -> t
 val exec_segments : t -> segment list
 (** Segments currently mapped executable — the ones the rewriter scans
     when "code is loaded into memory" (§2.1). *)
-
-val find_segment : t -> string -> segment option

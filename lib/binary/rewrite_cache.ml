@@ -1,5 +1,3 @@
-module Stats = Varan_util.Stats
-
 (* Bump whenever Rewriter's output format changes: stale entries from an
    older rewriter must never be served, and mixing versions into the
    content hash is cheaper than a flush protocol. *)
@@ -17,12 +15,6 @@ type t = {
   mutable evictions : int;
   mutable cached_bytes : int;
 }
-
-(* Process-wide tallies so sweeps and the torture report can read the
-   cache's behaviour without threading every session's handle around. *)
-let g_hits = Stats.counter "rewrite_cache.hits"
-let g_misses = Stats.counter "rewrite_cache.misses"
-let g_rebases = Stats.counter "rewrite_cache.rebases"
 
 let create ?(capacity = 64) () =
   if capacity < 1 then invalid_arg "Rewrite_cache.create: capacity < 1";
@@ -55,13 +47,10 @@ let prepare t ?(first_site_id = 0) code =
   match Hashtbl.find_opt t.table key with
   | Some en ->
     t.hits <- t.hits + 1;
-    Stats.incr_counter g_hits;
     t.rebases <- t.rebases + 1;
-    Stats.incr_counter g_rebases;
     Rewriter.rebase en.e_reloc ~first_site_id
   | None ->
     t.misses <- t.misses + 1;
-    Stats.incr_counter g_misses;
     let rt = Rewriter.rewrite_relocatable code in
     while Hashtbl.length t.table >= t.capacity do
       evict_one t

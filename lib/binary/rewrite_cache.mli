@@ -18,9 +18,8 @@
     additional replicas of the same image always rebase instead of
     re-rewriting.
 
-    Hits, misses and rebases are mirrored into the process-wide
-    {!Varan_util.Stats} counters [rewrite_cache.hits] /
-    [rewrite_cache.misses] / [rewrite_cache.rebases]. *)
+    Hits, misses and rebases are counted per cache; {!stats} reads
+    them. *)
 
 type t
 

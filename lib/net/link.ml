@@ -169,8 +169,6 @@ let rec recv t ~dir =
     E.Cond.wait d.arrived;
     recv t ~dir
 
-let try_recv t ~dir = Queue.take_opt t.dirs.(dir).inbox
-
 type stats = {
   frames_sent : int;
   frames_delivered : int;

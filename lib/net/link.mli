@@ -52,8 +52,6 @@ val recv : 'a t -> dir:int -> 'a
 (** Next frame travelling in direction [dir], in arrival order; blocks
     until one arrives. Task context. *)
 
-val try_recv : 'a t -> dir:int -> 'a option
-
 val partitioned : 'a t -> bool
 (** Is the link inside a partition window right now? *)
 

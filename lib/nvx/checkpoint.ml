@@ -1,4 +1,3 @@
-module Stats = Varan_util.Stats
 module K = Varan_kernel.Kernel
 
 (* Zygote-owned follower checkpoint store (rr-style fast rejoin).
@@ -46,15 +45,9 @@ type t = {
   mutable c_restores : int;
   mutable c_delta : int;
   mutable c_dedup : int;
-  (* Registry mirrors, resolved per store so a sharded deployment scopes
-     them (e.g. "shard2.checkpoint.taken"). *)
-  g_taken : Stats.counter;
-  g_restores : Stats.counter;
-  g_delta : Stats.counter;
-  g_dedup : Stats.counter;
 }
 
-let create ?scope ?(keep = 4) () =
+let create ?(keep = 4) () =
   if keep < 1 then invalid_arg "Checkpoint.create: keep";
   {
     keep;
@@ -64,10 +57,6 @@ let create ?scope ?(keep = 4) () =
     c_restores = 0;
     c_delta = 0;
     c_dedup = 0;
-    g_taken = Stats.scoped_counter ?scope "checkpoint.taken";
-    g_restores = Stats.scoped_counter ?scope "checkpoint.restores";
-    g_delta = Stats.scoped_counter ?scope "checkpoint.delta_events";
-    g_dedup = Stats.scoped_counter ?scope "checkpoint.dedup_hits";
   }
 
 let blob_unref t key =
@@ -86,8 +75,7 @@ let intern t state =
   (match Hashtbl.find_opt t.blobs key with
   | Some b ->
     b.b_refs <- b.b_refs + 1;
-    t.c_dedup <- t.c_dedup + 1;
-    Stats.incr_counter t.g_dedup
+    t.c_dedup <- t.c_dedup + 1
   | None -> Hashtbl.replace t.blobs key { b_bytes = state; b_refs = 1 });
   (Hashtbl.find t.blobs key).b_bytes
 
@@ -106,8 +94,7 @@ let store t snap =
     (fun s -> blob_unref t (blob_key s.cp_state))
     (stale @ evicted);
   Hashtbl.replace t.by_variant snap.cp_idx (snap :: kept);
-  t.c_taken <- t.c_taken + 1;
-  Stats.incr_counter t.g_taken
+  t.c_taken <- t.c_taken + 1
 
 let snapshots t ~idx =
   Option.value ~default:[] (Hashtbl.find_opt t.by_variant idx)
@@ -137,9 +124,7 @@ let nearest_any t ~seq =
 
 let note_restore t ~delta =
   t.c_restores <- t.c_restores + 1;
-  t.c_delta <- t.c_delta + delta;
-  Stats.incr_counter t.g_restores;
-  Stats.add_counter t.g_delta delta
+  t.c_delta <- t.c_delta + delta
 
 let stats t =
   let blobs = Hashtbl.length t.blobs in

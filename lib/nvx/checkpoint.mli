@@ -30,17 +30,14 @@ type snapshot = {
 
 type t
 
-val create : ?scope:string -> ?keep:int -> unit -> t
+val create : ?keep:int -> unit -> t
 (** [keep] (default 4) checkpoints are retained per variant, newest
     first; older ones are evicted and their blobs dropped when no other
-    snapshot shares them. [scope] prefixes the registry counter names
-    this store mirrors into (a shard's store reports
-    "shardN.checkpoint.taken"). *)
+    snapshot shares them. *)
 
 val store : t -> snapshot -> unit
 (** File a capture. A same-variant, same-seq predecessor is replaced.
-    Updates the process-wide [checkpoint.taken] / [checkpoint.dedup_hits]
-    counters in {!Varan_util.Stats}. *)
+    Counts toward {!stats}' [taken] and [dedup_hits]. *)
 
 val latest_at_most : t -> idx:int -> seq:int -> snapshot option
 (** The newest checkpoint of variant [idx] at or below stream position

@@ -1,5 +1,3 @@
-module Stats = Varan_util.Stats
-
 (* ------------------------------------------------------------------ *)
 (* Policy                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -103,25 +101,11 @@ type counters = {
   mutable c_illegal : int;
 }
 
-(* Registry-backed counters, resolved per lifecycle instance so a sharded
-   deployment reads "shard3.lifecycle.respawns" rather than every shard
-   funneling into one process-wide tally. Unscoped sessions keep the
-   historical bare names. *)
-type registry_counters = {
-  g_quarantines : Stats.counter;
-  g_respawns : Stats.counter;
-  g_rejoins : Stats.counter;
-  g_deaths : Stats.counter;
-  g_degradations : Stats.counter;
-  g_unreachable : Stats.counter;
-}
-
 type t = {
   policy : policy;
   entries : entry array; (* indexed by variant idx; entry 0 unused while
                             variant 0 leads *)
   c : counters;
-  g : registry_counters;
   mutable degraded : string option;
   (* Observability tap: called on every state change, before the entry
      mutates, with the entry's current reason. The session wires this to
@@ -131,18 +115,9 @@ type t = {
     idx:int -> from_:string -> to_:string -> reason:string -> unit;
 }
 
-let create ?scope policy ~variants =
+let create policy ~variants =
   {
     policy;
-    g =
-      {
-        g_quarantines = Stats.scoped_counter ?scope "lifecycle.quarantines";
-        g_respawns = Stats.scoped_counter ?scope "lifecycle.respawns";
-        g_rejoins = Stats.scoped_counter ?scope "lifecycle.rejoins";
-        g_deaths = Stats.scoped_counter ?scope "lifecycle.deaths";
-        g_degradations = Stats.scoped_counter ?scope "lifecycle.degradations";
-        g_unreachable = Stats.scoped_counter ?scope "lifecycle.unreachable";
-      };
     entries =
       Array.init variants (fun i ->
           {
@@ -184,31 +159,17 @@ let transition t e next =
   | Lagging -> t.c.c_lagging <- t.c.c_lagging + 1
   | Healthy ->
     if e.e_state = Lagging then t.c.c_recovered <- t.c.c_recovered + 1
-    else if e.e_state = Catching_up then begin
-      t.c.c_rejoins <- t.c.c_rejoins + 1;
-      Stats.incr_counter t.g.g_rejoins
-    end
-  | Quarantined ->
-    t.c.c_quarantines <- t.c.c_quarantines + 1;
-    Stats.incr_counter t.g.g_quarantines
-  | Respawning ->
-    t.c.c_respawns <- t.c.c_respawns + 1;
-    Stats.incr_counter t.g.g_respawns
+    else if e.e_state = Catching_up then t.c.c_rejoins <- t.c.c_rejoins + 1
+  | Quarantined -> t.c.c_quarantines <- t.c.c_quarantines + 1
+  | Respawning -> t.c.c_respawns <- t.c.c_respawns + 1
   | Catching_up -> ()
-  | Unreachable ->
-    t.c.c_unreachable <- t.c.c_unreachable + 1;
-    Stats.incr_counter t.g.g_unreachable
-  | Dead ->
-    t.c.c_deaths <- t.c.c_deaths + 1;
-    Stats.incr_counter t.g.g_deaths);
+  | Unreachable -> t.c.c_unreachable <- t.c.c_unreachable + 1
+  | Dead -> t.c.c_deaths <- t.c.c_deaths + 1);
   e.e_state <- next
 
+(* The first reason wins. *)
 let note_degraded t reason =
-  match t.degraded with
-  | Some _ -> () (* first reason wins *)
-  | None ->
-    t.degraded <- Some reason;
-    Stats.incr_counter t.g.g_degradations
+  if t.degraded = None then t.degraded <- Some reason
 
 let degraded t = t.degraded
 

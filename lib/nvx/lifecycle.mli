@@ -87,11 +87,9 @@ type entry = {
 
 type t
 
-val create : ?scope:string -> policy -> variants:int -> t
-(** [scope] prefixes the registry counter names this instance mirrors
-    into ("shard0.lifecycle.respawns" instead of "lifecycle.respawns"),
-    so per-shard lifecycle activity stays separable in a sharded
-    deployment. Unscoped instances keep the historical bare names. *)
+val create : policy -> variants:int -> t
+(** One ledger per session: its transition counters live here and
+    nowhere else ({!report} reads them). *)
 
 val entry : t -> int -> entry
 val state : entry -> state
@@ -99,8 +97,7 @@ val restarts : entry -> int
 val policy : t -> policy
 
 val transition : t -> entry -> state -> unit
-(** Move the entry to a new state, updating the transition counters (and
-    the process-wide [lifecycle.*] counters in {!Varan_util.Stats}).
+(** Move the entry to a new state, updating the transition counters.
     Illegal transitions are counted rather than raised — the report
     surfaces them as a lifecycle-manager bug. *)
 

@@ -210,9 +210,9 @@ type t = {
   (* Distributed mode (config.net): the cross-node ring bridge and its
      bookkeeping. [None] keeps everything on one node. *)
   mutable net : net_state option;
-  (* Observability: the session's flight recorder (keyed by the same
-     scope string the stats registry uses) and the trace track its
-     syscall spans and lifecycle instants render on. *)
+  (* Observability: the session's own flight recorder (named by its
+     scope) and the trace track its syscall spans and lifecycle instants
+     render on. *)
   fl : Flight.t;
   trace_pid : int;
 }

@@ -94,6 +94,39 @@ let maybe_capture_checkpoint t vst ~unit_idx ~incarnation proc encode =
   end
 
 (* ------------------------------------------------------------------ *)
+(* Post-mortem bundles                                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* The bundle's "counters" object: this session's own checkpoint and
+   lifecycle tallies, sorted by name. *)
+let bundle_counters t =
+  let ck = Checkpoint.stats t.checkpoints in
+  [
+    ("checkpoint.dedup_hits", ck.Checkpoint.dedup_hits);
+    ("checkpoint.delta_events", ck.Checkpoint.delta_events);
+    ("checkpoint.restores", ck.Checkpoint.restores);
+    ("checkpoint.taken", ck.Checkpoint.taken);
+  ]
+  @
+  match t.lifecycle with
+  | None -> []
+  | Some lc ->
+    let r = Lifecycle.report lc ~leader_idx:t.leader_idx in
+    [
+      ("lifecycle.deaths", r.Lifecycle.deaths);
+      ( "lifecycle.degradations",
+        if r.Lifecycle.degraded_reason = None then 0 else 1 );
+      ("lifecycle.quarantines", r.Lifecycle.quarantines);
+      ("lifecycle.rejoins", r.Lifecycle.rejoins);
+      ("lifecycle.respawns", r.Lifecycle.respawns);
+      ("lifecycle.unreachable", r.Lifecycle.unreachable);
+    ]
+
+(* Dump the flight recorder, when post-mortems are armed. *)
+let postmortem t ~at ~reason =
+  ignore (Flight.maybe_dump t.fl ~at ~reason ~counters:(bundle_counters t))
+
+(* ------------------------------------------------------------------ *)
 (* Follower lifecycle: quarantine, respawn, graceful degradation        *)
 (* ------------------------------------------------------------------ *)
 
@@ -111,8 +144,7 @@ let degrade t reason =
     t.degraded <- Some reason;
     let at = E.now t.k.Types.eng in
     Flight.record t.fl ~at "session.degrade" reason;
-    ignore
-      (Flight.maybe_dump t.fl ~at ~reason:("session degraded: " ^ reason));
+    postmortem t ~at ~reason:("session degraded: " ^ reason);
     Logs.info (fun m -> m "varan: degrading to native execution: %s" reason)
 
 (* Is any follower mid-recovery (quarantined, backing off, or replaying
@@ -146,9 +178,8 @@ let check_degraded_floor t =
    bundle (which names [why]), and the degradation floor it may break. *)
 let declare_dead t lc en vst ~why =
   Lifecycle.transition lc en Lifecycle.Dead;
-  ignore
-    (Flight.maybe_dump t.fl ~at:(E.now t.k.Types.eng)
-       ~reason:(Printf.sprintf "follower %d dead: %s" vst.idx why));
+  postmortem t ~at:(E.now t.k.Types.eng)
+    ~reason:(Printf.sprintf "follower %d dead: %s" vst.idx why);
   check_degraded_floor t
 
 (* Take a follower out of the stream: drop its consumers, releasing
@@ -606,7 +637,7 @@ let handle_crash t vst exn =
        Flight.record t.fl ~at "divergence.kill"
          (Printf.sprintf "variant %d (%s): %s" vst.idx
             vst.variant.Variant.v_name msg);
-       ignore (Flight.maybe_dump t.fl ~at ~reason:("divergence: " ^ msg))
+       postmortem t ~at ~reason:("divergence: " ^ msg)
      | _ ->
        Flight.record t.fl ~at "variant.crash"
          (Printf.sprintf "variant %d (%s): %s" vst.idx

@@ -14,6 +14,10 @@ val handle_crash : Monitor.t -> Monitor.vstate -> exn -> unit
     re-elects a leader if it led, and degrades the session when nobody
     is left to lead or follow. Task context. *)
 
+val bundle_counters : Monitor.t -> (string * int) list
+(** The ["counters"] object of the session's post-mortem bundles: its
+    own checkpoint and lifecycle tallies, sorted by name. *)
+
 val degrade : Monitor.t -> string -> unit
 (** Fall back to native-speed leader-only execution with a reported
     reason; the first reason wins. *)

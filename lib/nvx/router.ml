@@ -1,5 +1,3 @@
-module Stats = Varan_util.Stats
-
 (* Connection-routing front layer for the sharded serving stack.
 
    Routing is sticky consistent hashing over shard indices: a fresh
@@ -20,7 +18,6 @@ type t = {
   mutable c_routed : int;
   mutable c_assigned : int;
   mutable c_drained : int;
-  g_drained : Stats.counter;
 }
 
 type stats = {
@@ -30,7 +27,7 @@ type stats = {
   per_shard : int array;
 }
 
-let create ?scope ?(seed = 0) ~shards () =
+let create ?(seed = 0) ~shards () =
   if shards < 1 then invalid_arg "Router.create: shards";
   {
     n = shards;
@@ -41,7 +38,6 @@ let create ?scope ?(seed = 0) ~shards () =
     c_routed = 0;
     c_assigned = 0;
     c_drained = 0;
-    g_drained = Stats.scoped_counter ?scope "router.drained";
   }
 
 let shards t = t.n
@@ -83,8 +79,7 @@ let route t ~conn =
     (match prev with
     | Some old ->
       t.per_shard.(old) <- t.per_shard.(old) - 1;
-      t.c_drained <- t.c_drained + 1;
-      Stats.incr_counter t.g_drained
+      t.c_drained <- t.c_drained + 1
     | None -> t.c_assigned <- t.c_assigned + 1);
     Hashtbl.replace t.assign conn target;
     t.per_shard.(target) <- t.per_shard.(target) + 1;

@@ -11,9 +11,8 @@
 
 type t
 
-val create : ?scope:string -> ?seed:int -> shards:int -> unit -> t
-(** [seed] perturbs the hash (default 0); [scope] prefixes the registry
-    counter this router mirrors drain events into. *)
+val create : ?seed:int -> shards:int -> unit -> t
+(** [seed] perturbs the hash (default 0). *)
 
 val shards : t -> int
 

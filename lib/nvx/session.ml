@@ -319,13 +319,13 @@ let launch ?(config = Config.default) ?scope ?shared k variants =
       crash_total = 0;
       lifecycle =
         (match config.Config.lifecycle with
-        | Some p -> Some (Lifecycle.create ?scope p ~variants:nvariants)
+        | Some p -> Some (Lifecycle.create p ~variants:nvariants)
         | None -> None);
       tapes = [||];
       (* The checkpoint store stays per-session even under a shared hub:
          snapshots are keyed by variant index, which collides across
          sessions. Only the zygote and the rewrite cache are shared. *)
-      checkpoints = Checkpoint.create ?scope ();
+      checkpoints = Checkpoint.create ();
       degraded = None;
       max_lag = 0;
       waitlock_sleepers = [||];
@@ -340,7 +340,7 @@ let launch ?(config = Config.default) ?scope ?shared k variants =
         | plan -> Some (Fault.arm plan));
       oracle = config.Config.oracle;
       net = None;
-      fl = Flight.get (Option.value scope ~default:"");
+      fl = Flight.create (Option.value scope ~default:"");
       trace_pid = Trace.pid_of_scope (Option.value scope ~default:"session");
     }
   in
@@ -601,3 +601,4 @@ let tuple_tape (t : t) tu =
 let checkpoint_store (t : t) = t.checkpoints
 let pristine_image (t : t) profile = Hashtbl.find_opt t.pristine.images profile
 let flight (t : t) = t.fl
+let bundle_counters = Recovery.bundle_counters

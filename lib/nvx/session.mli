@@ -51,10 +51,9 @@ val launch :
 (** Set up and start the session. All variants' tasks are scheduled; the
     caller then runs the engine. The first variant is the initial leader.
 
-    [scope] qualifies the registry counter names this session's lifecycle
-    manager and checkpoint store mirror into (e.g. scope ["shard2"] makes
-    ["shard2.lifecycle.respawns"]) so concurrent sessions keep separable
-    stats; without it the historical bare names are used.
+    [scope] names the session: its post-mortem bundle files
+    (["postmortem-shard2-N.json"] for scope ["shard2"]) and its trace
+    track. Without it the bundles are named ["session"].
 
     [shared] plugs the session into a {!shared_spawn} hub: the session
     uses the hub's zygote, rewrite cache and pristine images instead of
@@ -207,9 +206,13 @@ val pristine_image : t -> Variant.code_profile -> Bytes.t option
 
 val flight : t -> Varan_obs.Flight.t
 (** The session's flight recorder — the black box dumped as a post-mortem
-    bundle on divergence, quarantine-kill or degradation. Registered
-    under the session's [scope] (the empty scope for unscoped sessions),
-    so {!Varan_obs.Flight.find} reaches the same object. *)
+    bundle on divergence, quarantine-kill or degradation. Each session
+    creates its own at launch; no other session writes to it. *)
+
+val bundle_counters : t -> (string * int) list
+(** The ["counters"] object of this session's post-mortem bundles: its
+    own lifecycle and checkpoint tallies, sorted by name
+    (["checkpoint.taken"], ["lifecycle.quarantines"], ...). *)
 
 val release_payload : t -> Varan_ringbuf.Event.t -> unit
 (** Drop one reader's reference to an event's shared-memory payload,

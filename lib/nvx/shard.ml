@@ -1,6 +1,5 @@
 module E = Varan_sim.Engine
 module Types = Varan_kernel.Types
-module Stats = Varan_util.Stats
 module Flight = Varan_obs.Flight
 
 (* Sharded serving layer: N independent monitor sessions — each with its
@@ -13,22 +12,15 @@ module Flight = Varan_obs.Flight
    sibling — the only coupling is the health feed into the router, which
    drains a degraded shard's connections to survivors. *)
 
-type shard = {
-  sh_id : int;
-  sh_scope : string;
-  sh_session : Session.t;
-}
+type shard = { sh_id : int; sh_session : Session.t }
 
 type t = {
   shards : shard array;
   hub : Session.shared_spawn;
   router : Router.t;
   eng : E.t;
-  g_degraded : Stats.counter;
   mutable degraded_seen : bool array; (* health edge already reported *)
 }
-
-let scope_of_shard i = Printf.sprintf "shard%d" i
 
 (* A shard is routable while its session still runs N-version execution
    (not degraded to native leader-only). A degraded session keeps
@@ -42,7 +34,6 @@ let refresh_health t =
       let up = shard_healthy sh in
       if (not up) && not t.degraded_seen.(sh.sh_id) then begin
         t.degraded_seen.(sh.sh_id) <- true;
-        Stats.incr_counter t.g_degraded;
         (* Pool-level view of the same edge: the shard's black box gets
            the moment the router stopped sending it fresh connections. *)
         Flight.record
@@ -58,9 +49,8 @@ let refresh_health t =
     t.shards
 
 let launch ?config ?config_of ?(router_seed = 0) ?(health_period = 20_000)
-    ?scope_of k ~shards ~variants_of =
+    k ~shards ~variants_of =
   if shards < 1 then invalid_arg "Shard.launch: shards";
-  let scope_of = Option.value scope_of ~default:scope_of_shard in
   let hub = Session.shared_spawn () in
   let config_for i =
     match config_of with
@@ -69,12 +59,11 @@ let launch ?config ?config_of ?(router_seed = 0) ?(health_period = 20_000)
   in
   let pool =
     Array.init shards (fun i ->
-        let scope = scope_of i in
         let session =
-          Session.launch ~config:(config_for i) ~scope ~shared:hub k
-            (variants_of i)
+          Session.launch ~config:(config_for i)
+            ~scope:(Printf.sprintf "shard%d" i) ~shared:hub k (variants_of i)
         in
-        { sh_id = i; sh_scope = scope; sh_session = session })
+        { sh_id = i; sh_session = session })
   in
   let t =
     {
@@ -82,7 +71,6 @@ let launch ?config ?config_of ?(router_seed = 0) ?(health_period = 20_000)
       hub;
       router = Router.create ~seed:router_seed ~shards ();
       eng = k.Types.eng;
-      g_degraded = Stats.counter "shard.degraded";
       degraded_seen = Array.make shards false;
     }
   in
@@ -95,7 +83,6 @@ let launch ?config ?config_of ?(router_seed = 0) ?(health_period = 20_000)
 
 let count t = Array.length t.shards
 let session t i = t.shards.(i).sh_session
-let scope t i = t.shards.(i).sh_scope
 let router t = t.router
 let hub t = t.hub
 let healthy t i = shard_healthy t.shards.(i)

@@ -4,8 +4,8 @@
     and tape each — behind a sticky {!Router}, while sharing one spawn
     hub ({!Session.shared_spawn}: resident zygote + content-addressed
     rewrite cache) so spawn cost is paid once for the pool, not per
-    shard. Per-shard registry counters are qualified with the shard
-    scope ("shard2.lifecycle.respawns", "shard2.checkpoint.taken").
+    shard. Each shard's session runs under its own scope (["shard2"]
+    for shard 2), which names its post-mortem bundles and trace track.
 
     Failure isolation: a quarantined follower or a degraded session on
     one shard never gates its siblings. The health ticker feeds session
@@ -19,7 +19,6 @@ val launch :
   ?config_of:(int -> Config.t) ->
   ?router_seed:int ->
   ?health_period:int ->
-  ?scope_of:(int -> string) ->
   Varan_kernel.Types.t ->
   shards:int ->
   variants_of:(int -> Variant.t list) ->
@@ -30,12 +29,10 @@ val launch :
     with the shard id. [config_of] overrides [config] per shard (beware
     sharing one [Config.oracle] across shards — ring registrations would
     collide; default config is safe). [health_period] is the router
-    health-sync ticker period in cycles. [scope_of] overrides the
-    default ["shardN"] stats scope. *)
+    health-sync ticker period in cycles. *)
 
 val count : t -> int
 val session : t -> int -> Session.t
-val scope : t -> int -> string
 
 val router : t -> Router.t
 
@@ -45,11 +42,6 @@ val route : t -> conn:int -> int
 val healthy : t -> int -> bool
 (** Whether the shard still runs full N-version execution (its session
     has not degraded to native leader-only). *)
-
-val refresh_health : t -> unit
-(** Force a health sync (the ticker does this periodically): degraded
-    sessions are marked down in the router and their connections drained
-    to survivors. *)
 
 val degraded : t -> (int * string) list
 (** Shards whose sessions degraded, with reasons. *)

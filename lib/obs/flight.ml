@@ -10,9 +10,10 @@
    bundle, rr-style: enough context to localize the failure without
    rerunning the workload.
 
-   Recorders are registered by scope (the same scope strings the stats
-   registry uses: "shard3", or "" for an unscoped session), so a sharded
-   deployment gets one black box per shard. *)
+   Each session creates and owns its recorder, named by the session's
+   scope ("shard3", or "" for an unscoped session), so a sharded
+   deployment gets one black box per shard and no run inherits another's
+   history. *)
 
 type entry = {
   ev_at : int64; (* engine vtime, cycles *)
@@ -31,14 +32,12 @@ type transition = {
 
 type t = {
   fl_scope : string;
-  cap : int;
   ring : entry array;
-  mutable total : int; (* events ever recorded; ring slot = total mod cap *)
+  mutable total : int; (* events ever recorded; slot = total mod capacity *)
   mutable transitions : transition list; (* reversed *)
   mutable n_transitions : int;
   mutable link : string; (* last reported bridge/link state *)
   mutable checkpoint_seq : int; (* newest checkpoint seq; -1 = none *)
-  mutable dumps : int;
 }
 
 let dummy = { ev_at = 0L; ev_lamport = 0; ev_tag = ""; ev_detail = "" }
@@ -47,51 +46,33 @@ let dummy = { ev_at = 0L; ev_lamport = 0; ev_tag = ""; ev_detail = "" }
    followers flap thousands of times keeps the newest window. *)
 let max_transitions = 512
 
-let registry : (string, t) Hashtbl.t = Hashtbl.create 8
+(* Events kept in the ring. *)
+let capacity = 64
 
-let recording = ref true
-
-let get ?(capacity = 64) scope =
-  match Hashtbl.find_opt registry scope with
-  | Some t -> t
-  | None ->
-    let t =
-      {
-        fl_scope = scope;
-        cap = capacity;
-        ring = Array.make capacity dummy;
-        total = 0;
-        transitions = [];
-        n_transitions = 0;
-        link = "";
-        checkpoint_seq = -1;
-        dumps = 0;
-      }
-    in
-    Hashtbl.replace registry scope t;
-    t
-
-let find scope = Hashtbl.find_opt registry scope
-
-let clear_registry () = Hashtbl.reset registry
+let create scope =
+  {
+    fl_scope = scope;
+    ring = Array.make capacity dummy;
+    total = 0;
+    transitions = [];
+    n_transitions = 0;
+    link = "";
+    checkpoint_seq = -1;
+  }
 
 let record t ~at ?(lamport = 0) tag detail =
-  if !recording then begin
-    t.ring.(t.total mod t.cap) <-
-      { ev_at = at; ev_lamport = lamport; ev_tag = tag; ev_detail = detail };
-    t.total <- t.total + 1
-  end
+  t.ring.(t.total mod capacity) <-
+    { ev_at = at; ev_lamport = lamport; ev_tag = tag; ev_detail = detail };
+  t.total <- t.total + 1
 
 let transition t ~at ~idx ~from_ ~to_ ~reason =
-  if !recording then begin
-    t.transitions <-
-      { tr_at = at; tr_idx = idx; tr_from = from_; tr_to = to_;
-        tr_reason = reason }
-      :: (if t.n_transitions >= max_transitions then
-            List.filteri (fun i _ -> i < max_transitions - 1) t.transitions
-          else t.transitions);
-    t.n_transitions <- min (t.n_transitions + 1) max_transitions
-  end
+  t.transitions <-
+    { tr_at = at; tr_idx = idx; tr_from = from_; tr_to = to_;
+      tr_reason = reason }
+    :: (if t.n_transitions >= max_transitions then
+          List.filteri (fun i _ -> i < max_transitions - 1) t.transitions
+        else t.transitions);
+  t.n_transitions <- min (t.n_transitions + 1) max_transitions
 
 let set_link t state = t.link <- state
 let note_checkpoint t seq = if seq > t.checkpoint_seq then t.checkpoint_seq <- seq
@@ -99,8 +80,8 @@ let checkpoint_seq t = t.checkpoint_seq
 
 (* Newest-last window of the event ring. *)
 let entries t =
-  let n = min t.total t.cap in
-  List.init n (fun i -> t.ring.((t.total - n + i) mod t.cap))
+  let n = min t.total capacity in
+  List.init n (fun i -> t.ring.((t.total - n + i) mod capacity))
 
 let transitions t = List.rev t.transitions
 
@@ -131,9 +112,10 @@ let json_escape s =
     s;
   Buffer.contents b
 
-let dump t ~at ~reason =
+(* [counters] is the owner's own tallies, under unscoped names: the
+   bundle already names its scope. *)
+let dump t ~at ~reason ~counters =
   incr serial;
-  t.dumps <- t.dumps + 1;
   let scope_part = if t.fl_scope = "" then "session" else t.fl_scope in
   let path =
     Filename.concat !dump_dir
@@ -170,15 +152,6 @@ let dump t ~at ~reason =
         (if i = n - 1 then "" else ","))
     trs;
   output_string oc "  ],\n  \"counters\": {\n";
-  let prefix = if t.fl_scope = "" then None else Some (t.fl_scope ^ ".") in
-  let counters =
-    Varan_util.Stats.counters ()
-    |> List.filter (fun (name, _) ->
-           match prefix with
-           | None -> true
-           | Some p -> String.length name >= String.length p
-                       && String.sub name 0 (String.length p) = p)
-  in
   let n = List.length counters in
   List.iteri
     (fun i (name, v) ->
@@ -190,5 +163,5 @@ let dump t ~at ~reason =
   last_dump := Some path;
   path
 
-let maybe_dump t ~at ~reason =
-  if !dump_enabled then Some (dump t ~at ~reason) else None
+let maybe_dump t ~at ~reason ~counters =
+  if !dump_enabled then Some (dump t ~at ~reason ~counters) else None

@@ -319,7 +319,7 @@ let try_consume_h c =
   else Some (consume_now t c)
 
 let consume_batch_h c ~max =
-  if max < 1 then invalid_arg "Ring.consume_batch: max must be positive";
+  if max < 1 then invalid_arg "Ring.consume_batch_h: max must be positive";
   let t = c.c_ring in
   wait_not_empty t c;
   (* Drain the run with one gate check and one wakeup at the end. *)
@@ -365,7 +365,6 @@ let unread_h c =
    loops should resolve a handle once instead. *)
 let consume t cid = consume_h (handle t cid)
 let try_consume t cid = try_consume_h (handle t cid)
-let consume_batch t cid ~max = consume_batch_h (handle t cid) ~max
 let peek t cid = peek_h (handle t cid)
 let lag t cid = lag_h (handle t cid)
 let cursor t cid = cursor_h (handle t cid)

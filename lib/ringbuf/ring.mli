@@ -80,12 +80,6 @@ val consume : 'a t -> int -> 'a
 
 val try_consume : 'a t -> int -> 'a option
 
-val consume_batch : 'a t -> int -> max:int -> 'a list
-(** [consume_batch ring cid ~max] blocks until at least one event is
-    available, then drains up to [max] already-published events with one
-    gate check and one producer wakeup for the whole run, oldest first.
-    Equivalent to repeated {!consume} for every observer. *)
-
 val peek : 'a t -> int -> 'a option
 (** Next unread event without advancing. *)
 
@@ -108,6 +102,10 @@ val unread : 'a t -> int -> 'a list
 val consume_h : 'a consumer -> 'a
 val try_consume_h : 'a consumer -> 'a option
 val consume_batch_h : 'a consumer -> max:int -> 'a list
+(** [consume_batch_h c ~max] blocks until at least one event is
+    available, then drains up to [max] already-published events with one
+    gate check and one producer wakeup for the whole run, oldest first.
+    Equivalent to repeated {!consume_h} for every observer. *)
 
 val try_consume_batch_h : 'a consumer -> max:int -> 'a list
 (** Non-blocking batch drain; [[]] when nothing is available. *)
@@ -172,16 +170,12 @@ val set_tap : 'a t -> 'a tap option -> unit
 
     Who is the producer actually waiting for? The follower-lifecycle
     watchdog needs to prove a quarantined consumer can never again hold
-    the leader's publish path, so the ring exposes the gating set and a
+    the leader's publish path, so the ring hands the gating set to a
     hook that fires on every producer park. *)
-
-val gating_cids : 'a t -> int list
-(** Cids of active consumers whose cursor sits on the gating sequence
-    while the ring is full — the consumers the producer would block on
-    right now. [[]] when the ring has space. Recomputes the cached gate
-    (exact, not the producer's conservative cache). *)
 
 val set_stall_hook : 'a t -> (int list -> unit) option -> unit
 (** Install a callback invoked each time a publisher parks on a full
-    ring, with {!gating_cids} at that instant. Like taps, the callback
-    runs synchronously and must not block or perform engine effects. *)
+    ring, with the cids of the active consumers whose cursor sits on the
+    gating sequence at that instant — the consumers the producer is
+    blocked on. Like taps, the callback runs synchronously and must not
+    block or perform engine effects. *)

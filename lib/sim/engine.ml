@@ -487,11 +487,6 @@ type t = {
   mutable switches : int; (* entries dispatched — task switches *)
 }
 
-(* Process-wide mirror of every engine's dispatch count: the scheduler
-   baseline for future work (engine-1k-task-switches measures the cost
-   of one such dispatch). *)
-let g_switches = Varan_util.Stats.counter "engine.task_switches"
-
 (* The payload side-slots of the suspending effects: a constant effect
    constructor allocates nothing at [perform], so the wrappers stash
    their argument here and the handler reads it back synchronously
@@ -806,8 +801,7 @@ let[@inline] can_inline t nt =
 
 let[@inline] note_inline_switch t nt =
   t.global_time <- nt;
-  t.switches <- t.switches + 1;
-  Varan_util.Stats.incr_counter g_switches
+  t.switches <- t.switches + 1
 
 (* The shared handler set. A fiber performs only to park, from the
    wrappers below, which have already done the work that does not
@@ -1088,7 +1082,6 @@ let drain ?cycle_budget t =
             Varan_obs.Profile.add Varan_obs.Profile.sched_dispatch
               (Int64.of_int (t.global_time - e.etime));
           t.switches <- t.switches + 1;
-          Varan_util.Stats.incr_counter g_switches;
           (match e.ekind with
           | Ek_resume ->
             let task = e.e_task and etime = e.etime and flag = e.e_arg <> 0 in

@@ -86,10 +86,8 @@ val failures : t -> (task_id * exn) list
 (** Tasks that terminated with an uncaught exception, oldest first. *)
 
 val task_switches : t -> int
-(** Entries dispatched so far — the engine's task-switch count.
-    Also mirrored into the process-wide [engine.task_switches]
-    {!Varan_util.Stats} counter, so scheduler work has a baseline to
-    measure against. *)
+(** Entries dispatched so far — the engine's task-switch count, the
+    baseline that scheduler work is measured against. *)
 
 type capacities = {
   nodes : int;  (** nodes of the queue's plain heap, one per run *)

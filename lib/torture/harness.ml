@@ -10,18 +10,8 @@ module Oracle = Varan_trace.Oracle
 module Lifecycle = Varan_nvx.Lifecycle
 module Checkpoint = Varan_nvx.Checkpoint
 module Prng = Varan_util.Prng
-module Stats = Varan_util.Stats
 module Flight = Varan_obs.Flight
 module P = Programs
-
-(* A sweep launches hundreds of scoped sessions in one process; without
-   this the stats and flight-recorder registries accumulate every dead
-   case's entries (the registry-leak bug: dumps grew monotonically and
-   showed shards from long-finished seeds). Called at the top of [run],
-   so each case's registries hold that case alone. *)
-let reset_registries () =
-  Stats.clear_registry ();
-  Flight.clear_registry ()
 
 type futex = { threads : int; locks : int; rounds : int }
 
@@ -405,7 +395,6 @@ let run (case : case) =
   (match validate case with
   | Ok () -> ()
   | Error e -> invalid_arg ("Harness.run: " ^ e));
-  reset_registries ();
   let programs =
     match case.workload with
     | Futex _ -> [||]
@@ -527,6 +516,7 @@ let check_lifecycle add policy ~yardstick out =
                   | [] -> 0L
                 in
                 Flight.dump fl ~at
+                  ~counters:(Nvx.bundle_counters out.session)
                   ~reason:
                     (Printf.sprintf "unexpected Dead of follower %d: %s" idx
                        fr.Lifecycle.fr_reason)

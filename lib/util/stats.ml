@@ -23,11 +23,6 @@ let percentile_sorted p a =
 
 let percentile p xs = percentile_sorted p (Array.of_list (sorted xs))
 
-let stddev xs =
-  let m = mean xs in
-  let sq = List.fold_left (fun acc x -> acc +. ((x -. m) *. (x -. m))) 0.0 xs in
-  sqrt (sq /. float_of_int (List.length xs))
-
 let min_max xs =
   assert (xs <> []);
   let f (lo, hi) x = (Stdlib.min lo x, Stdlib.max hi x) in
@@ -83,272 +78,3 @@ let pp_summary ppf s =
     s.n s.mean s.median s.stddev s.min s.max s.p95 s.p99 s.p999
 
 let summary_to_string s = Format.asprintf "%a" pp_summary s
-
-(* ------------------------------------------------------------------ *)
-(* Named monotonic counters                                            *)
-(* ------------------------------------------------------------------ *)
-
-type counter = { c_name : string; mutable c_value : int }
-
-let registry : (string, counter) Hashtbl.t = Hashtbl.create 16
-
-let counter name =
-  match Hashtbl.find_opt registry name with
-  | Some c -> c
-  | None ->
-    let c = { c_name = name; c_value = 0 } in
-    Hashtbl.replace registry name c;
-    c
-
-let scoped_name ?scope name =
-  match scope with None -> name | Some s -> s ^ "." ^ name
-
-let scoped_counter ?scope name = counter (scoped_name ?scope name)
-let incr_counter c = c.c_value <- c.c_value + 1
-let add_counter c n = c.c_value <- c.c_value + n
-let counter_value c = c.c_value
-let counter_name c = c.c_name
-
-let counters () =
-  Hashtbl.fold (fun name c acc -> (name, c.c_value) :: acc) registry []
-  |> List.sort compare
-
-let reset_counters () =
-  Hashtbl.iter (fun _ c -> c.c_value <- 0) registry
-
-(* ------------------------------------------------------------------ *)
-(* Log-bucketed histograms                                             *)
-(* ------------------------------------------------------------------ *)
-
-(* HDR-style fixed-size histogram: 64 buckets, three per octave (~26%
-   relative resolution), covering [1, 2^21) with an underflow bucket at
-   0 and a clamp at the top. A sample is one float compare, one [frexp]
-   and two stores — constant memory no matter how many samples arrive,
-   which is the point: the unbounded-sample paths (open-loop latency
-   recording at millions of requests) can keep percentile estimates
-   without keeping the samples. *)
-
-let hist_buckets = 64
-
-type hist = {
-  h_name : string;
-  h_b : int array; (* hist_buckets *)
-  mutable h_n : int;
-  mutable h_sum : float;
-  mutable h_sumsq : float;
-  mutable h_min : float;
-  mutable h_max : float;
-}
-
-let make_hist name =
-  {
-    h_name = name;
-    h_b = Array.make hist_buckets 0;
-    h_n = 0;
-    h_sum = 0.0;
-    h_sumsq = 0.0;
-    h_min = infinity;
-    h_max = neg_infinity;
-  }
-
-let hist_registry : (string, hist) Hashtbl.t = Hashtbl.create 16
-
-let hist ?scope name =
-  let name = scoped_name ?scope name in
-  match Hashtbl.find_opt hist_registry name with
-  | Some h -> h
-  | None ->
-    let h = make_hist name in
-    Hashtbl.replace hist_registry name h;
-    h
-
-(* Bucket 0 holds [0, 1); bucket 1 + 3*o + s holds
-   [2^o * (1 + s/3), 2^o * (1 + (s+1)/3)) for s in 0..2. *)
-let bucket_of_value v =
-  if not (v >= 1.0) then 0
-  else begin
-    let m, ex = Float.frexp v in
-    (* v = m * 2^ex with m in [0.5, 1), so the octave is ex - 1 and the
-       in-octave fraction is 2m - 1 in [0, 1). *)
-    let octave = ex - 1 in
-    let sub = int_of_float ((2.0 *. m -. 1.0) *. 3.0) in
-    let idx = 1 + (3 * octave) + Stdlib.min 2 sub in
-    Stdlib.min (hist_buckets - 1) idx
-  end
-
-let bucket_bounds idx =
-  if idx <= 0 then (0.0, 1.0)
-  else begin
-    let octave = (idx - 1) / 3 and sub = (idx - 1) mod 3 in
-    let base = Float.ldexp 1.0 octave in
-    ( base *. (1.0 +. (float_of_int sub /. 3.0)),
-      base *. (1.0 +. (float_of_int (sub + 1) /. 3.0)) )
-  end
-
-let hist_record h v =
-  let v = if v < 0.0 then 0.0 else v in
-  h.h_b.(bucket_of_value v) <- h.h_b.(bucket_of_value v) + 1;
-  h.h_n <- h.h_n + 1;
-  h.h_sum <- h.h_sum +. v;
-  h.h_sumsq <- h.h_sumsq +. (v *. v);
-  if v < h.h_min then h.h_min <- v;
-  if v > h.h_max then h.h_max <- v
-
-let hist_count h = h.h_n
-let hist_name h = h.h_name
-
-let hist_clear h =
-  Array.fill h.h_b 0 hist_buckets 0;
-  h.h_n <- 0;
-  h.h_sum <- 0.0;
-  h.h_sumsq <- 0.0;
-  h.h_min <- infinity;
-  h.h_max <- neg_infinity
-
-(* Percentile estimate: same rank convention as [percentile_sorted]
-   (rank = ceil(p/100 * n)), resolved to the midpoint of the bucket the
-   rank falls in, clamped into the observed [min, max]. *)
-let hist_percentile h p =
-  if h.h_n = 0 then 0.0
-  else if p <= 0.0 then h.h_min
-  else if p >= 100.0 then h.h_max
-  else begin
-    let rank =
-      Stdlib.max 1 (int_of_float (ceil (p /. 100.0 *. float_of_int h.h_n)))
-    in
-    let acc = ref 0 and idx = ref (hist_buckets - 1) and found = ref false in
-    (try
-       for i = 0 to hist_buckets - 1 do
-         acc := !acc + h.h_b.(i);
-         if (not !found) && !acc >= rank then begin
-           idx := i;
-           found := true;
-           raise Exit
-         end
-       done
-     with Exit -> ());
-    let lo, hi = bucket_bounds !idx in
-    let mid = (lo +. hi) /. 2.0 in
-    Stdlib.min h.h_max (Stdlib.max h.h_min mid)
-  end
-
-let hist_summary h =
-  if h.h_n = 0 then None
-  else
-    let n = float_of_int h.h_n in
-    let mean = h.h_sum /. n in
-    let var = Stdlib.max 0.0 ((h.h_sumsq /. n) -. (mean *. mean)) in
-    Some
-      {
-        n = h.h_n;
-        mean;
-        median = hist_percentile h 50.0;
-        stddev = sqrt var;
-        min = h.h_min;
-        max = h.h_max;
-        p95 = hist_percentile h 95.0;
-        p99 = hist_percentile h 99.0;
-        p999 = hist_percentile h 99.9;
-      }
-
-let hists () =
-  Hashtbl.fold (fun name h acc -> (name, h) :: acc) hist_registry []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
-
-(* ------------------------------------------------------------------ *)
-(* Registry hygiene and export                                         *)
-(* ------------------------------------------------------------------ *)
-
-(* [reset_counters] zeroes values but leaves the entries registered; a
-   harness that launches hundreds of scoped sessions per process needs
-   to actually drop the dead scopes or every dump grows monotonically
-   and shows shards that no longer exist. *)
-let remove_scope scope =
-  let prefix = scope ^ "." in
-  let plen = String.length prefix in
-  let matching tbl =
-    Hashtbl.fold
-      (fun name _ acc ->
-        if String.length name >= plen && String.sub name 0 plen = prefix then
-          name :: acc
-        else acc)
-      tbl []
-  in
-  List.iter (Hashtbl.remove registry) (matching registry);
-  List.iter (Hashtbl.remove hist_registry) (matching hist_registry)
-
-let clear_registry () =
-  Hashtbl.reset registry;
-  Hashtbl.reset hist_registry
-
-let json_escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let json_float f =
-  if Float.is_integer f && Float.abs f < 1e15 then
-    Printf.sprintf "%.1f" f
-  else Printf.sprintf "%g" f
-
-(* Machine-readable export of the whole registry: every counter and
-   every registered histogram (with its non-empty buckets), as one JSON
-   object. *)
-let dump_json () =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "{\n  \"counters\": {\n";
-  let cs = counters () in
-  let n = List.length cs in
-  List.iteri
-    (fun i (name, v) ->
-      Buffer.add_string b
-        (Printf.sprintf "    \"%s\": %d%s\n" (json_escape name) v
-           (if i = n - 1 then "" else ",")))
-    cs;
-  Buffer.add_string b "  },\n  \"histograms\": {\n";
-  let hs = hists () in
-  let n = List.length hs in
-  List.iteri
-    (fun i (name, h) ->
-      Buffer.add_string b (Printf.sprintf "    \"%s\": {" (json_escape name));
-      if h.h_n = 0 then Buffer.add_string b "\"count\": 0"
-      else begin
-        Buffer.add_string b
-          (Printf.sprintf
-             "\"count\": %d, \"sum\": %s, \"min\": %s, \"max\": %s, \"p50\": \
-              %s, \"p95\": %s, \"p99\": %s, \"p999\": %s, \"buckets\": ["
-             h.h_n (json_float h.h_sum) (json_float h.h_min)
-             (json_float h.h_max)
-             (json_float (hist_percentile h 50.0))
-             (json_float (hist_percentile h 95.0))
-             (json_float (hist_percentile h 99.0))
-             (json_float (hist_percentile h 99.9)));
-        let first = ref true in
-        Array.iteri
-          (fun idx c ->
-            if c > 0 then begin
-              if !first then first := false else Buffer.add_string b ", ";
-              Buffer.add_string b (Printf.sprintf "[%d, %d]" idx c)
-            end)
-          h.h_b;
-        Buffer.add_string b "]"
-      end;
-      Buffer.add_string b
-        (Printf.sprintf "}%s\n" (if i = n - 1 then "" else ",")))
-    hs;
-  Buffer.add_string b "  }\n}\n";
-  Buffer.contents b
-
-let dump_json_to path =
-  let oc = open_out path in
-  output_string oc (dump_json ());
-  close_out oc

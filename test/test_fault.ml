@@ -435,14 +435,12 @@ let test_quarantine_kill_dumps_postmortem () =
         (contains ~sub:"\"to\": \"quarantined\"" body);
       Alcotest.(check bool) "transition into Dead recorded" true
         (contains ~sub:"\"to\": \"dead\"" body);
-      (* ...and the newest-at-dump-time checkpoint position is on
-         record (the session keeps checkpointing after the dump, so the
-         recorder's final seq may be newer still). *)
-      let bundle_seq =
-        let key = "\"checkpoint_seq\": " in
+      (* The integer value of the bundle's first [name] field. *)
+      let int_field name =
+        let key = Printf.sprintf "\"%s\": " name in
         let rec find i =
           if i + String.length key > String.length body then
-            Alcotest.fail "bundle has no checkpoint_seq field"
+            Alcotest.failf "bundle has no %s field" name
           else if String.sub body i (String.length key) = key then begin
             let j = ref (i + String.length key) in
             let start = !j in
@@ -457,7 +455,29 @@ let test_quarantine_kill_dumps_postmortem () =
         in
         find 0
       in
+      (* ...and the newest-at-dump-time checkpoint position is on
+         record (the session keeps checkpointing after the dump, so the
+         recorder's final seq may be newer still). *)
+      let bundle_seq = int_field "checkpoint_seq" in
       Alcotest.(check bool) "bundle noted a checkpoint" true (bundle_seq >= 0);
+      (* The counters are this session's own: its quarantine count is
+         the quarantines its transition history shows, and no
+         process-wide total rides along. *)
+      let occurrences sub =
+        let n = String.length sub in
+        let rec go i acc =
+          if i + n > String.length body then acc
+          else go (i + 1) (if String.sub body i n = sub then acc + 1 else acc)
+        in
+        go 0 0
+      in
+      Alcotest.(check int) "quarantine counter matches the history"
+        (occurrences "\"to\": \"quarantined\"")
+        (int_field "lifecycle.quarantines");
+      Alcotest.(check bool) "no engine-wide switch count" false
+        (contains ~sub:"engine.task_switches" body);
+      Alcotest.(check bool) "no process-wide rewrite-cache count" false
+        (contains ~sub:"rewrite_cache." body);
       let fl = Nvx.flight out.H.session in
       Alcotest.(check bool) "recorder's final seq is no older" true
         (Flight.checkpoint_seq fl >= bundle_seq);
@@ -466,6 +486,53 @@ let test_quarantine_kill_dumps_postmortem () =
         (List.length (Flight.transitions fl) >= 2);
       Alcotest.(check bool) "recorder kept recent events" true
         (Flight.entries fl <> []))
+
+(* Each session creates its own flight recorder: a session launched
+   after another in the same process starts with an empty black box, and
+   the shards of one pool never share one. *)
+let test_each_session_owns_its_recorder () =
+  let module Flight = Varan_obs.Flight in
+  let module Shard = Varan_nvx.Shard in
+  (* An unscoped session whose follower is quarantined and rejoins. *)
+  let case =
+    directed_case ~lifecycle:lc ~seed:111 ~followers:2
+      ~plan:[ Fault.Stall_follower { idx = 1; at_seq = 4; delay = 2_000_000 } ]
+      (payload_ops 10)
+  in
+  let first = Nvx.flight (H.run case).H.session in
+  let first_entries = Flight.entries first in
+  Alcotest.(check bool) "first recorder kept events" true (first_entries <> []);
+  Alcotest.(check bool) "first recorder kept transitions" true
+    (Flight.transitions first <> []);
+  let idle name = Variant.make name (Variant.single (fun _api -> ())) in
+  let eng = E.create () in
+  let k = K.create ~seed:1 eng in
+  let second = Nvx.flight (Nvx.launch k [ idle "a"; idle "b" ]) in
+  Alcotest.(check bool) "second recorder is its own" false (second == first);
+  Alcotest.(check int) "second starts with no events" 0
+    (List.length (Flight.entries second));
+  Alcotest.(check int) "second starts with no transitions" 0
+    (List.length (Flight.transitions second));
+  E.run_until_quiescent eng;
+  Alcotest.(check bool) "first recorder untouched by the second run" true
+    (Flight.entries first = first_entries);
+  let eng = E.create () in
+  let k = K.create ~seed:1 eng in
+  let pool =
+    Shard.launch k ~shards:3 ~variants_of:(fun i ->
+        List.init 2 (fun j -> idle (Printf.sprintf "shard%d.v%d" i j)))
+  in
+  let recorders = List.init 3 (fun i -> Nvx.flight (Shard.session pool i)) in
+  List.iteri
+    (fun i a ->
+      List.iteri
+        (fun j b ->
+          if i < j then
+            Alcotest.(check bool)
+              (Printf.sprintf "shards %d and %d own distinct recorders" i j)
+              false (a == b))
+        recorders)
+    recorders
 
 (* Satellite: losing every follower degrades the session to native-speed
    leader-only execution with a reported reason — never an escaping
@@ -1292,6 +1359,8 @@ let () =
             test_dead_after_restart_budget;
           Alcotest.test_case "quarantine kill dumps post-mortem" `Quick
             test_quarantine_kill_dumps_postmortem;
+          Alcotest.test_case "each session owns its flight recorder" `Quick
+            test_each_session_owns_its_recorder;
           Alcotest.test_case "all followers dead degrades" `Quick
             test_degrade_all_followers_dead;
           Alcotest.test_case "no leader remains degrades" `Quick

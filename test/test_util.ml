@@ -149,25 +149,6 @@ let test_summarize_array_non_mutation () =
   Alcotest.(check (float 1e-9)) "median over the sorted copy" 3.0
     s.Stats.median
 
-let test_scoped_counters () =
-  Alcotest.(check string) "unscoped name unchanged" "lifecycle.respawns"
-    (Stats.scoped_name "lifecycle.respawns");
-  Alcotest.(check string) "scope prefixes" "shard3.lifecycle.respawns"
-    (Stats.scoped_name ~scope:"shard3" "lifecycle.respawns");
-  let a = Stats.scoped_counter ~scope:"s0" "test.scoped" in
-  let b = Stats.scoped_counter ~scope:"s1" "test.scoped" in
-  let before_a = Stats.counter_value a in
-  let before_b = Stats.counter_value b in
-  Stats.incr_counter a;
-  Stats.incr_counter a;
-  Stats.incr_counter b;
-  Alcotest.(check int) "scopes tally apart (s0)" (before_a + 2)
-    (Stats.counter_value a);
-  Alcotest.(check int) "scopes tally apart (s1)" (before_b + 1)
-    (Stats.counter_value b);
-  Alcotest.(check string) "scoped counter name" "s0.test.scoped"
-    (Stats.counter_name a)
-
 (* --- floatbuf --------------------------------------------------------- *)
 
 module Floatbuf = Varan_util.Floatbuf
@@ -214,113 +195,6 @@ let test_floatbuf_capacity_doubling () =
   Alcotest.(check (array (float 1e-9))) "to_array in push order"
     [| 0.0; 10.0; 20.0; 30.0; 40.0 |]
     (Floatbuf.to_array b)
-
-(* --- histograms -------------------------------------------------------- *)
-
-let test_hist_buckets_and_percentiles () =
-  let h = Stats.make_hist "t.lat" in
-  Alcotest.(check int) "empty count" 0 (Stats.hist_count h);
-  Alcotest.(check bool) "empty summary" true (Stats.hist_summary h = None);
-  (* Bucket geometry: sub-1 values underflow to bucket 0; bounds are
-     half-open and tile the axis. *)
-  Alcotest.(check int) "underflow bucket" 0 (Stats.bucket_of_value 0.25);
-  let b = Stats.bucket_of_value 100.0 in
-  let lo, hi = Stats.bucket_bounds b in
-  Alcotest.(check bool) "value inside its bucket bounds" true
-    (lo <= 100.0 && 100.0 < hi);
-  Alcotest.(check bool) "bucket index in range" true
-    (b >= 0 && b < Stats.hist_buckets);
-  (* Record a known spread; log-bucket estimates are coarse (~26%), so
-     assert relative error rather than equality. *)
-  for i = 1 to 1000 do
-    Stats.hist_record h (float_of_int i)
-  done;
-  Alcotest.(check int) "count" 1000 (Stats.hist_count h);
-  let p50 = Stats.hist_percentile h 50.0 in
-  Alcotest.(check bool) "p50 within bucket resolution" true
-    (p50 > 350.0 && p50 < 700.0);
-  let p999 = Stats.hist_percentile h 99.9 in
-  Alcotest.(check bool) "p999 clamped to observed max" true (p999 <= 1000.0);
-  (match Stats.hist_summary h with
-  | None -> Alcotest.fail "summary empty after 1000 records"
-  | Some s ->
-    Alcotest.(check int) "summary n" 1000 s.Stats.n;
-    Alcotest.(check (float 1e-6)) "exact mean survives bucketing" 500.5
-      s.Stats.mean;
-    Alcotest.(check (float 1e-9)) "exact min" 1.0 s.Stats.min;
-    Alcotest.(check (float 1e-9)) "exact max" 1000.0 s.Stats.max);
-  Stats.hist_clear h;
-  Alcotest.(check int) "clear zeroes count" 0 (Stats.hist_count h)
-
-let test_registry_hygiene () =
-  Stats.clear_registry ();
-  let c0 = Stats.scoped_counter ~scope:"caseA" "events" in
-  let _c1 = Stats.scoped_counter ~scope:"caseB" "events" in
-  let _h0 = Stats.hist ~scope:"caseA" "lat" in
-  let _h1 = Stats.hist ~scope:"caseB" "lat" in
-  Stats.incr_counter c0;
-  Alcotest.(check int) "two counters registered" 2
-    (List.length (Stats.counters ()));
-  Alcotest.(check int) "two hists registered" 2
-    (List.length (Stats.hists ()));
-  (* remove_scope drops exactly the prefix-matched registrations. *)
-  Stats.remove_scope "caseA";
-  Alcotest.(check (list string)) "caseA gone, caseB stays"
-    [ "caseB.events" ]
-    (List.map fst (Stats.counters ()));
-  Alcotest.(check (list string)) "caseA hist gone"
-    [ "caseB.lat" ]
-    (List.map fst (Stats.hists ()));
-  (* An existing handle still works after its registration is dropped —
-     it is just no longer visible to dump_json. *)
-  Stats.incr_counter c0;
-  Alcotest.(check int) "orphan handle still tallies" 2
-    (Stats.counter_value c0);
-  (* Re-requesting the name creates a fresh counter from zero. *)
-  let c0' = Stats.scoped_counter ~scope:"caseA" "events" in
-  Alcotest.(check int) "re-created counter starts fresh" 0
-    (Stats.counter_value c0');
-  Stats.clear_registry ();
-  Alcotest.(check int) "clear_registry empties counters" 0
-    (List.length (Stats.counters ()));
-  Alcotest.(check int) "clear_registry empties hists" 0
-    (List.length (Stats.hists ()))
-
-let test_dump_json_well_formed () =
-  Stats.clear_registry ();
-  let c = Stats.counter "a.count" in
-  Stats.add_counter c 3;
-  let h = Stats.hist "a.lat\"quoted\"" in
-  Stats.hist_record h 12.5;
-  let s = Stats.dump_json () in
-  (* Must parse as JSON — handed to CI and external tools verbatim. We
-     have no JSON parser in-tree; check the shape instead: balanced
-     braces/brackets outside strings and the escaped name present. *)
-  let depth = ref 0 and in_str = ref false and esc = ref false in
-  String.iter
-    (fun ch ->
-      if !esc then esc := false
-      else if !in_str then begin
-        if ch = '\\' then esc := true else if ch = '"' then in_str := false
-      end
-      else
-        match ch with
-        | '"' -> in_str := true
-        | '{' | '[' -> incr depth
-        | '}' | ']' -> decr depth
-        | _ -> ())
-    s;
-  Alcotest.(check int) "balanced nesting" 0 !depth;
-  Alcotest.(check bool) "string state closed" false !in_str;
-  let contains ~sub s =
-    let n = String.length sub and m = String.length s in
-    let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
-    go 0
-  in
-  Alcotest.(check bool) "counter present" true (contains ~sub:"a.count" s);
-  Alcotest.(check bool) "quote in hist name escaped" true
-    (contains ~sub:"a.lat\\\"quoted\\\"" s);
-  Stats.clear_registry ()
 
 (* --- tablefmt ---------------------------------------------------------- *)
 
@@ -722,20 +596,11 @@ let () =
             test_stats_tiny_samples;
           Alcotest.test_case "summarize_array non-mutation" `Quick
             test_summarize_array_non_mutation;
-          Alcotest.test_case "scoped counters" `Quick test_scoped_counters;
           Alcotest.test_case "floatbuf grows in order" `Quick
             test_floatbuf_grows_in_order;
           Alcotest.test_case "floatbuf capacity doubling" `Quick
             test_floatbuf_capacity_doubling;
           QCheck_alcotest.to_alcotest prop_stats_summary_consistent;
-        ] );
-      ( "hist",
-        [
-          Alcotest.test_case "buckets and percentiles" `Quick
-            test_hist_buckets_and_percentiles;
-          Alcotest.test_case "registry hygiene" `Quick test_registry_hygiene;
-          Alcotest.test_case "dump_json well-formed" `Quick
-            test_dump_json_well_formed;
         ] );
       ( "tablefmt",
         [

@@ -67,8 +67,8 @@ let arm obs =
 (* Name the last post-mortem bundle (unless [report_dump] is false: a
    sweep dumps per case), print [before_trace], then write the trace. *)
 let finish ?(report_dump = true) ?(before_trace = ignore) obs =
-  (match !Flight.last_dump with
-  | Some p when report_dump -> Printf.printf "post-mortem: %s\n" p
+  (match !Flight.dumps with
+  | p :: _ when report_dump -> Printf.printf "post-mortem: %s\n" p
   | _ -> ());
   before_trace ();
   match obs.trace_out with
@@ -142,7 +142,7 @@ let trace_arg =
     & info [ "strace" ]
         ~doc:"Print the leader's system call trace after the run (§3.1).")
 
-let config_of ring_size pump trap_only busy_wait trace =
+let nvx_config ring_size pump trap_only busy_wait trace =
   {
     Config.default with
     Config.ring_size;
@@ -204,7 +204,7 @@ let print_session_stats (st : Nvx.stats) =
 
 let run_cmd =
   let run w followers ring_size pump trap_only busy_wait trace obs =
-    let config = config_of ring_size pump trap_only busy_wait trace in
+    let config = nvx_config ring_size pump trap_only busy_wait trace in
     Printf.printf "Running %s natively...\n%!" w.Workload.w_name;
     let native = Driver.run w Driver.Native in
     print_measurement native;
@@ -684,10 +684,20 @@ let torture_cmd =
     let failures =
       List.fold_left
         (fun failures case ->
+          let dumped = List.length !Flight.dumps in
           let out = H.run case in
           let fails = H.check case out in
-          if json then print_endline (H.json_of_outcome ~fails case out)
-          else print_report verbose case out fails;
+          (* The bundles this case wrote, oldest first. *)
+          let n = List.length !Flight.dumps - dumped in
+          let postmortem =
+            List.rev (List.filteri (fun i _ -> i < n) !Flight.dumps)
+          in
+          if json then
+            print_endline (H.json_of_outcome ~fails ~postmortem case out)
+          else begin
+            print_report verbose case out fails;
+            List.iter (Printf.printf "  post-mortem: %s\n") postmortem
+          end;
           if fails = [] then failures else failures + 1)
         0 cases
     in

@@ -10,8 +10,6 @@ type segment = {
 }
 
 let rx = { r = true; w = false; x = true }
-let rw = { r = true; w = true; x = false }
-let ro = { r = true; w = false; x = false }
 
 let check_wx name perm =
   if perm.w && perm.x then
@@ -30,8 +28,3 @@ let with_writable seg f =
   set_perm seg { original with w = true; x = false };
   seg.data <- f seg.data;
   set_perm seg original
-
-type t = { image_name : string; segments : segment list; entry : int }
-
-let make ~name ~entry segments = { image_name = name; segments; entry }
-let exec_segments t = List.filter (fun s -> s.perm.x) t.segments

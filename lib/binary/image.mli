@@ -19,8 +19,6 @@ type segment = {
 }
 
 val rx : perm
-val rw : perm
-val ro : perm
 
 val make_segment : name:string -> base:int -> perm:perm -> Bytes.t -> segment
 (** @raise Wx_violation if [perm] has both [w] and [x]. *)
@@ -32,15 +30,3 @@ val with_writable : segment -> (Bytes.t -> Bytes.t) -> unit
 (** [with_writable seg f] flips an executable segment to RW, replaces its
     data with [f data], and restores the original permission — the
     rewriter's patching envelope. *)
-
-type t = {
-  image_name : string;
-  segments : segment list;
-  entry : int;
-}
-
-val make : name:string -> entry:int -> segment list -> t
-
-val exec_segments : t -> segment list
-(** Segments currently mapped executable — the ones the rewriter scans
-    when "code is loaded into memory" (§2.1). *)

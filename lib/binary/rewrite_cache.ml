@@ -88,7 +88,3 @@ let stats (t : t) =
     entries = Hashtbl.length t.table;
     cached_bytes = t.cached_bytes;
   }
-
-let hit_rate_c100 (t : t) =
-  let total = t.hits + t.misses in
-  if total = 0 then 0 else t.hits * 100 / total

@@ -13,7 +13,7 @@
     [first_site_id] in O(sites) — no disassembly, no window collection,
     no stub emission.
 
-    The resident zygote owns the session's cache (see {!Varan_nvx.Zygote}):
+    The session (or the spawn hub a shard pool shares) owns the cache:
     it outlives every variant incarnation, so respawned followers and
     additional replicas of the same image always rebase instead of
     re-rewriting.
@@ -23,15 +23,9 @@
 
 type t
 
-val version : string
-(** Rewriter-output version mixed into every key. *)
-
 val create : ?capacity:int -> unit -> t
 (** A cache holding at most [capacity] (default 64) distinct images;
     insertion beyond that evicts in FIFO order. *)
-
-val image_key : Bytes.t -> string
-(** The content address of an original (pre-rewrite) code buffer. *)
 
 val prepare : t -> ?first_site_id:int -> Bytes.t -> Rewriter.result
 (** [prepare t ~first_site_id code] returns the rewritten image with
@@ -55,6 +49,3 @@ type stats = {
 }
 
 val stats : t -> stats
-
-val hit_rate_c100 : t -> int
-(** Percentage of lookups served from cache (0 when none yet). *)

@@ -7,13 +7,8 @@
     [event] addressing mode (class [LD], mode [0xc0], which classic BPF
     leaves unused). *)
 
-val encode : Insn.t -> int * int * int * int
-(** [(code, jt, jf, k)] for one instruction. *)
-
 val encode_program : Insn.t array -> Bytes.t
 (** The byte image, 8 bytes per instruction, little-endian fields. *)
-
-val decode : int * int * int * int -> (Insn.t, string) result
 
 val decode_program : Bytes.t -> (Insn.t array, string) result
 (** Decode and {!Verifier.verify}; an invalid or unverifiable image is an

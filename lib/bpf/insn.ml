@@ -27,10 +27,8 @@ let ret_allow = 0x7fff_0000
 let ret_skip_event = 0x7ff1_0000
 
 let data_nr = 0
-let data_arg i = 16 + (8 * i)
 let event_nr = 0
 let event_ret = 1
-let event_arg i = 2 + i
 
 let pp_src ppf = function
   | K k -> Format.fprintf ppf "#%d" k

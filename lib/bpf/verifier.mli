@@ -6,8 +6,5 @@
     non-negative by construction, so control flow only moves forward),
     every reachable path ends in a [Ret], and memory offsets are sane. *)
 
-val max_insns : int
-(** 4096, as in the kernel (BPF_MAXINSNS). *)
-
 val verify : Insn.t array -> (unit, string) result
 (** [Error msg] pinpoints the offending instruction. *)

@@ -108,7 +108,3 @@ val mem_slowdown_c1000 : t -> intensity_c1000:int -> variants:int -> int
     compute slowdown (in 1/1000 units, i.e. 1000 = no slowdown) suffered by
     each of [variants] copies of a workload with the given memory intensity
     running on this machine (§4.3, §6). *)
-
-val scale_by_c1000 : int -> int -> int
-(** [scale_by_c1000 cycles f] multiplies a cycle count by a 1/1000-unit
-    factor, rounding to nearest. *)

@@ -289,6 +289,3 @@ let at_link_send armed ~seq =
           Some L_duplicate
         | _ -> None)
     armed
-
-let unfired armed =
-  List.filter_map (fun s -> if s.fired then None else Some s.inj) armed

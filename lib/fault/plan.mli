@@ -122,7 +122,3 @@ val at_follower_consume : armed -> idx:int -> seq:int -> action list
 val at_link_send : armed -> seq:int -> link_action list
 (** Link faults due as the bridge's channel sends frame [seq]; one-shot,
     [>=] triggered like every other injection. *)
-
-val unfired : armed -> injection list
-(** Injections that never fired (stream ended before their sequence
-    number, or their variant changed role). *)

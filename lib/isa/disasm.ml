@@ -36,13 +36,3 @@ let is_target s addr =
   addr >= 0
   && addr < Bytes.length s.targets
   && Bytes.get s.targets addr <> '\000'
-
-let pp_listing ppf buf =
-  List.iter
-    (fun it ->
-      match it.insn with
-      | Some insn -> Format.fprintf ppf "%04x: %a@." it.addr Insn.pp insn
-      | None ->
-        Format.fprintf ppf "%04x: .byte 0x%02x@." it.addr
-          (Char.code (Bytes.get buf it.addr)))
-    (sweep buf)

@@ -14,8 +14,7 @@ type item = {
 
 val sweep : Bytes.t -> item list
 (** Decode the whole buffer front to back, one item per instruction or
-    undecodable byte. The reference form of {!scan}, and what
-    {!pp_listing} prints. *)
+    undecodable byte. The reference form of {!scan}. *)
 
 (** {1 One-pass scan}
 
@@ -37,6 +36,3 @@ val is_target : scan -> int -> bool
 (** Whether a decoded branch lands on this address. The rewriter must
     not relocate instructions at these addresses (§3.2). [false] outside
     the buffer. *)
-
-val pp_listing : Format.formatter -> Bytes.t -> unit
-(** Human-readable listing, one instruction per line. *)

@@ -70,7 +70,6 @@ val unlink : t -> string -> (unit, Errno.t) result
 val mkdir : t -> string -> (unit, Errno.t) result
 val rename : t -> string -> string -> (unit, Errno.t) result
 val access : t -> string -> (unit, Errno.t) result
-val fsync : t -> int -> (unit, Errno.t) result
 val fcntl : t -> int -> int -> int -> (int, Errno.t) result
 val dup : t -> int -> (int, Errno.t) result
 val pipe : t -> (int * int, Errno.t) result
@@ -116,9 +115,7 @@ val geteuid : t -> int
 val getgid : t -> int
 val getegid : t -> int
 val time : t -> int
-val gettimeofday_ns : t -> int64
 val clock_gettime_ns : t -> int64
-val nanosleep_us : t -> int -> unit
 val futex_wait : t -> int -> unit
 val futex_wake : t -> int -> int -> int
 

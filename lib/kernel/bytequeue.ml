@@ -10,7 +10,6 @@ let create ?(capacity = 1 lsl 20) () =
 
 let length q = q.len
 let is_empty q = q.len = 0
-let capacity q = q.cap
 let space q = q.cap - q.len
 
 (* The queue keeps [b] itself: the caller has already cut it to the
@@ -50,8 +49,3 @@ let gather q n ~remove =
 
 let read q n = gather q (min n q.len) ~remove:true
 let peek q n = gather q (min n q.len) ~remove:false
-
-let clear q =
-  Queue.clear q.chunks;
-  q.head_ofs <- 0;
-  q.len <- 0

@@ -16,7 +16,6 @@ val create : ?capacity:int -> unit -> t
 
 val length : t -> int
 val is_empty : t -> bool
-val capacity : t -> int
 val space : t -> int
 
 val write : t -> Bytes.t -> unit
@@ -30,5 +29,3 @@ val read : t -> int -> Bytes.t
 
 val peek : t -> int -> Bytes.t
 (** Like {!read} without removing. *)
-
-val clear : t -> unit

@@ -11,12 +11,12 @@ module Prng = Varan_util.Prng
 
 type fd_grant = { granted : (int * ofile) list }
 
-let create ?(cost = Cost.default) ?(link_latency = 0) ?(seed = 42) eng =
+let create ?(link_latency = 0) ?(seed = 42) eng =
   let root = Directory (Hashtbl.create 16) in
   let k =
     {
       eng;
-      cost;
+      cost = Cost.default;
       root;
       listeners = Hashtbl.create 16;
       futexes = Hashtbl.create 16;
@@ -286,13 +286,6 @@ let restore_fds k proc snap =
     snap
 
 let fd_snapshot_count = List.length
-
-let now_ns k =
-  let cycles = Int64.to_float (E.now k.eng) in
-  let ns = cycles /. k.cost.Cost.cpu_ghz in
-  Int64.add
-    (Int64.mul (Int64.of_int k.epoch_seconds) 1_000_000_000L)
-    (Int64.of_float ns)
 
 (* Simulated-process-local time: based on the calling task's clock. *)
 let task_now_ns k =

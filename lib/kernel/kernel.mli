@@ -17,17 +17,19 @@
 open Types
 
 val create :
-  ?cost:Varan_cycles.Cost.t ->
   ?link_latency:int ->
   ?seed:int ->
   Varan_sim.Engine.t ->
   t
 (** Fresh kernel with [/dev/null], [/dev/zero], [/dev/urandom] and [/tmp]
     pre-created. [link_latency] is the one-way network delay in cycles
-    applied to socket payload delivery (default 0). *)
+    applied to socket payload delivery (default 0). The cost model is
+    {!Varan_cycles.Cost.default}. *)
 
 val engine : t -> Varan_sim.Engine.t
+
 val cost : t -> Varan_cycles.Cost.t
+(** The cost model every layer above the kernel charges from. *)
 
 val new_proc : t -> ?parent:proc -> string -> proc
 (** Allocate a process (empty descriptor table, cwd ["/"]). *)
@@ -82,9 +84,6 @@ val restore_fds : t -> proc -> fd_snapshot -> unit
 val fd_snapshot_count : fd_snapshot -> int
 
 (** {1 Introspection} *)
-
-val now_ns : t -> int64
-(** Simulated wall clock in nanoseconds. *)
 
 val fd_count : proc -> int
 val proc_alive : proc -> bool

@@ -50,11 +50,3 @@ let attach ?(limit = 10_000) (api : Api.t) =
 
 let lines t = List.rev t.entries
 let calls t = t.total
-
-let pp ppf t =
-  List.iter (fun l -> Format.fprintf ppf "%s@." l) (lines t)
-
-let clear t =
-  t.entries <- [];
-  t.kept <- 0;
-  t.total <- 0

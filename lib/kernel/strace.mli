@@ -28,8 +28,3 @@ val lines : t -> string list
 
 val calls : t -> int
 (** Total calls traced (including those beyond the line limit). *)
-
-val pp : Format.formatter -> t -> unit
-(** Print the trace, one call per line. *)
-
-val clear : t -> unit

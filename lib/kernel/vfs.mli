@@ -12,12 +12,6 @@ val normalize : cwd:string -> string -> string list
 val lookup : t -> cwd:string -> string -> (node, Varan_syscall.Errno.t) result
 (** Resolve a path to a node ([ENOENT]/[ENOTDIR] on failure). *)
 
-val lookup_parent :
-  t -> cwd:string -> string ->
-  ((string, node) Hashtbl.t * string, Varan_syscall.Errno.t) result
-(** Resolve all but the last component to a directory table, returning the
-    final name; used by create/unlink/mkdir/rename. *)
-
 val create_file :
   t -> cwd:string -> string -> (node, Varan_syscall.Errno.t) result
 (** Create (or return the existing) regular file at the path. *)

@@ -298,10 +298,9 @@ let rec ack_loop t =
   ack_loop t
 
 let create ~local_node ~remote_node ~local ~mirror ?(cfg = default_config)
-    ?latency ?cycles_per_kb ?faults ~materialize ~discard ~must_replicate () =
+    ?latency ?faults ~materialize ~discard ~must_replicate () =
   let link =
-    Link.create ~a:local_node ~b:remote_node ?latency ?cycles_per_kb ?faults
-      "bridge"
+    Link.create ~a:local_node ~b:remote_node ?latency ?faults "bridge"
   in
   let t =
     {
@@ -396,8 +395,6 @@ let reattach t ~mirror ~remote_base =
 let detached t = t.detached
 
 let stalled_since t = if t.in_flight = 0 then None else Some t.stall_anchor
-
-let link_partitioned t = Link.partitioned t.link
 
 type stats = {
   batches : int;

@@ -51,7 +51,6 @@ val create :
   mirror:Varan_ringbuf.Event.t Varan_ringbuf.Ring.t ->
   ?cfg:config ->
   ?latency:int ->
-  ?cycles_per_kb:int ->
   ?faults:(seq:int -> Link.fault list) ->
   materialize:(Varan_ringbuf.Event.t -> Varan_ringbuf.Event.t) ->
   discard:(Varan_ringbuf.Event.t -> unit) ->
@@ -95,8 +94,6 @@ val stalled_since : t -> int64 option
 (** [Some t0] when batches are in flight and no ack has advanced the
     window since [t0] — the watchdog's link-degradation signal. [None]
     when nothing is outstanding or acks are flowing. *)
-
-val link_partitioned : t -> bool
 
 type stats = {
   batches : int;

@@ -2,13 +2,6 @@ module E = Varan_sim.Engine
 
 type fault = Partition of int | Delay of int | Drop | Duplicate | Reorder
 
-let fault_name = function
-  | Partition _ -> "partition"
-  | Delay _ -> "delay"
-  | Drop -> "drop"
-  | Duplicate -> "duplicate"
-  | Reorder -> "reorder"
-
 (* One direction of travel: an in-order arrival horizon, the delivered
    frames, and at most one frame held back by a pending Reorder. *)
 type 'a dir = {
@@ -72,8 +65,6 @@ let create ~a ~b ?(latency = 2000) ?(cycles_per_kb = 800) ?(faults = no_faults)
     s_partitions = 0;
   }
 
-let partitioned t = E.now_cycles () < t.partition_until
-
 (* Arm a timer for [arrival], then hand the frame to the sink. Two
    timers with distinct deadlines fire in deadline order (ties break by
    arm order), so per-direction arrival order is the queue order. Every
@@ -94,7 +85,6 @@ let schedule t d msg ~bytes ~extra =
     if Int64.compare inorder earliest > 0 then inorder else earliest
   in
   d.last_arrival <- arrival;
-  Node.note_rx d.dst bytes;
   deliver t d msg ~arrival;
   arrival
 
@@ -113,7 +103,6 @@ let send t ~dir ~bytes msg =
   t.next_seq <- seq + 1;
   t.s_sent <- t.s_sent + 1;
   t.s_bytes <- t.s_bytes + bytes;
-  Node.note_tx d.src bytes;
   let now = E.now_cycles () in
   let extra = ref 0 in
   let drop = ref (Int64.compare now t.partition_until < 0) in

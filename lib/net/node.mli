@@ -1,4 +1,4 @@
-(** A simulated machine: a named home for tasks and a traffic ledger.
+(** A simulated machine: a named home for tasks.
 
     Distributed NVX keeps everything on one {!Varan_sim.Engine} — virtual
     time is global, exactly as in a single-box simulation — but tasks and
@@ -11,20 +11,7 @@ type t
 
 val create : eng:Varan_sim.Engine.t -> string -> t
 val name : t -> string
-val engine : t -> Varan_sim.Engine.t
 
 val spawn : t -> name:string -> (unit -> unit) -> Varan_sim.Engine.task_id
 (** Spawn a task owned by this node (named ["<node>/<name>"]), runnable
     at the current global virtual time. *)
-
-val note_tx : t -> int -> unit
-(** Record bytes leaving this node on some link. *)
-
-val note_rx : t -> int -> unit
-
-type stats = { tasks : int; bytes_tx : int; bytes_rx : int }
-(** [tasks] counts tasks spawned through {!spawn}. Link frame deliveries
-    and bridge retransmit deadlines are engine timers
-    ({!Varan_sim.Engine.after_here}), not tasks, and are not counted. *)
-
-val stats : t -> stats

@@ -1,6 +1,6 @@
 module K = Varan_kernel.Kernel
 
-(* Zygote-owned follower checkpoint store (rr-style fast rejoin).
+(* Follower checkpoint store (rr-style fast rejoin).
 
    A checkpoint freezes everything a respawned follower needs to resume
    mid-stream instead of replaying its whole history: the follower's
@@ -12,11 +12,11 @@ module K = Varan_kernel.Kernel
    delta [cp_seq, splice) — rejoin latency is bounded by the checkpoint
    interval, not by session length.
 
-   Like the PR 4 rewrite cache, the store lives with the zygote and is
-   content-addressed: program-state blobs are keyed by digest, so the
-   common case — several followers (or successive incarnations of one)
-   checkpointing identical deterministic state at the same stream
-   position — stores one blob. *)
+   The session owns the store, so snapshots outlive the incarnation
+   they captured. It is content-addressed: program-state blobs are keyed
+   by digest, so the common case — several followers (or successive
+   incarnations of one) checkpointing identical deterministic state at
+   the same stream position — stores one blob. *)
 
 type snapshot = {
   cp_idx : int; (* variant the checkpoint was captured from *)
@@ -37,8 +37,10 @@ type stats = {
 
 type blob = { b_bytes : Bytes.t; mutable b_refs : int }
 
+(* Checkpoints retained per variant, newest first. *)
+let keep = 4
+
 type t = {
-  keep : int; (* checkpoints retained per variant, newest first *)
   by_variant : (int, snapshot list) Hashtbl.t;
   blobs : (string, blob) Hashtbl.t; (* digest -> shared state blob *)
   mutable c_taken : int;
@@ -47,10 +49,8 @@ type t = {
   mutable c_dedup : int;
 }
 
-let create ?(keep = 4) () =
-  if keep < 1 then invalid_arg "Checkpoint.create: keep";
+let create () =
   {
-    keep;
     by_variant = Hashtbl.create 8;
     blobs = Hashtbl.create 16;
     c_taken = 0;
@@ -88,8 +88,8 @@ let store t snap =
   (* Newest first; drop a same-seq predecessor (re-capture) and anything
      beyond the per-variant retention depth. *)
   let prev, stale = List.partition (fun s -> s.cp_seq <> snap.cp_seq) prev in
-  let kept = List.filteri (fun i _ -> i < t.keep - 1) prev in
-  let evicted = List.filteri (fun i _ -> i >= t.keep - 1) prev in
+  let kept = List.filteri (fun i _ -> i < keep - 1) prev in
+  let evicted = List.filteri (fun i _ -> i >= keep - 1) prev in
   List.iter
     (fun s -> blob_unref t (blob_key s.cp_state))
     (stale @ evicted);

@@ -1,4 +1,4 @@
-(** Zygote-owned follower checkpoint store (rr-style fast rejoin).
+(** Follower checkpoint store (rr-style fast rejoin).
 
     A checkpoint freezes everything a respawned follower needs to resume
     mid-stream instead of replaying its whole history: the follower's
@@ -13,11 +13,11 @@
     respawn and replays only the tape delta — rejoin latency is bounded
     by the checkpoint interval, not by session length.
 
-    Like the PR 4 rewrite cache, the store lives with the zygote
-    ({!Zygote.checkpoints}) and is content-addressed: state blobs are
-    interned by digest, so identical deterministic state captured by
-    several followers — or successive incarnations of one — is stored
-    once. *)
+    The session owns the store ({!Session.checkpoint_store}), so
+    snapshots outlive the incarnation they captured. It is
+    content-addressed: state blobs are interned by digest, so identical
+    deterministic state captured by several followers — or successive
+    incarnations of one — is stored once. *)
 
 type snapshot = {
   cp_idx : int;  (** variant the checkpoint was captured from *)
@@ -30,8 +30,8 @@ type snapshot = {
 
 type t
 
-val create : ?keep:int -> unit -> t
-(** [keep] (default 4) checkpoints are retained per variant, newest
+val create : unit -> t
+(** An empty store. Four checkpoints are retained per variant, newest
     first; older ones are evicted and their blobs dropped when no other
     snapshot shares them. *)
 

@@ -5,22 +5,12 @@ type streaming = Shared_ring | Event_pump
 type net = {
   remote_followers : int;
   link_latency : int;
-  link_cycles_per_kb : int;
-  bridge_batch : int;
-  bridge_window : int;
-  bridge_rto : int;
-  unreachable_after : int;
 }
 
 let default_net =
   {
     remote_followers = 1;
     link_latency = 2000;
-    link_cycles_per_kb = 800;
-    bridge_batch = 16;
-    bridge_window = 4;
-    bridge_rto = 20_000;
-    unreachable_after = 300_000;
   }
 
 type t = {
@@ -28,9 +18,6 @@ type t = {
   interception : interception;
   follower_wait : follower_wait;
   streaming : streaming;
-  enforce_clock_order : bool;
-  pool_bytes : int;
-  cost : Varan_cycles.Cost.t;
   trace_first_variant : bool;
   fault_plan : Varan_fault.Plan.t;
   oracle : Varan_trace.Oracle.t option;
@@ -44,9 +31,6 @@ let default =
     interception = Rewrite;
     follower_wait = Waitlock;
     streaming = Shared_ring;
-    enforce_clock_order = true;
-    pool_bytes = 16 * 1024 * 1024;
-    cost = Varan_cycles.Cost.default;
     trace_first_variant = false;
     fault_plan = Varan_fault.Plan.empty;
     oracle = None;

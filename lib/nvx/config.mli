@@ -3,8 +3,12 @@
     Beyond the paper's defaults, the knobs expose the ablations DESIGN.md
     calls out: trap-only interception (no detouring), per-follower queues
     with an event pump instead of the shared ring (the prototype's
-    discarded first design, §3.3.1), pure busy-waiting instead of
-    waitlocks, and disabling the Lamport ordering. *)
+    discarded first design, §3.3.1), and pure busy-waiting instead of
+    waitlocks.
+
+    The session always orders a multi-threaded variant's events by
+    Lamport clock (§3.3.3), and takes its cost model from the kernel
+    ({!Varan_kernel.Kernel.cost}). *)
 
 type interception =
   | Rewrite  (** selective binary rewriting: jump detours + INT3 fallback *)
@@ -29,17 +33,9 @@ type net = {
           remote node and consume the bridge's mirror ring; the leader is
           always local *)
   link_latency : int;  (** per-frame link latency, cycles *)
-  link_cycles_per_kb : int;  (** bandwidth model: cycles per KiB *)
-  bridge_batch : int;  (** events coalesced per bridge frame *)
-  bridge_window : int;  (** max unacked frames in flight *)
-  bridge_rto : int;  (** initial retransmit timeout, cycles *)
-  unreachable_after : int;
-      (** cycles of bridge window stall before the watchdog parks the
-          remote followers in [Unreachable]. Keep this above the
-          lifecycle [stall_timeout] so an individually-stuck remote
-          follower is quarantined (its problem) before the link is
-          declared down (everyone's problem). *)
 }
+(** The bridge runs {!Varan_net.Bridge.default_config} over a link with
+    {!Varan_net.Link.create}'s bandwidth model. *)
 
 val default_net : net
 
@@ -48,10 +44,6 @@ type t = {
   interception : interception;
   follower_wait : follower_wait;
   streaming : streaming;
-  enforce_clock_order : bool;
-      (** Lamport ordering for multi-threaded variants (§3.3.3) *)
-  pool_bytes : int;  (** shared-memory pool capacity *)
-  cost : Varan_cycles.Cost.t;
   trace_first_variant : bool;
       (** attach an strace-style tracer to variant 0's main unit — the
           paper's point that ptrace-based tooling still works on VARAN'd

@@ -307,14 +307,12 @@ let rec await_event t vst ~unit_idx ~tuple sysno =
 let advance t vst ~tuple ~tid =
   if Stream.advance (stream vst tuple) ~tid then finish_rejoin t vst
 
-(* With lanes the clock check already ran at demux time (in stream
-   order); per-tid consumption order would trip it at replay. *)
-let check_clock t ~demuxed = t.cfg.Config.enforce_clock_order && not demuxed
-
 (* Consume a head event that is not a syscall result (a signal or a
-   fork): clock check, advance, and the consume cost. *)
+   fork): clock check, advance, and the consume cost. With lanes the
+   clock check already ran at demux time (in stream order); per-tid
+   consumption order would trip it at replay. *)
 let consume_head t vst ~tuple ~tid (e : Event.t) =
-  if check_clock t ~demuxed:(Stream.demuxed (stream vst tuple)) then
+  if not (Stream.demuxed (stream vst tuple)) then
     ignore (Lamport.try_advance vst.clocks.(tuple) e.Event.clock);
   advance t vst ~tuple ~tid;
   E.consume t.cost.Cost.consume_event;
@@ -351,21 +349,6 @@ let decode_event_result t vst (disp : Syscall_table.disposition) proc
   | None -> ());
   vst.st.events_consumed <- vst.st.events_consumed + 1;
   { Args.ret = e.Event.ret; out; fd_object = None }
-
-let divergence_log_limit = 256
-
-let log_divergence t vst (e : Event.t) sysno verdict =
-  if t.divergence_log_len < divergence_log_limit then begin
-    t.divergence_log <-
-      {
-        d_variant = vst.variant.Variant.v_name;
-        d_follower_call = Sysno.name sysno;
-        d_leader_event = sysno_name e.Event.sysno;
-        d_verdict = verdict;
-      }
-      :: t.divergence_log;
-    t.divergence_log_len <- t.divergence_log_len + 1
-  end
 
 let run_rewrite_rule t vst (e : Event.t) sysno args =
   match vst.variant.Variant.rules with
@@ -413,7 +396,7 @@ let rec follower_replay t vst ~unit_idx ~tuple proc
   let e = await_event t vst ~unit_idx ~tuple sysno in
   let tid = vst.unit_tid.(unit_idx) in
   let demuxed = Stream.demuxed (stream vst tuple) in
-  let check_clock = check_clock t ~demuxed in
+  let check_clock = not demuxed in
   (* Coalescing state is per head event. With one shared cursor that
      means per tuple; with lanes every tid has its own head, so the key
      shards by tid (lanes imply a single tuple, so the key spaces cannot
@@ -494,13 +477,11 @@ let rec follower_replay t vst ~unit_idx ~tuple proc
   else begin
     match run_rewrite_rule t vst e sysno args with
     | Rules.Execute_follower_call ->
-      log_divergence t vst e sysno "execute-follower-call";
       vst.st.divergences_executed <- vst.st.divergences_executed + 1;
       (* The follower performs its additional call itself; the leader's
          event stays for the next match attempt. *)
       K.exec t.k proc sysno args
     | Rules.Skip_leader_event ->
-      log_divergence t vst e sysno "skip-leader-event";
       vst.st.divergences_skipped <- vst.st.divergences_skipped + 1;
       (* Unlike {!consume_head}, a skip charges no consume and does not
          count as consumption (the watchdog's progress measure). *)
@@ -514,7 +495,6 @@ let rec follower_replay t vst ~unit_idx ~tuple proc
       release_payload t e;
       follower_replay t vst ~unit_idx ~tuple proc disp sysno args
     | Rules.Kill | Rules.Other _ ->
-      log_divergence t vst e sysno "kill";
       raise (Divergence_kill "rewrite rule returned kill")
   end
 

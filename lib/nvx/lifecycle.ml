@@ -147,7 +147,6 @@ let create policy ~variants =
 
 let entry t idx = t.entries.(idx)
 let state e = e.e_state
-let restarts e = e.e_restarts
 let policy t = t.policy
 let set_on_transition t f = t.on_transition <- f
 

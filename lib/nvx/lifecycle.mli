@@ -93,7 +93,6 @@ val create : policy -> variants:int -> t
 
 val entry : t -> int -> entry
 val state : entry -> state
-val restarts : entry -> int
 val policy : t -> policy
 
 val transition : t -> entry -> state -> unit

@@ -158,14 +158,14 @@ let start_variant t vst =
     K.register_task t.k proc tid
   done
 
-let launch ?(cost = Cost.default) k variants =
+let launch k variants =
   if variants = [] then invalid_arg "Lockstep.launch: no variants";
   let variants = Array.of_list variants in
   let shape = variants.(0).Variant.program in
   let t =
     {
       k;
-      cost;
+      cost = K.cost k;
       vstates =
         Array.mapi
           (fun idx variant ->

@@ -18,8 +18,7 @@ type t
 exception Lockstep_divergence of string
 (** Raised into every variant when they rendezvous on different calls. *)
 
-val launch :
-  ?cost:Varan_cycles.Cost.t -> Varan_kernel.Types.t -> Variant.t list -> t
+val launch : Varan_kernel.Types.t -> Variant.t list -> t
 (** Start all variants under the lockstep monitor. The first variant's
     process is the one whose descriptor table backs real execution. *)
 

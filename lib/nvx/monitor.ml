@@ -3,8 +3,8 @@
    (payload references, tuples and units, stream subscription). Stream
    reads events, Recovery handles crashes and the lifecycle, Interpose
    runs the leader and follower syscall paths, and Session composes
-   them; all four open this module. Session re-exports [t], [role],
-   [Divergence_kill] and [divergence_entry]. *)
+   them; all four open this module. Session re-exports [t], [role] and
+   [Divergence_kill]. *)
 
 module E = Varan_sim.Engine
 module K = Varan_kernel.Kernel
@@ -154,13 +154,6 @@ type vstate = {
   mutable pending_restore : Checkpoint.snapshot option;
 }
 
-type divergence_entry = {
-  d_variant : string;
-  d_follower_call : string;
-  d_leader_event : string;
-  d_verdict : string;
-}
-
 type t = {
   k : Types.t;
   cfg : Config.t;
@@ -175,9 +168,9 @@ type t = {
   mutable leader_idx : int;
   payload_refs : (int, int ref) Hashtbl.t;
   mutable zygote : Zygote.t option;
-  (* The spawn fast path's rewrite cache — the same object the resident
-     zygote owns, kept here so stats and prepare_image reach it without
-     going through the (optional) zygote handle. *)
+  (* The spawn fast path's rewrite cache: the session's own, or the
+     shared spawn hub's. It outlives every variant incarnation, so
+     respawns rebase a cached image instead of re-running the rewriter. *)
   rewrite_cache : Rewrite_cache.t;
   pristine : pristine; (* beside the cache, owned the same way *)
   (* Monitor-wide site-id allocator: each prepared image (and vDSO patch)
@@ -191,8 +184,8 @@ type t = {
      behaviour). [tapes] is the per-tuple recorder feeding catch-up. *)
   mutable lifecycle : Lifecycle.t option;
   mutable tapes : Tape.t array;
-  (* Follower checkpoint store — the same object the resident zygote
-     owns, so snapshots survive the incarnations they were taken in. *)
+  (* Follower checkpoint store, owned here so snapshots survive the
+     incarnations they were taken in. *)
   checkpoints : Checkpoint.t;
   mutable degraded : string option; (* native-execution fallback reason *)
   mutable max_lag : int;
@@ -202,8 +195,6 @@ type t = {
       (* per tuple: followers registered on a forked tuple *)
   ready_cond : E.Cond.cond;
       (* the coordinator's "wait until all followers fork" rendezvous *)
-  mutable divergence_log : divergence_entry list; (* reversed, bounded *)
-  mutable divergence_log_len : int;
   mutable tracer : Varan_kernel.Strace.t option;
   fault : Fault.armed option;
   oracle : Oracle.t option;
@@ -218,7 +209,6 @@ type t = {
 }
 
 and net_state = {
-  n_cfg : Config.net;
   n_local_node : Net_node.t;
   n_remote_node : Net_node.t;
   n_bridge : Bridge.t;

@@ -15,11 +15,3 @@ let result_copy_cost c (result : Args.result) =
     match result.Args.out with Some b -> Bytes.length b | None -> 0
   in
   copy_cost c ~bytes
-
-let estimated_server_overhead c ~syscalls_per_request ~avg_payload_bytes
-    ~request_cycles =
-  let per_call =
-    per_syscall_overhead c + copy_cost c ~bytes:avg_payload_bytes
-  in
-  let extra = syscalls_per_request * per_call in
-  float_of_int (request_cycles + extra) /. float_of_int request_cycles

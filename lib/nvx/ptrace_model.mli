@@ -13,23 +13,8 @@ val per_syscall_overhead : Varan_cycles.Cost.t -> int
 (** Fixed per-syscall, per-variant cost: two stops, register read/write,
     centralised monitor dispatch. *)
 
-val copy_cost : Varan_cycles.Cost.t -> bytes:int -> int
-(** Word-by-word user-memory copy through PTRACE_PEEKDATA/POKEDATA (or
-    process_vm_readv on newer kernels — still far slower than a shared
-    mapping). *)
-
 val arg_copy_cost : Varan_cycles.Cost.t -> Varan_syscall.Args.t -> int
 (** Copy-in cost for a call's by-reference arguments. *)
 
 val result_copy_cost : Varan_cycles.Cost.t -> Varan_syscall.Args.result -> int
 (** Copy-out cost for a call's result payload. *)
-
-val estimated_server_overhead :
-  Varan_cycles.Cost.t ->
-  syscalls_per_request:int ->
-  avg_payload_bytes:int ->
-  request_cycles:int ->
-  float
-(** Analytic overhead prediction for a server with the given per-request
-    profile — used in tests to sanity-check the simulated lockstep
-    numbers against the closed form. *)

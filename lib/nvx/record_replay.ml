@@ -21,17 +21,11 @@ module Pool = Varan_shmem.Pool
      i64 args[nargs]
      i32 outlen      bytes out *)
 
-let kind_to_int = function
-  | Event.Ev_syscall -> 0
-  | Event.Ev_signal -> 1
-  | Event.Ev_fork -> 2
-  | Event.Ev_exit -> 3
-
 (* The header is split from the payload so pooled out-buffers can be
    appended straight out of the shared chunk ({!Pool.view} +
    [Buffer.add_subbytes]) without materialising an intermediate copy. *)
 let serialize_header buf (e : Event.t) ~outlen =
-  Buffer.add_uint8 buf (kind_to_int e.Event.kind);
+  Buffer.add_uint8 buf (Tape.kind_code e.Event.kind);
   Buffer.add_uint8 buf e.Event.tid;
   Buffer.add_uint16_le buf (Array.length e.Event.args);
   Buffer.add_int32_le buf (Int32.of_int e.Event.sysno);
@@ -58,17 +52,11 @@ let serialize_tape tape =
 type cursor = { data : Bytes.t; mutable pos : int }
 
 (* A record cut off mid-header or mid-payload (a crashed recorder, a
-   truncated log file), or one whose kind byte names no event kind (a
-   corrupt log), must decode to [None], not crash the replayer or replay
-   a phantom event. *)
+   truncated log file), or one whose kind byte names no event kind or
+   whose 64-bit field lies outside OCaml's 63-bit [int] (a corrupt log),
+   must decode to [None], not crash the replayer or replay a phantom
+   event. *)
 exception Short
-
-let kind_of_int = function
-  | 0 -> Event.Ev_syscall
-  | 1 -> Event.Ev_signal
-  | 2 -> Event.Ev_fork
-  | 3 -> Event.Ev_exit
-  | _ -> raise Short
 
 let deserialize cur : (Event.kind * int * int * int * int * int array * Bytes.t) option =
   let len = Bytes.length cur.data in
@@ -96,12 +84,16 @@ let deserialize cur : (Event.kind * int * int * int * int * int array * Bytes.t)
     in
     let i64 () =
       need 8;
-      let v = Int64.to_int (Bytes.get_int64_le cur.data cur.pos) in
+      let w = Bytes.get_int64_le cur.data cur.pos in
+      let v = Int64.to_int w in
+      if Int64.of_int v <> w then raise Short;
       cur.pos <- cur.pos + 8;
       v
     in
     try
-      let kind = kind_of_int (u8 ()) in
+      let kind =
+        match Tape.kind_of_code (u8 ()) with Some k -> k | None -> raise Short
+      in
       let tid = u8 () in
       let nargs = u16 () in
       let sysno = i32 () in
@@ -297,10 +289,10 @@ type replayer = {
 
 exception Replay_divergence of string
 
-let replay ?(config = Config.default) k ~path variants =
+let replay k ~path variants =
   if variants = [] then invalid_arg "Record_replay.replay: no variants";
-  let cost = config.Config.cost in
-  let ring = Ring.create ~size:config.Config.ring_size "replay-ring" in
+  let cost = K.cost k in
+  let ring = Ring.create ~size:Config.default.Config.ring_size "replay-ring" in
   let rstates =
     Array.of_list
       (List.mapi
@@ -442,7 +434,8 @@ let replay_crashes rp = List.rev rp.rp_crashes
 (* Scribe baseline                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let scribe_api ?(cost = Cost.default) k proc =
+let scribe_api k proc =
+  let cost = K.cost k in
   let sys sysno args =
     (* In-kernel recording: every syscall pays the logging overhead
        inline, including copying its payloads into the kernel log. *)

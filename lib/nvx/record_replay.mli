@@ -48,8 +48,9 @@ val deserialize :
   option
 (** Decode one record ([kind, tid, sysno, clock, ret, args, out]) and
     advance the cursor. [None] at a clean end of data — and also on a
-    torn tail record (cut off mid-header or mid-payload) or a record
-    whose kind byte is not an event kind, in which case the cursor is
+    torn tail record (cut off mid-header or mid-payload), a record
+    whose kind byte is not an event kind, or one whose [ret] or argument
+    does not fit OCaml's 63-bit [int], in which case the cursor is
     left {e before} the bad record so callers can tell the two apart by
     comparing [pos] against the data length. *)
 
@@ -77,14 +78,14 @@ val time_travel : Session.t -> at:int -> (time_travel, string) result
 type replayer
 
 val replay :
-  ?config:Config.t ->
   Varan_kernel.Types.t ->
   path:string ->
   Variant.t list ->
   replayer
 (** Launch the given variants as pure replay clients fed from the log:
     every streamed syscall returns the recorded result; nothing touches
-    the outside world. Several variants replay the same log at once. *)
+    the outside world. Several variants replay the same log at once,
+    through a ring of {!Config.default}'s size. *)
 
 val replayed_events : replayer -> int
 
@@ -100,7 +101,6 @@ val replay_crashes : replayer -> (int * string) list
 (** {1 The Scribe baseline} *)
 
 val scribe_api :
-  ?cost:Varan_cycles.Cost.t ->
   Varan_kernel.Types.t ->
   Varan_kernel.Types.proc ->
   Varan_kernel.Api.t

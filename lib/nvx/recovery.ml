@@ -512,6 +512,13 @@ let heal_work t =
     end
   | _ -> ()
 
+(* Cycles of bridge window stall before the watchdog parks the remote
+   followers in [Unreachable]. It stays above the lifecycle
+   [stall_timeout] so an individually-stuck remote follower is
+   quarantined (its problem) before the link is declared down
+   (everyone's problem). *)
+let unreachable_after = 300_000
+
 (* The watchdog: runs in scheduler context from the engine ticker. Pure
    reads and state transitions only; the effectful quarantine is
    delegated to a spawned task. *)
@@ -525,16 +532,13 @@ let watchdog_tick t =
        for [unreachable_after] means the remote node is partitioned
        away. Park its followers in [Unreachable] — distinct from a sick
        follower's quarantine: no restart budget burns, and the respawn
-       waits for a heal probe instead of a backoff timer. The threshold
-       sits above [stall_timeout] so an individually-stuck remote
-       follower is quarantined (its problem) before the link is declared
-       down (everyone's problem). *)
+       waits for a heal probe instead of a backoff timer. *)
     (match t.net with
     | Some ns when not (Bridge.detached ns.n_bridge) -> (
       match Bridge.stalled_since ns.n_bridge with
       | Some t0
         when Int64.sub now t0
-             >= Int64.of_int ns.n_cfg.Config.unreachable_after ->
+             >= Int64.of_int unreachable_after ->
         let reason =
           Printf.sprintf "link degraded: no ack for %Ld cycles"
             (Int64.sub now t0)

@@ -40,7 +40,6 @@ let create ?(seed = 0) ~shards () =
     c_drained = 0;
   }
 
-let shards t = t.n
 let healthy t s = t.healthy.(s)
 
 (* Deterministic integer mix (fmix-style): route decisions must depend
@@ -101,13 +100,6 @@ let rebalance t =
   in
   List.iter (fun conn -> ignore (route t ~conn)) stale;
   List.length stale
-
-let forget t ~conn =
-  match Hashtbl.find_opt t.assign conn with
-  | None -> ()
-  | Some s ->
-    t.per_shard.(s) <- t.per_shard.(s) - 1;
-    Hashtbl.remove t.assign conn
 
 let stats t =
   {

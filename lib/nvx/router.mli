@@ -14,8 +14,6 @@ type t
 val create : ?seed:int -> shards:int -> unit -> t
 (** [seed] perturbs the hash (default 0). *)
 
-val shards : t -> int
-
 val route : t -> conn:int -> int
 (** The shard serving this connection. Sticky: repeated calls return the
     same shard until that shard is marked unhealthy, at which point the
@@ -34,9 +32,6 @@ val rebalance : t -> int
 (** Eagerly drain every sticky assignment off unhealthy shards (instead
     of lazily at the connection's next request); returns the number of
     connections moved. *)
-
-val forget : t -> conn:int -> unit
-(** Drop a closed connection's assignment. *)
 
 type stats = {
   routed : int;  (** route calls, total *)

@@ -5,13 +5,6 @@ type role = Monitor.role = Leader | Follower
 
 exception Divergence_kill = Monitor.Divergence_kill
 
-type divergence_entry = Monitor.divergence_entry = {
-  d_variant : string;
-  d_follower_call : string;
-  d_leader_event : string;
-  d_verdict : string;
-}
-
 let release_payload = Monitor.release_payload
 
 (* ------------------------------------------------------------------ *)
@@ -159,7 +152,7 @@ let shared_spawn_zygote sp k =
       | Some l -> l proc ~name
       | None -> ()
     in
-    let z = Zygote.spawn ~cache:sp.sp_cache k ~launcher:dispatch in
+    let z = Zygote.spawn k ~launcher:dispatch in
     sp.sp_zygote <- Some z;
     E.Cond.broadcast sp.sp_ready;
     z
@@ -232,25 +225,14 @@ let attach_remote_node t ncfg =
     e.Event.kind <> Event.Ev_syscall
     || not (List.mem e.Event.sysno reproducible)
   in
-  let cfg_b =
-    {
-      Bridge.default_config with
-      batch_max = ncfg.Config.bridge_batch;
-      window = ncfg.Config.bridge_window;
-      rto = ncfg.Config.bridge_rto;
-      rto_max = max ncfg.Config.bridge_rto Bridge.default_config.rto_max;
-    }
-  in
   let bridge =
     Bridge.create ~local_node ~remote_node ~local:t.rings.(0) ~mirror
-      ~cfg:cfg_b ~latency:ncfg.Config.link_latency
-      ~cycles_per_kb:ncfg.Config.link_cycles_per_kb ~faults ~materialize
-      ~discard ~must_replicate ()
+      ~latency:ncfg.Config.link_latency ~faults ~materialize ~discard
+      ~must_replicate ()
   in
   t.net <-
     Some
       {
-        n_cfg = ncfg;
         n_local_node = local_node;
         n_remote_node = remote_node;
         n_bridge = bridge;
@@ -297,8 +279,8 @@ let launch ?(config = Config.default) ?scope ?shared k variants =
     {
       k;
       cfg = config;
-      cost = config.Config.cost;
-      pool = Pool.create ~pool_bytes:config.Config.pool_bytes ();
+      cost = K.cost k;
+      pool = Pool.create ();
       rings = [||];
       pump;
       vstates;
@@ -331,8 +313,6 @@ let launch ?(config = Config.default) ?scope ?shared k variants =
       waitlock_sleepers = [||];
       tuple_ready = [||];
       ready_cond = E.Cond.create "fork-ready";
-      divergence_log = [];
-      divergence_log_len = 0;
       tracer = None;
       fault =
         (match config.Config.fault_plan with
@@ -393,15 +373,13 @@ let launch ?(config = Config.default) ?scope ?shared k variants =
             ~on_route:(fun e ->
               (* The Lamport check runs here, at demux time, where
                  stream order is still visible (§3.3.3). *)
-              if config.Config.enforce_clock_order then
-                let ok = Lamport.try_advance vst.clocks.(0) e.Event.clock in
-                if not ok then
-                  raise
-                    (Divergence_kill
-                       (Printf.sprintf
-                          "clock violation at demux: at %d got stamp %d"
-                          (Lamport.current vst.clocks.(0))
-                          e.Event.clock)))
+              if not (Lamport.try_advance vst.clocks.(0) e.Event.clock) then
+                raise
+                  (Divergence_kill
+                     (Printf.sprintf
+                        "clock violation at demux: at %d got stamp %d"
+                        (Lamport.current vst.clocks.(0))
+                        e.Event.clock)))
       end)
     vstates;
   (* The pump is the only consumer of the leader's queues; followers
@@ -454,9 +432,7 @@ let launch ?(config = Config.default) ?scope ?shared k variants =
          let z =
            match shared with
            | Some sp -> shared_spawn_zygote sp k
-           | None ->
-             Zygote.spawn ~cache:t.rewrite_cache ~checkpoints:t.checkpoints k
-               ~launcher
+           | None -> Zygote.spawn k ~launcher
          in
          t.zygote <- Some z;
          Array.iter
@@ -575,7 +551,6 @@ let stats t =
     link = Option.map (fun ns -> Bridge.link_stats ns.n_bridge) t.net;
   }
 
-let divergence_log t = List.rev t.divergence_log
 
 let trace_lines t =
   match t.tracer with

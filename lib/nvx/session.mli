@@ -169,20 +169,6 @@ val trace_lines : t -> string list
 (** With {!Config.t.trace_first_variant} set: the strace-style trace of
     variant 0's main unit, as observed {e through} the monitor. *)
 
-(** {1 Divergence audit log} *)
-
-type divergence_entry = {
-  d_variant : string;
-  d_follower_call : string;
-  d_leader_event : string;
-  d_verdict : string;
-}
-
-val divergence_log : t -> divergence_entry list
-(** The first 256 divergences resolved through rewrite rules, oldest
-    first — what a rule author inspects when tuning filters for a new
-    revision pair. *)
-
 (** {1 Hooks for the record-replay clients (§5.4)} *)
 
 val tuple_ring : t -> int -> Varan_ringbuf.Event.t Varan_ringbuf.Ring.t
@@ -196,8 +182,8 @@ val tuple_tape : t -> int -> Tape.t option
     {!checkpoint_store}. *)
 
 val checkpoint_store : t -> Checkpoint.t
-(** The session's follower checkpoint store (the resident zygote owns the
-    same object, so snapshots outlive the incarnation they captured). *)
+(** The session's follower checkpoint store. The session owns it, so
+    snapshots outlive the incarnation they captured. *)
 
 val pristine_image : t -> Variant.code_profile -> Bytes.t option
 (** The zygote's pristine text for a code profile, once some variant of

@@ -48,19 +48,16 @@ let refresh_health t =
       end)
     t.shards
 
-let launch ?config ?config_of ?(router_seed = 0) ?(health_period = 20_000)
-    k ~shards ~variants_of =
+(* Router health-sync ticker period, cycles. *)
+let health_period = 20_000
+
+let launch ?config ?(router_seed = 0) k ~shards ~variants_of =
   if shards < 1 then invalid_arg "Shard.launch: shards";
   let hub = Session.shared_spawn () in
-  let config_for i =
-    match config_of with
-    | Some f -> f i
-    | None -> Option.value config ~default:Config.default
-  in
   let pool =
     Array.init shards (fun i ->
         let session =
-          Session.launch ~config:(config_for i)
+          Session.launch ?config
             ~scope:(Printf.sprintf "shard%d" i) ~shared:hub k (variants_of i)
         in
         { sh_id = i; sh_session = session })
@@ -85,7 +82,6 @@ let count t = Array.length t.shards
 let session t i = t.shards.(i).sh_session
 let router t = t.router
 let hub t = t.hub
-let healthy t i = shard_healthy t.shards.(i)
 
 let route t ~conn = Router.route t.router ~conn
 

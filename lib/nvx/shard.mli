@@ -16,9 +16,7 @@ type t
 
 val launch :
   ?config:Config.t ->
-  ?config_of:(int -> Config.t) ->
   ?router_seed:int ->
-  ?health_period:int ->
   Varan_kernel.Types.t ->
   shards:int ->
   variants_of:(int -> Variant.t list) ->
@@ -26,10 +24,9 @@ val launch :
 (** Launch [shards] sessions on the kernel. [variants_of i] supplies
     shard [i]'s variant list; names must be unique across the pool (the
     shared zygote dispatches fork requests by name), so qualify them
-    with the shard id. [config_of] overrides [config] per shard (beware
-    sharing one [Config.oracle] across shards — ring registrations would
-    collide; default config is safe). [health_period] is the router
-    health-sync ticker period in cycles. *)
+    with the shard id. Every shard runs [config] (beware sharing one
+    [Config.oracle] across shards — ring registrations would collide;
+    the default config is safe). *)
 
 val count : t -> int
 val session : t -> int -> Session.t
@@ -38,10 +35,6 @@ val router : t -> Router.t
 
 val route : t -> conn:int -> int
 (** Sticky-route a client connection to a shard index (see {!Router}). *)
-
-val healthy : t -> int -> bool
-(** Whether the shard still runs full N-version execution (its session
-    has not degraded to native leader-only). *)
 
 val degraded : t -> (int * string) list
 (** Shards whose sessions degraded, with reasons. *)

@@ -42,7 +42,11 @@ let () =
            requested base)
     | _ -> None)
 
-(* A sealed, immutable chunk of [seg_entries] consecutive entries.
+(* The sealing granularity: a segment seals, and can later be retired,
+   only as a whole. *)
+let entries_per_segment = 256
+
+(* A sealed, immutable chunk of [entries_per_segment] consecutive entries.
    Grants are opaque runtime handles (shared descriptor objects) and
    cannot be serialized; the sparse side array re-attaches them on
    decode. *)
@@ -53,7 +57,6 @@ type seg = {
 }
 
 type t = {
-  seg_entries : int;
   sealed : (int, seg) Hashtbl.t; (* segment number -> sealed image *)
   open_buf : entry array; (* the one mutable segment, being filled *)
   mutable open_first : int; (* absolute index of open_buf.(0) *)
@@ -93,14 +96,10 @@ let dummy =
     t_grant = None;
   }
 
-let default_segment_entries = 256
-
-let create ?(segment_entries = default_segment_entries) () =
-  if segment_entries < 1 then invalid_arg "Tape.create: segment_entries";
+let create () =
   {
-    seg_entries = segment_entries;
     sealed = Hashtbl.create 32;
-    open_buf = Array.make segment_entries dummy;
+    open_buf = Array.make entries_per_segment dummy;
     open_first = 0;
     open_len = 0;
     open_bytes = 0;
@@ -123,18 +122,18 @@ let base t = t.base
 (*   | i64 args[nargs] | i32 outlen (-1 = no result buffer) | bytes    *)
 (* ------------------------------------------------------------------ *)
 
-let int_of_kind = function
+let kind_code = function
   | Event.Ev_syscall -> 0
   | Event.Ev_signal -> 1
   | Event.Ev_fork -> 2
   | Event.Ev_exit -> 3
 
-let kind_of_int = function
-  | 0 -> Event.Ev_syscall
-  | 1 -> Event.Ev_signal
-  | 2 -> Event.Ev_fork
-  | 3 -> Event.Ev_exit
-  | n -> invalid_arg (Printf.sprintf "Tape: bad event kind %d" n)
+let kind_of_code = function
+  | 0 -> Some Event.Ev_syscall
+  | 1 -> Some Event.Ev_signal
+  | 2 -> Some Event.Ev_fork
+  | 3 -> Some Event.Ev_exit
+  | _ -> None
 
 let entry_raw_size (e : entry) =
   3 + 4 + 4 + 8
@@ -144,7 +143,7 @@ let entry_raw_size (e : entry) =
 
 (* Write [e] at [pos] of [raw] and return the position after it. *)
 let serialize_entry raw pos (e : entry) =
-  Bytes.set_uint8 raw pos (int_of_kind e.t_kind);
+  Bytes.set_uint8 raw pos (kind_code e.t_kind);
   Bytes.set_uint8 raw (pos + 1) (e.t_tid land 0xFF);
   Bytes.set_uint8 raw (pos + 2) (Array.length e.t_args);
   Bytes.set_int32_le raw (pos + 3) (Int32.of_int e.t_sysno);
@@ -182,7 +181,11 @@ let deserialize_entry raw pos =
     p := !p + 8;
     v
   in
-  let kind = kind_of_int (u8 ()) in
+  let kind =
+    match kind_of_code (u8 ()) with
+    | Some k -> k
+    | None -> invalid_arg "Tape: bad event kind"
+  in
   let tid = u8 () in
   let nargs = u8 () in
   let sysno = i32 () in
@@ -318,13 +321,13 @@ let seal t =
       s_grants = Array.of_list (List.rev !grants);
     }
   in
-  let segno = t.open_first / t.seg_entries in
+  let segno = t.open_first / entries_per_segment in
   Hashtbl.replace t.sealed segno seg;
   t.c_sealed <- t.c_sealed + 1;
   t.c_packed_bytes <- t.c_packed_bytes + Bytes.length packed;
   t.c_raw_bytes <- t.c_raw_bytes + seg.s_raw_len;
-  Array.fill t.open_buf 0 t.seg_entries dummy;
-  t.open_first <- t.open_first + t.seg_entries;
+  Array.fill t.open_buf 0 entries_per_segment dummy;
+  t.open_first <- t.open_first + entries_per_segment;
   t.open_len <- 0;
   t.open_bytes <- 0
 
@@ -335,12 +338,12 @@ let decode t segno =
       match Hashtbl.find_opt t.sealed segno with
       | Some s -> s
       | None ->
-        raise (Truncated { requested = segno * t.seg_entries; base = t.base })
+        raise (Truncated { requested = segno * entries_per_segment; base = t.base })
     in
     let raw = unpack ~raw_len:seg.s_raw_len seg.s_packed in
     let pos = ref 0 in
     let entries =
-      Array.init t.seg_entries (fun _ ->
+      Array.init entries_per_segment (fun _ ->
           let e, p = deserialize_entry raw !pos in
           pos := p;
           e)
@@ -361,7 +364,7 @@ let decode t segno =
    over before any pool chunk can be recycled. Pure (no engine calls) —
    runs inside Ring.publish_k. *)
 let append t (e : Event.t) ~out =
-  if t.open_len = t.seg_entries then seal t;
+  if t.open_len = entries_per_segment then seal t;
   let en =
     {
       t_kind = e.Event.kind;
@@ -383,7 +386,7 @@ let get t i =
   if i < 0 || i >= t.total then invalid_arg "Tape.get: out of range";
   if i < t.base then raise (Truncated { requested = i; base = t.base });
   if i >= t.open_first then t.open_buf.(i - t.open_first)
-  else (decode t (i / t.seg_entries)).(i mod t.seg_entries)
+  else (decode t (i / entries_per_segment)).(i mod entries_per_segment)
 
 (* Reconstruct a stream event from a tape entry. The payload travels
    inline regardless of size: the pool chunk it came from is long gone. *)
@@ -414,8 +417,8 @@ let iter f t =
    {!Truncated}. Never touches the open segment. *)
 let retire t ~keep_from =
   let keep_from = max 0 (min keep_from t.open_first) in
-  let keep_seg = keep_from / t.seg_entries in
-  let first_seg = t.base / t.seg_entries in
+  let keep_seg = keep_from / entries_per_segment in
+  let first_seg = t.base / entries_per_segment in
   for segno = first_seg to keep_seg - 1 do
     match Hashtbl.find_opt t.sealed segno with
     | None -> ()
@@ -429,7 +432,7 @@ let retire t ~keep_from =
         t.cache_entries <- [||]
       end
   done;
-  if keep_seg * t.seg_entries > t.base then t.base <- keep_seg * t.seg_entries
+  if keep_seg * entries_per_segment > t.base then t.base <- keep_seg * entries_per_segment
 
 let resident_bytes t = t.c_packed_bytes + t.open_bytes
 

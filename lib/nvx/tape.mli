@@ -39,9 +39,9 @@ exception Truncated of { requested : int; base : int }
     [requested] was retired; [base] is the oldest index still
     replayable. *)
 
-val create : ?segment_entries:int -> unit -> t
-(** [segment_entries] is the sealing granularity (default 256): a
-    segment seals — and can later be retired — only as a whole. *)
+val create : unit -> t
+(** An empty tape. Entries seal in segments of 256: a segment seals —
+    and can later be retired — only as a whole. *)
 
 val length : t -> int
 (** Events ever appended; also the next index to be written. *)
@@ -75,6 +75,13 @@ val retire : t -> keep_from:int -> unit
     may round down below [keep_from] — truncation happens exactly at a
     segment boundary, never mid-segment). Monotone: never re-grows the
     window, never touches the open segment. *)
+
+val kind_code : Varan_ringbuf.Event.kind -> int
+(** The byte that encodes an event kind, in the sealed images and in the
+    record/replay log ({!Record_replay}) alike. *)
+
+val kind_of_code : int -> Varan_ringbuf.Event.kind option
+(** The inverse of {!kind_code}; [None] for a byte that names no kind. *)
 
 val image : entry array -> Bytes.t
 (** The sealed image of a segment holding [entries]: their serialized

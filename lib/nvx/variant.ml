@@ -37,6 +37,3 @@ let make ?(profile = default_profile) ?(compute_multiplier_c1000 = 1000)
     mem_intensity_c1000;
     rules;
   }
-
-let replicas n v =
-  List.init n (fun i -> { v with v_name = Printf.sprintf "%s#%d" v.v_name i })

@@ -55,8 +55,3 @@ val make :
   t
 
 val default_profile : code_profile
-
-val replicas : int -> t -> t list
-(** [replicas n v] is [n] copies of the same version (the paper's
-    performance experiments run multiple instances of one version),
-    distinguished by numbered names. *)

@@ -1,11 +1,8 @@
 module E = Varan_sim.Engine
 module K = Varan_kernel.Kernel
 module Api = Varan_kernel.Api
-module Rewrite_cache = Varan_binary.Rewrite_cache
 
 type t = {
-  k : Varan_kernel.Types.t;
-  zproc : Varan_kernel.Types.proc;
   req_w : int; (* coordinator writes requests here *)
   resp_r : int; (* coordinator reads replies here *)
   coord_api : Api.t; (* pipe endpoints live in the coordinator's table *)
@@ -16,17 +13,6 @@ type t = {
      concurrent respawn agents serialize here. *)
   mutable busy : bool;
   turn : E.Cond.cond;
-  (* The spawn fast path: the zygote outlives every variant incarnation
-     (it stays resident to serve respawns), so it owns the
-     content-addressed cache of rewritten images. Launches after the
-     first of each distinct image — replicas, respawned incarnations —
-     rebase a cached entry instead of re-running the rewriter. *)
-  rcache : Rewrite_cache.t;
-  (* Same ownership argument for follower checkpoints: a respawned
-     incarnation restores state captured before it existed, so the store
-     must survive the incarnation — it lives with the zygote, next to
-     the rewrite cache it mirrors. *)
-  ckpts : Checkpoint.t;
 }
 
 let read_line api fd =
@@ -45,7 +31,7 @@ let read_line api fd =
   in
   go ()
 
-let spawn ?cache ?checkpoints k ~launcher =
+let spawn k ~launcher =
   (* The coordinator's process owns one end of each pipe; the zygote's
      process owns the other. For simplicity both pipes are created in a
      scratch process and the fds shared — the simulated kernel's
@@ -62,24 +48,14 @@ let spawn ?cache ?checkpoints k ~launcher =
   in
   let req_r, req_w = (zygote_end, coord_end) in
   let resp_r, resp_w = (coord_end, zygote_end) in
-  let rcache =
-    match cache with Some c -> c | None -> Rewrite_cache.create ()
-  in
-  let ckpts =
-    match checkpoints with Some c -> c | None -> Checkpoint.create ()
-  in
   let t =
     {
-      k;
-      zproc;
       req_w;
       resp_r;
       coord_api = zapi;
       served = 0;
       busy = false;
       turn = E.Cond.create "zygote-turn";
-      rcache;
-      ckpts;
     }
   in
   let service () =
@@ -153,5 +129,3 @@ let fork_request t name =
 
 let shutdown t = ignore (Api.close t.coord_api t.req_w)
 let forks_served t = t.served
-let cache t = t.rcache
-let checkpoints t = t.ckpts

@@ -12,8 +12,6 @@
 type t
 
 val spawn :
-  ?cache:Varan_binary.Rewrite_cache.t ->
-  ?checkpoints:Checkpoint.t ->
   Varan_kernel.Types.t ->
   launcher:(Varan_kernel.Types.proc -> name:string -> unit) ->
   t
@@ -22,13 +20,9 @@ val spawn :
     uses it to start the variant's monitor. Must be called from inside a
     running engine task.
 
-    The zygote owns the spawn fast path's rewrite cache ([cache], or a
-    fresh one): it is the only session participant resident across
-    variant incarnations, so cached rewritten images survive respawns
-    and every fork after the first of a given image is served by an
-    O(sites) rebase. The follower checkpoint store ([checkpoints], or a
-    fresh one) lives here for the same reason — a respawned incarnation
-    restores state captured before it existed. *)
+    The zygote forks processes and nothing else: the spawn fast path's
+    rewrite cache belongs to the session (or to the spawn hub shared by
+    a shard pool), and so does the follower checkpoint store. *)
 
 val fork_request : t -> string -> int
 (** [fork_request z name] sends a fork request over the pipe and waits
@@ -38,9 +32,3 @@ val shutdown : t -> unit
 (** Close the request pipe; the zygote task exits after draining. *)
 
 val forks_served : t -> int
-
-val cache : t -> Varan_binary.Rewrite_cache.t
-(** The resident rewrite cache. *)
-
-val checkpoints : t -> Checkpoint.t
-(** The resident follower checkpoint store. *)

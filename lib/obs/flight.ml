@@ -96,7 +96,9 @@ let transitions t = List.rev t.transitions
 let dump_enabled = ref false
 let dump_dir = ref "."
 let serial = ref 0
-let last_dump : string option ref = ref None
+
+(* Every bundle path written, newest first. *)
+let dumps : string list ref = ref []
 
 let json_escape s =
   let b = Buffer.create (String.length s + 2) in
@@ -160,7 +162,7 @@ let dump t ~at ~reason ~counters =
     counters;
   output_string oc "  }\n}\n";
   close_out oc;
-  last_dump := Some path;
+  dumps := path :: !dumps;
   path
 
 let maybe_dump t ~at ~reason ~counters =

@@ -27,8 +27,6 @@ let make ?(kind = Ev_syscall) ?(tid = 0) ?(args = [||]) ?(ret = 0) ?payload
   | _ -> ());
   { kind; sysno; tid; args; ret; clock; payload; payload_len; inline_out; grant }
 
-let fits_inline e = e.payload = None
-
 (* Cross-ring form: the payload travels inside the event, however big —
    the [max_inline_bytes] cap only governs what the leader's hot path
    will copy into a live ring slot. The tape and the cross-node bridge

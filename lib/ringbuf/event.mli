@@ -47,9 +47,6 @@ val make :
     [ret] to [0], [tid] to [0]. @raise Invalid_argument with more than six
     args. *)
 
-val fits_inline : t -> bool
-(** Whether the event needed no shared-memory payload. *)
-
 val flatten : t -> out:Bytes.t option -> t
 (** [flatten e ~out] is [e] with its shared-memory payload replaced by
     [out] carried inline, whatever its size — the cross-ring form used

@@ -82,8 +82,6 @@ let create ?(size = 256) rname =
     stall_hook = None;
   }
 
-let size t = Array.length t.slots
-let name t = t.rname
 let set_tap t tap = t.tap <- tap
 let set_stall_hook t hook = t.stall_hook <- hook
 
@@ -106,16 +104,6 @@ let subscribe t =
      valid lower bound. *)
   c
 
-let add_consumer t = (subscribe t).cid
-
-let handle t cid =
-  if cid < 0 || cid >= Array.length t.registry then
-    invalid_arg (Printf.sprintf "Ring %s: no consumer %d" t.rname cid)
-  else
-    match t.registry.(cid) with
-    | Some c when c.active -> c
-    | _ -> invalid_arg (Printf.sprintf "Ring %s: no consumer %d" t.rname cid)
-
 let consumer_cid c = c.cid
 
 let unsubscribe c =
@@ -127,10 +115,6 @@ let unsubscribe c =
     (* The departed consumer may have been the one holding the ring full. *)
     Cond.broadcast_if_waiting t.not_full
   end
-
-let remove_consumer t cid =
-  if cid >= 0 && cid < Array.length t.registry then
-    match t.registry.(cid) with Some c -> unsubscribe c | None -> ()
 
 let active_consumers t = t.nactive
 
@@ -360,15 +344,6 @@ let unread_h c =
         | None -> acc)
   in
   go c.cursor []
-
-(* cid-keyed compatibility layer: one O(1) registry lookup per call. Hot
-   loops should resolve a handle once instead. *)
-let consume t cid = consume_h (handle t cid)
-let try_consume t cid = try_consume_h (handle t cid)
-let peek t cid = peek_h (handle t cid)
-let lag t cid = lag_h (handle t cid)
-let cursor t cid = cursor_h (handle t cid)
-let unread t cid = unread_h (handle t cid)
 
 let published t = t.head
 

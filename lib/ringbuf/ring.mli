@@ -12,8 +12,8 @@
     (the paper's in-memory log is fixed size), so the ring also reports
     each consumer's {e lag}, used by the live-sanitization experiment.
 
-    {b Hot path.} Consumers live in an array keyed by cid (O(1) lookup,
-    or zero lookups via {!type:consumer} handles). The producer gates on a
+    {b Hot path.} Consumers are {!type:consumer} handles, registered in
+    an array keyed by cid for the producer's gate. The producer gates on a
     cached minimum-cursor sequence that is refreshed only when the cache
     says the ring is full; wakeups are taken only when someone is parked
     ({!Varan_sim.Engine.Cond.broadcast_if_waiting}); and the batch APIs
@@ -23,36 +23,23 @@
 type 'a t
 
 type 'a consumer
-(** A resolved consumer handle: the cid lookup done once. All [_h]
-    operations below are the cid-keyed ones minus the registry lookup.
-    Using a handle after {!unsubscribe}/{!remove_consumer} is a
-    programming error (consumes would assert on reclaimed slots). *)
+(** A consumer: its own cursor into the ring. Using a handle after
+    {!unsubscribe} is a programming error (consumes would assert on
+    reclaimed slots). *)
 
 val create : ?size:int -> string -> 'a t
 (** [size] defaults to 256 events, the prototype's default. *)
 
-val size : 'a t -> int
-val name : 'a t -> string
-
-val add_consumer : 'a t -> int
-(** Register a consumer starting at the current head (it will only see
-    events published after this call). Returns its consumer id. *)
-
 val subscribe : 'a t -> 'a consumer
-(** Like {!add_consumer} but returns the handle directly. *)
-
-val handle : 'a t -> int -> 'a consumer
-(** Resolve a cid to its handle. @raise Invalid_argument if no active
-    consumer has this cid. *)
+(** Register a consumer starting at the current head (it will only see
+    events published after this call). *)
 
 val consumer_cid : 'a consumer -> int
-
-val remove_consumer : 'a t -> int -> unit
-(** Unsubscribe (e.g. a crashed follower, §5.1): its cursor no longer
-    holds back the producer. Unknown/already-removed cids are ignored. *)
+(** The consumer's id, as taps and the stall hook report it. *)
 
 val unsubscribe : 'a consumer -> unit
-(** Handle-keyed {!remove_consumer}; idempotent. *)
+(** Unsubscribe (e.g. a crashed follower, §5.1): its cursor no longer
+    holds back the producer. Idempotent. *)
 
 val active_consumers : 'a t -> int
 
@@ -74,32 +61,11 @@ val publish_batch : 'a t -> 'a array -> unit
     once per run (not per event); taps still fire per event, in order.
     Equivalent to [Array.iter (publish t) vs] for every observer. *)
 
-val consume : 'a t -> int -> 'a
-(** [consume ring cid] returns the next unread event for consumer [cid],
-    blocking while none is available. *)
-
-val try_consume : 'a t -> int -> 'a option
-
-val peek : 'a t -> int -> 'a option
-(** Next unread event without advancing. *)
-
-val lag : 'a t -> int -> int
-(** Events published but not yet read by this consumer. *)
-
-val cursor : 'a t -> int -> int
-(** The next sequence number consumer [cid] will read. *)
-
-val unread : 'a t -> int -> 'a list
-(** Events published but not yet read by this consumer, oldest first —
-    what the failover path must account for (e.g. releasing payload
-    references) when a crashed consumer is removed. *)
-
-(** {1 Handle-keyed operations}
-
-    Identical semantics to the cid-keyed versions above, minus the
-    per-call registry lookup — for tight replay/pump loops. *)
+(** {1 Consuming} *)
 
 val consume_h : 'a consumer -> 'a
+(** The next unread event, blocking while none is available. *)
+
 val try_consume_h : 'a consumer -> 'a option
 val consume_batch_h : 'a consumer -> max:int -> 'a list
 (** [consume_batch_h c ~max] blocks until at least one event is
@@ -111,9 +77,18 @@ val try_consume_batch_h : 'a consumer -> max:int -> 'a list
 (** Non-blocking batch drain; [[]] when nothing is available. *)
 
 val peek_h : 'a consumer -> 'a option
+(** Next unread event without advancing. *)
+
 val lag_h : 'a consumer -> int
+(** Events published but not yet read by this consumer. *)
+
 val cursor_h : 'a consumer -> int
+(** The next sequence number this consumer will read. *)
+
 val unread_h : 'a consumer -> 'a list
+(** Events published but not yet read by this consumer, oldest first —
+    what the failover path must account for (e.g. releasing payload
+    references) when a crashed consumer is removed. *)
 
 val published : 'a t -> int
 (** Total events ever published. *)

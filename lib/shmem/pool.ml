@@ -27,7 +27,7 @@ type t = {
 
 let min_chunk = 64
 
-let create ?(pool_bytes = 16 * 1024 * 1024) ?(segment_bytes = 64 * 1024) () =
+let create ?(capacity = 16 * 1024 * 1024) ?(segment_bytes = 64 * 1024) () =
   if segment_bytes < min_chunk then invalid_arg "Pool.create: segment too small";
   let nbuckets =
     let rec count size n =
@@ -37,7 +37,7 @@ let create ?(pool_bytes = 16 * 1024 * 1024) ?(segment_bytes = 64 * 1024) () =
   in
   {
     segment_bytes;
-    pool_segments = max 1 (pool_bytes / segment_bytes);
+    pool_segments = max 1 (capacity / segment_bytes);
     segments_used = 0;
     buckets =
       Array.init nbuckets (fun i ->

@@ -23,10 +23,10 @@ type chunk = {
 
 exception Out_of_memory
 
-val create : ?pool_bytes:int -> ?segment_bytes:int -> unit -> t
-(** Pool with the given total capacity (default 16 MiB) split into
-    segments (default 64 KiB). Bucket chunk sizes are powers of two from
-    64 B to the segment size. *)
+val create : ?capacity:int -> ?segment_bytes:int -> unit -> t
+(** Pool with the given total [capacity] in bytes (default 16 MiB)
+    split into segments (default 64 KiB). Bucket chunk sizes are powers
+    of two from 64 B to the segment size. *)
 
 val alloc : t -> int -> chunk
 (** [alloc pool size] returns a chunk of at least [size] bytes.

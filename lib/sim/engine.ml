@@ -506,22 +506,15 @@ let timer_again = ref (-1)
 
 (* A task performs an effect only to park: the calls that return at once
    act on the engine directly, through the running-task slot (below).
-   The constructors after [E_wait_timeout] are performed only where no
-   task runs, so that no handler takes them and the call raises
-   [Effect.Unhandled]. *)
+   [E_outside] is performed only where no task runs, so that no handler
+   takes it and the call raises [Effect.Unhandled]. *)
 type _ Effect.t +=
   | E_consume : unit Effect.t (* resume at the task's own clock *)
   | E_yield : unit Effect.t (* the same *)
   | E_sleep : unit Effect.t (* resume at [pending_int] *)
   | E_wait : unit Effect.t (* cond in [pending_cond] *)
   | E_wait_timeout : bool Effect.t (* cond + cycles in the slots *)
-  | E_now : int64 Effect.t
-  | E_self : task_id Effect.t
-  | E_spawn : task_id Effect.t
-  | E_kill : unit Effect.t
-  | E_signal : unit Effect.t
-  | E_broadcast : unit Effect.t
-  | E_after : unit Effect.t
+  | E_outside : 'a Effect.t
 
 let create () =
   {
@@ -1239,15 +1232,15 @@ let now_cycles () =
   let task = !running in
   if task != dummy_task then Int64.of_int task.time
   else if in_timer () then Int64.of_int !timer_at
-  else Effect.perform E_now
+  else Effect.perform E_outside
 
 let self () =
   let task = !running in
-  if task != dummy_task then task.id else Effect.perform E_self
+  if task != dummy_task then task.id else Effect.perform E_outside
 
 let spawn_here ?name body =
   let task = !running in
-  if task == dummy_task then Effect.perform E_spawn
+  if task == dummy_task then Effect.perform E_outside
   else if task.killed then raise Killed
   else spawn_internal !running_eng ?name ~at:task.time body
 
@@ -1258,7 +1251,7 @@ let after_here d f =
     arm !running_eng task.time d f
   end
   else if in_timer () then arm (timer_engine ()) !timer_at d f
-  else Effect.perform E_after
+  else Effect.perform E_outside
 
 let again d =
   if not (in_timer ()) then invalid_arg "Engine.again: outside a timer callback";
@@ -1268,7 +1261,7 @@ let kill t id = kill_internal t ~at:t.global_time id
 
 let kill_here id =
   let task = !running in
-  if task == dummy_task then Effect.perform E_kill
+  if task == dummy_task then Effect.perform E_outside
   else begin
     kill_internal !running_eng ~at:task.time id;
     if task.killed then raise Killed
@@ -1299,7 +1292,7 @@ module Cond = struct
       signal_at !running_eng c task.time
     end
     else if in_timer () then signal_at (timer_engine ()) c !timer_at
-    else Effect.perform E_signal
+    else Effect.perform E_outside
 
   let broadcast c =
     let task = !running in
@@ -1308,7 +1301,7 @@ module Cond = struct
       broadcast_at !running_eng c task.time
     end
     else if in_timer () then broadcast_at (timer_engine ()) c !timer_at
-    else Effect.perform E_broadcast
+    else Effect.perform E_outside
 
   let waiters c = c.c_nwaiters
   let has_waiters c = c.c_nwaiters > 0

@@ -15,7 +15,6 @@ type result = {
 let ok ret = { ret; out = None; fd_object = None }
 let ok_out ret out = { ret; out = Some out; fd_object = None }
 let err e = { ret = -Errno.to_int e; out = None; fd_object = None }
-let is_error r = r.ret < 0
 let errno_of r = if r.ret < 0 then Errno.of_int (-r.ret) else None
 
 let bad i what = invalid_arg (Printf.sprintf "Args: argument %d is not %s" i what)
@@ -39,11 +38,6 @@ let payload_size (a : t) =
       | Str s -> acc + String.length s + 1
       | Buf_in b -> acc + Bytes.length b
       | Int _ | Buf_out _ -> acc)
-    0 a
-
-let out_size (a : t) =
-  Array.fold_left
-    (fun acc arg -> match arg with Buf_out n -> acc + n | _ -> acc)
     0 a
 
 let pp_arg ppf = function

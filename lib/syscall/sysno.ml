@@ -314,13 +314,6 @@ let name = function
   | Getcpu -> "getcpu"
   | Getrandom -> "getrandom"
 
-let of_name_table =
-  let h = Hashtbl.create 128 in
-  List.iter (fun s -> Hashtbl.replace h (name s) s) all;
-  h
-
-let of_name s = Hashtbl.find_opt of_name_table s
-
 let transfer_class = function
   | Read | Pread64 | Readv | Recvfrom | Recvmsg | Getdents | Getcwd
   | Readlink | Stat | Fstat | Lstat | Poll | Select | Epoll_wait | Uname
@@ -350,6 +343,5 @@ let is_blocking = function
     true
   | _ -> false
 
-let pp ppf s = Format.pp_print_string ppf (name s)
 let compare a b = Stdlib.compare (to_int a) (to_int b)
 let equal a b = to_int a = to_int b

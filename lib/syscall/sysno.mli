@@ -140,8 +140,6 @@ val of_int : int -> t option
 val name : t -> string
 (** Lower-case name as it appears in syscall tables, e.g. ["epoll_wait"]. *)
 
-val of_name : string -> t option
-
 val transfer_class : t -> transfer_class
 
 val all : t list
@@ -151,8 +149,6 @@ val is_blocking : t -> bool
 (** Calls that may block waiting for external input (used by the waitlock
     machinery, §3.3.1): [read]/[recvfrom]/[accept]/[epoll_wait]/[poll]/
     [select]/[wait4]/[futex]/[nanosleep]/[pause]. *)
-
-val pp : Format.formatter -> t -> unit
 
 val compare : t -> t -> int
 

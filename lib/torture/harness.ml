@@ -113,7 +113,7 @@ let gen_lifecycle_case seed =
    behind the ring bridge, mixed with the single-node lifecycle faults
    so both machineries compose. At least one follower stays local, so a
    parked remote side degrades the session only when local followers die
-   too. [unreachable_after] in {!Config.default_net} (300k) sits above
+   too. [Recovery]'s [unreachable_after] (300k) sits above
    [lifecycle_policy.stall_timeout] (150k) by construction. *)
 let gen_net_case seed =
   let rng = Prng.create (seed lxor 0xD157) in
@@ -151,7 +151,6 @@ let gen_net_case seed =
   in
   let net =
     {
-      Config.default_net with
       Config.remote_followers = remote;
       link_latency = 500 + Prng.int rng 3_500;
     }
@@ -626,7 +625,7 @@ let check (case : case) out =
 
 (* One machine-readable object per finished case: the digests and the
    counters a sweep dashboard wants, without parsing prose. *)
-let json_of_outcome ~fails case (out : outcome) =
+let json_of_outcome ~fails ~postmortem case (out : outcome) =
   let esc = Flight.json_escape in
   let b = Buffer.create 1024 in
   let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
@@ -696,5 +695,7 @@ let json_of_outcome ~fails case (out : outcome) =
   add ", \"max_observed_lag\": %d" out.stats.Nvx.max_observed_lag;
   add ", \"fails\": [%s]"
     (String.concat ", " (List.map (fun f -> "\"" ^ esc f ^ "\"") fails));
+  if postmortem <> [] then
+    add ", \"postmortem\": [%s]" (strings (Array.of_list postmortem));
   add "}";
   Buffer.contents b

@@ -150,10 +150,12 @@ val check : case -> outcome -> string list
 (** Every invariant the case's shape calls for (see above); empty means
     the case passed. *)
 
-val json_of_outcome : fails:string list -> case -> outcome -> string
+val json_of_outcome :
+  fails:string list -> postmortem:string list -> case -> outcome -> string
 (** One JSON object (single line, no trailing newline) summarizing a
     finished case: seed and shape, per-variant digests against the
     natives, aliveness, crashes, degradation, the lifecycle/bridge/
     rewrite-cache/zygote/checkpoint counters and the check verdicts in
-    [fails]. The [varan torture --json] report emits one of these per
-    seed. *)
+    [fails]. [postmortem] names the bundles the case wrote, oldest
+    first; the ["postmortem"] key appears only when there is one. The
+    [varan torture --json] report emits one of these per seed. *)

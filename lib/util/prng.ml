@@ -15,8 +15,6 @@ let split g =
   let s = next_int64 g in
   { state = s }
 
-let copy g = { state = g.state }
-
 let int g bound =
   assert (bound > 0);
   (* Keep 62 bits so the value fits OCaml's 63-bit int non-negatively. *)

@@ -16,10 +16,6 @@ val split : t -> t
 (** [split g] derives a new generator from [g], advancing [g]. The two
     streams are statistically independent. *)
 
-val copy : t -> t
-(** [copy g] duplicates the current state (the copies then evolve
-    separately — mostly useful in tests). *)
-
 val next_int64 : t -> int64
 (** Next raw 64-bit output. *)
 

@@ -70,11 +70,3 @@ let summarize_array a =
   let a = Array.copy a in
   Array.sort compare a;
   summarize_sorted a
-
-let pp_summary ppf s =
-  Format.fprintf ppf
-    "n=%d mean=%.2f median=%.2f stddev=%.2f min=%.2f max=%.2f p95=%.2f \
-     p99=%.2f p999=%.2f"
-    s.n s.mean s.median s.stddev s.min s.max s.p95 s.p99 s.p999
-
-let summary_to_string s = Format.asprintf "%a" pp_summary s

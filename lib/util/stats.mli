@@ -36,7 +36,3 @@ val summarize : float list -> summary
 val summarize_array : float array -> summary
 (** Same over an array (sorts a copy; input untouched). Requires a
     non-empty array. Preferred at million-sample scale — no cons cells. *)
-
-val pp_summary : Format.formatter -> summary -> unit
-
-val summary_to_string : summary -> string

@@ -331,12 +331,6 @@ let thread_grid_64 =
   thread_grid ~name:"Thread grid (64)" ~threads:64 ~locks:8 ~rounds:24
     ~code_seed:18
 
-let thread_grid_256 =
-  thread_grid ~name:"Thread grid (256)" ~threads:256 ~locks:16 ~rounds:8
-    ~code_seed:19
-
-let thread_grids = [ thread_grid_64; thread_grid_256 ]
-
 let c10k_servers = [ beanstalkd; lighttpd_wrk; memcached; nginx; redis ]
 
 let prior_work_servers = [ apache_httpd; thttpd; lighttpd_ab; lighttpd_http_load ]

@@ -46,11 +46,6 @@ val thread_grid :
 val thread_grid_64 : Workload.t
 (** 64 threads over 8 contended locks. *)
 
-val thread_grid_256 : Workload.t
-(** 256 threads over 16 contended locks. *)
-
-val thread_grids : Workload.t list
-
 val c10k_servers : Workload.t list
 (** The Figure 5 set, in the paper's order. *)
 

@@ -85,14 +85,14 @@ let measure_clients label k cost w =
   in
   (result, fun () -> measurement_of_result label cost result)
 
-let fresh_machine ?(link_latency = default_link_latency) w =
+let fresh_machine w =
   let eng = E.create () in
-  let k = K.create ~link_latency eng in
+  let k = K.create ~link_latency:default_link_latency eng in
   w.Workload.setup_fs k;
   (eng, k)
 
-let run ?link_latency w mode =
-  let eng, k = fresh_machine ?link_latency w in
+let run w mode =
+  let eng, k = fresh_machine w in
   let cost = K.cost k in
   let label, session_opt =
     match mode with
@@ -120,8 +120,8 @@ let run ?link_latency w mode =
   (match session_opt with Some s -> Nvx.observe_lags s | None -> ());
   finish ()
 
-let run_with_full_session ?link_latency w ~followers ~config =
-  let eng, k = fresh_machine ?link_latency w in
+let run_with_full_session w ~followers ~config =
+  let eng, k = fresh_machine w in
   let cost = K.cost k in
   let session = Nvx.launch ~config k (variants_for w (followers + 1)) in
   let _result, finish = measure_clients "varan" k cost w in
@@ -129,8 +129,8 @@ let run_with_full_session ?link_latency w ~followers ~config =
   Nvx.observe_lags session;
   (finish (), Nvx.stats session, session)
 
-let run_with_session ?link_latency w ~followers ~config =
-  let m, st, _ = run_with_full_session ?link_latency w ~followers ~config in
+let run_with_session w ~followers ~config =
+  let m, st, _ = run_with_full_session w ~followers ~config in
   (m, st)
 
 let overhead ~baseline m =
@@ -158,41 +158,10 @@ let spec_native_cycles params =
   E.run_until_quiescent eng;
   !done_at
 
-let spec_nvx_cycles params ~followers =
-  let eng = E.create () in
-  let k = K.create eng in
-  Spec.setup_fs k;
-  let leader_done = ref 0L in
-  let base = Spec.variant_of params (params.Spec.sp_name ^ ".v0") in
-  (* Wrap the leader's body to capture its completion time; followers
-     get plain copies. *)
-  let leader =
-    {
-      base with
-      Variant.program =
-        {
-          base.Variant.program with
-          Variant.body =
-            (fun ~unit_idx api ->
-              base.Variant.program.Variant.body ~unit_idx api;
-              leader_done := E.now_cycles ());
-        };
-    }
-  in
-  let followers_v =
-    List.init followers (fun i ->
-        Spec.variant_of params (Printf.sprintf "%s.v%d" params.Spec.sp_name (i + 1)))
-  in
-  ignore (Nvx.launch k (leader :: followers_v));
-  E.run_until_quiescent eng;
-  !leader_done
-
-let run_spec params ~followers =
-  let native = Int64.to_float (spec_native_cycles params) in
-  let nvx = Int64.to_float (spec_nvx_cycles params ~followers) in
-  if native <= 0.0 then infinity else nvx /. native
-
-let spec_lockstep_cycles params ~versions =
+(* Completion time of the leader of [versions] copies of the kernel
+   started by [launch]; the leader's body is wrapped to capture it, the
+   others get plain copies. *)
+let spec_leader_cycles params ~versions launch =
   let eng = E.create () in
   let k = K.create eng in
   Spec.setup_fs k;
@@ -215,11 +184,24 @@ let spec_lockstep_cycles params ~versions =
     List.init (versions - 1) (fun i ->
         Spec.variant_of params (Printf.sprintf "%s.v%d" params.Spec.sp_name (i + 1)))
   in
-  ignore (Lockstep.launch k (leader :: others));
+  launch k (leader :: others);
   E.run_until_quiescent eng;
   !leader_done
 
+let run_spec params ~followers =
+  let native = Int64.to_float (spec_native_cycles params) in
+  let nvx =
+    Int64.to_float
+      (spec_leader_cycles params ~versions:(followers + 1) (fun k vs ->
+           ignore (Nvx.launch k vs)))
+  in
+  if native <= 0.0 then infinity else nvx /. native
+
 let run_spec_lockstep params ~versions =
   let native = Int64.to_float (spec_native_cycles params) in
-  let ls = Int64.to_float (spec_lockstep_cycles params ~versions) in
+  let ls =
+    Int64.to_float
+      (spec_leader_cycles params ~versions (fun k vs ->
+           ignore (Lockstep.launch k vs)))
+  in
   if native <= 0.0 then infinity else ls /. native

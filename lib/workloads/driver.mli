@@ -26,12 +26,11 @@ val measurement_of_result :
   string -> Varan_cycles.Cost.t -> Clients.result -> measurement
 (** Fold a finished client result (closed- or open-loop) into a row. *)
 
-val run : ?link_latency:int -> Workload.t -> mode -> measurement
+val run : Workload.t -> mode -> measurement
 (** Build a fresh engine/kernel, start the server(s) in the requested
     mode, run the load to completion and measure from the client side. *)
 
 val run_with_full_session :
-  ?link_latency:int ->
   Workload.t ->
   followers:int ->
   config:Varan_nvx.Config.t ->
@@ -40,7 +39,6 @@ val run_with_full_session :
     (for trace/divergence-log inspection). *)
 
 val run_with_session :
-  ?link_latency:int ->
   Workload.t ->
   followers:int ->
   config:Varan_nvx.Config.t ->

@@ -22,7 +22,6 @@ let frame_of_string s =
   f
 
 let send_msg api fd payload = Api.write_all api fd (frame payload)
-let send_str api fd s = Api.write_all api fd (frame_of_string s)
 
 (* Read exactly [n] bytes, or [None] on EOF at a frame boundary
    ([eof_ok]); EOF mid-frame is an EIO. A first chunk that already holds
@@ -57,6 +56,3 @@ let recv_msg api fd =
       (match body with
       | Some b -> Ok (Some b)
       | None -> Error Varan_syscall.Errno.EIO)
-
-let recv_str api fd =
-  Result.map (Option.map Bytes.to_string) (recv_msg api fd)

@@ -9,8 +9,6 @@ type config = {
 }
 
 let put_cmd payload = Bytes.cat (Bytes.of_string "put ") payload
-let reserve_cmd = Bytes.of_string "reserve"
-let delete_cmd id = Bytes.of_string (Printf.sprintf "delete %d" id)
 
 let ok_exn what = function
   | Ok v -> v

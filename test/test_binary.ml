@@ -508,7 +508,7 @@ let shipped_profiles =
   List.map
     (fun w -> (w.W.w_name, w.W.profile))
     Varan_workloads.Catalog.(
-      c10k_servers @ prior_work_servers @ thread_grids)
+      c10k_servers @ prior_work_servers @ [ thread_grid_64 ])
   @ List.map
       (fun rev ->
         of_variant (Rev.lighttpd_variant ~rev ~port:80 ~expected_conns:1))
@@ -565,8 +565,8 @@ let golden =
     ("Apache httpd", "2cfcdb149435c76b2a9ff34d37b44828", "361a239343e01d19f4b116311df792af");
     ("thttpd", "cf398a3d4e21ff78538fc78eb15c5708", "e48214f3d47c9326f489ce2610a40078");
     ("Thread grid (64)", "2257c22b81b1f324b29ceb5de1d5913f", "18ab9b80bef0ed597ae74b1e25af5323");
-    ("Thread grid (256)", "6537458ce9c97fefb89da7993842bc7c", "e48b39ad1bab202b558157a33a3b4097");
     ("default", "c4707779db5c67fc68d0e707f93ec2db", "951f040316962144fb57c91f44b3bc11");
+    ("benchmark-futex", "6537458ce9c97fefb89da7993842bc7c", "e48b39ad1bab202b558157a33a3b4097");
     ("bechamel-30kB", "16b7b9c55b4d39af258393ec7d65d30b", "dc6ecc23975a2f7e28cc866403f48500");
   ]
 

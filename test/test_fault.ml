@@ -36,7 +36,7 @@ let check_case_exn label case out =
    the per-variant cycle and consumption counters, which the report does
    not carry. *)
 let fingerprint_seed buf case out =
-  Buffer.add_string buf (H.json_of_outcome ~fails:[] case out);
+  Buffer.add_string buf (H.json_of_outcome ~fails:[] ~postmortem:[] case out);
   Array.iter
     (fun (v : Nvx.variant_stats) ->
       Printf.bprintf buf "|%Ld %Ld %Ld %d" v.Nvx.vs_sys_cycles
@@ -417,9 +417,9 @@ let test_quarantine_kill_dumps_postmortem () =
       let out = H.run case in
       check_case_exn "quarantine kill" case out;
       let bundle =
-        match !Flight.last_dump with
-        | Some p -> p
-        | None -> Alcotest.fail "no post-mortem bundle was written"
+        match !Flight.dumps with
+        | p :: _ -> p
+        | [] -> Alcotest.fail "no post-mortem bundle was written"
       in
       Alcotest.(check bool) "bundle is in the armed directory" true
         (Filename.dirname bundle = dir);

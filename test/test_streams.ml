@@ -60,7 +60,7 @@ let test_pool_double_free_rejected () =
   | () -> Alcotest.fail "expected double-free rejection"
 
 let test_pool_exhaustion () =
-  let p = Pool.create ~pool_bytes:65536 ~segment_bytes:65536 () in
+  let p = Pool.create ~capacity:65536 ~segment_bytes:65536 () in
   (* One segment of 64 KiB split into 1 KiB chunks: 64 allocs succeed. *)
   for _ = 1 to 64 do
     ignore (Pool.alloc p 1024)
@@ -125,7 +125,7 @@ let test_ring_publish_consume () =
   let eng = E.create () in
   let r = Ring.create ~size:8 "test" in
   let got = ref [] in
-  let cid = Ring.add_consumer r in
+  let c = Ring.subscribe r in
   ignore
     (E.spawn eng ~name:"producer" (fun () ->
          for i = 1 to 20 do
@@ -135,7 +135,7 @@ let test_ring_publish_consume () =
   ignore
     (E.spawn eng ~name:"consumer" (fun () ->
          for _ = 1 to 20 do
-           got := Ring.consume r cid :: !got
+           got := Ring.consume_h c :: !got
          done));
   E.run eng;
   Alcotest.(check (list int))
@@ -147,7 +147,7 @@ let test_ring_backpressure () =
   (* A slow consumer must stall the producer once the ring fills. *)
   let eng = E.create () in
   let r = Ring.create ~size:4 "bp" in
-  let cid = Ring.add_consumer r in
+  let c = Ring.subscribe r in
   ignore
     (E.spawn eng ~name:"producer" (fun () ->
          for i = 1 to 12 do
@@ -157,7 +157,7 @@ let test_ring_backpressure () =
     (E.spawn eng ~name:"slow-consumer" (fun () ->
          for _ = 1 to 12 do
            E.consume 1_000;
-           ignore (Ring.consume r cid)
+           ignore (Ring.consume_h c)
          done));
   E.run eng;
   let s = Ring.stats r in
@@ -168,15 +168,15 @@ let test_ring_multiple_consumers_each_get_all () =
   let eng = E.create () in
   let r = Ring.create ~size:16 "multi" in
   let sums = Array.make 3 0 in
-  let cids = Array.init 3 (fun _ -> Ring.add_consumer r) in
+  let cs = Array.init 3 (fun _ -> Ring.subscribe r) in
   Array.iteri
-    (fun i cid ->
+    (fun i c ->
       ignore
         (E.spawn eng ~name:(Printf.sprintf "consumer%d" i) (fun () ->
              for _ = 1 to 10 do
-               sums.(i) <- sums.(i) + Ring.consume r cid
+               sums.(i) <- sums.(i) + Ring.consume_h c
              done)))
-    cids;
+    cs;
   ignore
     (E.spawn eng ~name:"producer" (fun () ->
          for v = 1 to 10 do
@@ -188,11 +188,11 @@ let test_ring_multiple_consumers_each_get_all () =
     (fun i sum -> Alcotest.(check int) (Printf.sprintf "consumer %d" i) 55 sum)
     sums
 
-let test_ring_remove_consumer_unblocks_producer () =
+let test_ring_unsubscribe_unblocks_producer () =
   let eng = E.create () in
   let r = Ring.create ~size:2 "crash" in
-  let dead = Ring.add_consumer r in
-  let live = Ring.add_consumer r in
+  let dead = Ring.subscribe r in
+  let live = Ring.subscribe r in
   let produced = ref 0 in
   ignore
     (E.spawn eng ~name:"producer" (fun () ->
@@ -203,52 +203,52 @@ let test_ring_remove_consumer_unblocks_producer () =
   ignore
     (E.spawn eng ~name:"live-consumer" (fun () ->
          for _ = 1 to 6 do
-           ignore (Ring.consume r live)
+           ignore (Ring.consume_h live)
          done));
   (* The dead consumer never reads; unsubscribe it shortly after start,
      as the coordinator does when a follower crashes. *)
   ignore
     (E.spawn eng ~name:"coordinator" (fun () ->
          E.consume 100;
-         Ring.remove_consumer r dead));
+         Ring.unsubscribe dead));
   E.run eng;
   Alcotest.(check int) "producer finished" 6 !produced
 
 let test_ring_lag () =
   let eng = E.create () in
   let r = Ring.create ~size:64 "lag" in
-  let cid = Ring.add_consumer r in
+  let c = Ring.subscribe r in
   ignore
     (E.spawn eng (fun () ->
          for i = 1 to 10 do
            Ring.publish r i
          done;
-         Alcotest.(check int) "lag after 10 publishes" 10 (Ring.lag r cid);
-         ignore (Ring.consume r cid);
-         ignore (Ring.consume r cid);
-         Alcotest.(check int) "lag after 2 consumes" 8 (Ring.lag r cid)));
+         Alcotest.(check int) "lag after 10 publishes" 10 (Ring.lag_h c);
+         ignore (Ring.consume_h c);
+         ignore (Ring.consume_h c);
+         Alcotest.(check int) "lag after 2 consumes" 8 (Ring.lag_h c)));
   E.run eng
 
 let test_ring_try_variants () =
   let eng = E.create () in
   let r = Ring.create ~size:2 "try" in
-  let cid = Ring.add_consumer r in
+  let c = Ring.subscribe r in
   ignore
     (E.spawn eng (fun () ->
-         Alcotest.(check bool) "consume on empty" true (Ring.try_consume r cid = None);
+         Alcotest.(check bool) "consume on empty" true (Ring.try_consume_h c = None);
          Alcotest.(check bool) "publish ok" true (Ring.try_publish r 1);
          Alcotest.(check bool) "publish ok" true (Ring.try_publish r 2);
          Alcotest.(check bool) "publish full" false (Ring.try_publish r 3);
-         Alcotest.(check bool) "peek" true (Ring.peek r cid = Some 1);
-         Alcotest.(check bool) "consume" true (Ring.try_consume r cid = Some 1);
+         Alcotest.(check bool) "peek" true (Ring.peek_h c = Some 1);
+         Alcotest.(check bool) "consume" true (Ring.try_consume_h c = Some 1);
          Alcotest.(check bool) "now room" true (Ring.try_publish r 3)));
   E.run eng
 
 let test_ring_try_publish_stalled_consumer () =
   let eng = E.create () in
   let r = Ring.create ~size:4 "stalled" in
-  let stalled = Ring.add_consumer r in
-  let live = Ring.add_consumer r in
+  let stalled = Ring.subscribe r in
+  let live = Ring.subscribe r in
   ignore
     (E.spawn eng (fun () ->
          for i = 1 to 4 do
@@ -259,19 +259,19 @@ let test_ring_try_publish_stalled_consumer () =
             every slot: the publisher must keep failing. *)
          for i = 1 to 4 do
            Alcotest.(check bool) "live reads" true
-             (Ring.try_consume r live = Some i)
+             (Ring.try_consume_h live = Some i)
          done;
          Alcotest.(check bool) "still full" false (Ring.try_publish r 5);
-         Alcotest.(check int) "stalled lag" 4 (Ring.lag r stalled);
+         Alcotest.(check int) "stalled lag" 4 (Ring.lag_h stalled);
          Alcotest.(check (list int))
-           "unread preserved" [ 1; 2; 3; 4 ] (Ring.unread r stalled);
+           "unread preserved" [ 1; 2; 3; 4 ] (Ring.unread_h stalled);
          (* Removing the stalled consumer frees all its slots at once —
             the publisher wraps the ring twice more without blocking. *)
-         Ring.remove_consumer r stalled;
+         Ring.unsubscribe stalled;
          for i = 5 to 12 do
            Alcotest.(check bool) "room again" true (Ring.try_publish r i);
            Alcotest.(check bool) "live reads on" true
-             (Ring.try_consume r live = Some i)
+             (Ring.try_consume_h live = Some i)
          done;
          Alcotest.(check int) "published" 12 (Ring.published r)));
   E.run eng
@@ -279,19 +279,19 @@ let test_ring_try_publish_stalled_consumer () =
 let test_ring_wraparound_cursor_accounting () =
   let eng = E.create () in
   let r = Ring.create ~size:4 "wrap" in
-  let cid = Ring.add_consumer r in
+  let c = Ring.subscribe r in
   ignore
     (E.spawn eng (fun () ->
          (* Two full revolutions with interleaved reads: cursors are
             absolute sequence numbers, not slot indices. *)
          for i = 0 to 7 do
            Alcotest.(check bool) "publish" true (Ring.try_publish r i);
-           Alcotest.(check int) "cursor trails head" i (Ring.cursor r cid);
+           Alcotest.(check int) "cursor trails head" i (Ring.cursor_h c);
            Alcotest.(check bool) "read back" true
-             (Ring.try_consume r cid = Some i)
+             (Ring.try_consume_h c = Some i)
          done;
-         Alcotest.(check int) "cursor caught up" 8 (Ring.cursor r cid);
-         Alcotest.(check bool) "empty" true (Ring.try_consume r cid = None)));
+         Alcotest.(check int) "cursor caught up" 8 (Ring.cursor_h c);
+         Alcotest.(check bool) "empty" true (Ring.try_consume_h c = None)));
   E.run eng
 
 (* --- batched publish/consume ------------------------------------------ *)
@@ -497,7 +497,7 @@ let test_uncontended_ring_takes_no_wakeups () =
 let test_event_sizing () =
   Alcotest.(check int) "cache line" 64 Event.event_bytes;
   let e = Event.make ~clock:1 ~args:[| 1; 2; 3 |] 42 in
-  Alcotest.(check bool) "fits inline" true (Event.fits_inline e);
+  Alcotest.(check bool) "fits inline" true (e.Event.payload = None);
   match Event.make ~clock:1 ~args:(Array.make 7 0) 42 with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "seven args must be rejected"
@@ -960,7 +960,7 @@ let () =
           Alcotest.test_case "multiple consumers" `Quick
             test_ring_multiple_consumers_each_get_all;
           Alcotest.test_case "remove consumer" `Quick
-            test_ring_remove_consumer_unblocks_producer;
+            test_ring_unsubscribe_unblocks_producer;
           Alcotest.test_case "lag" `Quick test_ring_lag;
           Alcotest.test_case "try variants" `Quick test_ring_try_variants;
           Alcotest.test_case "try_publish vs stalled consumer" `Quick

@@ -173,27 +173,6 @@ let test_lockstep_divergence_fatal () =
   let st = Lockstep.stats t in
   Alcotest.(check bool) "divergence detected" true (st.Lockstep.divergences > 0)
 
-let test_ptrace_model_analytic_sanity () =
-  (* The closed-form model must predict multiples on a syscall-dense
-     request and near-nothing on a compute-heavy one. *)
-  let c = Varan_cycles.Cost.default in
-  let dense =
-    Varan_nvx.Ptrace_model.estimated_server_overhead c
-      ~syscalls_per_request:6 ~avg_payload_bytes:256 ~request_cycles:12_000
-  in
-  let compute_bound =
-    Varan_nvx.Ptrace_model.estimated_server_overhead c
-      ~syscalls_per_request:6 ~avg_payload_bytes:256
-      ~request_cycles:10_000_000
-  in
-  Alcotest.(check bool)
-    (Printf.sprintf "dense request suffers (%.2f)" dense)
-    true (dense > 3.0);
-  Alcotest.(check bool)
-    (Printf.sprintf "compute-bound barely notices (%.4f)" compute_bound)
-    true
-    (compute_bound < 1.02)
-
 (* --- revisions ----------------------------------------------------------- *)
 
 let run_revision_pair leader follower =
@@ -537,8 +516,6 @@ let () =
           Alcotest.test_case "correctness" `Quick test_lockstep_correctness;
           Alcotest.test_case "divergence fatal" `Quick
             test_lockstep_divergence_fatal;
-          Alcotest.test_case "ptrace model analytic sanity" `Quick
-            test_ptrace_model_analytic_sanity;
         ] );
       ( "revisions",
         [

@@ -390,11 +390,12 @@ let engine_timer_test =
   Test.make ~name:"engine-timer-1k" (Staged.stage (arm_1k E.after_here))
 
 (* One lane revolution at 64 threads: a producer publishes 256 events
-   round-robin across 64 tids into a ring; 64 consumer tasks pump the
-   shared [Lanes] demux and drain their own lane. This is the follower
-   replay topology of a 64-thread variant reduced to its moving parts —
-   ring publish, per-tid routing, peek/advance — with the engine's task
-   switching included, as in the other ring rows. *)
+   round-robin across 64 tids into a ring, whose publishes route them
+   through the shared [Lanes] demux; 64 consumer tasks drain their own
+   lane, parking on it when empty. This is the follower replay topology
+   of a 64-thread variant reduced to its moving parts — ring publish,
+   per-tid routing, per-lane wakeup, peek/advance — with the engine's
+   task switching included, as in the other ring rows. *)
 let ring_lanes_cycle () =
   let nthreads = 64 in
   let total = 256 in
@@ -403,7 +404,7 @@ let ring_lanes_cycle () =
   let h = Ring.subscribe ring in
   let lanes =
     Lanes.create ~consumer:h
-      ~is_sync:(fun _ -> false)
+      ~classify:(fun _ -> Lanes.Free)
       ~on_route:ignore ~capacity:128
   in
   let per = total / nthreads in
@@ -412,12 +413,11 @@ let ring_lanes_cycle () =
       (E.spawn eng ~name:(Printf.sprintf "lane%d" tid) (fun () ->
            let got = ref 0 in
            while !got < per do
-             Lanes.pump lanes;
              match Lanes.peek lanes ~tid with
              | Some _ ->
-               if Lanes.advance lanes ~tid then Ring.poke ring;
+               Lanes.advance lanes ~tid;
                incr got
-             | None -> Ring.wait_activity ring
+             | None -> Lanes.wait lanes ~tid
            done))
   done;
   ignore

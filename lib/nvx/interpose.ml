@@ -232,17 +232,17 @@ let charge_wait_cost t vst blocked_cycles ~slept =
    spin for a short window first; only if nothing arrives does the
    follower sleep in the futex — and only sleeping followers force the
    leader to pay a wake on publish (§3.3.1). *)
-let follower_wait t vst s ~tuple sysno =
+let follower_wait t vst s ~tuple ~tid sysno =
   let t0 = Int64.to_int (E.now_cycles ()) in
   let uses_waitlock =
     t.cfg.Config.follower_wait = Config.Waitlock && Sysno.is_blocking sysno
   in
   let slept =
     if not uses_waitlock then begin
-      Stream.wait s;
+      Stream.wait s ~tid;
       false
     end
-    else if Stream.wait_timeout s t.cost.Cost.waitlock_spin_cycles then false
+    else if Stream.spin s ~tid t.cost.Cost.waitlock_spin_cycles then false
     else begin
       (* A remote follower sleeps on the mirror ring; its wake is the
          bridge receiver's publish, not a leader-side futex — don't make
@@ -254,7 +254,7 @@ let follower_wait t vst s ~tuple sysno =
         ~finally:(fun () ->
           if counted then
             t.waitlock_sleepers.(tuple) <- t.waitlock_sleepers.(tuple) - 1)
-        (fun () -> Stream.wait s);
+        (fun () -> Stream.wait s ~tid);
       true
     end
   in
@@ -276,20 +276,17 @@ let rec await_event t vst ~unit_idx ~tuple sysno =
   | Some e when e.Event.tid = tid -> e
   | Some _ ->
     (* Head event belongs to a sibling thread; wait for it to advance. *)
-    Stream.wait s;
+    Stream.wait s ~tid;
     await_event t vst ~unit_idx ~tuple sysno
   | None when t.leader_idx = vst.idx ->
-    if Stream.siblings_pending s then begin
-      (* Elected, but siblings still hold routed events that must be
-         replayed before this variant leads; their last consume pokes
-         the ring. *)
-      Stream.wait s;
+    (* Elected, but siblings may still hold routed events that must be
+       replayed before this variant leads. *)
+    if Stream.wait_siblings s ~tid then
       await_event t vst ~unit_idx ~tuple sysno
-    end
     else
       (* Nothing for this tid and nothing routed to a sibling: the stream
-         is drained (with lanes, a just-run pump would have routed a sync
-         event), so promotion is safe. *)
+         is drained (empty lanes mean an empty ring), so promotion is
+         safe. *)
       raise Promote
   | None when (not t.vstates.(t.leader_idx).alive) && alive_followers t = 0
     ->
@@ -299,7 +296,7 @@ let rec await_event t vst ~unit_idx ~tuple sysno =
     Recovery.degrade t "no leader remains";
     raise E.Killed
   | None ->
-    follower_wait t vst s ~tuple sysno;
+    follower_wait t vst s ~tuple ~tid sysno;
     await_event t vst ~unit_idx ~tuple sysno
 
 (* Consume the head event of this unit's stream; the consumption that

@@ -494,6 +494,7 @@ type variant_stats = {
   vs_rewrite : Rewriter.stats option;
   vs_spawn_ns : float;
   vs_spawn_preps : int;
+  vs_lanes : Varan_ringbuf.Lanes.stats option;
 }
 
 type stats = {
@@ -538,6 +539,7 @@ let stats t =
             vs_rewrite = vst.rewrite;
             vs_spawn_ns = vst.spawn_ns;
             vs_spawn_preps = vst.spawn_preps;
+            vs_lanes = Option.bind vst.streams.(0) Stream.lane_stats;
           })
         t.vstates;
     rings = Array.map Ring.stats t.rings;

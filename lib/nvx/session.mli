@@ -124,6 +124,7 @@ type variant_stats = {
       (** wall-clock nanoseconds spent preparing this variant's image
           across all incarnations (spawn fast path latency) *)
   vs_spawn_preps : int;  (** image preparations: 1 cold + one per respawn *)
+  vs_lanes : Varan_ringbuf.Lanes.stats option;  (** while it has lanes *)
 }
 
 type stats = {

@@ -49,9 +49,7 @@ let peek s ~tid =
   else
     match s.lanes with
     | None -> Ring.peek_h s.c
-    | Some ln ->
-      Lanes.pump ln;
-      Lanes.peek ln ~tid
+    | Some ln -> Lanes.peek ln ~tid
 
 let advance s ~tid =
   if s.pos < s.until then begin
@@ -66,16 +64,10 @@ let advance s ~tid =
   end
   else begin
     (match s.lanes with
-    | Some ln ->
-      (* Consuming a lane event can unblock the demux (barrier lifted,
-         lanes emptied): poke the ring so parked siblings re-pump. *)
-      if Lanes.advance ln ~tid then Ring.poke s.ring
+    | Some ln -> Lanes.advance ln ~tid
     | None -> ignore (Ring.try_consume_h s.c));
     false
   end
-
-let siblings_pending s =
-  match s.lanes with Some ln -> not (Lanes.is_empty ln) | None -> false
 
 let demuxed s = match s.lanes with Some _ -> true | None -> false
 let position s = if s.pos < s.until then s.pos else s.base + Ring.cursor_h s.c
@@ -95,20 +87,35 @@ let total_lag s =
   | None -> lag s
   | Some up -> max (lag s) (Ring.published up - position s)
 
-(* Both waits park the follower until events (or a poke) arrive: that
+(* Every wait parks the follower until events (or a poke) arrive: that
    park is the ring-wait phase of the cycle attribution, charged here
-   because followers wait through [Ring.wait_activity], not the ring's
-   own consume stall loop. *)
-let wait s =
+   because followers wait on ring activity or on their lane, not in the
+   ring's own consume stall loop. *)
+let wait s ~tid =
   let t0 = Prof.mark () in
-  Ring.wait_activity s.ring;
+  (match s.lanes with
+  | Some ln -> Lanes.wait ln ~tid
+  | None -> Ring.wait_activity s.ring);
   Prof.charge_wait Phase.ring_wait t0
 
-let wait_timeout s budget =
+let spin s ~tid window =
   let t0 = Prof.mark () in
-  let r = Ring.wait_activity_timeout s.ring budget in
+  let r =
+    match s.lanes with
+    | Some ln -> Lanes.spin ln ~tid window
+    | None -> Ring.wait_activity_timeout s.ring window
+  in
   Prof.charge_wait Phase.ring_wait t0;
   r
+
+let wait_siblings s ~tid =
+  match s.lanes with
+  | Some ln when Lanes.outstanding ln > 0 ->
+    let t0 = Prof.mark () in
+    Lanes.wait_drained ln ~tid;
+    Prof.charge_wait Phase.ring_wait t0;
+    true
+  | _ -> false
 
 let catch_up s ~from =
   if s.tape = None then invalid_arg "Stream.catch_up: no tape";
@@ -120,20 +127,24 @@ let catch_up s ~from =
 
 let end_catchup s = s.until <- -1
 
-(* The syscall-number half of the lane sync predicate (the kind half is
-   {!Event.is_ordering_kind}): close frees a granted descriptor slot in
-   every variant, and futex results encode the leader's lock-acquisition
-   order — both are semantics only in global stream order. *)
-let lane_sync_event (e : Event.t) =
-  Event.is_ordering_kind e
-  || e.Event.sysno = Sysno.to_int Sysno.Close
-  || e.Event.sysno = Sysno.to_int Sysno.Futex
+(* A futex is ordered per lock word, a close per descriptor (keys
+   complemented to stay apart from lock words). Fork, exit, signals and
+   grants reshape the variant or allocate descriptors: barriers. *)
+let lane_order (e : Event.t) =
+  if e.Event.kind <> Event.Ev_syscall || e.Event.grant <> None
+     || Array.length e.Event.args = 0
+  then Lanes.Global
+  else if e.Event.sysno = Sysno.to_int Sysno.Futex then
+    Lanes.Key e.Event.args.(0)
+  else if e.Event.sysno = Sysno.to_int Sysno.Close then
+    Lanes.Key (lnot e.Event.args.(0))
+  else Lanes.Free
 
 let demux s ~capacity ~on_route =
   s.lanes <-
-    Some
-      (Lanes.create ~consumer:s.c ~is_sync:lane_sync_event ~capacity
-         ~on_route)
+    Some (Lanes.create ~consumer:s.c ~classify:lane_order ~capacity ~on_route)
+
+let lane_stats s = Option.map Lanes.stats s.lanes
 
 let drop_lanes s ~release =
   match s.lanes with

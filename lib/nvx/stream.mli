@@ -43,9 +43,9 @@ val remote : t -> bool
 
 val peek : t -> tid:int -> Event.t option
 (** The next event for this stream, or [None] when there is none yet.
-    With lanes it is the head of [tid]'s lane (the lanes are pumped
-    first); otherwise it is the stream head, which may belong to a
-    sibling thread. During catch-up it is the tape entry at the current
+    With lanes it is the head of [tid]'s lane, once it is consumable;
+    otherwise it is the stream head, which may belong to a sibling
+    thread. During catch-up it is the tape entry at the current
     position. *)
 
 val advance : t -> tid:int -> bool
@@ -56,10 +56,6 @@ val advance : t -> tid:int -> bool
 
 val in_catchup : t -> bool
 (** Reads are served from the tape rather than the live ring. *)
-
-val siblings_pending : t -> bool
-(** Lanes hold routed events that sibling threads have not replayed
-    yet. Always [false] without lanes. *)
 
 val demuxed : t -> bool
 (** The stream is read through per-tid lanes. *)
@@ -77,13 +73,19 @@ val total_lag : t -> int
 
 (** {1 Waiting} *)
 
-val wait : t -> unit
-(** Park until the stream's ring shows activity (a publish or a poke).
-    The park is charged to the ring-wait phase of the cycle profile. *)
+val wait : t -> tid:int -> unit
+(** Park until [tid]'s lane is signalled, or without lanes until the
+    ring shows activity (a publish, a consume or a poke). Every wait is
+    charged to the ring-wait phase of the cycle profile. *)
 
-val wait_timeout : t -> int -> bool
-(** {!wait} for at most the given cycles; [true] when woken by
-    activity. *)
+val spin : t -> tid:int -> int -> bool
+(** {!wait} for at most the given window; [false] when it ran out. With
+    lanes every publish on the stream restarts the window. *)
+
+val wait_siblings : t -> tid:int -> bool
+(** The elected leader's wait: [false] when no lane holds an event for a
+    sibling thread; otherwise park until the lanes empty or [tid]'s lane
+    is signalled, and return [true]. *)
 
 (** {1 Set-up and teardown} *)
 
@@ -98,10 +100,12 @@ val end_catchup : t -> unit
 
 val demux :
   t -> capacity:int -> on_route:(Event.t -> unit) -> unit
-(** Read the stream through per-tid lanes from now on. An event whose
-    global order is its meaning (fork, exit, signal, [close], [futex])
-    is a barrier across the lanes. [on_route] runs once per event, in
-    stream order, as it is routed. *)
+(** Read the stream through per-tid lanes from now on. A [futex] is
+    ordered per lock word and a [close] per descriptor; fork, exit,
+    signals and descriptor grants are barriers across the lanes.
+    [on_route] runs once per event, in stream order, as it is routed. *)
+
+val lane_stats : t -> Varan_ringbuf.Lanes.stats option
 
 val drop_lanes : t -> release:(Event.t -> unit) -> unit
 (** Stop demultiplexing, handing every routed but unreplayed event to

@@ -33,14 +33,6 @@ let make ?(kind = Ev_syscall) ?(tid = 0) ?(args = [||]) ?(ret = 0) ?payload
    both rebuild events this way. *)
 let flatten e ~out = { e with payload = None; payload_len = 0; inline_out = out }
 
-(* The kind-level half of the per-tid lane sync predicate: events whose
-   replay must stay in global stream order regardless of which thread
-   consumes them. Fork/exit/signal reshape the variant; a descriptor
-   grant allocates fd numbers, which must match the leader's allocation
-   order across sibling threads. Syscall-number-based refinements (close,
-   futex) live with the layer that knows the numbering. *)
-let is_ordering_kind e = e.kind <> Ev_syscall || e.grant <> None
-
 let kind_name = function
   | Ev_syscall -> "syscall"
   | Ev_signal -> "signal"

@@ -55,13 +55,6 @@ val flatten : t -> out:Bytes.t option -> t
     {!max_inline_bytes} cap governs only the leader's hot-path copy into
     a live ring slot, not rebuilt events. *)
 
-val is_ordering_kind : t -> bool
-(** The kind-level half of the per-tid lane sync predicate: [true] for
-    events whose replay must stay in global stream order across sibling
-    threads — non-syscall kinds (fork/exit/signal) and any event carrying
-    a descriptor grant (grants allocate fd numbers in order). Layers that
-    know the syscall numbering refine this with e.g. close and futex. *)
-
 val pp : Format.formatter -> t -> unit
 (** Full single-line rendering for failure dumps: kind, sysno, tid,
     clock, register args, ret, an escaped preview of any inline payload,

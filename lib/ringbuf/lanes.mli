@@ -1,71 +1,69 @@
-(** Per-tid event lanes: a sharded per-thread sequencer in front of the
-    ring.
+(** Per-tid event lanes: one follower's ring consumer demultiplexed, in
+    stream order, into per-tid FIFO lanes, so sibling threads replay
+    their own syscall results at ring speed instead of serializing on
+    the head.
 
-    With a single ring consumer per follower, sibling threads of a
-    multi-threaded variant serialize on the ring head: only the thread
-    whose tid matches the head event may proceed, and everyone else
-    waits. A {!t} demultiplexes the consumer once, in stream order, into
-    per-tid FIFO lanes so each thread replays its own syscall results at
-    ring speed.
+    Order survives per object, as the paper's Lamport clocks order it
+    (§3.3.3). A [Free] event is consumable at the head of its lane. A
+    [Key k] event (a futex on one lock word, a close of one descriptor)
+    is consumable only as the oldest unconsumed routed event of key [k];
+    events of other keys are still routed past it. A [Global] event
+    (fork, exit, signal, grant) is a barrier: routed once every earlier
+    event is consumed, with nothing routed past it until it is consumed.
 
-    Cross-thread ordering survives because events the [is_sync]
-    predicate selects (lock acquisitions, descriptor grants, fork/exit,
-    signals — anything whose {e global} order is the semantics) act as
-    barriers: such an event is routed only when every earlier routed
-    event has been consumed, and nothing further is routed until it is
-    consumed itself. The leader logs its lock-acquisition order through
-    these events and followers are forced to replay it (§3.3.3 of the
-    paper).
-
-    Not engine-blocking: no function here performs engine effects; the
-    caller (the session layer) decides when to wait and what to charge. *)
+    Every publish routes in the publisher's context ({!Ring.listen}), as
+    does a consume that lifts the barrier, frees capacity or empties the
+    lanes. Each lane has its own cond, signalled only when its head
+    becomes consumable; a {!Ring.poke} wakes every lane. *)
 
 type t
+type order = Free | Key of int | Global
 
 val create :
   consumer:Event.t Ring.consumer ->
-  is_sync:(Event.t -> bool) ->
+  classify:(Event.t -> order) ->
   on_route:(Event.t -> unit) ->
   capacity:int ->
   t
-(** [on_route] runs once per event, in stream order, right after the
-    event lands in its lane — the demux-time Lamport-clock check. If it
-    raises, the event stays in the lane so {!drain} still reaches its
-    payload. [capacity] bounds routed-but-unconsumed events (≥ 1). *)
-
-val pump : t -> unit
-(** Demultiplex as many published events as the barrier and capacity
-    allow. Non-blocking; safe to call from any sibling thread (they are
-    engine tasks, so calls never interleave). *)
+(** [on_route], the demux-time Lamport-clock check, runs once per event
+    in stream order, in the publisher's task: what it raises stops
+    routing and is re-raised by the next {!peek}. [capacity] bounds
+    routed-but-unconsumed events (≥ 1). *)
 
 val peek : t -> tid:int -> Event.t option
-(** Next unconsumed event for this thread, if any has been routed. *)
+(** The head of [tid]'s lane, if it is consumable. *)
 
-val advance : t -> tid:int -> bool
-(** Consume the head event of [tid]'s lane. Returns [true] when the
-    consumption may have unblocked the pump (barrier lifted, dropped
-    below capacity, or lanes emptied) — the caller should poke the ring
-    so parked siblings re-pump. @raise Invalid_argument on an empty
-    lane. *)
+val advance : t -> tid:int -> unit
+(** Consume the head of [tid]'s lane, signal the lane holding the next
+    event of its key, and route what the consumption unblocked.
+    @raise Invalid_argument on an empty lane. *)
 
-val is_empty : t -> bool
-(** No routed-but-unconsumed events. Together with a just-run {!pump}
-    this implies the ring is also drained {e or} blocked on a sync event
-    — and a sync event would have been routed when [is_empty], so after
-    [pump]: [is_empty t] ⟹ nothing consumable anywhere. *)
+val wait : t -> tid:int -> unit
+(** Park until [tid]'s lane is signalled or the ring is poked. *)
+
+val spin : t -> tid:int -> int -> bool
+(** [spin t ~tid window]: {!wait}, giving up with [false] once [window]
+    cycles have passed since both the call and the stream's last publish
+    (the waitlock's adaptive spin, §3.3.1). *)
+
+val wait_drained : t -> tid:int -> unit
+(** Park until the lanes empty, [tid]'s lane is signalled, or the ring
+    is poked: the elected leader waiting for its siblings. *)
 
 val outstanding : t -> int
-(** Routed-but-unconsumed event count (the lanes' contribution to a
-    follower's lag). *)
+(** Routed-but-unconsumed events. At [0] the ring holds nothing for this
+    consumer either, unless [on_route] failed. *)
 
 val drain : t -> Event.t list
-(** Teardown: remove and return every routed-but-unconsumed event (for
-    payload release), clearing the barrier. *)
+(** Teardown: stop listening, wake every lane, and return every routed
+    but unconsumed event (for payload release). [t] is dead after. *)
 
 type stats = {
   routed : int;  (** events demultiplexed into lanes *)
-  barrier_stalls : int;
-      (** times a sync event had to wait for the lanes to empty *)
+  order_waits : int;
+      (** keyed events routed behind an unconsumed event of their key,
+          plus the times routing stopped at a global event waiting for
+          the lanes to empty *)
   max_depth : int;  (** deepest any single lane has been *)
 }
 

@@ -18,6 +18,8 @@ type stats = {
   gate_recomputes : int;
 }
 
+type listener = { on_publish : unit -> unit; on_poke : unit -> unit }
+
 type 'a t = {
   rname : string;
   slots : 'a option array;
@@ -49,6 +51,7 @@ type 'a t = {
      is actually waiting for. The lifecycle oracle uses it to prove the
      leader never blocks on a quarantined consumer. *)
   mutable stall_hook : (int list -> unit) option;
+  mutable listeners : listener list;  (* in registration order *)
 }
 
 and 'a consumer = {
@@ -80,6 +83,7 @@ let create ?(size = 256) rname =
     n_gate_recomputes = 0;
     tap = None;
     stall_hook = None;
+    listeners = [];
   }
 
 let set_tap t tap = t.tap <- tap
@@ -117,6 +121,11 @@ let unsubscribe c =
   end
 
 let active_consumers t = t.nactive
+
+let listen c l = c.c_ring.listeners <- c.c_ring.listeners @ [ l ]
+
+let unlisten c l =
+  c.c_ring.listeners <- List.filter (( != ) l) c.c_ring.listeners
 
 (* ------------------------------------------------------------------ *)
 (* Gating                                                              *)
@@ -178,7 +187,8 @@ let wake_consumers t =
     t.n_publish_wakeups <- t.n_publish_wakeups + 1;
     Cond.broadcast_if_waiting t.not_empty;
     Cond.broadcast_if_waiting t.activity
-  end
+  end;
+  List.iter (fun l -> l.on_publish ()) t.listeners
 
 (* Write one slot without waking anyone: batch paths wake once per run. *)
 let publish_slot t v =
@@ -364,4 +374,5 @@ let wait_activity_timeout t cycles = Cond.wait_timeout t.activity cycles
 let poke t =
   Cond.broadcast_if_waiting t.not_empty;
   Cond.broadcast_if_waiting t.not_full;
-  Cond.broadcast_if_waiting t.activity
+  Cond.broadcast_if_waiting t.activity;
+  List.iter (fun l -> l.on_poke ()) t.listeners

@@ -104,11 +104,20 @@ val wait_activity : 'a t -> unit
     head event, and by the failover path. *)
 
 val poke : 'a t -> unit
-(** Wake everyone blocked on the ring (publishers, consumers and
-    {!wait_activity} waiters) so they can re-examine shared state — the
-    coordinator uses this during leader replacement (§3.3.2). A cond
-    with nobody parked on it costs no engine effect, as on the publish
-    and consume paths. *)
+(** Wake everyone blocked on the ring (publishers, consumers,
+    {!wait_activity} waiters and listeners) so they can re-examine
+    shared state — the coordinator uses this during leader replacement
+    (§3.3.2). A cond with nobody parked on it costs no engine effect, as
+    on the publish and consume paths. *)
+
+type listener = { on_publish : unit -> unit; on_poke : unit -> unit }
+(** A consumer that routes events to waiters of its own (the per-tid
+    lanes) listens instead of parking on {!wait_activity}: [on_publish]
+    runs in the publisher's context after every publish run. Listeners
+    may consume and signal, but must not park. *)
+
+val listen : 'a consumer -> listener -> unit
+val unlisten : 'a consumer -> listener -> unit
 
 type stats = {
   publishes : int;

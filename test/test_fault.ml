@@ -8,6 +8,7 @@
 module E = Varan_sim.Engine
 module K = Varan_kernel.Kernel
 module Ring = Varan_ringbuf.Ring
+module Lanes = Varan_ringbuf.Lanes
 module Nvx = Varan_nvx.Session
 module Config = Varan_nvx.Config
 module Variant = Varan_nvx.Variant
@@ -905,7 +906,7 @@ let futex_sweep_cases = 200
 let test_futex_sweep () =
   let threads_seen = Hashtbl.create 4 in
   sweep
-    ~fingerprint:"03106e5f58cbdfa1d2c7831f36663f9f"
+    ~fingerprint:"245e47362fea970f8cae9154989897d8"
     ~flags:(fun _ -> "--futex ")
     ~base:base_seed ~cases:futex_sweep_cases H.gen_futex_case
     (fun case _ ->
@@ -975,10 +976,9 @@ let test_futex_composed_with_net_and_lifecycle () =
       done)
     [ 8; 64 ]
 
-(* The catalog's 64-thread grid runs digest-clean under a full NVX
-   session: no crashes, no degradation, every thread finished its
-   rounds. *)
-let test_thread_grid_64_workload () =
+(* The catalog's 64-thread grid under a full NVX session: a leader and
+   two followers replaying through the per-tid lanes, ring size 64. *)
+let run_thread_grid_64 () =
   let w = Varan_workloads.Catalog.thread_grid_64 in
   let eng = E.create () in
   let k = K.create ~seed:7 eng in
@@ -992,6 +992,12 @@ let test_thread_grid_64_workload () =
   in
   let session = Nvx.launch ~config k variants in
   E.run_until_quiescent eng;
+  (eng, session, oracle)
+
+(* The grid runs digest-clean: no crashes, no degradation, every thread
+   finished its rounds. *)
+let test_thread_grid_64_workload () =
+  let _, session, oracle = run_thread_grid_64 () in
   Alcotest.(check (list (pair int string))) "no crashes" []
     (Nvx.crashes session);
   Alcotest.(check (option string)) "not degraded" None
@@ -1001,6 +1007,46 @@ let test_thread_grid_64_workload () =
   if not (Oracle.ok report) then
     Alcotest.failf "oracle: %s"
       (String.concat "; " report.Oracle.violations)
+
+(* The herd gate, on deterministic ratios of the same run: a publish
+   wakes only the lane that can consume it, so the engine dispatches a
+   bounded number of task switches per streamed event, and a follower
+   thread parks about once per event it replays. The lanes' own counters
+   must agree with the session's: every routed event was replayed, and
+   no lane grew past the capacity the session gave the lanes. *)
+let test_thread_grid_64_herd () =
+  let eng, session, _ = run_thread_grid_64 () in
+  let st = Nvx.stats session in
+  let published =
+    Array.fold_left (fun a r -> a + r.Ring.publishes) 0 st.Nvx.rings
+  in
+  let followers =
+    List.filter
+      (fun v -> v.Nvx.vs_role = Nvx.Follower)
+      (Array.to_list st.Nvx.variants)
+  in
+  let sum f = List.fold_left (fun a v -> a + f v) 0 followers in
+  let consumed = sum (fun v -> v.Nvx.vs_events_consumed) in
+  let switches = float (E.task_switches eng) /. float published in
+  let stalls = float (sum (fun v -> v.Nvx.vs_stall_blocks)) /. float consumed in
+  if switches > 32.0 then
+    Alcotest.failf "%.1f task switches per published event (> 32)" switches;
+  if stalls > 2.0 then
+    Alcotest.failf "%.2f follower stall blocks per consumed event (> 2)" stalls;
+  (* The session sizes the lanes at twice the thread count, at least 64. *)
+  let capacity = 2 * 64 in
+  List.iter
+    (fun v ->
+      match v.Nvx.vs_lanes with
+      | None -> Alcotest.failf "%s reads no lanes" v.Nvx.vs_name
+      | Some l ->
+        Alcotest.(check int)
+          (v.Nvx.vs_name ^ ": every routed event replayed")
+          v.Nvx.vs_events_consumed l.Lanes.routed;
+        if l.Lanes.max_depth > capacity then
+          Alcotest.failf "%s: a lane held %d events (capacity %d)"
+            v.Nvx.vs_name l.Lanes.max_depth capacity)
+    followers
 
 (* ------------------------------------------------------------------ *)
 (* Distributed NVX: the link, the bridge, link-fault lifecycles        *)
@@ -1397,6 +1443,8 @@ let () =
             `Quick test_futex_composed_with_net_and_lifecycle;
           Alcotest.test_case "thread-grid-64 workload digest-clean" `Quick
             test_thread_grid_64_workload;
+          Alcotest.test_case "thread-grid-64 wakes one lane per event" `Quick
+            test_thread_grid_64_herd;
         ] );
       ( "net",
         [

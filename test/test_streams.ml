@@ -629,6 +629,202 @@ let test_stream_remote_mirror_splice () =
 
 (* Expect test for the failure-dump rendering: tid, register args, the
    escaped inline payload and the grant marker must all be visible. *)
+(* --- per-tid lanes: per-key order and per-lane wakeups ------------- *)
+
+module Lanes = Varan_ringbuf.Lanes
+
+(* A lane stream event names its own order so the classifier can read it
+   back: sysno 0 is free, 1 is keyed by [args.(0)], 2 is global; [ret]
+   is the stream index. *)
+let lane_order (e : Event.t) =
+  match e.Event.sysno with
+  | 1 -> Lanes.Key e.Event.args.(0)
+  | 2 -> Lanes.Global
+  | _ -> Lanes.Free
+
+let gen_lane_stream prng =
+  let n = 1 + Prng.int prng 120 and nthreads = 1 + Prng.int prng 8 in
+  let events =
+    Array.init n (fun i ->
+        let tid = Prng.int prng nthreads in
+        match Prng.int prng 20 with
+        | r when r < 10 -> Event.make ~tid ~ret:i ~clock:(i + 1) 0
+        | r when r < 17 ->
+          Event.make ~tid ~args:[| Prng.int prng 3 |] ~ret:i ~clock:(i + 1) 1
+        | _ -> Event.make ~tid ~ret:i ~clock:(i + 1) 2)
+  in
+  (events, nthreads)
+
+(* The happens-before checks on one consumption log (stream indices in
+   consumption order): each event exactly once, per-key and per-lane
+   order equal to stream order, and a global event after everything
+   before it in the stream and before everything after it. *)
+let check_lane_log events log =
+  let n = Array.length events in
+  let log = Array.of_list log in
+  let at = Array.make n (-1) in
+  Array.iteri
+    (fun pos i ->
+      if at.(i) >= 0 then QCheck.Test.fail_reportf "event %d consumed twice" i;
+      at.(i) <- pos)
+    log;
+  Array.iteri
+    (fun i pos ->
+      if pos < 0 then QCheck.Test.fail_reportf "event %d never consumed" i)
+    at;
+  let ordered what same =
+    for i = 0 to n - 1 do
+      for j = i + 1 to n - 1 do
+        if same events.(i) events.(j) && at.(i) > at.(j) then
+          QCheck.Test.fail_reportf "%s order: event %d consumed after %d" what
+            i j
+      done
+    done
+  in
+  ordered "lane" (fun a b -> a.Event.tid = b.Event.tid);
+  ordered "key" (fun a b ->
+      match (lane_order a, lane_order b) with
+      | Lanes.Key x, Lanes.Key y -> x = y
+      | _ -> false);
+  ordered "global" (fun a b ->
+      lane_order a = Lanes.Global || lane_order b = Lanes.Global);
+  true
+
+(* Random thread order: one task publishes with [try_publish] and, at
+   random, lets a random thread take its consumable head. Whenever
+   nothing is publishable, some lane must have a consumable head. *)
+let drive_random_order prng events nthreads ~ring_size ~capacity =
+  let n = Array.length events in
+  let log = ref [] in
+  in_task (fun () ->
+      let ring = Ring.create ~size:ring_size "lanes-prop" in
+      let lanes =
+        Lanes.create ~consumer:(Ring.subscribe ring) ~classify:lane_order
+          ~on_route:ignore ~capacity
+      in
+      let published = ref 0 and consumed = ref 0 in
+      let try_consume tid =
+        match Lanes.peek lanes ~tid with
+        | Some e ->
+          if e.Event.tid <> tid then
+            QCheck.Test.fail_reportf "lane %d served tid %d" tid e.Event.tid;
+          Lanes.advance lanes ~tid;
+          log := e.Event.ret :: !log;
+          incr consumed;
+          true
+        | None -> false
+      in
+      while !consumed < n do
+        if
+          !published < n
+          && Prng.bool prng
+          && Ring.try_publish ring events.(!published)
+        then incr published
+        else if
+          (not (try_consume (Prng.int prng nthreads)))
+          && not (List.exists try_consume (List.init nthreads Fun.id))
+        then
+          (* No thread can run: the next event must fit in the ring. *)
+          if !published < n && Ring.try_publish ring events.(!published) then
+            incr published
+          else
+            QCheck.Test.fail_reportf "stuck: %d unconsumed, %d unpublished"
+              (n - !consumed) (n - !published)
+      done);
+  List.rev !log
+
+(* The signalled schedule: one engine task per thread that parks on its
+   own lane whenever it has no consumable head, so it runs only when
+   signalled. Every event must still be consumed: no wakeup is lost. *)
+let drive_signalled prng events nthreads ~ring_size ~capacity =
+  let eng = E.create () in
+  let ring = Ring.create ~size:ring_size "lanes-sig" in
+  let lanes =
+    Lanes.create ~consumer:(Ring.subscribe ring) ~classify:lane_order
+      ~on_route:ignore ~capacity
+  in
+  let log = ref [] in
+  let delay () = Prng.int prng 300 in
+  for tid = 0 to nthreads - 1 do
+    let mine =
+      Array.fold_left (fun a e -> if e.Event.tid = tid then a + 1 else a) 0 events
+    in
+    let pause = Array.init mine (fun _ -> delay ()) in
+    ignore
+      (E.spawn eng (fun () ->
+           let got = ref 0 in
+           while !got < mine do
+             match Lanes.peek lanes ~tid with
+             | Some e ->
+               Lanes.advance lanes ~tid;
+               log := e.Event.ret :: !log;
+               E.consume (1 + pause.(!got));
+               incr got
+             | None -> Lanes.wait lanes ~tid
+           done))
+  done;
+  let gaps = Array.map (fun _ -> delay ()) events in
+  ignore
+    (E.spawn eng (fun () ->
+         Array.iteri
+           (fun i e ->
+             E.consume (1 + gaps.(i));
+             Ring.publish ring e)
+           events));
+  (match E.run eng with
+  | () -> ()
+  | exception E.Deadlock _ ->
+    QCheck.Test.fail_reportf "lost wakeup: %d of %d consumed"
+      (List.length !log) (Array.length events));
+  List.rev !log
+
+(* The elected leader's wait: a thread whose own lane is empty parks on
+   the lanes draining, and wakes when a sibling consumes the last routed
+   event, or when an event is routed into its own lane. *)
+let test_lanes_wait_drained () =
+  let eng = E.create () in
+  let ring = Ring.create ~size:8 "lanes-drained" in
+  let lanes =
+    Lanes.create ~consumer:(Ring.subscribe ring) ~classify:lane_order
+      ~on_route:ignore ~capacity:8
+  in
+  let woke = ref [] in
+  let note what = woke := (what, Int64.to_int (E.now_cycles ())) :: !woke in
+  ignore
+    (E.spawn eng (fun () ->
+         Ring.publish ring (Event.make ~tid:1 ~ret:0 ~clock:1 0);
+         (* tid 0 has nothing; tid 1 holds a routed event. *)
+         Lanes.wait_drained lanes ~tid:0;
+         note "drained";
+         Alcotest.(check bool) "lanes empty" true (Lanes.outstanding lanes = 0);
+         Lanes.wait_drained lanes ~tid:0;
+         note "routed to me";
+         Alcotest.(check bool) "own event consumable" true
+           (Lanes.peek lanes ~tid:0 <> None)));
+  ignore
+    (E.spawn eng (fun () ->
+         E.consume 100;
+         Lanes.advance lanes ~tid:1;
+         E.consume 100;
+         Ring.publish ring (Event.make ~tid:0 ~ret:1 ~clock:2 0)));
+  E.run eng;
+  Alcotest.(check (list (pair string int)))
+    "woken when the lanes drain, then by its own lane"
+    [ ("drained", 100); ("routed to me", 200) ]
+    (List.rev !woke)
+
+let prop_lanes_happens_before =
+  QCheck.Test.make ~name:"lanes keep happens-before, lose no wakeup"
+    ~count:300 (QCheck.int_bound 1_000_000) (fun seed ->
+      let prng = Prng.create (0x1A7E + seed) in
+      let events, nthreads = gen_lane_stream prng in
+      let ring_size = 1 + Prng.int prng 16 in
+      let capacity = 1 + Prng.int prng 16 in
+      check_lane_log events
+        (drive_random_order prng events nthreads ~ring_size ~capacity)
+      && check_lane_log events
+           (drive_signalled prng events nthreads ~ring_size ~capacity))
+
 let test_event_pp_full_dump () =
   let e =
     Event.make ~tid:3 ~args:[| 1; 2 |] ~ret:7
@@ -977,6 +1173,12 @@ let () =
             test_stream_local_splice;
           Alcotest.test_case "remote splice onto a re-attached mirror" `Quick
             test_stream_remote_mirror_splice;
+        ] );
+      ( "lanes",
+        [
+          QCheck_alcotest.to_alcotest prop_lanes_happens_before;
+          Alcotest.test_case "elected leader waits for the lanes to drain"
+            `Quick test_lanes_wait_drained;
         ] );
       ( "batch",
         [

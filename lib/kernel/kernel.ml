@@ -811,30 +811,25 @@ let do_epoll_wait k proc args =
   with_fd proc epfd (fun epentry ->
       match epentry.fde_ofile.kind with
       | K_epoll e ->
-        (* The first [maxevents] ready watches in fold order, sorted by
-           fd (unique per watch, so the masks never break a tie); [n]
-           counts them so the cap test is O(1) per watch. *)
+        (* The [maxevents] lowest-fd ready watches, sorted by fd (unique
+           per watch, so the masks never break a tie). Every ready watch
+           is collected before the cap, so which ones are reported does
+           not depend on the watch table's iteration order. *)
         let collect () =
-          let n = ref 0 in
-          Hashtbl.fold
-            (fun fd w acc ->
-              if !n >= maxevents then acc
-              else begin
+          let ready =
+            Hashtbl.fold
+              (fun fd w acc ->
                 let ev = ref 0 in
                 if w.w_events land Flags.epollin <> 0 && ready_read w.w_ofile
                 then ev := !ev lor Flags.epollin;
-                if
-                  w.w_events land Flags.epollout <> 0
-                  && ready_write w.w_ofile
+                if w.w_events land Flags.epollout <> 0 && ready_write w.w_ofile
                 then ev := !ev lor Flags.epollout;
-                if !ev <> 0 then begin
-                  incr n;
-                  (fd, !ev) :: acc
-                end
-                else acc
-              end)
-            e.e_watches []
-          |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+                if !ev <> 0 then (fd, !ev) :: acc else acc)
+              e.e_watches []
+            |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+          in
+          if List.compare_length_with ready maxevents <= 0 then ready
+          else List.filteri (fun i _ -> i < maxevents) ready
         in
         let finish ready =
           charge_out k (8 * List.length ready);

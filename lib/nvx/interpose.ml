@@ -281,8 +281,10 @@ let rec await_event t vst ~unit_idx ~tuple sysno =
   | None when t.leader_idx = vst.idx ->
     (* Elected, but siblings may still hold routed events that must be
        replayed before this variant leads. *)
-    if Stream.wait_siblings s ~tid then
+    if Stream.wait_siblings s ~tid then begin
+      vst.st.sibling_waits <- vst.st.sibling_waits + 1;
       await_event t vst ~unit_idx ~tuple sysno
+    end
     else
       (* Nothing for this tid and nothing routed to a sibling: the stream
          is drained (empty lanes mean an empty ring), so promotion is

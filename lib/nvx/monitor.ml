@@ -63,6 +63,7 @@ type vstats = {
   mutable trap_dispatches : int;
   mutable vdso_dispatches : int;
   mutable injected_stalls : int;
+  mutable sibling_waits : int;
 }
 
 let fresh_vstats () =
@@ -83,6 +84,7 @@ let fresh_vstats () =
     trap_dispatches = 0;
     vdso_dispatches = 0;
     injected_stalls = 0;
+    sibling_waits = 0;
   }
 
 (* The zygote's pristine text, one image per code profile (§3.1): the

@@ -490,6 +490,7 @@ type variant_stats = {
   vs_trap_dispatches : int;
   vs_vdso_dispatches : int;
   vs_injected_stalls : int;
+  vs_sibling_waits : int;
   vs_incarnation : int;
   vs_rewrite : Rewriter.stats option;
   vs_spawn_ns : float;
@@ -535,6 +536,7 @@ let stats t =
             vs_trap_dispatches = vst.st.trap_dispatches;
             vs_vdso_dispatches = vst.st.vdso_dispatches;
             vs_injected_stalls = vst.st.injected_stalls;
+            vs_sibling_waits = vst.st.sibling_waits;
             vs_incarnation = vst.incarnation;
             vs_rewrite = vst.rewrite;
             vs_spawn_ns = vst.spawn_ns;

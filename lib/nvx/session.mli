@@ -117,6 +117,9 @@ type variant_stats = {
   vs_injected_stalls : int;
       (** [Stall_follower] injections that actually fired on this
           variant — each armed injection fires at most once *)
+  vs_sibling_waits : int;
+      (** times one of its units, elected leader, waited for sibling
+          threads to replay the events already routed to them *)
   vs_incarnation : int;
       (** times this variant was respawned by the lifecycle manager *)
   vs_rewrite : Varan_binary.Rewriter.stats option;

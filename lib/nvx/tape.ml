@@ -12,9 +12,11 @@ module Event = Varan_ringbuf.Event
    a follower that never left.
 
    For a million-event stream a flat entry array is the recorder's space
-   problem, so the tape is chunked: entries land in a small open segment
-   and, once it fills, the segment is sealed — serialized to a compact
-   byte image and run-length packed (PackBits). Sealed segments below the
+   problem, so the tape holds bytes, not records. [append] encodes each
+   entry once, straight into the open segment's reused buffer, in a
+   compact varint form (most fields are small, most clock steps are 1);
+   once the segment holds 256 entries it is sealed — its buffer run-length
+   packed (PackBits) into an immutable image. Sealed segments below the
    retention floor (the oldest live checkpoint, see {!Checkpoint}) are
    retired wholesale, which keeps resident bytes bounded while absolute
    indices stay stable: entry [i] is entry [i] forever, and reads below
@@ -51,17 +53,24 @@ let entries_per_segment = 256
    cannot be serialized; the sparse side array re-attaches them on
    decode. *)
 type seg = {
-  s_packed : Bytes.t; (* PackBits image of the serialized entries *)
-  s_raw_len : int; (* serialized length before packing *)
+  s_packed : Bytes.t; (* PackBits image of the encoded entries *)
+  s_raw_len : int; (* encoded length before packing *)
   s_grants : (int * Obj.t) array; (* (index within segment, grant) *)
 }
 
 type t = {
   sealed : (int, seg) Hashtbl.t; (* segment number -> sealed image *)
-  open_buf : entry array; (* the one mutable segment, being filled *)
-  mutable open_first : int; (* absolute index of open_buf.(0) *)
+  (* The open segment: entry k is encoded at [open_raw.[open_off.(k)]];
+     its stamp is kept beside it so entry k decodes on its own, and its
+     grant waits here until the seal moves it to the side array. The
+     buffer is reused from seal to seal. *)
+  mutable open_raw : Bytes.t;
+  mutable open_pos : int; (* encoded bytes in [open_raw] *)
+  open_off : int array;
+  open_clock : int array;
+  open_grant : Obj.t option array;
+  mutable open_first : int; (* absolute index of open entry 0 *)
   mutable open_len : int;
-  mutable open_bytes : int; (* raw-size estimate of the open segment *)
   mutable base : int; (* oldest retained absolute index *)
   mutable total : int; (* next index to append = events ever seen *)
   (* Decode cache: sequential replay touches one sealed segment many
@@ -84,25 +93,16 @@ type stats = {
   raw_bytes : int;
 }
 
-let dummy =
-  {
-    t_kind = Event.Ev_syscall;
-    t_sysno = 0;
-    t_tid = 0;
-    t_args = [||];
-    t_ret = 0;
-    t_clock = 0;
-    t_out = None;
-    t_grant = None;
-  }
-
 let create () =
   {
     sealed = Hashtbl.create 32;
-    open_buf = Array.make entries_per_segment dummy;
+    open_raw = Bytes.create 4096;
+    open_pos = 0;
+    open_off = Array.make entries_per_segment 0;
+    open_clock = Array.make entries_per_segment 0;
+    open_grant = Array.make entries_per_segment None;
     open_first = 0;
     open_len = 0;
-    open_bytes = 0;
     base = 0;
     total = 0;
     cache_segno = -1;
@@ -117,9 +117,14 @@ let length t = t.total
 let base t = t.base
 
 (* ------------------------------------------------------------------ *)
-(* Entry wire format (within a sealed segment)                         *)
-(*   u8 kind | u8 tid | u8 nargs | i32 sysno | i32 clock | i64 ret     *)
-(*   | i64 args[nargs] | i32 outlen (-1 = no result buffer) | bytes    *)
+(* Entry encoding (within a segment)                                   *)
+(*   u8 header = kind << 1 | has_out                                   *)
+(*   uvarint tid | uvarint nargs | uvarint sysno                       *)
+(*   svarint (clock - previous entry's clock, 0 before the first)      *)
+(*   svarint ret | svarint args[nargs]                                 *)
+(*   [has_out: uvarint outlen | bytes out]                             *)
+(* uvarint is LEB128 over the int's 63 bits (at most 9 bytes, never a  *)
+(* redundant trailing zero byte); svarint is the zigzag map to it.     *)
 (* ------------------------------------------------------------------ *)
 
 let kind_code = function
@@ -135,98 +140,137 @@ let kind_of_code = function
   | 3 -> Some Event.Ev_exit
   | _ -> None
 
-let entry_raw_size (e : entry) =
-  3 + 4 + 4 + 8
-  + (8 * Array.length e.t_args)
-  + 4
-  + (match e.t_out with None -> 0 | Some b -> Bytes.length b)
+let max_varint = 9
 
-(* Write [e] at [pos] of [raw] and return the position after it. *)
-let serialize_entry raw pos (e : entry) =
-  Bytes.set_uint8 raw pos (kind_code e.t_kind);
-  Bytes.set_uint8 raw (pos + 1) (e.t_tid land 0xFF);
-  Bytes.set_uint8 raw (pos + 2) (Array.length e.t_args);
-  Bytes.set_int32_le raw (pos + 3) (Int32.of_int e.t_sysno);
-  Bytes.set_int32_le raw (pos + 7) (Int32.of_int e.t_clock);
-  Bytes.set_int64_le raw (pos + 11) (Int64.of_int e.t_ret);
-  let pos = pos + 19 in
-  Array.iteri
-    (fun i a -> Bytes.set_int64_le raw (pos + (8 * i)) (Int64.of_int a))
-    e.t_args;
-  let pos = pos + (8 * Array.length e.t_args) in
-  match e.t_out with
-  | None ->
-    Bytes.set_int32_le raw pos (-1l);
-    pos + 4
-  | Some b ->
-    let n = Bytes.length b in
-    Bytes.set_int32_le raw pos (Int32.of_int n);
-    Bytes.blit b 0 raw (pos + 4) n;
-    pos + 4 + n
+(* The most bytes an entry can take, to size the buffer before writing. *)
+let max_entry_size ~nargs ~outlen = 1 + (max_varint * (6 + nargs)) + outlen
 
-let deserialize_entry raw pos =
-  let p = ref pos in
+let put_uvarint b pos v =
+  let p = ref pos and v = ref v in
+  while !v land lnot 0x7f <> 0 do
+    Bytes.unsafe_set b !p (Char.unsafe_chr (!v land 0x7f lor 0x80));
+    v := !v lsr 7;
+    incr p
+  done;
+  Bytes.unsafe_set b !p (Char.unsafe_chr !v);
+  !p + 1
+
+let put_svarint b pos v = put_uvarint b pos ((v lsl 1) lxor (v asr 62))
+
+(* Encode one entry at [pos] of [b], which has room for
+   [max_entry_size], and return the position after it. *)
+let encode_entry b pos ~prev_clock ~kind ~tid ~sysno ~clock ~ret ~args ~out =
+  Bytes.unsafe_set b pos
+    (Char.unsafe_chr ((kind_code kind lsl 1) lor if out = None then 0 else 1));
+  let pos = put_uvarint b (pos + 1) tid in
+  let pos = put_uvarint b pos (Array.length args) in
+  let pos = put_uvarint b pos sysno in
+  let pos = put_svarint b pos (clock - prev_clock) in
+  let pos = ref (put_svarint b pos ret) in
+  for i = 0 to Array.length args - 1 do
+    pos := put_svarint b !pos (Array.unsafe_get args i)
+  done;
+  match out with
+  | None -> !pos
+  | Some o ->
+    let n = Bytes.length o in
+    let pos = put_uvarint b !pos n in
+    Bytes.blit o 0 b pos n;
+    pos + n
+
+(* A segment that is not the encoding of any entry list, raised by the
+   decoders; [of_image] turns it into an [Error]. *)
+exception Malformed of string
+
+(* Decode the entry at [!p] of [b], whose entries end at [lim], and
+   advance [p] past it. *)
+let decode_entry b ~lim p ~prev_clock =
   let u8 () =
-    let v = Char.code (Bytes.get raw !p) in
+    if !p >= lim then raise (Malformed "truncated entry");
+    let c = Char.code (Bytes.unsafe_get b !p) in
     incr p;
-    v
+    c
   in
-  let i32 () =
-    let v = Int32.to_int (Bytes.get_int32_le raw !p) in
-    p := !p + 4;
-    v
+  let uvarint () =
+    let acc = ref 0 and shift = ref 0 and fin = ref false in
+    while not !fin do
+      let c = u8 () in
+      if !shift = 7 * (max_varint - 1) && c > 0x7f then
+        raise (Malformed "varint longer than 63 bits");
+      acc := !acc lor ((c land 0x7f) lsl !shift);
+      if c land 0x80 = 0 then begin
+        if c = 0 && !shift > 0 then raise (Malformed "over-long varint");
+        fin := true
+      end
+      else shift := !shift + 7
+    done;
+    !acc
   in
-  let i64 () =
-    let v = Int64.to_int (Bytes.get_int64_le raw !p) in
-    p := !p + 8;
-    v
+  let svarint () =
+    let u = uvarint () in
+    (u lsr 1) lxor -(u land 1)
   in
+  let h = u8 () in
   let kind =
-    match kind_of_code (u8 ()) with
+    match kind_of_code (h lsr 1) with
     | Some k -> k
-    | None -> invalid_arg "Tape: bad event kind"
+    | None -> raise (Malformed "bad kind code")
   in
-  let tid = u8 () in
-  let nargs = u8 () in
-  let sysno = i32 () in
-  let clock = i32 () in
-  let ret = i64 () in
-  let args = Array.init nargs (fun _ -> i64 ()) in
-  let outlen = i32 () in
+  let tid = uvarint () in
+  let nargs = uvarint () in
+  let sysno = uvarint () in
+  let clock = prev_clock + svarint () in
+  let ret = svarint () in
+  (* Every argument takes at least one byte. *)
+  if nargs < 0 || nargs > lim - !p then raise (Malformed "truncated entry");
+  let args = Array.make nargs 0 in
+  for i = 0 to nargs - 1 do
+    args.(i) <- svarint ()
+  done;
   let out =
-    if outlen < 0 then None
+    if h land 1 = 0 then None
     else begin
-      let b = Bytes.sub raw !p outlen in
-      p := !p + outlen;
-      Some b
+      let n = uvarint () in
+      if n < 0 || n > lim - !p then raise (Malformed "out length past the end");
+      let o = Bytes.sub b !p n in
+      p := !p + n;
+      Some o
     end
   in
-  ( {
-      t_kind = kind;
-      t_sysno = sysno;
-      t_tid = tid;
-      t_args = args;
-      t_ret = ret;
-      t_clock = clock;
-      t_out = out;
-      t_grant = None;
-    },
-    !p )
+  {
+    t_kind = kind;
+    t_sysno = sysno;
+    t_tid = tid;
+    t_args = args;
+    t_ret = ret;
+    t_clock = clock;
+    t_out = out;
+    t_grant = None;
+  }
+
+(* Every entry of the [len]-byte encoding [raw], in order. *)
+let decode_all raw ~len =
+  let p = ref 0 and prev_clock = ref 0 and acc = ref [] in
+  while !p < len do
+    let e = decode_entry raw ~lim:len p ~prev_clock:!prev_clock in
+    prev_clock := e.t_clock;
+    acc := e :: !acc
+  done;
+  Array.of_list (List.rev !acc)
 
 (* ------------------------------------------------------------------ *)
 (* PackBits run-length coding                                          *)
 (*   control byte c in 0..127: copy the next c+1 literal bytes         *)
 (*   control byte c in 129..255: repeat the next byte 257-c times      *)
-(* Worst case adds one byte per 128 of input; serialized events are    *)
-(* full of zero bytes (little-endian small ints), so runs are common.  *)
+(* Worst case adds one byte per 128 of input; encoded events hold      *)
+(* runs of zero bytes and repetitive payloads, so runs are common.     *)
 (* ------------------------------------------------------------------ *)
 
-(* Packed into one buffer of the worst-case size, then copied out once.
-   A literal stretch shorter than 128 bytes is always followed by a run,
-   which saves at least the literal's control byte, so the output never
-   exceeds [n + n / 128 + 1]. *)
-let pack src =
-  let n = Bytes.length src in
+(* Packs [src.[0, n)] into one buffer of the worst-case size, then
+   copies it out once. A literal stretch shorter than 128 bytes is
+   always followed by a run, which saves at least the literal's control
+   byte, so the output never exceeds [n + n / 128 + 1]. *)
+let pack src n =
   let out = Bytes.create (n + (n / 128) + 1) in
   let o = ref 0 in
   let i = ref 0 in
@@ -266,6 +310,21 @@ let pack src =
   done;
   Bytes.sub out 0 !o
 
+(* The length [src] unpacks to. The packer never writes control byte
+   128, so it is rejected like a cut-off control. *)
+let unpacked_length src =
+  let n = Bytes.length src in
+  let i = ref 0 and len = ref 0 in
+  while !i < n do
+    let c = Char.code (Bytes.get src !i) in
+    if c = 128 then raise (Malformed "bad PackBits control byte");
+    let step = if c < 128 then c + 2 else 2 in
+    if !i + step > n then raise (Malformed "truncated PackBits image");
+    len := !len + (if c < 128 then c + 1 else 257 - c);
+    i := !i + step
+  done;
+  !len
+
 let unpack ~raw_len src =
   let out = Bytes.create raw_len in
   let n = Bytes.length src in
@@ -290,46 +349,67 @@ let unpack ~raw_len src =
   out
 
 (* ------------------------------------------------------------------ *)
-(* Sealing and decoding                                                *)
+(* Images, sealing and decoding                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* Serialize [entries] into one buffer of exactly [raw_len] bytes and
-   pack it. *)
-let image_of entries ~raw_len =
-  let raw = Bytes.create raw_len in
-  let pos = Array.fold_left (serialize_entry raw) 0 entries in
-  assert (pos = raw_len);
-  pack raw
-
 let image entries =
-  image_of entries
-    ~raw_len:(Array.fold_left (fun n e -> n + entry_raw_size e) 0 entries)
+  let size =
+    Array.fold_left
+      (fun n e ->
+        n
+        + max_entry_size ~nargs:(Array.length e.t_args)
+            ~outlen:(match e.t_out with None -> 0 | Some o -> Bytes.length o))
+      0 entries
+  in
+  let raw = Bytes.create size in
+  let pos = ref 0 and prev_clock = ref 0 in
+  Array.iter
+    (fun e ->
+      pos :=
+        encode_entry raw !pos ~prev_clock:!prev_clock ~kind:e.t_kind
+          ~tid:e.t_tid ~sysno:e.t_sysno ~clock:e.t_clock ~ret:e.t_ret
+          ~args:e.t_args ~out:e.t_out;
+      prev_clock := e.t_clock)
+    entries;
+  pack raw !pos
+
+(* Only an image [image] writes is accepted: the canonical varints make
+   the entry layer one-to-one, and the final comparison does the same
+   for the packing layer, where several control sequences spell one
+   byte string. *)
+let of_image img =
+  match
+    let raw_len = unpacked_length img in
+    let raw = unpack ~raw_len img in
+    let entries = decode_all raw ~len:raw_len in
+    if not (Bytes.equal (pack raw raw_len) img) then
+      raise (Malformed "non-canonical PackBits image");
+    entries
+  with
+  | entries -> Ok entries
+  | exception Malformed why -> Error why
 
 let seal t =
   let grants = ref [] in
-  Array.iteri
-    (fun i e ->
-      match e.t_grant with
-      | Some g -> grants := (i, g) :: !grants
-      | None -> ())
-    t.open_buf;
-  let packed = image_of t.open_buf ~raw_len:t.open_bytes in
+  for i = entries_per_segment - 1 downto 0 do
+    match t.open_grant.(i) with
+    | Some g ->
+      grants := (i, g) :: !grants;
+      t.open_grant.(i) <- None
+    | None -> ()
+  done;
+  let packed = pack t.open_raw t.open_pos in
   let seg =
-    {
-      s_packed = packed;
-      s_raw_len = t.open_bytes;
-      s_grants = Array.of_list (List.rev !grants);
-    }
+    { s_packed = packed; s_raw_len = t.open_pos; s_grants = Array.of_list !grants }
   in
   let segno = t.open_first / entries_per_segment in
   Hashtbl.replace t.sealed segno seg;
   t.c_sealed <- t.c_sealed + 1;
   t.c_packed_bytes <- t.c_packed_bytes + Bytes.length packed;
   t.c_raw_bytes <- t.c_raw_bytes + seg.s_raw_len;
-  Array.fill t.open_buf 0 entries_per_segment dummy;
   t.open_first <- t.open_first + entries_per_segment;
   t.open_len <- 0;
-  t.open_bytes <- 0
+  t.open_pos <- 0
 
 let decode t segno =
   if t.cache_segno = segno then t.cache_entries
@@ -341,13 +421,8 @@ let decode t segno =
         raise (Truncated { requested = segno * entries_per_segment; base = t.base })
     in
     let raw = unpack ~raw_len:seg.s_raw_len seg.s_packed in
-    let pos = ref 0 in
-    let entries =
-      Array.init entries_per_segment (fun _ ->
-          let e, p = deserialize_entry raw !pos in
-          pos := p;
-          e)
-    in
+    let entries = decode_all raw ~len:seg.s_raw_len in
+    assert (Array.length entries = entries_per_segment);
     Array.iter
       (fun (i, g) -> entries.(i) <- { (entries.(i)) with t_grant = Some g })
       seg.s_grants;
@@ -361,31 +436,43 @@ let decode t segno =
 (* ------------------------------------------------------------------ *)
 
 (* Flatten at capture time: [out] is the leader's result buffer, handed
-   over before any pool chunk can be recycled. Pure (no engine calls) —
-   runs inside Ring.publish_k. *)
+   over before any pool chunk can be recycled; its bytes are copied into
+   the segment and the buffer is not kept. Pure (no engine calls) — runs
+   inside Ring.publish_k. *)
 let append t (e : Event.t) ~out =
   if t.open_len = entries_per_segment then seal t;
-  let en =
-    {
-      t_kind = e.Event.kind;
-      t_sysno = e.Event.sysno;
-      t_tid = e.Event.tid;
-      t_args = e.Event.args;
-      t_ret = e.Event.ret;
-      t_clock = e.Event.clock;
-      t_out = out;
-      t_grant = e.Event.grant;
-    }
+  let k = t.open_len in
+  let need =
+    max_entry_size ~nargs:(Array.length e.Event.args)
+      ~outlen:(match out with None -> 0 | Some o -> Bytes.length o)
   in
-  t.open_buf.(t.open_len) <- en;
-  t.open_len <- t.open_len + 1;
-  t.open_bytes <- t.open_bytes + entry_raw_size en;
+  if t.open_pos + need > Bytes.length t.open_raw then begin
+    let raw = Bytes.create (max (2 * Bytes.length t.open_raw) (t.open_pos + need)) in
+    Bytes.blit t.open_raw 0 raw 0 t.open_pos;
+    t.open_raw <- raw
+  end;
+  let prev_clock = if k = 0 then 0 else t.open_clock.(k - 1) in
+  t.open_off.(k) <- t.open_pos;
+  t.open_clock.(k) <- e.Event.clock;
+  t.open_grant.(k) <- e.Event.grant;
+  t.open_pos <-
+    encode_entry t.open_raw t.open_pos ~prev_clock ~kind:e.Event.kind
+      ~tid:e.Event.tid ~sysno:e.Event.sysno ~clock:e.Event.clock
+      ~ret:e.Event.ret ~args:e.Event.args ~out;
+  t.open_len <- k + 1;
   t.total <- t.total + 1
 
 let get t i =
   if i < 0 || i >= t.total then invalid_arg "Tape.get: out of range";
   if i < t.base then raise (Truncated { requested = i; base = t.base });
-  if i >= t.open_first then t.open_buf.(i - t.open_first)
+  if i >= t.open_first then begin
+    let k = i - t.open_first in
+    let prev_clock = if k = 0 then 0 else t.open_clock.(k - 1) in
+    let e =
+      decode_entry t.open_raw ~lim:t.open_pos (ref t.open_off.(k)) ~prev_clock
+    in
+    match t.open_grant.(k) with None -> e | g -> { e with t_grant = g }
+  end
   else (decode t (i / entries_per_segment)).(i mod entries_per_segment)
 
 (* Reconstruct a stream event from a tape entry. The payload travels
@@ -434,7 +521,7 @@ let retire t ~keep_from =
   done;
   if keep_seg * entries_per_segment > t.base then t.base <- keep_seg * entries_per_segment
 
-let resident_bytes t = t.c_packed_bytes + t.open_bytes
+let resident_bytes t = t.c_packed_bytes + t.open_pos
 
 let stats t =
   {

@@ -10,12 +10,19 @@
     ordinary replay path and then switches to the live ring at sequence
     [splice] — the recorded window is exactly what it missed.
 
-    The tape is chunked so recorder memory stays bounded on million-
-    event streams: entries fill a small open segment; full segments are
-    sealed into a run-length-packed byte image; sealed segments below
-    the retention floor (the oldest live checkpoint, see {!Checkpoint})
-    are retired with {!retire}. Absolute indices never shift — entry [i]
-    is entry [i] forever, and a read below {!base} raises {!Truncated}.
+    The tape holds bytes, not records, so recorder memory stays bounded
+    on million-event streams. {!append} encodes each entry once, into
+    the open segment's reused buffer: a header byte (kind and whether a
+    result buffer follows), LEB128 tid, argument count and syscall
+    number, zigzag LEB128 clock step from the previous entry, return
+    value and arguments, then the result buffer's length and bytes. The
+    result buffer is copied, never kept. A full segment (256 entries) is
+    sealed by run-length packing its buffer (PackBits); sealed segments
+    below the retention floor (the oldest live checkpoint, see
+    {!Checkpoint}) are retired with {!retire}. Grants are opaque runtime
+    handles and ride beside the bytes. Absolute indices never shift —
+    entry [i] is entry [i] forever, and a read below {!base} raises
+    {!Truncated}.
 
     {!Record_replay.serialize_tape} bridges a tape into the on-disk
     record/replay log format, which is how a degraded session's retained
@@ -55,7 +62,9 @@ val append : t -> Varan_ringbuf.Event.t -> out:Bytes.t option -> unit
     Pure — callable from inside {!Varan_ringbuf.Ring.publish_k}. *)
 
 val get : t -> int -> entry
-(** @raise Invalid_argument outside [0, length).
+(** O(1) in the open segment, where each call decodes a fresh record;
+    a sealed segment is decoded whole on first touch and cached.
+    @raise Invalid_argument outside [0, length).
     @raise Truncated below {!base}. *)
 
 val event_of_entry : entry -> Varan_ringbuf.Event.t
@@ -77,20 +86,27 @@ val retire : t -> keep_from:int -> unit
     window, never touches the open segment. *)
 
 val kind_code : Varan_ringbuf.Event.kind -> int
-(** The byte that encodes an event kind, in the sealed images and in the
-    record/replay log ({!Record_replay}) alike. *)
+(** The number that encodes an event kind, in the segment header byte
+    and in the record/replay log ({!Record_replay}) alike. *)
 
 val kind_of_code : int -> Varan_ringbuf.Event.kind option
 (** The inverse of {!kind_code}; [None] for a byte that names no kind. *)
 
 val image : entry array -> Bytes.t
-(** The sealed image of a segment holding [entries]: their serialized
-    form, run-length packed, exactly as a seal stores it. Exposed so the
-    wire format can be checked byte for byte. *)
+(** The sealed image of a segment holding [entries]: their encoding,
+    run-length packed, exactly as a seal stores it (grants are not
+    part of it). Exposed so the format can be checked byte for byte. *)
+
+val of_image : Bytes.t -> (entry array, string) result
+(** The inverse of {!image}, with every [t_grant] [None]. Any byte
+    string that {!image} cannot produce is an [Error] naming what is
+    wrong — a bad PackBits control or a cut-off run, a truncated entry,
+    a varint that is over-long or wider than 63 bits, an out length past
+    the end, a bad kind code — never an exception or a phantom entry. *)
 
 val resident_bytes : t -> int
-(** Bytes currently held: packed sealed segments plus the raw-size
-    estimate of the open segment. Bounded by retention, not by stream
+(** Bytes currently held: packed sealed segments plus the open
+    segment's encoded bytes. Bounded by retention, not by stream
     length. *)
 
 type stats = {

@@ -7,6 +7,7 @@
 
 module E = Varan_sim.Engine
 module K = Varan_kernel.Kernel
+module Api = Varan_kernel.Api
 module Ring = Varan_ringbuf.Ring
 module Lanes = Varan_ringbuf.Lanes
 module Nvx = Varan_nvx.Session
@@ -1048,6 +1049,88 @@ let test_thread_grid_64_herd () =
             v.Nvx.vs_name l.Lanes.max_depth capacity)
     followers
 
+(* A 64-thread grid whose observations do not depend on the schedule:
+   every thread takes and releases its own lock word, logging what each
+   acquisition returns, so any correct run — native, leader or follower
+   — yields the same per-thread logs. *)
+let own_lock_grid ~threads ~rounds =
+  let logs = Array.init threads (fun _ -> Buffer.create 64) in
+  let body ~unit_idx api =
+    for r = 0 to rounds - 1 do
+      let acq = Api.futex_lock api (0x3000 + unit_idx) in
+      Printf.bprintf logs.(unit_idx) "%d=%d;" r acq;
+      Api.compute api 150;
+      ignore (Api.futex_unlock api (0x3000 + unit_idx));
+      Api.compute api 50
+    done
+  in
+  let digest () =
+    Digest.to_hex
+      (Digest.string
+         (String.concat "|" (Array.to_list (Array.map Buffer.contents logs))))
+  in
+  ({ Variant.units = threads; unit_kind = Variant.Thread; body }, digest)
+
+(* Promotion with routed but unreplayed lane events, end to end: in the
+   follower that will be elected, the thread replaying stream position
+   550 stalls for far longer than the failover notification takes, so
+   when the leader crashes at 600 and the election lands, its lane
+   still holds events it has not replayed. The elected variant's other
+   threads must wait for it before the variant leads, and every
+   survivor must end on the native run's logs. *)
+let test_promotion_waits_for_pending_lanes () =
+  let threads = 64 and rounds = 12 in
+  let native =
+    let eng = E.create () in
+    let k = K.create ~seed:11 eng in
+    let proc = K.new_proc k "native" in
+    let program, digest = own_lock_grid ~threads ~rounds in
+    for u = 0 to threads - 1 do
+      let api = Api.direct k proc in
+      K.register_task k proc
+        (E.spawn eng (fun () -> program.Variant.body ~unit_idx:u api))
+    done;
+    E.run_until_quiescent eng;
+    digest ()
+  in
+  let eng = E.create () in
+  let k = K.create ~seed:11 eng in
+  let grids = List.init 3 (fun _ -> own_lock_grid ~threads ~rounds) in
+  let variants =
+    List.mapi (fun i (program, _) -> Variant.make (Printf.sprintf "g%d" i) program) grids
+  in
+  let oracle = Oracle.create () in
+  let config =
+    {
+      Config.default with
+      Config.ring_size = 64;
+      oracle = Some oracle;
+      fault_plan =
+        [
+          Fault.Stall_follower { idx = 1; at_seq = 550; delay = 400_000 };
+          Fault.Crash_variant { idx = 0; at_seq = 600 };
+        ];
+    }
+  in
+  let session = Nvx.launch ~config k variants in
+  E.run_until_quiescent eng;
+  Alcotest.(check (list int)) "only the leader crashed" [ 0 ]
+    (List.map fst (Nvx.crashes session));
+  Alcotest.(check int) "the stalled follower was elected" 1
+    (Nvx.leader_index session);
+  let st = Nvx.stats session in
+  if st.Nvx.variants.(1).Nvx.vs_sibling_waits = 0 then
+    Alcotest.fail "the elected variant never waited for its siblings' lanes";
+  List.iteri
+    (fun i (_, digest) ->
+      if i > 0 then
+        Alcotest.(check string) (Printf.sprintf "g%d ends on the native logs" i)
+          native (digest ()))
+    grids;
+  let report = Oracle.report oracle in
+  if not (Oracle.ok report) then
+    Alcotest.failf "oracle: %s" (String.concat "; " report.Oracle.violations)
+
 (* ------------------------------------------------------------------ *)
 (* Distributed NVX: the link, the bridge, link-fault lifecycles        *)
 (* ------------------------------------------------------------------ *)
@@ -1445,6 +1528,8 @@ let () =
             test_thread_grid_64_workload;
           Alcotest.test_case "thread-grid-64 wakes one lane per event" `Quick
             test_thread_grid_64_herd;
+          Alcotest.test_case "promotion waits for pending lanes" `Quick
+            test_promotion_waits_for_pending_lanes;
         ] );
       ( "net",
         [

@@ -322,8 +322,7 @@ let test_nonblocking_read_eagain () =
   Alcotest.(check bool) "EAGAIN on empty nonblocking pipe" true !saw_eagain
 
 (* More watched sockets ready than [max_events]: epoll_wait reports
-   exactly [max_events] of them, picked in the watch table's fold order
-   and returned sorted by fd. Sixteen socket pairs; the first end of
+   exactly the [max_events] lowest-fd ready watches, sorted by fd. Sixteen socket pairs; the first end of
    every pair is watched for input and output, and a byte is queued on
    every third pair so that some ends are readable as well as writable.
    The expected lists pin the pick and the event masks. *)
@@ -348,15 +347,52 @@ let test_epoll_wait_caps_ready () =
   let pairs = Alcotest.(list (pair int int)) in
   let w5, w1, w64 = got in
   Alcotest.check pairs "5 of 16 ready"
-    [ (3, 4); (7, 5); (13, 5); (21, 4); (29, 4) ]
+    [ (1, 5); (3, 4); (5, 4); (7, 5); (9, 4) ]
     w5;
-  Alcotest.check pairs "1 of 16 ready" [ (29, 4) ] w1;
+  Alcotest.check pairs "1 of 16 ready" [ (1, 5) ] w1;
   Alcotest.check pairs "all 16 fit"
     [
       (1, 5); (3, 4); (5, 4); (7, 5); (9, 4); (11, 4); (13, 5); (15, 4);
       (17, 4); (19, 5); (21, 4); (23, 4); (25, 5); (27, 4); (29, 4); (31, 5);
     ]
     w64
+
+(* The cap does not depend on the watch table's iteration order: forty
+   writable sockets registered in ascending order on one epoll
+   instance and in descending order on another report the same lowest
+   fds at every cap. *)
+let test_epoll_wait_cap_ignores_watch_order () =
+  let got =
+    in_proc (fun _k api ->
+        let ends = List.init 40 (fun _ -> fst (ok_int (Api.socketpair api))) in
+        let watching order =
+          let ep = ok_int (Api.epoll_create api) in
+          List.iter
+            (fun a ->
+              ok_unit (Api.epoll_ctl api ep Flags.epoll_ctl_add a Flags.epollout))
+            order;
+          ep
+        in
+        let up = watching ends and down = watching (List.rev ends) in
+        let wait ep n =
+          match Api.epoll_wait api ep ~max_events:n ~timeout_ms:0 with
+          | Ok evs -> List.map fst evs
+          | Error e -> Alcotest.failf "epoll_wait: %s" (Errno.name e)
+        in
+        (ends, List.map (fun n -> (wait up n, wait down n)) [ 1; 7; 16; 39 ]))
+  in
+  let ends, waits = got in
+  List.iter
+    (fun (up, down) ->
+      let n = List.length up in
+      Alcotest.(check (list int))
+        (Printf.sprintf "ascending registration, cap %d" n)
+        (List.filteri (fun i _ -> i < n) ends)
+        up;
+      Alcotest.(check (list int))
+        (Printf.sprintf "descending registration, cap %d" n)
+        up down)
+    waits
 
 let test_epoll_server_pattern () =
   let eng = E.create () in
@@ -900,6 +936,8 @@ let () =
             test_nonblocking_read_eagain;
           Alcotest.test_case "epoll server pattern" `Quick
             test_epoll_server_pattern;
+          Alcotest.test_case "epoll_wait cap ignores watch order" `Quick
+            test_epoll_wait_cap_ignores_watch_order;
           Alcotest.test_case "epoll_wait caps ready at max_events" `Quick
             test_epoll_wait_caps_ready;
           Alcotest.test_case "link latency" `Quick

@@ -996,33 +996,9 @@ let test_tape_roundtrip_across_segments () =
   Alcotest.(check bool) "packing saves bytes" true
     (st.Tape.packed_bytes < st.Tape.raw_bytes)
 
-(* The Buffer-based serializer and packer the tape used before it
-   serialized and packed into presized buffers, kept here verbatim as the
-   reference for the wire format. *)
-let reference_image (entries : Tape.entry array) =
-  let kind_code = function
-    | Event.Ev_syscall -> 0
-    | Event.Ev_signal -> 1
-    | Event.Ev_fork -> 2
-    | Event.Ev_exit -> 3
-  in
-  let buf = Buffer.create 64 in
-  Array.iter
-    (fun (e : Tape.entry) ->
-      Buffer.add_uint8 buf (kind_code e.Tape.t_kind);
-      Buffer.add_uint8 buf (e.Tape.t_tid land 0xFF);
-      Buffer.add_uint8 buf (Array.length e.Tape.t_args);
-      Buffer.add_int32_le buf (Int32.of_int e.Tape.t_sysno);
-      Buffer.add_int32_le buf (Int32.of_int e.Tape.t_clock);
-      Buffer.add_int64_le buf (Int64.of_int e.Tape.t_ret);
-      Array.iter (fun a -> Buffer.add_int64_le buf (Int64.of_int a)) e.Tape.t_args;
-      match e.Tape.t_out with
-      | None -> Buffer.add_int32_le buf (-1l)
-      | Some b ->
-        Buffer.add_int32_le buf (Int32.of_int (Bytes.length b));
-        Buffer.add_bytes buf b)
-    entries;
-  let src = Buffer.to_bytes buf in
+(* PackBits as the tape packs: runs of 3 to 128 equal bytes, literal
+   stretches of at most 128 bytes that end where such a run begins. *)
+let reference_pack src =
   let n = Bytes.length src in
   let out = Buffer.create (max 16 (n / 2)) in
   let i = ref 0 in
@@ -1057,6 +1033,46 @@ let reference_image (entries : Tape.entry array) =
     end
   done;
   Buffer.to_bytes out
+
+(* An independent Buffer-based encoder, the reference for the segment
+   format: a header byte (kind << 1 | has_out), LEB128 tid,
+   nargs and sysno, zigzag LEB128 clock step, ret and args, then the out
+   length and bytes. *)
+let reference_image (entries : Tape.entry array) =
+  let kind_code = function
+    | Event.Ev_syscall -> 0
+    | Event.Ev_signal -> 1
+    | Event.Ev_fork -> 2
+    | Event.Ev_exit -> 3
+  in
+  let buf = Buffer.create 64 in
+  let rec uvarint v =
+    if v >= 0 && v < 128 then Buffer.add_uint8 buf v
+    else begin
+      Buffer.add_uint8 buf (v land 0x7f lor 0x80);
+      uvarint (v lsr 7)
+    end
+  in
+  let svarint v = uvarint (if v >= 0 then 2 * v else (-2 * v) - 1) in
+  let prev = ref 0 in
+  Array.iter
+    (fun (e : Tape.entry) ->
+      Buffer.add_uint8 buf
+        ((2 * kind_code e.Tape.t_kind) + if e.Tape.t_out = None then 0 else 1);
+      uvarint e.Tape.t_tid;
+      uvarint (Array.length e.Tape.t_args);
+      uvarint e.Tape.t_sysno;
+      svarint (e.Tape.t_clock - !prev);
+      prev := e.Tape.t_clock;
+      svarint e.Tape.t_ret;
+      Array.iter svarint e.Tape.t_args;
+      match e.Tape.t_out with
+      | None -> ()
+      | Some b ->
+        uvarint (Bytes.length b);
+        Buffer.add_bytes buf b)
+    entries;
+  reference_pack (Buffer.to_bytes buf)
 
 (* Sealed images are byte-identical to the reference serializer's, on
    the synthetic stream and on random entries whose payloads mix runs
@@ -1097,7 +1113,13 @@ let test_tape_image_matches_reference () =
     done;
     b
   in
-  let wide () = Random.State.bits rng - (1 lsl 29) in
+  let wide () =
+    match Random.State.int rng 4 with
+    | 0 -> Random.State.int rng 256 - 128
+    | 1 -> Random.State.bits rng - (1 lsl 29)
+    | 2 -> Int64.to_int (Random.State.bits64 rng)
+    | _ -> [| min_int; max_int; -1; 0; 1 lsl 62 - 1 |].(Random.State.int rng 5)
+  in
   for round = 1 to 40 do
     let entries =
       Array.init (1 + Random.State.int rng 64) (fun _ ->
@@ -1109,7 +1131,7 @@ let test_tape_image_matches_reference () =
             t_tid = Random.State.int rng 1000;
             t_args = Array.init (Random.State.int rng 7) (fun _ -> wide ());
             t_ret = wide ();
-            t_clock = Random.State.bits rng;
+            t_clock = wide ();
             t_out =
               (match Random.State.int rng 3 with
               | 0 -> None
@@ -1120,6 +1142,106 @@ let test_tape_image_matches_reference () =
     in
     check (Printf.sprintf "random segment %d" round) entries
   done
+
+(* The image decoder turns down every malformed segment with an error
+   naming the fault, never an exception or a phantom entry. The bytes
+   are hand-built raw segments, packed by the reference packer; the
+   first is a well-formed one-entry segment to vary: a syscall without
+   result buffer, tid 1, no args, sysno 5, clock 1, ret 0. *)
+let test_tape_image_decoder_rejects () =
+  let raw l = Bytes.of_seq (Seq.map Char.chr (List.to_seq l)) in
+  let decodes what l =
+    match Tape.of_image (reference_pack (raw l)) with
+    | Ok [| e |] ->
+      Alcotest.(check int) (what ^ ": tid") 1 e.Tape.t_tid;
+      Alcotest.(check int) (what ^ ": sysno") 5 e.Tape.t_sysno;
+      Alcotest.(check int) (what ^ ": clock") 1 e.Tape.t_clock
+    | Ok es -> Alcotest.failf "%s: %d entries" what (Array.length es)
+    | Error why -> Alcotest.failf "%s: rejected (%s)" what why
+  in
+  let rejects_image what img why =
+    match Tape.of_image img with
+    | Ok es -> Alcotest.failf "%s: accepted as %d entries" what (Array.length es)
+    | Error got -> Alcotest.(check string) what why got
+  in
+  let rejects what l why = rejects_image what (reference_pack (raw l)) why in
+  decodes "well-formed" [ 0x00; 0x01; 0x00; 0x05; 0x02; 0x00 ];
+  decodes "nine-byte varint" ([ 0x00; 0x01; 0x00; 0x05; 0x02 ]
+    @ [ 0x80; 0x80; 0x80; 0x80; 0x80; 0x80; 0x80; 0x80; 0x40 ]);
+  rejects "over-long varint" [ 0x00; 0x81; 0x00; 0x00; 0x05; 0x02; 0x00 ]
+    "over-long varint";
+  rejects "varint past 63 bits"
+    ([ 0x00; 0x01; 0x00; 0x05; 0x02 ] @ List.init 9 (fun _ -> 0xff) @ [ 0x01 ])
+    "varint longer than 63 bits";
+  rejects "truncated entry" [ 0x00; 0x01; 0x00; 0x05 ] "truncated entry";
+  rejects "truncated varint" [ 0x00; 0x01; 0x00; 0x05; 0x02; 0x80 ]
+    "truncated entry";
+  rejects "argument count past the end" [ 0x00; 0x01; 0x7f; 0x05; 0x02; 0x00 ]
+    "truncated entry";
+  rejects "out length past the end"
+    [ 0x01; 0x01; 0x00; 0x05; 0x02; 0x00; 0x05; 0x61; 0x62 ]
+    "out length past the end";
+  rejects "negative out length"
+    ([ 0x01; 0x01; 0x00; 0x05; 0x02; 0x00 ] @ List.init 8 (fun _ -> 0xff) @ [ 0x7f ])
+    "out length past the end";
+  List.iter
+    (fun h ->
+      rejects (Printf.sprintf "header byte %d" h)
+        [ h; 0x01; 0x00; 0x05; 0x02; 0x00 ]
+        "bad kind code")
+    [ 0x08; 0x09; 0x80; 0xff ];
+  (* The packing layer: a reserved control byte, a run cut off before
+     its byte, and a literal split in two that unpacks to a well-formed
+     segment but is not what the packer writes. *)
+  rejects_image "control byte 128" (raw [ 0x80; 0x00 ])
+    "bad PackBits control byte";
+  rejects_image "cut-off run" (raw [ 0x00; 0x00; 0xfe ])
+    "truncated PackBits image";
+  rejects_image "split literal"
+    (raw [ 0x02; 0x00; 0x01; 0x00; 0x02; 0x05; 0x02; 0x00 ])
+    "non-canonical PackBits image"
+
+(* The record/replay log a fixed tape serializes to does not move when
+   the tape's own encoding does: the digest was computed from the log
+   written while sealed segments still used the fixed-width layout.
+   Wide args and rets, negative clock steps, every kind and empty to
+   2 KiB result buffers, across sealed segments, the open one and a
+   retired prefix. *)
+let test_serialize_tape_golden () =
+  let tape = Tape.create () in
+  let wide = [| 0; -1; 1; max_int; min_int; 1 lsl 40; -(1 lsl 33); 127; 128 |] in
+  for i = 0 to 699 do
+    let kind =
+      match i mod 23 with
+      | 5 -> Event.Ev_signal
+      | 11 -> Event.Ev_fork
+      | 17 -> Event.Ev_exit
+      | _ -> Event.Ev_syscall
+    in
+    let out =
+      match i mod 5 with
+      | 0 -> None
+      | 1 -> Some Bytes.empty
+      | 2 -> Some (Bytes.make (1 + (i mod 300)) (Char.chr (i land 0xff)))
+      | 3 ->
+        Some
+          (Bytes.init (1 + (i mod 2048)) (fun j ->
+               Char.chr (((i * 31) + (j * j)) land 0xff)))
+      | _ -> Some (Bytes.of_string (string_of_int i))
+    in
+    Tape.append tape
+      (Event.make ~kind ~tid:(i * 7 mod 256)
+         ~args:(Array.init (i mod 7) (fun j -> wide.((i + j) mod Array.length wide)))
+         ~ret:(if i mod 3 = 0 then -i else i * 1_000_003)
+         ~clock:(i * i * 4093 land 0x3fff_ffff)
+         (i * 13 mod 335))
+      ~out
+  done;
+  Tape.retire tape ~keep_from:300;
+  let log = RR.serialize_tape tape in
+  Alcotest.(check int) "log length" 76800 (Bytes.length log);
+  Alcotest.(check string) "log digest" "9d65cf9a2114fb2f97e6300dbd2ef863"
+    (Digest.to_hex (Digest.bytes log))
 
 (* Retirement truncates exactly at a segment boundary: keep_from rounds
    down to the segment start, never mid-segment; reads below the new
@@ -1310,6 +1432,167 @@ let prop_deserialize_rejects_or_roundtrips =
           && check ()
       in
       check ())
+
+(* Random entries for the image properties: small, mid-width and
+   full-width (negative too) ints, every kind, and result buffers from
+   none and empty to 2 KiB, repetitive or not. *)
+let gen_wide =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, int_range (-300) 300);
+        (2, int);
+        (1, oneofl [ min_int; max_int; -1; 0; 127; 128; (1 lsl 62) - 1 ]);
+      ])
+
+let gen_out =
+  QCheck.Gen.(
+    frequency
+      [
+        (2, return None);
+        (1, return (Some Bytes.empty));
+        (3, map (fun s -> Some (Bytes.of_string s)) (string_size (int_bound 64)));
+        (1, map2 (fun n c -> Some (Bytes.make n c)) (int_range 1 2048) char);
+        (1, map (fun s -> Some (Bytes.of_string s)) (string_size (return 2048)));
+      ])
+
+let gen_entry =
+  QCheck.Gen.(
+    map
+      (fun (((kind, sysno), (tid, clock)), ((ret, args), out)) ->
+        {
+          Tape.t_kind = kind;
+          t_sysno = sysno;
+          t_tid = tid;
+          t_args = args;
+          t_ret = ret;
+          t_clock = clock;
+          t_out = out;
+          t_grant = None;
+        })
+      (pair
+         (pair
+            (pair
+               (oneofl
+                  [ Event.Ev_syscall; Event.Ev_signal; Event.Ev_fork; Event.Ev_exit ])
+               (oneof [ int_bound 400; gen_wide ]))
+            (pair (oneof [ int_bound 300; gen_wide ]) gen_wide))
+         (pair (pair gen_wide (array_size (int_bound 6) gen_wide)) gen_out)))
+
+let same_entry (a : Tape.entry) (b : Tape.entry) =
+  a.Tape.t_kind = b.Tape.t_kind
+  && a.Tape.t_sysno = b.Tape.t_sysno
+  && a.Tape.t_tid = b.Tape.t_tid
+  && a.Tape.t_args = b.Tape.t_args
+  && a.Tape.t_ret = b.Tape.t_ret
+  && a.Tape.t_clock = b.Tape.t_clock
+  && Option.equal Bytes.equal a.Tape.t_out b.Tape.t_out
+
+(* PackBits decoding, for mutating an image's entry bytes directly. *)
+let reference_unpack img =
+  let out = Buffer.create 256 in
+  let i = ref 0 in
+  while !i < Bytes.length img do
+    let c = Char.code (Bytes.get img !i) in
+    if c < 128 then begin
+      Buffer.add_subbytes out img (!i + 1) (c + 1);
+      i := !i + c + 2
+    end
+    else begin
+      Buffer.add_string out (String.make (257 - c) (Bytes.get img (!i + 1)));
+      i := !i + 2
+    end
+  done;
+  Buffer.to_bytes out
+
+(* Set the bytes [mutations] name, then cut at [cut], positions taken
+   modulo the length. *)
+let mutate b (mutations, cut) =
+  let b = Bytes.copy b in
+  let n = Bytes.length b in
+  if n = 0 then b
+  else begin
+    List.iter (fun (pos, v) -> Bytes.set b (pos mod n) (Char.chr v)) mutations;
+    match cut with Some c -> Bytes.sub b 0 (c mod n) | None -> b
+  end
+
+let arb_mutation =
+  QCheck.(
+    pair
+      (list_of_size Gen.(1 -- 4)
+         (pair (int_bound 65535)
+            (make
+               Gen.(
+                 frequency
+                   [ (3, int_bound 255); (2, oneofl [ 0x00; 0x01; 0x7f; 0x80; 0xff ]) ]))))
+      (option (int_bound 65535)))
+
+(* A corrupt image never yields an entry its bytes do not encode: the
+   image of random entries decodes back to them, and a copy of it with
+   bytes set or cut — in the packed image, or in the entry bytes it
+   unpacks to, packed again — is either rejected or is itself exactly
+   the image of what it decodes to. *)
+let prop_image_rejects_or_roundtrips =
+  QCheck.Test.make ~name:"image decode: reject, or re-encode to the same bytes"
+    ~count:1000
+    QCheck.(
+      triple
+        (make
+           ~print:(fun es -> Printf.sprintf "<%d entries>" (Array.length es))
+           Gen.(array_size (int_range 0 40) gen_entry))
+        arb_mutation arb_mutation)
+    (fun (entries, packed_mutation, raw_mutation) ->
+      let img = Tape.image entries in
+      let only_images bad =
+        match Tape.of_image bad with
+        | Error _ -> true
+        | Ok es -> Bytes.equal (Tape.image es) bad
+      in
+      (match Tape.of_image img with
+      | Ok es ->
+        Array.length es = Array.length entries
+        && Array.for_all2 same_entry es entries
+        && Bytes.equal (Tape.image es) img
+      | Error _ -> false)
+      && only_images (mutate img packed_mutation)
+      && only_images (reference_pack (mutate (reference_unpack img) raw_mutation)))
+
+(* Appended entries read back field for field, grant for grant, from
+   sealed segments and the open one alike. *)
+let prop_tape_get_returns_appended =
+  QCheck.Test.make ~name:"get returns what was appended, grants included"
+    ~count:40
+    QCheck.(
+      make
+        ~print:(fun es -> Printf.sprintf "<%d entries>" (Array.length es))
+        Gen.(
+          array_size (int_range 0 700)
+            (map2
+               (fun e g ->
+                 { e with Tape.t_grant = (if g then Some (Obj.repr (ref e)) else None) })
+               gen_entry (map (fun n -> n = 0) (int_bound 9)))))
+    (fun entries ->
+      let tape = Tape.create () in
+      Array.iter
+        (fun (en : Tape.entry) ->
+          Tape.append tape
+            (Event.make ~kind:en.Tape.t_kind ~tid:en.Tape.t_tid ~args:en.Tape.t_args
+               ~ret:en.Tape.t_ret ~clock:en.Tape.t_clock ?grant:en.Tape.t_grant
+               en.Tape.t_sysno)
+            ~out:en.Tape.t_out)
+        entries;
+      Tape.length tape = Array.length entries
+      && Array.for_all Fun.id
+           (Array.mapi
+              (fun i (en : Tape.entry) ->
+                let got = Tape.get tape i in
+                same_entry got en
+                &&
+                match (got.Tape.t_grant, en.Tape.t_grant) with
+                | None, None -> true
+                | Some a, Some b -> a == b
+                | _ -> false)
+              entries))
 
 (* ---- the connection router (sharded serving layer) ------------------ *)
 
@@ -1571,12 +1854,18 @@ let () =
             test_tape_roundtrip_across_segments;
           Alcotest.test_case "sealed image matches the reference serializer"
             `Quick test_tape_image_matches_reference;
+          Alcotest.test_case "image decoder rejects malformed segments" `Quick
+            test_tape_image_decoder_rejects;
           Alcotest.test_case "retire truncates at segment boundary" `Quick
             test_tape_retire_at_boundary;
           Alcotest.test_case "bounded memory on a million events" `Slow
             test_tape_bounded_memory_million_events;
           Alcotest.test_case "serialize_tape round trip" `Quick
             test_serialize_tape_roundtrip;
+          Alcotest.test_case "serialize_tape log bytes are pinned" `Quick
+            test_serialize_tape_golden;
           QCheck_alcotest.to_alcotest prop_deserialize_rejects_or_roundtrips;
+          QCheck_alcotest.to_alcotest prop_image_rejects_or_roundtrips;
+          QCheck_alcotest.to_alcotest prop_tape_get_returns_appended;
         ] );
     ]

@@ -500,16 +500,31 @@ let recrep () =
       (Driver.Nvx_record { followers = 1; log_path = "/var/varan.log" })
   in
   let p_scribe, p_varan = Paper.recrep_overheads in
-  Printf.printf "Recording the Redis benchmark to persistent storage:\n";
-  Printf.printf "  native                 : %9.0f req/s\n" native.Driver.throughput_rps;
-  Printf.printf "  Scribe (kernel model)  : %9.0f req/s -> %.0f%% overhead [paper: %.0f%%]\n"
-    scribe.Driver.throughput_rps
-    ((Driver.overhead ~baseline:native scribe -. 1.) *. 100.)
-    (p_scribe *. 100.);
-  Printf.printf "  VARAN recorder (+1f)   : %9.0f req/s -> %.0f%% overhead [paper: %.0f%%]\n"
-    varan_rec.Driver.throughput_rps
-    ((Driver.overhead ~baseline:native varan_rec -. 1.) *. 100.)
-    (p_varan *. 100.);
+  let table =
+    Varan_util.Tablefmt.create
+      ~title:"Recording the Redis benchmark to persistent storage"
+      [
+        ("recorder", Varan_util.Tablefmt.Left);
+        ("req/s", Varan_util.Tablefmt.Right);
+        ("overhead", Varan_util.Tablefmt.Right);
+        ("overhead [paper]", Varan_util.Tablefmt.Right);
+      ]
+  in
+  let pct x = Printf.sprintf "%.0f%%" (x *. 100.) in
+  (* [paper = None] marks the baseline row. *)
+  let row name r paper =
+    Varan_util.Tablefmt.add_row table
+      (name :: Printf.sprintf "%.0f" r.Driver.throughput_rps
+       ::
+       (match paper with
+       | None -> [ "-"; "-" ]
+       | Some p -> [ pct (Driver.overhead ~baseline:native r -. 1.); pct p ]))
+  in
+  row "native" native None;
+  row "Scribe (kernel model)" scribe (Some p_scribe);
+  row "VARAN recorder (+1 follower)" varan_rec (Some p_varan);
+  Varan_util.Tablefmt.print table;
+  Report.save_csv ~name:"recrep" table;
   (* Record in a dedicated machine, then replay the log twice over. *)
   let eng = E.create () in
   let k = K.create ~link_latency:3_500 eng in

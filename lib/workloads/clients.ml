@@ -196,7 +196,11 @@ let launch_open k ~cost ~port_of load =
           let rec pump () =
             match draw () with
             | None ->
-              Hashtbl.iter (fun _ fd -> ignore (Api.close api fd)) conns;
+              (* Close in port order: the FINs reach the servers in
+                 this order, so it must not depend on hash order. *)
+              Hashtbl.fold (fun port fd acc -> (port, fd) :: acc) conns []
+              |> List.sort compare
+              |> List.iter (fun (_, fd) -> ignore (Api.close api fd));
               r.conns_done <- r.conns_done + 1
             | Some (seq, client, at) ->
               let counted = seq >= load.ol_warmup in

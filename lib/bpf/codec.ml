@@ -127,8 +127,16 @@ let decode_program b =
         let jt = Bytes.get_uint8 b ((8 * i) + 2) in
         let jf = Bytes.get_uint8 b ((8 * i) + 3) in
         let k = Int32.to_int (Bytes.get_int32_le b ((8 * i) + 4)) in
+        (* [decode] reads only the bits an instruction uses, so an
+           image is accepted only if it is what [encode] writes: stray
+           opcode bits, or a jt, jf or k where none is used, would
+           otherwise decode to a program that re-encodes differently. *)
         match decode (code, jt, jf, k) with
-        | Ok insn -> go (i + 1) (insn :: acc)
+        | Ok insn when encode insn = (code, jt, jf, k) -> go (i + 1) (insn :: acc)
+        | Ok _ ->
+          Error
+            (Printf.sprintf "instruction %d: opcode 0x%02x has stray bits or fields set"
+               i code)
         | Error e -> Error (Printf.sprintf "instruction %d: %s" i e)
       end
     in

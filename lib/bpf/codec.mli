@@ -12,4 +12,5 @@ val encode_program : Insn.t array -> Bytes.t
 
 val decode_program : Bytes.t -> (Insn.t array, string) result
 (** Decode and {!Verifier.verify}; an invalid or unverifiable image is an
-    error. *)
+    error, and so is any image {!encode_program} does not write (stray
+    opcode bits, a jt, jf or k an instruction does not use). *)

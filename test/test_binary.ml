@@ -48,6 +48,18 @@ let test_decode_invalid () =
     "truncated mov" true
     (I.decode (Bytes.of_string "\xB8\x01") 0 = None)
 
+(* Every byte string either fails to decode or decodes to an
+   instruction whose encoding is exactly the bytes it was read from. *)
+let prop_decode_rejects_or_roundtrips =
+  QCheck.Test.make ~name:"decode: reject, or re-encode to the same bytes"
+    ~count:2000
+    QCheck.(string_of_size Gen.(1 -- 8))
+    (fun s ->
+      let b = Bytes.of_string s in
+      match I.decode b 0 with
+      | None -> true
+      | Some (insn, len) -> Bytes.equal (I.encode insn) (Bytes.sub b 0 len))
+
 let test_branch_target () =
   (* jmp +10 at address 100 (5 bytes): target 115. *)
   Alcotest.(check (option int))
@@ -627,6 +639,7 @@ let () =
           Alcotest.test_case "encode/decode roundtrip" `Quick
             test_encode_decode_roundtrip;
           Alcotest.test_case "decode invalid" `Quick test_decode_invalid;
+          QCheck_alcotest.to_alcotest prop_decode_rejects_or_roundtrips;
           Alcotest.test_case "branch target" `Quick test_branch_target;
           Alcotest.test_case "with_target" `Quick test_with_target;
         ] );

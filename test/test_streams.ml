@@ -1013,6 +1013,41 @@ let prop_codec_roundtrip =
       | Ok prog' -> prog = prog'
       | Error _ -> false)
 
+(* A decoded image is one [encode_program] writes: random images of one
+   to four instructions, their fields mostly zero so that whole opcodes
+   with stray bits or unused fields set turn up, are rejected or
+   re-encode to their own bytes. *)
+let prop_codec_rejects_or_roundtrips =
+  let insn =
+    QCheck.Gen.(
+      map
+        (fun (((lo, hi), (jt, jf)), k) ->
+          let b = Bytes.create 8 in
+          Bytes.set_uint8 b 0 lo;
+          Bytes.set_uint8 b 1 hi;
+          Bytes.set_uint8 b 2 jt;
+          Bytes.set_uint8 b 3 jf;
+          Bytes.set_int32_le b 4 k;
+          b)
+        (pair
+           (pair
+              (pair (int_bound 255) (frequency [ (7, return 0); (1, int_bound 255) ]))
+              (pair
+                 (frequency [ (1, return 0); (1, int_bound 255) ])
+                 (frequency [ (1, return 0); (1, int_bound 255) ])))
+           (frequency [ (1, return 0l); (1, map Int32.of_int (int_bound 64)); (1, int32) ])))
+  in
+  QCheck.Test.make ~name:"sock_filter decode: reject, or re-encode to the same bytes"
+    ~count:2000
+    QCheck.(
+      make
+        ~print:(fun b -> String.escaped (Bytes.to_string b))
+        Gen.(map (Bytes.concat Bytes.empty) (list_size (1 -- 4) insn)))
+    (fun image ->
+      match Varan_bpf.Codec.decode_program image with
+      | Error _ -> true
+      | Ok prog -> Bytes.equal (Varan_bpf.Codec.encode_program prog) image)
+
 (* --- bpf compiler ------------------------------------------------------ *)
 
 (* Random programs that pass the verifier by construction: straight-line
@@ -1222,5 +1257,6 @@ let () =
           Alcotest.test_case "codec rejects garbage" `Quick
             test_codec_rejects_garbage;
           QCheck_alcotest.to_alcotest prop_codec_roundtrip;
+          QCheck_alcotest.to_alcotest prop_codec_rejects_or_roundtrips;
         ] );
     ]

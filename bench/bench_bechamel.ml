@@ -184,7 +184,7 @@ let rejoin tape store n =
   let acc = ref 0 in
   for i = start to at - 1 do
     let e = Tape.get tape i in
-    acc := !acc + (e.Tape.t_ret land 0xffff)
+    acc := !acc + (e.Event.ret land 0xffff)
   done;
   !acc
 

@@ -258,6 +258,19 @@ let release_payload t (e : Event.t) =
         Pool.free t.pool chunk
       end)
 
+(* Copy a pooled payload into the event, inline, and release this
+   consumer's reference: the form an event takes when it leaves the ring
+   for a medium with no pool (the bridge's wire, the record log). *)
+let materialize_payload t (e : Event.t) =
+  match e.Event.payload with
+  | None -> e
+  | Some chunk ->
+    let n = max 0 e.Event.payload_len in
+    let buf = Bytes.create n in
+    ignore (Pool.read_into chunk buf ~len:n);
+    release_payload t e;
+    Event.flatten e ~out:(Some buf)
+
 (* ------------------------------------------------------------------ *)
 (* Stream subscription                                                 *)
 (* ------------------------------------------------------------------ *)

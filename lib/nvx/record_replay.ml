@@ -9,114 +9,66 @@ module Errno = Varan_syscall.Errno
 module Cost = Varan_cycles.Cost
 module Ring = Varan_ringbuf.Ring
 module Event = Varan_ringbuf.Event
-module Pool = Varan_shmem.Pool
 
 (* ------------------------------------------------------------------ *)
 (* Log format                                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* One record:
-     u8  kind        u8 tid       u16 nargs (low 3 bits used)
-     i32 sysno       i32 clock    i64 ret
-     i64 args[nargs]
-     i32 outlen      bytes out *)
+(* The log is a sequence of frames: a u32 little-endian length, then the
+   {!Tape.image} of the next [frame_events] events. Only the last frame
+   may hold fewer, so a log has one spelling per event sequence. *)
+let frame_events = 256
 
-(* The header is split from the payload so pooled out-buffers can be
-   appended straight out of the shared chunk ({!Pool.view} +
-   [Buffer.add_subbytes]) without materialising an intermediate copy. *)
-let serialize_header buf (e : Event.t) ~outlen =
-  Buffer.add_uint8 buf (Tape.kind_code e.Event.kind);
-  Buffer.add_uint8 buf e.Event.tid;
-  Buffer.add_uint16_le buf (Array.length e.Event.args);
-  Buffer.add_int32_le buf (Int32.of_int e.Event.sysno);
-  Buffer.add_int32_le buf (Int32.of_int e.Event.clock);
-  Buffer.add_int64_le buf (Int64.of_int e.Event.ret);
-  Array.iter (fun a -> Buffer.add_int64_le buf (Int64.of_int a)) e.Event.args;
-  Buffer.add_int32_le buf (Int32.of_int outlen)
+let frame events =
+  let img = Tape.image events in
+  let n = Bytes.length img in
+  if n > 0xffff_ffff then invalid_arg "Record_replay: frame image over 4 GiB";
+  let b = Bytes.create (4 + n) in
+  Bytes.set_int32_le b 0 (Int32.of_int n);
+  Bytes.blit img 0 b 4 n;
+  b
 
-let serialize buf (e : Event.t) ~out =
-  let out = match out with Some b -> b | None -> Bytes.empty in
-  serialize_header buf e ~outlen:(Bytes.length out);
-  Buffer.add_bytes buf out
-
-(* Bridge a lifecycle catch-up tape into the same log format: a degraded
-   session's retained stream becomes an ordinary replay log from which
-   fresh followers can later be provisioned. *)
+(* Bridge a lifecycle catch-up tape into the log: a degraded session's
+   retained stream becomes an ordinary replay log from which fresh
+   followers can later be provisioned. *)
 let serialize_tape tape =
-  let buf = Buffer.create 4096 in
-  Tape.iter
-    (fun en -> serialize buf (Tape.event_of_entry en) ~out:en.Tape.t_out)
-    tape;
-  Buffer.to_bytes buf
+  let len = Tape.length tape in
+  let rec frames i =
+    if i >= len then []
+    else
+      let n = min frame_events (len - i) in
+      frame (Array.init n (fun j -> Tape.get tape (i + j))) :: frames (i + n)
+  in
+  Bytes.concat Bytes.empty (frames (Tape.base tape))
 
-type cursor = { data : Bytes.t; mutable pos : int }
-
-(* A record cut off mid-header or mid-payload (a crashed recorder, a
-   truncated log file), or one whose kind byte names no event kind or
-   whose 64-bit field lies outside OCaml's 63-bit [int] (a corrupt log),
-   must decode to [None], not crash the replayer or replay a phantom
-   event. *)
-exception Short
-
-let deserialize cur : (Event.kind * int * int * int * int * int array * Bytes.t) option =
-  let len = Bytes.length cur.data in
-  if cur.pos >= len then None
-  else begin
-    let start = cur.pos in
-    let need n = if cur.pos + n > len then raise Short in
-    let u8 () =
-      need 1;
-      let v = Char.code (Bytes.get cur.data cur.pos) in
-      cur.pos <- cur.pos + 1;
-      v
+(* A crashed recorder or a truncated file leaves a torn last frame, and a
+   corrupt one holds bytes no writer produced: either ends decoding at
+   the last whole frame, with the reason, and never yields an event the
+   log does not hold. *)
+let read_log log =
+  let len = Bytes.length log in
+  let rec go pos acc =
+    let finish why =
+      (List.concat (List.rev acc), Option.map (Printf.sprintf "frame at byte %d: %s" pos) why)
     in
-    let u16 () =
-      need 2;
-      let v = Bytes.get_uint16_le cur.data cur.pos in
-      cur.pos <- cur.pos + 2;
-      v
-    in
-    let i32 () =
-      need 4;
-      let v = Int32.to_int (Bytes.get_int32_le cur.data cur.pos) in
-      cur.pos <- cur.pos + 4;
-      v
-    in
-    let i64 () =
-      need 8;
-      let w = Bytes.get_int64_le cur.data cur.pos in
-      let v = Int64.to_int w in
-      if Int64.of_int v <> w then raise Short;
-      cur.pos <- cur.pos + 8;
-      v
-    in
-    try
-      let kind =
-        match Tape.kind_of_code (u8 ()) with Some k -> k | None -> raise Short
-      in
-      let tid = u8 () in
-      let nargs = u16 () in
-      let sysno = i32 () in
-      let clock = i32 () in
-      let ret = i64 () in
-      (* Explicit recursion: [Array.init]'s evaluation order is
-         unspecified, and the reads must land in stream order. *)
-      let args = Array.make nargs 0 in
-      for i = 0 to nargs - 1 do
-        args.(i) <- i64 ()
-      done;
-      let outlen = i32 () in
-      if outlen < 0 then raise Short;
-      need outlen;
-      let out = Bytes.sub cur.data cur.pos outlen in
-      cur.pos <- cur.pos + outlen;
-      Some (kind, tid, sysno, clock, ret, args, out)
-    with Short ->
-      (* Rewind so the caller can tell a clean end ([pos] at the data's
-         end) from a torn tail record ([pos] short of it). *)
-      cur.pos <- start;
-      None
-  end
+    let stop why = finish (Some why) in
+    if pos = len then finish None
+    else if len - pos < 4 then stop "truncated length"
+    else begin
+      let n = Int32.to_int (Bytes.get_int32_le log pos) land 0xffff_ffff in
+      if n > len - pos - 4 then stop "length past the end"
+      else
+        match Tape.of_image (Bytes.sub log (pos + 4) n) with
+        | Error why -> stop why
+        | Ok events ->
+          let k = Array.length events in
+          let last = pos + 4 + n = len in
+          if k = 0 || k > frame_events || (k < frame_events && not last) then
+            stop (Printf.sprintf "%d events, not %d" k frame_events)
+          else go (pos + 4 + n) (Array.to_list events :: acc)
+    end
+  in
+  go 0 []
 
 (* ------------------------------------------------------------------ *)
 (* Time travel                                                         *)
@@ -163,7 +115,7 @@ let time_travel session ~at =
       else begin
         let delta = ref [] in
         for i = at - 1 downto start do
-          delta := Tape.event_at tape i :: !delta
+          delta := Tape.get tape i :: !delta
         done;
         Ok { tt_at = at; tt_base = base; tt_checkpoint = cp; tt_delta = !delta }
       end
@@ -174,22 +126,19 @@ let time_travel session ~at =
 (* ------------------------------------------------------------------ *)
 
 type recorder = {
-  session : Session.t;
   ring : Event.t Ring.t;
   consumer : Event.t Ring.consumer;
   api : Api.t;
-  buf : Buffer.t;
+  mutable pending : Event.t list; (* the next frame's events, newest first *)
   mutable events : int;
   mutable stopping : bool;
   mutable stopped : bool;
 }
 
-let flush_threshold = 4096
-
 let flush r fd =
-  if Buffer.length r.buf > 0 then begin
-    let data = Buffer.to_bytes r.buf in
-    Buffer.clear r.buf;
+  if r.pending <> [] then begin
+    let data = frame (Array.of_list (List.rev r.pending)) in
+    r.pending <- [];
     match Api.write_all r.api fd data with
     | Ok () -> ()
     | Error e -> failwith ("recorder: write failed: " ^ Errno.name e)
@@ -202,11 +151,10 @@ let record session k ~tuple ~path =
   let api = Api.direct k proc in
   let r =
     {
-      session;
       ring;
       consumer;
       api;
-      buf = Buffer.create flush_threshold;
+      pending = [];
       events = 0;
       stopping = false;
       stopped = false;
@@ -222,18 +170,12 @@ let record session k ~tuple ~path =
       | Ok fd -> fd
       | Error e -> failwith ("recorder: open failed: " ^ Errno.name e)
     in
+    (* A frame is written per [frame_events] events; pooled payloads
+       are copied out of their chunk, which is released at once. *)
     let record_one e =
-      (match e.Event.payload with
-      | Some chunk ->
-        (* Pooled payloads go straight from the shared chunk into the
-           log buffer — the single copy on the record path. *)
-        Pool.view chunk ~len:e.Event.payload_len (fun data off len ->
-            serialize_header r.buf e ~outlen:len;
-            Buffer.add_subbytes r.buf data off len);
-        Session.release_payload session e
-      | None -> serialize r.buf e ~out:e.Event.inline_out);
+      r.pending <- Session.materialize_payload session e :: r.pending;
       r.events <- r.events + 1;
-      if Buffer.length r.buf >= flush_threshold then flush r fd
+      if r.events mod frame_events = 0 then flush r fd
     in
     (* Drain in runs: when the recorder lags (it writes to disk between
        reads) it catches up with one gate check and one producer wakeup
@@ -262,8 +204,8 @@ let record session k ~tuple ~path =
   r
 
 let stop r =
-  (* The recorder drains whatever is still in the ring, flushes its tail
-     buffer, closes the log and deregisters itself. *)
+  (* The recorder drains whatever is still in the ring, writes the
+     partial last frame, closes the log and deregisters itself. *)
   r.stopping <- true;
   Ring.poke r.ring
 
@@ -325,55 +267,25 @@ let replay k ~path variants =
          in
          read_all ();
          ignore (Api.close api fd);
-         let cur = { data = Buffer.to_bytes contents; pos = 0 } in
-         let decode_one () =
-           match deserialize cur with
-           | None -> None
-           | Some (kind, tid, sysno, clock, ret, args, out) ->
-             let inline_out =
-               if Bytes.length out > 0 then Some out else None
-             in
-             (* Replay events carry results inline regardless of size:
-                the shared-memory pool is not reconstructed on replay. *)
-             Some
-               {
-                 Event.kind;
-                 sysno;
-                 tid;
-                 args;
-                 ret;
-                 clock;
-                 payload = None;
-                 payload_len = 0;
-                 inline_out;
-                 grant = None;
-               }
-         in
+         (* A torn or corrupt tail ends the replay at the last whole
+            frame, as it ended the recording. Replay events carry results
+            inline regardless of size: the shared-memory pool is not
+            reconstructed on replay. *)
+         let events, _stopped = read_log (Buffer.to_bytes contents) in
+         let events = Array.of_list events in
          (* Publish in runs of up to 64: one gate check and one consumer
             wakeup per batch; per-event publish cost is still charged. *)
          let batch_max = 64 in
-         let scratch = Queue.create () in
-         let rec publish_all () =
-           Queue.clear scratch;
-           let rec fill () =
-             if Queue.length scratch < batch_max then
-               match decode_one () with
-               | Some e ->
-                 Queue.add e scratch;
-                 fill ()
-               | None -> ()
-           in
-           fill ();
-           let n = Queue.length scratch in
+         let rec publish_from i =
+           let n = min batch_max (Array.length events - i) in
            if n > 0 then begin
              E.consume (cost.Cost.publish_event * n);
-             Ring.publish_batch ring
-               (Array.init n (fun _ -> Queue.pop scratch));
+             Ring.publish_batch ring (Array.sub events i n);
              rp.rp_published <- rp.rp_published + n;
-             publish_all ()
+             publish_from (i + n)
            end
          in
-         publish_all ()));
+         publish_from 0));
   (* Replay clients: every streamed call returns the recorded result. *)
   Array.iteri
     (fun i rst ->

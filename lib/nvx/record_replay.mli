@@ -4,12 +4,17 @@
 
     - the {e recorder} acts as one more follower whose only job is to
       drain the ring buffer and append events to persistent storage
-      (batched into page-sized writes), decoupling logging from the
+      (one write per frame of 256 events), decoupling logging from the
       application;
     - the {e replayer} acts as the leader during replay, reading the log
       and publishing events into a ring consumed by any number of replay
       clients — which is how several versions can be replayed at once
       against one recorded execution.
+
+    The log is a sequence of frames: a u32 little-endian length, then
+    the {!Tape.image} of 256 events (fewer in the last frame only). The
+    events are encoded by {!Tape} alone, in the same format as the
+    lifecycle catch-up tape; this module only frames them.
 
     A cost model of {e Scribe} (kernel-based record-replay) is provided
     for the paper's comparison: it charges the recording overhead inline
@@ -25,34 +30,26 @@ val record :
     published after it attaches). *)
 
 val stop : recorder -> unit
-(** Flush buffered events, close the log and stop the recorder task.
+(** Write the partial last frame, close the log and stop the recorder task.
     Must be called from inside an engine task (it wakes the ring). *)
 
 val recorded_events : recorder -> int
 
 val serialize_tape : Tape.t -> Bytes.t
-(** Encode a lifecycle catch-up {!Tape} in the recorder's on-disk log
-    format. Writing the result to a file yields a log {!replay} accepts —
-    how a degraded session's retained stream provisions fresh followers
-    offline. Only the retained window [{!Tape.base}, {!Tape.length}) is
-    encoded: segments retired by the checkpoint retention policy are
-    gone. *)
+(** Frame a lifecycle catch-up {!Tape} as a record/replay log. Writing
+    the result to a file yields a log {!replay} accepts — how a degraded
+    session's retained stream provisions fresh followers offline. Only
+    the retained window [{!Tape.base}, {!Tape.length}) is framed:
+    segments retired by the checkpoint retention policy are gone. *)
 
-(** {2 Log decoding} *)
-
-type cursor = { data : Bytes.t; mutable pos : int }
-
-val deserialize :
-  cursor ->
-  (Varan_ringbuf.Event.kind * int * int * int * int * int array * Bytes.t)
-  option
-(** Decode one record ([kind, tid, sysno, clock, ret, args, out]) and
-    advance the cursor. [None] at a clean end of data — and also on a
-    torn tail record (cut off mid-header or mid-payload), a record
-    whose kind byte is not an event kind, or one whose [ret] or argument
-    does not fit OCaml's 63-bit [int], in which case the cursor is
-    left {e before} the bad record so callers can tell the two apart by
-    comparing [pos] against the data length. *)
+val read_log : Bytes.t -> Varan_ringbuf.Event.t list * string option
+(** The events of every whole frame, in order, and [None] at a clean
+    end; or, where decoding stopped early, the reason, naming the
+    frame's byte offset: a truncated length, a length past the end, an
+    image {!Tape.of_image} rejects, or a frame of other than 256 events
+    (fewer are allowed in the last). Never raises, and never yields an
+    event the log does not hold. Events carry their result buffer in
+    [inline_out] and no grant. *)
 
 (** {1 Time travel} *)
 

@@ -5,7 +5,7 @@ type role = Monitor.role = Leader | Follower
 
 exception Divergence_kill = Monitor.Divergence_kill
 
-let release_payload = Monitor.release_payload
+let materialize_payload = Monitor.materialize_payload
 
 (* ------------------------------------------------------------------ *)
 (* Setup                                                               *)
@@ -194,19 +194,9 @@ let attach_remote_node t ncfg =
           | Fault.L_duplicate -> Link.Duplicate)
         (Fault.at_link_send armed ~seq)
   in
-  (* Flatten a pooled payload into the event for the wire and release
-     this consumer's reference; the bytes still travel in-process so
-     remote replay digests stay exact. *)
-  let materialize (e : Event.t) =
-    match e.Event.payload with
-    | None -> e
-    | Some chunk ->
-      let n = max 0 e.Event.payload_len in
-      let buf = Bytes.create n in
-      ignore (Pool.read_into chunk buf ~len:n);
-      release_payload t e;
-      Event.flatten e ~out:(Some buf)
-  in
+  (* Payloads flatten into the event for the wire; the bytes still
+     travel in-process so remote replay digests stay exact. *)
+  let materialize = materialize_payload t in
   let discard e = release_payload t e in
   (* dMVX-style selective replication: results the remote variant can
      reproduce from its own replicated filesystem travel header-only

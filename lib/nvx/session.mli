@@ -204,6 +204,7 @@ val bundle_counters : t -> (string * int) list
     own lifecycle and checkpoint tallies, sorted by name
     (["checkpoint.taken"], ["lifecycle.quarantines"], ...). *)
 
-val release_payload : t -> Varan_ringbuf.Event.t -> unit
-(** Drop one reader's reference to an event's shared-memory payload,
-    freeing the chunk when every reader has passed it. *)
+val materialize_payload : t -> Varan_ringbuf.Event.t -> Varan_ringbuf.Event.t
+(** The event with its shared-memory payload copied into [inline_out];
+    drops one reader's reference to the chunk, freeing it when every
+    reader has passed it. An event without a payload comes back as is. *)

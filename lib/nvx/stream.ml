@@ -45,7 +45,7 @@ let remote s = match s.upstream with Some _ -> true | None -> false
 let in_catchup s = s.pos < s.until
 
 let peek s ~tid =
-  if s.pos < s.until then Some (Tape.event_at (Option.get s.tape) s.pos)
+  if s.pos < s.until then Some (Tape.get (Option.get s.tape) s.pos)
   else
     match s.lanes with
     | None -> Ring.peek_h s.c

@@ -3,35 +3,25 @@ module Event = Varan_ringbuf.Event
 (* The lifecycle recorder's retained stream: every event the leader
    publishes on a tuple is also appended here, flattened so it stays
    readable after the ring slot is overwritten and the shared-memory
-   payload freed. A respawned follower replays entries [from, splice)
+   payload freed. A respawned follower replays events [from, splice)
    and then switches to the live ring at sequence [splice].
 
-   Entries keep the original Lamport stamp, tid and descriptor grant, so
+   Events keep the original Lamport stamp, tid and descriptor grant, so
    the ordinary follower-replay path consumes them unchanged and the
    rejoined variant's descriptor tables and clocks come out identical to
    a follower that never left.
 
-   For a million-event stream a flat entry array is the recorder's space
+   For a million-event stream a flat event array is the recorder's space
    problem, so the tape holds bytes, not records. [append] encodes each
-   entry once, straight into the open segment's reused buffer, in a
+   event once, straight into the open segment's reused buffer, in a
    compact varint form (most fields are small, most clock steps are 1);
-   once the segment holds 256 entries it is sealed — its buffer run-length
+   once the segment holds 256 events it is sealed — its buffer run-length
    packed (PackBits) into an immutable image. Sealed segments below the
    retention floor (the oldest live checkpoint, see {!Checkpoint}) are
    retired wholesale, which keeps resident bytes bounded while absolute
-   indices stay stable: entry [i] is entry [i] forever, and reads below
-   {!base} raise {!Truncated} instead of silently shifting. *)
-
-type entry = {
-  t_kind : Event.kind;
-  t_sysno : int;
-  t_tid : int;
-  t_args : int array;
-  t_ret : int;
-  t_clock : int;
-  t_out : Bytes.t option; (* payloads flattened to inline bytes *)
-  t_grant : Obj.t option;
-}
+   indices stay stable: event [i] is event [i] forever, and reads below
+   {!base} raise {!Truncated} instead of silently shifting. The same
+   images, framed, are the record/replay log ({!Record_replay}). *)
 
 exception Truncated of { requested : int; base : int }
 
@@ -77,7 +67,7 @@ type t = {
      times in a row (stream_peek re-reads the head index), so we keep
      the last decoded segment around. *)
   mutable cache_segno : int;
-  mutable cache_entries : entry array;
+  mutable cache_entries : Event.t array;
   (* stats *)
   mutable c_sealed : int;
   mutable c_retired : int;
@@ -117,7 +107,7 @@ let length t = t.total
 let base t = t.base
 
 (* ------------------------------------------------------------------ *)
-(* Entry encoding (within a segment)                                   *)
+(* Event encoding (within a segment)                                   *)
 (*   u8 header = kind << 1 | has_out                                   *)
 (*   uvarint tid | uvarint nargs | uvarint sysno                       *)
 (*   svarint (clock - previous entry's clock, 0 before the first)      *)
@@ -182,8 +172,9 @@ let encode_entry b pos ~prev_clock ~kind ~tid ~sysno ~clock ~ret ~args ~out =
    decoders; [of_image] turns it into an [Error]. *)
 exception Malformed of string
 
-(* Decode the entry at [!p] of [b], whose entries end at [lim], and
-   advance [p] past it. *)
+(* Decode the event at [!p] of [b], whose entries end at [lim], and
+   advance [p] past it. Its result buffer travels inline whatever its
+   size: the pool chunk it came from is long gone. *)
 let decode_entry b ~lim p ~prev_clock =
   let u8 () =
     if !p >= lim then raise (Malformed "truncated entry");
@@ -238,14 +229,16 @@ let decode_entry b ~lim p ~prev_clock =
     end
   in
   {
-    t_kind = kind;
-    t_sysno = sysno;
-    t_tid = tid;
-    t_args = args;
-    t_ret = ret;
-    t_clock = clock;
-    t_out = out;
-    t_grant = None;
+    Event.kind;
+    sysno;
+    tid;
+    args;
+    ret;
+    clock;
+    payload = None;
+    payload_len = 0;
+    inline_out = out;
+    grant = None;
   }
 
 (* Every entry of the [len]-byte encoding [raw], in order. *)
@@ -253,7 +246,7 @@ let decode_all raw ~len =
   let p = ref 0 and prev_clock = ref 0 and acc = ref [] in
   while !p < len do
     let e = decode_entry raw ~lim:len p ~prev_clock:!prev_clock in
-    prev_clock := e.t_clock;
+    prev_clock := e.Event.clock;
     acc := e :: !acc
   done;
   Array.of_list (List.rev !acc)
@@ -352,25 +345,25 @@ let unpack ~raw_len src =
 (* Images, sealing and decoding                                        *)
 (* ------------------------------------------------------------------ *)
 
-let image entries =
+let image (events : Event.t array) =
   let size =
     Array.fold_left
-      (fun n e ->
+      (fun n (e : Event.t) ->
         n
-        + max_entry_size ~nargs:(Array.length e.t_args)
-            ~outlen:(match e.t_out with None -> 0 | Some o -> Bytes.length o))
-      0 entries
+        + max_entry_size ~nargs:(Array.length e.args)
+            ~outlen:(match e.inline_out with None -> 0 | Some o -> Bytes.length o))
+      0 events
   in
   let raw = Bytes.create size in
   let pos = ref 0 and prev_clock = ref 0 in
   Array.iter
-    (fun e ->
+    (fun (e : Event.t) ->
       pos :=
-        encode_entry raw !pos ~prev_clock:!prev_clock ~kind:e.t_kind
-          ~tid:e.t_tid ~sysno:e.t_sysno ~clock:e.t_clock ~ret:e.t_ret
-          ~args:e.t_args ~out:e.t_out;
-      prev_clock := e.t_clock)
-    entries;
+        encode_entry raw !pos ~prev_clock:!prev_clock ~kind:e.kind ~tid:e.tid
+          ~sysno:e.sysno ~clock:e.clock ~ret:e.ret ~args:e.args
+          ~out:e.inline_out;
+      prev_clock := e.clock)
+    events;
   pack raw !pos
 
 (* Only an image [image] writes is accepted: the canonical varints make
@@ -424,7 +417,7 @@ let decode t segno =
     let entries = decode_all raw ~len:seg.s_raw_len in
     assert (Array.length entries = entries_per_segment);
     Array.iter
-      (fun (i, g) -> entries.(i) <- { (entries.(i)) with t_grant = Some g })
+      (fun (i, g) -> entries.(i) <- { (entries.(i)) with Event.grant = Some g })
       seg.s_grants;
     t.cache_segno <- segno;
     t.cache_entries <- entries;
@@ -471,32 +464,9 @@ let get t i =
     let e =
       decode_entry t.open_raw ~lim:t.open_pos (ref t.open_off.(k)) ~prev_clock
     in
-    match t.open_grant.(k) with None -> e | g -> { e with t_grant = g }
+    match t.open_grant.(k) with None -> e | g -> { e with Event.grant = g }
   end
   else (decode t (i / entries_per_segment)).(i mod entries_per_segment)
-
-(* Reconstruct a stream event from a tape entry. The payload travels
-   inline regardless of size: the pool chunk it came from is long gone. *)
-let event_of_entry (en : entry) : Event.t =
-  {
-    Event.kind = en.t_kind;
-    sysno = en.t_sysno;
-    tid = en.t_tid;
-    args = en.t_args;
-    ret = en.t_ret;
-    clock = en.t_clock;
-    payload = None;
-    payload_len = 0;
-    inline_out = en.t_out;
-    grant = en.t_grant;
-  }
-
-let event_at t i = event_of_entry (get t i)
-
-let iter f t =
-  for i = t.base to t.total - 1 do
-    f (get t i)
-  done
 
 (* Drop whole sealed segments strictly below [keep_from]. Absolute
    indices are preserved: after retiring, [base] is the first index of

@@ -961,22 +961,22 @@ let fill_tape tape n =
     Tape.append tape e ~out
   done
 
-let check_entry i (en : Tape.entry) =
+let check_entry i (got : Event.t) =
   let e, out = synthetic_event i in
   Alcotest.(check int) (Printf.sprintf "entry %d sysno" i) e.Event.sysno
-    en.Tape.t_sysno;
+    got.Event.sysno;
   Alcotest.(check int) (Printf.sprintf "entry %d tid" i) e.Event.tid
-    en.Tape.t_tid;
+    got.Event.tid;
   Alcotest.(check int) (Printf.sprintf "entry %d ret" i) e.Event.ret
-    en.Tape.t_ret;
+    got.Event.ret;
   Alcotest.(check int) (Printf.sprintf "entry %d clock" i) e.Event.clock
-    en.Tape.t_clock;
+    got.Event.clock;
   Alcotest.(check (array int)) (Printf.sprintf "entry %d args" i) e.Event.args
-    en.Tape.t_args;
+    got.Event.args;
   Alcotest.(check bool) (Printf.sprintf "entry %d kind" i) true
-    (e.Event.kind = en.Tape.t_kind);
+    (e.Event.kind = got.Event.kind);
   Alcotest.(check (option bytes)) (Printf.sprintf "entry %d out" i) out
-    en.Tape.t_out
+    got.Event.inline_out
 
 (* Entries survive sealing and run-length packing byte-for-byte, read
    back both sequentially (cached segment) and at random (decode). *)
@@ -1038,7 +1038,7 @@ let reference_pack src =
    format: a header byte (kind << 1 | has_out), LEB128 tid,
    nargs and sysno, zigzag LEB128 clock step, ret and args, then the out
    length and bytes. *)
-let reference_image (entries : Tape.entry array) =
+let reference_image (events : Event.t array) =
   let kind_code = function
     | Event.Ev_syscall -> 0
     | Event.Ev_signal -> 1
@@ -1056,22 +1056,22 @@ let reference_image (entries : Tape.entry array) =
   let svarint v = uvarint (if v >= 0 then 2 * v else (-2 * v) - 1) in
   let prev = ref 0 in
   Array.iter
-    (fun (e : Tape.entry) ->
+    (fun (e : Event.t) ->
       Buffer.add_uint8 buf
-        ((2 * kind_code e.Tape.t_kind) + if e.Tape.t_out = None then 0 else 1);
-      uvarint e.Tape.t_tid;
-      uvarint (Array.length e.Tape.t_args);
-      uvarint e.Tape.t_sysno;
-      svarint (e.Tape.t_clock - !prev);
-      prev := e.Tape.t_clock;
-      svarint e.Tape.t_ret;
-      Array.iter svarint e.Tape.t_args;
-      match e.Tape.t_out with
+        ((2 * kind_code e.kind) + if e.inline_out = None then 0 else 1);
+      uvarint e.tid;
+      uvarint (Array.length e.args);
+      uvarint e.sysno;
+      svarint (e.clock - !prev);
+      prev := e.clock;
+      svarint e.ret;
+      Array.iter svarint e.args;
+      match e.inline_out with
       | None -> ()
       | Some b ->
         uvarint (Bytes.length b);
         Buffer.add_bytes buf b)
-    entries;
+    events;
   reference_pack (Buffer.to_bytes buf)
 
 (* Sealed images are byte-identical to the reference serializer's, on
@@ -1079,18 +1079,7 @@ let reference_image (entries : Tape.entry array) =
    with incompressible bytes (the packer's worst case) and whose fields
    use the full width of their encodings. *)
 let test_tape_image_matches_reference () =
-  let entry_of (e, out) =
-    {
-      Tape.t_kind = e.Event.kind;
-      t_sysno = e.Event.sysno;
-      t_tid = e.Event.tid;
-      t_args = e.Event.args;
-      t_ret = e.Event.ret;
-      t_clock = e.Event.clock;
-      t_out = out;
-      t_grant = None;
-    }
-  in
+  let entry_of (e, out) = Event.flatten e ~out in
   let check what entries =
     Alcotest.(check bytes) what (reference_image entries) (Tape.image entries)
   in
@@ -1123,22 +1112,22 @@ let test_tape_image_matches_reference () =
   for round = 1 to 40 do
     let entries =
       Array.init (1 + Random.State.int rng 64) (fun _ ->
-          {
-            Tape.t_kind =
-              [| Event.Ev_syscall; Event.Ev_signal; Event.Ev_fork; Event.Ev_exit |].(
-                Random.State.int rng 4);
-            t_sysno = Random.State.int rng 400;
-            t_tid = Random.State.int rng 1000;
-            t_args = Array.init (Random.State.int rng 7) (fun _ -> wide ());
-            t_ret = wide ();
-            t_clock = wide ();
-            t_out =
-              (match Random.State.int rng 3 with
-              | 0 -> None
-              | 1 -> Some Bytes.empty
-              | _ -> Some (payload ()));
-            t_grant = None;
-          })
+          let kind =
+            [| Event.Ev_syscall; Event.Ev_signal; Event.Ev_fork; Event.Ev_exit |].(
+              Random.State.int rng 4)
+          in
+          let sysno = Random.State.int rng 400 in
+          let tid = Random.State.int rng 1000 in
+          let args = Array.init (Random.State.int rng 7) (fun _ -> wide ()) in
+          let ret = wide () in
+          let clock = wide () in
+          let out =
+            match Random.State.int rng 3 with
+            | 0 -> None
+            | 1 -> Some Bytes.empty
+            | _ -> Some (payload ())
+          in
+          Event.flatten (Event.make ~kind ~tid ~args ~ret ~clock sysno) ~out)
     in
     check (Printf.sprintf "random segment %d" round) entries
   done
@@ -1153,9 +1142,9 @@ let test_tape_image_decoder_rejects () =
   let decodes what l =
     match Tape.of_image (reference_pack (raw l)) with
     | Ok [| e |] ->
-      Alcotest.(check int) (what ^ ": tid") 1 e.Tape.t_tid;
-      Alcotest.(check int) (what ^ ": sysno") 5 e.Tape.t_sysno;
-      Alcotest.(check int) (what ^ ": clock") 1 e.Tape.t_clock
+      Alcotest.(check int) (what ^ ": tid") 1 e.Event.tid;
+      Alcotest.(check int) (what ^ ": sysno") 5 e.Event.sysno;
+      Alcotest.(check int) (what ^ ": clock") 1 e.Event.clock
     | Ok es -> Alcotest.failf "%s: %d entries" what (Array.length es)
     | Error why -> Alcotest.failf "%s: rejected (%s)" what why
   in
@@ -1201,12 +1190,10 @@ let test_tape_image_decoder_rejects () =
     (raw [ 0x02; 0x00; 0x01; 0x00; 0x02; 0x05; 0x02; 0x00 ])
     "non-canonical PackBits image"
 
-(* The record/replay log a fixed tape serializes to does not move when
-   the tape's own encoding does: the digest was computed from the log
-   written while sealed segments still used the fixed-width layout.
-   Wide args and rets, negative clock steps, every kind and empty to
-   2 KiB result buffers, across sealed segments, the open one and a
-   retired prefix. *)
+(* The record/replay log a fixed tape serializes to is pinned byte for
+   byte: frames of tape images, written from sealed segments, the open
+   one and past a retired prefix, over wide args and rets, negative
+   clock steps, every kind and empty to 2 KiB result buffers. *)
 let test_serialize_tape_golden () =
   let tape = Tape.create () in
   let wide = [| 0; -1; 1; max_int; min_int; 1 lsl 40; -(1 lsl 33); 127; 128 |] in
@@ -1239,8 +1226,8 @@ let test_serialize_tape_golden () =
   done;
   Tape.retire tape ~keep_from:300;
   let log = RR.serialize_tape tape in
-  Alcotest.(check int) "log length" 76800 (Bytes.length log);
-  Alcotest.(check string) "log digest" "9d65cf9a2114fb2f97e6300dbd2ef863"
+  Alcotest.(check int) "log length" 53490 (Bytes.length log);
+  Alcotest.(check string) "log digest" "3850113ae9611d915563eb5475f1c090"
     (Digest.to_hex (Digest.bytes log))
 
 (* Retirement truncates exactly at a segment boundary: keep_from rounds
@@ -1298,140 +1285,70 @@ let test_tape_bounded_memory_million_events () =
     (st.Tape.segments_retired > 3_000)
 
 (* serialize_tape round trip (payload-bearing + retired-window cases):
-   the encoded log decodes back to exactly the retained entries, and a
-   torn log decodes to a clean [None] instead of crashing. *)
+   the log decodes back to exactly the retained events, and a torn or
+   corrupt log decodes to its whole-frame prefix and a named reason,
+   never an exception or a phantom event. *)
 let test_serialize_tape_roundtrip () =
   let tape = Tape.create () in
   fill_tape tape 700;
   Tape.retire tape ~keep_from:256;
   let log = RR.serialize_tape tape in
-  let cur = { RR.data = log; pos = 0 } in
-  let decoded = ref [] in
-  let rec drain () =
-    match RR.deserialize cur with
-    | Some r ->
-      decoded := r :: !decoded;
-      drain ()
-    | None -> ()
-  in
-  drain ();
-  Alcotest.(check int) "clean end of log" (Bytes.length log) cur.RR.pos;
-  let decoded = Array.of_list (List.rev !decoded) in
-  (* Only the retained window [256, 700) is encoded. *)
-  Alcotest.(check int) "retained entries decoded" (700 - 256)
-    (Array.length decoded);
-  Array.iteri
-    (fun j (kind, tid, sysno, clock, ret, args, out) ->
-      let i = 256 + j in
-      let e, eout = synthetic_event i in
-      Alcotest.(check bool) (Printf.sprintf "rec %d kind" i) true
-        (kind = e.Event.kind);
-      Alcotest.(check int) (Printf.sprintf "rec %d tid" i) e.Event.tid tid;
-      Alcotest.(check int) (Printf.sprintf "rec %d sysno" i) e.Event.sysno sysno;
-      Alcotest.(check int) (Printf.sprintf "rec %d clock" i) e.Event.clock clock;
-      Alcotest.(check int) (Printf.sprintf "rec %d ret" i) e.Event.ret ret;
-      Alcotest.(check (array int)) (Printf.sprintf "rec %d args" i) e.Event.args
-        args;
-      Alcotest.(check bytes) (Printf.sprintf "rec %d out" i)
-        (match eout with Some b -> b | None -> Bytes.empty)
-        out)
-    decoded;
-  (* Torn logs: every truncation point decodes what is whole, then
-     returns None with the cursor parked before the torn record. *)
+  let decoded, stopped = RR.read_log log in
+  Alcotest.(check (option string)) "clean end of log" None stopped;
+  (* Only the retained window [256, 700) is framed. *)
+  Alcotest.(check int) "retained events decoded" (700 - 256)
+    (List.length decoded);
+  List.iteri (fun j e -> check_entry (256 + j) e) decoded;
+  (* Torn logs: the first frame holds events [256, 512) and ends at
+     [second]; a cut decodes the frames before it, and says why it
+     stopped. *)
+  let second = 4 + Int32.to_int (Bytes.get_int32_le log 0) in
   List.iter
     (fun cut ->
-      let torn = Bytes.sub log 0 cut in
-      let cur = { RR.data = torn; pos = 0 } in
-      let rec count n = match RR.deserialize cur with
-        | Some _ -> count (n + 1)
-        | None -> n
-      in
-      let n = count 0 in
-      Alcotest.(check bool)
-        (Printf.sprintf "cut at %d decodes a prefix" cut)
-        true
-        (n <= 700 - 256);
-      Alcotest.(check bool)
-        (Printf.sprintf "cut at %d leaves the cursor on the torn record" cut)
-        true (cur.RR.pos <= cut))
-    [ 1; 7; 23; Bytes.length log - 1; Bytes.length log - 9 ];
-  (* A corrupt kind byte is rejected like a torn record: every byte
-     that names no event kind decodes to None with the cursor parked on
-     the bad record, never to a phantom exit. The first record's kind
-     byte is the log's first byte. *)
-  List.iter
-    (fun bad ->
-      let corrupt = Bytes.copy log in
-      Bytes.set corrupt 0 (Char.chr bad);
-      let cur = { RR.data = corrupt; pos = 0 } in
-      Alcotest.(check bool)
-        (Printf.sprintf "kind byte %d rejected" bad)
-        true
-        (RR.deserialize cur = None);
+      let events, stopped = RR.read_log (Bytes.sub log 0 cut) in
       Alcotest.(check int)
-        (Printf.sprintf "kind byte %d leaves the cursor before the record" bad)
-        0 cur.RR.pos)
-    [ 4; 7; 128; 255 ];
-  (* So is a 64-bit field outside OCaml's 63-bit [int]: the first
-     record's [ret] (bytes 12-19) set to 2^62 must not decode to
-     [min_int], an event the log never held. *)
-  let corrupt = Bytes.copy log in
-  Bytes.set_int64_le corrupt 12 0x4000_0000_0000_0000L;
-  let cur = { RR.data = corrupt; pos = 0 } in
-  Alcotest.(check bool) "out-of-range ret rejected" true
-    (RR.deserialize cur = None);
-  Alcotest.(check int) "out-of-range ret leaves the cursor before the record"
-    0 cur.RR.pos;
+        (Printf.sprintf "cut at %d decodes the whole frames" cut)
+        (if cut < second then 0 else 256)
+        (List.length events);
+      Alcotest.(check bool)
+        (Printf.sprintf "cut at %d names a reason" cut)
+        (cut <> second) (stopped <> None))
+    [ 1; 3; 7; 23; second - 1; second; second + 2; second + 9;
+      Bytes.length log - 1 ];
+  let stops what log ~decoded reason =
+    let events, stopped = RR.read_log log in
+    Alcotest.(check int) (what ^ ": whole frames") decoded (List.length events);
+    Alcotest.(check (option string)) (what ^ ": reason") (Some reason) stopped
+  in
+  let with_bytes log pos bytes =
+    let b = Bytes.copy log in
+    List.iteri (fun k v -> Bytes.set_uint8 b (pos + k) v) bytes;
+    b
+  in
+  stops "length past the end"
+    (with_bytes log 0 [ 0xff; 0xff; 0xff; 0x7f ])
+    ~decoded:0 "frame at byte 0: length past the end";
+  stops "truncated length" (Bytes.sub log 0 (second + 3)) ~decoded:256
+    (Printf.sprintf "frame at byte %d: truncated length" second);
+  (* The second image's first byte is a PackBits control byte; 128 is
+     one the packer never writes. *)
+  stops "corrupt image"
+    (with_bytes log (second + 4) [ 0x80 ])
+    ~decoded:256
+    (Printf.sprintf "frame at byte %d: bad PackBits control byte" second);
+  (* Frames hold 256 events; only the last may hold fewer, and none
+     holds none. *)
+  let short = Tape.create () in
+  fill_tape short 3;
+  let short = RR.serialize_tape short in
+  stops "short frame before the end"
+    (Bytes.cat short short)
+    ~decoded:0 "frame at byte 0: 3 events, not 256";
+  stops "empty frame" (Bytes.make 4 '\000') ~decoded:0
+    "frame at byte 0: 0 events, not 256";
   (* An empty tape serializes to an empty log. *)
   Alcotest.(check int) "empty tape, empty log" 0
     (Bytes.length (RR.serialize_tape (Tape.create ())))
-
-(* Re-encode one decoded record through a one-entry tape, in the log
-   format [serialize_tape] writes. *)
-let reencode (kind, tid, sysno, clock, ret, args, out) =
-  let tape = Tape.create () in
-  Tape.append tape
-    {
-      Event.kind;
-      sysno;
-      tid;
-      args;
-      ret;
-      clock;
-      payload = None;
-      payload_len = 0;
-      inline_out = None;
-      grant = None;
-    }
-    ~out:(Some out);
-  RR.serialize_tape tape
-
-(* A corrupt log never replays an event its bytes do not hold: each
-   record of a byte-mutated log is either rejected, with the cursor left
-   before it, or re-encodes to exactly the bytes it was decoded from. *)
-let prop_deserialize_rejects_or_roundtrips =
-  QCheck.Test.make ~name:"deserialize: reject, or re-encode to the same bytes"
-    ~count:500
-    QCheck.(
-      pair (int_bound 40)
-        (list_of_size Gen.(1 -- 8) (pair small_nat (int_bound 255))))
-    (fun (n, mutations) ->
-      let tape = Tape.create () in
-      fill_tape tape (n + 1);
-      let log = RR.serialize_tape tape in
-      List.iter
-        (fun (pos, b) -> Bytes.set log (pos mod Bytes.length log) (Char.chr b))
-        mutations;
-      let cur = { RR.data = log; pos = 0 } in
-      let rec check () =
-        let start = cur.RR.pos in
-        match RR.deserialize cur with
-        | None -> cur.RR.pos = start
-        | Some r ->
-          Bytes.equal (reencode r) (Bytes.sub log start (cur.RR.pos - start))
-          && check ()
-      in
-      check ())
 
 (* Random entries for the image properties: small, mid-width and
    full-width (negative too) ints, every kind, and result buffers from
@@ -1460,16 +1377,7 @@ let gen_entry =
   QCheck.Gen.(
     map
       (fun (((kind, sysno), (tid, clock)), ((ret, args), out)) ->
-        {
-          Tape.t_kind = kind;
-          t_sysno = sysno;
-          t_tid = tid;
-          t_args = args;
-          t_ret = ret;
-          t_clock = clock;
-          t_out = out;
-          t_grant = None;
-        })
+        Event.flatten (Event.make ~kind ~tid ~args ~ret ~clock sysno) ~out)
       (pair
          (pair
             (pair
@@ -1479,14 +1387,29 @@ let gen_entry =
             (pair (oneof [ int_bound 300; gen_wide ]) gen_wide))
          (pair (pair gen_wide (array_size (int_bound 6) gen_wide)) gen_out)))
 
-let same_entry (a : Tape.entry) (b : Tape.entry) =
-  a.Tape.t_kind = b.Tape.t_kind
-  && a.Tape.t_sysno = b.Tape.t_sysno
-  && a.Tape.t_tid = b.Tape.t_tid
-  && a.Tape.t_args = b.Tape.t_args
-  && a.Tape.t_ret = b.Tape.t_ret
-  && a.Tape.t_clock = b.Tape.t_clock
-  && Option.equal Bytes.equal a.Tape.t_out b.Tape.t_out
+let same_event (a : Event.t) (b : Event.t) =
+  a.kind = b.kind && a.sysno = b.sysno && a.tid = b.tid && a.args = b.args
+  && a.ret = b.ret && a.clock = b.clock
+  && Option.equal Bytes.equal a.inline_out b.inline_out
+
+(* The log keeps every field whole: a tid past 8 bits, a clock past 32
+   bits and full-width arguments come back equal. (A fixed-width log
+   once read this event back as tid 44, clock 5.) *)
+let test_log_keeps_wide_fields () =
+  let tape = Tape.create () in
+  let e =
+    Event.make ~tid:300 ~args:[| max_int; min_int |] ~ret:min_int
+      ~clock:((1 lsl 32) + 5) ((1 lsl 40) + 1)
+  in
+  let out = Some (Bytes.of_string "ok") in
+  Tape.append tape e ~out;
+  match RR.read_log (RR.serialize_tape tape) with
+  | [ got ], None ->
+    Alcotest.(check bool) "decodes equal" true
+      (same_event got (Event.flatten e ~out))
+  | events, stopped ->
+    Alcotest.failf "decoded %d events, stopped: %s" (List.length events)
+      (Option.value stopped ~default:"no")
 
 (* PackBits decoding, for mutating an image's entry bytes directly. *)
 let reference_unpack img =
@@ -1551,11 +1474,33 @@ let prop_image_rejects_or_roundtrips =
       (match Tape.of_image img with
       | Ok es ->
         Array.length es = Array.length entries
-        && Array.for_all2 same_entry es entries
+        && Array.for_all2 same_event es entries
         && Bytes.equal (Tape.image es) img
       | Error _ -> false)
       && only_images (mutate img packed_mutation)
       && only_images (reference_pack (mutate (reference_unpack img) raw_mutation)))
+
+(* A corrupt log never replays an event its bytes do not hold: a log
+   with bytes set or cut decodes to events whose own log is exactly the
+   bytes they were read from — all of it when decoding ran to the end,
+   a prefix when it stopped on a reason. *)
+let prop_read_log_rejects_or_roundtrips =
+  QCheck.Test.make ~name:"read_log: reject, or re-encode to the same bytes"
+    ~count:500
+    QCheck.(pair (int_bound 600) arb_mutation)
+    (fun (n, mutation) ->
+      let tape = Tape.create () in
+      fill_tape tape (n + 1);
+      let log = mutate (RR.serialize_tape tape) mutation in
+      let events, stopped = RR.read_log log in
+      let again = Tape.create () in
+      List.iter (fun (e : Event.t) -> Tape.append again e ~out:e.inline_out) events;
+      let relog = RR.serialize_tape again in
+      match stopped with
+      | None -> Bytes.equal relog log
+      | Some _ ->
+        Bytes.length relog < Bytes.length log
+        && Bytes.equal relog (Bytes.sub log 0 (Bytes.length relog)))
 
 (* Appended entries read back field for field, grant for grant, from
    sealed segments and the open one alike. *)
@@ -1569,26 +1514,21 @@ let prop_tape_get_returns_appended =
           array_size (int_range 0 700)
             (map2
                (fun e g ->
-                 { e with Tape.t_grant = (if g then Some (Obj.repr (ref e)) else None) })
+                 { e with Event.grant = (if g then Some (Obj.repr (ref e)) else None) })
                gen_entry (map (fun n -> n = 0) (int_bound 9)))))
     (fun entries ->
       let tape = Tape.create () in
       Array.iter
-        (fun (en : Tape.entry) ->
-          Tape.append tape
-            (Event.make ~kind:en.Tape.t_kind ~tid:en.Tape.t_tid ~args:en.Tape.t_args
-               ~ret:en.Tape.t_ret ~clock:en.Tape.t_clock ?grant:en.Tape.t_grant
-               en.Tape.t_sysno)
-            ~out:en.Tape.t_out)
+        (fun (e : Event.t) -> Tape.append tape e ~out:e.inline_out)
         entries;
       Tape.length tape = Array.length entries
       && Array.for_all Fun.id
            (Array.mapi
-              (fun i (en : Tape.entry) ->
+              (fun i (e : Event.t) ->
                 let got = Tape.get tape i in
-                same_entry got en
+                same_event got e
                 &&
-                match (got.Tape.t_grant, en.Tape.t_grant) with
+                match (got.Event.grant, e.Event.grant) with
                 | None, None -> true
                 | Some a, Some b -> a == b
                 | _ -> false)
@@ -1864,7 +1804,9 @@ let () =
             test_serialize_tape_roundtrip;
           Alcotest.test_case "serialize_tape log bytes are pinned" `Quick
             test_serialize_tape_golden;
-          QCheck_alcotest.to_alcotest prop_deserialize_rejects_or_roundtrips;
+          Alcotest.test_case "log keeps wide fields" `Quick
+            test_log_keeps_wide_fields;
+          QCheck_alcotest.to_alcotest prop_read_log_rejects_or_roundtrips;
           QCheck_alcotest.to_alcotest prop_image_rejects_or_roundtrips;
           QCheck_alcotest.to_alcotest prop_tape_get_returns_appended;
         ] );

@@ -49,7 +49,8 @@ let read_log log =
   let len = Bytes.length log in
   let rec go pos acc =
     let finish why =
-      (List.concat (List.rev acc), Option.map (Printf.sprintf "frame at byte %d: %s" pos) why)
+      ( List.concat (List.rev acc),
+        Option.map (Printf.sprintf "frame at byte %d: %s" pos) why )
     in
     let stop why = finish (Some why) in
     if pos = len then finish None

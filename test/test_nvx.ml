@@ -1392,9 +1392,8 @@ let same_event (a : Event.t) (b : Event.t) =
   && a.ret = b.ret && a.clock = b.clock
   && Option.equal Bytes.equal a.inline_out b.inline_out
 
-(* The log keeps every field whole: a tid past 8 bits, a clock past 32
-   bits and full-width arguments come back equal. (A fixed-width log
-   once read this event back as tid 44, clock 5.) *)
+(* The log keeps every field whole: a tid past 8 bits, a clock and a
+   sysno past 32 bits and full-width arguments come back equal. *)
 let test_log_keeps_wide_fields () =
   let tape = Tape.create () in
   let e =

@@ -471,6 +471,40 @@ let bridge_cycle () =
 let bridge_test =
   Test.make ~name:"bridge-cycle-b64" (Staged.stage bridge_cycle)
 
+(* Not a timing: events per frame when 1,024 single publishes, 3,000
+   cycles apart, cross a default-config bridge. That is about the
+   spacing of ring-0 events on serve-replicated-write. A count of a
+   fixed stream, so it repeats exactly. It reads 1.0 when the sender
+   ships each event the moment it wakes. *)
+let bridge_events_per_batch () =
+  let eng = E.create () in
+  let local_node = Node.create ~eng "leader-node" in
+  let remote_node = Node.create ~eng "remote-node" in
+  let ring = Ring.create ~size:256 "bench-local" in
+  let mirror = Ring.create ~size:256 "bench-mirror" in
+  let bridge =
+    Bridge.create ~local_node ~remote_node ~local:ring ~mirror
+      ~materialize:Fun.id ~discard:ignore
+      ~must_replicate:(fun _ -> true)
+      ()
+  in
+  let n = 1_024 in
+  let h = Ring.subscribe mirror in
+  ignore
+    (E.spawn eng ~name:"remote-consumer" (fun () ->
+         for _ = 1 to n do
+           ignore (Ring.consume_h h)
+         done));
+  ignore
+    (E.spawn eng ~name:"producer" (fun () ->
+         for i = 1 to n do
+           Ring.publish ring (Event.make ~clock:i ~ret:i 39);
+           E.sleep 3_000
+         done));
+  E.run_until_quiescent eng;
+  let s = Bridge.stats bridge in
+  float_of_int s.Bridge.events_forwarded /. float_of_int s.Bridge.batches
+
 let frame_payload = 4096
 
 (* Two tasks on one kernel joined by a connected socket, the server
@@ -739,6 +773,10 @@ let run () =
   Printf.printf "  %-28s %12.1f bytes/event (resident, retained window)\n"
     "tape-bytes-per-event" bpe;
   estimates := ("tape-bytes-per-event", bpe) :: !estimates;
+  let epb = bridge_events_per_batch () in
+  Printf.printf "  %-28s %12.2f events/frame (single publishes, 3k apart)\n"
+    "bridge-events-per-batch" epb;
+  estimates := ("bridge-events-per-batch", epb) :: !estimates;
   let copies = socket_frame_copy_ratio () in
   Printf.printf "  %-28s %12.2f x (host bytes allocated / frame bytes)\n"
     "socket-frame-copy-ratio" copies;

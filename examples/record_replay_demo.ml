@@ -69,6 +69,9 @@ let () =
       ]
   in
   E.run_until_quiescent engine2;
+  (match RR.replay_stopped rp with
+  | Some why -> Printf.printf "  the log ended early: %s\n" why
+  | None -> ());
   Printf.printf "  replayed %d events, %d divergences\n\n"
     (RR.replayed_events rp)
     (List.length (RR.replay_crashes rp));

@@ -13,6 +13,7 @@ type config = {
   header_bytes : int;
   serialize_cost : int;
   publish_cost : int;
+  linger : int;
 }
 
 let default_config =
@@ -24,6 +25,7 @@ let default_config =
     header_bytes = 32;
     serialize_cost = 80;
     publish_cost = 120;
+    linger = 16_000;
   }
 
 type frame =
@@ -61,8 +63,7 @@ type t = {
   mutable epoch : int;
   mutable next_bseq : int;
   mutable send_seq : int;  (* global seq of the next event to drain *)
-  pending : (int, pending) Hashtbl.t;  (* bseq -> unacked batch *)
-  mutable in_flight : int;
+  pending : pending Queue.t;  (* unacked batches, in bseq order *)
   mutable stall_anchor : int64;  (* last window progress *)
   window_cond : E.Cond.cond;
   mutable detached : bool;
@@ -174,21 +175,27 @@ let ship_batch t evs =
   in
   t.next_bseq <- t.next_bseq + 1;
   t.send_seq <- t.send_seq + n;
-  Hashtbl.replace t.pending p.p_bseq p;
-  if t.in_flight = 0 then t.stall_anchor <- E.now_cycles ();
-  t.in_flight <- t.in_flight + 1;
+  if Queue.is_empty t.pending then t.stall_anchor <- E.now_cycles ();
+  Queue.push p t.pending;
   t.s_batches <- t.s_batches + 1;
   t.s_events <- t.s_events + n;
   send_data t p;
   Prof.region_exit Phase.bridge_wire reg;
   arm_retransmit t p
 
+let superseded t my_epoch = t.detached || t.epoch <> my_epoch
+
 (* The sender: one task per epoch. It exits when detached or superseded
    by a newer epoch; [detach] pokes the ring and the window cond so a
-   parked sender re-checks and leaves before touching its dead handle. *)
+   parked sender re-checks and leaves before touching its dead handle.
+   It parks on publishes only: a local follower's consume changes
+   nothing it could ship. A batch that is not yet full lingers once for
+   [linger] cycles so the events behind it share its frame, its ack and
+   its timers; a full one (or one holding the whole ring, which gates
+   the leader) ships at once. *)
 let rec sender_loop t my_epoch c =
-  if t.detached || t.epoch <> my_epoch then ()
-  else if t.in_flight >= t.cfg.window then begin
+  if superseded t my_epoch then ()
+  else if Queue.length t.pending >= t.cfg.window then begin
     (* Window backpressure is wire time: the sender is throttled by
        unacked batches in flight, not by a lack of local events. *)
     let t0 = Prof.mark () in
@@ -196,14 +203,19 @@ let rec sender_loop t my_epoch c =
     Prof.charge_wait Phase.bridge_wire t0;
     sender_loop t my_epoch c
   end
-  else
-    match Ring.try_consume_batch_h c ~max:t.cfg.batch_max with
-    | [] ->
-      Ring.wait_activity t.local;
-      sender_loop t my_epoch c
-    | evs ->
-      ship_batch t evs;
-      sender_loop t my_epoch c
+  else begin
+    let lag = Ring.lag_h c in
+    if lag = 0 then Ring.wait_publish t.local
+    else begin
+      (* Acks only shrink the window, so it still has room after the
+         linger; a detach may have unsubscribed [c] during it. *)
+      if lag < min t.cfg.batch_max (Ring.capacity t.local) then
+        E.sleep t.cfg.linger;
+      if not (superseded t my_epoch) then
+        ship_batch t (Ring.try_consume_batch_h c ~max:t.cfg.batch_max)
+    end;
+    sender_loop t my_epoch c
+  end
 
 let spawn_sender t =
   match t.local_c with
@@ -219,10 +231,12 @@ let send_ack t ~epoch ~upto =
   Link.send t.link ~dir:1 ~bytes:ack_bytes (Ack { epoch; upto })
 
 (* The receiver never blocks the ack path on mirror backpressure: it
-   acks on receipt, then republishes. A slow remote follower therefore
-   stalls the receiver task (and eventually the window), but an
-   individually-stuck follower is the per-follower watchdog's problem —
-   it fires before the link-degradation threshold does. *)
+   acks on receipt, then republishes the whole batch at once, with one
+   charge for its events, one gate check and one wakeup of the remote
+   followers. A slow remote follower therefore stalls the receiver task
+   (and eventually the window), but an individually-stuck follower is
+   the per-follower watchdog's problem — it fires before the
+   link-degradation threshold does. *)
 let receive_data t ~epoch ~bseq ~first_seq ~events ~checksum =
   if checksum_events events <> checksum then
     t.s_checksum_failures <- t.s_checksum_failures + 1
@@ -239,17 +253,14 @@ let receive_data t ~epoch ~bseq ~first_seq ~events ~checksum =
     t.r_expected <- bseq + 1;
     t.r_next_seq <- first_seq + Array.length events;
     send_ack t ~epoch ~upto:bseq;
-    (* Pin the mirror this batch was accepted into: the per-event publish
-       cost yields, and a reattach racing that loop would otherwise leak
-       the batch's tail into the NEXT epoch's mirror — a phantom event
-       above the true stream head. *)
+    (* Pin the mirror this batch was accepted into: the publish charge
+       yields, and a reattach racing it would otherwise leak the batch
+       into the NEXT epoch's mirror — phantom events above the true
+       stream head. *)
     let mirror = t.mirror in
     let reg = Prof.region_enter () in
-    Array.iter
-      (fun e ->
-        E.consume t.cfg.publish_cost;
-        Ring.publish mirror e)
-      events;
+    E.consume (t.cfg.publish_cost * Array.length events);
+    Ring.publish_batch mirror events;
     Prof.region_exit Phase.bridge_wire reg
   end
 
@@ -263,20 +274,15 @@ let rec recv_loop t =
 let window_progress t ~epoch ~upto =
   if epoch <> t.epoch then t.s_dup_acks <- t.s_dup_acks + 1
   else begin
-    let advanced = ref false in
-    Hashtbl.iter
-      (fun _ p -> if (not p.p_acked) && p.p_bseq <= upto then advanced := true)
-      t.pending;
-    if !advanced then begin
-      Hashtbl.filter_map_inplace
-        (fun _ p ->
-          if p.p_bseq <= upto then begin
-            p.p_acked <- true;
-            t.in_flight <- t.in_flight - 1;
-            None
-          end
-          else Some p)
-        t.pending;
+    (* Acks are cumulative and bseqs are issued in order, so the batches
+       this ack covers are exactly a prefix of the queue. *)
+    let unacked = Queue.length t.pending in
+    while
+      (not (Queue.is_empty t.pending)) && (Queue.peek t.pending).p_bseq <= upto
+    do
+      (Queue.pop t.pending).p_acked <- true
+    done;
+    if Queue.length t.pending < unacked then begin
       t.stall_anchor <- E.now_cycles ();
       E.Cond.broadcast_if_waiting t.window_cond
     end
@@ -317,8 +323,7 @@ let create ~local_node ~remote_node ~local ~mirror ?(cfg = default_config)
       epoch = 0;
       next_bseq = 0;
       send_seq = 0;
-      pending = Hashtbl.create 16;
-      in_flight = 0;
+      pending = Queue.create ();
       stall_anchor = 0L;
       window_cond = E.Cond.create "bridge-window";
       detached = false;
@@ -370,8 +375,7 @@ let detach t =
 let abandon t =
   if not t.detached then detach t;
   t.epoch <- t.epoch + 1;
-  Hashtbl.reset t.pending;
-  t.in_flight <- 0
+  Queue.clear t.pending
 
 let reattach t ~mirror ~remote_base =
   if !Trace.enabled then
@@ -384,8 +388,7 @@ let reattach t ~mirror ~remote_base =
   t.send_seq <- remote_base;
   t.r_expected <- 0;
   t.r_next_seq <- remote_base;
-  Hashtbl.reset t.pending;
-  t.in_flight <- 0;
+  Queue.clear t.pending;
   t.detached <- false;
   t.heal_fired <- false;
   t.s_heals <- t.s_heals + 1;
@@ -394,7 +397,14 @@ let reattach t ~mirror ~remote_base =
 
 let detached t = t.detached
 
-let stalled_since t = if t.in_flight = 0 then None else Some t.stall_anchor
+let stalled_since t =
+  if Queue.is_empty t.pending then None else Some t.stall_anchor
+
+let backlog t =
+  let unshipped =
+    match t.local_c with Some c -> Ring.lag_h c | None -> 0
+  in
+  Queue.fold (fun n p -> n + Array.length p.p_events) unshipped t.pending
 
 type stats = {
   batches : int;

@@ -2,15 +2,18 @@
     the remote node, and a go-back-N protocol in between.
 
     The sender drains the local ring in batches (one consumer among the
-    followers, so ring backpressure sees it like any other), flattens
-    each event's shared-memory payload into the event itself, and ships
-    sequenced, checksummed batch frames over a {!Link}. The receiver
-    acknowledges cumulatively on receipt and republishes each in-order
-    batch into the mirror ring, where remote followers consume exactly
-    as local ones do. Out-of-order or duplicate batches are dropped and
-    re-acked; unacked batches are retransmitted on a per-batch timer
-    with exponential backoff, forever — a retransmit is also the probe
-    that detects a healed partition.
+    followers, so ring backpressure sees it like any other). A batch
+    short of [batch_max] lingers for [linger] cycles first, so that a
+    stream of single publishes still ships in multi-event frames. It
+    flattens each event's shared-memory payload into the event itself,
+    and ships sequenced, checksummed batch frames over a {!Link}. The
+    receiver acknowledges cumulatively on receipt and republishes each
+    in-order batch into the mirror ring with one
+    {!Varan_ringbuf.Ring.publish_batch}, where remote followers consume
+    exactly as local ones do. Out-of-order or duplicate batches are
+    dropped and re-acked; unacked batches are retransmitted on a
+    per-batch timer with exponential backoff, forever — a retransmit is
+    also the probe that detects a healed partition.
 
     {b Selective replication} (dMVX): payload bytes are charged to the
     wire only for events the remote variant cannot reproduce locally
@@ -38,6 +41,9 @@ type config = {
   header_bytes : int;  (** fixed per-frame wire overhead *)
   serialize_cost : int;  (** sender cycles per event *)
   publish_cost : int;  (** receiver cycles per republished event *)
+  linger : int;
+      (** cycles a batch short of [batch_max] waits for more events
+          before it ships; keep it below [rto] *)
 }
 
 val default_config : config
@@ -94,6 +100,10 @@ val stalled_since : t -> int64 option
 (** [Some t0] when batches are in flight and no ack has advanced the
     window since [t0] — the watchdog's link-degradation signal. [None]
     when nothing is outstanding or acks are flowing. *)
+
+val backlog : t -> int
+(** Events the bridge holds: unread on the local ring plus shipped but
+    not yet acknowledged. *)
 
 type stats = {
   batches : int;

@@ -108,17 +108,19 @@ let latest_seq t ~idx =
 
 (* Nearest checkpoint at or below [seq] across every variant — the
    time-travel entry point doesn't care whose state it restores, the
-   stream position fully determines it. *)
+   stream position fully determines it. Variants that tie on [cp_seq]
+   go to the lowest index, so the answer is independent of the table's
+   iteration order. *)
 let nearest_any t ~seq =
+  let beats s = function
+    | None -> true
+    | Some b ->
+      s.cp_seq > b.cp_seq || (s.cp_seq = b.cp_seq && s.cp_idx < b.cp_idx)
+  in
   Hashtbl.fold
     (fun _ snaps best ->
       List.fold_left
-        (fun best s ->
-          if s.cp_seq > seq then best
-          else
-            match best with
-            | Some b when b.cp_seq >= s.cp_seq -> best
-            | _ -> Some s)
+        (fun best s -> if s.cp_seq <= seq && beats s best then Some s else best)
         best snaps)
     t.by_variant None
 

@@ -50,7 +50,8 @@ val latest_seq : t -> idx:int -> int option
 val nearest_any : t -> seq:int -> snapshot option
 (** Newest checkpoint at or below [seq] across all variants — the
     time-travel entry point ([varan replay --at]) doesn't care whose
-    state it restores; the stream position fully determines it. *)
+    state it restores; the stream position fully determines it. A tie
+    on position goes to the lowest variant index. *)
 
 val note_restore : t -> delta:int -> unit
 (** Account one restore that replayed [delta] tape events. *)

@@ -228,6 +228,7 @@ type replayer = {
   rstates : rstate array;
   mutable rp_crashes : (int * string) list;
   mutable rp_published : int;
+  mutable rp_stopped : string option;  (* why [read_log] ended early *)
 }
 
 exception Replay_divergence of string
@@ -242,7 +243,15 @@ let replay k ~path variants =
          (fun i v -> { r_idx = i; r_variant = v; r_consumed = 0; r_alive = true })
          variants)
   in
-  let rp = { rp_ring = ring; rstates; rp_crashes = []; rp_published = 0 } in
+  let rp =
+    {
+      rp_ring = ring;
+      rstates;
+      rp_crashes = [];
+      rp_published = 0;
+      rp_stopped = None;
+    }
+  in
   (* Consumers must register before the publisher starts; handles are
      resolved once, not per consume. *)
   let consumers = Array.map (fun _ -> Ring.subscribe ring) rstates in
@@ -272,7 +281,8 @@ let replay k ~path variants =
             frame, as it ended the recording. Replay events carry results
             inline regardless of size: the shared-memory pool is not
             reconstructed on replay. *)
-         let events, _stopped = read_log (Buffer.to_bytes contents) in
+         let events, stopped = read_log (Buffer.to_bytes contents) in
+         rp.rp_stopped <- stopped;
          let events = Array.of_list events in
          (* Publish in runs of up to 64: one gate check and one consumer
             wakeup per batch; per-event publish cost is still charged. *)
@@ -342,6 +352,7 @@ let replayed_events rp =
 let replay_ring rp = rp.rp_ring
 
 let replay_crashes rp = List.rev rp.rp_crashes
+let replay_stopped rp = rp.rp_stopped
 
 (* ------------------------------------------------------------------ *)
 (* Scribe baseline                                                     *)

@@ -95,6 +95,12 @@ val replay_crashes : replayer -> (int * string) list
 (** Replay clients that diverged from the log or crashed — the
     "which versions are susceptible to this crash" use case. *)
 
+val replay_stopped : replayer -> string option
+(** Why the log ended before its end ({!read_log}'s reason), once the
+    replay leader has read it; [None] for a whole log. A torn or corrupt
+    log replays its whole-frame prefix, so a replay that stopped early
+    is a shorter run, and this says so. *)
+
 (** {1 The Scribe baseline} *)
 
 val scribe_api :

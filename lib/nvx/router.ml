@@ -91,12 +91,14 @@ let set_healthy t s up =
 (* Eagerly move every sticky assignment off degraded shards (route does
    it lazily per connection; the shard layer calls this when a watchdog
    declares a shard down so the move shows up in stats at once). Returns
-   the number of connections moved. *)
+   the number of connections moved. They move in connection order, not
+   in the table's. *)
 let rebalance t =
   let stale =
     Hashtbl.fold
       (fun conn s acc -> if t.healthy.(s) then acc else conn :: acc)
       t.assign []
+    |> List.sort compare
   in
   List.iter (fun conn -> ignore (route t ~conn)) stale;
   List.length stale

@@ -368,7 +368,9 @@ let stats t =
     gate_recomputes = t.n_gate_recomputes;
   }
 
+let capacity t = Array.length t.slots
 let wait_activity t = Cond.wait t.activity
+let wait_publish t = Cond.wait t.not_empty
 let wait_activity_timeout t cycles = Cond.wait_timeout t.activity cycles
 
 let poke t =

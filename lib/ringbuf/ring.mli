@@ -93,6 +93,9 @@ val unread_h : 'a consumer -> 'a list
 val published : 'a t -> int
 (** Total events ever published. *)
 
+val capacity : 'a t -> int
+(** Slots in the ring: the most events a consumer can fall behind. *)
+
 val wait_activity_timeout : 'a t -> int -> bool
 (** [wait_activity_timeout t cycles] waits for activity for at most the
     given budget; [false] on timeout. The adaptive-spin phase of the
@@ -102,6 +105,10 @@ val wait_activity : 'a t -> unit
 (** Block until something happens on the ring — a publish, a consume or a
     {!poke}. Used by follower threads waiting for a sibling to take the
     head event, and by the failover path. *)
+
+val wait_publish : 'a t -> unit
+(** Block until the next publish or {!poke}. Unlike {!wait_activity},
+    a consume does not wake it. The ring bridge's sender parks here. *)
 
 val poke : 'a t -> unit
 (** Wake everyone blocked on the ring (publishers, consumers,

@@ -769,6 +769,37 @@ let test_time_travel_retention_edges () =
         (List.length tt.RR.tt_delta)
     | Error e -> Alcotest.failf "in-window checkpoint must serve: %s" e))
 
+(* Two variants checkpointed at the same stream position: time travel
+   restores the lower-indexed one's, whatever order the store keeps
+   them in. *)
+let test_nearest_any_tie_breaks_by_index () =
+  let k = K.create ~seed:1 (E.create ()) in
+  let fds = K.snapshot_fds (K.new_proc k "p") in
+  let snap idx seq =
+    {
+      CK.cp_idx = idx;
+      cp_seq = seq;
+      cp_clock = seq;
+      cp_fds = fds;
+      cp_state = Bytes.of_string (string_of_int idx);
+    }
+  in
+  let pick order ~seq =
+    let store = CK.create () in
+    List.iter (fun (idx, s) -> CK.store store (snap idx s)) order;
+    match CK.nearest_any store ~seq with
+    | Some s -> (s.CK.cp_idx, s.CK.cp_seq)
+    | None -> Alcotest.fail "no checkpoint found"
+  in
+  let snaps = [ (6, 40); (1, 40); (3, 40); (2, 40); (4, 60) ] in
+  List.iter
+    (fun order ->
+      Alcotest.(check (pair int int)) "lowest index at the newest position"
+        (1, 40) (pick order ~seq:50);
+      Alcotest.(check (pair int int)) "a newer position wins outright"
+        (4, 60) (pick order ~seq:60))
+    [ snaps; List.rev snaps ]
+
 (* The 200-seed checkpoint property sweep (satellite 1): random lifecycle
    cases with random checkpoint intervals and kill points; every seed
    must pass the full lifecycle verdicts (settled followers end on the
@@ -1228,6 +1259,57 @@ let test_link_dup_and_reorder () =
   Alcotest.(check (list int)) "one-slot swap, then the duplicate"
     [ 2; 1; 3; 3 ] (List.rev !got)
 
+(* Single publishes, 2,000 cycles apart, through a default-config
+   bridge: the sender's linger coalesces them into multi-event frames,
+   and the events it holds (unshipped plus unacknowledged) stay within
+   [batch_max * (window + 1)]. The backlog only grows at a publish, so
+   sampling it right after each one sees its maximum. *)
+let test_bridge_coalesces_single_publishes () =
+  let eng = E.create () in
+  let local_node = Node.create ~eng "a" in
+  let remote_node = Node.create ~eng "b" in
+  let local = Ring.create ~size:256 "local" in
+  let mirror = Ring.create ~size:256 "mirror" in
+  let bridge =
+    Bridge.create ~local_node ~remote_node ~local ~mirror ~materialize:Fun.id
+      ~discard:ignore
+      ~must_replicate:(fun _ -> true)
+      ()
+  in
+  let n = 500 in
+  let h = Ring.subscribe mirror in
+  let received = ref [] and worst = ref 0 in
+  ignore
+    (E.spawn eng (fun () ->
+         for _ = 1 to n do
+           received := (Ring.consume_h h).Varan_ringbuf.Event.ret :: !received
+         done));
+  ignore
+    (E.spawn eng (fun () ->
+         for i = 1 to n do
+           Ring.publish local (Varan_ringbuf.Event.make ~clock:i ~ret:i 39);
+           worst := max !worst (Bridge.backlog bridge);
+           E.sleep 2_000
+         done));
+  E.run_until_quiescent eng;
+  Alcotest.(check (list int)) "every event arrives, in order"
+    (List.init n (fun i -> i + 1))
+    (List.rev !received);
+  let s = Bridge.stats bridge in
+  let cfg = Bridge.default_config in
+  Alcotest.(check int) "every event forwarded" n s.Bridge.events_forwarded;
+  Alcotest.(check bool)
+    (Printf.sprintf "frames carry more than one event (%d frames)"
+       s.Bridge.batches)
+    true
+    (s.Bridge.batches * 2 <= n);
+  Alcotest.(check bool)
+    (Printf.sprintf "backlog bounded (peak %d)" !worst)
+    true
+    (!worst <= cfg.Bridge.batch_max * (cfg.Bridge.window + 1));
+  Alcotest.(check int) "nothing retransmitted" 0 s.Bridge.retransmits;
+  Alcotest.(check int) "nothing held at the end" 0 (Bridge.backlog bridge)
+
 (* The tentpole invariant end to end: a partition longer than
    [unreachable_after] parks the remote follower [Unreachable] — no
    restart budget burned, the leader's gate freed by the bridge detach —
@@ -1334,7 +1416,7 @@ let test_net_sweep () =
   let kinds = Hashtbl.create 8 in
   let healed = ref 0 in
   sweep
-    ~fingerprint:"ddd29484a3ee225074956664b6bc7741"
+    ~fingerprint:"b007a07029c483f2daef5713a8da3de3"
     ~flags:(fun _ -> "--net ")
     ~base:base_seed ~cases:net_sweep_cases H.gen_net_case
     (fun case out ->
@@ -1505,6 +1587,8 @@ let () =
             test_zero_checkpoint_full_replay;
           Alcotest.test_case "time-travel retention edges" `Quick
             test_time_travel_retention_edges;
+          Alcotest.test_case "time-travel tie breaks by variant index"
+            `Quick test_nearest_any_tie_breaks_by_index;
           Alcotest.test_case "200-seed checkpoint sweep" `Slow
             test_checkpoint_sweep;
         ] );
@@ -1541,6 +1625,8 @@ let () =
             test_link_partition_window;
           Alcotest.test_case "duplicate and one-slot reorder" `Quick
             test_link_dup_and_reorder;
+          Alcotest.test_case "bridge coalesces single publishes" `Quick
+            test_bridge_coalesces_single_publishes;
           Alcotest.test_case "partition parks unreachable then rejoins" `Quick
             test_net_partition_unreachable_then_rejoin;
           Alcotest.test_case "partition across the retention floor" `Quick

@@ -312,6 +312,61 @@ let test_replay_divergent_version_detected () =
   Alcotest.(check int) "divergence reported" 1
     (List.length (RR.replay_crashes rp))
 
+(* A log torn inside its second frame replays the first frame and says
+   where it stopped; the whole log replays every event and says
+   nothing. *)
+let test_replay_reports_torn_log () =
+  let reads = 300 in
+  let program api =
+    let ok = Result.get_ok in
+    let fd = ok (Api.openf api "/dev/urandom" Varan_kernel.Flags.o_rdonly) in
+    for _ = 1 to reads do
+      ignore (ok (Api.read api fd 1))
+    done;
+    ignore (ok (Api.close api fd))
+  in
+  let eng = E.create () in
+  let k = K.create eng in
+  Varan_kernel.Vfs.add_file k "/var/.keep" "";
+  let session = Nvx.launch k [ Variant.make "orig" (Variant.single program) ] in
+  let recorder = RR.record session k ~tuple:0 ~path:"/var/log.bin" in
+  E.run_until_quiescent eng;
+  ignore (E.spawn eng (fun () -> RR.stop recorder));
+  E.run_until_quiescent eng;
+  let log =
+    match Varan_kernel.Vfs.read_file k "/var/log.bin" with
+    | Some log -> log
+    | None -> Alcotest.fail "log missing"
+  in
+  let recorded = RR.recorded_events recorder in
+  Alcotest.(check bool) "the log spans two frames" true (recorded > 256);
+  let replay log =
+    let eng = E.create () in
+    let k = K.create ~seed:777 eng in
+    Varan_kernel.Vfs.add_file k "/var/log.bin" log;
+    let rp =
+      RR.replay k ~path:"/var/log.bin"
+        [ Variant.make "r" (Variant.single program) ]
+    in
+    E.run_until_quiescent eng;
+    rp
+  in
+  let whole = replay log in
+  Alcotest.(check (option string)) "a whole log stops nowhere" None
+    (RR.replay_stopped whole);
+  Alcotest.(check int) "a whole log replays every event" recorded
+    (RR.replayed_events whole);
+  let torn = replay (String.sub log 0 (String.length log - 10)) in
+  (match RR.replay_stopped torn with
+  | Some reason ->
+    Alcotest.(check bool)
+      (Printf.sprintf "the reason names the frame (%s)" reason)
+      true
+      (String.starts_with ~prefix:"frame at " reason)
+  | None -> Alcotest.fail "a torn log must report why it stopped");
+  Alcotest.(check int) "a torn log replays its whole first frame" 256
+    (RR.replayed_events torn)
+
 let test_scribe_slower_than_native () =
   let native = Driver.run tiny_redis Driver.Native in
   let scribe = Driver.run tiny_redis Driver.Scribe in
@@ -529,6 +584,8 @@ let () =
             test_record_then_replay_roundtrip;
           Alcotest.test_case "divergent version detected" `Quick
             test_replay_divergent_version_detected;
+          Alcotest.test_case "torn log reports where it stopped" `Quick
+            test_replay_reports_torn_log;
           Alcotest.test_case "scribe slower" `Quick test_scribe_slower_than_native;
         ] );
       ( "spec",

@@ -13,7 +13,6 @@ type config = {
   header_bytes : int;
   serialize_cost : int;
   publish_cost : int;
-  linger : int;
 }
 
 let default_config =
@@ -25,8 +24,11 @@ let default_config =
     header_bytes = 32;
     serialize_cost = 80;
     publish_cost = 120;
-    linger = 16_000;
   }
+
+(* The most cycles a batch short of [batch_max] waits for more events:
+   16,000 at the default [rto], and below [rto] whatever it is set to. *)
+let linger cfg = cfg.rto * 4 / 5
 
 type frame =
   | Data of {
@@ -157,7 +159,8 @@ let arm_retransmit t (p : pending) =
 
 let ship_batch t evs =
   let reg = Prof.region_enter () in
-  let evs = Array.of_list (List.map t.materialize evs) in
+  let evs = Array.of_list evs in
+  Array.map_inplace t.materialize evs;
   let n = Array.length evs in
   E.consume (t.cfg.serialize_cost * n);
   let bytes, saved = frame_bytes t evs in
@@ -185,14 +188,24 @@ let ship_batch t evs =
 
 let superseded t my_epoch = t.detached || t.epoch <> my_epoch
 
+(* Wait, until [deadline], for the sender's lag to reach [full]: every
+   publish wakes the wait, so a batch that fills ships at once. A detach
+   pokes the ring, which ends it early too. *)
+let rec gather t my_epoch c ~full ~deadline =
+  let left = Int64.to_int (Int64.sub deadline (E.now_cycles ())) in
+  if left > 0 && (not (superseded t my_epoch)) && Ring.lag_h c < full then
+    if Ring.wait_publish_timeout t.local left then
+      gather t my_epoch c ~full ~deadline
+
 (* The sender: one task per epoch. It exits when detached or superseded
    by a newer epoch; [detach] pokes the ring and the window cond so a
    parked sender re-checks and leaves before touching its dead handle.
    It parks on publishes only: a local follower's consume changes
-   nothing it could ship. A batch that is not yet full lingers once for
-   [linger] cycles so the events behind it share its frame, its ack and
-   its timers; a full one (or one holding the whole ring, which gates
-   the leader) ships at once. *)
+   nothing it could ship. A batch short of [batch_max] lingers up to
+   [linger cfg] cycles so the events behind it share its frame, its ack
+   and its timers. It ships as soon as it is full, or holds the whole ring
+   (which gates the leader), whether that happens before the linger or
+   during it. *)
 let rec sender_loop t my_epoch c =
   if superseded t my_epoch then ()
   else if Queue.length t.pending >= t.cfg.window then begin
@@ -204,13 +217,13 @@ let rec sender_loop t my_epoch c =
     sender_loop t my_epoch c
   end
   else begin
-    let lag = Ring.lag_h c in
-    if lag = 0 then Ring.wait_publish t.local
+    if Ring.lag_h c = 0 then Ring.wait_publish t.local
     else begin
       (* Acks only shrink the window, so it still has room after the
          linger; a detach may have unsubscribed [c] during it. *)
-      if lag < min t.cfg.batch_max (Ring.capacity t.local) then
-        E.sleep t.cfg.linger;
+      let full = min t.cfg.batch_max (Ring.capacity t.local) in
+      gather t my_epoch c ~full
+        ~deadline:(Int64.add (E.now_cycles ()) (Int64.of_int (linger t.cfg)));
       if not (superseded t my_epoch) then
         ship_batch t (Ring.try_consume_batch_h c ~max:t.cfg.batch_max)
     end;

@@ -3,7 +3,8 @@
 
     The sender drains the local ring in batches (one consumer among the
     followers, so ring backpressure sees it like any other). A batch
-    short of [batch_max] lingers for [linger] cycles first, so that a
+    short of [batch_max] lingers first, until it fills (or holds the
+    whole ring) or for at most four fifths of [rto] cycles, so that a
     stream of single publishes still ships in multi-event frames. It
     flattens each event's shared-memory payload into the event itself,
     and ships sequenced, checksummed batch frames over a {!Link}. The
@@ -41,9 +42,6 @@ type config = {
   header_bytes : int;  (** fixed per-frame wire overhead *)
   serialize_cost : int;  (** sender cycles per event *)
   publish_cost : int;  (** receiver cycles per republished event *)
-  linger : int;
-      (** cycles a batch short of [batch_max] waits for more events
-          before it ships; keep it below [rto] *)
 }
 
 val default_config : config

@@ -91,14 +91,14 @@ let set_healthy t s up =
 (* Eagerly move every sticky assignment off degraded shards (route does
    it lazily per connection; the shard layer calls this when a watchdog
    declares a shard down so the move shows up in stats at once). Returns
-   the number of connections moved. They move in connection order, not
-   in the table's. *)
+   the number of connections moved. The fold's order does not matter:
+   [route] re-homes a connection from the connection and the shard
+   health alone, so any order gives the same assignments and counts. *)
 let rebalance t =
   let stale =
     Hashtbl.fold
       (fun conn s acc -> if t.healthy.(s) then acc else conn :: acc)
       t.assign []
-    |> List.sort compare
   in
   List.iter (fun conn -> ignore (route t ~conn)) stale;
   List.length stale

@@ -371,6 +371,7 @@ let stats t =
 let capacity t = Array.length t.slots
 let wait_activity t = Cond.wait t.activity
 let wait_publish t = Cond.wait t.not_empty
+let wait_publish_timeout t cycles = Cond.wait_timeout t.not_empty cycles
 let wait_activity_timeout t cycles = Cond.wait_timeout t.activity cycles
 
 let poke t =

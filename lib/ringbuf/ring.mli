@@ -110,6 +110,10 @@ val wait_publish : 'a t -> unit
 (** Block until the next publish or {!poke}. Unlike {!wait_activity},
     a consume does not wake it. The ring bridge's sender parks here. *)
 
+val wait_publish_timeout : 'a t -> int -> bool
+(** {!wait_publish} for at most the given cycles; [false] on timeout.
+    The ring bridge's sender waits here while a batch fills. *)
+
 val poke : 'a t -> unit
 (** Wake everyone blocked on the ring (publishers, consumers,
     {!wait_activity} waiters and listeners) so they can re-examine

@@ -1310,6 +1310,52 @@ let test_bridge_coalesces_single_publishes () =
   Alcotest.(check int) "nothing retransmitted" 0 s.Bridge.retransmits;
   Alcotest.(check int) "nothing held at the end" 0 (Bridge.backlog bridge)
 
+(* A leader that outruns the linger on a ring smaller than [batch_max]:
+   the ring fills while the sender lingers, and the sender must ship it
+   then rather than hold the gated leader until the linger ends. Each
+   frame carries a whole ring, and the publisher finishes within one
+   linger ([rto] bounds it) of its own publishing time, where sleeping
+   out a linger per frame would add eight of them. *)
+let test_bridge_full_ring_ships_mid_linger () =
+  let eng = E.create () in
+  let local_node = Node.create ~eng "a" in
+  let remote_node = Node.create ~eng "b" in
+  let local = Ring.create ~size:8 "local" in
+  let mirror = Ring.create ~size:8 "mirror" in
+  let bridge =
+    Bridge.create ~local_node ~remote_node ~local ~mirror ~materialize:Fun.id
+      ~discard:ignore
+      ~must_replicate:(fun _ -> true)
+      ()
+  in
+  let n = 64 and spacing = 200 in
+  let h = Ring.subscribe mirror in
+  let received = ref [] and finished = ref 0L in
+  ignore
+    (E.spawn eng (fun () ->
+         for _ = 1 to n do
+           received := (Ring.consume_h h).Varan_ringbuf.Event.ret :: !received
+         done));
+  ignore
+    (E.spawn eng (fun () ->
+         for i = 1 to n do
+           Ring.publish local (Varan_ringbuf.Event.make ~clock:i ~ret:i 39);
+           E.sleep spacing
+         done;
+         finished := E.now_cycles ()));
+  E.run_until_quiescent eng;
+  Alcotest.(check (list int)) "every event arrives, in order"
+    (List.init n (fun i -> i + 1))
+    (List.rev !received);
+  let s = Bridge.stats bridge in
+  Alcotest.(check int) "each frame carries the whole ring" (n / 8)
+    s.Bridge.batches;
+  Alcotest.(check bool)
+    (Printf.sprintf "the leader is not held for a linger (done at %Ld)"
+       !finished)
+    true
+    (Int64.to_int !finished < (n * spacing) + Bridge.default_config.Bridge.rto)
+
 (* The tentpole invariant end to end: a partition longer than
    [unreachable_after] parks the remote follower [Unreachable] — no
    restart budget burned, the leader's gate freed by the bridge detach —
@@ -1416,7 +1462,7 @@ let test_net_sweep () =
   let kinds = Hashtbl.create 8 in
   let healed = ref 0 in
   sweep
-    ~fingerprint:"b007a07029c483f2daef5713a8da3de3"
+    ~fingerprint:"41fc9b3c238dc9a1bf27c8bb1c52fee9"
     ~flags:(fun _ -> "--net ")
     ~base:base_seed ~cases:net_sweep_cases H.gen_net_case
     (fun case out ->
@@ -1627,6 +1673,8 @@ let () =
             test_link_dup_and_reorder;
           Alcotest.test_case "bridge coalesces single publishes" `Quick
             test_bridge_coalesces_single_publishes;
+          Alcotest.test_case "bridge ships a ring that fills mid-linger" `Quick
+            test_bridge_full_ring_ships_mid_linger;
           Alcotest.test_case "partition parks unreachable then rejoins" `Quick
             test_net_partition_unreachable_then_rejoin;
           Alcotest.test_case "partition across the retention floor" `Quick

@@ -98,88 +98,116 @@ let loop_with_syscall ~iterations =
       I.Hlt;
     ]
 
-(* Random programs: draw every instruction as a proto first, so forward
-   branches can name instruction indices before byte addresses exist. *)
-type proto =
-  | P_plain of I.t
-  | P_branch of [ `Je | `Jne | `Jl | `Jg ] * int (* absolute target index *)
+(* Random programs: every instruction is drawn and encoded in one pass
+   straight into the image, with nothing allocated per instruction.
+   Branches only jump forward, at most [max_span] instructions, so a
+   branch is written with a zero displacement and patched once its
+   target's address is known; at most [max_span] wait at a time. *)
+let max_span = 10
+
+(* The longest encoding [random_program] draws ([Mov_imm]). *)
+let max_insn_len = 5
 
 let random_program rng ~size ~syscall_share =
   let n = max 4 size in
+  (* [Prng.float rng 1.0] is [bits53 / 2^53]: compare the draw itself
+     against the scaled thresholds, so no float is boxed per draw. *)
+  let scale = 9007199254740992.0 in
+  let syscall_cut = syscall_share *. scale in
+  let branch_cut = (syscall_share +. 0.05) *. scale in
+  let buf = ref (Bytes.create ((3 * (n + 1)) + max_insn_len)) in
+  let pos = ref 0 in
+  (* Waiting branches: opcode offset, kind (0-3: je, jne, jl, jg) and
+     target instruction index. *)
+  let br_ofs = Array.make max_span 0 in
+  let br_kind = Array.make max_span 0 in
+  let br_target = Array.make max_span 0 in
+  let waiting = ref 0 in
+  (* Instruction [j] starts at [!pos]: patch every branch aiming at it
+     (or, for the final [Hlt], past it). *)
+  let land_at j =
+    let k = ref 0 in
+    for i = 0 to !waiting - 1 do
+      if br_target.(i) <= j then begin
+        let at = br_ofs.(i) in
+        let rel = !pos - (at + 2) in
+        let rel = if rel < -128 || rel > 127 then 0 else rel in
+        ignore
+          (match br_kind.(i) with
+          | 0 -> I.Emit.je !buf at rel
+          | 1 -> I.Emit.jne !buf at rel
+          | 2 -> I.Emit.jl !buf at rel
+          | _ -> I.Emit.jg !buf at rel)
+      end
+      else begin
+        br_ofs.(!k) <- br_ofs.(i);
+        br_kind.(!k) <- br_kind.(i);
+        br_target.(!k) <- br_target.(i);
+        incr k
+      end
+    done;
+    waiting := !k
+  in
+  let reserve () =
+    if !pos + max_insn_len > Bytes.length !buf then begin
+      let b = Bytes.create (2 * Bytes.length !buf) in
+      Bytes.blit !buf 0 b 0 !pos;
+      buf := b
+    end
+  in
+  (* Syscall number must be valid-ish: precede every program with a mov
+     (instruction 0, so drawn instruction [idx] is instruction [idx + 1]). *)
+  pos := I.Emit.mov_imm !buf 0 0 1;
   (* Real code places syscall instructions inside libc wrappers with
      straight-line result-handling around them; branch targets directly
      after a syscall (which force the INT fallback) are rare. Model this
      by suppressing branches for a few instructions after each syscall. *)
   let cooldown = ref 0 in
-  let protos =
-    Array.init n (fun idx ->
-        let roll = Prng.float rng 1.0 in
-        if !cooldown > 0 then decr cooldown;
-        if roll < syscall_share then begin
-          cooldown := 3;
-          P_plain I.Syscall
-        end
-        else if roll < syscall_share +. 0.05 && idx + 2 < n && !cooldown = 0
-        then begin
-          (* Forward-only branch: always makes progress, so the program
-             terminates on every path. Keep the span small enough for
-             rel8 in the original encoding. *)
-          let span = 1 + Prng.int rng (min 10 (n - idx - 2)) in
-          let kind =
-            match Prng.int rng 4 with
-            | 0 -> `Je
-            | 1 -> `Jne
-            | 2 -> `Jl
-            | _ -> `Jg
-          in
-          P_branch (kind, idx + 1 + span)
-        end
-        else
-          let r1 = Prng.int rng 8 and r2 = Prng.int rng 8 in
-          match Prng.int rng 10 with
-          | 0 -> P_plain (I.Mov_imm (r1, Int32.of_int (Prng.int rng 1000)))
-          | 1 -> P_plain (I.Add (r1, r2))
-          | 2 -> P_plain (I.Add_imm (r1, Prng.int_in rng (-5) 5))
-          | 3 -> P_plain (I.Cmp (r1, r2))
-          | 4 -> P_plain (I.Mov (r1, r2))
-          | 5 -> P_plain (I.Xor (r1, r2))
-          | 6 -> P_plain (I.Test (r1, r2))
-          | 7 -> P_plain (I.Inc r1)
-          | 8 -> P_plain (I.Dec r1)
-          | _ -> P_plain I.Nop)
-  in
-  (* Syscall number must be valid-ish: precede every program with a mov. *)
-  let protos = Array.append [| P_plain (I.Mov_imm (0, 1l)) |] protos in
-  let n = Array.length protos in
-  (* Byte address of every proto index (a branch encodes as rel8, 2
-     bytes); a target index past the last proto lands on the final [Hlt]. *)
-  let addrs = Array.make (n + 1) 0 in
-  for i = 0 to n - 1 do
+  for idx = 0 to n - 1 do
+    if !waiting > 0 then land_at (idx + 1);
+    reserve ();
+    let b = !buf and at = !pos in
+    let roll = float_of_int (Prng.bits53 rng) in
+    if !cooldown > 0 then decr cooldown;
     let len =
-      match protos.(i) with P_plain insn -> I.length insn | P_branch _ -> 2
+      if roll < syscall_cut then begin
+        cooldown := 3;
+        I.Emit.syscall b at
+      end
+      else if roll < branch_cut && idx + 2 < n && !cooldown = 0 then begin
+        (* Forward-only branch: always makes progress, so the program
+           terminates on every path. Keep the span small enough for
+           rel8 in the original encoding. *)
+        let span = 1 + Prng.int rng (min max_span (n - idx - 2)) in
+        br_ofs.(!waiting) <- at;
+        br_kind.(!waiting) <- Prng.int rng 4;
+        br_target.(!waiting) <- idx + 1 + span;
+        incr waiting;
+        2
+      end
+      else begin
+        let r1 = Prng.int rng 8 in
+        let r2 = Prng.int rng 8 in
+        match Prng.int rng 10 with
+        | 0 -> I.Emit.mov_imm b at r1 (Prng.int rng 1000)
+        | 1 -> I.Emit.add b at r1 r2
+        | 2 -> I.Emit.add_imm b at r1 (Prng.int_in rng (-5) 5)
+        | 3 -> I.Emit.cmp b at r1 r2
+        | 4 -> I.Emit.mov b at r1 r2
+        | 5 -> I.Emit.xor b at r1 r2
+        | 6 -> I.Emit.test b at r1 r2
+        | 7 -> I.Emit.inc b at r1
+        | 8 -> I.Emit.dec b at r1
+        | _ -> I.Emit.nop b at
+      end
     in
-    addrs.(i + 1) <- addrs.(i) + len
+    pos := at + len
   done;
-  (* Encode straight into the image, no instruction list. *)
-  let buf = Bytes.create (addrs.(n) + I.length I.Hlt) in
-  Array.iteri
-    (fun i p ->
-      let insn =
-        match p with
-        | P_plain insn -> insn
-        | P_branch (kind, target_idx) -> (
-          let rel = addrs.(min target_idx n) - (addrs.(i) + 2) in
-          let rel = if rel < -128 || rel > 127 then 0 else rel in
-          match kind with
-          | `Je -> I.Je rel
-          | `Jne -> I.Jne rel
-          | `Jl -> I.Jl rel
-          | `Jg -> I.Jg rel)
-      in
-      ignore (I.encode_into buf addrs.(i) insn))
-    protos;
-  ignore (I.encode_into buf addrs.(n) I.Hlt);
-  buf
+  (* A target past the last drawn instruction lands on the final [Hlt]. *)
+  land_at max_int;
+  reserve ();
+  pos := !pos + I.Emit.hlt !buf !pos;
+  Bytes.sub !buf 0 !pos
 
 let profile_image rng ~code_bytes ~syscall_share =
   let approx_insns = max 8 (code_bytes / 3) in

@@ -29,7 +29,9 @@ let create ?(capacity = 64) () =
     cached_bytes = 0;
   }
 
-let image_key code = version ^ ":" ^ Digest.to_hex (Digest.bytes code)
+type key = string
+
+let key code = version ^ ":" ^ Digest.to_hex (Digest.bytes code)
 
 let evict_one t =
   match Queue.take_opt t.order with
@@ -42,8 +44,7 @@ let evict_one t =
       t.cached_bytes <- t.cached_bytes - Bytes.length en.e_reloc.Rewriter.rt_code;
       t.evictions <- t.evictions + 1)
 
-let prepare t ?(first_site_id = 0) code =
-  let key = image_key code in
+let prepare t ?(first_site_id = 0) ~key code =
   match Hashtbl.find_opt t.table key with
   | Some en ->
     t.hits <- t.hits + 1;
@@ -60,10 +61,10 @@ let prepare t ?(first_site_id = 0) code =
     t.cached_bytes <- t.cached_bytes + Bytes.length rt.Rewriter.rt_code;
     Rewriter.rebase rt ~first_site_id
 
-let prepare_segment t ?first_site_id seg =
+let prepare_segment t ?first_site_id ~key seg =
   let out = ref None in
   Image.with_writable seg (fun data ->
-      let r = prepare t ?first_site_id data in
+      let r = prepare t ?first_site_id ~key data in
       out := Some r;
       r.Rewriter.code);
   match !out with

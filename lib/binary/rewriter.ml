@@ -27,24 +27,18 @@ type relocatable = {
 
 let jmp_len = 5
 
-(* Gather the relocation window starting at the syscall: the syscall itself
-   plus following instructions until at least [jmp_len] bytes are covered.
-   Returns [None] when detouring is unsafe: a successor is a branch target,
-   is undecodable data, or the window runs off the buffer. *)
-let collect_window code scan addr =
-  let len = Bytes.length code in
-  let rec go acc covered a =
-    if covered >= jmp_len then Some (List.rev acc, covered)
-    else if a >= len then None
-    else if D.is_target scan a then None
-    else
-      match I.decode code a with
-      | None -> None
-      | Some (insn, ilen) -> go ((a, insn) :: acc) (covered + ilen) (a + ilen)
-  in
-  match I.decode code addr with
-  | Some (I.Syscall, 1) -> go [ (addr, I.Syscall) ] 1 (addr + 1)
-  | _ -> None
+(* The end of the relocation window starting at the syscall at [addr]:
+   the syscall itself plus following instructions until at least
+   [jmp_len] bytes are covered, read through the scanner. [-1] when
+   detouring is unsafe: a successor is a branch target, is undecodable
+   data, or the window runs off the buffer. *)
+let rec window_end code scan addr a =
+  if a - addr >= jmp_len then a
+  else if a >= Bytes.length code || D.is_target scan a then -1
+  else
+    match I.length_at code a with
+    | 0 -> -1
+    | ilen -> window_end code scan addr (a + ilen)
 
 let rewrite_relocatable code0 =
   let orig_len = Bytes.length code0 in
@@ -121,21 +115,25 @@ let rewrite_relocatable code0 =
   Array.iter
     (fun addr ->
       if addr > !covered_until then begin
-        match collect_window code0 scan addr with
-        | None ->
+        match window_end code0 scan addr (addr + 1) with
+        | -1 ->
           let _ = new_site addr Trap in
           incr trap_count;
           Bytes.set patched addr '\xCC'
-        | Some (window, wlen) ->
-          let window_end = addr + wlen in
+        | window_end ->
           let stub_addr = here () in
-          (match window with
-          | (a0, I.Syscall) :: rest ->
-            let s = new_site a0 Jump in
-            incr jump_count;
-            Codegen.stubs_emit_hook stubs ~rel_id:s.rel_id;
-            List.iter emit_relocated rest
-          | _ -> assert false);
+          let s = new_site addr Jump in
+          incr jump_count;
+          Codegen.stubs_emit_hook stubs ~rel_id:s.rel_id;
+          (* Only the few instructions a detour moves are decoded. *)
+          let a = ref (addr + 1) in
+          while !a < window_end do
+            match I.decode code0 !a with
+            | Some (insn, ilen) ->
+              emit_relocated (!a, insn);
+              a := !a + ilen
+            | None -> assert false
+          done;
           emit_jmp32_to window_end;
           patch_jump addr stub_addr window_end;
           covered_until := window_end - 1

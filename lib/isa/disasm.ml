@@ -14,23 +14,26 @@ let sweep buf =
 
 type scan = { targets : Bytes.t; syscalls : int array }
 
+(* One pass through the scanner: no instruction value, no closure, and
+   nothing allocated per instruction but a cons per syscall. *)
 let scan buf =
   let len = Bytes.length buf in
   let targets = Bytes.make len '\000' in
-  let rec go addr syscalls =
-    if addr >= len then syscalls
-    else
-      match Insn.decode buf addr with
-      | None -> go (addr + 1) syscalls
-      | Some (Insn.Syscall, ilen) -> go (addr + ilen) (addr :: syscalls)
-      | Some (insn, ilen) ->
-        (match Insn.branch_target ~at:addr insn with
-        | Some t when t >= 0 && t < len -> Bytes.unsafe_set targets t '\001'
-        | _ -> ());
-        go (addr + ilen) syscalls
-  in
-  let syscalls = Array.of_list (List.rev (go 0 [])) in
-  { targets; syscalls }
+  let syscalls = ref [] in
+  let addr = ref 0 in
+  while !addr < len do
+    let a = !addr in
+    match Insn.length_at buf a with
+    | 0 -> addr := a + 1
+    | ilen ->
+      if Insn.is_syscall_at buf a then syscalls := a :: !syscalls
+      else begin
+        let t = Insn.branch_target_at buf a in
+        if t >= 0 && t < len then Bytes.unsafe_set targets t '\001'
+      end;
+      addr := a + ilen
+  done;
+  { targets; syscalls = Array.of_list (List.rev !syscalls) }
 
 let is_target s addr =
   addr >= 0

@@ -60,9 +60,69 @@ val encode_into : Bytes.t -> int -> t -> int
 (** [encode_into buf ofs insn] writes the encoding and returns the number
     of bytes written. *)
 
+(** {1 Encoding without an instruction value}
+
+    [Emit.x buf ofs operands] writes the instruction [X operands] at
+    [ofs] exactly as {!encode_into} does and returns its length;
+    {!encode_into} is built on these. A generator writing a whole image
+    calls them directly, so it builds no {!t} per instruction.
+    Immediates and displacements are plain ints: a [rel8] or [imm8]
+    keeps its low 8 bits, an [imm32] or [rel32] its low 32. *)
+module Emit : sig
+  val nop : Bytes.t -> int -> int
+  val syscall : Bytes.t -> int -> int
+  val int3 : Bytes.t -> int -> int
+  val int : Bytes.t -> int -> int -> int
+  val hook : Bytes.t -> int -> int -> int
+  val mov_imm : Bytes.t -> int -> reg -> int -> int
+  val mov : Bytes.t -> int -> reg -> reg -> int
+  val add : Bytes.t -> int -> reg -> reg -> int
+  val sub : Bytes.t -> int -> reg -> reg -> int
+  val xor : Bytes.t -> int -> reg -> reg -> int
+  val cmp : Bytes.t -> int -> reg -> reg -> int
+  val test : Bytes.t -> int -> reg -> reg -> int
+  val inc : Bytes.t -> int -> reg -> int
+  val dec : Bytes.t -> int -> reg -> int
+  val add_imm : Bytes.t -> int -> reg -> int -> int
+  val jmp : Bytes.t -> int -> int -> int
+  val jmp_short : Bytes.t -> int -> int -> int
+  val je : Bytes.t -> int -> int -> int
+  val jne : Bytes.t -> int -> int -> int
+  val jl : Bytes.t -> int -> int -> int
+  val jg : Bytes.t -> int -> int -> int
+  val call : Bytes.t -> int -> int -> int
+  val ret : Bytes.t -> int -> int
+  val push : Bytes.t -> int -> reg -> int
+  val pop : Bytes.t -> int -> reg -> int
+  val load : Bytes.t -> int -> reg -> reg -> int
+  val store : Bytes.t -> int -> reg -> reg -> int
+  val hlt : Bytes.t -> int -> int
+end
+
+(** {1 Scanning}
+
+    What a linear sweep needs, read straight off the bytes: these
+    allocate nothing and build no {!t}. {!decode} shares
+    {!length_at}'s validity check. *)
+
+val length_at : Bytes.t -> int -> int
+(** [length_at buf ofs] is the length of the instruction encoded at
+    [ofs], or [0] for an invalid opcode, a truncated encoding or an
+    offset outside the buffer. *)
+
+val is_syscall_at : Bytes.t -> int -> bool
+(** Whether the instruction at [ofs] is a [Syscall]. *)
+
+val branch_target_at : Bytes.t -> int -> int
+(** [branch_target_at buf ofs] is the absolute address the branch
+    encoded at [ofs] jumps or calls to ({!branch_target} of its decoded
+    form), or [-1] when the instruction there is not a branch. Either
+    way a result outside [\[0, Bytes.length buf)] addresses no byte of
+    the buffer. Requires [length_at buf ofs > 0]. *)
+
 val decode : Bytes.t -> int -> (t * int) option
 (** [decode buf ofs] decodes one instruction, returning it and its length,
-    or [None] for an invalid opcode or a truncated encoding. *)
+    or [None] exactly where {!length_at} is [0]. *)
 
 val is_branch : t -> bool
 (** Instructions with a relative displacement. *)

@@ -210,12 +210,21 @@ let release_ofile k ofile =
     | K_epoll _ -> ()
   end
 
+(* Exit and kill release every descriptor in ascending fd order, as
+   Linux's close_files walks the fd table: the FINs a dying process's
+   sockets send then follow its fd numbers, not the hash table's
+   layout. *)
+let release_all_fds k proc =
+  Hashtbl.fold (fun fd entry acc -> (fd, entry) :: acc) proc.fds []
+  |> List.sort (fun (a, _) (b, _) -> compare a b)
+  |> List.iter (fun (_, entry) -> release_ofile k entry.fde_ofile);
+  Hashtbl.reset proc.fds
+
 let kill_proc k proc signo =
   if not proc.exited then begin
     proc.exited <- true;
     proc.exit_code <- 128 + signo;
-    Hashtbl.iter (fun _ entry -> release_ofile k entry.fde_ofile) proc.fds;
-    Hashtbl.reset proc.fds;
+    release_all_fds k proc;
     (match proc.parent with
     | Some parent -> Cond.broadcast parent.exit_cond
     | None -> ());
@@ -1295,8 +1304,7 @@ let exec k proc sysno (args : Args.t) : Args.result =
       let code = Args.int_arg args 0 in
       proc.exited <- true;
       proc.exit_code <- code;
-      Hashtbl.iter (fun _ e -> release_ofile k e.fde_ofile) proc.fds;
-      Hashtbl.reset proc.fds;
+      release_all_fds k proc;
       (match proc.parent with
       | Some parent -> Cond.broadcast parent.exit_cond
       | None -> ());

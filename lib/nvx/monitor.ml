@@ -91,9 +91,13 @@ let fresh_vstats () =
    first variant to map a profile generates it, and every later variant,
    replica and respawned incarnation forks the same bytes. It sits beside
    the rewrite cache and lives exactly as long as the zygote owning both;
-   the bytes are only ever read, since the rewrite works on a copy. *)
+   the bytes are only ever read, since the rewrite works on a copy, so
+   the content key hashed when the image is generated stays its key and
+   no launch hashes it again. *)
+type pristine_image = { code : Bytes.t; key : Rewrite_cache.key }
+
 type pristine = {
-  images : (Variant.code_profile, Bytes.t) Hashtbl.t;
+  images : (Variant.code_profile, pristine_image) Hashtbl.t;
   mutable generations : int;
 }
 
@@ -101,15 +105,16 @@ let pristine_create () = { images = Hashtbl.create 4; generations = 0 }
 
 let pristine_text store (p : Variant.code_profile) =
   match Hashtbl.find_opt store.images p with
-  | Some code -> code
+  | Some img -> img
   | None ->
     let code =
       Codegen.profile_image (Prng.create p.code_seed) ~code_bytes:p.code_bytes
         ~syscall_share:p.syscall_share
     in
-    Hashtbl.replace store.images p code;
+    let img = { code; key = Rewrite_cache.key code } in
+    Hashtbl.replace store.images p img;
     store.generations <- store.generations + 1;
-    code
+    img
 
 type vstate = {
   idx : int;

@@ -19,8 +19,7 @@ module Event = Varan_ringbuf.Event
    may hold fewer, so a log has one spelling per event sequence. *)
 let frame_events = 256
 
-let frame events =
-  let img = Tape.image events in
+let frame_image img =
   let n = Bytes.length img in
   if n > 0xffff_ffff then invalid_arg "Record_replay: frame image over 4 GiB";
   let b = Bytes.create (4 + n) in
@@ -28,18 +27,15 @@ let frame events =
   Bytes.blit img 0 b 4 n;
   b
 
+let frame events = frame_image (Tape.image events)
+
 (* Bridge a lifecycle catch-up tape into the log: a degraded session's
    retained stream becomes an ordinary replay log from which fresh
-   followers can later be provisioned. *)
+   followers can later be provisioned. A tape segment holds
+   [frame_events] events and retires whole, so each retained segment's
+   image is one frame, taken as the tape stores it. *)
 let serialize_tape tape =
-  let len = Tape.length tape in
-  let rec frames i =
-    if i >= len then []
-    else
-      let n = min frame_events (len - i) in
-      frame (Array.init n (fun j -> Tape.get tape (i + j))) :: frames (i + n)
-  in
-  Bytes.concat Bytes.empty (frames (Tape.base tape))
+  Bytes.concat Bytes.empty (List.map frame_image (Tape.images tape))
 
 (* A crashed recorder or a truncated file leaves a torn last frame, and a
    corrupt one holds bytes no writer produced: either ends decoding at

@@ -25,14 +25,15 @@ let materialize_payload = Monitor.materialize_payload
 let prepare_image t vst =
   let t0 = Unix.gettimeofday () in
   let reg = Prof.region_enter () in
-  let code = pristine_text t.pristine vst.variant.Variant.profile in
+  let img = pristine_text t.pristine vst.variant.Variant.profile in
   let seg =
     Image.make_segment ~name:(vst.variant.Variant.v_name ^ ".text") ~base:0
-      ~perm:Image.rx code
+      ~perm:Image.rx img.code
   in
   let first_site_id = t.next_site_id in
   let _sites, stats =
-    Rewrite_cache.prepare_segment t.rewrite_cache ~first_site_id seg
+    Rewrite_cache.prepare_segment t.rewrite_cache ~first_site_id ~key:img.key
+      seg
   in
   t.next_site_id <- first_site_id + stats.Rewriter.total_syscalls;
   vst.rewrite <- Some stats;
@@ -568,6 +569,7 @@ let tuple_tape (t : t) tu =
   if tu < Array.length t.tapes then Some t.tapes.(tu) else None
 
 let checkpoint_store (t : t) = t.checkpoints
-let pristine_image (t : t) profile = Hashtbl.find_opt t.pristine.images profile
+let pristine_image (t : t) profile =
+  Option.map (fun img -> img.code) (Hashtbl.find_opt t.pristine.images profile)
 let flight (t : t) = t.fl
 let bundle_counters = Recovery.bundle_counters

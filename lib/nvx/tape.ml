@@ -491,6 +491,17 @@ let retire t ~keep_from =
   done;
   if keep_seg * entries_per_segment > t.base then t.base <- keep_seg * entries_per_segment
 
+(* A sealed segment's packed bytes are the {!image} of its events: the
+   grants ride beside them, and its first entry's clock step is from 0,
+   as in an image. The open segment's buffer packs the same way. *)
+let images t =
+  let open_img = if t.open_len = 0 then [] else [ pack t.open_raw t.open_pos ] in
+  let rec sealed segno acc =
+    if segno * entries_per_segment < t.base then acc
+    else sealed (segno - 1) ((Hashtbl.find t.sealed segno).s_packed :: acc)
+  in
+  sealed ((t.open_first / entries_per_segment) - 1) open_img
+
 let resident_bytes t = t.c_packed_bytes + t.open_pos
 
 let stats t =

@@ -80,6 +80,13 @@ val of_image : Bytes.t -> (Varan_ringbuf.Event.t array, string) result
     that is over-long or wider than 63 bits, an out length past the end,
     a bad kind code — never an exception or a phantom event. *)
 
+val images : t -> Bytes.t list
+(** The {!image} of each retained segment, oldest first: the images of
+    events [\[base, length)] in runs of 256, since a segment holds 256
+    events and {!retire} drops whole ones. A sealed segment's image is
+    its stored bytes, shared and not to be modified; only the open
+    segment, if it holds events, is packed afresh. Nothing is decoded. *)
+
 val resident_bytes : t -> int
 (** Bytes currently held: packed sealed segments plus the open
     segment's encoded bytes. Bounded by retention, not by stream

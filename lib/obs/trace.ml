@@ -133,13 +133,15 @@ let write_chrome_json ?(cycles_per_us = 3500.0) path =
   sep ();
   output_string oc
     "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"tid\":0,\"args\":{\"name\":\"engine\"}}";
-  Hashtbl.iter
-    (fun scope pid ->
-      sep ();
-      Printf.fprintf oc
-        "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":%d,\"tid\":0,\"args\":{\"name\":\"%s\"}}"
-        pid (json_escape scope))
-    pids;
+  (* In pid order, not the table's, so the export depends on the scopes
+     registered and nothing else. *)
+  Hashtbl.fold (fun scope pid acc -> (pid, scope) :: acc) pids []
+  |> List.sort compare
+  |> List.iter (fun (pid, scope) ->
+         sep ();
+         Printf.fprintf oc
+           "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":%d,\"tid\":0,\"args\":{\"name\":\"%s\"}}"
+           pid (json_escape scope));
   (match !buf with
   | None -> ()
   | Some b ->

@@ -1,19 +1,27 @@
-type t = { mutable state : int64 }
+(* The SplitMix64 state lives in an 8-byte buffer, not in a mutable
+   [int64] field: a store to such a field boxes a fresh [int64], so
+   every draw would allocate. Reading and writing the buffer keeps the
+   state unboxed, and [next_int64] is inlined into the draws below so
+   its result never boxes either. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let create seed = { state = Int64.of_int seed }
+let of_state s =
+  let g = Bytes.create 8 in
+  Bytes.set_int64_ne g 0 s;
+  g
 
-let next_int64 g =
-  g.state <- Int64.add g.state golden_gamma;
-  let z = g.state in
+let create seed = of_state (Int64.of_int seed)
+
+let[@inline] next_int64 g =
+  let z = Int64.add (Bytes.get_int64_ne g 0) golden_gamma in
+  Bytes.set_int64_ne g 0 z;
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let split g =
-  let s = next_int64 g in
-  { state = s }
+let split g = of_state (next_int64 g)
 
 let int g bound =
   assert (bound > 0);
@@ -25,10 +33,11 @@ let int_in g lo hi =
   assert (lo <= hi);
   lo + int g (hi - lo + 1)
 
+let bits53 g = Int64.to_int (Int64.shift_right_logical (next_int64 g) 11)
+
 let float g bound =
-  let r = Int64.to_float (Int64.shift_right_logical (next_int64 g) 11) in
   (* 53 random bits scaled into [0,1) *)
-  r /. 9007199254740992.0 *. bound
+  float_of_int (bits53 g) /. 9007199254740992.0 *. bound
 
 let bool g = Int64.logand (next_int64 g) 1L = 1L
 

@@ -6,7 +6,9 @@
     quality, a tiny state and supports cheap stream splitting. *)
 
 type t
-(** A mutable generator. Generators are cheap; split rather than share. *)
+(** A mutable generator. Generators are cheap; split rather than share.
+    A draw allocates nothing but a result that is itself boxed
+    ([int64], [float]). *)
 
 val create : int -> t
 (** [create seed] makes a fresh generator from a seed. Distinct seeds give
@@ -28,6 +30,13 @@ val int_in : t -> int -> int -> int
 
 val float : t -> float -> float
 (** [float g bound] is uniform in [\[0, bound)]. *)
+
+val bits53 : t -> int
+(** The next draw's top 53 bits, uniform in [\[0, 2{^53})]. {!float}
+    scales exactly this draw: [float g b] is
+    [float_of_int (bits53 g) /. 2{^53} *. b]. A caller that only
+    compares the draw against thresholds can scale it itself and so
+    keep the float unboxed. *)
 
 val bool : t -> bool
 (** Fair coin. *)

@@ -405,12 +405,15 @@ let prop_sites_cover_all_syscalls =
 
 (* --- rewrite cache --------------------------------------------------- *)
 
+let prepare cache ?first_site_id code =
+  RC.prepare cache ?first_site_id ~key:(RC.key code) code
+
 let test_cache_rebase_identity () =
   let code = Codegen.straightline ~syscall_numbers:[ 1; 2; 3 ] in
   let cache = RC.create () in
   let cold = R.rewrite ~first_site_id:40 code in
-  ignore (RC.prepare cache code);
-  let hit = RC.prepare cache ~first_site_id:40 code in
+  ignore (prepare cache code);
+  let hit = prepare cache ~first_site_id:40 code in
   Alcotest.(check bool) "identical code" true (Bytes.equal cold.R.code hit.R.code);
   Alcotest.(check bool) "identical sites" true (cold.R.sites = hit.R.sites);
   Alcotest.(check bool) "identical stats" true (cold.R.stats = hit.R.stats);
@@ -437,13 +440,13 @@ let test_cache_eviction () =
       (fun n -> Codegen.straightline ~syscall_numbers:[ n ])
       [ 1; 2; 3 ]
   in
-  List.iter (fun c -> ignore (RC.prepare cache c)) imgs;
+  List.iter (fun c -> ignore (prepare cache c)) imgs;
   let s = RC.stats cache in
   Alcotest.(check int) "entries capped" 2 s.RC.entries;
   Alcotest.(check int) "one eviction" 1 s.RC.evictions;
   (* The evicted (oldest) image must miss again; the resident ones hit. *)
-  ignore (RC.prepare cache (List.hd imgs));
-  ignore (RC.prepare cache (List.nth imgs 2));
+  ignore (prepare cache (List.hd imgs));
+  ignore (prepare cache (List.nth imgs 2));
   let s = RC.stats cache in
   Alcotest.(check int) "evictee re-misses" 4 s.RC.misses;
   Alcotest.(check int) "resident hits" 1 s.RC.hits
@@ -459,8 +462,8 @@ let prop_cache_rebase_equals_cold =
       let code = Codegen.random_program rng ~size:60 ~syscall_share:0.25 in
       let cold = R.rewrite ~first_site_id code in
       let cache = RC.create () in
-      ignore (RC.prepare cache code);
-      let hit = RC.prepare cache ~first_site_id code in
+      ignore (prepare cache code);
+      let hit = prepare cache ~first_site_id code in
       let trap_addrs r =
         List.filter_map
           (fun s ->

@@ -603,6 +603,81 @@ let test_exit_group_kills_process () =
   Alcotest.(check bool) "code after exit not reached" false !after;
   Alcotest.(check bool) "proc marked exited" false (K.proc_alive proc)
 
+(* A dying process releases its descriptors in ascending fd order, so
+   the FINs its sockets send follow its fd numbers, whatever order the
+   sockets were opened and connected in. Each connection carries the
+   dying side's fd number, and the peer notes it when the FIN arrives;
+   every peer is parked on its FIN before the process dies. *)
+let fin_order ~reopen ~kill =
+  let eng = E.create () in
+  let k = K.create eng in
+  let server = K.new_proc k "server" and dying = K.new_proc k "dying" in
+  let n = 6 in
+  let fins = ref [] and socks = ref [] in
+  ignore
+    (E.spawn eng ~name:"server" (fun () ->
+         let api = Api.direct k server in
+         let lfd = ok_int (Api.socket api) in
+         ok_unit (Api.bind api lfd 7171);
+         ok_unit (Api.listen api lfd);
+         for _ = 1 to n do
+           let cfd = ok_int (Api.accept api lfd) in
+           ignore
+             (E.spawn_here ~name:"peer" (fun () ->
+                  let tag = Bytes.to_string (ok_bytes (Api.recv api cfd 16)) in
+                  let eof = ok_bytes (Api.recv api cfd 16) in
+                  if Bytes.length eof = 0 then
+                    fins := int_of_string tag :: !fins))
+         done));
+  let tid =
+    E.spawn eng ~name:"dying" (fun () ->
+        let api = Api.direct k dying in
+        E.consume 1_000;
+        let fds = Array.init n (fun _ -> ok_int (Api.socket api)) in
+        if reopen then
+          (* Close every other socket and open it again, so the table
+             holds the sockets in another insertion order; connect
+             them last to first. *)
+          Array.iteri
+            (fun i fd ->
+              if i land 1 = 1 then begin
+                ignore (ok_int (Api.close api fd));
+                fds.(i) <- ok_int (Api.socket api)
+              end)
+            fds;
+        let order = List.init n (fun i -> if reopen then n - 1 - i else i) in
+        List.iter
+          (fun i ->
+            ok_unit (Api.connect api fds.(i) 7171);
+            let tag = Bytes.of_string (string_of_int fds.(i)) in
+            ignore (ok_int (Api.send api fds.(i) tag)))
+          order;
+        socks := Array.to_list fds;
+        E.sleep 100_000;
+        if not kill then ignore (Api.exit_group api 0);
+        E.sleep 10_000_000)
+  in
+  K.register_task k dying tid;
+  if kill then
+    ignore
+      (E.spawn eng ~name:"killer" (fun () ->
+           E.sleep 1_000_000;
+           K.kill_proc k dying 9));
+  E.run eng;
+  Alcotest.(check int) "every peer saw its FIN" n (List.length !fins);
+  (List.sort compare !socks, List.rev !fins)
+
+let test_exit_fins_in_fd_order () =
+  List.iter
+    (fun (reopen, kill) ->
+      let fds, fins = fin_order ~reopen ~kill in
+      Alcotest.(check (list int))
+        (Printf.sprintf "%s, %s: FINs in fd order"
+           (if reopen then "reopened, connected last to first" else "in order")
+           (if kill then "killed" else "exited"))
+        fds fins)
+    [ (false, false); (true, false); (false, true); (true, true) ]
+
 let test_dup2_and_getdents () =
   in_proc (fun _k api ->
       let fd = ok_int (Api.openf api "/dev/null" Flags.o_rdonly) in
@@ -953,6 +1028,8 @@ let () =
           Alcotest.test_case "fork shares descriptions" `Quick
             test_fork_proc_shares_descriptions;
           Alcotest.test_case "exit_group" `Quick test_exit_group_kills_process;
+          Alcotest.test_case "exit sends FINs in fd order" `Quick
+            test_exit_fins_in_fd_order;
           Alcotest.test_case "dup2/getdents" `Quick test_dup2_and_getdents;
           Alcotest.test_case "shutdown write half" `Quick
             test_shutdown_write_half;

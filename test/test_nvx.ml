@@ -1230,6 +1230,41 @@ let test_serialize_tape_golden () =
   Alcotest.(check string) "log digest" "3850113ae9611d915563eb5475f1c090"
     (Digest.to_hex (Digest.bytes log))
 
+(* serialize_tape frames each sealed segment's stored image as it is
+   and packs only the open segment. Its log must equal the one built by
+   decoding every retained event and imaging each run of 256 afresh,
+   past retired prefixes and with the open segment empty, partial or
+   full. *)
+let test_serialize_tape_matches_reimage () =
+  let reimaged tape =
+    let len = Tape.length tape in
+    let rec frames i =
+      if i >= len then []
+      else
+        let n = min 256 (len - i) in
+        let img = Tape.image (Array.init n (fun j -> Tape.get tape (i + j))) in
+        let hdr = Bytes.create 4 in
+        Bytes.set_int32_le hdr 0 (Int32.of_int (Bytes.length img));
+        hdr :: img :: frames (i + n)
+    in
+    Bytes.concat Bytes.empty (frames (Tape.base tape))
+  in
+  List.iter
+    (fun (n, keep_from) ->
+      let tape = Tape.create () in
+      fill_tape tape n;
+      Tape.retire tape ~keep_from;
+      let log = RR.serialize_tape tape in
+      Alcotest.(check bool)
+        (Printf.sprintf "%d events, kept from %d: the log re-imaging gives" n
+           keep_from)
+        true
+        (Bytes.equal log (reimaged tape)))
+    [
+      (0, 0); (3, 0); (256, 0); (257, 0); (700, 300); (768, 512);
+      (769, 600); (1000, 1000); (1300, 700);
+    ]
+
 (* Retirement truncates exactly at a segment boundary: keep_from rounds
    down to the segment start, never mid-segment; reads below the new
    base fail with [Truncated]; the window never re-grows. *)
@@ -1813,6 +1848,8 @@ let () =
             test_serialize_tape_roundtrip;
           Alcotest.test_case "serialize_tape log bytes are pinned" `Quick
             test_serialize_tape_golden;
+          Alcotest.test_case "serialize_tape frames stored images" `Quick
+            test_serialize_tape_matches_reimage;
           Alcotest.test_case "log keeps wide fields" `Quick
             test_log_keeps_wide_fields;
           QCheck_alcotest.to_alcotest prop_read_log_rejects_or_roundtrips;

@@ -1248,6 +1248,32 @@ let test_again_outside_timer () =
     (Invalid_argument "Engine.again: outside a timer callback") (fun () ->
       E.again 5)
 
+(* The Chrome export names each scope's track group in pid order,
+   whatever order the scope table holds them in. *)
+let test_trace_process_names_in_pid_order () =
+  let module Trace = Varan_obs.Trace in
+  Trace.reset ();
+  Trace.configure ~capacity:16 ();
+  for i = 1 to 24 do
+    ignore (Trace.pid_of_scope (Printf.sprintf "scope-%d" (i * 7919 mod 97)))
+  done;
+  let path = Filename.temp_file "varan-trace" ".json" in
+  Trace.write_chrome_json path;
+  Trace.reset ();
+  let ic = open_in path in
+  let prefix = "{\"name\":\"process_name\"" in
+  let rec pids acc =
+    match input_line ic with
+    | exception End_of_file -> List.rev acc
+    | l when String.starts_with ~prefix l ->
+      pids (Scanf.sscanf l "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":%d" Fun.id :: acc)
+    | _ -> pids acc
+  in
+  let got = pids [] in
+  close_in ic;
+  Sys.remove path;
+  Alcotest.(check (list int)) "engine, then scopes by pid" (List.init 25 Fun.id) got
+
 let () =
   Alcotest.run "varan_sim"
     [
@@ -1330,6 +1356,11 @@ let () =
             test_timers_match_sleeper_tasks;
           Alcotest.test_case "again outside a callback" `Quick
             test_again_outside_timer;
+        ] );
+      ( "trace",
+        [
+          Alcotest.test_case "process names in pid order" `Quick
+            test_trace_process_names_in_pid_order;
         ] );
       ( "contract",
         [

@@ -30,6 +30,70 @@ let test_prng_split_independent () =
   Alcotest.(check bool) "split streams differ" false
     (Prng.next_int64 g1 = Prng.next_int64 g2)
 
+(* The first outputs of each draw, pinned for a few seeds: the SplitMix64
+   stream itself, not just two generators agreeing with each other. Seed
+   0's first [next_int64] is SplitMix64's published 0xE220A8397B1DCDAF.
+   Each row: seed, three [next_int64], three [int _ 1000], two
+   [float _ 1.0], eight [bool] as 0/1, two [exponential _ 10.0], and a
+   [split]'s first output with the parent's next one after it. Every
+   column draws from a fresh [create seed]. *)
+let prng_golden =
+  [
+    ( 0,
+      [ -2152535657050944081L; 7960286522194355700L; 487617019471545679L ],
+      [ 823; 796; 679 ],
+      [ 0x1.c4415072f63b9p-1; 0x1.b9e279aa86e58p-2 ],
+      "10101010",
+      [ 0x1.3da3db16a4528p+0; 0x1.0cef7164b212p+3 ],
+      (-6411193824288604561L, 7960286522194355700L) );
+    ( 1,
+      [ -7995527694508729151L; -4689498862643123097L; -534904783426661026L ],
+      [ 657; 711; 878 ],
+      [ 0x1.22145bd91204bp-1; 0x1.7dd71b42cb1ddp-1 ],
+      "11011011",
+      [ 0x1.6ba0e4803387fp+2; 0x1.7773d796b4144p+1 ],
+      (6791897765849424158L, -4689498862643123097L) );
+    ( -1,
+      [ -1956407806741107680L; -1612297016619662647L; 4048727598324417001L ],
+      [ 224; 257; 1 ],
+      [ 0x1.c9b2e2ee36ca5p-1; 0x1.d33ff0cfb7edp-1 ],
+      "01100110",
+      [ 0x1.1f029b7730bdfp+0; 0x1.d44755e7241f8p-1 ],
+      (6755974106381971767L, -1612297016619662647L) );
+    ( 424242,
+      [ -4010013233811074325L; -4948147101084267366L; 3817912305944005771L ],
+      [ 579; 442; 771 ],
+      [ 0x1.90b3246b6c26ap-1; 0x1.76a94cdb1efc9p-1 ],
+      "10111011",
+      [ 0x1.39be5b1f2610bp+1; 0x1.8fbf2972f7a63p+1 ],
+      (526600513236330320L, -4948147101084267366L) );
+  ]
+
+let test_prng_golden_vectors () =
+  let open Alcotest in
+  List.iter
+    (fun (seed, i64s, ints, floats, bools, exps, (child, parent)) ->
+      let fresh () = Prng.create seed in
+      let draws n f =
+        let g = fresh () in
+        List.init n (fun _ -> f g)
+      in
+      let name what = Printf.sprintf "seed %d %s" seed what in
+      check (list int64) (name "next_int64") i64s (draws 3 Prng.next_int64);
+      check (list int) (name "int") ints (draws 3 (fun g -> Prng.int g 1000));
+      check (list (float 0.0)) (name "float") floats
+        (draws 2 (fun g -> Prng.float g 1.0));
+      check string (name "bool") bools
+        (String.concat ""
+           (draws 8 (fun g -> if Prng.bool g then "1" else "0")));
+      check (list (float 0.0)) (name "exponential") exps
+        (draws 2 (fun g -> Prng.exponential g 10.0));
+      let g = fresh () in
+      let c = Prng.split g in
+      check int64 (name "split child") child (Prng.next_int64 c);
+      check int64 (name "split parent") parent (Prng.next_int64 g))
+    prng_golden
+
 let prop_prng_int_in_bounds =
   QCheck.Test.make ~name:"Prng.int stays in bounds" ~count:500
     QCheck.(pair (int_bound 10_000) (int_range 1 1000))
@@ -571,6 +635,7 @@ let () =
             test_prng_split_independent;
           Alcotest.test_case "shuffle permutation" `Quick
             test_prng_shuffle_permutation;
+          Alcotest.test_case "golden vectors" `Quick test_prng_golden_vectors;
           QCheck_alcotest.to_alcotest prop_prng_int_in_bounds;
           QCheck_alcotest.to_alcotest prop_prng_int_in_range;
         ] );

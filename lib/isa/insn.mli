@@ -65,37 +65,26 @@ val encode_into : Bytes.t -> int -> t -> int
     [Emit.x buf ofs operands] writes the instruction [X operands] at
     [ofs] exactly as {!encode_into} does and returns its length;
     {!encode_into} is built on these. A generator writing a whole image
-    calls them directly, so it builds no {!t} per instruction.
-    Immediates and displacements are plain ints: a [rel8] or [imm8]
-    keeps its low 8 bits, an [imm32] or [rel32] its low 32. *)
+    calls them directly, so it builds no {!t} per instruction. Only the
+    instructions generators draw are exported. Immediates and
+    displacements are plain ints: a [rel8] or [imm8] keeps its low 8
+    bits, an [imm32] its low 32. *)
 module Emit : sig
   val nop : Bytes.t -> int -> int
   val syscall : Bytes.t -> int -> int
-  val int3 : Bytes.t -> int -> int
-  val int : Bytes.t -> int -> int -> int
-  val hook : Bytes.t -> int -> int -> int
   val mov_imm : Bytes.t -> int -> reg -> int -> int
   val mov : Bytes.t -> int -> reg -> reg -> int
   val add : Bytes.t -> int -> reg -> reg -> int
-  val sub : Bytes.t -> int -> reg -> reg -> int
   val xor : Bytes.t -> int -> reg -> reg -> int
   val cmp : Bytes.t -> int -> reg -> reg -> int
   val test : Bytes.t -> int -> reg -> reg -> int
   val inc : Bytes.t -> int -> reg -> int
   val dec : Bytes.t -> int -> reg -> int
   val add_imm : Bytes.t -> int -> reg -> int -> int
-  val jmp : Bytes.t -> int -> int -> int
-  val jmp_short : Bytes.t -> int -> int -> int
   val je : Bytes.t -> int -> int -> int
   val jne : Bytes.t -> int -> int -> int
   val jl : Bytes.t -> int -> int -> int
   val jg : Bytes.t -> int -> int -> int
-  val call : Bytes.t -> int -> int -> int
-  val ret : Bytes.t -> int -> int
-  val push : Bytes.t -> int -> reg -> int
-  val pop : Bytes.t -> int -> reg -> int
-  val load : Bytes.t -> int -> reg -> reg -> int
-  val store : Bytes.t -> int -> reg -> reg -> int
   val hlt : Bytes.t -> int -> int
 end
 

@@ -111,7 +111,8 @@ let max_insn_len = 5
 let random_program rng ~size ~syscall_share =
   let n = max 4 size in
   (* [Prng.float rng 1.0] is [bits53 / 2^53]: compare the draw itself
-     against the scaled thresholds, so no float is boxed per draw. *)
+     against the thresholds scaled by 2^53, which rounds nothing, so the
+     rolls are those of [Prng.float] and no float is boxed per draw. *)
   let scale = 9007199254740992.0 in
   let syscall_cut = syscall_share *. scale in
   let branch_cut = (syscall_share +. 0.05) *. scale in

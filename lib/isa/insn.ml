@@ -163,7 +163,8 @@ let length_at buf ofs =
   let len = Bytes.length buf in
   if ofs < 0 || ofs >= len then 0
   else
-    let n = Char.code (String.unsafe_get lengths (Char.code (Bytes.unsafe_get buf ofs))) in
+    let op = Char.code (Bytes.unsafe_get buf ofs) in
+    let n = Char.code (String.unsafe_get lengths op) in
     if ofs + n <= len then n else 0
 
 let is_syscall_at buf ofs = Bytes.get buf ofs = '\x05'

@@ -495,7 +495,9 @@ let retire t ~keep_from =
    grants ride beside them, and its first entry's clock step is from 0,
    as in an image. The open segment's buffer packs the same way. *)
 let images t =
-  let open_img = if t.open_len = 0 then [] else [ pack t.open_raw t.open_pos ] in
+  let open_img =
+    if t.open_len = 0 then [] else [ pack t.open_raw t.open_pos ]
+  in
   let rec sealed segno acc =
     if segno * entries_per_segment < t.base then acc
     else sealed (segno - 1) ((Hashtbl.find t.sealed segno).s_packed :: acc)

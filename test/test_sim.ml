@@ -1261,18 +1261,21 @@ let test_trace_process_names_in_pid_order () =
   Trace.write_chrome_json path;
   Trace.reset ();
   let ic = open_in path in
-  let prefix = "{\"name\":\"process_name\"" in
+  let prefix = "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" in
   let rec pids acc =
     match input_line ic with
     | exception End_of_file -> List.rev acc
     | l when String.starts_with ~prefix l ->
-      pids (Scanf.sscanf l "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":%d" Fun.id :: acc)
+      let rest = String.length l - String.length prefix in
+      let pid = String.sub l (String.length prefix) rest in
+      pids (Scanf.sscanf pid "%d" Fun.id :: acc)
     | _ -> pids acc
   in
   let got = pids [] in
   close_in ic;
   Sys.remove path;
-  Alcotest.(check (list int)) "engine, then scopes by pid" (List.init 25 Fun.id) got
+  Alcotest.(check (list int))
+    "engine, then scopes by pid" (List.init 25 Fun.id) got
 
 let () =
   Alcotest.run "varan_sim"

@@ -37,8 +37,12 @@ let stubs_emit_hook sb ~rel_id =
   sb.sb_hooks <- stubs_here sb :: sb.sb_hooks;
   stubs_emit sb (I.Hook rel_id)
 
-let stubs_finish sb =
-  (Buffer.to_bytes sb.sb_buf, Array.of_list (List.rev sb.sb_hooks))
+let stubs_finish sb text =
+  let len = Bytes.length text and stub_len = Buffer.length sb.sb_buf in
+  let code = Bytes.create (len + stub_len) in
+  Bytes.blit text 0 code 0 len;
+  Buffer.blit sb.sb_buf 0 code len stub_len;
+  (code, Array.of_list (List.rev sb.sb_hooks))
 
 let straightline ~syscall_numbers =
   let body =

@@ -34,9 +34,10 @@ val stubs_emit_hook : stubs -> rel_id:int -> unit
 (** Emit a monitor entry point carrying a {e base-relative} site id and
     record its offset in the trampoline table. *)
 
-val stubs_finish : stubs -> Bytes.t * int array
-(** The emitted stub bytes and the trampoline table: offsets of every
-    [Hook] opcode, in emission order (ascending). *)
+val stubs_finish : stubs -> Bytes.t -> Bytes.t * int array
+(** [stubs_finish sb text]: a fresh image of [text] followed by the
+    emitted stubs, and the trampoline table: offsets of every [Hook]
+    opcode, in emission order (ascending). *)
 
 val straightline : syscall_numbers:int list -> Bytes.t
 (** A program that loads each number into R0, issues [Syscall], does a

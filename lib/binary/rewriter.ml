@@ -43,7 +43,11 @@ let rec window_end code scan addr a =
 let rewrite_relocatable code0 =
   let orig_len = Bytes.length code0 in
   let scan = D.scan code0 in
-  let patched = Bytes.copy code0 in
+  (* Per syscall of the scan: the stub its detour jumps to and its
+     window's end; -1 for a trap, -2 when an earlier window moved it.
+     They are written into the final image, so the text is copied once. *)
+  let nsys = Array.length scan.D.syscalls in
+  let stub_of = Array.make nsys (-2) and end_of = Array.make nsys 0 in
   let stubs = Codegen.stubs_create ~base:orig_len in
   let next_site = ref 0 in
   let sites = ref [] in
@@ -104,22 +108,14 @@ let rewrite_relocatable code0 =
       emit insn
   in
 
-  let patch_jump addr stub_addr window_end =
-    let rel = stub_addr - (addr + jmp_len) in
-    ignore (I.encode_into patched addr (I.Jmp (Int32.of_int rel)));
-    for i = addr + jmp_len to window_end - 1 do
-      Bytes.set patched i '\x90'
-    done
-  in
-
-  Array.iter
-    (fun addr ->
+  Array.iteri
+    (fun i addr ->
       if addr > !covered_until then begin
         match window_end code0 scan addr (addr + 1) with
         | -1 ->
           let _ = new_site addr Trap in
           incr trap_count;
-          Bytes.set patched addr '\xCC'
+          stub_of.(i) <- -1
         | window_end ->
           let stub_addr = here () in
           let s = new_site addr Jump in
@@ -135,15 +131,23 @@ let rewrite_relocatable code0 =
             | None -> assert false
           done;
           emit_jmp32_to window_end;
-          patch_jump addr stub_addr window_end;
+          stub_of.(i) <- stub_addr;
+          end_of.(i) <- window_end;
           covered_until := window_end - 1
       end)
     scan.D.syscalls;
 
-  let stub_data, hook_offsets = Codegen.stubs_finish stubs in
-  let code = Bytes.create (orig_len + Bytes.length stub_data) in
-  Bytes.blit patched 0 code 0 orig_len;
-  Bytes.blit stub_data 0 code orig_len (Bytes.length stub_data);
+  let code, hook_offsets = Codegen.stubs_finish stubs code0 in
+  Array.iteri
+    (fun i addr ->
+      match stub_of.(i) with
+      | -2 -> ()
+      | -1 -> Bytes.set code addr '\xCC'
+      | stub_addr ->
+        let rel = stub_addr - (addr + jmp_len) in
+        ignore (I.encode_into code addr (I.Jmp (Int32.of_int rel)));
+        Bytes.fill code (addr + jmp_len) (end_of.(i) - addr - jmp_len) '\x90')
+    scan.D.syscalls;
   let sites = List.sort (fun a b -> compare a.rel_addr b.rel_addr) !sites in
   {
     rt_code = code;
@@ -156,12 +160,13 @@ let rewrite_relocatable code0 =
         jump_sites = !jump_count;
         trap_sites = !trap_count;
         relocated_insns = !relocated;
-        stub_bytes = Bytes.length stub_data;
+        stub_bytes = Bytes.length code - orig_len;
       };
   }
 
-let rebase rt ~first_site_id =
-  let code = Bytes.copy rt.rt_code in
+(* Set absolute ids in [code], [rt]'s image or a copy of it, and shift
+   the site table. *)
+let relocate rt code ~first_site_id =
   if first_site_id <> 0 then
     Array.iter
       (fun ofs ->
@@ -184,8 +189,12 @@ let rebase rt ~first_site_id =
     stats = rt.rt_stats;
   }
 
+let rebase rt ~first_site_id = relocate rt (Bytes.copy rt.rt_code) ~first_site_id
+
+(* A fresh image nobody else holds: ids are set in place. *)
 let rewrite ?(first_site_id = 0) code0 =
-  rebase (rewrite_relocatable code0) ~first_site_id
+  let rt = rewrite_relocatable code0 in
+  relocate rt rt.rt_code ~first_site_id
 
 let rewrite_segment ?first_site_id seg =
   let out = ref None in

@@ -3,8 +3,8 @@
     Used to {e prove} that binary rewriting preserves program semantics:
     tests run the same program before and after rewriting, with the same
     syscall implementation, and compare final register/memory state and
-    the syscall trace. The NVX layer also uses it to execute the rewritten
-    vDSO trampolines.
+    the syscall trace. Nothing in [lib/] runs it: it is the reference
+    the rewriting tests compare against.
 
     Executing [Syscall], [Int3] or [Int _] invokes the [on_syscall] hook —
     the VM equivalent of trapping to a monitor. Executing [Hook site]

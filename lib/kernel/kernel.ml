@@ -50,7 +50,7 @@ let new_proc k ?parent pname =
     {
       pid;
       pname;
-      fds = Hashtbl.create 16;
+      fds = Fdmap.empty;
       cwd = "/";
       brk_addr = 0x0060_0000;
       mmap_next = 0x7f00_0000_0000;
@@ -76,31 +76,33 @@ let register_task _k proc tid = proc.tasks <- tid :: proc.tasks
 let new_ofile k kind =
   let id = k.next_ofile in
   k.next_ofile <- k.next_ofile + 1;
-  { of_id = id; kind; offset = 0; flags = 0; refcount = 1 }
+  (* No reference until an fd takes one. *)
+  { of_id = id; kind; offset = 0; flags = 0; refcount = 0 }
 
-let alloc_fd proc =
-  let rec scan fd = if Hashtbl.mem proc.fds fd then scan (fd + 1) else fd in
-  scan 0
+(* The lowest free fd at or above [min]. *)
+let alloc_fd ?(min = 0) proc =
+  let rec scan fd = if Fdmap.mem fd proc.fds then scan (fd + 1) else fd in
+  scan min
 
-let install_fd_at proc fd ofile =
+let install_fd_at ?(cloexec = false) proc fd ofile =
   ofile.refcount <- ofile.refcount + 1;
-  Hashtbl.replace proc.fds fd { fde_ofile = ofile; fde_cloexec = false }
+  proc.fds <- Fdmap.add fd { fde_ofile = ofile; fde_cloexec = cloexec } proc.fds
 
-let add_fd proc ofile =
-  let fd = alloc_fd proc in
-  Hashtbl.replace proc.fds fd { fde_ofile = ofile; fde_cloexec = false };
+let add_fd ?min proc ofile =
+  let fd = alloc_fd ?min proc in
+  install_fd_at proc fd ofile;
   fd
 
 let fork_proc k parent pname =
   let child = new_proc k ~parent pname in
   child.cwd <- parent.cwd;
   child.umask <- parent.umask;
-  Hashtbl.iter
-    (fun fd entry ->
-      entry.fde_ofile.refcount <- entry.fde_ofile.refcount + 1;
-      Hashtbl.replace child.fds fd
+  child.fds <-
+    Fdmap.map
+      (fun entry ->
+        entry.fde_ofile.refcount <- entry.fde_ofile.refcount + 1;
         { fde_ofile = entry.fde_ofile; fde_cloexec = entry.fde_cloexec })
-    parent.fds;
+      parent.fds;
   child
 
 (* ------------------------------------------------------------------ *)
@@ -115,12 +117,11 @@ let rec ready_read ofile =
   | K_sock ep -> (not (Bytequeue.is_empty ep.ep_rx)) || ep.ep_peer_closed
   | K_listen l -> not (Queue.is_empty l.l_backlog)
   | K_epoll e ->
-    Hashtbl.fold
-      (fun _ w acc ->
-        acc
-        || (w.w_events land Flags.epollin <> 0 && ready_read w.w_ofile)
+    Fdmap.exists
+      (fun _ w ->
+        (w.w_events land Flags.epollin <> 0 && ready_read w.w_ofile)
         || (w.w_events land Flags.epollout <> 0 && ready_write w.w_ofile))
-      e.e_watches false
+      e.e_watches
 
 and ready_write ofile =
   match ofile.kind with
@@ -212,13 +213,10 @@ let release_ofile k ofile =
 
 (* Exit and kill release every descriptor in ascending fd order, as
    Linux's close_files walks the fd table: the FINs a dying process's
-   sockets send then follow its fd numbers, not the hash table's
-   layout. *)
+   sockets send follow its fd numbers. *)
 let release_all_fds k proc =
-  Hashtbl.fold (fun fd entry acc -> (fd, entry) :: acc) proc.fds []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
-  |> List.iter (fun (_, entry) -> release_ofile k entry.fde_ofile);
-  Hashtbl.reset proc.fds
+  Fdmap.iter (fun _ entry -> release_ofile k entry.fde_ofile) proc.fds;
+  proc.fds <- Fdmap.empty
 
 let kill_proc k proc signo =
   if not proc.exited then begin
@@ -235,7 +233,15 @@ let kill_proc k proc signo =
 (* Helpers for the dispatcher                                          *)
 (* ------------------------------------------------------------------ *)
 
-let fd_entry proc fd = Hashtbl.find_opt proc.fds fd
+let fd_entry proc fd = Fdmap.find_opt fd proc.fds
+
+(* Drop whatever [fd] names, if anything, as dup2 does before reusing it. *)
+let close_fd k proc fd =
+  match fd_entry proc fd with
+  | Some old ->
+    proc.fds <- Fdmap.remove fd proc.fds;
+    release_ofile k old.fde_ofile
+  | None -> ()
 
 let with_fd proc fd f =
   match fd_entry proc fd with
@@ -259,11 +265,7 @@ let install_grant k proc g =
     (fun (fd, ofile) ->
       (* A stale descriptor at this number (e.g. a replayed-but-not-
          executed close left it behind) is released first. *)
-      (match fd_entry proc fd with
-      | Some old ->
-        Hashtbl.remove proc.fds fd;
-        release_ofile k old.fde_ofile
-      | None -> ());
+      close_fd k proc fd;
       install_fd_at proc fd ofile)
     g.granted
 
@@ -271,30 +273,23 @@ let install_grant k proc g =
 (* Descriptor-table snapshots (checkpoint/restore)                     *)
 (* ------------------------------------------------------------------ *)
 
-type fd_snapshot = (int * ofile * bool) list
+type fd_snapshot = (ofile * bool) Fdmap.t
 
 (* The entries reference the shared open-file descriptions by identity —
    exactly what a replayed grant would install — so a snapshot restored
    into a fresh process yields the same table a full tape replay would
-   have built. *)
+   have built. Restore releases stale entries in ascending fd order. *)
 let snapshot_fds proc =
-  Hashtbl.fold
-    (fun fd e acc -> (fd, e.fde_ofile, e.fde_cloexec) :: acc)
-    proc.fds []
+  Fdmap.map (fun e -> (e.fde_ofile, e.fde_cloexec)) proc.fds
 
 let restore_fds k proc snap =
-  List.iter
-    (fun (fd, ofile, cloexec) ->
-      (match fd_entry proc fd with
-      | Some old ->
-        Hashtbl.remove proc.fds fd;
-        release_ofile k old.fde_ofile
-      | None -> ());
-      install_fd_at proc fd ofile;
-      (Hashtbl.find proc.fds fd).fde_cloexec <- cloexec)
+  Fdmap.iter
+    (fun fd (ofile, cloexec) ->
+      close_fd k proc fd;
+      install_fd_at ~cloexec proc fd ofile)
     snap
 
-let fd_snapshot_count = List.length
+let fd_snapshot_count = Fdmap.cardinal
 
 (* Simulated-process-local time: based on the calling task's clock. *)
 let task_now_ns k =
@@ -326,7 +321,7 @@ let random_bytes k n =
   b
 
 let proc_alive p = not p.exited
-let fd_count p = Hashtbl.length p.fds
+let fd_count p = Fdmap.cardinal p.fds
 
 let set_nonblock proc fd v =
   match fd_entry proc fd with
@@ -511,12 +506,9 @@ let do_open k proc args =
 
 let do_close k proc args =
   let fd = Args.int_arg args 0 in
-  if fd < 0 then Args.err Errno.EBADF
-  else
-    with_fd proc fd (fun entry ->
-        Hashtbl.remove proc.fds fd;
-        release_ofile k entry.fde_ofile;
-        Args.ok 0)
+  with_fd proc fd (fun _ ->
+      close_fd k proc fd;
+      Args.ok 0)
 
 let do_stat k proc args =
   let path = Args.str_arg args 0 in
@@ -713,28 +705,25 @@ let do_pipe k proc _args =
   Bytes.set_int32_le out 4 (Int32.of_int wfd);
   grant [ (rfd, ro); (wfd, wo) ] (Args.ok_out 0 out)
 
+(* dup and F_DUPFD: the lowest free fd at or above [min]. *)
+let dup_from proc o ~min =
+  let newfd = add_fd ~min proc o in
+  grant [ (newfd, o) ] (Args.ok newfd)
+
 let do_dup _k proc args =
   let fd = Args.int_arg args 0 in
-  with_fd proc fd (fun entry ->
-      let o = entry.fde_ofile in
-      o.refcount <- o.refcount + 1;
-      let newfd = add_fd proc o in
-      grant [ (newfd, o) ] (Args.ok newfd))
+  with_fd proc fd (fun entry -> dup_from proc entry.fde_ofile ~min:0)
 
 let do_dup2 k proc args =
   let fd = Args.int_arg args 0 in
   let newfd = Args.int_arg args 1 in
   with_fd proc fd (fun entry ->
       let o = entry.fde_ofile in
-      if newfd = fd then Args.ok newfd
+      if newfd < 0 then Args.err Errno.EBADF
+      else if newfd = fd then Args.ok newfd
       else begin
-        (match fd_entry proc newfd with
-        | Some old ->
-          Hashtbl.remove proc.fds newfd;
-          release_ofile k old.fde_ofile
-        | None -> ());
-        o.refcount <- o.refcount + 1;
-        Hashtbl.replace proc.fds newfd { fde_ofile = o; fde_cloexec = false };
+        close_fd k proc newfd;
+        install_fd_at proc newfd o;
         grant [ (newfd, o) ] (Args.ok newfd)
       end)
 
@@ -742,7 +731,7 @@ let do_epoll_create k proc _args =
   let e =
     {
       e_id = k.next_ofile;
-      e_watches = Hashtbl.create 16;
+      e_watches = Fdmap.empty;
       e_cond = Cond.create "epoll";
     }
   in
@@ -776,24 +765,24 @@ let do_epoll_ctl _k proc args =
         with_fd proc fd (fun entry ->
             let o = entry.fde_ofile in
             if op = Flags.epoll_ctl_add then begin
-              if Hashtbl.mem e.e_watches fd then Args.err Errno.EEXIST
+              if Fdmap.mem fd e.e_watches then Args.err Errno.EEXIST
               else begin
-                Hashtbl.replace e.e_watches fd
-                  { w_fd = fd; w_ofile = o; w_events = events };
+                e.e_watches <-
+                  Fdmap.add fd { w_ofile = o; w_events = events } e.e_watches;
                 add_watcher e o;
                 Cond.broadcast e.e_cond;
                 Args.ok 0
               end
             end
             else if op = Flags.epoll_ctl_del then begin
-              (match Hashtbl.find_opt e.e_watches fd with
+              (match Fdmap.find_opt fd e.e_watches with
               | Some w -> remove_watcher e w.w_ofile
               | None -> ());
-              Hashtbl.remove e.e_watches fd;
+              e.e_watches <- Fdmap.remove fd e.e_watches;
               Args.ok 0
             end
             else if op = Flags.epoll_ctl_mod then begin
-              match Hashtbl.find_opt e.e_watches fd with
+              match Fdmap.find_opt fd e.e_watches with
               | Some w ->
                 w.w_events <- events;
                 Cond.broadcast e.e_cond;
@@ -820,25 +809,19 @@ let do_epoll_wait k proc args =
   with_fd proc epfd (fun epentry ->
       match epentry.fde_ofile.kind with
       | K_epoll e ->
-        (* The [maxevents] lowest-fd ready watches, sorted by fd (unique
-           per watch, so the masks never break a tie). Every ready watch
-           is collected before the cap, so which ones are reported does
-           not depend on the watch table's iteration order. *)
+        (* The [maxevents] lowest-fd ready watches: the walk goes in fd
+           order and stops at the cap. *)
         let collect () =
-          let ready =
-            Hashtbl.fold
-              (fun fd w acc ->
-                let ev = ref 0 in
-                if w.w_events land Flags.epollin <> 0 && ready_read w.w_ofile
-                then ev := !ev lor Flags.epollin;
-                if w.w_events land Flags.epollout <> 0 && ready_write w.w_ofile
-                then ev := !ev lor Flags.epollout;
-                if !ev <> 0 then (fd, !ev) :: acc else acc)
-              e.e_watches []
-            |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-          in
-          if List.compare_length_with ready maxevents <= 0 then ready
-          else List.filteri (fun i _ -> i < maxevents) ready
+          Fdmap.to_seq e.e_watches
+          |> Seq.filter_map (fun (fd, w) ->
+                 let ev = ref 0 in
+                 if w.w_events land Flags.epollin <> 0 && ready_read w.w_ofile
+                 then ev := !ev lor Flags.epollin;
+                 if w.w_events land Flags.epollout <> 0 && ready_write w.w_ofile
+                 then ev := !ev lor Flags.epollout;
+                 if !ev <> 0 then Some (fd, !ev) else None)
+          |> Seq.take (max 0 maxevents)
+          |> List.of_seq
         in
         let finish ready =
           charge_out k (8 * List.length ready);
@@ -1084,14 +1067,14 @@ let do_wait4 _k proc _args =
     loop ()
   end
 
-let do_getdents k proc args =
+let do_getdents _k proc args =
   let fd = Args.int_arg args 0 in
-  ignore k;
   with_fd proc fd (fun entry ->
       match entry.fde_ofile.kind with
       | K_file (Directory d) ->
         if entry.fde_ofile.offset > 0 then Args.ok_out 0 Bytes.empty
         else begin
+          (* Sorted, so the directory table's order never shows. *)
           let names = Hashtbl.fold (fun name _ acc -> name :: acc) d [] in
           let names = List.sort compare names in
           let payload = String.concat "\000" names in
@@ -1101,7 +1084,7 @@ let do_getdents k proc args =
       | K_file _ -> Args.err Errno.ENOTDIR
       | _ -> Args.err Errno.ENOTDIR)
 
-let do_fcntl k proc args =
+let do_fcntl _k proc args =
   let fd = Args.int_arg args 0 in
   let cmd = Args.int_arg args 1 in
   let arg = if Array.length args > 2 then Args.int_arg args 2 else 0 in
@@ -1118,12 +1101,8 @@ let do_fcntl k proc args =
         entry.fde_cloexec <- arg land Flags.fd_cloexec <> 0;
         Args.ok 0
       end
-      else if cmd = Flags.f_dupfd then begin
-        o.refcount <- o.refcount + 1;
-        let newfd = add_fd proc o in
-        ignore k;
-        grant [ (newfd, o) ] (Args.ok newfd)
-      end
+      else if cmd = Flags.f_dupfd then
+        if arg < 0 then Args.err Errno.EINVAL else dup_from proc o ~min:arg
       else Args.err Errno.EINVAL)
 
 let do_kill k _proc args =

@@ -4,6 +4,10 @@
 
 module Cond = Varan_sim.Engine.Cond
 
+(* Descriptor tables, keyed by fd: every walk goes in ascending fd order,
+   as Linux's fdtable does. *)
+module Fdmap = Map.Make (Int)
+
 type node =
   | Regular of regular
   | Directory of (string, node) Hashtbl.t
@@ -19,11 +23,11 @@ and regular = { mutable content : Bytes.t; mutable size : int }
 
 type epoll = {
   e_id : int;
-  e_watches : (int, watch) Hashtbl.t; (* keyed by fd number *)
+  mutable e_watches : watch Fdmap.t;
   e_cond : Cond.cond;
 }
 
-and watch = { w_fd : int; w_ofile : ofile; mutable w_events : int }
+and watch = { w_ofile : ofile; mutable w_events : int }
 
 and pipe = {
   p_q : Bytequeue.t;
@@ -78,7 +82,7 @@ type sig_disposition = Sig_default | Sig_ignore | Sig_handler of (int -> unit)
 type proc = {
   pid : int;
   pname : string;
-  fds : (int, fd_entry) Hashtbl.t;
+  mutable fds : fd_entry Fdmap.t;
   mutable cwd : string;
   mutable brk_addr : int;
   mutable mmap_next : int;

@@ -131,6 +131,7 @@ let note_restore t ~delta =
 let stats t =
   let blobs = Hashtbl.length t.blobs in
   let bytes =
+    (* A sum: order-free. *)
     Hashtbl.fold (fun _ b acc -> acc + Bytes.length b.b_bytes) t.blobs 0
   in
   {

@@ -719,7 +719,8 @@ let capacities t =
    leave the table when they retire, banking their final lifetime in
    [retired_cycles], so this stays exact while the table holds only
    live work. This is the denominator the cycle-attribution profile is
-   judged against: the phase buckets partition (most of) this quantity. *)
+   judged against: the phase buckets partition (most of) this quantity.
+   A sum, so the table's order does not matter. *)
 let total_task_cycles t =
   Int64.of_int
     (Hashtbl.fold
@@ -952,6 +953,7 @@ let kill_internal t ~at victim_id =
 
 let spawn t ?name body = spawn_internal t ?name ~at:t.global_time body
 
+(* In table order; [run] sorts the names before it raises [Deadlock]. *)
 let blocked_task_names t =
   Hashtbl.fold
     (fun _ task acc ->

@@ -76,14 +76,18 @@ val kill : t -> task_id -> unit
 val is_alive : t -> task_id -> bool
 (** [false] once the task has finished or died. A finished or dead task
     is retired — dropped from the engine's table — so the answer for its
-    id stays [false] for good, and {!kill} on it is a no-op. *)
+    id stays [false] for good, and {!kill} on it is a no-op. Only tests
+    call it: test_sim's "queries on a retired id" and the kill tests pin
+    this contract. *)
 
 val task_name : t -> task_id -> string
 (** The name of a live task; ["?"] for an id that was never spawned or
-    whose task has retired. *)
+    whose task has retired. Only tests call it: "queries on a retired id"
+    pins both answers. *)
 
 val failures : t -> (task_id * exn) list
-(** Tasks that terminated with an uncaught exception, oldest first. *)
+(** Tasks that terminated with an uncaught exception, oldest first. Only
+    tests call it: "failure recorded" pins one entry per failed task. *)
 
 val task_switches : t -> int
 (** Entries dispatched so far — the engine's task-switch count, the
@@ -199,7 +203,9 @@ val spawn_here : ?name:string -> (unit -> unit) -> task_id
     current local time. *)
 
 val kill_here : task_id -> unit
-(** Kill another task from inside a task. *)
+(** Kill another task from inside a task. Only tests call it: the kill
+    tests and the scheduler-model tests pin that the victim unwinds
+    through its [finally] handlers wherever it is queued or blocked. *)
 
 val after_here : int -> (unit -> unit) -> unit
 (** [after_here d f] arms a timer: [f] runs [d] cycles after the
@@ -225,7 +231,10 @@ val again : int -> unit
     @raise Invalid_argument outside a timer callback. *)
 
 val yield : unit -> unit
-(** Requeue at the same time, letting equal-time tasks run. *)
+(** Requeue at the same time, letting equal-time tasks run. Only tests
+    call it: "yield fairness" pins round-robin at equal time, and the
+    scheduler-model tests drive it as the same requeue that {!consume}
+    uses. *)
 
 (** {1 Condition variables} *)
 

@@ -77,6 +77,7 @@ let observations () : observations = Hashtbl.create 8
    the digest that of exactly one complete execution. *)
 let reset (obs : observations) = Hashtbl.reset obs
 
+(* Sorted by path, so the table's order never reaches the digest. *)
 let digest (obs : observations) =
   Hashtbl.fold (fun path buf acc -> (path, Buffer.contents buf) :: acc) obs []
   |> List.sort compare

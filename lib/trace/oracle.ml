@@ -352,6 +352,7 @@ let report t =
         (t.nviolations - violation_cap)
       :: !finals;
   let digests =
+    (* Sorted, so the table's order never reaches the report. *)
     Hashtbl.fold (fun tu ts acc -> (tu, ts.nevents, ts.digest) :: acc) t.tuples []
     |> List.sort compare
   in

@@ -700,6 +700,298 @@ let test_dup2_and_getdents () =
           (Bytes.to_string names)
       | _ -> Alcotest.fail "getdents failed")
 
+let dup2 api fd newfd =
+  let r =
+    api.Api.sys Varan_syscall.Sysno.Dup2
+      [| Varan_syscall.Args.Int fd; Varan_syscall.Args.Int newfd |]
+  in
+  match Varan_syscall.Args.errno_of r with
+  | Some e -> Error e
+  | None -> Ok r.Varan_syscall.Args.ret
+
+(* Which fds are open, probed through F_GETFD. *)
+let open_fds api limit =
+  List.filter
+    (fun fd -> Result.is_ok (Api.fcntl api fd Flags.f_getfd 0))
+    (List.init limit (fun fd -> fd - 8))
+
+(* Linux's dup2 rejects a negative target with EBADF before touching the
+   table. *)
+let test_dup2_negative_target () =
+  in_proc (fun _k api ->
+      let fd = ok_int (Api.openf api "/dev/null" Flags.o_rdonly) in
+      let before = open_fds api 32 in
+      (match dup2 api fd (-5) with
+      | Ok r -> Alcotest.failf "dup2 onto -5 returned %d" r
+      | Error e -> Alcotest.check errno "dup2 onto -5" Errno.EBADF e);
+      Alcotest.(check (list int)) "table unchanged" before (open_fds api 32);
+      Alcotest.(check int) "dup2 onto itself" fd (ok_int (dup2 api fd fd)))
+
+(* F_DUPFD gives the lowest free fd at or above its argument, and EINVAL
+   for a negative one. *)
+let test_f_dupfd_minimum () =
+  in_proc (fun _k api ->
+      let fd = ok_int (Api.openf api "/dev/null" Flags.o_rdonly) in
+      Alcotest.(check int) "lowest free at or above 10" 10
+        (ok_int (Api.fcntl api fd Flags.f_dupfd 10));
+      Alcotest.(check int) "10 is taken: 11" 11
+        (ok_int (Api.fcntl api fd Flags.f_dupfd 10));
+      Alcotest.(check int) "below a taken fd: the gap" 1
+        (ok_int (Api.fcntl api fd Flags.f_dupfd 0));
+      match Api.fcntl api fd Flags.f_dupfd (-1) with
+      | Ok r -> Alcotest.failf "F_DUPFD -1 returned %d" r
+      | Error e -> Alcotest.check errno "negative minimum" Errno.EINVAL e)
+
+(* A model of the descriptor table: random open/socket/close/dup/dup2/
+   F_DUPFD/fork/exit/snapshot/restore sequences run against a sorted
+   association list per process. Each description is tagged through
+   F_SETFL with its model id, so a probe reads back which description
+   every fd names. Each socket is connected to a peer that notes its id
+   when the FIN arrives; with no link latency the peers wake in the order
+   the FINs are sent, so the model predicts that order too: a socket
+   FINs when the last fd naming it in any live process goes, and exit
+   and restore drop fds in ascending fd order. *)
+type fd_op =
+  | M_open
+  | M_socket
+  | M_close of int
+  | M_dup of int
+  | M_dup2 of int * int
+  | M_dupfd of int * int
+  | M_fork
+  | M_exit of bool (* by kill_proc rather than exit_group *)
+  | M_snapshot
+  | M_restore
+
+let show_fd_op = function
+  | M_open -> "open"
+  | M_socket -> "socket"
+  | M_close fd -> Printf.sprintf "close %d" fd
+  | M_dup fd -> Printf.sprintf "dup %d" fd
+  | M_dup2 (fd, n) -> Printf.sprintf "dup2 %d %d" fd n
+  | M_dupfd (fd, m) -> Printf.sprintf "dupfd %d %d" fd m
+  | M_fork -> "fork"
+  | M_exit kill -> if kill then "kill" else "exit"
+  | M_snapshot -> "snapshot"
+  | M_restore -> "restore"
+
+let gen_fd_ops =
+  let open QCheck.Gen in
+  let fd = int_range 0 9 in
+  let op =
+    frequency
+      [
+        (3, return M_open);
+        (3, return M_socket);
+        (3, map (fun f -> M_close f) fd);
+        (2, map (fun f -> M_dup f) fd);
+        (2, map2 (fun f n -> M_dup2 (f, n)) fd (int_range (-3) 12));
+        (2, map2 (fun f m -> M_dupfd (f, m)) fd (int_range (-2) 12));
+        (1, return M_fork);
+        (1, map (fun b -> M_exit b) bool);
+        (1, return M_snapshot);
+        (1, return M_restore);
+      ]
+  in
+  list_size (int_range 1 40) (pair (int_bound 3) op)
+
+type model_proc = { kp : Varan_kernel.Types.proc; mutable tbl : (int * int) list }
+
+let prop_fd_table_model =
+  QCheck.Test.make ~name:"descriptor table == sorted-list model" ~count:200
+    (QCheck.make ~shrink:QCheck.Shrink.list
+       ~print:(fun ops ->
+         String.concat "; "
+           (List.map (fun (p, op) -> Printf.sprintf "p%d:%s" p (show_fd_op op)) ops))
+       gen_fd_ops)
+    (fun ops ->
+      let eng = E.create () in
+      let k = K.create eng in
+      let port = 9100 in
+      let srv = K.new_proc k "srv" in
+      let fins = ref [] in
+      let tid =
+        E.spawn eng ~name:"srv" (fun () ->
+            let api = Api.direct k srv in
+            let lfd = ok_int (Api.socket api) in
+            ok_unit (Api.bind api lfd port);
+            ok_unit (Api.listen api lfd);
+            while true do
+              let cfd = ok_int (Api.accept api lfd) in
+              K.register_task k srv
+                (E.spawn_here ~name:"peer" (fun () ->
+                     let id = Bytes.to_string (ok_bytes (Api.recv api cfd 16)) in
+                     if Bytes.length (ok_bytes (Api.recv api cfd 16)) = 0 then
+                       fins := int_of_string id :: !fins))
+            done)
+      in
+      K.register_task k srv tid;
+      let error = ref None in
+      ignore
+        (E.spawn eng ~name:"driver" (fun () ->
+             let fail fmt =
+               Printf.ksprintf (fun m -> if !error = None then error := Some m) fmt
+             in
+             let procs = ref [] and next_id = ref 0 and socks = ref [] in
+             let finned = ref [] and expected = ref [] and snap = ref None in
+             let settle () = E.sleep 10_000 in
+             let refs id =
+               List.fold_left
+                 (fun n p -> n + List.length (List.filter (fun (_, o) -> o = id) p.tbl))
+                 0 !procs
+             in
+             (* The model's release: a socket FINs when no fd names it. *)
+             let release id =
+               if List.mem id !socks && refs id = 0 && not (List.mem id !finned)
+               then begin
+                 finned := id :: !finned;
+                 expected := id :: !expected
+               end
+             in
+             let remove p fd =
+               match List.assoc_opt fd p.tbl with
+               | Some id ->
+                 p.tbl <- List.remove_assoc fd p.tbl;
+                 release id
+               | None -> ()
+             in
+             let add p fd id =
+               p.tbl <- List.sort compare ((fd, id) :: List.remove_assoc fd p.tbl)
+             in
+             let rec lowest p fd =
+               if List.mem_assoc fd p.tbl then lowest p (fd + 1) else fd
+             in
+             let new_proc () =
+               let p = { kp = K.new_proc k "p"; tbl = [] } in
+               procs := !procs @ [ p ];
+               p
+             in
+             let pick i =
+               match !procs with
+               | [] -> new_proc ()
+               | ps -> List.nth ps (i mod List.length ps)
+             in
+             let read_table p =
+               let api = Api.direct k p.kp in
+               let limit = 2 + List.fold_left (fun m (fd, _) -> max m fd) 12 p.tbl in
+               List.filter_map
+                 (fun fd ->
+                   match Api.fcntl api fd Flags.f_getfl 0 with
+                   | Ok fl -> Some (fd, fl lsr 20)
+                   | Error _ -> None)
+                 (List.init (limit + 3) (fun fd -> fd - 3))
+             in
+             let check what (got : (int, Errno.t) result) want =
+               if got <> want then
+                 fail "%s: kernel %s, model %s" what
+                   (match got with Ok v -> string_of_int v | Error e -> Errno.name e)
+                   (match want with Ok v -> string_of_int v | Error e -> Errno.name e)
+             in
+             let fresh p (r : (int, Errno.t) result) =
+               let id = !next_id in
+               incr next_id;
+               let want = lowest p 0 in
+               check "new fd" r (Ok want);
+               (match r with
+               | Ok fd ->
+                 ignore (Api.fcntl (Api.direct k p.kp) fd Flags.f_setfl (id lsl 20))
+               | Error _ -> ());
+               add p want id;
+               (id, want)
+             in
+             let exit_proc p kill =
+               List.iter (fun (fd, _) -> remove p fd) p.tbl;
+               procs := List.filter (fun q -> q != p) !procs;
+               if kill then K.kill_proc k p.kp 9
+               else
+                 ignore
+                   (E.spawn_here ~name:"exiting" (fun () ->
+                        Api.exit_group (Api.direct k p.kp) 0))
+             in
+             let step (i, op) =
+               let p = pick i in
+               let api = Api.direct k p.kp in
+               (match op with
+               | M_open -> ignore (fresh p (Api.openf api "/dev/null" Flags.o_rdonly))
+               | M_socket ->
+                 let id, fd = fresh p (Api.socket api) in
+                 socks := id :: !socks;
+                 ok_unit (Api.connect api fd port);
+                 ignore (ok_int (Api.send api fd (Bytes.of_string (string_of_int id))))
+               | M_close fd ->
+                 let want = if List.mem_assoc fd p.tbl then Ok 0 else Error Errno.EBADF in
+                 check "close" (Api.close api fd) want;
+                 remove p fd
+               | M_dup fd | M_dupfd (fd, _) ->
+                 let min = match op with M_dupfd (_, m) -> m | _ -> 0 in
+                 let got =
+                   match op with
+                   | M_dup _ -> Api.dup api fd
+                   | _ -> Api.fcntl api fd Flags.f_dupfd min
+                 in
+                 (match List.assoc_opt fd p.tbl with
+                 | None -> check "dup of a closed fd" got (Error Errno.EBADF)
+                 | Some _ when min < 0 ->
+                   check "F_DUPFD below 0" got (Error Errno.EINVAL)
+                 | Some id ->
+                   let want = lowest p min in
+                   check "dup" got (Ok want);
+                   add p want id)
+               | M_dup2 (fd, newfd) -> (
+                 let got = dup2 api fd newfd in
+                 match List.assoc_opt fd p.tbl with
+                 | None -> check "dup2 of a closed fd" got (Error Errno.EBADF)
+                 | Some _ when newfd < 0 ->
+                   check "dup2 onto a negative fd" got (Error Errno.EBADF)
+                 | Some id ->
+                   check "dup2" got (Ok newfd);
+                   if newfd <> fd then begin
+                     remove p newfd;
+                     add p newfd id
+                   end)
+               | M_fork ->
+                 let child = { kp = K.fork_proc k p.kp "child"; tbl = p.tbl } in
+                 procs := !procs @ [ child ];
+                 if read_table child <> read_table p then
+                   fail "forked child's table differs from its parent's"
+               | M_exit kill -> exit_proc p kill
+               | M_snapshot -> snap := Some (K.snapshot_fds p.kp, p.tbl)
+               | M_restore -> (
+                 match !snap with
+                 | None -> ()
+                 | Some (ks, tbl) ->
+                   K.restore_fds k p.kp ks;
+                   List.iter
+                     (fun (fd, id) ->
+                       remove p fd;
+                       add p fd id)
+                     tbl));
+               settle ();
+               (match op with
+               | M_exit _ -> ()
+               | _ ->
+                 if read_table p <> p.tbl then
+                   fail "after %s the table differs from the model" (show_fd_op op);
+                 if K.fd_count p.kp <> List.length p.tbl then
+                   fail "after %s fd_count is %d, the model holds %d"
+                     (show_fd_op op) (K.fd_count p.kp) (List.length p.tbl));
+               if !fins <> !expected then
+                 fail "after %s the FINs came as [%s], the model sent [%s]"
+                   (show_fd_op op)
+                   (String.concat ";" (List.rev_map string_of_int !fins))
+                   (String.concat ";" (List.rev_map string_of_int !expected))
+             in
+             List.iter (fun s -> if !error = None then step s) ops;
+             List.iter (fun _ -> if !error = None then step (0, M_exit false)) !procs;
+             K.kill_proc k srv 9));
+      E.run eng;
+      (match E.failures eng with
+      | [] -> ()
+      | (_, exn) :: _ -> error := Some ("task raised " ^ Printexc.to_string exn));
+      match !error with
+      | None -> true
+      | Some m -> QCheck.Test.fail_report m)
+
 let test_shutdown_write_half () =
   let eng = E.create () in
   let k = K.create eng in
@@ -1031,6 +1323,10 @@ let () =
           Alcotest.test_case "exit sends FINs in fd order" `Quick
             test_exit_fins_in_fd_order;
           Alcotest.test_case "dup2/getdents" `Quick test_dup2_and_getdents;
+          Alcotest.test_case "dup2 onto a negative fd" `Quick
+            test_dup2_negative_target;
+          Alcotest.test_case "F_DUPFD minimum" `Quick test_f_dupfd_minimum;
+          QCheck_alcotest.to_alcotest prop_fd_table_model;
           Alcotest.test_case "shutdown write half" `Quick
             test_shutdown_write_half;
           Alcotest.test_case "chdir/getcwd" `Quick test_chdir_getcwd;

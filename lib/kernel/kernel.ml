@@ -260,14 +260,23 @@ let grant_of_result (r : Args.result) : fd_grant option =
   | None -> None
   | Some o -> Some (Obj.obj o : fd_grant)
 
+(* Install [ofile] at [fd] as dup2 does. A stale descriptor at this
+   number (e.g. a replayed-but-not-executed close left it behind) is
+   released first. Reinstalling the description [fd] already names is a
+   no-op, as dup2(fd, fd) is on Linux, except that a restore still sets
+   the close-on-exec flag: releasing it first could drop its last
+   reference, and a socket would send its peer a FIN and come back
+   closed. *)
+let reinstall_fd ?cloexec k proc fd ofile =
+  match fd_entry proc fd with
+  | Some entry when entry.fde_ofile == ofile ->
+    Option.iter (fun c -> entry.fde_cloexec <- c) cloexec
+  | _ ->
+    close_fd k proc fd;
+    install_fd_at ?cloexec proc fd ofile
+
 let install_grant k proc g =
-  List.iter
-    (fun (fd, ofile) ->
-      (* A stale descriptor at this number (e.g. a replayed-but-not-
-         executed close left it behind) is released first. *)
-      close_fd k proc fd;
-      install_fd_at proc fd ofile)
-    g.granted
+  List.iter (fun (fd, ofile) -> reinstall_fd k proc fd ofile) g.granted
 
 (* ------------------------------------------------------------------ *)
 (* Descriptor-table snapshots (checkpoint/restore)                     *)
@@ -284,9 +293,7 @@ let snapshot_fds proc =
 
 let restore_fds k proc snap =
   Fdmap.iter
-    (fun fd (ofile, cloexec) ->
-      close_fd k proc fd;
-      install_fd_at ~cloexec proc fd ofile)
+    (fun fd (ofile, cloexec) -> reinstall_fd ~cloexec k proc fd ofile)
     snap
 
 let fd_snapshot_count = Fdmap.cardinal

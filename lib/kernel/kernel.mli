@@ -64,7 +64,9 @@ val grant_of_result : Varan_syscall.Args.result -> fd_grant option
 val install_grant : t -> proc -> fd_grant -> unit
 (** Install every granted descriptor into [proc]'s table {e at the same fd
     numbers}, bumping refcounts — the simulation's equivalent of receiving
-    SCM_RIGHTS descriptors and [dup2]ing them into place. *)
+    SCM_RIGHTS descriptors and [dup2]ing them into place. As with [dup2],
+    whatever an fd named before is released, unless it is the granted
+    description itself: then nothing changes. *)
 
 (** {1 Descriptor-table snapshots (checkpoint/restore)} *)
 
@@ -79,7 +81,9 @@ val snapshot_fds : proc -> fd_snapshot
 val restore_fds : t -> proc -> fd_snapshot -> unit
 (** Install the snapshot into [proc] at the same fd numbers, bumping
     refcounts like {!install_grant} — the table a full grant-by-grant
-    tape replay would have produced, in one step. *)
+    tape replay would have produced, in one step. An fd that already
+    names its snapshotted description keeps it, taking only the
+    snapshot's close-on-exec flag. *)
 
 val fd_snapshot_count : fd_snapshot -> int
 

@@ -14,11 +14,10 @@ module Event = Varan_ringbuf.Event
 (* Log format                                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* The log is a sequence of frames: a u32 little-endian length, then the
-   {!Tape.image} of the next [frame_events] events. Only the last frame
-   may hold fewer, so a log has one spelling per event sequence. *)
-let frame_events = 256
-
+(* The log is a sequence of frames: a u32 little-endian length, then one
+   tape segment's image ({!Tape.images}). Only the last frame may hold
+   fewer than [Tape.segment_events] events, so a log has one spelling
+   per event sequence. *)
 let frame_image img =
   let n = Bytes.length img in
   if n > 0xffff_ffff then invalid_arg "Record_replay: frame image over 4 GiB";
@@ -27,45 +26,59 @@ let frame_image img =
   Bytes.blit img 0 b 4 n;
   b
 
-let frame events = frame_image (Tape.image events)
-
 (* Bridge a lifecycle catch-up tape into the log: a degraded session's
    retained stream becomes an ordinary replay log from which fresh
-   followers can later be provisioned. A tape segment holds
-   [frame_events] events and retires whole, so each retained segment's
-   image is one frame, taken as the tape stores it. *)
+   followers can later be provisioned. A tape retires whole segments, so
+   each retained segment's image is one frame, taken as the tape stores
+   it. *)
 let serialize_tape tape =
   Bytes.concat Bytes.empty (List.map frame_image (Tape.images tape))
 
-(* A crashed recorder or a truncated file leaves a torn last frame, and a
-   corrupt one holds bytes no writer produced: either ends decoding at
-   the last whole frame, with the reason, and never yields an event the
-   log does not hold. *)
-let read_log log =
-  let len = Bytes.length log in
-  let rec go pos acc =
-    let finish why =
-      ( List.concat (List.rev acc),
-        Option.map (Printf.sprintf "frame at byte %d: %s" pos) why )
-    in
-    let stop why = finish (Some why) in
-    if pos = len then finish None
-    else if len - pos < 4 then stop "truncated length"
+(* The one frame decoder. [read n] hands out the log's next [n] bytes,
+   or fewer only at its end; each whole frame goes to [on_frame] before
+   the next is read. A crashed recorder or a truncated file leaves a
+   torn last frame, and a corrupt one holds bytes no writer produced:
+   either ends decoding at the last whole frame, with the reason, and
+   never yields an event the log does not hold. A short frame is whole
+   only if nothing follows it, so it is held back until one more read
+   finds the end. *)
+let decode_frames read ~on_frame =
+  let rec from pos =
+    let stop why = Some (Printf.sprintf "frame at byte %d: %s" pos why) in
+    let header = read 4 in
+    if Bytes.length header = 0 then None
+    else if Bytes.length header < 4 then stop "truncated length"
     else begin
-      let n = Int32.to_int (Bytes.get_int32_le log pos) land 0xffff_ffff in
-      if n > len - pos - 4 then stop "length past the end"
+      let n = Int32.to_int (Bytes.get_int32_le header 0) land 0xffff_ffff in
+      let img = read n in
+      if Bytes.length img < n then stop "length past the end"
       else
-        match Tape.of_image (Bytes.sub log (pos + 4) n) with
+        match Tape.of_image img with
         | Error why -> stop why
         | Ok events ->
           let k = Array.length events in
-          let last = pos + 4 + n = len in
-          if k = 0 || k > frame_events || (k < frame_events && not last) then
-            stop (Printf.sprintf "%d events, not %d" k frame_events)
-          else go (pos + 4 + n) (Array.to_list events :: acc)
+          let full = k = Tape.segment_events in
+          if k = 0 || ((not full) && Bytes.length (read 1) > 0) then
+            stop (Printf.sprintf "%d events, not %d" k Tape.segment_events)
+          else begin
+            on_frame events;
+            if full then from (pos + 4 + n) else None
+          end
     end
   in
-  go 0 []
+  from 0
+
+let read_log log =
+  let pos = ref 0 and frames = ref [] in
+  let read n =
+    let n = min n (Bytes.length log - !pos) in
+    pos := !pos + n;
+    Bytes.sub log (!pos - n) n
+  in
+  let stopped =
+    decode_frames read ~on_frame:(fun es -> frames := es :: !frames)
+  in
+  (List.concat_map Array.to_list (List.rev !frames), stopped)
 
 (* ------------------------------------------------------------------ *)
 (* Time travel                                                         *)
@@ -124,39 +137,16 @@ let time_travel session ~at =
 
 type recorder = {
   ring : Event.t Ring.t;
-  consumer : Event.t Ring.consumer;
-  api : Api.t;
-  mutable pending : Event.t list; (* the next frame's events, newest first *)
   mutable events : int;
   mutable stopping : bool;
-  mutable stopped : bool;
 }
-
-let flush r fd =
-  if r.pending <> [] then begin
-    let data = frame (Array.of_list (List.rev r.pending)) in
-    r.pending <- [];
-    match Api.write_all r.api fd data with
-    | Ok () -> ()
-    | Error e -> failwith ("recorder: write failed: " ^ Errno.name e)
-  end
 
 let record session k ~tuple ~path =
   let ring = Session.tuple_ring session tuple in
   let consumer = Ring.subscribe ring in
   let proc = K.new_proc k "recorder" in
   let api = Api.direct k proc in
-  let r =
-    {
-      ring;
-      consumer;
-      api;
-      pending = [];
-      events = 0;
-      stopping = false;
-      stopped = false;
-    }
-  in
+  let r = { ring; events = 0; stopping = false } in
   let task () =
     (* The log is opened from inside the recorder's own task: syscalls
        only exist in task context. *)
@@ -167,12 +157,23 @@ let record session k ~tuple ~path =
       | Ok fd -> fd
       | Error e -> failwith ("recorder: open failed: " ^ Errno.name e)
     in
-    (* A frame is written per [frame_events] events; pooled payloads
-       are copied out of their chunk, which is released at once. *)
+    (* Events go to a tape of one segment, written out as one frame when
+       it is full and at the end; pooled payloads are copied out of
+       their chunk, which is released at once. *)
+    let segment = ref (Tape.create ()) in
+    let flush () =
+      let data = serialize_tape !segment in
+      segment := Tape.create ();
+      if Bytes.length data > 0 then
+        match Api.write_all api fd data with
+        | Ok () -> ()
+        | Error e -> failwith ("recorder: write failed: " ^ Errno.name e)
+    in
     let record_one e =
-      r.pending <- Session.materialize_payload session e :: r.pending;
+      let e = Session.materialize_payload session e in
+      Tape.append !segment e ~out:e.Event.inline_out;
       r.events <- r.events + 1;
-      if r.events mod frame_events = 0 then flush r fd
+      if Tape.length !segment = Tape.segment_events then flush ()
     in
     (* Drain in runs: when the recorder lags (it writes to disk between
        reads) it catches up with one gate check and one producer wakeup
@@ -184,10 +185,9 @@ let record session k ~tuple ~path =
         loop ()
       | [] ->
         if r.stopping then begin
-          flush r fd;
+          flush ();
           ignore (Api.close api fd);
-          Ring.unsubscribe consumer;
-          r.stopped <- true
+          Ring.unsubscribe consumer
         end
         else begin
           Ring.wait_activity ring;
@@ -212,19 +212,13 @@ let recorded_events r = r.events
 (* Replayer                                                            *)
 (* ------------------------------------------------------------------ *)
 
-type rstate = {
-  r_idx : int;
-  r_variant : Variant.t;
-  mutable r_consumed : int;
-  mutable r_alive : bool;
-}
+type rstate = { r_variant : Variant.t; mutable r_consumed : int }
 
 type replayer = {
   rp_ring : Event.t Ring.t;
   rstates : rstate array;
   mutable rp_crashes : (int * string) list;
-  mutable rp_published : int;
-  mutable rp_stopped : string option;  (* why [read_log] ended early *)
+  mutable rp_stopped : string option;  (* why the log ended early *)
 }
 
 exception Replay_divergence of string
@@ -235,24 +229,18 @@ let replay k ~path variants =
   let ring = Ring.create ~size:Config.default.Config.ring_size "replay-ring" in
   let rstates =
     Array.of_list
-      (List.mapi
-         (fun i v -> { r_idx = i; r_variant = v; r_consumed = 0; r_alive = true })
-         variants)
+      (List.map (fun v -> { r_variant = v; r_consumed = 0 }) variants)
   in
-  let rp =
-    {
-      rp_ring = ring;
-      rstates;
-      rp_crashes = [];
-      rp_published = 0;
-      rp_stopped = None;
-    }
-  in
+  let rp = { rp_ring = ring; rstates; rp_crashes = []; rp_stopped = None } in
   (* Consumers must register before the publisher starts; handles are
      resolved once, not per consume. *)
   let consumers = Array.map (fun _ -> Ring.subscribe ring) rstates in
-  (* The replay leader: reads the log from persistent storage and
-     publishes events into the ring for consumption by replay clients. *)
+  (* The replay leader: streams the log from persistent storage a frame
+     at a time and publishes each frame into the ring, for the replay
+     clients, before it reads the next. A torn or corrupt tail ends the
+     replay at the last whole frame, as it ended the recording. Replay
+     events carry results inline regardless of size: the shared-memory
+     pool is not reconstructed on replay. *)
   ignore
     (E.spawn k.Types.eng ~name:"replay-leader" (fun () ->
          let proc = K.new_proc k "replay-leader" in
@@ -262,37 +250,34 @@ let replay k ~path variants =
            | Ok fd -> fd
            | Error e -> failwith ("replayer: open failed: " ^ Errno.name e)
          in
-         let contents = Buffer.create 4096 in
-         let rec read_all () =
-           match Api.read api fd 4096 with
-           | Ok b when Bytes.length b > 0 ->
-             Buffer.add_bytes contents b;
-             read_all ()
-           | Ok _ -> ()
-           | Error e -> failwith ("replayer: read failed: " ^ Errno.name e)
+         (* The log's next [n] bytes, or fewer at its end. *)
+         let read n =
+           let rec chunks n acc =
+             if n = 0 then acc
+             else
+               match Api.read api fd n with
+               | Ok b when Bytes.length b > 0 ->
+                 chunks (n - Bytes.length b) (b :: acc)
+               | Ok _ -> acc
+               | Error e -> failwith ("replayer: read failed: " ^ Errno.name e)
+           in
+           Bytes.concat Bytes.empty (List.rev (chunks n []))
          in
-         read_all ();
-         ignore (Api.close api fd);
-         (* A torn or corrupt tail ends the replay at the last whole
-            frame, as it ended the recording. Replay events carry results
-            inline regardless of size: the shared-memory pool is not
-            reconstructed on replay. *)
-         let events, stopped = read_log (Buffer.to_bytes contents) in
-         rp.rp_stopped <- stopped;
-         let events = Array.of_list events in
          (* Publish in runs of up to 64: one gate check and one consumer
             wakeup per batch; per-event publish cost is still charged. *)
-         let batch_max = 64 in
-         let rec publish_from i =
-           let n = min batch_max (Array.length events - i) in
-           if n > 0 then begin
-             E.consume (cost.Cost.publish_event * n);
-             Ring.publish_batch ring (Array.sub events i n);
-             rp.rp_published <- rp.rp_published + n;
-             publish_from (i + n)
-           end
+         let publish events =
+           let rec from i =
+             let n = min 64 (Array.length events - i) in
+             if n > 0 then begin
+               E.consume (cost.Cost.publish_event * n);
+               Ring.publish_batch ring (Array.sub events i n);
+               from (i + n)
+             end
+           in
+           from 0
          in
-         publish_from 0));
+         rp.rp_stopped <- decode_frames read ~on_frame:publish;
+         ignore (Api.close api fd)));
   (* Replay clients: every streamed call returns the recorded result. *)
   Array.iteri
     (fun i rst ->
@@ -335,7 +320,6 @@ let replay k ~path variants =
             | E.Killed -> ()
             | exn ->
               rp.rp_crashes <- (i, Printexc.to_string exn) :: rp.rp_crashes;
-              rst.r_alive <- false;
               Ring.unsubscribe consumers.(i))
       in
       K.register_task k proc tid)

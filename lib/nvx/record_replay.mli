@@ -3,18 +3,22 @@
     Two artificial clients extend VARAN into a full record-replay system:
 
     - the {e recorder} acts as one more follower whose only job is to
-      drain the ring buffer and append events to persistent storage
-      (one write per frame of 256 events), decoupling logging from the
-      application;
-    - the {e replayer} acts as the leader during replay, reading the log
-      and publishing events into a ring consumed by any number of replay
-      clients — which is how several versions can be replayed at once
-      against one recorded execution.
+      drain the ring buffer into persistent storage, decoupling logging
+      from the application: it appends each event to a {!Tape} of its
+      own and writes each full segment, and the short last one at
+      {!stop}, as one frame;
+    - the {e replayer} acts as the leader during replay, streaming the
+      log a frame at a time into a ring consumed by any number of
+      replay clients — which is how several versions can be replayed at
+      once against one recorded execution. It holds one frame of the
+      log at a time, not the whole file.
 
     The log is a sequence of frames: a u32 little-endian length, then
-    the {!Tape.image} of 256 events (fewer in the last frame only). The
-    events are encoded by {!Tape} alone, in the same format as the
-    lifecycle catch-up tape; this module only frames them.
+    one tape segment's image ({!Tape.images}): {!Tape.segment_events}
+    events, fewer in the last frame only. The events are encoded by
+    {!Tape.append} alone, in the same format as the lifecycle catch-up
+    tape; this module only frames them, and {!read_log} and the replayer
+    decode frames with the same code.
 
     A cost model of {e Scribe} (kernel-based record-replay) is provided
     for the paper's comparison: it charges the recording overhead inline
@@ -46,10 +50,10 @@ val read_log : Bytes.t -> Varan_ringbuf.Event.t list * string option
 (** The events of every whole frame, in order, and [None] at a clean
     end; or, where decoding stopped early, the reason, naming the
     frame's byte offset: a truncated length, a length past the end, an
-    image {!Tape.of_image} rejects, or a frame of other than 256 events
-    (fewer are allowed in the last). Never raises, and never yields an
-    event the log does not hold. Events carry their result buffer in
-    [inline_out] and no grant. *)
+    image {!Tape.of_image} rejects, or a frame of fewer than
+    {!Tape.segment_events} events that is not the last (or of none).
+    Never raises, and never yields an event the log does not hold.
+    Events carry their result buffer in [inline_out] and no grant. *)
 
 (** {1 Time travel} *)
 
@@ -82,7 +86,11 @@ val replay :
 (** Launch the given variants as pure replay clients fed from the log:
     every streamed syscall returns the recorded result; nothing touches
     the outside world. Several variants replay the same log at once,
-    through a ring of {!Config.default}'s size. *)
+    through a ring of {!Config.default}'s size. The replay leader reads
+    the log a frame at a time and publishes each frame before it reads
+    the next; it publishes exactly the events {!read_log} yields for the
+    same bytes, so a short frame waits until the leader has seen that
+    nothing follows it. *)
 
 val replayed_events : replayer -> int
 
@@ -96,10 +104,11 @@ val replay_crashes : replayer -> (int * string) list
     "which versions are susceptible to this crash" use case. *)
 
 val replay_stopped : replayer -> string option
-(** Why the log ended before its end ({!read_log}'s reason), once the
-    replay leader has read it; [None] for a whole log. A torn or corrupt
-    log replays its whole-frame prefix, so a replay that stopped early
-    is a shorter run, and this says so. *)
+(** Why the log ended before its end ({!read_log}'s reason for the same
+    bytes), once the replay leader has reached it; [None] for a whole
+    log, or while the leader is still reading. A torn or corrupt log
+    replays its whole-frame prefix, so a replay that stopped early is a
+    shorter run, and this says so. *)
 
 (** {1 The Scribe baseline} *)
 

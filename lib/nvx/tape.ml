@@ -36,9 +36,9 @@ let () =
 
 (* The sealing granularity: a segment seals, and can later be retired,
    only as a whole. *)
-let entries_per_segment = 256
+let segment_events = 256
 
-(* A sealed, immutable chunk of [entries_per_segment] consecutive entries.
+(* A sealed, immutable chunk of [segment_events] consecutive entries.
    Grants are opaque runtime handles (shared descriptor objects) and
    cannot be serialized; the sparse side array re-attaches them on
    decode. *)
@@ -88,9 +88,9 @@ let create () =
     sealed = Hashtbl.create 32;
     open_raw = Bytes.create 4096;
     open_pos = 0;
-    open_off = Array.make entries_per_segment 0;
-    open_clock = Array.make entries_per_segment 0;
-    open_grant = Array.make entries_per_segment None;
+    open_off = Array.make segment_events 0;
+    open_clock = Array.make segment_events 0;
+    open_grant = Array.make segment_events None;
     open_first = 0;
     open_len = 0;
     base = 0;
@@ -345,31 +345,10 @@ let unpack ~raw_len src =
 (* Images, sealing and decoding                                        *)
 (* ------------------------------------------------------------------ *)
 
-let image (events : Event.t array) =
-  let size =
-    Array.fold_left
-      (fun n (e : Event.t) ->
-        n
-        + max_entry_size ~nargs:(Array.length e.args)
-            ~outlen:(match e.inline_out with None -> 0 | Some o -> Bytes.length o))
-      0 events
-  in
-  let raw = Bytes.create size in
-  let pos = ref 0 and prev_clock = ref 0 in
-  Array.iter
-    (fun (e : Event.t) ->
-      pos :=
-        encode_entry raw !pos ~prev_clock:!prev_clock ~kind:e.kind ~tid:e.tid
-          ~sysno:e.sysno ~clock:e.clock ~ret:e.ret ~args:e.args
-          ~out:e.inline_out;
-      prev_clock := e.clock)
-    events;
-  pack raw !pos
-
-(* Only an image [image] writes is accepted: the canonical varints make
-   the entry layer one-to-one, and the final comparison does the same
-   for the packing layer, where several control sequences spell one
-   byte string. *)
+(* Only an image a segment packs to is accepted: the canonical varints
+   make the entry layer one-to-one, the comparison does the same for the
+   packing layer, where several control sequences spell one byte string,
+   and no segment holds more than [segment_events] entries. *)
 let of_image img =
   match
     let raw_len = unpacked_length img in
@@ -377,6 +356,8 @@ let of_image img =
     let entries = decode_all raw ~len:raw_len in
     if not (Bytes.equal (pack raw raw_len) img) then
       raise (Malformed "non-canonical PackBits image");
+    if Array.length entries > segment_events then
+      raise (Malformed (Printf.sprintf "more than %d events" segment_events));
     entries
   with
   | entries -> Ok entries
@@ -384,7 +365,7 @@ let of_image img =
 
 let seal t =
   let grants = ref [] in
-  for i = entries_per_segment - 1 downto 0 do
+  for i = segment_events - 1 downto 0 do
     match t.open_grant.(i) with
     | Some g ->
       grants := (i, g) :: !grants;
@@ -395,12 +376,12 @@ let seal t =
   let seg =
     { s_packed = packed; s_raw_len = t.open_pos; s_grants = Array.of_list !grants }
   in
-  let segno = t.open_first / entries_per_segment in
+  let segno = t.open_first / segment_events in
   Hashtbl.replace t.sealed segno seg;
   t.c_sealed <- t.c_sealed + 1;
   t.c_packed_bytes <- t.c_packed_bytes + Bytes.length packed;
   t.c_raw_bytes <- t.c_raw_bytes + seg.s_raw_len;
-  t.open_first <- t.open_first + entries_per_segment;
+  t.open_first <- t.open_first + segment_events;
   t.open_len <- 0;
   t.open_pos <- 0
 
@@ -411,11 +392,11 @@ let decode t segno =
       match Hashtbl.find_opt t.sealed segno with
       | Some s -> s
       | None ->
-        raise (Truncated { requested = segno * entries_per_segment; base = t.base })
+        raise (Truncated { requested = segno * segment_events; base = t.base })
     in
     let raw = unpack ~raw_len:seg.s_raw_len seg.s_packed in
     let entries = decode_all raw ~len:seg.s_raw_len in
-    assert (Array.length entries = entries_per_segment);
+    assert (Array.length entries = segment_events);
     Array.iter
       (fun (i, g) -> entries.(i) <- { (entries.(i)) with Event.grant = Some g })
       seg.s_grants;
@@ -433,7 +414,7 @@ let decode t segno =
    the segment and the buffer is not kept. Pure (no engine calls) — runs
    inside Ring.publish_k. *)
 let append t (e : Event.t) ~out =
-  if t.open_len = entries_per_segment then seal t;
+  if t.open_len = segment_events then seal t;
   let k = t.open_len in
   let need =
     max_entry_size ~nargs:(Array.length e.Event.args)
@@ -466,7 +447,7 @@ let get t i =
     in
     match t.open_grant.(k) with None -> e | g -> { e with Event.grant = g }
   end
-  else (decode t (i / entries_per_segment)).(i mod entries_per_segment)
+  else (decode t (i / segment_events)).(i mod segment_events)
 
 (* Drop whole sealed segments strictly below [keep_from]. Absolute
    indices are preserved: after retiring, [base] is the first index of
@@ -474,8 +455,8 @@ let get t i =
    {!Truncated}. Never touches the open segment. *)
 let retire t ~keep_from =
   let keep_from = max 0 (min keep_from t.open_first) in
-  let keep_seg = keep_from / entries_per_segment in
-  let first_seg = t.base / entries_per_segment in
+  let keep_seg = keep_from / segment_events in
+  let first_seg = t.base / segment_events in
   for segno = first_seg to keep_seg - 1 do
     match Hashtbl.find_opt t.sealed segno with
     | None -> ()
@@ -489,20 +470,21 @@ let retire t ~keep_from =
         t.cache_entries <- [||]
       end
   done;
-  if keep_seg * entries_per_segment > t.base then t.base <- keep_seg * entries_per_segment
+  if keep_seg * segment_events > t.base then t.base <- keep_seg * segment_events
 
-(* A sealed segment's packed bytes are the {!image} of its events: the
-   grants ride beside them, and its first entry's clock step is from 0,
-   as in an image. The open segment's buffer packs the same way. *)
+(* A segment's image is its packed entry bytes: the grants ride beside
+   them, and its first entry's clock step is from 0, so an image decodes
+   on its own. A sealed segment stores its image; the open segment's
+   buffer packs the same way. *)
 let images t =
   let open_img =
     if t.open_len = 0 then [] else [ pack t.open_raw t.open_pos ]
   in
   let rec sealed segno acc =
-    if segno * entries_per_segment < t.base then acc
+    if segno * segment_events < t.base then acc
     else sealed (segno - 1) ((Hashtbl.find t.sealed segno).s_packed :: acc)
   in
-  sealed ((t.open_first / entries_per_segment) - 1) open_img
+  sealed ((t.open_first / segment_events) - 1) open_img
 
 let resident_bytes t = t.c_packed_bytes + t.open_pos
 

@@ -24,11 +24,12 @@
     event [i] is event [i] forever, and a read below {!base} raises
     {!Truncated}.
 
-    This is the only event byte format. The record/replay log
-    ({!Record_replay}) is a sequence of frames, each the {!image} of up
-    to 256 events, so {!Record_replay.serialize_tape} writes a degraded
-    session's retained stream as a log that can later provision fresh
-    followers. *)
+    {!append} is the only event encoder and this the only event byte
+    format. The record/replay log ({!Record_replay}) is a sequence of
+    frames, each one segment's image (see {!images}): the recorder
+    appends to a tape of its own and writes each segment out, and
+    {!Record_replay.serialize_tape} writes a degraded session's retained
+    stream as a log that can later provision fresh followers. *)
 
 type t
 
@@ -37,9 +38,12 @@ exception Truncated of { requested : int; base : int }
     [requested] was retired; [base] is the oldest index still
     replayable. *)
 
+val segment_events : int
+(** Events per segment, 256: a segment seals — and can later be retired
+    — only as a whole, and a record/replay log frame holds one segment. *)
+
 val create : unit -> t
-(** An empty tape. Events seal in segments of 256: a segment seals —
-    and can later be retired — only as a whole. *)
+(** An empty tape. *)
 
 val length : t -> int
 (** Events ever appended; also the next index to be written. *)
@@ -68,24 +72,22 @@ val retire : t -> keep_from:int -> unit
     segment boundary, never mid-segment). Monotone: never re-grows the
     window, never touches the open segment. *)
 
-val image : Varan_ringbuf.Event.t array -> Bytes.t
-(** The sealed image of a segment holding [events]: their encoding,
-    with [inline_out] as each result buffer, run-length packed, exactly
-    as a seal stores it. Pool payloads and grants are not part of it. *)
+val images : t -> Bytes.t list
+(** The image of each retained segment, oldest first: the encoding of
+    its events, run-length packed, exactly as a seal stores it. They
+    cover events [\[base, length)] in runs of {!segment_events}, since
+    {!retire} drops whole segments. Grants are not part of an image. A
+    sealed segment's image is its stored bytes, shared and not to be
+    modified; only the open segment, if it holds events, is packed
+    afresh. Nothing is decoded. *)
 
 val of_image : Bytes.t -> (Varan_ringbuf.Event.t array, string) result
-(** The inverse of {!image}, with no payload or grant. Any byte string
-    that {!image} cannot produce is an [Error] naming what is wrong — a
-    bad PackBits control or a cut-off run, a truncated entry, a varint
-    that is over-long or wider than 63 bits, an out length past the end,
-    a bad kind code — never an exception or a phantom event. *)
-
-val images : t -> Bytes.t list
-(** The {!image} of each retained segment, oldest first: the images of
-    events [\[base, length)] in runs of 256, since a segment holds 256
-    events and {!retire} drops whole ones. A sealed segment's image is
-    its stored bytes, shared and not to be modified; only the open
-    segment, if it holds events, is packed afresh. Nothing is decoded. *)
+(** The events of one segment's image, in order, each as {!get} returns
+    it but with no grant. Any byte string that no segment packs to is an
+    [Error] naming what is wrong — a bad PackBits control or a cut-off
+    run, a truncated entry, a varint that is over-long or wider than 63
+    bits, an out length past the end, a bad kind code, more events than
+    a segment holds — never an exception or a phantom event. *)
 
 val resident_bytes : t -> int
 (** Bytes currently held: packed sealed segments plus the open

@@ -742,6 +742,67 @@ let test_f_dupfd_minimum () =
       | Ok r -> Alcotest.failf "F_DUPFD -1 returned %d" r
       | Error e -> Alcotest.check errno "negative minimum" Errno.EINVAL e)
 
+(* Reinstalling the description an fd already names changes nothing, as
+   dup2(fd, fd) does not on Linux: a snapshot restored into the process
+   it was taken from, and grants installed into the process that made
+   them, release no socket, so no peer sees a FIN and every socket still
+   carries data afterwards. *)
+let test_self_reinstall_sends_no_fin () =
+  let module Args = Varan_syscall.Args in
+  let eng = E.create () in
+  let k = K.create eng in
+  let server = K.new_proc k "server" and client = K.new_proc k "client" in
+  let fins = ref 0 and heard = ref [] and sent = ref [] in
+  ignore
+    (E.spawn eng ~name:"server" (fun () ->
+         let api = Api.direct k server in
+         let lfd = ok_int (Api.socket api) in
+         ok_unit (Api.bind api lfd 7272);
+         ok_unit (Api.listen api lfd);
+         for _ = 1 to 2 do
+           let cfd = ok_int (Api.accept api lfd) in
+           ignore
+             (E.spawn_here ~name:"peer" (fun () ->
+                  let rec drain () =
+                    match Api.recv api cfd 16 with
+                    | Ok b when Bytes.length b = 0 -> incr fins
+                    | Ok b ->
+                      heard := Bytes.to_string b :: !heard;
+                      drain ()
+                    | Error _ -> ()
+                  in
+                  drain ()))
+         done));
+  ignore
+    (E.spawn eng ~name:"client" (fun () ->
+         let api = Api.direct k client in
+         let socket () =
+           let r =
+             api.Api.sys Varan_syscall.Sysno.Socket
+               [| Args.Int 2; Args.Int 1; Args.Int 0 |]
+           in
+           ok_unit (Api.connect api r.Args.ret 7272);
+           (r.Args.ret, K.grant_of_result r)
+         in
+         let socks = List.init 2 (fun _ -> socket ()) in
+         K.restore_fds k client (K.snapshot_fds client);
+         List.iter
+           (fun (_, g) -> Option.iter (K.install_grant k client) g)
+           socks;
+         E.sleep 10_000;
+         sent :=
+           List.map
+             (fun (fd, _) ->
+               Api.send api fd (Bytes.of_string (string_of_int fd)))
+             socks;
+         E.sleep 10_000));
+  E.run_until_quiescent eng;
+  Alcotest.(check int) "no peer saw a FIN" 0 !fins;
+  Alcotest.(check (list (result int errno))) "both sends went out"
+    [ Ok 1; Ok 1 ] !sent;
+  Alcotest.(check (list string)) "both peers heard their socket" [ "0"; "1" ]
+    (List.sort compare !heard)
+
 (* A model of the descriptor table: random open/socket/close/dup/dup2/
    F_DUPFD/fork/exit/snapshot/restore sequences run against a sorted
    association list per process. Each description is tagged through
@@ -750,7 +811,9 @@ let test_f_dupfd_minimum () =
    when the FIN arrives; with no link latency the peers wake in the order
    the FINs are sent, so the model predicts that order too: a socket
    FINs when the last fd naming it in any live process goes, and exit
-   and restore drop fds in ascending fd order. *)
+   and restore drop fds in ascending fd order. A restore leaves an fd
+   that already names its snapshotted description alone, as dup2(fd, fd)
+   does on Linux. *)
 type fd_op =
   | M_open
   | M_socket
@@ -963,8 +1026,10 @@ let prop_fd_table_model =
                    K.restore_fds k p.kp ks;
                    List.iter
                      (fun (fd, id) ->
-                       remove p fd;
-                       add p fd id)
+                       if List.assoc_opt fd p.tbl <> Some id then begin
+                         remove p fd;
+                         add p fd id
+                       end)
                      tbl));
                settle ();
                (match op with
@@ -1326,6 +1391,8 @@ let () =
           Alcotest.test_case "dup2 onto a negative fd" `Quick
             test_dup2_negative_target;
           Alcotest.test_case "F_DUPFD minimum" `Quick test_f_dupfd_minimum;
+          Alcotest.test_case "reinstalling an fd in place sends no FIN"
+            `Quick test_self_reinstall_sends_no_fin;
           QCheck_alcotest.to_alcotest prop_fd_table_model;
           Alcotest.test_case "shutdown write half" `Quick
             test_shutdown_write_half;

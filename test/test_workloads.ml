@@ -312,11 +312,13 @@ let test_replay_divergent_version_detected () =
   Alcotest.(check int) "divergence reported" 1
     (List.length (RR.replay_crashes rp))
 
-(* A log torn inside its second frame replays the first frame and says
-   where it stopped; the whole log replays every event and says
+(* The replay leader streams the log through the frame decoder that
+   [read_log] uses, so a log torn, cut or corrupted anywhere replays
+   exactly the events [read_log] decodes from the same bytes and stops
+   with the same reason. A whole log replays every event and says
    nothing. *)
 let test_replay_reports_torn_log () =
-  let reads = 300 in
+  let reads = 600 in
   let program api =
     let ok = Result.get_ok in
     let fd = ok (Api.openf api "/dev/urandom" Varan_kernel.Flags.o_rdonly) in
@@ -339,7 +341,8 @@ let test_replay_reports_torn_log () =
     | None -> Alcotest.fail "log missing"
   in
   let recorded = RR.recorded_events recorder in
-  Alcotest.(check bool) "the log spans two frames" true (recorded > 256);
+  Alcotest.(check bool) "the log spans three frames" true
+    (recorded > 512 && recorded < 768);
   let replay log =
     let eng = E.create () in
     let k = K.create ~seed:777 eng in
@@ -349,23 +352,99 @@ let test_replay_reports_torn_log () =
         [ Variant.make "r" (Variant.single program) ]
     in
     E.run_until_quiescent eng;
-    rp
+    let events, stopped = RR.read_log (Bytes.of_string log) in
+    (rp, List.length events, stopped)
   in
-  let whole = replay log in
-  Alcotest.(check (option string)) "a whole log stops nowhere" None
-    (RR.replay_stopped whole);
-  Alcotest.(check int) "a whole log replays every event" recorded
-    (RR.replayed_events whole);
-  let torn = replay (String.sub log 0 (String.length log - 10)) in
-  (match RR.replay_stopped torn with
-  | Some reason ->
-    Alcotest.(check bool)
-      (Printf.sprintf "the reason names the frame (%s)" reason)
-      true
-      (String.starts_with ~prefix:"frame at " reason)
-  | None -> Alcotest.fail "a torn log must report why it stopped");
-  Alcotest.(check int) "a torn log replays its whole first frame" 256
-    (RR.replayed_events torn)
+  let frame_end pos = pos + 4 + Int32.to_int (String.get_int32_le log pos) in
+  let second = frame_end 0 in
+  let third = frame_end second in
+  let last = String.sub log third (String.length log - third) in
+  List.iter
+    (fun (what, log, whole_frames) ->
+      let rp, decoded, stopped = replay log in
+      Alcotest.(check int)
+        (what ^ ": replays what read_log decodes")
+        decoded (RR.replayed_events rp);
+      Alcotest.(check (option string))
+        (what ^ ": stops where read_log stops")
+        stopped (RR.replay_stopped rp);
+      match (whole_frames, RR.replay_stopped rp) with
+      | None, None ->
+        Alcotest.(check int) (what ^ ": replays every event") recorded decoded
+      | Some n, Some reason ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: the reason names the frame (%s)" what reason)
+          true
+          (String.starts_with ~prefix:"frame at " reason);
+        Alcotest.(check int) (what ^ ": replays its whole frames") (256 * n)
+          decoded
+      | _, _ -> Alcotest.failf "%s: stopped where it should not" what)
+    [
+      ("whole log", log, None);
+      ("torn log", String.sub log 0 (String.length log - 10), Some 2);
+      ( "corrupt middle frame",
+        String.mapi (fun i c -> if i = second + 4 then '\x80' else c) log,
+        Some 1 );
+      ( "short frame before the end",
+        String.sub log 0 second ^ last ^ last,
+        Some 1 );
+      ("cut inside a length header", String.sub log 0 (third + 2), Some 2);
+    ]
+
+(* The recorder is one more tape: recording a lifecycle session's tuple
+   0 from launch, with nothing retired, writes exactly the log that the
+   session's own tuple-0 tape serializes to, pooled payloads and a short
+   last frame included. Every result buffer here is non-empty: the
+   session tapes an empty one as an empty buffer, where the ring event,
+   and so the log, carries none. *)
+let test_recorder_log_is_the_tape () =
+  let program api =
+    let ok = Result.get_ok in
+    let fd = ok (Api.openf api "/dev/urandom" Varan_kernel.Flags.o_rdonly) in
+    for i = 1 to 300 do
+      ignore (ok (Api.read api fd (if i mod 7 = 0 then 3000 else 1)))
+    done;
+    ignore (ok (Api.close api fd))
+  in
+  let eng = E.create () in
+  let k = K.create eng in
+  Varan_kernel.Vfs.add_file k "/var/.keep" "";
+  let config =
+    {
+      Config.default with
+      Config.lifecycle = Some Varan_nvx.Lifecycle.default_policy;
+    }
+  in
+  let session =
+    Nvx.launch ~config k
+      [
+        Variant.make "leader" (Variant.single program);
+        Variant.make "follower" (Variant.single program);
+      ]
+  in
+  let recorder = RR.record session k ~tuple:0 ~path:"/var/log.bin" in
+  E.run_until_quiescent eng;
+  ignore (E.spawn eng (fun () -> RR.stop recorder));
+  E.run_until_quiescent eng;
+  let tape =
+    match Nvx.tuple_tape session 0 with
+    | Some tape -> tape
+    | None -> Alcotest.fail "a lifecycle session keeps a tape"
+  in
+  let log =
+    match Varan_kernel.Vfs.read_file k "/var/log.bin" with
+    | Some log -> log
+    | None -> Alcotest.fail "log missing"
+  in
+  let taped = Bytes.to_string (RR.serialize_tape tape) in
+  Alcotest.(check int) "nothing retired" 0 (Varan_nvx.Tape.base tape);
+  Alcotest.(check int) "the recorder saw every taped event"
+    (Varan_nvx.Tape.length tape) (RR.recorded_events recorder);
+  Alcotest.(check bool) "the log spans frames" true
+    (Varan_nvx.Tape.length tape > 256);
+  Alcotest.(check int) "log length" (String.length taped) (String.length log);
+  Alcotest.(check bool) "the recorder's log is the tape's" true
+    (String.equal taped log)
 
 let test_scribe_slower_than_native () =
   let native = Driver.run tiny_redis Driver.Native in
@@ -586,6 +665,8 @@ let () =
             test_replay_divergent_version_detected;
           Alcotest.test_case "torn log reports where it stopped" `Quick
             test_replay_reports_torn_log;
+          Alcotest.test_case "recorder log = serialized tape" `Quick
+            test_recorder_log_is_the_tape;
           Alcotest.test_case "scribe slower" `Quick test_scribe_slower_than_native;
         ] );
       ( "spec",

@@ -327,42 +327,11 @@ let strace_cmd =
   let run w count =
     (* Run the workload natively with an strace wrapper on unit 0 and
        print the head of the trace — the debuggability story of §3.1. *)
-    let eng = Varan_sim.Engine.create () in
-    let k = Varan_kernel.Kernel.create ~link_latency:3_500 eng in
-    w.Workload.setup_fs k;
-    let body = w.Workload.make_body () in
-    let trace_ref = ref None in
-    let main_proc = Varan_kernel.Kernel.new_proc k w.Workload.w_name in
-    for u = 0 to w.Workload.units - 1 do
-      let proc =
-        if u = 0 then main_proc
-        else Varan_kernel.Kernel.fork_proc k main_proc (Printf.sprintf "w%d" u)
-      in
-      let api = Varan_kernel.Api.direct k proc in
-      let api =
-        if u = 0 then begin
-          let wrapped, trace = Varan_kernel.Strace.attach api in
-          trace_ref := Some trace;
-          wrapped
-        end
-        else api
-      in
-      let tid =
-        Varan_sim.Engine.spawn eng ~name:(Printf.sprintf "unit%d" u) (fun () ->
-            try body ~unit_idx:u api with Varan_sim.Engine.Killed -> ())
-      in
-      Varan_kernel.Kernel.register_task k proc tid
-    done;
-    ignore
-      (Varan_workloads.Clients.launch k ~cost:(Varan_kernel.Kernel.cost k)
-         ~port_of:(Workload.port_of_conn w) w.Workload.load);
-    Varan_sim.Engine.run_until_quiescent eng;
-    match !trace_ref with
-    | None -> ()
-    | Some trace ->
-      let lines = Varan_kernel.Strace.lines trace in
-      List.iteri (fun i l -> if i < count then print_endline l) lines;
-      Printf.printf "... (%d calls traced)\n" (Varan_kernel.Strace.calls trace)
+    let _, trace = Varan_workloads.Driver.strace w in
+    List.iteri
+      (fun i l -> if i < count then print_endline l)
+      (Varan_kernel.Strace.lines trace);
+    Printf.printf "... (%d calls traced)\n" (Varan_kernel.Strace.calls trace)
   in
   Cmd.v
     (Cmd.info "strace"
@@ -425,36 +394,52 @@ let torture_cmd =
              its respawn budget, and that the leader never gates on a \
              quarantined consumer.")
   in
-  let policy_arg name docv doc =
-    Arg.(
-      value & opt (some int) None
-      & info [ name ] ~docv
-          ~doc:
-            ("Lifecycle policy override: " ^ doc
-           ^ " Implies $(b,--lifecycle); also applies to $(b,--net) cases."))
-  in
-  let stall_timeout_arg =
-    policy_arg "stall-timeout" "CYCLES"
-      "cycles without consumer progress before a follower is quarantined."
-  in
-  let max_restarts_arg =
-    policy_arg "max-restarts" "N"
-      "respawns allowed per follower before it is declared dead."
-  in
-  let min_followers_arg =
-    policy_arg "min-followers" "N"
-      "below this many recoverable followers the session degrades to \
-       native-speed leader-only execution."
-  in
-  let lag_threshold_arg =
-    policy_arg "lag-threshold" "EVENTS"
-      "ring lag before a follower counts as lagging."
-  in
-  let checkpoint_interval_arg =
-    policy_arg "checkpoint-interval" "CYCLES"
-      "cycles between follower checkpoints; a respawn restores the newest \
-       one and replays only the tape delta (rr-style fast rejoin). 0 \
-       disables checkpointing."
+  (* The lifecycle policy overrides as one edit of the case's own
+     policy, [None] when no flag is given. The net preset varies
+     checkpointing per seed, so each flag replaces one field of whatever
+     the preset drew. *)
+  let policy_term =
+    let override name docv doc set =
+      let arg =
+        Arg.(
+          value & opt (some int) None
+          & info [ name ] ~docv
+              ~doc:
+                ("Lifecycle policy override: " ^ doc
+               ^ " Implies $(b,--lifecycle); also applies to $(b,--net) \
+                  cases."))
+      in
+      Term.(const (Option.map set) $ arg)
+    in
+    let both a b =
+      match (a, b) with
+      | None, e | e, None -> e
+      | Some f, Some g -> Some (fun p -> g (f p))
+    in
+    List.fold_left
+      (fun acc e -> Term.(const both $ acc $ e))
+      (Term.const None)
+      [
+        override "stall-timeout" "CYCLES"
+          "cycles without consumer progress before a follower is \
+           quarantined."
+          (fun v p -> { p with Lifecycle.stall_timeout = v });
+        override "max-restarts" "N"
+          "respawns allowed per follower before it is declared dead."
+          (fun v p -> { p with Lifecycle.max_restarts = v });
+        override "min-followers" "N"
+          "below this many recoverable followers the session degrades to \
+           native-speed leader-only execution."
+          (fun v p -> { p with Lifecycle.min_followers = v });
+        override "lag-threshold" "EVENTS"
+          "ring lag before a follower counts as lagging."
+          (fun v p -> { p with Lifecycle.lag_threshold = v });
+        override "checkpoint-interval" "CYCLES"
+          "cycles between follower checkpoints; a respawn restores the \
+           newest one and replays only the tape delta (rr-style fast \
+           rejoin). 0 disables checkpointing."
+          (fun v p -> { p with Lifecycle.checkpoint_interval = v });
+      ]
   in
   let net_arg =
     Arg.(
@@ -594,16 +579,8 @@ let torture_cmd =
     end
   in
   let run seed count plan_spec followers verbose lifecycle futex shards
-      stall_timeout max_restarts min_followers lag_threshold
-      checkpoint_interval net link_latency json obs =
-    let lifecycle_on =
-      lifecycle
-      || List.exists Option.is_some
-           [
-             stall_timeout; max_restarts; min_followers; lag_threshold;
-             checkpoint_interval;
-           ]
-    in
+      policy net link_latency json obs =
+    let lifecycle_on = lifecycle || Option.is_some policy in
     let net_on = net || Option.is_some link_latency in
     (* One preset per sweep; net cases always run the lifecycle manager,
        so the policy flags layer onto them. *)
@@ -633,21 +610,6 @@ let torture_cmd =
           match Fault.of_string spec with Ok p -> p | Error e -> usage e)
         plan_spec
     in
-    (* Explicit overrides layered on whatever the preset drew — the net
-       preset varies checkpointing per seed, so each flag replaces one
-       field of the case's own policy. *)
-    let apply_policy p =
-      let ( |? ) o d = Option.value o ~default:d in
-      {
-        p with
-        Lifecycle.stall_timeout = stall_timeout |? p.Lifecycle.stall_timeout;
-        max_restarts = max_restarts |? p.Lifecycle.max_restarts;
-        min_followers = min_followers |? p.Lifecycle.min_followers;
-        lag_threshold = lag_threshold |? p.Lifecycle.lag_threshold;
-        checkpoint_interval =
-          checkpoint_interval |? p.Lifecycle.checkpoint_interval;
-      }
-    in
     let make s =
       let case = gen s in
       let case =
@@ -657,7 +619,8 @@ let torture_cmd =
             (match shards with
             | Some n when n > 0 -> max 2 (min 8 n)
             | _ -> case.H.shards);
-          lifecycle = Option.map apply_policy case.H.lifecycle;
+          lifecycle =
+            Option.map (Option.value policy ~default:Fun.id) case.H.lifecycle;
           net =
             Option.map
               (fun n ->
@@ -714,10 +677,8 @@ let torture_cmd =
           native run and the trace-invariant oracle.")
     Term.(
       const run $ seed_arg $ count_arg $ plan_arg $ followers_torture_arg
-      $ verbose_arg $ lifecycle_arg $ futex_arg $ shards_arg
-      $ stall_timeout_arg $ max_restarts_arg $ min_followers_arg
-      $ lag_threshold_arg $ checkpoint_interval_arg $ net_arg
-      $ link_latency_arg $ json_arg $ obs_term)
+      $ verbose_arg $ lifecycle_arg $ futex_arg $ shards_arg $ policy_term
+      $ net_arg $ link_latency_arg $ json_arg $ obs_term)
 
 let replay_cmd =
   let module H = Varan_torture.Harness in

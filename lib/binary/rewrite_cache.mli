@@ -12,19 +12,20 @@
     [first_site_id] in O(sites) — no disassembly, no window collection,
     no stub emission.
 
-    The session (or the spawn hub a shard pool shares) owns the cache:
-    it outlives every variant incarnation, so respawned followers and
-    additional replicas of the same image always rebase instead of
-    re-rewriting.
+    A spawn hub owns the cache (the session's own, or the one a shard
+    pool shares): it outlives every variant incarnation, so respawned
+    followers and additional replicas of the same image always rebase
+    instead of re-rewriting. The cache keeps every image it prepared: a
+    hub sees one image per code profile, as its pristine store does, so
+    nothing is ever evicted.
 
     Hits, misses and rebases are counted per cache; {!stats} reads
     them. *)
 
 type t
 
-val create : ?capacity:int -> unit -> t
-(** A cache holding at most [capacity] (default 64) distinct images;
-    insertion beyond that evicts in FIFO order. *)
+val create : unit -> t
+(** An empty cache. *)
 
 type key
 (** The content key of a code image: a digest of its bytes plus the
@@ -57,9 +58,7 @@ type stats = {
   hits : int;  (** served by rebasing a cached entry *)
   misses : int;  (** cold rewrites (entry then cached) *)
   rebases : int;  (** rebase passes run on cache hits *)
-  evictions : int;
-  entries : int;
-  cached_bytes : int;  (** rewritten-text bytes currently held *)
+  entries : int;  (** distinct images held *)
 }
 
 val stats : t -> stats

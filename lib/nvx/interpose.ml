@@ -160,9 +160,16 @@ let leader_execute_and_record t vst ~unit_idx ~tuple proc
   let nfoll = alive_followers t in
   let recording = recording t tuple ~nfoll in
   let publish_result result =
+    (* The result buffer the event carries, and so the tape: an empty
+       one (a read at EOF) travels as none at all. *)
+    let out =
+      match result.Args.out with
+      | Some out when Bytes.length out = 0 -> None
+      | out -> out
+    in
     (* Shared-memory payload for out-buffer results. *)
     let payload, payload_len, inline_out =
-      match result.Args.out with
+      match out with
       | Some out when Bytes.length out > Event.max_inline_bytes ->
         E.consume c.Cost.shmem_alloc;
         E.consume
@@ -171,8 +178,8 @@ let leader_execute_and_record t vst ~unit_idx ~tuple proc
         let chunk = Pool.alloc t.pool (Bytes.length out) in
         Pool.write chunk out;
         (Some chunk, Bytes.length out, None)
-      | Some out when Bytes.length out > 0 -> (None, 0, Some out)
-      | _ -> (None, 0, None)
+      | Some _ -> (None, 0, out)
+      | None -> (None, 0, None)
     in
     (* In-buffer payload digest for divergence checking. *)
     (match Sysno.transfer_class sysno with
@@ -196,7 +203,7 @@ let leader_execute_and_record t vst ~unit_idx ~tuple proc
     publish t vst ~unit_idx ~tuple ~nfoll ~wake:true disp
       ~kind:(if is_exit then Event.Ev_exit else Event.Ev_syscall)
       ~args ~ret:result.Args.ret ?payload ~payload_len ?inline_out ?grant
-      ~out:result.Args.out (Sysno.to_int sysno)
+      ~out (Sysno.to_int sysno)
   in
   let publish_result result = if recording then publish_result result in
   if is_exit then begin

@@ -90,10 +90,10 @@ let fresh_vstats () =
 (* The zygote's pristine text, one image per code profile (§3.1): the
    first variant to map a profile generates it, and every later variant,
    replica and respawned incarnation forks the same bytes. It sits beside
-   the rewrite cache and lives exactly as long as the zygote owning both;
-   the bytes are only ever read, since the rewrite works on a copy, so
-   the content key hashed when the image is generated stays its key and
-   no launch hashes it again. *)
+   the rewrite cache in the spawn hub and lives exactly as long as the
+   hub; the bytes are only ever read, since the rewrite works on a copy,
+   so the content key hashed when the image is generated stays its key
+   and no launch hashes it again. *)
 type pristine_image = { code : Bytes.t; key : Rewrite_cache.key }
 
 type pristine = {
@@ -115,6 +115,23 @@ let pristine_text store (p : Variant.code_profile) =
     Hashtbl.replace store.images p img;
     store.generations <- store.generations + 1;
     img
+
+(* The spawn hub (§3.1, Figure 2): one resident zygote, the
+   content-addressed rewrite cache and the pristine store beside it, and
+   the launcher of every variant the zygote forks, by variant name. Every
+   session spawns through one: its own, or the hub a shard pool shares,
+   so the fast path is paid once per hub rather than per session. The
+   zygote process itself is created by the first coordinator that runs
+   (coordinators are engine tasks, and [Zygote.spawn] must run inside
+   one). *)
+type hub = {
+  sp_cache : Rewrite_cache.t;
+  sp_pristine : pristine;
+  mutable sp_zygote : Zygote.t option;
+  mutable sp_creating : bool;
+  sp_ready : E.Cond.cond;
+  sp_launchers : (string, Types.proc -> unit) Hashtbl.t;
+}
 
 type vstate = {
   idx : int;
@@ -174,12 +191,10 @@ type t = {
   vstates : vstate array;
   mutable leader_idx : int;
   payload_refs : (int, int ref) Hashtbl.t;
-  mutable zygote : Zygote.t option;
-  (* The spawn fast path's rewrite cache: the session's own, or the
-     shared spawn hub's. It outlives every variant incarnation, so
-     respawns rebase a cached image instead of re-running the rewriter. *)
-  rewrite_cache : Rewrite_cache.t;
-  pristine : pristine; (* beside the cache, owned the same way *)
+  (* The spawn hub: the session's own, or a shard pool's. Its rewrite
+     cache outlives every variant incarnation, so respawns rebase a
+     cached image instead of re-running the rewriter. *)
+  hub : hub;
   (* Monitor-wide site-id allocator: each prepared image (and vDSO patch)
      claims a contiguous id range, so cached rewrites are rebased to
      fresh ranges instead of re-run. *)

@@ -360,7 +360,7 @@ let respawn t vst =
          leads — it cannot publish into the local ring. *)
       if (not t.vstates.(t.leader_idx).alive) && not remote then
         t.leader_idx <- vst.idx;
-      (match t.zygote with
+      (match t.hub.sp_zygote with
       | Some z -> ignore (Zygote.fork_request z vst.variant.Variant.v_name)
       | None -> ())
       end

@@ -25,14 +25,14 @@ let materialize_payload = Monitor.materialize_payload
 let prepare_image t vst =
   let t0 = Unix.gettimeofday () in
   let reg = Prof.region_enter () in
-  let img = pristine_text t.pristine vst.variant.Variant.profile in
+  let img = pristine_text t.hub.sp_pristine vst.variant.Variant.profile in
   let seg =
     Image.make_segment ~name:(vst.variant.Variant.v_name ^ ".text") ~base:0
       ~perm:Image.rx img.code
   in
   let first_site_id = t.next_site_id in
   let _sites, stats =
-    Rewrite_cache.prepare_segment t.rewrite_cache ~first_site_id ~key:img.key
+    Rewrite_cache.prepare_segment t.hub.sp_cache ~first_site_id ~key:img.key
       seg
   in
   t.next_site_id <- first_site_id + stats.Rewriter.total_syscalls;
@@ -101,24 +101,13 @@ let start_units t vst =
   done
 
 (* ------------------------------------------------------------------ *)
-(* Shared spawn hub (sharded serving)                                  *)
+(* Spawn hub                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* One zygote + one content-addressed rewrite cache serving several
-   sessions. The hub holds a launcher per variant name; whichever
-   session's coordinator runs first creates the actual zygote process
-   (coordinators are engine tasks, and [Zygote.spawn] must run inside
-   one), later coordinators reuse it. Fork requests dispatch by variant
-   name, so names must be unique across the sessions sharing a hub —
-   the shard layer prefixes them with the shard scope. *)
-type shared_spawn = {
-  sp_cache : Rewrite_cache.t;
-  sp_pristine : pristine;
-  mutable sp_zygote : Zygote.t option;
-  mutable sp_creating : bool;
-  sp_ready : E.Cond.cond;
-  sp_launchers : (string, Types.proc -> name:string -> unit) Hashtbl.t;
-}
+(* Every session forks through a hub ({!Monitor.hub}). Fork requests
+   dispatch by variant name, so names must be unique across the sessions
+   sharing a hub — the shard layer prefixes them with the shard scope. *)
+type shared_spawn = hub
 
 let shared_spawn () =
   {
@@ -126,7 +115,7 @@ let shared_spawn () =
     sp_pristine = pristine_create ();
     sp_zygote = None;
     sp_creating = false;
-    sp_ready = E.Cond.create "shared-zygote-ready";
+    sp_ready = E.Cond.create "zygote-ready";
     sp_launchers = Hashtbl.create 16;
   }
 
@@ -149,9 +138,7 @@ let shared_spawn_zygote sp k =
   | None ->
     sp.sp_creating <- true;
     let dispatch proc ~name =
-      match Hashtbl.find_opt sp.sp_launchers name with
-      | Some l -> l proc ~name
-      | None -> ()
+      Option.iter (fun l -> l proc) (Hashtbl.find_opt sp.sp_launchers name)
     in
     let z = Zygote.spawn k ~launcher:dispatch in
     sp.sp_zygote <- Some z;
@@ -250,6 +237,24 @@ let launch ?(config = Config.default) ?scope ?shared k variants =
         || v.Variant.program.Variant.unit_kind <> shape.Variant.unit_kind
       then invalid_arg "Session.launch: variants have different unit shapes")
     variants;
+  let hub = match shared with Some sp -> sp | None -> shared_spawn () in
+  (* The hub dispatches forks by variant name: refuse a name it already
+     serves, or one this session repeats, before anything is built or
+     registered. *)
+  Array.iteri
+    (fun i v ->
+      let name = v.Variant.v_name in
+      if
+        Hashtbl.mem hub.sp_launchers name
+        || Array.exists
+             (fun w -> w.Variant.v_name = name)
+             (Array.sub variants 0 i)
+      then
+        invalid_arg
+          (Printf.sprintf
+             "Session.launch: variant name %S already taken in this spawn hub"
+             name))
+    variants;
   let ntuples = initial_tuples shape in
   let nvariants = Array.length variants in
   if config.Config.lifecycle <> None && config.Config.streaming = Config.Event_pump
@@ -277,15 +282,7 @@ let launch ?(config = Config.default) ?scope ?shared k variants =
       vstates;
       leader_idx = 0;
       payload_refs = Hashtbl.create 64;
-      zygote = None;
-      rewrite_cache =
-        (match shared with
-        | Some sp -> sp.sp_cache
-        | None -> Rewrite_cache.create ());
-      pristine =
-        (match shared with
-        | Some sp -> sp.sp_pristine
-        | None -> pristine_create ());
+      hub;
       next_site_id = 0;
       crash_list = [];
       crash_list_len = 0;
@@ -297,7 +294,7 @@ let launch ?(config = Config.default) ?scope ?shared k variants =
       tapes = [||];
       (* The checkpoint store stays per-session even under a shared hub:
          snapshots are keyed by variant index, which collides across
-         sessions. Only the zygote and the rewrite cache are shared. *)
+         sessions. *)
       checkpoints = Checkpoint.create ();
       degraded = None;
       max_lag = 0;
@@ -384,48 +381,29 @@ let launch ?(config = Config.default) ?scope ?shared k variants =
         ~cost:t.cost
         ~live:(fun idx -> idx <> t.leader_idx && t.vstates.(idx).alive)
     done);
-  (* Coordinator: spawn (or join) the zygote, fork each variant through
-     it, prepare images and start execution units (Figure 2). *)
-  let launcher proc ~name =
-    match
-      Array.find_opt (fun vst -> vst.variant.Variant.v_name = name) vstates
-    with
-    | None -> ()
-    | Some vst ->
-      vst.main_proc <- Some proc;
-      (* Every incarnation goes through prepare_image: the zygote
-         forks from the pristine copy (Figure 2), and the rewrite
-         cache turns everything after the first launch of a given
-         image into an O(sites) rebase — respawns never re-run
-         the rewriter from scratch. *)
-      prepare_image t vst;
-      start_units t vst
+  (* Coordinator: spawn (or join) the hub's zygote, fork each variant
+     through it, prepare images and start execution units (Figure 2). *)
+  let launcher vst proc =
+    vst.main_proc <- Some proc;
+    (* Every incarnation goes through prepare_image: the zygote forks
+       from the pristine copy (Figure 2), and the rewrite cache turns
+       everything after the first launch of a given image into an
+       O(sites) rebase — respawns never re-run the rewriter from
+       scratch. *)
+    prepare_image t vst;
+    start_units t vst
   in
-  (* Under a shared hub, register this session's variants with the
-     dispatch table up front (no task context needed) so whichever
-     coordinator creates the zygote can already serve siblings. *)
-  (match shared with
-  | None -> ()
-  | Some sp ->
-    Array.iter
-      (fun vst ->
-        let name = vst.variant.Variant.v_name in
-        if Hashtbl.mem sp.sp_launchers name then
-          invalid_arg
-            (Printf.sprintf
-               "Session.launch: variant name %S already registered with this \
-                spawn hub"
-               name);
-        Hashtbl.replace sp.sp_launchers name launcher)
-      vstates);
+  (* Register this session's variants with the hub's dispatch table up
+     front (no task context needed) so whichever coordinator creates the
+     zygote can already serve siblings. *)
+  Array.iter
+    (fun vst ->
+      Hashtbl.replace hub.sp_launchers vst.variant.Variant.v_name
+        (launcher vst))
+    vstates;
   ignore
     (E.spawn k.Types.eng ~name:"coordinator" (fun () ->
-         let z =
-           match shared with
-           | Some sp -> shared_spawn_zygote sp k
-           | None -> Zygote.spawn k ~launcher
-         in
-         t.zygote <- Some z;
+         let z = shared_spawn_zygote hub k in
          Array.iter
            (fun vst ->
              ignore (Zygote.fork_request z vst.variant.Variant.v_name))
@@ -435,9 +413,7 @@ let launch ?(config = Config.default) ?scope ?shared k variants =
             request pipe and is abandoned at quiescence. A shared hub's
             zygote always stays resident — sibling sessions and their
             respawns keep using it. *)
-         match (t.lifecycle, shared) with
-         | None, None -> Zygote.shutdown z
-         | _ -> ()));
+         if t.lifecycle = None && shared = None then Zygote.shutdown z));
   t
 
 (* ------------------------------------------------------------------ *)
@@ -538,8 +514,8 @@ let stats t =
     rings = Array.map Ring.stats t.rings;
     pool = Pool.stats t.pool;
     max_observed_lag = t.max_lag;
-    rewrite_cache = Rewrite_cache.stats t.rewrite_cache;
-    pristine_generations = t.pristine.generations;
+    rewrite_cache = Rewrite_cache.stats t.hub.sp_cache;
+    pristine_generations = t.hub.sp_pristine.generations;
     checkpoints = Checkpoint.stats t.checkpoints;
     tapes = Array.map Tape.stats t.tapes;
     bridge = Option.map (fun ns -> Bridge.stats ns.n_bridge) t.net;
@@ -570,6 +546,7 @@ let tuple_tape (t : t) tu =
 
 let checkpoint_store (t : t) = t.checkpoints
 let pristine_image (t : t) profile =
-  Option.map (fun img -> img.code) (Hashtbl.find_opt t.pristine.images profile)
+  Option.map (fun img -> img.code)
+    (Hashtbl.find_opt t.hub.sp_pristine.images profile)
 let flight (t : t) = t.fl
 let bundle_counters = Recovery.bundle_counters

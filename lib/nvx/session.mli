@@ -23,12 +23,13 @@ exception Divergence_kill of string
     rewrite rules; the monitor turns it into a crash notification. *)
 
 type shared_spawn
-(** A spawn hub shared by several sessions (the sharded serving layer):
-    one resident zygote process, one content-addressed rewrite cache and
-    one pristine image per code profile, so the spawn fast path is paid
-    once process-wide rather than per shard. Fork requests dispatch to
-    the owning session by variant name, which must therefore be unique
-    across the sessions sharing a hub. *)
+(** A spawn hub: one zygote process, one content-addressed rewrite cache
+    and one pristine image per code profile. Every session forks its
+    variants through one — its own, or one several sessions share (the
+    sharded serving layer), so the spawn fast path is paid once per hub
+    rather than per session. Fork requests dispatch to the owning session
+    by variant name, which must therefore be unique across the sessions
+    sharing a hub. *)
 
 val shared_spawn : unit -> shared_spawn
 (** Fresh hub; the zygote process itself is created lazily by the first
@@ -55,15 +56,17 @@ val launch :
     (["postmortem-shard2-N.json"] for scope ["shard2"]) and its trace
     track. Without it the bundles are named ["session"].
 
-    [shared] plugs the session into a {!shared_spawn} hub: the session
-    uses the hub's zygote, rewrite cache and pristine images instead of
-    creating its own, and never shuts the zygote down (sibling sessions
-    and respawns keep using it). The checkpoint store remains
-    per-session — snapshots are keyed by variant index, which is only
-    unique within a session.
+    The session spawns through [shared] when given, and otherwise through
+    a private {!shared_spawn} hub of its own. A private hub's zygote is
+    shut down once the variants are forked, unless the lifecycle manager
+    keeps it resident for respawns; a shared hub's zygote always stays
+    resident, since sibling sessions and their respawns keep using it.
+    The checkpoint store remains per-session — snapshots are keyed by
+    variant index, which is only unique within a session.
 
     @raise Invalid_argument on an empty variant list, inconsistent unit
-    shapes, or a variant name already registered with [shared]. *)
+    shapes, two variants of one name, or a variant name already
+    registered with [shared]. *)
 
 val leader_index : t -> int
 val role_of : t -> int -> role

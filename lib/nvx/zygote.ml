@@ -32,11 +32,10 @@ let read_line api fd =
   go ()
 
 let spawn k ~launcher =
-  (* The coordinator's process owns one end of each pipe; the zygote's
-     process owns the other. For simplicity both pipes are created in a
-     scratch process and the fds shared — the simulated kernel's
-     open-file descriptions make this equivalent to inheriting across
-     fork. *)
+  (* Both ends of the socket pair are created in the zygote's process
+     and the coordinator drives its end through the same table — the
+     simulated kernel's open-file descriptions make this equivalent to
+     inheriting it across fork. *)
   let zproc = K.new_proc k "zygote" in
   let zapi = Api.direct k zproc in
   (* One UNIX-domain socket pair, as in Figure 2: the coordinator holds

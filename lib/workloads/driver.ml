@@ -31,7 +31,8 @@ type mode =
 let default_link_latency = 3_500 (* 1 us one way: same-rack, kernel-bypass client *)
 
 (* Run a server natively (or with a wrapped API) by replicating the unit
-   structure the NVX session would create. *)
+   structure the NVX session would create: threads share one process,
+   process units fork from the first. [api_of u proc] is unit [u]'s API. *)
 let start_plain w k ~api_of =
   let body = w.Workload.make_body () in
   let main_proc = K.new_proc k w.Workload.w_name in
@@ -45,7 +46,7 @@ let start_plain w k ~api_of =
   in
   Array.iteri
     (fun u proc ->
-      let api = api_of proc in
+      let api = api_of u proc in
       let tid =
         E.spawn (K.engine k)
           ~name:(Printf.sprintf "%s.unit%d" w.Workload.w_name u)
@@ -97,10 +98,10 @@ let run w mode =
   let label, session_opt =
     match mode with
     | Native ->
-      start_plain w k ~api_of:(fun proc -> Api.direct k proc);
+      start_plain w k ~api_of:(fun _ proc -> Api.direct k proc);
       ("native", None)
     | Scribe ->
-      start_plain w k ~api_of:(fun proc -> Record_replay.scribe_api k proc);
+      start_plain w k ~api_of:(fun _ proc -> Record_replay.scribe_api k proc);
       ("scribe", None)
     | Nvx { followers; config } ->
       let session = Nvx.launch ~config k (variants_for w (followers + 1)) in
@@ -119,6 +120,21 @@ let run w mode =
   E.run_until_quiescent eng;
   (match session_opt with Some s -> Nvx.observe_lags s | None -> ());
   finish ()
+
+let strace w =
+  let eng, k = fresh_machine w in
+  let trace = ref None in
+  start_plain w k ~api_of:(fun u proc ->
+      let api = Api.direct k proc in
+      if u > 0 then api
+      else begin
+        let wrapped, tr = Varan_kernel.Strace.attach api in
+        trace := Some tr;
+        wrapped
+      end);
+  ignore (measure_clients "native" k (K.cost k) w);
+  E.run_until_quiescent eng;
+  (k, Option.get !trace)
 
 let run_with_full_session w ~followers ~config =
   let eng, k = fresh_machine w in

@@ -30,6 +30,11 @@ val run : Workload.t -> mode -> measurement
 (** Build a fresh engine/kernel, start the server(s) in the requested
     mode, run the load to completion and measure from the client side. *)
 
+val strace : Workload.t -> Varan_kernel.Types.t * Varan_kernel.Strace.t
+(** Run the workload natively, as {!run} [Native] does, with unit 0's
+    API wrapped in {!Varan_kernel.Strace.attach}; returns the machine as
+    the run left it and unit 0's trace. *)
+
 val run_with_full_session :
   Workload.t ->
   followers:int ->

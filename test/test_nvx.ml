@@ -1744,6 +1744,29 @@ let test_pristine_once_across_shards () =
       1 st.Nvx.rewrite_cache.Varan_binary.Rewrite_cache.misses
   done
 
+(* Every session forks through a spawn hub that dispatches by variant
+   name, so a session refuses two variants of one name, and a refused
+   launch leaves no name registered with a shared hub. *)
+let test_duplicate_variant_names_refused () =
+  let eng, k = mk_env () in
+  let body _api = () in
+  let refused ?shared names =
+    match Nvx.launch ?shared k (List.map (fun n -> simple_variant n body) names) with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.failf "launching [%s] must fail" (String.concat "; " names)
+  in
+  refused [ "v"; "v" ];
+  let hub = Nvx.shared_spawn () in
+  refused ~shared:hub [ "a"; "b"; "a" ];
+  let session = Nvx.launch ~shared:hub k [ simple_variant "b" body ] in
+  refused ~shared:hub [ "b" ];
+  E.run_until_quiescent eng;
+  Alcotest.(check int) "the hub forked the one launched variant" 1
+    (match Nvx.shared_zygote hub with
+    | Some z -> Varan_nvx.Zygote.forks_served z
+    | None -> 0);
+  Alcotest.(check int) "and it runs" 1 (Nvx.alive_count session)
+
 let () =
   Alcotest.run "varan_nvx"
     [
@@ -1844,6 +1867,8 @@ let () =
             test_pristine_once_per_profile;
           Alcotest.test_case "one image across shards" `Quick
             test_pristine_once_across_shards;
+          Alcotest.test_case "variant names unique per session" `Quick
+            test_duplicate_variant_names_refused;
         ] );
       ( "tape",
         [

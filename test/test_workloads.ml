@@ -129,6 +129,30 @@ let test_all_catalog_servers_run_under_nvx () =
         (m.Driver.requests > 0 && m.Driver.errors = 0))
     (Catalog.c10k_servers @ Catalog.prior_work_servers)
 
+(* The traced native run starts units as {!Driver.run} [Native] does:
+   threads share the workload's one process, process units fork their
+   own. *)
+let test_strace_unit_processes () =
+  let procs w =
+    let k, trace = Driver.strace w in
+    Alcotest.(check bool)
+      (w.Workload.w_name ^ " traced") true
+      (Varan_kernel.Strace.calls trace > 0);
+    let rec root p =
+      match p.Varan_kernel.Types.parent with Some q -> root q | None -> p
+    in
+    Hashtbl.fold
+      (fun _ p n ->
+        if (root p).Varan_kernel.Types.pname = w.Workload.w_name then n + 1
+        else n)
+      k.Varan_kernel.Types.procs 0
+  in
+  Alcotest.(check int) "memcached's 4 threads: 1 process" 1
+    (procs Catalog.memcached);
+  Alcotest.(check int) "redis's 2 threads: 1 process" 1 (procs Catalog.redis);
+  Alcotest.(check int) "nginx's 4 workers: 4 processes" 4
+    (procs Catalog.nginx)
+
 (* --- lockstep ----------------------------------------------------------- *)
 
 let test_lockstep_correctness () =
@@ -404,7 +428,12 @@ let test_recorder_log_is_the_tape () =
     for i = 1 to 300 do
       ignore (ok (Api.read api fd (if i mod 7 = 0 then 3000 else 1)))
     done;
-    ignore (ok (Api.close api fd))
+    ignore (ok (Api.close api fd));
+    (* A read at EOF: an empty result, which the event and the tape
+       must both carry as no buffer at all. *)
+    let empty = ok (Api.openf api "/var/.keep" Varan_kernel.Flags.o_rdonly) in
+    ignore (ok (Api.read api empty 16));
+    ignore (ok (Api.close api empty))
   in
   let eng = E.create () in
   let k = K.create eng in
@@ -640,6 +669,8 @@ let () =
           Alcotest.test_case "nvx serves all" `Quick test_driver_nvx_serves_all;
           Alcotest.test_case "overhead ordering" `Quick
             test_driver_overhead_ordering;
+          Alcotest.test_case "strace keeps the unit processes" `Quick
+            test_strace_unit_processes;
           Alcotest.test_case "catalog servers native" `Slow
             test_all_catalog_servers_run_natively;
           Alcotest.test_case "catalog servers nvx" `Slow

@@ -128,12 +128,12 @@ let ring_size () =
   List.iter
     (fun size ->
       let config = Config.with_ring_size Config.default size in
-      let m, st = Driver.run_with_session w ~followers:1 ~config in
+      let m, s = Driver.run_with_full_session w ~followers:1 ~config in
       Tablefmt.add_row table
         [
           string_of_int size;
           Tablefmt.ratio (Driver.overhead ~baseline:native m);
-          string_of_int st.Nvx.max_observed_lag;
+          string_of_int (Nvx.stats s).Nvx.max_observed_lag;
         ])
     [ 1; 4; 16; 64; 256; 1024 ];
   Tablefmt.print table;
@@ -159,15 +159,15 @@ let waitlock () =
     (fun w ->
       let native = Driver.run w Driver.Native in
       let m_wl, _ =
-        Driver.run_with_session w ~followers:1 ~config:Config.default
+        Driver.run_with_full_session w ~followers:1 ~config:Config.default
       in
-      let m_busy, st_busy =
-        Driver.run_with_session w ~followers:1 ~config:busy_config
+      let m_busy, s_busy =
+        Driver.run_with_full_session w ~followers:1 ~config:busy_config
       in
       let burned =
         Array.fold_left
           (fun acc v -> Int64.add acc v.Nvx.vs_stall_cycles)
-          0L st_busy.Nvx.variants
+          0L (Nvx.stats s_busy).Nvx.variants
       in
       Tablefmt.add_row table
         [

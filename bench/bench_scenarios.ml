@@ -114,11 +114,11 @@ let failover () =
     (hmget_latency baseline);
   Printf.printf "  HMGET latency, buggy LEADER        : %8.2f us  (crash %b, new leader idx %d)\n"
     (hmget_latency with_leader_crash)
-    (Nvx.crash_log_nonempty s_leader)
+    (Nvx.crash_count s_leader > 0)
     (Nvx.leader_index s_leader);
   Printf.printf "  HMGET latency, buggy FOLLOWER      : %8.2f us  (crash %b, leader idx %d)\n"
     (hmget_latency with_follower_crash)
-    (Nvx.crash_log_nonempty s_follower)
+    (Nvx.crash_count s_follower > 0)
     (Nvx.leader_index s_follower);
   let mean_get r = Stats.mean (get_latencies r) in
   Printf.printf "  GET latency after failover         : %8.2f us (vs %.2f us baseline)\n"

@@ -19,19 +19,7 @@ let save_csv ~name table =
    so CI can diff the perf trajectory across PRs. *)
 let hotpath_json_path = "BENCH_hotpath.json"
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+let json_escape = Varan_obs.Trace.json_escape
 
 (* Serving-layer trajectory (req/s vs shard count, tail latency vs
    follower count), also at the repo root for the CI scaling gate. *)

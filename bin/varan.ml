@@ -17,6 +17,9 @@ module Workload = Varan_workloads.Workload
 module Catalog = Varan_workloads.Catalog
 module Config = Varan_nvx.Config
 module Nvx = Varan_nvx.Session
+module Lifecycle = Varan_nvx.Lifecycle
+module CK = Varan_nvx.Checkpoint
+module H = Varan_torture.Harness
 module Tablefmt = Varan_util.Tablefmt
 module Span = Varan_obs.Trace
 module Profile = Varan_obs.Profile
@@ -80,6 +83,25 @@ let finish ?(report_dump = true) ?(before_trace = ignore) obs =
        if d = 0 then "" else Printf.sprintf " (%d dropped)" d)
       path
 
+(* ------------------------------------------------------------------ *)
+(* Flags several commands define: each builder fixes the flag's names   *)
+(* and metavariable; the command gives its type, default and doc.       *)
+(* ------------------------------------------------------------------ *)
+
+let opt_flag names docv ty default doc =
+  Arg.(value & opt ty default & info names ~docv ~doc)
+
+let seed_flag ?(docv = "N") default doc =
+  opt_flag [ "seed" ] docv Arg.int default doc
+
+let followers_flag ?(short = true) ty default doc =
+  let names = if short then [ "f"; "followers" ] else [ "followers" ] in
+  opt_flag names "N" ty default doc
+
+let shards_flag ty default doc = opt_flag [ "shards" ] "N" ty default doc
+let count_flag name default doc = opt_flag [ name ] "N" Arg.int default doc
+let checkpoint_interval_flag ty = opt_flag [ "checkpoint-interval" ] "CYCLES" ty
+
 let workloads =
   [
     ("beanstalkd", Catalog.beanstalkd);
@@ -108,11 +130,6 @@ let workload_arg =
     required
     & opt (some workload_conv) None
     & info [ "w"; "workload" ] ~docv:"NAME" ~doc:"Benchmark application to run.")
-
-let followers_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "f"; "followers" ] ~docv:"N" ~doc:"Number of followers.")
 
 let ring_size_arg =
   Arg.(
@@ -213,10 +230,10 @@ let run_cmd =
     arm obs;
     Printf.printf "Running %s under VARAN with %d follower(s)...\n%!"
       w.Workload.w_name followers;
-    let m, st, session = Driver.run_with_full_session w ~followers ~config in
+    let m, session = Driver.run_with_full_session w ~followers ~config in
     print_measurement m;
     Printf.printf "Overhead: %.2fx\n" (Driver.overhead ~baseline:native m);
-    print_session_stats st;
+    print_session_stats (Nvx.stats session);
     if trace then begin
       print_endline "\nLeader system call trace (first 25 lines):";
       List.iteri
@@ -228,7 +245,9 @@ let run_cmd =
   Cmd.v
     (Cmd.info "run" ~doc:"Run a workload under the VARAN monitor and report overhead.")
     Term.(
-      const run $ workload_arg $ followers_arg $ ring_size_arg $ pump_arg
+      const run $ workload_arg
+      $ followers_flag Arg.int 1 "Number of followers."
+      $ ring_size_arg $ pump_arg
       $ trap_only_arg $ busy_wait_arg $ trace_arg $ obs_term)
 
 let lockstep_cmd =
@@ -261,9 +280,6 @@ let rewrite_cmd =
       value & opt float 0.02
       & info [ "share" ] ~docv:"F" ~doc:"Fraction of instructions that are syscalls.")
   in
-  let seed_arg =
-    Arg.(value & opt int 7 & info [ "seed" ] ~docv:"S" ~doc:"Codegen seed.")
-  in
   let run bytes share seed =
     let rng = Varan_util.Prng.create seed in
     let code =
@@ -282,7 +298,9 @@ let rewrite_cmd =
   Cmd.v
     (Cmd.info "rewrite"
        ~doc:"Generate a synthetic text segment and show binary-rewriting statistics.")
-    Term.(const run $ bytes_arg $ share_arg $ seed_arg)
+    Term.(
+      const run $ bytes_arg $ share_arg
+      $ seed_flag ~docv:"S" 7 "Codegen seed.")
 
 let bpf_cmd =
   let leader_arg =
@@ -319,11 +337,6 @@ let bpf_cmd =
     Term.(const run $ leader_arg $ follower_arg)
 
 let strace_cmd =
-  let count_arg =
-    Arg.(
-      value & opt int 30
-      & info [ "n" ] ~docv:"N" ~doc:"Number of trace lines to print.")
-  in
   let run w count =
     (* Run the workload natively with an strace wrapper on unit 0 and
        print the head of the trace — the debuggability story of §3.1. *)
@@ -336,26 +349,18 @@ let strace_cmd =
   Cmd.v
     (Cmd.info "strace"
        ~doc:"Trace a workload's system calls, strace-style (unit 0 only).")
-    Term.(const run $ workload_arg $ count_arg)
+    Term.(
+      const run $ workload_arg
+      $ count_flag "n" 30 "Number of trace lines to print.")
 
 let torture_cmd =
-  let module H = Varan_torture.Harness in
   let module Fault = Varan_fault.Plan in
   let module Oracle = Varan_trace.Oracle in
-  let module Lifecycle = Varan_nvx.Lifecycle in
   let seed_arg =
-    Arg.(
-      value & opt int 0xBEEF
-      & info [ "seed" ] ~docv:"N"
-          ~doc:
-            "Case seed. The whole case — workload, follower count and \
-             fault plan — derives from it, so any failing case reproduces \
-             from the seed alone.")
-  in
-  let count_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "count" ] ~docv:"N" ~doc:"Run this many consecutive seeds.")
+    seed_flag 0xBEEF
+      "Case seed. The whole case — workload, follower count and fault plan \
+       — derives from it, so any failing case reproduces from the seed \
+       alone."
   in
   let plan_arg =
     Arg.(
@@ -367,14 +372,13 @@ let torture_cmd =
              faults for $(b,--net) cases: part@4+120000,ldrop@11. A plan \
              naming a variant the case does not run exits 2.")
   in
-  let followers_torture_arg =
-    Arg.(
-      value & opt (some int) None
-      & info [ "followers" ] ~docv:"N"
-          ~doc:
-            "Override the follower count (per shard for $(b,--shards)), \
-             clamped to 1–4, keeping the case's plan. $(b,--net) cases keep \
-             at least one follower local, so they need 2 or more.")
+  let followers_arg =
+    followers_flag ~short:false
+      Arg.(some int)
+      None
+      "Override the follower count (per shard for $(b,--shards)), clamped \
+       to 1–4, keeping the case's plan. $(b,--net) cases keep at least one \
+       follower local, so they need 2 or more."
   in
   let verbose_arg =
     Arg.(
@@ -399,17 +403,14 @@ let torture_cmd =
      checkpointing per seed, so each flag replaces one field of whatever
      the preset drew. *)
   let policy_term =
-    let override name docv doc set =
-      let arg =
-        Arg.(
-          value & opt (some int) None
-          & info [ name ] ~docv
-              ~doc:
-                ("Lifecycle policy override: " ^ doc
-               ^ " Implies $(b,--lifecycle); also applies to $(b,--net) \
-                  cases."))
-      in
-      Term.(const (Option.map set) $ arg)
+    let override flag doc set =
+      Term.(
+        const (Option.map set)
+        $ flag
+            Arg.(some int)
+            None
+            ("Lifecycle policy override: " ^ doc
+           ^ " Implies $(b,--lifecycle); also applies to $(b,--net) cases."))
     in
     let both a b =
       match (a, b) with
@@ -420,21 +421,21 @@ let torture_cmd =
       (fun acc e -> Term.(const both $ acc $ e))
       (Term.const None)
       [
-        override "stall-timeout" "CYCLES"
+        override (opt_flag [ "stall-timeout" ] "CYCLES")
           "cycles without consumer progress before a follower is \
            quarantined."
           (fun v p -> { p with Lifecycle.stall_timeout = v });
-        override "max-restarts" "N"
+        override (opt_flag [ "max-restarts" ] "N")
           "respawns allowed per follower before it is declared dead."
           (fun v p -> { p with Lifecycle.max_restarts = v });
-        override "min-followers" "N"
+        override (opt_flag [ "min-followers" ] "N")
           "below this many recoverable followers the session degrades to \
            native-speed leader-only execution."
           (fun v p -> { p with Lifecycle.min_followers = v });
-        override "lag-threshold" "EVENTS"
+        override (opt_flag [ "lag-threshold" ] "EVENTS")
           "ring lag before a follower counts as lagging."
           (fun v p -> { p with Lifecycle.lag_threshold = v });
-        override "checkpoint-interval" "CYCLES"
+        override checkpoint_interval_flag
           "cycles between follower checkpoints; a respawn restores the \
            newest one and replays only the tape delta (rr-style fast \
            rejoin). 0 disables checkpointing."
@@ -475,17 +476,15 @@ let torture_cmd =
              digest-for-digest.")
   in
   let shards_arg =
-    Arg.(
-      value & opt (some int) None
-      & info [ "shards" ] ~docv:"N"
-          ~doc:
-            "Run sharded-pool cases: N monitor sessions co-resident on \
-             one kernel behind the shared zygote and rewrite cache, each \
-             running its own program. Checks that every shard's every \
-             variant reproduces that shard's solo native digest — \
-             co-residency leaks nothing across shard boundaries. 0 keeps \
-             the case's own shard count (2–4 from the seed). Takes no \
-             $(b,--plan).")
+    shards_flag
+      Arg.(some int)
+      None
+      "Run sharded-pool cases: N monitor sessions co-resident on one kernel \
+       behind the shared zygote and rewrite cache, each running its own \
+       program. Checks that every shard's every variant reproduces that \
+       shard's solo native digest — co-residency leaks nothing across shard \
+       boundaries. 0 keeps the case's own shard count (2–4 from the seed). \
+       Takes no $(b,--plan)."
   in
   let json_arg =
     Arg.(
@@ -503,25 +502,25 @@ let torture_cmd =
   in
   let print_report verbose (case : H.case) (out : H.outcome) fails =
     let module RC = Varan_binary.Rewrite_cache in
-    let module CK = Varan_nvx.Checkpoint in
     let pooled = case.H.shards > 1 in
+    let st = Nvx.stats out.H.session in
     Printf.printf "%s %s\n"
       (if fails = [] then "PASS" else "FAIL")
       (H.describe_case case);
     List.iter (Printf.printf "  %s\n") fails;
-    (match out.H.lifecycle with
+    (match st.Nvx.lifecycle with
     | Some r ->
       Printf.printf "  lifecycle: quarantines=%d rejoins=%d deaths=%d%s\n"
         r.Lifecycle.quarantines r.Lifecycle.rejoins r.Lifecycle.deaths
-        (match out.H.degraded with
+        (match r.Lifecycle.degraded_reason with
         | Some reason -> Printf.sprintf " degraded(%s)" reason
         | None -> "")
     | None -> ());
     (* The spawn fast path's effectiveness: every launch past the first of
        a given image — replicas, respawns and pooled shards alike — should
        be a cache hit served by rebase. *)
-    if out.H.lifecycle <> None || pooled then begin
-      let rc = out.H.stats.Nvx.rewrite_cache in
+    if st.Nvx.lifecycle <> None || pooled then begin
+      let rc = st.Nvx.rewrite_cache in
       let total = rc.RC.hits + rc.RC.misses in
       Printf.printf
         "  rewrite-cache: hits=%d misses=%d rebases=%d hit-rate=%d%%\n"
@@ -531,16 +530,16 @@ let torture_cmd =
     if pooled then Printf.printf "  zygote: forks=%d\n" out.H.zygote_forks;
     (* The fast-rejoin path's effectiveness: respawns served from a
        checkpoint replay only the tape delta behind it. *)
-    let ck = out.H.stats.Nvx.checkpoints in
+    let ck = st.Nvx.checkpoints in
     if ck.CK.taken > 0 || ck.CK.restores > 0 then
       Printf.printf
         "  checkpoints: taken=%d restores=%d delta-events=%d resident=%dB\n"
         ck.CK.taken ck.CK.restores ck.CK.delta_events ck.CK.resident_bytes;
-    (match out.H.stats.Nvx.bridge with
+    (match st.Nvx.bridge with
     | Some b -> Format.printf "  bridge: %a@." Varan_net.Bridge.pp_stats b
     | None -> ());
     if verbose then begin
-      (match out.H.stats.Nvx.link with
+      (match st.Nvx.link with
       | Some l ->
         let module L = Varan_net.Link in
         Printf.printf
@@ -550,7 +549,7 @@ let torture_cmd =
           l.L.frames_duplicated l.L.frames_reordered l.L.bytes_sent
           l.L.partitions
       | None -> ());
-      Option.iter (Format.printf "  %a@." Lifecycle.pp_report) out.H.lifecycle;
+      Option.iter (Format.printf "  %a@." Lifecycle.pp_report) st.Nvx.lifecycle;
       List.iter
         (fun inj -> Printf.printf "  plan: %s\n" (Fault.describe inj))
         case.H.plan;
@@ -676,15 +675,14 @@ let torture_cmd =
           syscall program under a random fault plan, checked against the \
           native run and the trace-invariant oracle.")
     Term.(
-      const run $ seed_arg $ count_arg $ plan_arg $ followers_torture_arg
+      const run $ seed_arg
+      $ count_flag "count" 1 "Run this many consecutive seeds."
+      $ plan_arg $ followers_arg
       $ verbose_arg $ lifecycle_arg $ futex_arg $ shards_arg $ policy_term
       $ net_arg $ link_latency_arg $ json_arg $ obs_term)
 
 let replay_cmd =
-  let module H = Varan_torture.Harness in
   let module RR = Varan_nvx.Record_replay in
-  let module CK = Varan_nvx.Checkpoint in
-  let module Lifecycle = Varan_nvx.Lifecycle in
   let at_arg =
     Arg.(
       required
@@ -695,23 +693,6 @@ let replay_cmd =
              reconstruct, as a checkpointed rejoin would — restore the \
              nearest retained checkpoint at or below it and replay only \
              the tape delta behind it.")
-  in
-  let seed_arg =
-    Arg.(
-      value & opt int 0xBEEF
-      & info [ "seed" ] ~docv:"N"
-          ~doc:"Seed of the lifecycle torture case whose tape is replayed.")
-  in
-  let interval_arg =
-    Arg.(
-      value & opt int 60_000
-      & info [ "checkpoint-interval" ] ~docv:"CYCLES"
-          ~doc:"Cycles between follower checkpoints during the recording run.")
-  in
-  let events_arg =
-    Arg.(
-      value & opt int 10
-      & info [ "n" ] ~docv:"N" ~doc:"Delta events to print (tail truncated).")
   in
   let run at seed interval nprint =
     (* Record: one lifecycle torture case with checkpointing on, keeping
@@ -728,7 +709,6 @@ let replay_cmd =
       Printf.eprintf "varan replay: %s\n" e;
       exit 1
     | Ok tt ->
-      let module Nvx = Varan_nvx.Session in
       (match Nvx.tuple_tape out.H.session 0 with
       | Some tape ->
         Printf.printf "Tape: retained window [%d, %d)\n" (Varan_nvx.Tape.base tape)
@@ -760,22 +740,17 @@ let replay_cmd =
        ~doc:
          "Time-travel a recorded lifecycle session: reconstruct any stream \
           position from the nearest checkpoint plus the retained tape delta.")
-    Term.(const run $ at_arg $ seed_arg $ interval_arg $ events_arg)
+    Term.(
+      const run $ at_arg
+      $ seed_flag 0xBEEF
+          "Seed of the lifecycle torture case whose tape is replayed."
+      $ checkpoint_interval_flag Arg.int 60_000
+          "Cycles between follower checkpoints during the recording run."
+      $ count_flag "n" 10 "Delta events to print (tail truncated).")
 
 let serve_cmd =
   let module Serving = Varan_workloads.Serving in
   let module Router = Varan_nvx.Router in
-  let shards_arg =
-    Arg.(
-      value & opt int 4
-      & info [ "shards" ] ~docv:"N"
-          ~doc:"Monitor shards (one NVX session each) behind the router.")
-  in
-  let followers_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "f"; "followers" ] ~docv:"N" ~doc:"Followers per shard.")
-  in
   let requests_arg =
     Arg.(
       value & opt int Serving.default.Serving.sv_requests
@@ -792,11 +767,6 @@ let serve_cmd =
       value & opt float Serving.default.Serving.sv_mean_gap_cycles
       & info [ "gap" ] ~docv:"CYCLES"
           ~doc:"Mean Poisson inter-arrival gap in cycles.")
-  in
-  let seed_arg =
-    Arg.(
-      value & opt int Serving.default.Serving.sv_seed
-      & info [ "seed" ] ~docv:"N" ~doc:"Arrival-schedule and router seed.")
   in
   let profile_arg =
     Arg.(
@@ -864,8 +834,14 @@ let serve_cmd =
          "Run the sharded serving layer under open-loop Poisson load and \
           report throughput and tail latency.")
     Term.(
-      const run $ shards_arg $ followers_arg $ requests_arg $ workers_arg
-      $ gap_arg $ seed_arg $ obs_term $ profile_arg)
+      const run
+      $ shards_flag Arg.int 4
+          "Monitor shards (one NVX session each) behind the router."
+      $ followers_flag Arg.int 1 "Followers per shard."
+      $ requests_arg $ workers_arg $ gap_arg
+      $ seed_flag Serving.default.Serving.sv_seed
+          "Arrival-schedule and router seed."
+      $ obs_term $ profile_arg)
 
 let list_cmd =
   let run () =

@@ -34,7 +34,8 @@ let () =
       (fun (idx, msg) -> Printf.printf "  variant %d: %s\n" idx msg)
       out.H.crashes;
 
-  Printf.printf "\nleader after the run: variant %d\n" out.H.leader_idx;
+  Printf.printf "\nleader after the run: variant %d\n"
+    (Varan_nvx.Session.leader_index out.H.session);
   Array.iteri
     (fun i d ->
       Printf.printf "  v%d %s digest %s native\n" i

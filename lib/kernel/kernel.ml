@@ -180,24 +180,36 @@ let deliver_fin k (peer : endpoint) =
 (* Release on close                                                    *)
 (* ------------------------------------------------------------------ *)
 
+(* Drop [ofile]'s watches from the epolls [epolls]. *)
+let rec unwatch ofile = function
+  | [] -> ()
+  | e :: epolls ->
+    e.e_watches <- Fdmap.filter (fun _ w -> w.w_ofile != ofile) e.e_watches;
+    unwatch ofile epolls
+
+(* The last reference takes the description's epoll watches with it, as
+   on Linux; while a dup'd fd still names it, they stay. *)
 let release_ofile k ofile =
   ofile.refcount <- ofile.refcount - 1;
   if ofile.refcount <= 0 then begin
     match ofile.kind with
     | K_file _ -> ()
     | K_pipe_r p ->
+      unwatch ofile p.p_watchers;
       p.p_readers <- p.p_readers - 1;
       if p.p_readers = 0 then begin
         Cond.broadcast p.p_writable;
         notify_epolls p.p_watchers
       end
     | K_pipe_w p ->
+      unwatch ofile p.p_watchers;
       p.p_writers <- p.p_writers - 1;
       if p.p_writers = 0 then begin
         Cond.broadcast p.p_readable;
         notify_epolls p.p_watchers
       end
     | K_sock ep ->
+      unwatch ofile ep.ep_watchers;
       if not ep.ep_closed then begin
         ep.ep_closed <- true;
         match ep.ep_peer with
@@ -205,6 +217,7 @@ let release_ofile k ofile =
         | None -> ()
       end
     | K_listen l ->
+      unwatch ofile l.l_watchers;
       l.l_closed <- true;
       Hashtbl.remove k.listeners l.l_port;
       Cond.broadcast l.l_cond

@@ -90,102 +90,6 @@ type entry = {
   mutable e_reason : string; (* why the follower left Healthy *)
 }
 
-type counters = {
-  mutable c_lagging : int;
-  mutable c_recovered : int;
-  mutable c_quarantines : int;
-  mutable c_respawns : int;
-  mutable c_rejoins : int;
-  mutable c_unreachable : int;
-  mutable c_deaths : int;
-  mutable c_illegal : int;
-}
-
-type t = {
-  policy : policy;
-  entries : entry array; (* indexed by variant idx; entry 0 unused while
-                            variant 0 leads *)
-  c : counters;
-  mutable degraded : string option;
-  (* Observability tap: called on every state change, before the entry
-     mutates, with the entry's current reason. The session wires this to
-     its flight recorder; it must be effect-free (the watchdog invokes
-     transitions from scheduler context). *)
-  mutable on_transition :
-    idx:int -> from_:string -> to_:string -> reason:string -> unit;
-}
-
-let create policy ~variants =
-  {
-    policy;
-    entries =
-      Array.init variants (fun i ->
-          {
-            e_idx = i;
-            e_state = Healthy;
-            e_restarts = 0;
-            e_last_cursor = 0;
-            e_last_progress = 0L;
-            e_quarantine_seq = 0;
-            e_respawn_due = 0L;
-            e_reason = "";
-          });
-    c =
-      {
-        c_lagging = 0;
-        c_recovered = 0;
-        c_quarantines = 0;
-        c_respawns = 0;
-        c_rejoins = 0;
-        c_unreachable = 0;
-        c_deaths = 0;
-        c_illegal = 0;
-      };
-    degraded = None;
-    on_transition = (fun ~idx:_ ~from_:_ ~to_:_ ~reason:_ -> ());
-  }
-
-let entry t idx = t.entries.(idx)
-let state e = e.e_state
-let policy t = t.policy
-let set_on_transition t f = t.on_transition <- f
-
-let transition t e next =
-  if not (legal_transition e.e_state next) then t.c.c_illegal <- t.c.c_illegal + 1;
-  t.on_transition ~idx:e.e_idx ~from_:(state_name e.e_state)
-    ~to_:(state_name next) ~reason:e.e_reason;
-  (match next with
-  | Lagging -> t.c.c_lagging <- t.c.c_lagging + 1
-  | Healthy ->
-    if e.e_state = Lagging then t.c.c_recovered <- t.c.c_recovered + 1
-    else if e.e_state = Catching_up then t.c.c_rejoins <- t.c.c_rejoins + 1
-  | Quarantined -> t.c.c_quarantines <- t.c.c_quarantines + 1
-  | Respawning -> t.c.c_respawns <- t.c.c_respawns + 1
-  | Catching_up -> ()
-  | Unreachable -> t.c.c_unreachable <- t.c.c_unreachable + 1
-  | Dead -> t.c.c_deaths <- t.c.c_deaths + 1);
-  e.e_state <- next
-
-(* The first reason wins. *)
-let note_degraded t reason =
-  if t.degraded = None then t.degraded <- Some reason
-
-let degraded t = t.degraded
-
-(* Followers that are not permanently gone: anything short of [Dead]
-   either consumes the stream or will after a respawn. The degradation
-   test compares this count against [min_followers]. [Unreachable]
-   followers don't count — a partition has no deadline, so a session
-   whose reachable follower set falls below the floor runs local-only
-   rather than betting on a heal. *)
-let recoverable_followers t ~leader_idx =
-  Array.fold_left
-    (fun n e ->
-      if e.e_idx <> leader_idx && e.e_state <> Dead && e.e_state <> Unreachable
-      then n + 1
-      else n)
-    0 t.entries
-
 (* ------------------------------------------------------------------ *)
 (* Report                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -210,8 +114,94 @@ type report = {
   degraded_reason : string option;
 }
 
-let report t ~leader_idx =
+type t = {
+  policy : policy;
+  entries : entry array; (* indexed by variant idx; entry 0 unused while
+                            variant 0 leads *)
+  (* The transition counters, as a report whose [followers] and
+     [degraded_reason] stay empty: {!report} fills those in. *)
+  mutable totals : report;
+  (* Observability tap: called on every state change, before the entry
+     mutates, with the entry's current reason. The session wires this to
+     its flight recorder; it must be effect-free (the watchdog invokes
+     transitions from scheduler context). *)
+  mutable on_transition :
+    idx:int -> from_:string -> to_:string -> reason:string -> unit;
+}
+
+let create policy ~variants =
   {
+    policy;
+    entries =
+      Array.init variants (fun i ->
+          {
+            e_idx = i;
+            e_state = Healthy;
+            e_restarts = 0;
+            e_last_cursor = 0;
+            e_last_progress = 0L;
+            e_quarantine_seq = 0;
+            e_respawn_due = 0L;
+            e_reason = "";
+          });
+    totals =
+      {
+        followers = [];
+        lagging = 0;
+        recovered = 0;
+        quarantines = 0;
+        respawns = 0;
+        rejoins = 0;
+        unreachable = 0;
+        deaths = 0;
+        illegal_transitions = 0;
+        degraded_reason = None;
+      };
+    on_transition = (fun ~idx:_ ~from_:_ ~to_:_ ~reason:_ -> ());
+  }
+
+let entry t idx = t.entries.(idx)
+let state e = e.e_state
+let policy t = t.policy
+let set_on_transition t f = t.on_transition <- f
+
+let transition t e next =
+  t.on_transition ~idx:e.e_idx ~from_:(state_name e.e_state)
+    ~to_:(state_name next) ~reason:e.e_reason;
+  let c = t.totals in
+  let c =
+    if legal_transition e.e_state next then c
+    else { c with illegal_transitions = c.illegal_transitions + 1 }
+  in
+  (t.totals <-
+     match next with
+     | Lagging -> { c with lagging = c.lagging + 1 }
+     | Healthy when e.e_state = Lagging -> { c with recovered = c.recovered + 1 }
+     | Healthy when e.e_state = Catching_up -> { c with rejoins = c.rejoins + 1 }
+     | Healthy | Catching_up -> c
+     | Quarantined -> { c with quarantines = c.quarantines + 1 }
+     | Respawning -> { c with respawns = c.respawns + 1 }
+     | Unreachable -> { c with unreachable = c.unreachable + 1 }
+     | Dead -> { c with deaths = c.deaths + 1 });
+  e.e_state <- next
+
+(* Followers that are not permanently gone: anything short of [Dead]
+   either consumes the stream or will after a respawn. The degradation
+   test compares this count against [min_followers]. [Unreachable]
+   followers don't count — a partition has no deadline, so a session
+   whose reachable follower set falls below the floor runs local-only
+   rather than betting on a heal. *)
+let recoverable_followers t ~leader_idx =
+  Array.fold_left
+    (fun n e ->
+      if e.e_idx <> leader_idx && e.e_state <> Dead && e.e_state <> Unreachable
+      then n + 1
+      else n)
+    0 t.entries
+
+let report t ~leader_idx ~degraded =
+  {
+    t.totals with
     followers =
       Array.to_list t.entries
       |> List.filter_map (fun e ->
@@ -224,15 +214,7 @@ let report t ~leader_idx =
                    fr_restarts = e.e_restarts;
                    fr_reason = e.e_reason;
                  });
-    lagging = t.c.c_lagging;
-    recovered = t.c.c_recovered;
-    quarantines = t.c.c_quarantines;
-    respawns = t.c.c_respawns;
-    rejoins = t.c.c_rejoins;
-    unreachable = t.c.c_unreachable;
-    deaths = t.c.c_deaths;
-    illegal_transitions = t.c.c_illegal;
-    degraded_reason = t.degraded;
+    degraded_reason = degraded;
   }
 
 let pp_report ppf r =

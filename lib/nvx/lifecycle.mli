@@ -107,12 +107,6 @@ val set_on_transition :
     wires this to its flight recorder. The watchdog transitions from
     scheduler context, so [f] must not perform engine effects. *)
 
-val note_degraded : t -> string -> unit
-(** Record graceful degradation to native-speed leader-only execution.
-    The first reason sticks. *)
-
-val degraded : t -> string option
-
 val recoverable_followers : t -> leader_idx:int -> int
 (** Followers neither permanently [Dead] nor parked [Unreachable] — the
     count compared against [min_followers]. A partition has no deadline,
@@ -137,8 +131,11 @@ type report = {
   unreachable : int;  (** transitions into [Unreachable] *)
   deaths : int;
   illegal_transitions : int;  (** nonzero means a lifecycle bug *)
-  degraded_reason : string option;
+  degraded_reason : string option;  (** the session's, as given to {!report} *)
 }
 
-val report : t -> leader_idx:int -> report
+val report : t -> leader_idx:int -> degraded:string option -> report
+(** The ledger's counters and every non-leader entry, with the
+    degradation reason the session owns ({!Session.degraded}). *)
+
 val pp_report : Format.formatter -> report -> unit

@@ -111,11 +111,12 @@ let bundle_counters t =
   match t.lifecycle with
   | None -> []
   | Some lc ->
-    let r = Lifecycle.report lc ~leader_idx:t.leader_idx in
+    let r =
+      Lifecycle.report lc ~leader_idx:t.leader_idx ~degraded:t.degraded
+    in
     [
       ("lifecycle.deaths", r.Lifecycle.deaths);
-      ( "lifecycle.degradations",
-        if r.Lifecycle.degraded_reason = None then 0 else 1 );
+      ("lifecycle.degradations", if t.degraded = None then 0 else 1);
       ("lifecycle.quarantines", r.Lifecycle.quarantines);
       ("lifecycle.rejoins", r.Lifecycle.rejoins);
       ("lifecycle.respawns", r.Lifecycle.respawns);
@@ -135,9 +136,6 @@ let postmortem t ~at ~reason =
    pays no recording cost beyond the lifecycle tape, which is retained
    so fresh followers can still be provisioned from it). *)
 let degrade t reason =
-  (match t.lifecycle with
-  | Some lc -> Lifecycle.note_degraded lc reason
-  | None -> ());
   match t.degraded with
   | Some _ -> () (* first reason wins *)
   | None ->
@@ -238,7 +236,7 @@ let respawn t vst =
     let from_unreachable = Lifecycle.state en = Lifecycle.Unreachable in
     if not (from_unreachable || Lifecycle.state en = Lifecycle.Quarantined)
     then ()
-    else if Lifecycle.degraded lc <> None then begin
+    else if t.degraded <> None then begin
       (* The session degraded while this respawn was backing off (or the
          partition was healing); a late rejoin would resurrect NVX behind
          the report's back. *)

@@ -428,14 +428,8 @@ let alive_count t =
   Array.fold_left (fun n v -> if v.alive then n + 1 else n) 0 t.vstates
 
 let crashes t = List.rev t.crash_list
-let crash_log_nonempty t = t.crash_list <> []
 let crash_count t = t.crash_total
 let degraded t = t.degraded
-
-let lifecycle_report t =
-  match t.lifecycle with
-  | Some lc -> Some (Lifecycle.report lc ~leader_idx:t.leader_idx)
-  | None -> None
 
 type variant_stats = {
   vs_name : string;
@@ -476,6 +470,7 @@ type stats = {
   tapes : Tape.stats array;
   bridge : Bridge.stats option;
   link : Link.stats option;
+  lifecycle : Lifecycle.report option;
 }
 
 let stats t =
@@ -520,6 +515,11 @@ let stats t =
     tapes = Array.map Tape.stats t.tapes;
     bridge = Option.map (fun ns -> Bridge.stats ns.n_bridge) t.net;
     link = Option.map (fun ns -> Bridge.link_stats ns.n_bridge) t.net;
+    lifecycle =
+      Option.map
+        (fun lc ->
+          Lifecycle.report lc ~leader_idx:t.leader_idx ~degraded:t.degraded)
+        t.lifecycle;
   }
 
 

@@ -77,8 +77,6 @@ val crashes : t -> (int * string) list
 (** Variants that crashed, oldest first, with the exception text. The
     list is bounded (64 entries); {!crash_count} has the true total. *)
 
-val crash_log_nonempty : t -> bool
-
 val crash_count : t -> int
 (** Total crashes ever, including those beyond the bounded list. *)
 
@@ -87,10 +85,6 @@ val degraded : t -> string option
     (all followers dead, no leader left to elect, or the lifecycle
     manager's [min_followers] floor), the reported reason. [None] while
     N-version execution is still in force. *)
-
-val lifecycle_report : t -> Lifecycle.report option
-(** Per-follower lifecycle states and transition counters; [None] when
-    {!Config.t.lifecycle} was not set. *)
 
 (** {1 Statistics} *)
 
@@ -160,9 +154,16 @@ type stats = {
   link : Varan_net.Link.stats option;
       (** the underlying link's frame accounting, fault injections
           included *)
+  lifecycle : Lifecycle.report option;
+      (** per-follower lifecycle states and transition counters, with
+          the session's {!degraded} reason; [None] when
+          {!Config.t.lifecycle} was not set *)
 }
 
 val stats : t -> stats
+(** The one snapshot of the session: every per-variant, ring, pool,
+    spawn, checkpoint, tape, bridge and lifecycle tally, taken at the
+    call. A finished session's snapshot no longer changes. *)
 
 val sample_lag : t -> int -> int
 (** Current event lag of variant [idx] on its tuple-0 ring: the "distance

@@ -100,20 +100,6 @@ let serial = ref 0
 (* Every bundle path written, newest first. *)
 let dumps : string list ref = ref []
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 (* [counters] is the owner's own tallies, under unscoped names: the
    bundle already names its scope. *)
 let dump t ~at ~reason ~counters =
@@ -124,12 +110,13 @@ let dump t ~at ~reason ~counters =
       (Printf.sprintf "postmortem-%s-%d.json" scope_part !serial)
   in
   let oc = open_out path in
+  let esc = Trace.json_escape in
   Printf.fprintf oc "{\n  \"scope\": \"%s\",\n  \"reason\": \"%s\",\n"
-    (json_escape t.fl_scope) (json_escape reason);
+    (esc t.fl_scope) (esc reason);
   Printf.fprintf oc "  \"at\": %Ld,\n" at;
   Printf.fprintf oc "  \"events_recorded\": %d,\n" t.total;
   Printf.fprintf oc "  \"checkpoint_seq\": %d,\n" t.checkpoint_seq;
-  Printf.fprintf oc "  \"link\": \"%s\",\n" (json_escape t.link);
+  Printf.fprintf oc "  \"link\": \"%s\",\n" (esc t.link);
   output_string oc "  \"events\": [\n";
   let es = entries t in
   let n = List.length es in
@@ -138,7 +125,7 @@ let dump t ~at ~reason ~counters =
       Printf.fprintf oc
         "    {\"at\": %Ld, \"lamport\": %d, \"tag\": \"%s\", \"detail\": \
          \"%s\"}%s\n"
-        e.ev_at e.ev_lamport (json_escape e.ev_tag) (json_escape e.ev_detail)
+        e.ev_at e.ev_lamport (esc e.ev_tag) (esc e.ev_detail)
         (if i = n - 1 then "" else ","))
     es;
   output_string oc "  ],\n  \"transitions\": [\n";
@@ -149,15 +136,14 @@ let dump t ~at ~reason ~counters =
       Printf.fprintf oc
         "    {\"at\": %Ld, \"idx\": %d, \"from\": \"%s\", \"to\": \"%s\", \
          \"reason\": \"%s\"}%s\n"
-        tr.tr_at tr.tr_idx (json_escape tr.tr_from) (json_escape tr.tr_to)
-        (json_escape tr.tr_reason)
+        tr.tr_at tr.tr_idx (esc tr.tr_from) (esc tr.tr_to) (esc tr.tr_reason)
         (if i = n - 1 then "" else ","))
     trs;
   output_string oc "  ],\n  \"counters\": {\n";
   let n = List.length counters in
   List.iteri
     (fun i (name, v) ->
-      Printf.fprintf oc "    \"%s\": %d%s\n" (json_escape name) v
+      Printf.fprintf oc "    \"%s\": %d%s\n" (esc name) v
         (if i = n - 1 then "" else ","))
     counters;
   output_string oc "  }\n}\n";

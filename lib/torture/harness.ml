@@ -319,12 +319,8 @@ type outcome = {
   natives : string array;
   digests : string array;
   alive : bool array;
-  leader_idx : int;
   crashes : (int * string) list;
   report : Oracle.report option;
-  stats : Nvx.stats;
-  lifecycle : Lifecycle.report option;
-  degraded : string option;
   zygote_forks : int;
   budget_blown : bool;
   session : Nvx.t;
@@ -445,14 +441,12 @@ let run (case : case) =
       false
     with E.Budget_exceeded _ -> true
   in
-  let session = sessions.(0) in
   {
     natives;
     digests = Array.map (fun (_, digest) -> digest ()) observed;
     alive =
       Array.init (case.shards * n) (fun g ->
           Nvx.is_alive sessions.(g / n) (g mod n));
-    leader_idx = Nvx.leader_index session;
     crashes =
       List.concat
         (List.mapi
@@ -460,12 +454,9 @@ let run (case : case) =
              List.map (fun (i, msg) -> ((s * n) + i, msg)) (Nvx.crashes sess))
            (Array.to_list sessions));
     report = Option.map Oracle.report oracle;
-    stats = Nvx.stats session;
-    lifecycle = Nvx.lifecycle_report session;
-    degraded = Nvx.degraded session;
     zygote_forks = Option.fold ~none:0 ~some:Shard.zygote_forks pool;
     budget_blown;
-    session;
+    session = sessions.(0);
   }
 
 let contains ~sub s =
@@ -480,7 +471,7 @@ let contains ~sub s =
    quarantined consumer. *)
 let check_lifecycle add policy ~yardstick out =
   let fail fmt = Printf.ksprintf add fmt in
-  (match out.lifecycle with
+  (match (Nvx.stats out.session).Nvx.lifecycle with
   | None -> fail "lifecycle: no report despite policy"
   | Some r ->
     if r.Lifecycle.illegal_transitions > 0 then
@@ -497,7 +488,7 @@ let check_lifecycle add policy ~yardstick out =
         | Lifecycle.Dead ->
           if
             fr.Lifecycle.fr_restarts <> policy.Lifecycle.max_restarts
-            && out.degraded = None
+            && Nvx.degraded out.session = None
             (* A follower parked across a retention-floor advance dies
                clean rather than replaying a wrong prefix — restart
                budget untouched. *)
@@ -548,7 +539,8 @@ let check_lifecycle add policy ~yardstick out =
    least one batch. *)
 let check_net add (case : case) out =
   let fail fmt = Printf.ksprintf add fmt in
-  (match out.stats.Nvx.bridge with
+  let st = Nvx.stats out.session in
+  (match st.Nvx.bridge with
   | None -> fail "net: no bridge stats despite net config"
   | Some b ->
     if b.Varan_net.Bridge.checksum_failures > 0 then
@@ -556,12 +548,12 @@ let check_net add (case : case) out =
         b.Varan_net.Bridge.checksum_failures;
     if
       b.Varan_net.Bridge.batches = 0
-      && out.stats.Nvx.rings.(0).Varan_ringbuf.Ring.publishes > 0
+      && st.Nvx.rings.(0).Varan_ringbuf.Ring.publishes > 0
       && b.Varan_net.Bridge.detaches = 0
     then
       fail "net: leader published %d events but the bridge shipped nothing"
-        out.stats.Nvx.rings.(0).Varan_ringbuf.Ring.publishes);
-  match out.lifecycle with
+        st.Nvx.rings.(0).Varan_ringbuf.Ring.publishes);
+  match st.Nvx.lifecycle with
   | Some r ->
     List.iter
       (fun fr ->
@@ -579,12 +571,13 @@ let check (case : case) out =
   let add s = fails := s :: !fails in
   let fail fmt = Printf.ksprintf add fmt in
   let n = case.followers + 1 in
+  let leader_idx = Nvx.leader_index out.session in
   (* Op programs answer to their native run. Futex cases answer to the
      (current) leader: the monitor's costs reshuffle the native lock
      order, so only the leader's order is the reference. *)
   let yardstick i =
     match case.workload with
-    | Futex _ -> out.digests.(out.leader_idx)
+    | Futex _ -> out.digests.(leader_idx)
     | Program _ | Ops _ -> out.natives.(i / n)
   in
   if out.budget_blown then fail "liveness: cycle budget exceeded";
@@ -608,8 +601,8 @@ let check (case : case) out =
       else if (not alive) && case.shards > 1 then
         fail "shard %d variant %d died without a fault plan" (i / n) (i mod n))
     out.alive;
-  if Array.exists Fun.id out.alive && not out.alive.(out.leader_idx) then
-    fail "leader role held by dead variant %d" out.leader_idx;
+  if Array.exists Fun.id out.alive && not out.alive.(leader_idx) then
+    fail "leader role held by dead variant %d" leader_idx;
   (match out.report with
   | Some r when not (Oracle.ok r) ->
     List.iter (fail "oracle: %s") r.Oracle.violations
@@ -626,7 +619,8 @@ let check (case : case) out =
 (* One machine-readable object per finished case: the digests and the
    counters a sweep dashboard wants, without parsing prose. *)
 let json_of_outcome ~fails ~postmortem case (out : outcome) =
-  let esc = Flight.json_escape in
+  let esc = Varan_obs.Trace.json_escape in
+  let st = Nvx.stats out.session in
   let b = Buffer.create 1024 in
   let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
   let strings a =
@@ -650,10 +644,10 @@ let json_of_outcome ~fails ~postmortem case (out : outcome) =
   add ", \"alive\": [%s]"
     (String.concat ", "
        (Array.to_list (Array.map string_of_bool out.alive)));
-  add ", \"leader_idx\": %d, \"budget_blown\": %b" out.leader_idx
-    out.budget_blown;
+  add ", \"leader_idx\": %d, \"budget_blown\": %b"
+    (Nvx.leader_index out.session) out.budget_blown;
   add ", \"degraded\": %s"
-    (match out.degraded with
+    (match Nvx.degraded out.session with
     | None -> "null"
     | Some r -> "\"" ^ esc r ^ "\"");
   add ", \"crashes\": [%s]"
@@ -662,7 +656,7 @@ let json_of_outcome ~fails ~postmortem case (out : outcome) =
           (fun (idx, msg) ->
             Printf.sprintf "{\"idx\": %d, \"msg\": \"%s\"}" idx (esc msg))
           out.crashes));
-  (match out.lifecycle with
+  (match st.Nvx.lifecycle with
   | None -> ()
   | Some r ->
     add
@@ -672,7 +666,7 @@ let json_of_outcome ~fails ~postmortem case (out : outcome) =
       r.Lifecycle.lagging r.Lifecycle.recovered r.Lifecycle.quarantines
       r.Lifecycle.respawns r.Lifecycle.rejoins r.Lifecycle.unreachable
       r.Lifecycle.deaths r.Lifecycle.illegal_transitions);
-  (match out.stats.Nvx.bridge with
+  (match st.Nvx.bridge with
   | None -> ()
   | Some br ->
     add
@@ -683,16 +677,16 @@ let json_of_outcome ~fails ~postmortem case (out : outcome) =
       br.Varan_net.Bridge.retransmits br.Varan_net.Bridge.checksum_failures
       br.Varan_net.Bridge.bytes_on_wire br.Varan_net.Bridge.bytes_saved
       br.Varan_net.Bridge.detaches br.Varan_net.Bridge.heals);
-  let rc = out.stats.Nvx.rewrite_cache in
+  let rc = st.Nvx.rewrite_cache in
   add
     ", \"rewrite_cache\": {\"hits\": %d, \"misses\": %d, \"rebases\": %d}"
     rc.Varan_binary.Rewrite_cache.hits rc.Varan_binary.Rewrite_cache.misses
     rc.Varan_binary.Rewrite_cache.rebases;
   if case.shards > 1 then add ", \"zygote_forks\": %d" out.zygote_forks;
-  let cp = out.stats.Nvx.checkpoints in
+  let cp = st.Nvx.checkpoints in
   add ", \"checkpoints\": {\"taken\": %d, \"restores\": %d, \"delta_events\": %d}"
     cp.Checkpoint.taken cp.Checkpoint.restores cp.Checkpoint.delta_events;
-  add ", \"max_observed_lag\": %d" out.stats.Nvx.max_observed_lag;
+  add ", \"max_observed_lag\": %d" st.Nvx.max_observed_lag;
   add ", \"fails\": [%s]"
     (String.concat ", " (List.map (fun f -> "\"" ^ esc f ^ "\"") fails));
   if postmortem <> [] then

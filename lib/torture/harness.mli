@@ -126,20 +126,16 @@ type outcome = {
           [s * (followers + 1) + i]. A futex variant's digest covers its
           per-thread lock-acquisition logs in tid order. *)
   alive : bool array;  (** indexed like [digests] *)
-  leader_idx : int;
   crashes : (int * string) list;  (** indexed like [digests] *)
   report : Varan_trace.Oracle.report option;  (** [None] for a pool *)
-  stats : Varan_nvx.Session.stats;
-  lifecycle : Varan_nvx.Lifecycle.report option;
-  degraded : string option;
   zygote_forks : int;
       (** forks the pool's shared zygote served; 0 for a single session *)
   budget_blown : bool;
   session : Varan_nvx.Session.t;
-      (** the finished session, for post-run probes — time travel, tape
-          and checkpoint introspection. [leader_idx], [stats],
-          [lifecycle] and [degraded] describe it; in a pool it is shard
-          0's. *)
+      (** the finished session; in a pool, shard 0's. Its leader, its
+          {!Varan_nvx.Session.stats} (lifecycle report included), its
+          degradation reason, and post-run probes — time travel, tape and
+          checkpoint introspection — all read it. *)
 }
 
 val run : case -> outcome

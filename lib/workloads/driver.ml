@@ -92,34 +92,48 @@ let fresh_machine w =
   w.Workload.setup_fs k;
   (eng, k)
 
-let run w mode =
+(* Every client-measured run: a fresh machine, the servers [start]
+   launches (returning the monitored session, if any), the load driven
+   to quiescence, and the session's lags sampled once it is. *)
+let drive w label start =
   let eng, k = fresh_machine w in
-  let cost = K.cost k in
-  let label, session_opt =
-    match mode with
-    | Native ->
-      start_plain w k ~api_of:(fun _ proc -> Api.direct k proc);
-      ("native", None)
-    | Scribe ->
-      start_plain w k ~api_of:(fun _ proc -> Record_replay.scribe_api k proc);
-      ("scribe", None)
-    | Nvx { followers; config } ->
-      let session = Nvx.launch ~config k (variants_for w (followers + 1)) in
-      (Printf.sprintf "varan+%df" followers, Some session)
-    | Lockstep { versions } ->
-      ignore (Lockstep.launch k (variants_for w versions));
-      (Printf.sprintf "lockstep%dv" versions, None)
-    | Nvx_record { followers; log_path } ->
-      let config = Config.default in
-      let session = Nvx.launch ~config k (variants_for w (followers + 1)) in
-      let recorder = Record_replay.record session k ~tuple:0 ~path:log_path in
-      ignore recorder;
-      (Printf.sprintf "varan+rec+%df" followers, Some session)
-  in
-  let _result, finish = measure_clients label k cost w in
+  let session = start k in
+  let _result, finish = measure_clients label k (K.cost k) w in
   E.run_until_quiescent eng;
-  (match session_opt with Some s -> Nvx.observe_lags s | None -> ());
-  finish ()
+  Option.iter Nvx.observe_lags session;
+  (finish (), session)
+
+let launch_nvx w ~followers ~config k =
+  Nvx.launch ~config k (variants_for w (followers + 1))
+
+let run w mode =
+  let plain api_of k =
+    start_plain w k ~api_of:(api_of k);
+    None
+  in
+  fst
+    (match mode with
+    | Native -> drive w "native" (plain (fun k _ proc -> Api.direct k proc))
+    | Scribe ->
+      drive w "scribe" (plain (fun k _ proc -> Record_replay.scribe_api k proc))
+    | Nvx { followers; config } ->
+      drive w (Printf.sprintf "varan+%df" followers) (fun k ->
+          Some (launch_nvx w ~followers ~config k))
+    | Lockstep { versions } ->
+      drive w (Printf.sprintf "lockstep%dv" versions) (fun k ->
+          ignore (Lockstep.launch k (variants_for w versions));
+          None)
+    | Nvx_record { followers; log_path } ->
+      drive w (Printf.sprintf "varan+rec+%df" followers) (fun k ->
+          let session = launch_nvx w ~followers ~config:Config.default k in
+          ignore (Record_replay.record session k ~tuple:0 ~path:log_path);
+          Some session))
+
+let run_with_full_session w ~followers ~config =
+  let m, session =
+    drive w "varan" (fun k -> Some (launch_nvx w ~followers ~config k))
+  in
+  (m, Option.get session)
 
 let strace w =
   let eng, k = fresh_machine w in
@@ -135,19 +149,6 @@ let strace w =
   ignore (measure_clients "native" k (K.cost k) w);
   E.run_until_quiescent eng;
   (k, Option.get !trace)
-
-let run_with_full_session w ~followers ~config =
-  let eng, k = fresh_machine w in
-  let cost = K.cost k in
-  let session = Nvx.launch ~config k (variants_for w (followers + 1)) in
-  let _result, finish = measure_clients "varan" k cost w in
-  E.run_until_quiescent eng;
-  Nvx.observe_lags session;
-  (finish (), Nvx.stats session, session)
-
-let run_with_session w ~followers ~config =
-  let m, st, _ = run_with_full_session w ~followers ~config in
-  (m, st)
 
 let overhead ~baseline m =
   if m.throughput_rps <= 0.0 then infinity

@@ -39,17 +39,10 @@ val run_with_full_session :
   Workload.t ->
   followers:int ->
   config:Varan_nvx.Config.t ->
-  measurement * Varan_nvx.Session.stats * Varan_nvx.Session.t
-(** Like {!run_with_session} but also returning the live session handle
-    (for trace/divergence-log inspection). *)
-
-val run_with_session :
-  Workload.t ->
-  followers:int ->
-  config:Varan_nvx.Config.t ->
-  measurement * Varan_nvx.Session.stats
-(** Like {!run} with [Nvx] but also returning the session statistics
-    (stall cycles, dispatch mix, ring stats, observed lag). *)
+  measurement * Varan_nvx.Session.t
+(** {!run} with [Nvx], labelled ["varan"], also returning the finished
+    session: its {!Varan_nvx.Session.stats} (stall cycles, dispatch mix,
+    ring stats, observed lag, lifecycle report) and its trace. *)
 
 val overhead : baseline:measurement -> measurement -> float
 (** Throughput-based overhead ratio, the paper's metric: ≥ 1.0 means

@@ -26,6 +26,10 @@ let contains ~sub s =
   let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
   n = 0 || go 0
 
+(* A finished case's snapshot and leader, read from its session. *)
+let stats_of out = Nvx.stats out.H.session
+let leader_of out = Nvx.leader_index out.H.session
+
 let check_case_exn label case out =
   match H.check case out with
   | [] -> ()
@@ -44,7 +48,7 @@ let fingerprint_seed buf case out =
       Printf.bprintf buf "|%Ld %Ld %Ld %d" v.Nvx.vs_sys_cycles
         v.Nvx.vs_stall_cycles v.Nvx.vs_wait_charge_cycles
         v.Nvx.vs_events_consumed)
-    out.H.stats.Nvx.variants;
+    (stats_of out).Nvx.variants;
   Buffer.add_char buf '\n'
 
 (* Run [cases] consecutive seeds from [base] through the preset [gen]:
@@ -119,7 +123,7 @@ let test_leader_crash_during_publish () =
   Alcotest.(check bool) "a follower was promoted" true
     ((oracle_of out).Oracle.promotions >= 1);
   Alcotest.(check bool) "new leader is alive" true
-    (out.H.leader_idx <> 0 && out.H.alive.(out.H.leader_idx))
+    ((leader_of out) <> 0 && out.H.alive.((leader_of out)))
 
 let test_follower_stall_at_full_ring () =
   let case =
@@ -136,7 +140,7 @@ let test_follower_stall_at_full_ring () =
   let producer_stalls =
     Array.fold_left
       (fun acc (r : Ring.stats) -> acc + r.Ring.producer_stalls)
-      0 out.H.stats.Nvx.rings
+      0 (stats_of out).Nvx.rings
   in
   Alcotest.(check bool) "single-slot ring stalled the leader" true
     (producer_stalls > 0)
@@ -174,7 +178,7 @@ let test_cascading_crashes_in_index_order () =
   in
   let out = H.run case in
   check_case_exn "cascading crashes" case out;
-  Alcotest.(check int) "last variant leads" 3 out.H.leader_idx;
+  Alcotest.(check int) "last variant leads" 3 (leader_of out);
   Alcotest.(check bool) "and is alive" true out.H.alive.(3);
   Alcotest.(check int) "three crashes" 3 (List.length out.H.crashes)
 
@@ -194,7 +198,7 @@ let test_all_followers_crash () =
   in
   let out = H.run case in
   check_case_exn "all followers crash" case out;
-  Alcotest.(check int) "leader unchanged" 0 out.H.leader_idx;
+  Alcotest.(check int) "leader unchanged" 0 (leader_of out);
   Alcotest.(check int) "no promotions" 0 (oracle_of out).Oracle.promotions
 
 (* Figure 5's "pure interception" configuration: with zero followers the
@@ -210,7 +214,7 @@ let test_zero_followers_pay_no_streaming_costs () =
       Alcotest.(check int) "no producer stalls" 0 r.Ring.producer_stalls;
       Alcotest.(check int) "no consumer wakeups" 0 r.Ring.publish_wakeups;
       Alcotest.(check int) "nothing streamed" 0 r.Ring.publishes)
-    out.H.stats.Nvx.rings
+    (stats_of out).Nvx.rings
 
 (* Negative control: a deliberate payload-reference leak must be caught,
    proving the oracle's pool-balance invariant is not vacuous. *)
@@ -261,7 +265,7 @@ let test_plan_meets_case () =
 let lc = H.lifecycle_policy
 
 let lifecycle_of out =
-  match out.H.lifecycle with
+  match (stats_of out).Nvx.lifecycle with
   | Some r -> r
   | None -> Alcotest.fail "no lifecycle report"
 
@@ -277,9 +281,9 @@ let test_stall_fires_once () =
   let out = H.run case in
   check_case_exn "stall fires once" case out;
   Alcotest.(check int) "exactly one stall hit the victim" 1
-    out.H.stats.Nvx.variants.(1).Nvx.vs_injected_stalls;
+    (stats_of out).Nvx.variants.(1).Nvx.vs_injected_stalls;
   Alcotest.(check int) "none hit the leader" 0
-    out.H.stats.Nvx.variants.(0).Nvx.vs_injected_stalls
+    (stats_of out).Nvx.variants.(0).Nvx.vs_injected_stalls
 
 (* A follower sleeping an order of magnitude past the stall timeout is
    quarantined by the watchdog, respawned, replays the tape and splices
@@ -299,7 +303,7 @@ let test_quarantine_then_rejoin () =
   Alcotest.(check bool) "and respawned" true (r.Lifecycle.respawns >= 1);
   Alcotest.(check bool) "and rejoined" true (r.Lifecycle.rejoins >= 1);
   Alcotest.(check int) "one incarnation consumed" 1
-    out.H.stats.Nvx.variants.(1).Nvx.vs_incarnation;
+    (stats_of out).Nvx.variants.(1).Nvx.vs_incarnation;
   Alcotest.(check string) "victim digest equals native" out.H.natives.(0)
     out.H.digests.(1);
   Alcotest.(check int) "leader never gated on the quarantined consumer" 0
@@ -320,8 +324,8 @@ let test_respawn_uses_rewrite_cache () =
   let out = H.run case in
   check_case_exn "respawn fast path" case out;
   Alcotest.(check int) "one respawn happened" 1
-    out.H.stats.Nvx.variants.(1).Nvx.vs_incarnation;
-  let rc = out.H.stats.Nvx.rewrite_cache in
+    (stats_of out).Nvx.variants.(1).Nvx.vs_incarnation;
+  let rc = (stats_of out).Nvx.rewrite_cache in
   Alcotest.(check int) "exactly one cold rewrite" 1 rc.RC.misses;
   Alcotest.(check int) "every other launch hit the cache" 3 rc.RC.hits;
   Alcotest.(check int) "hits are served by rebase" 3 rc.RC.rebases;
@@ -335,7 +339,7 @@ let test_respawn_uses_rewrite_cache () =
       ~syscall_share:p.Varan_nvx.Variant.syscall_share
   in
   Alcotest.(check int) "one pristine generation" 1
-    out.H.stats.Nvx.pristine_generations;
+    (stats_of out).Nvx.pristine_generations;
   Alcotest.(check (option string)) "pristine bytes keep their digest"
     (Some (Digest.to_hex (Digest.bytes fresh)))
     (Option.map
@@ -353,7 +357,7 @@ let test_respawn_uses_rewrite_cache () =
       Alcotest.(check bool)
         (Printf.sprintf "variant %d spawn latency recorded" i)
         true (vs.Nvx.vs_spawn_ns > 0.))
-    out.H.stats.Nvx.variants
+    (stats_of out).Nvx.variants
 
 (* Two stalls on the same follower with a respawn budget of one: the
    second incarnation trips the watchdog again and the follower is
@@ -382,7 +386,8 @@ let test_dead_after_restart_budget () =
     fr1.Lifecycle.fr_restarts;
   Alcotest.(check string) "sibling digest equals native" out.H.natives.(0)
     out.H.digests.(2);
-  Alcotest.(check (option string)) "session not degraded" None out.H.degraded
+  Alcotest.(check (option string))
+    "session not degraded" None (Nvx.degraded out.H.session)
 
 (* The flight recorder's contract: when an armed session kills a
    follower (quarantine watchdog, budget exhausted), a post-mortem
@@ -548,7 +553,7 @@ let test_degrade_all_followers_dead () =
   let out = H.run case in
   check_case_exn "all followers dead" case out;
   Alcotest.(check (option string)) "degraded with reason"
-    (Some "all followers dead") out.H.degraded;
+    (Some "all followers dead") (Nvx.degraded out.H.session);
   Alcotest.(check bool) "leader finished" true out.H.alive.(0);
   Alcotest.(check string) "leader digest equals native" out.H.natives.(0)
     out.H.digests.(0)
@@ -569,7 +574,7 @@ let test_degrade_no_leader_remains () =
   let out = H.run case in
   check_case_exn "no leader remains" case out;
   Alcotest.(check (option string)) "degraded with reason"
-    (Some "no leader remains") out.H.degraded;
+    (Some "no leader remains") (Nvx.degraded out.H.session);
   Alcotest.(check bool) "nobody survived" false (Array.exists Fun.id out.H.alive)
 
 (* The 200-seed lifecycle sweep: follower-only stalls past the watchdog
@@ -638,7 +643,7 @@ let test_respawn_reuses_checkpoints () =
   check_case_exn "checkpointed respawns" case out;
   let r = lifecycle_of out in
   Alcotest.(check int) "two respawns" 2
-    out.H.stats.Nvx.variants.(1).Nvx.vs_incarnation;
+    (stats_of out).Nvx.variants.(1).Nvx.vs_incarnation;
   (* A restore landing exactly on the splice head has no catch-up phase
      to complete, so it shows up as a restore without a counted rejoin —
      at least one of the two respawns replays a real delta. *)
@@ -650,7 +655,7 @@ let test_respawn_reuses_checkpoints () =
   Alcotest.(check bool) "victim ends healthy" true
     (fr1.Lifecycle.fr_state = Lifecycle.Healthy);
   Alcotest.(check int) "after both restarts" 2 fr1.Lifecycle.fr_restarts;
-  let ck = out.H.stats.Nvx.checkpoints in
+  let ck = (stats_of out).Nvx.checkpoints in
   Alcotest.(check bool) "checkpoints were taken" true (ck.CK.taken > 0);
   Alcotest.(check int) "every respawn restored a checkpoint" 2 ck.CK.restores;
   let tape_len =
@@ -687,7 +692,7 @@ let test_zero_checkpoint_full_replay () =
       let r = lifecycle_of out in
       Alcotest.(check bool) "the victim rejoined" true
         (r.Lifecycle.rejoins >= 1);
-      let ck = out.H.stats.Nvx.checkpoints in
+      let ck = (stats_of out).Nvx.checkpoints in
       Alcotest.(check int) "no checkpoints taken" 0 ck.CK.taken;
       Alcotest.(check int) "no restores" 0 ck.CK.restores;
       Alcotest.(check string) "victim digest equals native" out.H.natives.(0)
@@ -829,7 +834,7 @@ let test_checkpoint_sweep () =
       with_interval (checkpoint_interval seed) (H.gen_lifecycle_case seed))
     (fun case out ->
       let seed = case.H.seed in
-      let ck = out.H.stats.Nvx.checkpoints in
+      let ck = (stats_of out).Nvx.checkpoints in
       taken := !taken + ck.CK.taken;
       restores := !restores + ck.CK.restores;
       deltas := !deltas + ck.CK.delta_events;
@@ -973,7 +978,7 @@ let test_futex_leader_crash_promotes () =
   let out = H.run case in
   check_case_exn "directed futex promotion" case out;
   Alcotest.(check bool) "old leader dead" false out.H.alive.(0);
-  Alcotest.(check bool) "a follower leads" true (out.H.leader_idx <> 0);
+  Alcotest.(check bool) "a follower leads" true ((leader_of out) <> 0);
   Alcotest.(check bool)
     "survivors share the new leader's lock order" true
     (out.H.digests.(1) = out.H.digests.(2))
@@ -1000,7 +1005,7 @@ let test_futex_composed_with_net_and_lifecycle () =
         check_case_exn "composed futex case" case out;
         Alcotest.(check (list int)) "the follower crash fired" [ 1 ]
           (List.map fst out.H.crashes);
-        match out.H.stats.Nvx.link with
+        match (stats_of out).Nvx.link with
         | Some l ->
           Alcotest.(check bool) "the partition opened" true
             (l.Varan_net.Link.partitions >= 1)
@@ -1382,7 +1387,7 @@ let test_net_partition_unreachable_then_rejoin () =
     (fr.Lifecycle.fr_state = Lifecycle.Healthy);
   Alcotest.(check string) "with the native digest" out.H.natives.(0)
     out.H.digests.(2);
-  (match out.H.stats.Nvx.bridge with
+  (match (stats_of out).Nvx.bridge with
   | None -> Alcotest.fail "no bridge stats"
   | Some b ->
     Alcotest.(check bool) "bridge detached at least once" true
@@ -1479,7 +1484,7 @@ let test_net_sweep () =
           in
           Hashtbl.replace kinds key ())
         case.H.plan;
-      match out.H.stats.Nvx.bridge with
+      match (stats_of out).Nvx.bridge with
       | Some b -> healed := !healed + b.Bridge.heals
       | None -> ());
   (* The sweep must exercise every link-fault kind and actually heal

@@ -394,6 +394,39 @@ let test_epoll_wait_cap_ignores_watch_order () =
         up down)
     waits
 
+(* Closing the last fd of a watched socket drops its watch, as on Linux:
+   no event is reported for the closed fd, and the socket that reuses its
+   number can be added again. A watch whose socket a dup'd fd still
+   names stays, under the fd it was added with. *)
+let test_epoll_close_drops_watch () =
+  let got =
+    in_proc (fun _k api ->
+        let ep = ok_int (Api.epoll_create api) in
+        let wait () =
+          match Api.epoll_wait api ep ~max_events:8 ~timeout_ms:0 with
+          | Ok evs -> evs
+          | Error e -> Alcotest.failf "epoll_wait: %s" (Errno.name e)
+        in
+        let a, b = ok_int (Api.socketpair api) in
+        ok_unit (Api.epoll_ctl api ep Flags.epoll_ctl_add a Flags.epollin);
+        ignore (ok_int (Api.write_str api b "x"));
+        ignore (ok_int (Api.close api a));
+        let after_close = wait () in
+        let c, d = ok_int (Api.socketpair api) in
+        let readd = Api.epoll_ctl api ep Flags.epoll_ctl_add c Flags.epollin in
+        ok_unit (Api.epoll_ctl api ep Flags.epoll_ctl_add d Flags.epollout);
+        ignore (ok_int (Api.dup api d));
+        ignore (ok_int (Api.close api d));
+        (a, c, d, after_close, readd, wait ()))
+  in
+  let a, c, d, after_close, readd, after_dup = got in
+  let pairs = Alcotest.(list (pair int int)) in
+  Alcotest.check pairs "no event for the closed fd" [] after_close;
+  Alcotest.(check int) "the new socket reuses the fd number" a c;
+  Alcotest.(check (result unit errno)) "EPOLL_CTL_ADD on the reused fd" (Ok ())
+    readd;
+  Alcotest.check pairs "a dup keeps the watch" [ (d, Flags.epollout) ] after_dup
+
 let test_epoll_server_pattern () =
   let eng = E.create () in
   let k = K.create eng in
@@ -1368,6 +1401,8 @@ let () =
             test_nonblocking_read_eagain;
           Alcotest.test_case "epoll server pattern" `Quick
             test_epoll_server_pattern;
+          Alcotest.test_case "epoll close drops the watch" `Quick
+            test_epoll_close_drops_watch;
           Alcotest.test_case "epoll_wait cap ignores watch order" `Quick
             test_epoll_wait_cap_ignores_watch_order;
           Alcotest.test_case "epoll_wait caps ready at max_events" `Quick

@@ -1,7 +1,6 @@
 open Types
 module E = Varan_sim.Engine
 module Cond = E.Cond
-module Prof = Varan_sim.Prof
 module Phase = Varan_obs.Profile
 module Sysno = Varan_syscall.Sysno
 module Args = Varan_syscall.Args
@@ -117,11 +116,7 @@ let rec ready_read ofile =
   | K_sock ep -> (not (Bytequeue.is_empty ep.ep_rx)) || ep.ep_peer_closed
   | K_listen l -> not (Queue.is_empty l.l_backlog)
   | K_epoll e ->
-    Fdmap.exists
-      (fun _ w ->
-        (w.w_events land Flags.epollin <> 0 && ready_read w.w_ofile)
-        || (w.w_events land Flags.epollout <> 0 && ready_write w.w_ofile))
-      e.e_watches
+    Fdmap.exists (fun _ w -> revents w.w_ofile w.w_events <> 0) e.e_watches
 
 and ready_write ofile =
   match ofile.kind with
@@ -136,6 +131,17 @@ and ready_write ofile =
       | Some peer -> peer.ep_peer_closed || Bytequeue.space peer.ep_rx > 0)
   | K_listen _ -> false
   | K_epoll _ -> false
+
+(* The readiness fold every waiter shares: of the [events] asked for
+   (epollin, epollout), those [ofile] has ready now. *)
+and revents ofile events =
+  let r =
+    if events land Flags.epollin <> 0 && ready_read ofile then Flags.epollin
+    else 0
+  in
+  if events land Flags.epollout <> 0 && ready_write ofile then
+    r lor Flags.epollout
+  else r
 
 let notify_epolls watchers =
   List.iter (fun e -> Cond.broadcast_if_waiting e.e_cond) watchers
@@ -368,7 +374,7 @@ let block_until ~nonblock cond ready =
        profile learns how much vtime tasks spend parked inside the
        kernel (per-object conds — what would be kernel-table contention
        on real hardware). *)
-    let t0 = Prof.mark () in
+    let prev = E.enter_phase Phase.kernel_wait in
     let rec loop () =
       if ready () then Ok ()
       else begin
@@ -377,7 +383,7 @@ let block_until ~nonblock cond ready =
       end
     in
     let r = loop () in
-    Prof.charge_wait Phase.kernel_wait t0;
+    E.leave_phase prev;
     r
   end
 
@@ -766,12 +772,18 @@ let add_watcher e ofile =
   | K_listen l -> l.l_watchers <- e :: l.l_watchers
   | K_file _ | K_epoll _ -> ()
 
+(* A watcher list holds one entry per watch, and an object can carry
+   several watches of one epoll (a pipe's two ends, two fds of one
+   socket): deleting a watch drops one entry and keeps the others. *)
+let rec drop_one e = function
+  | [] -> []
+  | x :: rest -> if x == e then rest else x :: drop_one e rest
+
 let remove_watcher e ofile =
-  let not_this x = x != e in
   match ofile.kind with
-  | K_sock ep -> ep.ep_watchers <- List.filter not_this ep.ep_watchers
-  | K_pipe_r p | K_pipe_w p -> p.p_watchers <- List.filter not_this p.p_watchers
-  | K_listen l -> l.l_watchers <- List.filter not_this l.l_watchers
+  | K_sock ep -> ep.ep_watchers <- drop_one e ep.ep_watchers
+  | K_pipe_r p | K_pipe_w p -> p.p_watchers <- drop_one e p.p_watchers
+  | K_listen l -> l.l_watchers <- drop_one e l.l_watchers
   | K_file _ | K_epoll _ -> ()
 
 let do_epoll_ctl _k proc args =
@@ -834,12 +846,8 @@ let do_epoll_wait k proc args =
         let collect () =
           Fdmap.to_seq e.e_watches
           |> Seq.filter_map (fun (fd, w) ->
-                 let ev = ref 0 in
-                 if w.w_events land Flags.epollin <> 0 && ready_read w.w_ofile
-                 then ev := !ev lor Flags.epollin;
-                 if w.w_events land Flags.epollout <> 0 && ready_write w.w_ofile
-                 then ev := !ev lor Flags.epollout;
-                 if !ev <> 0 then Some (fd, !ev) else None)
+                 let ev = revents w.w_ofile w.w_events in
+                 if ev <> 0 then Some (fd, ev) else None)
           |> Seq.take (max 0 maxevents)
           |> List.of_seq
         in
@@ -860,9 +868,9 @@ let do_epoll_wait k proc args =
           in
           (* The idle server's home: units park here between requests, so
              this wait dominates a lightly-loaded shard's task-cycles. *)
-          let t0 = Prof.mark () in
+          let prev = E.enter_phase Phase.kernel_wait in
           let finish ready =
-            Prof.charge_wait Phase.kernel_wait t0;
+            E.leave_phase prev;
             finish ready
           in
           let rec wait_loop remaining =
@@ -937,12 +945,8 @@ let do_poll k proc args =
         match lookup fd with
         | None -> Some (fd, 0x20 (* POLLNVAL *))
         | Some o ->
-          let r = ref 0 in
-          if events land Flags.epollin <> 0 && ready_read o then
-            r := !r lor Flags.epollin;
-          if events land Flags.epollout <> 0 && ready_write o then
-            r := !r lor Flags.epollout;
-          if !r <> 0 then Some (fd, !r) else None)
+          let r = revents o events in
+          if r <> 0 then Some (fd, r) else None)
       entries
   in
   let finish ready =
@@ -1019,11 +1023,11 @@ let do_futex k _proc args =
   in
   if op = Flags.futex_wait then begin
     let s = slot () in
-    let t0 = Prof.mark () in
+    let prev = E.enter_phase Phase.kernel_wait in
     s.f_waiters <- s.f_waiters + 1;
     Cond.wait s.f_cond;
     s.f_waiters <- s.f_waiters - 1;
-    Prof.charge_wait Phase.kernel_wait t0;
+    E.leave_phase prev;
     Args.ok 0
   end
   else if op = Flags.futex_wake then begin
@@ -1042,13 +1046,13 @@ let do_futex k _proc args =
        order. Contended acquires queue FIFO on the condition variable. *)
     let s = slot () in
     if s.f_locked then begin
-      let t0 = Prof.mark () in
+      let prev = E.enter_phase Phase.kernel_wait in
       while s.f_locked do
         s.f_waiters <- s.f_waiters + 1;
         Cond.wait s.f_cond;
         s.f_waiters <- s.f_waiters - 1
       done;
-      Prof.charge_wait Phase.kernel_wait t0
+      E.leave_phase prev
     end;
     s.f_locked <- true;
     s.f_acq <- s.f_acq + 1;
@@ -1079,9 +1083,9 @@ let do_wait4 _k proc _args =
         Bytes.set_int32_le status 0 (Int32.of_int child.exit_code);
         Args.ok_out child.pid status
       | None ->
-        let t0 = Prof.mark () in
+        let prev = E.enter_phase Phase.kernel_wait in
         Cond.wait proc.exit_cond;
-        Prof.charge_wait Phase.kernel_wait t0;
+        E.leave_phase prev;
         loop ()
     in
     loop ()

@@ -1,7 +1,6 @@
 module E = Varan_sim.Engine
 module Ring = Varan_ringbuf.Ring
 module Event = Varan_ringbuf.Event
-module Prof = Varan_sim.Prof
 module Phase = Varan_obs.Profile
 module Trace = Varan_obs.Trace
 
@@ -158,7 +157,7 @@ let arm_retransmit t (p : pending) =
       end)
 
 let ship_batch t evs =
-  let reg = Prof.region_enter () in
+  let prev = E.enter_phase Phase.bridge_wire in
   let evs = Array.of_list evs in
   Array.map_inplace t.materialize evs;
   let n = Array.length evs in
@@ -183,7 +182,7 @@ let ship_batch t evs =
   t.s_batches <- t.s_batches + 1;
   t.s_events <- t.s_events + n;
   send_data t p;
-  Prof.region_exit Phase.bridge_wire reg;
+  E.leave_phase prev;
   arm_retransmit t p
 
 let superseded t my_epoch = t.detached || t.epoch <> my_epoch
@@ -211,9 +210,9 @@ let rec sender_loop t my_epoch c =
   else if Queue.length t.pending >= t.cfg.window then begin
     (* Window backpressure is wire time: the sender is throttled by
        unacked batches in flight, not by a lack of local events. *)
-    let t0 = Prof.mark () in
+    let prev = E.enter_phase Phase.bridge_wire in
     E.Cond.wait t.window_cond;
-    Prof.charge_wait Phase.bridge_wire t0;
+    E.leave_phase prev;
     sender_loop t my_epoch c
   end
   else begin
@@ -271,10 +270,10 @@ let receive_data t ~epoch ~bseq ~first_seq ~events ~checksum =
        into the NEXT epoch's mirror — phantom events above the true
        stream head. *)
     let mirror = t.mirror in
-    let reg = Prof.region_enter () in
+    let prev = E.enter_phase Phase.bridge_wire in
     E.consume (t.cfg.publish_cost * Array.length events);
     Ring.publish_batch mirror events;
-    Prof.region_exit Phase.bridge_wire reg
+    E.leave_phase prev
   end
 
 let rec recv_loop t =

@@ -187,8 +187,9 @@ let leader_execute_and_record t vst ~unit_idx ~tuple proc
       let digest_cycles =
         Cost.copy_cycles ~rate_c100:8 (Args.payload_size args)
       in
+      let prev = E.enter_phase Phase.oracle_digest in
       E.consume digest_cycles;
-      Prof.charge_inner Phase.oracle_digest digest_cycles
+      E.leave_phase prev
     | _ -> ());
     (* Descriptor grants travel over the data channel, per follower. *)
     let grant =
@@ -549,32 +550,31 @@ let do_promote t vst ~unit_idx ~tuple =
   | None -> ());
   E.consume t.cost.Cost.failover_promote
 
+(* Runs on the normal return AND the unwind path (exit syscalls and
+   divergence kills raise) of [interposed]: an unclosed span would
+   corrupt this track's nesting for the rest of the trace. A top-level
+   function, so an interposed call allocates no closure for it. *)
+let obs_exit t vst ~tuple ~traced ~trace_tid sysno ts =
+  E.leave_phase Phase.app_compute;
+  if traced then
+    Trace.end_span ~ts
+      ~lamport:(Lamport.current vst.clocks.(tuple))
+      ~pid:t.trace_pid ~tid:trace_tid (Sysno.name sysno)
+
 let interposed t vst ~unit_idx proc sysno args =
   let tuple = vst.unit_tuple.(unit_idx) in
   let t0 = E.now_cycles () in
-  (* Cycle attribution: the gap since the last interposition returned is
-     the variant body's own computation; the interposed call itself is
-     the syscall-exec phase, exclusive of inner waits (ring, kernel) and
-     the digest charge, which credit the stolen ledger as they go. *)
-  let reg = Prof.region_enter () in
-  if reg.Prof.r_tid >= 0 then Phase.gap_charge reg.Prof.r_tid t0;
+  (* Cycle attribution: the interposed call is the syscall-exec phase,
+     exclusive of the inner waits (ring, kernel) and the digest, which
+     enter phases of their own; it leaves into app-compute, the variant
+     body's own computation up to its next interposed call. *)
+  ignore (E.enter_phase Phase.syscall_exec);
   let traced = !Trace.enabled in
   let trace_tid = if traced then (E.self () :> int) else 0 in
   if traced then
     Trace.begin_span ~ts:t0
       ~lamport:(Lamport.current vst.clocks.(tuple))
       ~pid:t.trace_pid ~tid:trace_tid (Sysno.name sysno);
-  (* Runs on the normal return AND the unwind path (exit syscalls and
-     divergence kills raise): an unclosed span would corrupt this
-     track's nesting for the rest of the trace. *)
-  let obs_exit ts =
-    Prof.region_exit Phase.syscall_exec reg;
-    if reg.Prof.r_tid >= 0 then Phase.gap_mark reg.Prof.r_tid ts;
-    if traced then
-      Trace.end_span ~ts
-        ~lamport:(Lamport.current vst.clocks.(tuple))
-        ~pid:t.trace_pid ~tid:trace_tid (Sysno.name sysno)
-  in
   (* Deliver pending caught signals at the interception boundary: the
      leader streams an Ev_signal first so followers replay the handler at
      the same stream position (§2.2). *)
@@ -620,13 +620,13 @@ let interposed t vst ~unit_idx proc sysno args =
               args
         end)
     with exn ->
-      obs_exit (E.now_cycles ());
+      obs_exit t vst ~tuple ~traced ~trace_tid sysno (E.now_cycles ());
       raise exn
   in
   vst.st.syscalls <- vst.st.syscalls + 1;
   let t1 = E.now_cycles () in
   vst.st.sys_cycles <- Int64.add vst.st.sys_cycles (Int64.sub t1 t0);
-  obs_exit t1;
+  obs_exit t vst ~tuple ~traced ~trace_tid sysno t1;
   result
 
 (* Build the monitor-interposed API for one execution unit, including the

@@ -31,7 +31,6 @@ module Oracle = Varan_trace.Oracle
 module Net_node = Varan_net.Node
 module Link = Varan_net.Link
 module Bridge = Varan_net.Bridge
-module Prof = Varan_sim.Prof
 module Phase = Varan_obs.Profile
 module Trace = Varan_obs.Trace
 module Flight = Varan_obs.Flight

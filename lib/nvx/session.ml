@@ -24,7 +24,6 @@ let materialize_payload = Monitor.materialize_payload
    entry into a fresh site-id range. *)
 let prepare_image t vst =
   let t0 = Unix.gettimeofday () in
-  let reg = Prof.region_enter () in
   let img = pristine_text t.hub.sp_pristine vst.variant.Variant.profile in
   let seg =
     Image.make_segment ~name:(vst.variant.Variant.v_name ^ ".text") ~base:0
@@ -48,8 +47,7 @@ let prepare_image t vst =
   let patched = Vdso.patch ~first_site_id:t.next_site_id vdso_code symbols in
   t.next_site_id <- t.next_site_id + List.length patched.Vdso.v_sites;
   vst.spawn_ns <- vst.spawn_ns +. ((Unix.gettimeofday () -. t0) *. 1e9);
-  vst.spawn_preps <- vst.spawn_preps + 1;
-  Prof.region_exit Phase.rewrite reg
+  vst.spawn_preps <- vst.spawn_preps + 1
 
 let start_units t vst =
   let program = vst.variant.Variant.program in

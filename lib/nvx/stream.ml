@@ -4,7 +4,6 @@ module Event = Varan_ringbuf.Event
 module Lanes = Varan_ringbuf.Lanes
 module Sysno = Varan_syscall.Sysno
 module Cost = Varan_cycles.Cost
-module Prof = Varan_sim.Prof
 module Phase = Varan_obs.Profile
 
 (* The consumer handle is resolved once, at subscription, so the
@@ -92,28 +91,28 @@ let total_lag s =
    because followers wait on ring activity or on their lane, not in the
    ring's own consume stall loop. *)
 let wait s ~tid =
-  let t0 = Prof.mark () in
+  let prev = E.enter_phase Phase.ring_wait in
   (match s.lanes with
   | Some ln -> Lanes.wait ln ~tid
   | None -> Ring.wait_activity s.ring);
-  Prof.charge_wait Phase.ring_wait t0
+  E.leave_phase prev
 
 let spin s ~tid window =
-  let t0 = Prof.mark () in
+  let prev = E.enter_phase Phase.ring_wait in
   let r =
     match s.lanes with
     | Some ln -> Lanes.spin ln ~tid window
     | None -> Ring.wait_activity_timeout s.ring window
   in
-  Prof.charge_wait Phase.ring_wait t0;
+  E.leave_phase prev;
   r
 
 let wait_siblings s ~tid =
   match s.lanes with
   | Some ln when Lanes.outstanding ln > 0 ->
-    let t0 = Prof.mark () in
+    let prev = E.enter_phase Phase.ring_wait in
     Lanes.wait_drained ln ~tid;
-    Prof.charge_wait Phase.ring_wait t0;
+    E.leave_phase prev;
     true
   | _ -> false
 

@@ -1,40 +1,29 @@
 (* Hot-path cycle attribution.
 
-   Each instrumented region charges the virtual cycles it spanned
-   (measured by the caller as an [Engine.now_cycles] delta) to one of a
-   fixed set of phases. The buckets are process-global plain int64
-   accumulators: [add] is one load, one add, one store. Everything is
-   gated on [enabled] at the call sites, so a disabled build pays a
-   single load-and-branch per site.
+   Each task of the engine is in at most one phase at a time, and the
+   engine charges every interval a task spends in a phase to that
+   phase's bucket when the task switches phase ([Engine.enter_phase],
+   [Engine.leave_phase]). Phases nest: entering an inner phase closes
+   the outer one's interval, and leaving it reopens the outer one, so
+   every cycle lands in exactly one bucket and the buckets can be
+   summed and compared against the engine's total task-cycles. A
+   pinned phase ([pinned]) takes the inner phases entered while it is
+   current as part of itself: the open-loop client's reply wait spans
+   the kernel's blocking read and is counted once, as client-wait.
 
-   Two refinements keep the buckets disjoint (so they can be summed and
-   compared against the engine's total task-cycles):
-
-   - Suppression: a region that deliberately subsumes inner waits (the
-     open-loop client's reply wait spans the kernel's blocking read)
-     marks its task as suppressed; inner wait sites then skip their own
-     attribution so the cycles are counted exactly once, in the outer
-     phase.
-
-   - Stolen cycles: a region that wants exclusive time (the leader's
-     syscall-execute region should not absorb the vtime it spent parked
-     in a kernel block) reads its task's [stolen] total before and
-     after, and subtracts the delta; wait sites credit [stolen] as they
-     charge their own phase.
-
-   The per-task tables are only touched while profiling is enabled, so
-   their cost never leaks into production paths. *)
-
+   The buckets are process-global plain int accumulators: [charge] is
+   one load, one add, one store, and the engine calls it only while
+   [enabled] is set. *)
 type phase = int
 
 let ring_wait = 0 (* follower parked waiting for leader events *)
 let ring_gate = 1 (* leader parked on the publish gate (slow consumer) *)
 let syscall_exec = 2 (* kernel execution of intercepted syscalls *)
 let oracle_digest = 3 (* divergence digest + oracle checks *)
-let rewrite = 4 (* binary rewrite / cached rebase at spawn *)
+let rewrite = 4 (* binary rewrite at spawn: no virtual cycles, reads 0 *)
 let bridge_wire = 5 (* cross-node frame encode + link occupancy *)
 let sched_dispatch = 6 (* scheduler-induced resume lag (ticker jumps) *)
-let kernel_wait = 7 (* blocked in the simulated kernel (unsuppressed) *)
+let kernel_wait = 7 (* blocked in the simulated kernel *)
 let app_compute = 8 (* variant body cycles between intercepted syscalls *)
 let client_idle = 9 (* open-loop worker ahead of schedule (arrival sleep) *)
 let client_wait = 10 (* open-loop worker send-to-reply (incl. queueing) *)
@@ -57,13 +46,11 @@ let phase_name = function
 
 let enabled = ref false
 
-let buckets = Array.make n_phases 0L
-let hits = Array.make n_phases 0
+(* Above every phase id: a phase entered as [pinned p] charges to [p]. *)
+let pin_bit = 0x100
+let pinned p = p lor pin_bit
 
-(* Per-task side tables; live only while profiling. *)
-let suppress_tbl : (int, int) Hashtbl.t = Hashtbl.create 64
-let stolen_tbl : (int, int64) Hashtbl.t = Hashtbl.create 64
-let gap_tbl : (int, int64) Hashtbl.t = Hashtbl.create 64
+let buckets = Array.make n_phases 0
 
 (* The client backlog gauge: virtual time the open-loop generator was
    behind its own arrival schedule at each send. Not a phase (the cycles
@@ -74,59 +61,12 @@ let backlog_cycles = ref 0L
 let backlog_events = ref 0
 
 let reset () =
-  Array.fill buckets 0 n_phases 0L;
-  Array.fill hits 0 n_phases 0;
-  Hashtbl.reset suppress_tbl;
-  Hashtbl.reset stolen_tbl;
-  Hashtbl.reset gap_tbl;
+  Array.fill buckets 0 n_phases 0;
   backlog_cycles := 0L;
   backlog_events := 0
 
-let add p d =
-  if d > 0L then begin
-    buckets.(p) <- Int64.add buckets.(p) d;
-    hits.(p) <- hits.(p) + 1
-  end
-
-let cycles p = buckets.(p)
-let hit_count p = hits.(p)
-
-let suppress tid =
-  let d = Option.value (Hashtbl.find_opt suppress_tbl tid) ~default:0 in
-  Hashtbl.replace suppress_tbl tid (d + 1)
-
-let unsuppress tid =
-  match Hashtbl.find_opt suppress_tbl tid with
-  | Some d when d > 1 -> Hashtbl.replace suppress_tbl tid (d - 1)
-  | Some _ -> Hashtbl.remove suppress_tbl tid
-  | None -> ()
-
-let suppressed tid = Hashtbl.mem suppress_tbl tid
-
-let steal tid d =
-  let s = Option.value (Hashtbl.find_opt stolen_tbl tid) ~default:0L in
-  Hashtbl.replace stolen_tbl tid (Int64.add s d)
-
-let stolen tid = Option.value (Hashtbl.find_opt stolen_tbl tid) ~default:0L
-
-(* App-compute gap accounting: a variant unit marks its exit timestamp
-   when an intercepted syscall returns; the next interposition charges
-   the gap — the variant's own computation between syscalls. *)
-let gap_mark tid ts = Hashtbl.replace gap_tbl tid ts
-
-let gap_charge tid ts =
-  match Hashtbl.find_opt gap_tbl tid with
-  | None -> ()
-  | Some last ->
-    Hashtbl.remove gap_tbl tid;
-    add app_compute (Int64.sub ts last)
-
-(* A retired task never charges again: dropping its rows keeps the side
-   tables bounded by live tasks, like the engine's own table. *)
-let forget tid =
-  Hashtbl.remove suppress_tbl tid;
-  Hashtbl.remove stolen_tbl tid;
-  Hashtbl.remove gap_tbl tid
+let charge p d = buckets.(p) <- buckets.(p) + d
+let cycles p = Int64.of_int buckets.(p)
 
 let note_backlog d =
   if d > 0L then begin
@@ -136,12 +76,12 @@ let note_backlog d =
 
 let backlog () = (!backlog_cycles, !backlog_events)
 
-let total () = Array.fold_left Int64.add 0L buckets
+let total () = Int64.of_int (Array.fold_left ( + ) 0 buckets)
 
 let rows () =
-  List.init n_phases (fun p -> (phase_name p, buckets.(p), hits.(p)))
-  |> List.filter (fun (_, c, _) -> c > 0L)
-  |> List.sort (fun (_, a, _) (_, b, _) -> compare b a)
+  List.init n_phases (fun p -> (phase_name p, cycles p))
+  |> List.filter (fun (_, c) -> c > 0L)
+  |> List.sort (fun (_, a) (_, b) -> compare b a)
 
 (* Render the attribution table. [total_cycles] is the denominator the
    coverage line is judged against — the engine's total task-cycles
@@ -153,7 +93,6 @@ let render ~total_cycles =
         ("phase", Varan_util.Tablefmt.Left);
         ("cycles", Varan_util.Tablefmt.Right);
         ("% of total", Varan_util.Tablefmt.Right);
-        ("hits", Varan_util.Tablefmt.Right);
       ]
   in
   let denom =
@@ -161,13 +100,12 @@ let render ~total_cycles =
     else Int64.to_float (max 1L (total ()))
   in
   List.iter
-    (fun (name, c, n) ->
+    (fun (name, c) ->
       Varan_util.Tablefmt.add_row tbl
         [
           name;
           Int64.to_string c;
           Printf.sprintf "%.1f%%" (100.0 *. Int64.to_float c /. denom);
-          string_of_int n;
         ])
     (rows ());
   Varan_util.Tablefmt.add_rule tbl;
@@ -177,10 +115,9 @@ let render ~total_cycles =
       "attributed";
       Int64.to_string attributed;
       Printf.sprintf "%.1f%%" (100.0 *. Int64.to_float attributed /. denom);
-      "";
     ];
   Varan_util.Tablefmt.add_row tbl
-    [ "total task-cycles"; Int64.to_string total_cycles; "100.0%"; "" ];
+    [ "total task-cycles"; Int64.to_string total_cycles; "100.0%" ];
   let b = Buffer.create 512 in
   Buffer.add_string b (Varan_util.Tablefmt.render tbl);
   let bl, bn = backlog () in

@@ -1,6 +1,5 @@
 module E = Varan_sim.Engine
 module Cond = E.Cond
-module Prof = Varan_sim.Prof
 module Phase = Varan_obs.Profile
 
 type 'a tap = {
@@ -210,12 +209,12 @@ let publish_now t v =
    the uncontended publish path is untouched. *)
 let wait_not_full t =
   if is_full t then begin
-    let t0 = Prof.mark () in
+    let prev = E.enter_phase Phase.ring_gate in
     while is_full t do
       producer_stall t;
       Cond.wait t.not_full
     done;
-    Prof.charge_wait Phase.ring_gate t0
+    E.leave_phase prev
   end
 
 let publish t v =
@@ -291,12 +290,12 @@ let consume_now t c =
    ring-wait phase (follower ahead of its leader). *)
 let wait_not_empty t c =
   if c.cursor >= t.head then begin
-    let t0 = Prof.mark () in
+    let prev = E.enter_phase Phase.ring_wait in
     while c.cursor >= t.head do
       t.n_consumer_stalls <- t.n_consumer_stalls + 1;
       Cond.wait t.not_empty
     done;
-    Prof.charge_wait Phase.ring_wait t0
+    E.leave_phase prev
   end
 
 let consume_h c =

@@ -53,6 +53,11 @@ type task = {
      [cancel_entry]). An int, so arming and clearing it allocates
      nothing and stores no pointer. *)
   mutable fr_deadline : int;
+  (* Cycle attribution: the profile phase the task is in (-1 for none,
+     at or above [Profile.pin_bit] when pinned), and the task time it
+     entered it. Ints, so switching phase allocates nothing. *)
+  mutable ph : int;
+  mutable ph_t0 : int;
 }
 
 and entry = {
@@ -109,6 +114,8 @@ let dummy_task =
     fr_parked = false;
     fr_waiter = None;
     fr_deadline = -1;
+    ph = -1;
+    ph_t0 = 0;
   }
 
 let no_fn () = ()
@@ -728,11 +735,10 @@ let total_task_cycles t =
        t.tasks t.retired_cycles)
 
 (* A finished or dead task never runs again, so its clock is final: bank
-   its lifetime and drop it (and the profiler's per-task rows). *)
+   its lifetime and drop it. A phase it is still in is never charged. *)
 let retire t task =
   Hashtbl.remove t.tasks task.id;
-  t.retired_cycles <- t.retired_cycles + (task.time - task.start);
-  if !Varan_obs.Profile.enabled then Varan_obs.Profile.forget task.id
+  t.retired_cycles <- t.retired_cycles + (task.time - task.start)
 
 (* Schedule the resumption of a claimed waiter's task: clear the park
    bookkeeping, cancel any pending deadline, and hand the wake time to a
@@ -909,6 +915,8 @@ let spawn_internal : t -> ?name:string -> at:int -> (unit -> unit) -> task_id =
       fr_parked = false;
       fr_waiter = None;
       fr_deadline = -1;
+      ph = -1;
+      ph_t0 = at;
     }
   in
   Hashtbl.replace t.tasks id task;
@@ -1074,8 +1082,8 @@ let drain ?cycle_budget t =
                the task resumes late through no fault of its own. This is
                the scheduler-induced lag the profile reports as
                sched-dispatch. *)
-            Varan_obs.Profile.add Varan_obs.Profile.sched_dispatch
-              (Int64.of_int (t.global_time - e.etime));
+            Varan_obs.Profile.charge Varan_obs.Profile.sched_dispatch
+              (t.global_time - e.etime);
           t.switches <- t.switches + 1;
           (match e.ekind with
           | Ek_resume ->
@@ -1239,6 +1247,31 @@ let now_cycles () =
 let self () =
   let task = !running in
   if task != dummy_task then task.id else Effect.perform E_outside
+
+(* Cycle attribution. Switching phase closes the task's current interval
+   and charges it to the phase it leaves; a pinned phase takes every
+   inner enter and leave as a no-op, so its interval covers them. *)
+let[@inline] switch_phase task p =
+  let cur = task.ph in
+  if cur >= 0 && !Varan_obs.Profile.enabled then
+    Varan_obs.Profile.charge
+      (cur land (Varan_obs.Profile.pin_bit - 1))
+      (task.time - task.ph_t0);
+  task.ph <- p;
+  task.ph_t0 <- task.time
+
+let enter_phase p =
+  let task = !running in
+  if task == dummy_task then -1
+  else begin
+    let cur = task.ph in
+    if cur < Varan_obs.Profile.pin_bit then switch_phase task p;
+    cur
+  end
+
+let leave_phase prev =
+  let task = !running in
+  if task != dummy_task && task.ph <> prev then switch_phase task prev
 
 let spawn_here ?name body =
   let task = !running in

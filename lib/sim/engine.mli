@@ -117,8 +117,8 @@ val total_task_cycles : t -> int64
     Retired (finished or dead) tasks count with their final lifetime,
     banked when they retire. Timers ({!after_here}) are not tasks and
     add nothing. The denominator for {!Varan_obs.Profile} coverage: the
-    attribution buckets partition this quantity (minus unattributed
-    idle). *)
+    phases of {!enter_phase} partition this quantity, less the time
+    tasks spend in no phase. *)
 
 (** {1 The queue of future wakeups}
 
@@ -229,6 +229,33 @@ val again : int -> unit
     on [sleep d] would continue. Call it last; the bridge's
     retransmit timer re-arms with backoff this way.
     @raise Invalid_argument outside a timer callback. *)
+
+(** {2 Cycle attribution}
+
+    Every task is in at most one {!Varan_obs.Profile} phase at a time,
+    none when spawned. A task switches phase only through these two
+    calls; each takes and returns a plain int and allocates nothing.
+    A switch charges the interval the task spent in the phase it
+    leaves — task time since its last switch — to that phase's bucket
+    when [Varan_obs.Profile.enabled] is set, so nested phases give
+    exclusive time: the outer phase is charged up to the inner enter
+    and again from the inner leave. A task that retires inside a phase
+    (finished, or killed mid-wait) is never charged for that last
+    interval. Outside a task both calls do nothing. *)
+
+val enter_phase : int -> int
+(** [enter_phase p] makes [p] the calling task's phase and returns the
+    phase it was in (-1 for none), which the matching {!leave_phase}
+    restores. Pass [Varan_obs.Profile.pinned p] to pin [p]: while a
+    pinned phase is current, [enter_phase] changes nothing and returns
+    it, so every inner phase's time stays in the pinned one. Returns -1
+    outside a task. *)
+
+val leave_phase : int -> unit
+(** [leave_phase prev] returns the calling task to phase [prev] —
+    the value its matching {!enter_phase} returned, or any phase the
+    task moves into next (the interposed system call leaves into
+    app-compute). A no-op when the task is already in [prev]. *)
 
 val yield : unit -> unit
 (** Requeue at the same time, letting equal-time tasks run. Only tests

@@ -6,7 +6,6 @@ module Cost = Varan_cycles.Cost
 module Floatbuf = Varan_util.Floatbuf
 module Stats = Varan_util.Stats
 module Prng = Varan_util.Prng
-module Prof = Varan_sim.Prof
 module Phase = Varan_obs.Profile
 
 type load = {
@@ -50,15 +49,13 @@ let rec connect_retry api fd port attempts =
 
 (* Dial-until-listening while the server boots: idle time from the
    client's point of view, and a large one at scale — every worker spins
-   here for the whole variant-launch window. The region subsumes the
-   retry sleeps AND the failed-connect attempt costs, so the entire dial
-   window lands in [client_idle] as one charge. *)
+   here for the whole variant-launch window. The phase is pinned, so
+   the retry sleeps AND the failed-connect attempt costs, the entire
+   dial window, land in [client_idle]. *)
 let dial api fd port attempts =
-  let reg = Prof.region_enter () in
-  if reg.Prof.r_tid >= 0 then Phase.suppress reg.Prof.r_tid;
+  let prev = E.enter_phase (Phase.pinned Phase.client_idle) in
   let r = connect_retry api fd port attempts in
-  if reg.Prof.r_tid >= 0 then Phase.unsuppress reg.Prof.r_tid;
-  Prof.region_exit Phase.client_idle reg;
+  E.leave_phase prev;
   r
 
 let launch k ~cost ~port_of load =
@@ -209,9 +206,9 @@ let launch_open k ~cost ~port_of load =
               if at > now then begin
                 (* Ahead of schedule: waiting for the next Poisson
                    arrival is idle time, not service time. *)
-                let ti = Prof.mark () in
+                let prev = E.enter_phase Phase.client_idle in
                 E.sleep (Int64.to_int (Int64.sub at now));
-                Prof.charge_wait Phase.client_idle ti
+                E.leave_phase prev
               end
               else if !Phase.enabled then
                 Phase.note_backlog (Int64.sub now at);
@@ -219,11 +216,10 @@ let launch_open k ~cost ~port_of load =
               (match conn_to port with
               | None -> r.errors <- r.errors + 1
               | Some fd ->
-                (* The whole send-to-reply window is one [client_wait]
-                   charge; suppression folds the kernel blocks inside
-                   send/recv into it instead of double-counting them. *)
-                let reg = Prof.region_enter () in
-                if reg.Prof.r_tid >= 0 then Phase.suppress reg.Prof.r_tid;
+                (* The whole send-to-reply window is [client_wait]; the
+                   pin folds the kernel blocks inside send/recv into it
+                   instead of splitting them out. *)
+                let prev = E.enter_phase (Phase.pinned Phase.client_wait) in
                 let t0 = E.now_cycles () in
                 if counted && t0 < r.first_send then r.first_send <- t0;
                 (match
@@ -243,8 +239,7 @@ let launch_open k ~cost ~port_of load =
                         (Cost.cycles_to_us cost (Int64.sub t1 at))
                     end
                   | Ok None | Error _ -> r.errors <- r.errors + 1));
-                if reg.Prof.r_tid >= 0 then Phase.unsuppress reg.Prof.r_tid;
-                Prof.region_exit Phase.client_wait reg);
+                E.leave_phase prev);
               pump ()
           in
           pump ())

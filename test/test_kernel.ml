@@ -427,6 +427,56 @@ let test_epoll_close_drops_watch () =
     readd;
   Alcotest.check pairs "a dup keeps the watch" [ (d, Flags.epollout) ] after_dup
 
+(* One object, two watches: a pipe's ends share one watcher list, and so
+   do two fds of one socket. Deleting one watch must leave the other's
+   wake-ups in place: a blocking epoll_wait on the remaining watch wakes
+   when a second task makes it readable. *)
+let test_epoll_del_keeps_sibling_watch () =
+  let eng = E.create () in
+  let k = K.create eng in
+  let proc = K.new_proc k "test" in
+  let got = ref [] in
+  let tid =
+    E.spawn eng ~name:"waiter" (fun () ->
+        let api = Api.direct k proc in
+        let ep = ok_int (Api.epoll_create api) in
+        let wait_blocking () =
+          match Api.epoll_wait api ep ~max_events:8 ~timeout_ms:(-1) with
+          | Ok evs -> evs
+          | Error e -> Alcotest.failf "epoll_wait: %s" (Errno.name e)
+        in
+        let later f =
+          ignore
+            (E.spawn_here ~name:"writer" (fun () ->
+                 E.sleep 1_000;
+                 f ()))
+        in
+        let r, w = ok_int (Api.pipe api) in
+        ok_unit (Api.epoll_ctl api ep Flags.epoll_ctl_add r Flags.epollin);
+        ok_unit (Api.epoll_ctl api ep Flags.epoll_ctl_add w Flags.epollout);
+        ok_unit (Api.epoll_ctl api ep Flags.epoll_ctl_del w 0);
+        later (fun () -> ignore (ok_int (Api.write_str api w "x")));
+        let pipe_evs = wait_blocking () in
+        ok_unit (Api.epoll_ctl api ep Flags.epoll_ctl_del r 0);
+        let a, b = ok_int (Api.socketpair api) in
+        let a' = ok_int (Api.dup api a) in
+        ok_unit (Api.epoll_ctl api ep Flags.epoll_ctl_add a Flags.epollin);
+        ok_unit (Api.epoll_ctl api ep Flags.epoll_ctl_add a' Flags.epollin);
+        ok_unit (Api.epoll_ctl api ep Flags.epoll_ctl_del a' 0);
+        later (fun () -> ignore (ok_int (Api.write_str api b "y")));
+        got := [ (r, pipe_evs); (a, wait_blocking ()) ])
+  in
+  K.register_task k proc tid;
+  E.run eng;
+  match !got with
+  | [ (r, pipe_evs); (a, sock_evs) ] ->
+    let pairs = Alcotest.(list (pair int int)) in
+    Alcotest.check pairs "the pipe's read end wakes the wait"
+      [ (r, Flags.epollin) ] pipe_evs;
+    Alcotest.check pairs "the socket's other fd wakes the wait"
+      [ (a, Flags.epollin) ] sock_evs
+  | _ -> Alcotest.fail "waiter did not finish"
+
 let test_epoll_server_pattern () =
   let eng = E.create () in
   let k = K.create eng in
@@ -1403,6 +1453,8 @@ let () =
             test_epoll_server_pattern;
           Alcotest.test_case "epoll close drops the watch" `Quick
             test_epoll_close_drops_watch;
+          Alcotest.test_case "epoll del keeps the sibling watch" `Quick
+            test_epoll_del_keeps_sibling_watch;
           Alcotest.test_case "epoll_wait cap ignores watch order" `Quick
             test_epoll_wait_cap_ignores_watch_order;
           Alcotest.test_case "epoll_wait caps ready at max_events" `Quick

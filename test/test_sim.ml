@@ -976,6 +976,137 @@ let test_retired_task_queries () =
     (E.total_task_cycles eng);
   E.run eng
 
+(* --- cycle attribution --------------------------------------------------- *)
+
+(* Four tasks exercise every rule of the per-task phase. [nest] nests
+   phases across consume, a blocking cond wait and a sleep: each inner
+   enter charges the outer phase up to it, and its leave reopens the
+   outer one. [pinned] runs a pinned phase whose inner enters fold into
+   it. [victim] is killed parked in an inner phase it entered after
+   charging 25 cycles to the outer one, and [spinner] is killed while its
+   only phase is open: a retired task's open interval is never charged. *)
+let test_phase_attribution () =
+  let module P = Varan_obs.Profile in
+  P.reset ();
+  P.enabled := true;
+  Fun.protect
+    ~finally:(fun () ->
+      P.enabled := false;
+      P.reset ())
+    (fun () ->
+      Alcotest.(check int) "no phase outside a task" (-1)
+        (E.enter_phase P.app_compute);
+      E.leave_phase P.app_compute;
+      let eng = E.create () in
+      let woken = E.Cond.create "woken" and never = E.Cond.create "never" in
+      ignore
+        (E.spawn eng ~name:"nest" (fun () ->
+             E.consume 10;
+             let p1 = E.enter_phase P.app_compute in
+             E.consume 100;
+             let p2 = E.enter_phase P.syscall_exec in
+             E.consume 20;
+             let p3 = E.enter_phase P.kernel_wait in
+             E.Cond.wait woken;
+             E.leave_phase p3;
+             E.consume 30;
+             E.leave_phase p2;
+             E.consume 5;
+             E.leave_phase p1;
+             E.consume 7;
+             let p4 = E.enter_phase P.client_idle in
+             E.sleep 50;
+             E.leave_phase p4));
+      ignore
+        (E.spawn eng ~name:"pinned" (fun () ->
+             let outer = E.enter_phase (P.pinned P.client_wait) in
+             E.consume 40;
+             let k = E.enter_phase P.kernel_wait in
+             E.sleep 60;
+             let r = E.enter_phase P.ring_wait in
+             E.consume 10;
+             E.leave_phase r;
+             E.leave_phase k;
+             E.consume 15;
+             E.leave_phase outer;
+             E.consume 3));
+      let victim =
+        E.spawn eng ~name:"victim" (fun () ->
+            let outer = E.enter_phase P.ring_gate in
+            E.consume 25;
+            let inner = E.enter_phase P.ring_wait in
+            E.Cond.wait never;
+            E.leave_phase inner;
+            E.leave_phase outer)
+      in
+      let spinner =
+        E.spawn eng ~name:"spinner" (fun () ->
+            ignore (E.enter_phase P.bridge_wire);
+            while true do
+              E.consume 100
+            done)
+      in
+      ignore
+        (E.spawn eng ~name:"killer" (fun () ->
+             E.sleep 400;
+             E.Cond.signal woken;
+             E.kill_here victim;
+             E.kill_here spinner));
+      E.run eng;
+      let expected =
+        [
+          ("ring-wait", 0L);
+          ("ring-gate", 25L);
+          ("syscall-exec", 50L);
+          ("oracle-digest", 0L);
+          ("rewrite", 0L);
+          ("bridge-wire", 0L);
+          ("sched-dispatch", 0L);
+          ("kernel-wait", 270L);
+          ("app-compute", 105L);
+          ("client-idle", 50L);
+          ("client-wait", 125L);
+        ]
+      in
+      Alcotest.(check (list (pair string int64)))
+        "per-phase buckets" expected
+        (List.init P.n_phases (fun p -> (P.phase_name p, P.cycles p)));
+      Alcotest.(check int64) "attributed" 625L (P.total ());
+      let total = E.total_task_cycles eng in
+      if P.total () > total then
+        Alcotest.failf "attributed %Ld exceeds total task-cycles %Ld"
+          (P.total ()) total)
+
+(* A phase switch stores two ints in the task and, profiling on, adds
+   one int to a bucket: 10k enter/leave pairs inside a task allocate
+   nothing, with profiling off and on. *)
+let test_phase_switch_allocates_nothing () =
+  let module P = Varan_obs.Profile in
+  let words = ref [] in
+  let eng = E.create () in
+  ignore
+    (E.spawn eng (fun () ->
+         List.iter
+           (fun on ->
+             P.enabled := on;
+             let w0 = Gc.minor_words () in
+             for _ = 1 to 10_000 do
+               let prev = E.enter_phase P.kernel_wait in
+               E.consume 1;
+               E.leave_phase prev
+             done;
+             words := (Gc.minor_words () -. w0) :: !words)
+           [ false; true ]));
+  Fun.protect
+    ~finally:(fun () ->
+      P.enabled := false;
+      P.reset ())
+    (fun () -> E.run eng);
+  List.iter
+    (fun w ->
+      if w > 100. then Alcotest.failf "10k phase switches allocated %.0f words" w)
+    !words
+
 (* --- cancelled deadlines ------------------------------------------------ *)
 
 (* [n] timed waits with a 10^12-cycle deadline, each signalled one cycle
@@ -1345,6 +1476,13 @@ let () =
             test_retired_tasks_free_memory;
           Alcotest.test_case "queries on a retired id" `Quick
             test_retired_task_queries;
+        ] );
+      ( "profile",
+        [
+          Alcotest.test_case "nested, pinned and killed phases" `Quick
+            test_phase_attribution;
+          Alcotest.test_case "phase switches allocate nothing" `Quick
+            test_phase_switch_allocates_nothing;
         ] );
       ( "cancel",
         [

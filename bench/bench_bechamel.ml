@@ -27,6 +27,7 @@ module Tape = Varan_nvx.Tape
 module Checkpoint = Varan_nvx.Checkpoint
 module Kernel = Varan_kernel.Kernel
 module Api = Varan_kernel.Api
+module Flags = Varan_kernel.Flags
 module Proto = Varan_workloads.Proto
 module Event = Varan_ringbuf.Event
 module Lanes = Varan_ringbuf.Lanes
@@ -576,6 +577,47 @@ let socket_frame_test =
   Test.make ~name:"socket-frame-4KiB"
     (Staged.stage (fun () -> (Lazy.force round_trip) ()))
 
+(* One epoll watching the read ends of [n] pipes, one of which holds a
+   byte. The returned function makes 64 non-blocking epoll_wait calls
+   in one task, each reporting the one ready watch. With a ready list
+   the cost follows the ready watches, not the watched ones, so the
+   [n = 96] and [n = 1] rows should cost about the same. *)
+let epoll_wait_1of n =
+  let eng = E.create () in
+  let k = Kernel.create eng in
+  let api = Api.direct k (Kernel.new_proc k "poller") in
+  let ok = function Ok v -> v | Error _ -> failwith "epoll-wait" in
+  let ep = ref (-1) in
+  ignore
+    (E.spawn eng ~name:"setup" (fun () ->
+         let e = ok (Api.epoll_create api) in
+         for i = 1 to n do
+           let r, w = ok (Api.pipe api) in
+           ok (Api.epoll_ctl api e Flags.epoll_ctl_add r Flags.epollin);
+           if i = n then ignore (ok (Api.write_str api w "x"))
+         done;
+         ep := e));
+  E.run_until_quiescent eng;
+  fun () ->
+    ignore
+      (E.spawn eng ~name:"poller" (fun () ->
+           for _ = 1 to 64 do
+             match Api.epoll_wait api !ep ~max_events:8 ~timeout_ms:0 with
+             | Ok [ _ ] -> ()
+             | _ -> failwith "epoll-wait"
+           done));
+    E.run_until_quiescent eng
+
+(* Built on first use, like the socket rows. *)
+let epoll_wait_1of1 = lazy (epoll_wait_1of 1)
+let epoll_wait_1of96 = lazy (epoll_wait_1of 96)
+
+let epoll_wait_tests =
+  List.map
+    (fun (name, f) ->
+      Test.make ~name (Staged.stage (fun () -> (Lazy.force f) ())))
+    [ ("epoll-wait-1of1", epoll_wait_1of1); ("epoll-wait-1of96", epoll_wait_1of96) ]
+
 (* Host bytes allocated so far. The runtime's allocation counters trail
    by one minor collection, so each reading forces two. *)
 let allocated_bytes () =
@@ -731,6 +773,7 @@ let tests =
       engine_heap_test; engine_same_time_test; engine_spawn_sleep_test;
       engine_timer_test; ring_lanes_test; bridge_test; socket_frame_test;
     ]
+  @ epoll_wait_tests
 
 let smoke = Sys.getenv_opt "VARAN_BENCH_SMOKE" <> None
 
@@ -883,8 +926,9 @@ let run () =
   | _ -> ());
   (* Paired ratios, timed here rather than derived from two rows: the
      host-bound engine rows over the calibration kernel, so their gates
-     hold on a host that slows every process, and same-time dispatch
-     over distinct-time dispatch. *)
+     hold on a host that slows every process, same-time dispatch over
+     distinct-time dispatch, and an epoll_wait over 96 watches over one
+     over a single watch. *)
   List.iter
     (fun (name, f, g, base) ->
       let ratio = paired_ratio f g in
@@ -898,6 +942,10 @@ let run () =
         engine_same_time,
         engine_heap,
         "engine-heap-512" );
+      ( "epoll-wait-watch-ratio",
+        Lazy.force epoll_wait_1of96,
+        Lazy.force epoll_wait_1of1,
+        "epoll-wait-1of1" );
     ];
   check_broadcast_allocation ();
   Report.save_hotpath_json (List.rev !estimates);

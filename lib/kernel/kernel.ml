@@ -115,8 +115,7 @@ let rec ready_read ofile =
   | K_pipe_w _ -> false
   | K_sock ep -> (not (Bytequeue.is_empty ep.ep_rx)) || ep.ep_peer_closed
   | K_listen l -> not (Queue.is_empty l.l_backlog)
-  | K_epoll e ->
-    Fdmap.exists (fun _ w -> revents w.w_ofile w.w_events <> 0) e.e_watches
+  | K_epoll e -> List.exists live_and_ready e.e_ready
 
 and ready_write ofile =
   match ofile.kind with
@@ -143,8 +142,25 @@ and revents ofile events =
     r lor Flags.epollout
   else r
 
-let notify_epolls watchers =
-  List.iter (fun e -> Cond.broadcast_if_waiting e.e_cond) watchers
+and live_and_ready w = (not w.w_dead) && revents w.w_ofile w.w_events <> 0
+
+let queue_watch w =
+  if not (w.w_queued || w.w_dead) then begin
+    w.w_queued <- true;
+    w.w_epoll.e_ready <- w :: w.w_epoll.e_ready
+  end
+
+(* Every transition that can make an object ready comes through here:
+   its live watches join their epolls' ready lists, then each watching
+   epoll is woken. A dead watch stays on the object's list until
+   EPOLL_CTL_DEL and still wakes its epoll: pruning it would change
+   which waiters wake, and with them the virtual timings. *)
+let rec notify_epolls = function
+  | [] -> ()
+  | w :: watchers ->
+    queue_watch w;
+    Cond.broadcast_if_waiting w.w_epoll.e_cond;
+    notify_epolls watchers
 
 let wake_sock_readers ep =
   Cond.broadcast_if_waiting ep.ep_readable;
@@ -186,12 +202,16 @@ let deliver_fin k (peer : endpoint) =
 (* Release on close                                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* Drop [ofile]'s watches from the epolls [epolls]. *)
+(* Drop [ofile]'s watches from their epolls. A dead watch leaves its
+   epoll's ready list at the next collect. *)
 let rec unwatch ofile = function
   | [] -> ()
-  | e :: epolls ->
-    e.e_watches <- Fdmap.filter (fun _ w -> w.w_ofile != ofile) e.e_watches;
-    unwatch ofile epolls
+  | w :: watchers ->
+    if w.w_ofile == ofile && not w.w_dead then begin
+      w.w_dead <- true;
+      w.w_epoll.e_watches <- Fdmap.remove w.w_fd w.w_epoll.e_watches
+    end;
+    unwatch ofile watchers
 
 (* The last reference takes the description's epoll watches with it, as
    on Linux; while a dup'd fd still names it, they stay. *)
@@ -623,9 +643,11 @@ let do_listen k proc args =
               l_backlog = Queue.create ();
               l_closed = false;
               l_cond = Cond.create "listener";
-              l_watchers = [];
+              (* Watches taken on the socket stay on the listener. *)
+              l_watchers = ep.ep_watchers;
             }
           in
+          ep.ep_watchers <- [];
           Hashtbl.replace k.listeners ep.ep_port l;
           o.kind <- K_listen l;
           Args.ok 0
@@ -679,7 +701,10 @@ let do_connect k proc args =
               }
             in
             k.next_ofile <- k.next_ofile + 1;
+            (* A peer makes the socket writable: wake its EPOLLOUT
+               watchers, as Linux does when the connection completes. *)
             ep.ep_peer <- Some server_ep;
+            notify_epolls ep.ep_watchers;
             if ep.ep_port = 0 then begin
               ep.ep_port <- k.next_ephemeral_port;
               k.next_ephemeral_port <- k.next_ephemeral_port + 1
@@ -758,6 +783,7 @@ let do_epoll_create k proc _args =
     {
       e_id = k.next_ofile;
       e_watches = Fdmap.empty;
+      e_ready = [];
       e_cond = Cond.create "epoll";
     }
   in
@@ -765,25 +791,25 @@ let do_epoll_create k proc _args =
   let fd = add_fd proc o in
   grant [ (fd, o) ] (Args.ok fd)
 
-let add_watcher e ofile =
-  match ofile.kind with
-  | K_sock ep -> ep.ep_watchers <- e :: ep.ep_watchers
-  | K_pipe_r p | K_pipe_w p -> p.p_watchers <- e :: p.p_watchers
-  | K_listen l -> l.l_watchers <- e :: l.l_watchers
+let add_watcher w =
+  match w.w_ofile.kind with
+  | K_sock ep -> ep.ep_watchers <- w :: ep.ep_watchers
+  | K_pipe_r p | K_pipe_w p -> p.p_watchers <- w :: p.p_watchers
+  | K_listen l -> l.l_watchers <- w :: l.l_watchers
   | K_file _ | K_epoll _ -> ()
 
 (* A watcher list holds one entry per watch, and an object can carry
    several watches of one epoll (a pipe's two ends, two fds of one
-   socket): deleting a watch drops one entry and keeps the others. *)
-let rec drop_one e = function
+   socket): deleting a watch drops its own entry and keeps the others. *)
+let rec drop_one w = function
   | [] -> []
-  | x :: rest -> if x == e then rest else x :: drop_one e rest
+  | x :: rest -> if x == w then rest else x :: drop_one w rest
 
-let remove_watcher e ofile =
-  match ofile.kind with
-  | K_sock ep -> ep.ep_watchers <- drop_one e ep.ep_watchers
-  | K_pipe_r p | K_pipe_w p -> p.p_watchers <- drop_one e p.p_watchers
-  | K_listen l -> l.l_watchers <- drop_one e l.l_watchers
+let remove_watcher w =
+  match w.w_ofile.kind with
+  | K_sock ep -> ep.ep_watchers <- drop_one w ep.ep_watchers
+  | K_pipe_r p | K_pipe_w p -> p.p_watchers <- drop_one w p.p_watchers
+  | K_listen l -> l.l_watchers <- drop_one w l.l_watchers
   | K_file _ | K_epoll _ -> ()
 
 let do_epoll_ctl _k proc args =
@@ -799,24 +825,37 @@ let do_epoll_ctl _k proc args =
             if op = Flags.epoll_ctl_add then begin
               if Fdmap.mem fd e.e_watches then Args.err Errno.EEXIST
               else begin
-                e.e_watches <-
-                  Fdmap.add fd { w_ofile = o; w_events = events } e.e_watches;
-                add_watcher e o;
+                let w =
+                  {
+                    w_fd = fd;
+                    w_ofile = o;
+                    w_epoll = e;
+                    w_events = events;
+                    w_queued = false;
+                    w_dead = false;
+                  }
+                in
+                e.e_watches <- Fdmap.add fd w e.e_watches;
+                add_watcher w;
+                queue_watch w;
                 Cond.broadcast e.e_cond;
                 Args.ok 0
               end
             end
             else if op = Flags.epoll_ctl_del then begin
               (match Fdmap.find_opt fd e.e_watches with
-              | Some w -> remove_watcher e w.w_ofile
+              | Some w ->
+                remove_watcher w;
+                w.w_dead <- true;
+                e.e_watches <- Fdmap.remove fd e.e_watches
               | None -> ());
-              e.e_watches <- Fdmap.remove fd e.e_watches;
               Args.ok 0
             end
             else if op = Flags.epoll_ctl_mod then begin
               match Fdmap.find_opt fd e.e_watches with
               | Some w ->
                 w.w_events <- events;
+                queue_watch w;
                 Cond.broadcast e.e_cond;
                 Args.ok 0
               | None -> Args.err Errno.ENOENT
@@ -834,6 +873,40 @@ let encode_epoll_events ready =
     ready;
   b
 
+(* Files and epolls never wake their watchers, so their watches stay
+   on the ready list for as long as they live. *)
+let never_notifies w =
+  match w.w_ofile.kind with K_file _ | K_epoll _ -> true | _ -> false
+
+let rec take n = function
+  | x :: rest when n > 0 -> x :: take (n - 1) rest
+  | _ -> []
+
+let by_fd ((a : int), _) (b, _) = compare a b
+
+(* The (fd, events) of every ready watch queued on [e]. A ready watch
+   stays queued (level-triggered); one that is not ready, or is dead,
+   leaves the list until a wake-up queues it again. *)
+let rec sweep e kept ready = function
+  | [] ->
+    e.e_ready <- kept;
+    ready
+  | w :: rest ->
+    let ev = if w.w_dead then 0 else revents w.w_ofile w.w_events in
+    if ev <> 0 then sweep e (w :: kept) ((w.w_fd, ev) :: ready) rest
+    else if (not w.w_dead) && never_notifies w then
+      sweep e (w :: kept) ready rest
+    else begin
+      w.w_queued <- false;
+      sweep e kept ready rest
+    end
+
+(* The [maxevents] lowest-fd ready watches, in ascending fd order, as a
+   walk of the whole watch table would give, from a sort of the few
+   that are queued. *)
+let collect e maxevents =
+  take maxevents (List.sort by_fd (sweep e [] [] e.e_ready))
+
 let do_epoll_wait k proc args =
   let epfd = Args.int_arg args 0 in
   let maxevents = Args.int_arg args 1 in
@@ -841,21 +914,11 @@ let do_epoll_wait k proc args =
   with_fd proc epfd (fun epentry ->
       match epentry.fde_ofile.kind with
       | K_epoll e ->
-        (* The [maxevents] lowest-fd ready watches: the walk goes in fd
-           order and stops at the cap. *)
-        let collect () =
-          Fdmap.to_seq e.e_watches
-          |> Seq.filter_map (fun (fd, w) ->
-                 let ev = revents w.w_ofile w.w_events in
-                 if ev <> 0 then Some (fd, ev) else None)
-          |> Seq.take (max 0 maxevents)
-          |> List.of_seq
-        in
         let finish ready =
           charge_out k (8 * List.length ready);
           Args.ok_out (List.length ready) (encode_epoll_events ready)
         in
-        let ready = collect () in
+        let ready = collect e maxevents in
         if ready <> [] then finish ready
         else if timeout_ms = 0 then finish []
         else begin
@@ -884,7 +947,7 @@ let do_epoll_wait k proc args =
             in
             if not signalled then finish []
             else begin
-              let ready = collect () in
+              let ready = collect e maxevents in
               if ready <> [] then finish ready
               else
                 wait_loop remaining

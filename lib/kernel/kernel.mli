@@ -89,6 +89,11 @@ val fd_snapshot_count : fd_snapshot -> int
 
 (** {1 Introspection} *)
 
+val revents : ofile -> int -> int
+(** Of the [events] asked for ({!Flags.epollin}, {!Flags.epollout}),
+    those the description has ready now: the readiness fold that poll,
+    select and epoll share. *)
+
 val fd_count : proc -> int
 val proc_alive : proc -> bool
 

@@ -21,13 +21,26 @@ type node =
    gap. *)
 and regular = { mutable content : Bytes.t; mutable size : int }
 
+(* An epoll instance keeps a ready list, as Linux's [rdllist]: every
+   watch whose object may be ready is on it, once. A wake-up on the
+   object queues its watches; [epoll_wait] looks only at the queued
+   watches and drops those it finds not ready, so its cost follows what
+   is ready, not what is watched. *)
 type epoll = {
   e_id : int;
   mutable e_watches : watch Fdmap.t;
+  mutable e_ready : watch list;
   e_cond : Cond.cond;
 }
 
-and watch = { w_ofile : ofile; mutable w_events : int }
+and watch = {
+  w_fd : int; (* the fd it was added with, its key in [e_watches] *)
+  w_ofile : ofile;
+  w_epoll : epoll;
+  mutable w_events : int;
+  mutable w_queued : bool; (* on [w_epoll.e_ready] *)
+  mutable w_dead : bool; (* deleted, or its description released *)
+}
 
 and pipe = {
   p_q : Bytequeue.t;
@@ -35,7 +48,7 @@ and pipe = {
   mutable p_writers : int;
   p_readable : Cond.cond;
   p_writable : Cond.cond;
-  mutable p_watchers : epoll list;
+  mutable p_watchers : watch list;
 }
 
 and endpoint = {
@@ -47,7 +60,7 @@ and endpoint = {
   mutable ep_closed : bool;
   ep_readable : Cond.cond;
   ep_writable : Cond.cond;
-  mutable ep_watchers : epoll list;
+  mutable ep_watchers : watch list;
 }
 
 and listener = {
@@ -56,7 +69,7 @@ and listener = {
   l_backlog : endpoint Queue.t;
   mutable l_closed : bool;
   l_cond : Cond.cond;
-  mutable l_watchers : epoll list;
+  mutable l_watchers : watch list;
 }
 
 and ofile_kind =

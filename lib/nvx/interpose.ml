@@ -31,16 +31,19 @@ let charge_interception t vst (disp : Syscall_table.disposition) sysno =
           (max 0 (c.Cost.intercept_jump + c.Cost.intercept_extra sysno))
       end)
 
-(* The register view of a call's arguments (what BPF rules and events
-   see): strings count 1, buffers their length. *)
-let int_args args =
-  Array.map
-    (function
+(* The register view of a call's first [len] arguments (what BPF rules
+   and events see): strings count 1, buffers their length. *)
+let int_args ~len args =
+  let regs = Array.make len 0 in
+  for i = 0 to len - 1 do
+    Array.unsafe_set regs i
+      (match Array.unsafe_get args i with
       | Args.Int n -> n
       | Args.Str _ -> 1
       | Args.Buf_in b -> Bytes.length b
       | Args.Buf_out n -> n)
-    args
+  done;
+  regs
 
 let sysno_name n =
   match Sysno.of_int n with Some s -> Sysno.name s | None -> string_of_int n
@@ -199,8 +202,7 @@ let leader_execute_and_record t vst ~unit_idx ~tuple proc
         Some (Obj.repr g)
       | _ -> None
     in
-    let args = int_args args in
-    let args = if Array.length args > 6 then Array.sub args 0 6 else args in
+    let args = int_args ~len:(min 6 (Array.length args)) args in
     publish t vst ~unit_idx ~tuple ~nfoll ~wake:true disp
       ~kind:(if is_exit then Event.Ev_exit else Event.Ev_syscall)
       ~args ~ret:result.Args.ret ?payload ~payload_len ?inline_out ?grant
@@ -236,12 +238,16 @@ let charge_wait_cost t vst blocked_cycles ~slept =
   vst.st.wait_charge_cycles <- vst.st.wait_charge_cycles + charge;
   E.consume charge
 
+let leave_sleep t ~tuple counted =
+  if counted then
+    t.waitlock_sleepers.(tuple) <- t.waitlock_sleepers.(tuple) - 1
+
 (* The adaptive wait for a stream that has nothing for this unit yet:
    spin for a short window first; only if nothing arrives does the
    follower sleep in the futex — and only sleeping followers force the
    leader to pay a wake on publish (§3.3.1). *)
 let follower_wait t vst s ~tuple ~tid sysno =
-  let t0 = Int64.to_int (E.now_cycles ()) in
+  let t0 = E.now_int () in
   let uses_waitlock =
     t.cfg.Config.follower_wait = Config.Waitlock && Sysno.is_blocking sysno
   in
@@ -258,15 +264,15 @@ let follower_wait t vst s ~tuple ~tid sysno =
       let counted = not (Stream.remote s) in
       if counted then
         t.waitlock_sleepers.(tuple) <- t.waitlock_sleepers.(tuple) + 1;
-      Fun.protect
-        ~finally:(fun () ->
-          if counted then
-            t.waitlock_sleepers.(tuple) <- t.waitlock_sleepers.(tuple) - 1)
-        (fun () -> Stream.wait s ~tid);
+      (match Stream.wait s ~tid with
+      | () -> leave_sleep t ~tuple counted
+      | exception exn ->
+        leave_sleep t ~tuple counted;
+        raise exn);
       true
     end
   in
-  let blocked = Int64.to_int (E.now_cycles ()) - t0 in
+  let blocked = E.now_int () - t0 in
   charge_wait_cost t vst blocked ~slept
 
 (* Wait until this unit's stream has an event addressed to this unit.
@@ -379,7 +385,10 @@ let run_rewrite_rule t vst (e : Event.t) sysno args =
       compiled
         {
           Interp.ctx_data =
-            { Interp.nr = Sysno.to_int sysno; args = int_args args };
+            {
+              Interp.nr = Sysno.to_int sysno;
+              args = int_args ~len:(Array.length args) args;
+            };
           ctx_event =
             {
               Interp.ev_nr = e.Event.sysno;
@@ -557,13 +566,27 @@ let do_promote t vst ~unit_idx ~tuple =
 let obs_exit t vst ~tuple ~traced ~trace_tid sysno ts =
   E.leave_phase Phase.app_compute;
   if traced then
-    Trace.end_span ~ts
+    Trace.end_span ~ts:(Int64.of_int ts)
       ~lamport:(Lamport.current vst.clocks.(tuple))
       ~pid:t.trace_pid ~tid:trace_tid (Sysno.name sysno)
 
+(* Deliver pending caught signals at the interception boundary: the
+   leader streams an Ev_signal first so followers replay the handler at
+   the same stream position (§2.2). *)
+let rec deliver_signals t vst ~unit_idx ~tuple proc =
+  match K.take_pending_signal proc with
+  | None -> ()
+  | Some signo ->
+    let nfoll = alive_followers t in
+    if recording t tuple ~nfoll then
+      publish t vst ~unit_idx ~tuple ~nfoll ~wake:false Syscall_table.Stream
+        ~kind:Event.Ev_signal ~out:None signo;
+    run_signal_handler proc signo;
+    deliver_signals t vst ~unit_idx ~tuple proc
+
 let interposed t vst ~unit_idx proc sysno args =
   let tuple = vst.unit_tuple.(unit_idx) in
-  let t0 = E.now_cycles () in
+  let t0 = E.now_int () in
   (* Cycle attribution: the interposed call is the syscall-exec phase,
      exclusive of the inner waits (ring, kernel) and the digest, which
      enter phases of their own; it leaves into app-compute, the variant
@@ -572,25 +595,11 @@ let interposed t vst ~unit_idx proc sysno args =
   let traced = !Trace.enabled in
   let trace_tid = if traced then (E.self () :> int) else 0 in
   if traced then
-    Trace.begin_span ~ts:t0
+    Trace.begin_span ~ts:(Int64.of_int t0)
       ~lamport:(Lamport.current vst.clocks.(tuple))
       ~pid:t.trace_pid ~tid:trace_tid (Sysno.name sysno);
-  (* Deliver pending caught signals at the interception boundary: the
-     leader streams an Ev_signal first so followers replay the handler at
-     the same stream position (§2.2). *)
-  (if t.leader_idx = vst.idx && vst.promoted.(unit_idx) then
-     let rec drain () =
-       match K.take_pending_signal proc with
-       | None -> ()
-       | Some signo ->
-         let nfoll = alive_followers t in
-         if recording t tuple ~nfoll then
-           publish t vst ~unit_idx ~tuple ~nfoll ~wake:false
-             Syscall_table.Stream ~kind:Event.Ev_signal ~out:None signo;
-         run_signal_handler proc signo;
-         drain ()
-     in
-     drain ());
+  if t.leader_idx = vst.idx && vst.promoted.(unit_idx) then
+    deliver_signals t vst ~unit_idx ~tuple proc;
   let table =
     if vst.vrole = Leader then Syscall_table.leader else Syscall_table.follower
   in
@@ -620,12 +629,12 @@ let interposed t vst ~unit_idx proc sysno args =
               args
         end)
     with exn ->
-      obs_exit t vst ~tuple ~traced ~trace_tid sysno (E.now_cycles ());
+      obs_exit t vst ~tuple ~traced ~trace_tid sysno (E.now_int ());
       raise exn
   in
   vst.st.syscalls <- vst.st.syscalls + 1;
-  let t1 = E.now_cycles () in
-  vst.st.sys_cycles <- Int64.add vst.st.sys_cycles (Int64.sub t1 t0);
+  let t1 = E.now_int () in
+  vst.st.sys_cycles <- vst.st.sys_cycles + (t1 - t0);
   obs_exit t vst ~tuple ~traced ~trace_tid sysno t1;
   result
 

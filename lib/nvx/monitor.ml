@@ -48,12 +48,12 @@ type vstats = {
   mutable events_published : int;
   mutable events_consumed : int;
   mutable stall_blocks : int;
-  (* Plain ints, bumped on every follower wait: an [int64] field would
-     box a fresh value and pay a write barrier per wait. Converted where
-     the report is built. *)
+  (* Plain ints, bumped on every follower wait and interposed call: an
+     [int64] field would box a fresh value and pay a write barrier each
+     time. Converted where the report is built. *)
   mutable stall_cycles : int;
   mutable wait_charge_cycles : int;
-  mutable sys_cycles : int64;
+  mutable sys_cycles : int;
   mutable divergences_executed : int;
   mutable divergences_skipped : int;
   mutable divergences_coalesced : int;
@@ -74,7 +74,7 @@ let fresh_vstats () =
     stall_blocks = 0;
     stall_cycles = 0;
     wait_charge_cycles = 0;
-    sys_cycles = 0L;
+    sys_cycles = 0;
     divergences_executed = 0;
     divergences_skipped = 0;
     divergences_coalesced = 0;

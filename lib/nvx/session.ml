@@ -487,7 +487,7 @@ let stats t =
             vs_stall_blocks = vst.st.stall_blocks;
             vs_stall_cycles = Int64.of_int vst.st.stall_cycles;
             vs_wait_charge_cycles = Int64.of_int vst.st.wait_charge_cycles;
-            vs_sys_cycles = vst.st.sys_cycles;
+            vs_sys_cycles = Int64.of_int vst.st.sys_cycles;
             vs_divergences_executed = vst.st.divergences_executed;
             vs_divergences_skipped = vst.st.divergences_skipped;
             vs_divergences_coalesced = vst.st.divergences_coalesced;

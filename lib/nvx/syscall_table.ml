@@ -2,17 +2,16 @@ module Sysno = Varan_syscall.Sysno
 
 type disposition = Stream | Local | Virtual | Unsupported
 
-type t = {
-  tname : string;
-  entries : (Sysno.t, disposition) Hashtbl.t;
-}
+(* Indexed by syscall number: the lookup on every interposed call is one
+   array read. *)
+type t = { tname : string; entries : disposition array }
 
 let name t = t.tname
 
 let lookup t sysno =
-  match Hashtbl.find_opt t.entries sysno with
-  | Some d -> d
-  | None -> Unsupported
+  let nr = Sysno.to_int sysno in
+  if nr < Array.length t.entries then Array.unsafe_get t.entries nr
+  else Unsupported
 
 let disposition_of_class (sysno : Sysno.t) =
   match Sysno.transfer_class sysno with
@@ -22,16 +21,18 @@ let disposition_of_class (sysno : Sysno.t) =
   | Sysno.Process_control ->
     Stream
 
+let size = 1 + List.fold_left (fun m s -> max m (Sysno.to_int s)) 0 Sysno.all
+
 let default_table tname =
-  let entries = Hashtbl.create 128 in
+  let entries = Array.make size Unsupported in
   List.iter
-    (fun sysno -> Hashtbl.replace entries sysno (disposition_of_class sysno))
+    (fun sysno -> entries.(Sysno.to_int sysno) <- disposition_of_class sysno)
     Sysno.all;
   { tname; entries }
 
 let override t changes =
-  let entries = Hashtbl.copy t.entries in
-  List.iter (fun (sysno, d) -> Hashtbl.replace entries sysno d) changes;
+  let entries = Array.copy t.entries in
+  List.iter (fun (sysno, d) -> entries.(Sysno.to_int sysno) <- d) changes;
   { tname = t.tname ^ "+overrides"; entries }
 
 let leader = default_table "leader"

@@ -59,6 +59,7 @@ type t = {
   open_off : int array;
   open_clock : int array;
   open_grant : Obj.t option array;
+  mutable pack_buf : Bytes.t; (* worst-case room for packing the open buffer *)
   mutable open_first : int; (* absolute index of open entry 0 *)
   mutable open_len : int;
   mutable base : int; (* oldest retained absolute index *)
@@ -91,6 +92,7 @@ let create () =
     open_off = Array.make segment_events 0;
     open_clock = Array.make segment_events 0;
     open_grant = Array.make segment_events None;
+    pack_buf = Bytes.empty;
     open_first = 0;
     open_len = 0;
     base = 0;
@@ -259,18 +261,20 @@ let decode_all raw ~len =
 (* runs of zero bytes and repetitive payloads, so runs are common.     *)
 (* ------------------------------------------------------------------ *)
 
-(* Packs [src.[0, n)] into one buffer of the worst-case size, then
-   copies it out once. A literal stretch shorter than 128 bytes is
-   always followed by a run, which saves at least the literal's control
-   byte, so the output never exceeds [n + n / 128 + 1]. *)
-let pack src n =
-  let out = Bytes.create (n + (n / 128) + 1) in
+(* A literal stretch shorter than 128 bytes is always followed by a
+   run, which saves at least the literal's control byte, so packing [n]
+   bytes never writes more than this. *)
+let packed_bound n = n + (n / 128) + 1
+
+(* Packs [src.[0, n)] into [out], which holds [packed_bound n] bytes,
+   then copies the image out once. *)
+let pack_into out src n =
   let o = ref 0 in
   let i = ref 0 in
   while !i < n do
-    let c = Bytes.get src !i in
+    let c = Bytes.unsafe_get src !i in
     let run = ref 1 in
-    while !i + !run < n && !run < 128 && Bytes.get src (!i + !run) = c do
+    while !i + !run < n && !run < 128 && Bytes.unsafe_get src (!i + !run) = c do
       incr run
     done;
     if !run >= 3 then begin
@@ -286,9 +290,9 @@ let pack src n =
       let stop = ref (!i + !run) in
       let continue = ref true in
       while !continue && !stop < n && !stop - start < 128 do
-        let c' = Bytes.get src !stop in
+        let c' = Bytes.unsafe_get src !stop in
         let r = ref 1 in
-        while !stop + !r < n && !r < 3 && Bytes.get src (!stop + !r) = c' do
+        while !stop + !r < n && !r < 3 && Bytes.unsafe_get src (!stop + !r) = c' do
           incr r
         done;
         if !r >= 3 then continue := false
@@ -302,6 +306,14 @@ let pack src n =
     end
   done;
   Bytes.sub out 0 !o
+
+(* The open buffer's image, packed in the tape's own scratch buffer,
+   which grows to the largest segment's bound and is kept. *)
+let pack_open t =
+  let n = t.open_pos in
+  if Bytes.length t.pack_buf < packed_bound n then
+    t.pack_buf <- Bytes.create (packed_bound (max n (Bytes.length t.open_raw)));
+  pack_into t.pack_buf t.open_raw n
 
 (* The length [src] unpacks to. The packer never writes control byte
    128, so it is rejected like a cut-off control. *)
@@ -354,7 +366,8 @@ let of_image img =
     let raw_len = unpacked_length img in
     let raw = unpack ~raw_len img in
     let entries = decode_all raw ~len:raw_len in
-    if not (Bytes.equal (pack raw raw_len) img) then
+    let repacked = pack_into (Bytes.create (packed_bound raw_len)) raw raw_len in
+    if not (Bytes.equal repacked img) then
       raise (Malformed "non-canonical PackBits image");
     if Array.length entries > segment_events then
       raise (Malformed (Printf.sprintf "more than %d events" segment_events));
@@ -372,7 +385,7 @@ let seal t =
       t.open_grant.(i) <- None
     | None -> ()
   done;
-  let packed = pack t.open_raw t.open_pos in
+  let packed = pack_open t in
   let seg =
     { s_packed = packed; s_raw_len = t.open_pos; s_grants = Array.of_list !grants }
   in
@@ -478,7 +491,7 @@ let retire t ~keep_from =
    buffer packs the same way. *)
 let images t =
   let open_img =
-    if t.open_len = 0 then [] else [ pack t.open_raw t.open_pos ]
+    if t.open_len = 0 then [] else [ pack_open t ]
   in
   let rec sealed segno acc =
     if segno * segment_events < t.base then acc

@@ -1238,11 +1238,13 @@ let yield () =
 let in_timer () = !timer_at >= 0
 let timer_engine () = Option.get !timer_eng
 
-let now_cycles () =
+let now_int () =
   let task = !running in
-  if task != dummy_task then Int64.of_int task.time
-  else if in_timer () then Int64.of_int !timer_at
+  if task != dummy_task then task.time
+  else if in_timer () then !timer_at
   else Effect.perform E_outside
+
+let now_cycles () = Int64.of_int (now_int ())
 
 let self () =
   let task = !running in

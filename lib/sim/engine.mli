@@ -70,7 +70,7 @@ val now : t -> int64
 val kill : t -> task_id -> unit
 (** Forcibly terminate a task: if blocked or queued it is discarded; if it
     is the caller, {!Killed} is raised at its next task-context call
-    other than {!now_cycles} and {!self}. Used to model variant crashes
+    other than {!now_cycles}, {!now_int} and {!self}. Used to model variant crashes
     and teardown. *)
 
 val is_alive : t -> task_id -> bool
@@ -174,8 +174,8 @@ end
     task runs — outside a simulation, or in a ticker callback — they
     raise [Effect.Unhandled]; a timer callback may make the few listed
     under {!after_here}. A task whose kill is pending (see {!kill})
-    unwinds with {!Killed} at the call, except at {!now_cycles} and
-    {!self}.
+    unwinds with {!Killed} at the call, except at {!now_cycles},
+    {!now_int} and {!self}.
 
     Only {!Cond.wait} and {!Cond.wait_timeout} always suspend the task,
     by performing an effect. {!consume}, {!sleep} and {!yield} suspend
@@ -195,6 +195,10 @@ val sleep : int -> unit
 val now_cycles : unit -> int64
 (** The calling task's local virtual time (a timer callback's firing
     time). *)
+
+val now_int : unit -> int
+(** {!now_cycles} as an [int], which a hot path can take and subtract
+    without boxing. *)
 
 val self : unit -> task_id
 

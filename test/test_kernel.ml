@@ -1140,6 +1140,201 @@ let prop_fd_table_model =
       | None -> true
       | Some m -> QCheck.Test.fail_report m)
 
+(* epoll_wait against a full scan of the watch table. Each epoll keeps
+   a ready list, and a wait looks only at the watches queued on it; the
+   reference walks every watch in fd order, as the kernel did before the
+   list, and reads a nested epoll's readiness by the same walk. Ops name
+   a process and a descriptor by index into what is live, so every op
+   acts on something. Every descriptor is non-blocking, so a read that
+   drains or an accept with no connection pending returns at once. *)
+type ep_op =
+  | P_pipe
+  | P_socketpair
+  | P_socket
+  | P_open
+  | P_connect of int
+  | P_accept
+  | P_add of int * int * int (* epoll, descriptor, events *)
+  | P_mod of int * int * int
+  | P_del of int * int
+  | P_write of int
+  | P_read of int
+  | P_shutdown of int
+  | P_close of int
+  | P_dup of int
+  | P_fork
+  | P_wait of int * int (* epoll, maxevents *)
+
+let show_ep_op = function
+  | P_pipe -> "pipe"
+  | P_socketpair -> "socketpair"
+  | P_socket -> "socket"
+  | P_open -> "open"
+  | P_connect i -> Printf.sprintf "connect #%d" i
+  | P_accept -> "accept"
+  | P_add (e, i, ev) -> Printf.sprintf "add ep%d #%d %d" e i ev
+  | P_mod (e, i, ev) -> Printf.sprintf "mod ep%d #%d %d" e i ev
+  | P_del (e, i) -> Printf.sprintf "del ep%d #%d" e i
+  | P_write i -> Printf.sprintf "write #%d" i
+  | P_read i -> Printf.sprintf "read #%d" i
+  | P_shutdown i -> Printf.sprintf "shutdown #%d" i
+  | P_close i -> Printf.sprintf "close #%d" i
+  | P_dup i -> Printf.sprintf "dup #%d" i
+  | P_fork -> "fork"
+  | P_wait (e, n) -> Printf.sprintf "wait ep%d max %d" e n
+
+let gen_ep_ops =
+  let open QCheck.Gen in
+  (* Counted down from the highest live fd: mostly the newest ones. *)
+  let pick = frequency [ (3, int_bound 2); (1, int_bound 15) ] in
+  let ep = int_bound 1 in
+  let events =
+    oneofl [ Flags.epollin; Flags.epollout; Flags.epollin lor Flags.epollout ]
+  in
+  let op =
+    frequency
+      [
+        (2, return P_pipe);
+        (2, return P_socketpair);
+        (3, return P_socket);
+        (1, return P_open);
+        (3, map (fun i -> P_connect i) pick);
+        (1, return P_accept);
+        (5, map3 (fun e i ev -> P_add (e, i, ev)) ep pick events);
+        (2, map3 (fun e i ev -> P_mod (e, i, ev)) ep pick events);
+        (1, map2 (fun e i -> P_del (e, i)) ep pick);
+        (3, map (fun i -> P_write i) pick);
+        (3, map (fun i -> P_read i) pick);
+        (1, map (fun i -> P_shutdown i) pick);
+        (2, map (fun i -> P_close i) pick);
+        (1, map (fun i -> P_dup i) pick);
+        (1, return P_fork);
+        (5, map2 (fun e n -> P_wait (e, n)) ep (int_bound 4));
+      ]
+  in
+  list_size (int_range 1 60) (pair (int_bound 3) op)
+
+module T = Varan_kernel.Types
+
+let rec full_scan_revents (o : T.ofile) events =
+  match o.T.kind with
+  | T.K_epoll e ->
+    if
+      events land Flags.epollin <> 0
+      && T.Fdmap.exists
+           (fun _ (w : T.watch) -> full_scan_revents w.w_ofile w.w_events <> 0)
+           e.T.e_watches
+    then Flags.epollin
+    else 0
+  | _ -> K.revents o events
+
+(* The [maxevents] lowest-fd ready watches by a walk of the whole table;
+   [None] when [epfd] names no epoll. *)
+let full_scan_wait (kp : T.proc) epfd maxevents =
+  match T.Fdmap.find_opt epfd kp.T.fds with
+  | Some { T.fde_ofile = { T.kind = T.K_epoll e; _ }; _ } ->
+    Some
+      (T.Fdmap.to_seq e.T.e_watches
+      |> Seq.filter_map (fun (fd, (w : T.watch)) ->
+             let ev = full_scan_revents w.w_ofile w.w_events in
+             if ev <> 0 then Some (fd, ev) else None)
+      |> Seq.take (max 0 maxevents)
+      |> List.of_seq)
+  | _ -> None
+
+let prop_epoll_wait_full_scan =
+  QCheck.Test.make ~name:"epoll_wait == full-scan model" ~count:1000
+    (QCheck.make ~shrink:QCheck.Shrink.list
+       ~print:(fun ops ->
+         String.concat "; "
+           (List.map (fun (p, op) -> Printf.sprintf "p%d:%s" p (show_ep_op op)) ops))
+       gen_ep_ops)
+    (fun ops ->
+      let eng = E.create () in
+      let k = K.create eng in
+      let port = 9200 in
+      let error = ref None in
+      ignore
+        (E.spawn eng ~name:"driver" (fun () ->
+             let root = K.new_proc k "p" in
+             let api0 = Api.direct k root in
+             let nonblock (p : T.proc) fd = ignore (K.set_nonblock p fd true) in
+             let lfd = ok_int (Api.socket api0) in
+             ok_unit (Api.bind api0 lfd port);
+             ok_unit (Api.listen api0 lfd);
+             nonblock root lfd;
+             let eps = Array.init 2 (fun _ -> ok_int (Api.epoll_create api0)) in
+             let ep_ofile i = (T.Fdmap.find eps.(i) root.T.fds).T.fde_ofile in
+             (* Only ep1 may watch ep0: a cycle would never end the walk. *)
+             let inner = ep_ofile 0 and outer = ep_ofile 1 in
+             let procs = ref [ root ] in
+             let step (pi, op) =
+               let p = List.nth !procs (pi mod List.length !procs) in
+               let api = Api.direct k p in
+               let fd_at i =
+                 match T.Fdmap.bindings p.T.fds with
+                 | [] -> -1
+                 | live -> fst (List.nth (List.rev live) (i mod List.length live))
+               in
+               let ofile_at fd =
+                 Option.map (fun en -> en.T.fde_ofile) (T.Fdmap.find_opt fd p.T.fds)
+               in
+               let fresh r = Result.iter (nonblock p) r in
+               let fresh2 r = Result.iter (fun (a, b) -> nonblock p a; nonblock p b) r in
+               match op with
+               | P_pipe -> fresh2 (Api.pipe api)
+               | P_socketpair -> fresh2 (Api.socketpair api)
+               | P_socket -> fresh (Api.socket api)
+               | P_open -> fresh (Api.openf api "/dev/null" Flags.o_rdwr)
+               | P_connect i -> ignore (Api.connect api (fd_at i) port)
+               | P_accept -> fresh (Api.accept api lfd)
+               | P_add (e, i, ev) ->
+                 let fd = fd_at i in
+                 let nests =
+                   match (ofile_at eps.(e), ofile_at fd) with
+                   | Some ep, Some ({ T.kind = T.K_epoll _; _ } as o) ->
+                     not (ep == outer && o == inner)
+                   | _ -> false
+                 in
+                 if not nests then
+                   ignore (Api.epoll_ctl api eps.(e) Flags.epoll_ctl_add fd ev)
+               | P_mod (e, i, ev) ->
+                 ignore (Api.epoll_ctl api eps.(e) Flags.epoll_ctl_mod (fd_at i) ev)
+               | P_del (e, i) ->
+                 ignore (Api.epoll_ctl api eps.(e) Flags.epoll_ctl_del (fd_at i) 0)
+               | P_write i -> ignore (Api.write_str api (fd_at i) "abc")
+               | P_read i -> ignore (Api.read api (fd_at i) 4096)
+               | P_shutdown i -> ignore (Api.shutdown api (fd_at i) Flags.shut_wr)
+               | P_close i -> ignore (Api.close api (fd_at i))
+               | P_dup i -> fresh (Api.dup api (fd_at i))
+               | P_fork -> procs := !procs @ [ K.fork_proc k p "child" ]
+               | P_wait (e, n) -> (
+                 let want = full_scan_wait p eps.(e) n in
+                 let got = Api.epoll_wait api eps.(e) ~max_events:n ~timeout_ms:0 in
+                 let show l =
+                   String.concat ";"
+                     (List.map (fun (fd, ev) -> Printf.sprintf "%d:%d" fd ev) l)
+                 in
+                 match (want, got) with
+                 | Some want, Ok got when want <> got ->
+                   error :=
+                     Some
+                       (Printf.sprintf "wait ep%d max %d: kernel [%s], full scan [%s]"
+                          e n (show got) (show want))
+                 | Some _, Error err ->
+                   error := Some ("epoll_wait failed: " ^ Errno.name err)
+                 | None, Ok _ -> error := Some "epoll_wait on a closed epoll fd"
+                 | _ -> ())
+             in
+             List.iter (fun s -> if !error = None then step s) ops));
+      E.run eng;
+      (match E.failures eng with
+      | [] -> ()
+      | (_, exn) :: _ -> error := Some ("task raised " ^ Printexc.to_string exn));
+      match !error with
+      | None -> true
+      | Some m -> QCheck.Test.fail_report m)
+
 let test_shutdown_write_half () =
   let eng = E.create () in
   let k = K.create eng in
@@ -1459,6 +1654,7 @@ let () =
             test_epoll_wait_cap_ignores_watch_order;
           Alcotest.test_case "epoll_wait caps ready at max_events" `Quick
             test_epoll_wait_caps_ready;
+          QCheck_alcotest.to_alcotest prop_epoll_wait_full_scan;
           Alcotest.test_case "link latency" `Quick
             test_link_latency_delays_delivery;
           Alcotest.test_case "link overflow drops the excess" `Quick

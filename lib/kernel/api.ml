@@ -97,22 +97,13 @@ let lseek api fd offset whence =
   lift
     (api.sys Sysno.Lseek [| Args.Int fd; Args.Int offset; Args.Int whence |])
 
-let get_le64 b ofs =
-  let v = ref 0L in
-  for i = 7 downto 0 do
-    v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int (Char.code (Bytes.get b (ofs + i))))
-  done;
-  !v
+let size_of_stat r = Result.map (fun b -> fst (Wire.decode_stat b)) (lift_out r)
 
 let stat_size api path =
-  match lift_out (api.sys Sysno.Stat [| Args.Str path; Args.Buf_out 144 |]) with
-  | Error e -> Error e
-  | Ok b -> Ok (Int64.to_int (get_le64 b 48))
+  size_of_stat (api.sys Sysno.Stat [| Args.Str path; Args.Buf_out Wire.stat_size |])
 
 let fstat_size api fd =
-  match lift_out (api.sys Sysno.Fstat [| Args.Int fd; Args.Buf_out 144 |]) with
-  | Error e -> Error e
-  | Ok b -> Ok (Int64.to_int (get_le64 b 48))
+  size_of_stat (api.sys Sysno.Fstat [| Args.Int fd; Args.Buf_out Wire.stat_size |])
 
 let unlink api path = lift_unit (api.sys Sysno.Unlink [| Args.Str path |])
 let mkdir api path = lift_unit (api.sys Sysno.Mkdir [| Args.Str path; Args.Int 0o755 |])
@@ -128,17 +119,12 @@ let fcntl api fd cmd arg =
 
 let dup api fd = lift (api.sys Sysno.Dup [| Args.Int fd |])
 
-let pipe api =
-  let r = api.sys Sysno.Pipe [| Args.Buf_out 8 |] in
-  match Args.errno_of r with
-  | Some e -> Error e
-  | None -> (
-    match r.Args.out with
-    | Some b when Bytes.length b = 8 ->
-      Ok
-        ( Int32.to_int (Bytes.get_int32_le b 0),
-          Int32.to_int (Bytes.get_int32_le b 4) )
-    | _ -> Error Errno.EIO)
+let fd_pair api sysno =
+  match lift_out (api.sys sysno [| Args.Buf_out 8 |]) with
+  | Error e -> Error e
+  | Ok b -> Option.to_result ~none:Errno.EIO (Wire.decode_fd_pair b)
+
+let pipe api = fd_pair api Sysno.Pipe
 
 (* Sockets *)
 
@@ -166,61 +152,20 @@ let recv api fd len =
 let shutdown api fd how =
   lift_unit (api.sys Sysno.Shutdown [| Args.Int fd; Args.Int how |])
 
-let socketpair api =
-  let r = api.sys Sysno.Socketpair [| Args.Buf_out 8 |] in
-  match Args.errno_of r with
-  | Some e -> Error e
-  | None -> (
-    match r.Args.out with
-    | Some b when Bytes.length b = 8 ->
-      Ok
-        ( Int32.to_int (Bytes.get_int32_le b 0),
-          Int32.to_int (Bytes.get_int32_le b 4) )
-    | _ -> Error Errno.EIO)
+let socketpair api = fd_pair api Sysno.Socketpair
+let lift_pairs r = Result.map Wire.decode_pairs (lift_out r)
 
 let poll api entries ~timeout_ms =
-  let spec = Bytes.create (8 * List.length entries) in
-  List.iteri
-    (fun i (fd, events) ->
-      Bytes.set_int32_le spec (8 * i) (Int32.of_int fd);
-      Bytes.set_int32_le spec ((8 * i) + 4) (Int32.of_int events))
-    entries;
-  let r =
-    api.sys Sysno.Poll
-      [| Args.Buf_in spec; Args.Int timeout_ms;
-         Args.Buf_out (8 * List.length entries) |]
-  in
-  match Args.errno_of r with
-  | Some e -> Error e
-  | None ->
-    let b = match r.Args.out with Some b -> b | None -> Bytes.empty in
-    Ok
-      (List.init
-         (Bytes.length b / 8)
-         (fun i ->
-           ( Int32.to_int (Bytes.get_int32_le b (8 * i)),
-             Int32.to_int (Bytes.get_int32_le b ((8 * i) + 4)) )))
+  lift_pairs
+    (api.sys Sysno.Poll
+       [| Args.Buf_in (Wire.encode_pairs entries); Args.Int timeout_ms;
+          Args.Buf_out (8 * List.length entries) |])
 
 let select api ~read ~write ~timeout_ms =
-  let enc fds =
-    let b = Bytes.create (4 * List.length fds) in
-    List.iteri (fun i fd -> Bytes.set_int32_le b (4 * i) (Int32.of_int fd)) fds;
-    b
-  in
-  let r =
-    api.sys Sysno.Select
-      [| Args.Buf_in (enc read); Args.Buf_in (enc write); Args.Int timeout_ms |]
-  in
-  match Args.errno_of r with
-  | Some e -> Error e
-  | None ->
-    let b = match r.Args.out with Some b -> b | None -> Bytes.empty in
-    Ok
-      (List.init
-         (Bytes.length b / 8)
-         (fun i ->
-           ( Int32.to_int (Bytes.get_int32_le b (8 * i)),
-             Int32.to_int (Bytes.get_int32_le b ((8 * i) + 4)) )))
+  lift_pairs
+    (api.sys Sysno.Select
+       [| Args.Buf_in (Wire.encode_fd_set read);
+          Args.Buf_in (Wire.encode_fd_set write); Args.Int timeout_ms |])
 
 (* Event polling *)
 
@@ -233,22 +178,10 @@ let epoll_ctl api epfd op fd events =
        [| Args.Int epfd; Args.Int op; Args.Int fd; Args.Int events |])
 
 let epoll_wait api epfd ~max_events ~timeout_ms =
-  let r =
-    api.sys Sysno.Epoll_wait
-      [| Args.Int epfd; Args.Int max_events; Args.Int timeout_ms;
-         Args.Buf_out (8 * max_events) |]
-  in
-  match Args.errno_of r with
-  | Some e -> Error e
-  | None ->
-    let b = match r.Args.out with Some b -> b | None -> Bytes.empty in
-    let n = Bytes.length b / 8 in
-    let events =
-      List.init n (fun i ->
-          ( Int32.to_int (Bytes.get_int32_le b (8 * i)),
-            Int32.to_int (Bytes.get_int32_le b ((8 * i) + 4)) ))
-    in
-    Ok events
+  lift_pairs
+    (api.sys Sysno.Epoll_wait
+       [| Args.Int epfd; Args.Int max_events; Args.Int timeout_ms;
+          Args.Buf_out (8 * max_events) |])
 
 (* Process, time, misc *)
 
@@ -262,18 +195,12 @@ let getgid api = ret_or_zero api Sysno.Getgid [||]
 let getegid api = ret_or_zero api Sysno.Getegid [||]
 let time api = ret_or_zero api Sysno.Time [| Args.Int 0 |]
 
-let decode_time_ns b =
-  if Bytes.length b < 16 then 0L
-  else
-    Int64.add
-      (Int64.mul (get_le64 b 0) 1_000_000_000L)
-      (get_le64 b 8)
-
 let clock_gettime_ns api =
   match
-    lift_out (api.sys Sysno.Clock_gettime [| Args.Int 1; Args.Buf_out 16 |])
+    lift_out
+      (api.sys Sysno.Clock_gettime [| Args.Int 1; Args.Buf_out Wire.timespec_size |])
   with
-  | Ok b -> decode_time_ns b
+  | Ok b -> Wire.decode_timespec b
   | Error _ -> 0L
 
 let futex_wait api uaddr =

@@ -44,7 +44,8 @@ val register_task : t -> proc -> Varan_sim.Engine.task_id -> unit
 
 val kill_proc : t -> proc -> int -> unit
 (** Deliver a terminating signal: marks the process exited with status
-    [128+signo] and kills its tasks. *)
+    [128+signo], releases its descriptors, wakes its parent and kills its
+    tasks, as [exit_group] does. *)
 
 val exec : t -> proc -> Varan_syscall.Sysno.t -> Varan_syscall.Args.t ->
   Varan_syscall.Args.result
@@ -91,8 +92,10 @@ val fd_snapshot_count : fd_snapshot -> int
 
 val revents : ofile -> int -> int
 (** Of the [events] asked for ({!Flags.epollin}, {!Flags.epollout}),
-    those the description has ready now: the readiness fold that poll,
-    select and epoll share. *)
+    those the description has ready now: the one readiness rule, which
+    poll, select, epoll and the blocking read, write and accept share. A
+    direction reported ready does not block; a call that would fail at
+    once (EOF, EPIPE) counts as ready. *)
 
 val fd_count : proc -> int
 val proc_alive : proc -> bool

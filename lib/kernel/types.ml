@@ -27,7 +27,6 @@ and regular = { mutable content : Bytes.t; mutable size : int }
    watches and drops those it finds not ready, so its cost follows what
    is ready, not what is watched. *)
 type epoll = {
-  e_id : int;
   mutable e_watches : watch Fdmap.t;
   mutable e_ready : watch list;
   e_cond : Cond.cond;
@@ -52,7 +51,6 @@ and pipe = {
 }
 
 and endpoint = {
-  ep_id : int;
   ep_rx : Bytequeue.t;
   mutable ep_peer : endpoint option;
   mutable ep_port : int; (* bound local port, 0 if unbound *)
@@ -64,7 +62,6 @@ and endpoint = {
 }
 
 and listener = {
-  l_id : int;
   l_port : int;
   l_backlog : endpoint Queue.t;
   mutable l_closed : bool;
@@ -81,7 +78,6 @@ and ofile_kind =
   | K_epoll of epoll
 
 and ofile = {
-  of_id : int;
   mutable kind : ofile_kind;
   mutable offset : int;
   mutable flags : int; (* O_* status flags, notably O_NONBLOCK *)
@@ -131,7 +127,6 @@ type t = {
   futexes : (int, futex_slot) Hashtbl.t; (* uaddr -> slot *)
   procs : (int, proc) Hashtbl.t;
   mutable next_pid : int;
-  mutable next_ofile : int;
   mutable next_ephemeral_port : int;
   rng : Varan_util.Prng.t;
   link_latency : int; (* cycles for one network direction *)

@@ -27,6 +27,7 @@ type t =
   | EPIPE
   | ENOSYS
   | ENOTEMPTY
+  | ELOOP
   | ENOTSOCK
   | EDESTADDRREQ
   | EMSGSIZE

@@ -302,6 +302,55 @@ let test_connect_refused () =
       | Ok () -> Alcotest.fail "expected ECONNREFUSED"
       | Error e -> Alcotest.check errno "errno" Errno.ECONNREFUSED e)
 
+(* A second connect on a connected socket fails with EISCONN and leaves
+   the listener's backlog as it was: no second server end is queued. *)
+let test_connect_eisconn () =
+  in_proc (fun k api ->
+      let lfd = ok_int (Api.socket api) in
+      ok_unit (Api.bind api lfd 7300);
+      ok_unit (Api.listen api lfd);
+      let fd = ok_int (Api.socket api) in
+      ok_unit (Api.connect api fd 7300);
+      let backlog () =
+        let module T = Varan_kernel.Types in
+        Queue.length (Hashtbl.find k.T.listeners 7300).T.l_backlog
+      in
+      Alcotest.(check int) "one pending connection" 1 (backlog ());
+      (match Api.connect api fd 7300 with
+      | Ok () -> Alcotest.fail "expected EISCONN"
+      | Error e -> Alcotest.check errno "errno" Errno.EISCONN e);
+      Alcotest.(check int) "backlog unchanged" 1 (backlog ()))
+
+(* epoll_ctl's errnos for nesting, as on Linux: a self-add is EINVAL, an
+   add that would close a cycle is ELOOP, and deleting an unwatched fd is
+   ENOENT. A wait on an epoll that was offered itself returns. *)
+let test_epoll_ctl_errnos () =
+  in_proc (fun _k api ->
+      let a = ok_int (Api.epoll_create api) in
+      let b = ok_int (Api.epoll_create api) in
+      let c = ok_int (Api.epoll_create api) in
+      let expect what want = function
+        | Ok () -> Alcotest.failf "%s: expected %s" what (Errno.name want)
+        | Error e -> Alcotest.check errno what want e
+      in
+      expect "self-add" Errno.EINVAL
+        (Api.epoll_ctl api a Flags.epoll_ctl_add a Flags.epollin);
+      expect "self-add through a dup" Errno.EINVAL
+        (Api.epoll_ctl api a Flags.epoll_ctl_add (ok_int (Api.dup api a))
+           Flags.epollin);
+      ok_unit (Api.epoll_ctl api a Flags.epoll_ctl_add b Flags.epollin);
+      ok_unit (Api.epoll_ctl api b Flags.epoll_ctl_add c Flags.epollin);
+      expect "two-epoll cycle" Errno.ELOOP
+        (Api.epoll_ctl api b Flags.epoll_ctl_add a Flags.epollin);
+      expect "three-epoll cycle" Errno.ELOOP
+        (Api.epoll_ctl api c Flags.epoll_ctl_add a Flags.epollin);
+      expect "del unwatched" Errno.ENOENT
+        (Api.epoll_ctl api c Flags.epoll_ctl_del b 0);
+      expect "mod unwatched" Errno.ENOENT
+        (Api.epoll_ctl api c Flags.epoll_ctl_mod b Flags.epollin);
+      let ready = ok_int (Api.epoll_wait api a ~max_events:4 ~timeout_ms:0) in
+      Alcotest.(check int) "nothing ready" 0 (List.length ready))
+
 let test_nonblocking_read_eagain () =
   let eng = E.create () in
   let k = K.create eng in
@@ -1146,7 +1195,10 @@ let prop_fd_table_model =
    list, and reads a nested epoll's readiness by the same walk. Ops name
    a process and a descriptor by index into what is live, so every op
    acts on something. Every descriptor is non-blocking, so a read that
-   drains or an accept with no connection pending returns at once. *)
+   drains or an accept with no connection pending returns at once. Any
+   epoll may be added to any epoll, itself included: epoll_ctl must
+   answer EINVAL for a self-add and ELOOP for a cycle, and DEL and MOD
+   of an unwatched fd ENOENT. *)
 type ep_op =
   | P_pipe
   | P_socketpair
@@ -1155,6 +1207,7 @@ type ep_op =
   | P_connect of int
   | P_accept
   | P_add of int * int * int (* epoll, descriptor, events *)
+  | P_nest of int * int (* add the second epoll to the first *)
   | P_mod of int * int * int
   | P_del of int * int
   | P_write of int
@@ -1173,6 +1226,7 @@ let show_ep_op = function
   | P_connect i -> Printf.sprintf "connect #%d" i
   | P_accept -> "accept"
   | P_add (e, i, ev) -> Printf.sprintf "add ep%d #%d %d" e i ev
+  | P_nest (e, e') -> Printf.sprintf "add ep%d to ep%d" e' e
   | P_mod (e, i, ev) -> Printf.sprintf "mod ep%d #%d %d" e i ev
   | P_del (e, i) -> Printf.sprintf "del ep%d #%d" e i
   | P_write i -> Printf.sprintf "write #%d" i
@@ -1201,6 +1255,7 @@ let gen_ep_ops =
         (3, map (fun i -> P_connect i) pick);
         (1, return P_accept);
         (5, map3 (fun e i ev -> P_add (e, i, ev)) ep pick events);
+        (2, map2 (fun e e' -> P_nest (e, e')) ep ep);
         (2, map3 (fun e i ev -> P_mod (e, i, ev)) ep pick events);
         (1, map2 (fun e i -> P_del (e, i)) ep pick);
         (3, map (fun i -> P_write i) pick);
@@ -1227,6 +1282,32 @@ let rec full_scan_revents (o : T.ofile) events =
     then Flags.epollin
     else 0
   | _ -> K.revents o events
+
+(* Whether a walk of [e]'s watch tables, through nested epolls, meets
+   [target]. *)
+let rec full_scan_reaches target (e : T.epoll) =
+  T.Fdmap.exists
+    (fun _ (w : T.watch) ->
+      match w.w_ofile.T.kind with
+      | T.K_epoll inner -> inner == target || full_scan_reaches target inner
+      | _ -> false)
+    e.T.e_watches
+
+(* What epoll_ctl must answer, read off the tables before the call. *)
+let expected_ctl (kp : T.proc) epfd op fd =
+  let find fd = Option.map (fun en -> en.T.fde_ofile) (T.Fdmap.find_opt fd kp.T.fds) in
+  match (find epfd, find fd) with
+  | None, _ | Some { T.kind = T.K_epoll _; _ }, None -> Error Errno.EBADF
+  | Some { T.kind = T.K_epoll e; _ }, Some o -> (
+    let watched = T.Fdmap.mem fd e.T.e_watches in
+    match o.T.kind with
+    | T.K_epoll inner when inner == e -> Error Errno.EINVAL
+    | _ when op = Flags.epoll_ctl_add && watched -> Error Errno.EEXIST
+    | T.K_epoll inner when op = Flags.epoll_ctl_add && full_scan_reaches e inner ->
+      Error Errno.ELOOP
+    | _ when op <> Flags.epoll_ctl_add && not watched -> Error Errno.ENOENT
+    | _ -> Ok ())
+  | Some _, _ -> Error Errno.EINVAL
 
 (* The [maxevents] lowest-fd ready watches by a walk of the whole table;
    [None] when [epfd] names no epoll. *)
@@ -1264,9 +1345,6 @@ let prop_epoll_wait_full_scan =
              ok_unit (Api.listen api0 lfd);
              nonblock root lfd;
              let eps = Array.init 2 (fun _ -> ok_int (Api.epoll_create api0)) in
-             let ep_ofile i = (T.Fdmap.find eps.(i) root.T.fds).T.fde_ofile in
-             (* Only ep1 may watch ep0: a cycle would never end the walk. *)
-             let inner = ep_ofile 0 and outer = ep_ofile 1 in
              let procs = ref [ root ] in
              let step (pi, op) =
                let p = List.nth !procs (pi mod List.length !procs) in
@@ -1276,8 +1354,15 @@ let prop_epoll_wait_full_scan =
                  | [] -> -1
                  | live -> fst (List.nth (List.rev live) (i mod List.length live))
                in
-               let ofile_at fd =
-                 Option.map (fun en -> en.T.fde_ofile) (T.Fdmap.find_opt fd p.T.fds)
+               let ctl e op fd ev =
+                 let want = expected_ctl p eps.(e) op fd in
+                 let got = Api.epoll_ctl api eps.(e) op fd ev in
+                 if got <> want then
+                   let show = function Ok () -> "ok" | Error e -> Errno.name e in
+                   error :=
+                     Some
+                       (Printf.sprintf "epoll_ctl ep%d op %d fd %d: kernel %s, model %s"
+                          e op fd (show got) (show want))
                in
                let fresh r = Result.iter (nonblock p) r in
                let fresh2 r = Result.iter (fun (a, b) -> nonblock p a; nonblock p b) r in
@@ -1288,20 +1373,10 @@ let prop_epoll_wait_full_scan =
                | P_open -> fresh (Api.openf api "/dev/null" Flags.o_rdwr)
                | P_connect i -> ignore (Api.connect api (fd_at i) port)
                | P_accept -> fresh (Api.accept api lfd)
-               | P_add (e, i, ev) ->
-                 let fd = fd_at i in
-                 let nests =
-                   match (ofile_at eps.(e), ofile_at fd) with
-                   | Some ep, Some ({ T.kind = T.K_epoll _; _ } as o) ->
-                     not (ep == outer && o == inner)
-                   | _ -> false
-                 in
-                 if not nests then
-                   ignore (Api.epoll_ctl api eps.(e) Flags.epoll_ctl_add fd ev)
-               | P_mod (e, i, ev) ->
-                 ignore (Api.epoll_ctl api eps.(e) Flags.epoll_ctl_mod (fd_at i) ev)
-               | P_del (e, i) ->
-                 ignore (Api.epoll_ctl api eps.(e) Flags.epoll_ctl_del (fd_at i) 0)
+               | P_add (e, i, ev) -> ctl e Flags.epoll_ctl_add (fd_at i) ev
+               | P_nest (e, e') -> ctl e Flags.epoll_ctl_add eps.(e') Flags.epollin
+               | P_mod (e, i, ev) -> ctl e Flags.epoll_ctl_mod (fd_at i) ev
+               | P_del (e, i) -> ctl e Flags.epoll_ctl_del (fd_at i) 0
                | P_write i -> ignore (Api.write_str api (fd_at i) "abc")
                | P_read i -> ignore (Api.read api (fd_at i) 4096)
                | P_shutdown i -> ignore (Api.shutdown api (fd_at i) Flags.shut_wr)
@@ -1420,11 +1495,13 @@ let test_poll_ready_and_timeout () =
   |> ignore;
   E.run eng
 
+(* A parked poll wakes at the cycle the writer's send returns, and only
+   then pays for copying its one result pair out. *)
 let test_poll_wakes_on_data () =
   let eng = E.create () in
   let k = K.create eng in
   let proc = K.new_proc k "p" in
-  let woke_at = ref 0L in
+  let woke_at = ref 0L and sent_at = ref 0L in
   ignore
     (E.spawn eng (fun () ->
          let api = Api.direct k proc in
@@ -1437,14 +1514,274 @@ let test_poll_wakes_on_data () =
          ignore
            (E.spawn_here ~name:"writer" (fun () ->
                 E.consume 200_000;
-                ignore (ok_int (Api.send api b (Bytes.of_string "go")))))));
+                ignore (ok_int (Api.send api b (Bytes.of_string "go")));
+                sent_at := E.now_cycles ()))));
   E.run eng;
-  (* Poll re-checks on a 50k-cycle tick, so it wakes within one tick of
-     the write at 200k cycles, far before the 500 ms timeout. *)
-  Alcotest.(check bool)
-    (Printf.sprintf "woke shortly after data (%Ld)" !woke_at)
-    true
-    (!woke_at >= 200_000L && !woke_at < 400_000L)
+  let copy_out =
+    Varan_cycles.Cost.copy_cycles
+      ~rate_c100:(K.cost k).Varan_cycles.Cost.copy_per_byte_c100 8
+  in
+  Alcotest.(check bool) "the send came after the poll parked" true (!sent_at > 200_000L);
+  Alcotest.(check int64) "woke as the send returned"
+    (Int64.add !sent_at (Int64.of_int copy_out))
+    !woke_at
+
+(* A poll's watches last only as long as the call: a poller killed while
+   parked leaves none on the socket it watched. *)
+let test_poll_killed_drops_watches () =
+  let eng = E.create () in
+  let k = K.create eng in
+  let proc = K.new_proc k "p" in
+  ignore
+    (E.spawn eng (fun () ->
+         let api = Api.direct k proc in
+         let a, _b = ok_int (Api.socketpair api) in
+         let watchers () =
+           match (T.Fdmap.find a proc.T.fds).T.fde_ofile.T.kind with
+           | T.K_sock ep -> List.length ep.T.ep_watchers
+           | _ -> Alcotest.fail "not a socket"
+         in
+         let poller =
+           E.spawn_here ~name:"poller" (fun () ->
+               ignore
+                 (Api.poll api [ (a, Flags.epollin); (a, Flags.epollin) ] ~timeout_ms:(-1));
+               Alcotest.fail "poll returned")
+         in
+         E.consume 100_000;
+         Alcotest.(check int) "parked poll watches twice" 2 (watchers ());
+         E.kill_here poller;
+         E.consume 100_000;
+         Alcotest.(check int) "no watch left" 0 (watchers ())));
+  E.run eng
+
+(* Every Wire format decodes to what it encoded, at the length the
+   result buffers are charged by, and with the x86-64 field offsets. *)
+module W = Varan_kernel.Wire
+
+let i32 = QCheck.Gen.int_range (-0x8000_0000) 0x7fff_ffff
+
+let prop_wire_roundtrip =
+  QCheck.Test.make ~name:"Wire round trips" ~count:500
+    QCheck.(
+      make
+        Gen.(
+          tup4 (list_size (int_bound 16) (pair i32 i32)) (pair i32 i32)
+            (list_size (int_bound 16) i32)
+            (tup4 i32 (int_bound max_int) bool ui64)))
+    (fun (pairs, (x, y), fds, (word, size, is_dir, ns)) ->
+      let enc = W.encode_pairs pairs in
+      Bytes.length enc = 8 * List.length pairs
+      && W.decode_pairs enc = pairs
+      && W.decode_fd_pair (W.encode_pairs [ (x, y) ]) = Some (x, y)
+      && W.decode_fd_pair enc = (match pairs with [ p ] -> Some p | _ -> None)
+      && W.decode_fd_set (W.encode_fd_set fds) = fds
+      && Bytes.length (W.encode_fd_set fds) = 4 * List.length fds
+      && W.decode_word (W.encode_word word) = word
+      && Bytes.length (W.encode_word word) = 4
+      && W.decode_stat (W.encode_stat ~size ~is_dir) = (size, is_dir)
+      && Bytes.length (W.encode_stat ~size ~is_dir) = W.stat_size
+      && W.decode_timespec (W.encode_timespec ns) = ns
+      && Bytes.length (W.encode_timespec ns) = W.timespec_size)
+
+let test_wire_layout () =
+  let st = W.encode_stat ~size:1234 ~is_dir:true in
+  Alcotest.(check int) "struct stat" 144 (Bytes.length st);
+  Alcotest.(check int64) "st_size at 48" 1234L (Bytes.get_int64_le st 48);
+  Alcotest.(check int64) "st_mode at 24" 0o040755L (Bytes.get_int64_le st 24);
+  let ts = W.encode_timespec 3_000_000_007L in
+  Alcotest.(check int64) "tv_sec" 3L (Bytes.get_int64_le ts 0);
+  Alcotest.(check int64) "tv_nsec" 7L (Bytes.get_int64_le ts 8);
+  Alcotest.(check int64) "short timespec" 0L (W.decode_timespec (Bytes.make 8 '\001'));
+  Alcotest.(check string) "pairs are little-endian int32s"
+    "\003\000\000\000\001\000\000\000\255\255\255\255\004\000\000\000"
+    (Bytes.to_string (W.encode_pairs [ (3, 1); (-1, 4) ]))
+
+(* A pipe and a socketpair against byte-queue models. Each op writes,
+   reads, closes, shuts down or toggles O_NONBLOCK on one of the four
+   ends; the models predict every result: the bytes, EOF, EAGAIN, EPIPE.
+   Before each op, Kernel.revents on every open end must match the
+   models' readiness, and the op's own direction must be ready exactly
+   when a non-blocking call does not fail with EAGAIN. A blocking call
+   the models say would wait is skipped. *)
+type qend = Pr | Pw | Sa | Sb
+
+type q_op =
+  | Q_write of qend * int
+  | Q_read of qend * int
+  | Q_close of qend
+  | Q_shutdown of qend
+  | Q_nonblock of qend * bool
+
+let qend_name = function Pr -> "pipe-r" | Pw -> "pipe-w" | Sa -> "sock-a" | Sb -> "sock-b"
+
+let show_q_op = function
+  | Q_write (e, n) -> Printf.sprintf "write %s %d" (qend_name e) n
+  | Q_read (e, n) -> Printf.sprintf "read %s %d" (qend_name e) n
+  | Q_close e -> "close " ^ qend_name e
+  | Q_shutdown e -> "shutdown " ^ qend_name e
+  | Q_nonblock (e, v) -> Printf.sprintf "nonblock %s %b" (qend_name e) v
+
+let gen_q_ops =
+  let open QCheck.Gen in
+  let size =
+    frequency
+      [ (4, int_range 1 64); (3, int_range 1 30_000); (1, int_range 200_000 500_000) ]
+  in
+  let writer = oneofl [ Pw; Sa; Sb ] and reader = oneofl [ Pr; Sa; Sb ] in
+  let op =
+    frequency
+      [
+        (6, map2 (fun e n -> Q_write (e, n)) writer size);
+        (6, map2 (fun e n -> Q_read (e, n)) reader size);
+        (1, map (fun e -> Q_close e) (oneofl [ Pr; Pw; Sa; Sb ]));
+        (1, map (fun e -> Q_shutdown e) (oneofl [ Sa; Sb ]));
+        (2, map2 (fun e v -> Q_nonblock (e, v)) (oneofl [ Pr; Pw; Sa; Sb ]) bool);
+      ]
+  in
+  list_size (int_range 1 40) op
+
+(* One direction of bytes: what was written and not yet read. *)
+type bq = { buf : Buffer.t; mutable head : int; cap : int }
+
+let bq cap = { buf = Buffer.create 64; head = 0; cap }
+let bq_len q = Buffer.length q.buf - q.head
+
+let prop_pipe_socket_model =
+  QCheck.Test.make ~name:"pipes and socketpairs == byte-queue model" ~count:200
+    (QCheck.make ~shrink:QCheck.Shrink.list
+       ~print:(fun ops -> String.concat "; " (List.map show_q_op ops))
+       gen_q_ops)
+    (fun ops ->
+      let eng = E.create () in
+      let k = K.create eng in
+      let error = ref None and finished = ref false in
+      let fail fmt = Printf.ksprintf (fun m -> if !error = None then error := Some m) fmt in
+      let p = K.new_proc k "p" in
+      ignore
+        (E.spawn eng ~name:"driver" (fun () ->
+             let api = Api.direct k p in
+             let r, w = ok_int (Api.pipe api) in
+             let a, b = ok_int (Api.socketpair api) in
+             let fd = function Pr -> r | Pw -> w | Sa -> a | Sb -> b in
+             List.iter (fun e -> ignore (K.set_nonblock p (fd e) true)) [ Pr; Pw; Sa; Sb ];
+             (* The model: the pipe's queue and each socket end's receive
+                queue; which ends are open, shut for writing, and have
+                seen their peer's FIN; which are non-blocking. *)
+             let pipe_q = bq 65536 and rx_a = bq (1 lsl 20) and rx_b = bq (1 lsl 20) in
+             let open_ = Hashtbl.create 4 and nonblock = Hashtbl.create 4 in
+             let shut = Hashtbl.create 2 and fin = Hashtbl.create 2 in
+             List.iter (fun e -> Hashtbl.replace open_ e (); Hashtbl.replace nonblock e ())
+               [ Pr; Pw; Sa; Sb ];
+             let is tbl e = Hashtbl.mem tbl e in
+             let peer = function Sa -> Sb | Sb -> Sa | e -> e in
+             let rx = function Sa -> rx_a | _ -> rx_b in
+             let ready_read = function
+               | Pr -> bq_len pipe_q > 0 || not (is open_ Pw)
+               | (Sa | Sb) as e -> bq_len (rx e) > 0 || is fin e
+               | Pw -> false
+             in
+             let ready_write = function
+               | Pw -> bq_len pipe_q < pipe_q.cap || not (is open_ Pr)
+               | (Sa | Sb) as e ->
+                 is shut e || is shut (peer e) || bq_len (rx (peer e)) < (rx (peer e)).cap
+               | Pr -> false
+             in
+             let revents e =
+               (if ready_read e then Flags.epollin else 0)
+               lor if ready_write e then Flags.epollout else 0
+             in
+             let ofile e = (T.Fdmap.find (fd e) p.T.fds).T.fde_ofile in
+             let counter = ref 0 in
+             let payload n =
+               let base = !counter in
+               counter := !counter + n;
+               Bytes.init n (fun i -> Char.chr ((base + i) mod 251))
+             in
+             let show = function
+               | Ok v -> Printf.sprintf "ok %d" v
+               | Error e -> Errno.name e
+             in
+             let step op =
+               Hashtbl.iter
+                 (fun e () ->
+                   let got = K.revents (ofile e) (Flags.epollin lor Flags.epollout) in
+                   if got <> revents e then
+                     fail "before %s: %s revents %d, model %d" (show_q_op op) (qend_name e)
+                       got (revents e))
+                 open_;
+               let call e events want run =
+                 if is open_ e then begin
+                   let ready = K.revents (ofile e) events <> 0 in
+                   if is nonblock e || ready then begin
+                     let got = run () in
+                     if show got <> show want then
+                       fail "%s: kernel %s, model %s" (show_q_op op) (show got) (show want);
+                     if is nonblock e && ready = (got = Error Errno.EAGAIN) then
+                       fail "%s: reported %s but got %s" (show_q_op op)
+                         (if ready then "ready" else "not ready") (show got)
+                   end
+                 end
+               in
+               match op with
+               | Q_write (e, n) ->
+                 let q = match e with Pw -> pipe_q | _ -> rx (peer e) in
+                 let epipe =
+                   match e with Pw -> not (is open_ Pr) | _ -> is shut e || is shut (peer e)
+                 in
+                 let room = q.cap - bq_len q in
+                 let want =
+                   if epipe then Error Errno.EPIPE
+                   else if room = 0 then Error Errno.EAGAIN
+                   else Ok (min room n)
+                 in
+                 let data = payload n in
+                 call e Flags.epollout want (fun () ->
+                     let got = Api.write api (fd e) data in
+                     (match got with
+                     | Ok m -> Buffer.add_subbytes q.buf data 0 m
+                     | Error _ -> ());
+                     got)
+               | Q_read (e, n) ->
+                 let q = match e with Pr -> pipe_q | _ -> rx e in
+                 let m = min n (bq_len q) in
+                 let want =
+                   if m > 0 || ready_read e then Ok m else Error Errno.EAGAIN
+                 in
+                 call e Flags.epollin want (fun () ->
+                     match Api.read api (fd e) n with
+                     | Error err -> Error err
+                     | Ok got ->
+                       let expect = Buffer.sub q.buf q.head m in
+                       if Bytes.to_string got <> expect then
+                         fail "%s: the bytes differ from the model's" (show_q_op op);
+                       q.head <- q.head + Bytes.length got;
+                       Ok (Bytes.length got))
+               | Q_close e ->
+                 if is open_ e then begin
+                   ignore (ok_int (Api.close api (fd e)));
+                   Hashtbl.remove open_ e;
+                   if e = Sa || e = Sb then begin
+                     Hashtbl.replace shut e ();
+                     Hashtbl.replace fin (peer e) ()
+                   end
+                 end
+               | Q_shutdown e ->
+                 if is open_ e then begin
+                   ok_unit (Api.shutdown api (fd e) Flags.shut_wr);
+                   Hashtbl.replace shut e ();
+                   Hashtbl.replace fin (peer e) ()
+                 end
+               | Q_nonblock (e, v) ->
+                 if is open_ e then begin
+                   ignore (K.set_nonblock p (fd e) v);
+                   if v then Hashtbl.replace nonblock e () else Hashtbl.remove nonblock e
+                 end
+             in
+             List.iter (fun op -> if !error = None then step op) ops;
+             finished := true));
+      (try E.run eng with exn -> fail "engine raised %s" (Printexc.to_string exn));
+      if not !finished then fail "the driver did not finish";
+      match !error with None -> true | Some m -> QCheck.Test.fail_report m)
 
 let test_select () =
   let eng = E.create () in
@@ -1642,6 +1979,8 @@ let () =
           Alcotest.test_case "socket EOF on close" `Quick
             test_socket_eof_on_close;
           Alcotest.test_case "connect refused" `Quick test_connect_refused;
+          Alcotest.test_case "connect on a connected socket" `Quick
+            test_connect_eisconn;
           Alcotest.test_case "nonblocking EAGAIN" `Quick
             test_nonblocking_read_eagain;
           Alcotest.test_case "epoll server pattern" `Quick
@@ -1655,6 +1994,7 @@ let () =
           Alcotest.test_case "epoll_wait caps ready at max_events" `Quick
             test_epoll_wait_caps_ready;
           QCheck_alcotest.to_alcotest prop_epoll_wait_full_scan;
+          Alcotest.test_case "epoll_ctl nesting errnos" `Quick test_epoll_ctl_errnos;
           Alcotest.test_case "link latency" `Quick
             test_link_latency_delays_delivery;
           Alcotest.test_case "link overflow drops the excess" `Quick
@@ -1686,7 +2026,12 @@ let () =
             test_poll_ready_and_timeout;
           Alcotest.test_case "poll wakes on data" `Quick
             test_poll_wakes_on_data;
+          Alcotest.test_case "poll killed while parked drops its watches" `Quick
+            test_poll_killed_drops_watches;
           Alcotest.test_case "select" `Quick test_select;
+          Alcotest.test_case "Wire field layout" `Quick test_wire_layout;
+          QCheck_alcotest.to_alcotest prop_wire_roundtrip;
+          QCheck_alcotest.to_alcotest prop_pipe_socket_model;
           Alcotest.test_case "full syscall matrix" `Quick
             test_every_syscall_dispatches;
           Alcotest.test_case "strace" `Quick test_strace;
